@@ -16,7 +16,7 @@
 use aascript::SharedSandbox;
 use pastry::{NodeId, NodeInfo, PastryNode};
 use rbay_core::{Candidate, RbayConfig, RbayHost, RbayNode};
-use rbay_wire::{Reader, Resolver, Wire, WireError};
+use rbay_wire::{wire_enum, Resolver};
 use scribe::ScribeLayer;
 use simnet::{NodeAddr, SiteId};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -228,281 +228,179 @@ pub enum CtrlMsg {
     Release,
 }
 
-mod ctrl_tag {
-    pub const POST: u8 = 0;
-    pub const INSTALL_NODE_AA: u8 = 1;
-    pub const ISSUE_QUERY: u8 = 2;
-    pub const QUERY_DONE: u8 = 3;
-    pub const STATUS: u8 = 4;
-    pub const STATUS_REPLY: u8 = 5;
-    pub const OK: u8 = 6;
-    pub const ERR: u8 = 7;
-    pub const SHUTDOWN: u8 = 8;
-    pub const TO: u8 = 9;
-    pub const PROC_STATUS: u8 = 10;
-    pub const PROC_STATUS_REPLY: u8 = 11;
-    pub const RELEASE: u8 = 12;
-    pub const QUERY_SHED: u8 = 13;
-    pub const ENABLE_FRONTDOOR: u8 = 14;
-}
-
-impl Wire for CtrlMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            CtrlMsg::Post { attr, value } => {
-                out.push(ctrl_tag::POST);
-                attr.encode_into(out);
-                value.encode_into(out);
-            }
-            CtrlMsg::InstallNodeAa { src } => {
-                out.push(ctrl_tag::INSTALL_NODE_AA);
-                src.encode_into(out);
-            }
-            CtrlMsg::IssueQuery { zql, password } => {
-                out.push(ctrl_tag::ISSUE_QUERY);
-                zql.encode_into(out);
-                password.encode_into(out);
-            }
-            CtrlMsg::QueryDone {
-                satisfied,
-                results,
-                unknown_sites,
-            } => {
-                out.push(ctrl_tag::QUERY_DONE);
-                satisfied.encode_into(out);
-                results.encode_into(out);
-                unknown_sites.encode_into(out);
-            }
-            CtrlMsg::Status => out.push(ctrl_tag::STATUS),
-            CtrlMsg::StatusReply {
-                addr,
-                site,
-                joined,
-                known_peers,
-                topics,
-                attached,
-                committed,
-            } => {
-                out.push(ctrl_tag::STATUS_REPLY);
-                addr.encode_into(out);
-                site.encode_into(out);
-                joined.encode_into(out);
-                known_peers.encode_into(out);
-                topics.encode_into(out);
-                attached.encode_into(out);
-                committed.encode_into(out);
-            }
-            CtrlMsg::Ok => out.push(ctrl_tag::OK),
-            CtrlMsg::Err { msg } => {
-                out.push(ctrl_tag::ERR);
-                msg.encode_into(out);
-            }
-            CtrlMsg::Shutdown => out.push(ctrl_tag::SHUTDOWN),
-            CtrlMsg::To { member, msg } => {
-                out.push(ctrl_tag::TO);
-                member.encode_into(out);
-                msg.encode_into(out);
-            }
-            CtrlMsg::ProcStatus => out.push(ctrl_tag::PROC_STATUS),
-            CtrlMsg::ProcStatusReply {
-                members,
-                joined,
-                attached_members,
-                topics,
-                committed,
-                dropped_frames,
-                min_known_peers,
-                drops,
-                frontdoor,
-                store,
-            } => {
-                out.push(ctrl_tag::PROC_STATUS_REPLY);
-                members.encode_into(out);
-                joined.encode_into(out);
-                attached_members.encode_into(out);
-                topics.encode_into(out);
-                committed.encode_into(out);
-                dropped_frames.encode_into(out);
-                min_known_peers.encode_into(out);
-                drops.encode_into(out);
-                frontdoor.encode_into(out);
-                store.encode_into(out);
-            }
-            CtrlMsg::Release => out.push(ctrl_tag::RELEASE),
-            CtrlMsg::QueryShed { retry_after_ms } => {
-                out.push(ctrl_tag::QUERY_SHED);
-                retry_after_ms.encode_into(out);
-            }
-            CtrlMsg::EnableFrontdoor {
-                ttl_ms,
-                capacity,
-                max_pending,
-            } => {
-                out.push(ctrl_tag::ENABLE_FRONTDOOR);
-                ttl_ms.encode_into(out);
-                capacity.encode_into(out);
-                max_pending.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            ctrl_tag::POST => CtrlMsg::Post {
-                attr: String::decode(r)?,
-                value: rbay_query::AttrValue::decode(r)?,
-            },
-            ctrl_tag::INSTALL_NODE_AA => CtrlMsg::InstallNodeAa {
-                src: String::decode(r)?,
-            },
-            ctrl_tag::ISSUE_QUERY => CtrlMsg::IssueQuery {
-                zql: String::decode(r)?,
-                password: Option::<String>::decode(r)?,
-            },
-            ctrl_tag::QUERY_DONE => CtrlMsg::QueryDone {
-                satisfied: bool::decode(r)?,
-                results: Vec::<Candidate>::decode(r)?,
-                unknown_sites: Vec::<String>::decode(r)?,
-            },
-            ctrl_tag::STATUS => CtrlMsg::Status,
-            ctrl_tag::STATUS_REPLY => CtrlMsg::StatusReply {
-                addr: NodeAddr::decode(r)?,
-                site: SiteId::decode(r)?,
-                joined: bool::decode(r)?,
-                known_peers: u32::decode(r)?,
-                topics: u32::decode(r)?,
-                attached: u32::decode(r)?,
-                committed: u32::decode(r)?,
-            },
-            ctrl_tag::OK => CtrlMsg::Ok,
-            ctrl_tag::ERR => CtrlMsg::Err {
-                msg: String::decode(r)?,
-            },
-            ctrl_tag::SHUTDOWN => CtrlMsg::Shutdown,
-            ctrl_tag::TO => {
-                let member = NodeAddr::decode(r)?;
-                r.enter()?;
-                let msg = Box::new(CtrlMsg::decode(r)?);
-                r.exit();
-                CtrlMsg::To { member, msg }
-            }
-            ctrl_tag::PROC_STATUS => CtrlMsg::ProcStatus,
-            ctrl_tag::PROC_STATUS_REPLY => CtrlMsg::ProcStatusReply {
-                members: u32::decode(r)?,
-                joined: u32::decode(r)?,
-                attached_members: u32::decode(r)?,
-                topics: u32::decode(r)?,
-                committed: u32::decode(r)?,
-                dropped_frames: u64::decode(r)?,
-                min_known_peers: u32::decode(r)?,
-                drops: rbay_wire::DropStats::decode(r)?,
-                frontdoor: rbay_core::FrontdoorStats::decode(r)?,
-                store: rbay_store::StoreStats::decode(r)?,
-            },
-            ctrl_tag::RELEASE => CtrlMsg::Release,
-            ctrl_tag::QUERY_SHED => CtrlMsg::QueryShed {
-                retry_after_ms: u64::decode(r)?,
-            },
-            ctrl_tag::ENABLE_FRONTDOOR => CtrlMsg::EnableFrontdoor {
-                ttl_ms: u64::decode(r)?,
-                capacity: u32::decode(r)?,
-                max_pending: u32::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "CtrlMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+// Tags are in order of introduction and frozen (golden bytes in the test
+// module): old harnesses and new daemons must keep understanding each other.
+wire_enum!(CtrlMsg {
+    0 => Post { attr, value },
+    1 => InstallNodeAa { src },
+    2 => IssueQuery { zql, password },
+    3 => QueryDone { satisfied, results, unknown_sites },
+    4 => Status,
+    5 => StatusReply { addr, site, joined, known_peers, topics, attached, committed },
+    6 => Ok,
+    7 => Err { msg },
+    8 => Shutdown,
+    9 => To { member, msg },
+    10 => ProcStatus,
+    11 => ProcStatusReply {
+        members,
+        joined,
+        attached_members,
+        topics,
+        committed,
+        dropped_frames,
+        min_known_peers,
+        drops,
+        frontdoor,
+        store,
+    },
+    12 => Release,
+    13 => QueryShed { retry_after_ms },
+    14 => EnableFrontdoor { ttl_ms, capacity, max_pending },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rbay_wire::{decode_frame, encode_frame};
 
+    /// One value per [`CtrlMsg`] variant, in tag order, with the bytes it
+    /// encoded to at the commit before the codec became declarative. Old
+    /// harnesses and new daemons must keep understanding each other, so
+    /// these vectors are never edited to make a change pass.
+    fn golden_ctrl_msgs() -> Vec<(CtrlMsg, &'static str)> {
+        vec![
+            (
+                CtrlMsg::Post {
+                    attr: "GPU".into(),
+                    value: rbay_query::AttrValue::Bool(true),
+                },
+                "0100034750550001",
+            ),
+            (
+                CtrlMsg::InstallNodeAa {
+                    src: "AA = {}".into(),
+                },
+                "0101074141203d207b7d",
+            ),
+            (
+                CtrlMsg::IssueQuery {
+                    zql: "SELECT 3 FROM * WHERE GPU = true".into(),
+                    password: Some("pw".into()),
+                },
+                "01022053454c45435420332046524f4d202a20574845524520475055203d207472756501027077",
+            ),
+            (
+                CtrlMsg::QueryDone {
+                    satisfied: true,
+                    results: vec![Candidate {
+                        id: NodeId(7),
+                        addr: NodeAddr(300),
+                        site: SiteId(0),
+                        sort_key: None,
+                    }],
+                    unknown_sites: vec!["atlantis".into()],
+                },
+                "0103010107000000000000000000000000000000ac020000010861746c616e746973",
+            ),
+            (CtrlMsg::Status, "0104"),
+            (
+                CtrlMsg::StatusReply {
+                    addr: NodeAddr(499),
+                    site: SiteId(1),
+                    joined: true,
+                    known_peers: 37,
+                    topics: 8,
+                    attached: 8,
+                    committed: 2,
+                },
+                "0105f303010125080802",
+            ),
+            (CtrlMsg::Ok, "0106"),
+            (
+                CtrlMsg::Err {
+                    msg: "no such member".into(),
+                },
+                "01070e6e6f2073756368206d656d626572",
+            ),
+            (CtrlMsg::Shutdown, "0108"),
+            (
+                CtrlMsg::To {
+                    member: NodeAddr(123),
+                    msg: Box::new(CtrlMsg::IssueQuery {
+                        zql: "SELECT 1 FROM * WHERE GPU = true".into(),
+                        password: None,
+                    }),
+                },
+                "01097b022053454c45435420312046524f4d202a20574845524520475055203d207472756500",
+            ),
+            (CtrlMsg::ProcStatus, "010a"),
+            (
+                CtrlMsg::ProcStatusReply {
+                    members: 100,
+                    joined: 99,
+                    attached_members: 4,
+                    topics: 7,
+                    committed: 2,
+                    dropped_frames: 1,
+                    min_known_peers: 12,
+                    drops: rbay_wire::DropStats {
+                        unresolvable: 1,
+                        outbound_full: 2,
+                        write_cap: 3,
+                        connect_exhausted: 4,
+                        conn_closed: 5,
+                    },
+                    frontdoor: rbay_core::FrontdoorStats {
+                        hits: 10,
+                        misses: 4,
+                        coalesced: 2,
+                        shed: 1,
+                        invalidations: 3,
+                        evictions: 0,
+                    },
+                    store: rbay_store::StoreStats {
+                        appends: 40,
+                        dedup_skips: 3,
+                        snapshots: 1,
+                        replay_records: 17,
+                        replay_micros: 250,
+                        relint_rejects: 1,
+                        wal_bytes: 4096,
+                        wal_records: 23,
+                    },
+                },
+                "010b6463040702010c01020304050a040201030028030111fa0101802017",
+            ),
+            (CtrlMsg::Release, "010c"),
+            (
+                CtrlMsg::QueryShed {
+                    retry_after_ms: 100,
+                },
+                "010d64",
+            ),
+            (
+                CtrlMsg::EnableFrontdoor {
+                    ttl_ms: 10_000,
+                    capacity: 1024,
+                    max_pending: 256,
+                },
+                "010e904e80088002",
+            ),
+        ]
+    }
+
     #[test]
-    fn ctrl_msgs_round_trip() {
-        let msgs = vec![
-            CtrlMsg::Post {
-                attr: "GPU".into(),
-                value: rbay_query::AttrValue::Bool(true),
-            },
-            CtrlMsg::IssueQuery {
-                zql: "SELECT 3 FROM * WHERE GPU = true".into(),
-                password: Some("pw".into()),
-            },
-            CtrlMsg::QueryDone {
-                satisfied: true,
-                results: vec![Candidate {
-                    id: NodeId(7),
-                    addr: NodeAddr(3),
-                    site: SiteId(0),
-                    sort_key: None,
-                }],
-                unknown_sites: vec!["atlantis".into()],
-            },
-            CtrlMsg::Status,
-            CtrlMsg::Ok,
-            CtrlMsg::Shutdown,
-            CtrlMsg::To {
-                member: NodeAddr(123),
-                msg: Box::new(CtrlMsg::IssueQuery {
-                    zql: "SELECT 1 FROM * WHERE GPU = true".into(),
-                    password: None,
-                }),
-            },
-            CtrlMsg::ProcStatus,
-            CtrlMsg::ProcStatusReply {
-                members: 100,
-                joined: 99,
-                attached_members: 4,
-                topics: 7,
-                committed: 2,
-                dropped_frames: 1,
-                min_known_peers: 12,
-                drops: rbay_wire::DropStats {
-                    unresolvable: 1,
-                    outbound_full: 2,
-                    write_cap: 3,
-                    connect_exhausted: 4,
-                    conn_closed: 5,
-                },
-                frontdoor: rbay_core::FrontdoorStats {
-                    hits: 10,
-                    misses: 4,
-                    coalesced: 2,
-                    shed: 1,
-                    invalidations: 3,
-                    evictions: 0,
-                },
-                store: rbay_store::StoreStats {
-                    appends: 40,
-                    dedup_skips: 3,
-                    snapshots: 1,
-                    replay_records: 17,
-                    replay_micros: 250,
-                    relint_rejects: 1,
-                    wal_bytes: 4096,
-                    wal_records: 23,
-                },
-            },
-            CtrlMsg::Release,
-            CtrlMsg::QueryShed {
-                retry_after_ms: 100,
-            },
-            CtrlMsg::EnableFrontdoor {
-                ttl_ms: 10_000,
-                capacity: 1024,
-                max_pending: 256,
-            },
-        ];
-        for m in &msgs {
-            assert_eq!(&decode_frame::<CtrlMsg>(&encode_frame(m)).unwrap(), m);
+    fn ctrl_msgs_encode_to_golden_bytes() {
+        let vectors = golden_ctrl_msgs();
+        for (m, hex) in &vectors {
+            let frame = encode_frame(m);
+            let got: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(&got, hex, "encoding moved for {m:?}");
+            assert_eq!(&decode_frame::<CtrlMsg>(&frame).unwrap(), m);
         }
+        // One vector per declared tag: a new variant needs a new vector.
+        rbay_wire::assert_tags_covered(vectors.into_iter().map(|(m, _)| m));
     }
 
     #[test]

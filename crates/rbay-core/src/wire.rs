@@ -1,380 +1,63 @@
-//! [`Wire`] implementations for this crate's cross-node types
-//! ([`RbayPayload`] and friends) — they live here rather than in
-//! `rbay-wire` because the orphan rule wants impls next to the local side,
-//! and `rbay-wire` cannot depend on this crate.
+//! Wire layouts of this crate's cross-node types ([`RbayPayload`] and
+//! friends), declared with `rbay-wire`'s macros. They live here rather
+//! than in `rbay-wire` because the orphan rule wants impls next to the
+//! local side, and `rbay-wire` cannot depend on this crate.
 //!
-//! Tag tables are in DESIGN.md §13. `SearchState.query` is an `Rc<Query>`
-//! in memory purely for cheap intra-process cloning; on the wire it is a
-//! plain `Query`, re-wrapped on decode.
+//! A declaration *is* the frozen layout: field order is byte order, and
+//! each enum's tag table is its `Wire::TAGS`.
 
 use crate::frontdoor::FrontdoorStats;
 use crate::types::{AdminCommand, Candidate, QueryId, RbayEvent, RbayPayload, SearchState};
-use pastry::{NodeId, NodeInfo};
-use rbay_query::{AttrValue, Query};
-use rbay_wire::{Reader, Wire, WireError};
-use scribe::{AggValue, TopicId};
-use simnet::{NodeAddr, SimTime, SiteId};
-use std::rc::Rc;
+use rbay_wire::{wire_enum, wire_struct};
 
-impl Wire for QueryId {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(QueryId(u64::decode(r)?))
-    }
-}
+wire_struct!(QueryId { 0 });
+wire_struct!(FrontdoorStats {
+    hits,
+    misses,
+    coalesced,
+    shed,
+    invalidations,
+    evictions
+});
+wire_struct!(Candidate {
+    id,
+    addr,
+    site,
+    sort_key
+});
+wire_struct!(SearchState {
+    query_id,
+    reply_to,
+    query,
+    password,
+    slots
+});
+wire_struct!(AdminCommand {
+    cmd_id,
+    attr,
+    payload,
+    issued_at
+});
 
-impl Wire for FrontdoorStats {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.hits.encode_into(out);
-        self.misses.encode_into(out);
-        self.coalesced.encode_into(out);
-        self.shed.encode_into(out);
-        self.invalidations.encode_into(out);
-        self.evictions.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(FrontdoorStats {
-            hits: u64::decode(r)?,
-            misses: u64::decode(r)?,
-            coalesced: u64::decode(r)?,
-            shed: u64::decode(r)?,
-            invalidations: u64::decode(r)?,
-            evictions: u64::decode(r)?,
-        })
-    }
-}
+wire_enum!(RbayPayload {
+    0 => SizeProbe { query_id, tree_idx, reply_to, site },
+    1 => Search(state),
+    2 => ProbeEcho { query_id, tree_idx, site, size, exists },
+    3 => SearchEcho { query_id, site, slots, satisfied },
+    4 => RemoteProbe { query_id, reply_to, site, trees },
+    5 => RemoteSearch { state, tree },
+    6 => Commit { query_id },
+    7 => Release { query_id },
+    8 => Admin(cmd),
+    9 => StatsProbe { reply_to, tree },
+    10 => StatsEcho { tree, agg, exists },
+    11 => Ping { nonce, info },
+    12 => Pong { nonce, info },
+    13 => Invalidate { attr, fanout },
+});
 
-impl Wire for Candidate {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.id.encode_into(out);
-        self.addr.encode_into(out);
-        self.site.encode_into(out);
-        self.sort_key.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Candidate {
-            id: NodeId::decode(r)?,
-            addr: NodeAddr::decode(r)?,
-            site: SiteId::decode(r)?,
-            sort_key: Option::<AttrValue>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for SearchState {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.query_id.encode_into(out);
-        self.reply_to.encode_into(out);
-        self.query.as_ref().encode_into(out);
-        self.password.encode_into(out);
-        self.slots.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SearchState {
-            query_id: QueryId::decode(r)?,
-            reply_to: NodeAddr::decode(r)?,
-            query: Rc::new(Query::decode(r)?),
-            password: Option::<String>::decode(r)?,
-            slots: Vec::<Candidate>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AdminCommand {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.cmd_id.encode_into(out);
-        self.attr.encode_into(out);
-        self.payload.encode_into(out);
-        self.issued_at.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AdminCommand {
-            cmd_id: u64::decode(r)?,
-            attr: String::decode(r)?,
-            payload: AttrValue::decode(r)?,
-            issued_at: SimTime::decode(r)?,
-        })
-    }
-}
-
-/// Tag bytes for [`RbayPayload`] (DESIGN.md §13 table).
-mod payload_tag {
-    pub const SIZE_PROBE: u8 = 0;
-    pub const SEARCH: u8 = 1;
-    pub const PROBE_ECHO: u8 = 2;
-    pub const SEARCH_ECHO: u8 = 3;
-    pub const REMOTE_PROBE: u8 = 4;
-    pub const REMOTE_SEARCH: u8 = 5;
-    pub const COMMIT: u8 = 6;
-    pub const RELEASE: u8 = 7;
-    pub const ADMIN: u8 = 8;
-    pub const STATS_PROBE: u8 = 9;
-    pub const STATS_ECHO: u8 = 10;
-    pub const PING: u8 = 11;
-    pub const PONG: u8 = 12;
-    pub const INVALIDATE: u8 = 13;
-}
-
-impl Wire for RbayPayload {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            RbayPayload::SizeProbe {
-                query_id,
-                tree_idx,
-                reply_to,
-                site,
-            } => {
-                out.push(payload_tag::SIZE_PROBE);
-                query_id.encode_into(out);
-                tree_idx.encode_into(out);
-                reply_to.encode_into(out);
-                site.encode_into(out);
-            }
-            RbayPayload::Search(state) => {
-                out.push(payload_tag::SEARCH);
-                state.encode_into(out);
-            }
-            RbayPayload::ProbeEcho {
-                query_id,
-                tree_idx,
-                site,
-                size,
-                exists,
-            } => {
-                out.push(payload_tag::PROBE_ECHO);
-                query_id.encode_into(out);
-                tree_idx.encode_into(out);
-                site.encode_into(out);
-                size.encode_into(out);
-                exists.encode_into(out);
-            }
-            RbayPayload::SearchEcho {
-                query_id,
-                site,
-                slots,
-                satisfied,
-            } => {
-                out.push(payload_tag::SEARCH_ECHO);
-                query_id.encode_into(out);
-                site.encode_into(out);
-                slots.encode_into(out);
-                satisfied.encode_into(out);
-            }
-            RbayPayload::RemoteProbe {
-                query_id,
-                reply_to,
-                site,
-                trees,
-            } => {
-                out.push(payload_tag::REMOTE_PROBE);
-                query_id.encode_into(out);
-                reply_to.encode_into(out);
-                site.encode_into(out);
-                trees.encode_into(out);
-            }
-            RbayPayload::RemoteSearch { state, tree } => {
-                out.push(payload_tag::REMOTE_SEARCH);
-                state.encode_into(out);
-                tree.encode_into(out);
-            }
-            RbayPayload::Commit { query_id } => {
-                out.push(payload_tag::COMMIT);
-                query_id.encode_into(out);
-            }
-            RbayPayload::Release { query_id } => {
-                out.push(payload_tag::RELEASE);
-                query_id.encode_into(out);
-            }
-            RbayPayload::Admin(cmd) => {
-                out.push(payload_tag::ADMIN);
-                cmd.encode_into(out);
-            }
-            RbayPayload::StatsProbe { reply_to, tree } => {
-                out.push(payload_tag::STATS_PROBE);
-                reply_to.encode_into(out);
-                tree.encode_into(out);
-            }
-            RbayPayload::StatsEcho { tree, agg, exists } => {
-                out.push(payload_tag::STATS_ECHO);
-                tree.encode_into(out);
-                agg.encode_into(out);
-                exists.encode_into(out);
-            }
-            RbayPayload::Ping { nonce, info } => {
-                out.push(payload_tag::PING);
-                nonce.encode_into(out);
-                info.encode_into(out);
-            }
-            RbayPayload::Pong { nonce, info } => {
-                out.push(payload_tag::PONG);
-                nonce.encode_into(out);
-                info.encode_into(out);
-            }
-            RbayPayload::Invalidate { attr, fanout } => {
-                out.push(payload_tag::INVALIDATE);
-                attr.encode_into(out);
-                fanout.encode_into(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            payload_tag::SIZE_PROBE => RbayPayload::SizeProbe {
-                query_id: QueryId::decode(r)?,
-                tree_idx: u8::decode(r)?,
-                reply_to: NodeAddr::decode(r)?,
-                site: SiteId::decode(r)?,
-            },
-            payload_tag::SEARCH => RbayPayload::Search(SearchState::decode(r)?),
-            payload_tag::PROBE_ECHO => RbayPayload::ProbeEcho {
-                query_id: QueryId::decode(r)?,
-                tree_idx: u8::decode(r)?,
-                site: SiteId::decode(r)?,
-                size: Option::<u64>::decode(r)?,
-                exists: bool::decode(r)?,
-            },
-            payload_tag::SEARCH_ECHO => RbayPayload::SearchEcho {
-                query_id: QueryId::decode(r)?,
-                site: SiteId::decode(r)?,
-                slots: Vec::<Candidate>::decode(r)?,
-                satisfied: bool::decode(r)?,
-            },
-            payload_tag::REMOTE_PROBE => RbayPayload::RemoteProbe {
-                query_id: QueryId::decode(r)?,
-                reply_to: NodeAddr::decode(r)?,
-                site: SiteId::decode(r)?,
-                trees: Vec::<String>::decode(r)?,
-            },
-            payload_tag::REMOTE_SEARCH => RbayPayload::RemoteSearch {
-                state: SearchState::decode(r)?,
-                tree: String::decode(r)?,
-            },
-            payload_tag::COMMIT => RbayPayload::Commit {
-                query_id: QueryId::decode(r)?,
-            },
-            payload_tag::RELEASE => RbayPayload::Release {
-                query_id: QueryId::decode(r)?,
-            },
-            payload_tag::ADMIN => RbayPayload::Admin(AdminCommand::decode(r)?),
-            payload_tag::STATS_PROBE => RbayPayload::StatsProbe {
-                reply_to: NodeAddr::decode(r)?,
-                tree: String::decode(r)?,
-            },
-            payload_tag::STATS_ECHO => RbayPayload::StatsEcho {
-                tree: String::decode(r)?,
-                agg: Option::<AggValue>::decode(r)?,
-                exists: bool::decode(r)?,
-            },
-            payload_tag::PING => RbayPayload::Ping {
-                nonce: u64::decode(r)?,
-                info: NodeInfo::decode(r)?,
-            },
-            payload_tag::PONG => RbayPayload::Pong {
-                nonce: u64::decode(r)?,
-                info: NodeInfo::decode(r)?,
-            },
-            payload_tag::INVALIDATE => RbayPayload::Invalidate {
-                attr: String::decode(r)?,
-                fanout: bool::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "RbayPayload",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-/// Tag bytes for [`RbayEvent`].
-mod event_tag {
-    pub const SUBSCRIBED: u8 = 0;
-    pub const ADMIN_DELIVERED: u8 = 1;
-    pub const QUERY_DONE: u8 = 2;
-}
-
-impl Wire for RbayEvent {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            RbayEvent::Subscribed {
-                topic,
-                requested_at,
-                attached_at,
-            } => {
-                out.push(event_tag::SUBSCRIBED);
-                topic.encode_into(out);
-                requested_at.encode_into(out);
-                attached_at.encode_into(out);
-            }
-            RbayEvent::AdminDelivered {
-                cmd_id,
-                issued_at,
-                delivered_at,
-            } => {
-                out.push(event_tag::ADMIN_DELIVERED);
-                cmd_id.encode_into(out);
-                issued_at.encode_into(out);
-                delivered_at.encode_into(out);
-            }
-            RbayEvent::QueryDone {
-                query_id,
-                issued_at,
-                completed_at,
-                satisfied,
-            } => {
-                out.push(event_tag::QUERY_DONE);
-                query_id.encode_into(out);
-                issued_at.encode_into(out);
-                completed_at.encode_into(out);
-                satisfied.encode_into(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            event_tag::SUBSCRIBED => RbayEvent::Subscribed {
-                topic: TopicId::decode(r)?,
-                requested_at: SimTime::decode(r)?,
-                attached_at: SimTime::decode(r)?,
-            },
-            event_tag::ADMIN_DELIVERED => RbayEvent::AdminDelivered {
-                cmd_id: u64::decode(r)?,
-                issued_at: SimTime::decode(r)?,
-                delivered_at: SimTime::decode(r)?,
-            },
-            event_tag::QUERY_DONE => RbayEvent::QueryDone {
-                query_id: QueryId::decode(r)?,
-                issued_at: SimTime::decode(r)?,
-                completed_at: SimTime::decode(r)?,
-                satisfied: bool::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "RbayEvent",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(RbayEvent {
+    0 => Subscribed { topic, requested_at, attached_at },
+    1 => AdminDelivered { cmd_id, issued_at, delivered_at },
+    2 => QueryDone { query_id, issued_at, completed_at, satisfied },
+});

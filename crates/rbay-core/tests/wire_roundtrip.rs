@@ -7,9 +7,10 @@ use pastry::{NodeId, NodeInfo, PastryMsg};
 use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
+use proptest::TestRng;
 use rbay_core::{AdminCommand, Candidate, QueryId, RbayEvent, RbayMsg, RbayPayload, SearchState};
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
-use rbay_wire::{decode_frame, encode_frame, Wire};
+use rbay_wire::{assert_tags_covered, decode_frame, encode_frame, Wire};
 use scribe::{AggValue, ScribeMsg, TopicId};
 use simnet::{NodeAddr, SimTime, SiteId};
 use std::rc::Rc;
@@ -241,6 +242,19 @@ fn s_rbay_msg() -> BoxedStrategy<RbayMsg> {
         s_payload().prop_map(|p| PastryMsg::Direct(ScribeMsg::AppDirect(p))),
     ]
     .boxed()
+}
+
+/// Every declared tag of `RbayPayload` and `RbayEvent` comes out of its
+/// strategy (and the tag tables are unique and dense from 0): a variant
+/// added to a `wire_enum!` but not to the strategy above fails here.
+#[test]
+fn strategies_cover_every_declared_tag() {
+    fn samples<T>(s: impl Strategy<Value = T>) -> impl Iterator<Item = T> {
+        let mut rng = TestRng::seed_for("strategies_cover_every_declared_tag");
+        (0..2048).map(move |_| s.gen_value(&mut rng))
+    }
+    assert_tags_covered(samples(s_payload()));
+    assert_tags_covered(samples(s_event()));
 }
 
 // ---------------------------------------------------------------------------

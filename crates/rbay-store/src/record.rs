@@ -1,8 +1,7 @@
 //! The WAL record vocabulary and the in-memory state image it rebuilds.
 
 use rbay_query::AttrValue;
-use rbay_wire::codec::emit;
-use rbay_wire::{Reader, Wire, WireError};
+use rbay_wire::{wire_enum, wire_struct};
 use scribe::TopicId;
 use simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -70,19 +69,6 @@ pub enum WalRecord {
     },
 }
 
-mod tag {
-    pub const ATTR_PUT: u8 = 0;
-    pub const ATTR_DEL: u8 = 1;
-    pub const NODE_AA_INSTALL: u8 = 2;
-    pub const NODE_AA_UNINSTALL: u8 = 3;
-    pub const ATTR_AA_INSTALL: u8 = 4;
-    pub const ATTR_AA_UNINSTALL: u8 = 5;
-    pub const SUB_ADD: u8 = 6;
-    pub const SUB_REMOVE: u8 = 7;
-    pub const COMMIT: u8 = 8;
-    pub const RELEASE: u8 = 9;
-}
-
 impl WalRecord {
     /// Short name for obs counters and trace lines.
     pub fn kind(&self) -> &'static str {
@@ -101,112 +87,20 @@ impl WalRecord {
     }
 }
 
-fn encode_scope(scope: &Option<SiteId>, out: &mut Vec<u8>) {
-    match scope {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            s.encode_into(out);
-        }
-    }
-}
-
-fn decode_scope(r: &mut Reader<'_>) -> Result<Option<SiteId>, WireError> {
-    match r.byte()? {
-        0 => Ok(None),
-        1 => Ok(Some(SiteId::decode(r)?)),
-        tag => Err(WireError::BadTag { what: "scope", tag }),
-    }
-}
-
-impl Wire for WalRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::AttrPut { attr, value } => {
-                out.push(tag::ATTR_PUT);
-                attr.encode_into(out);
-                value.encode_into(out);
-            }
-            WalRecord::AttrDel { attr } => {
-                out.push(tag::ATTR_DEL);
-                attr.encode_into(out);
-            }
-            WalRecord::NodeAaInstall { source } => {
-                out.push(tag::NODE_AA_INSTALL);
-                source.encode_into(out);
-            }
-            WalRecord::NodeAaUninstall => out.push(tag::NODE_AA_UNINSTALL),
-            WalRecord::AttrAaInstall { attr, source } => {
-                out.push(tag::ATTR_AA_INSTALL);
-                attr.encode_into(out);
-                source.encode_into(out);
-            }
-            WalRecord::AttrAaUninstall { attr } => {
-                out.push(tag::ATTR_AA_UNINSTALL);
-                attr.encode_into(out);
-            }
-            WalRecord::SubAdd { topic, scope } => {
-                out.push(tag::SUB_ADD);
-                topic.encode_into(out);
-                encode_scope(scope, out);
-            }
-            WalRecord::SubRemove { topic } => {
-                out.push(tag::SUB_REMOVE);
-                topic.encode_into(out);
-            }
-            WalRecord::Commit { query } => {
-                out.push(tag::COMMIT);
-                emit::varint_u64(out, *query);
-            }
-            WalRecord::Release { query } => {
-                out.push(tag::RELEASE);
-                emit::varint_u64(out, *query);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            tag::ATTR_PUT => WalRecord::AttrPut {
-                attr: String::decode(r)?,
-                value: AttrValue::decode(r)?,
-            },
-            tag::ATTR_DEL => WalRecord::AttrDel {
-                attr: String::decode(r)?,
-            },
-            tag::NODE_AA_INSTALL => WalRecord::NodeAaInstall {
-                source: String::decode(r)?,
-            },
-            tag::NODE_AA_UNINSTALL => WalRecord::NodeAaUninstall,
-            tag::ATTR_AA_INSTALL => WalRecord::AttrAaInstall {
-                attr: String::decode(r)?,
-                source: String::decode(r)?,
-            },
-            tag::ATTR_AA_UNINSTALL => WalRecord::AttrAaUninstall {
-                attr: String::decode(r)?,
-            },
-            tag::SUB_ADD => WalRecord::SubAdd {
-                topic: TopicId::decode(r)?,
-                scope: decode_scope(r)?,
-            },
-            tag::SUB_REMOVE => WalRecord::SubRemove {
-                topic: TopicId::decode(r)?,
-            },
-            tag::COMMIT => WalRecord::Commit {
-                query: r.varint_u64()?,
-            },
-            tag::RELEASE => WalRecord::Release {
-                query: r.varint_u64()?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "WalRecord",
-                    tag,
-                })
-            }
-        })
-    }
-}
+// The on-disk layout: tags and field order are frozen (golden bytes in
+// `tests/recovery.rs`); a new record kind takes the next free tag.
+wire_enum!(WalRecord {
+    0 => AttrPut { attr, value },
+    1 => AttrDel { attr },
+    2 => NodeAaInstall { source },
+    3 => NodeAaUninstall,
+    4 => AttrAaInstall { attr, source },
+    5 => AttrAaUninstall { attr },
+    6 => SubAdd { topic, scope },
+    7 => SubRemove { topic },
+    8 => Commit { query },
+    9 => Release { query },
+});
 
 /// The full durable image of one host: what a snapshot serializes and what
 /// WAL replay rebuilds. The [`Store`](crate::Store) maintains this image
@@ -285,90 +179,15 @@ impl DurableState {
     }
 }
 
-impl Wire for DurableState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.attrs.len() as u64);
-        for (k, v) in &self.attrs {
-            k.encode_into(out);
-            v.encode_into(out);
-        }
-        match &self.node_aa {
-            None => out.push(0),
-            Some(src) => {
-                out.push(1);
-                src.encode_into(out);
-            }
-        }
-        emit::varint_u64(out, self.attr_aas.len() as u64);
-        for (k, v) in &self.attr_aas {
-            k.encode_into(out);
-            v.encode_into(out);
-        }
-        emit::varint_u64(out, self.subs.len() as u64);
-        for (t, scope) in &self.subs {
-            t.encode_into(out);
-            encode_scope(scope, out);
-        }
-        emit::varint_u64(out, self.committed.len() as u64);
-        for q in &self.committed {
-            emit::varint_u64(out, *q);
-        }
-        match self.reserved {
-            None => out.push(0),
-            Some(q) => {
-                out.push(1);
-                emit::varint_u64(out, q);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut state = DurableState::default();
-        let n = r.seq_len("DurableState.attrs", 2)?;
-        for _ in 0..n {
-            let k = String::decode(r)?;
-            let v = AttrValue::decode(r)?;
-            state.attrs.insert(k, v);
-        }
-        state.node_aa = match r.byte()? {
-            0 => None,
-            1 => Some(String::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "DurableState.node_aa",
-                    tag,
-                })
-            }
-        };
-        let n = r.seq_len("DurableState.attr_aas", 2)?;
-        for _ in 0..n {
-            let k = String::decode(r)?;
-            let v = String::decode(r)?;
-            state.attr_aas.insert(k, v);
-        }
-        let n = r.seq_len("DurableState.subs", 17)?;
-        for _ in 0..n {
-            let t = TopicId::decode(r)?;
-            let scope = decode_scope(r)?;
-            state.subs.insert(t, scope);
-        }
-        let n = r.seq_len("DurableState.committed", 1)?;
-        for _ in 0..n {
-            state.committed.insert(r.varint_u64()?);
-        }
-        state.reserved = match r.byte()? {
-            0 => None,
-            1 => Some(r.varint_u64()?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "DurableState.reserved",
-                    tag,
-                })
-            }
-        };
-        Ok(state)
-    }
-}
+// The snapshot image: maps and sets are length-prefixed, in key order.
+wire_struct!(DurableState {
+    attrs,
+    node_aa,
+    attr_aas,
+    subs,
+    committed,
+    reserved
+});
 
 /// Store health counters, surfaced in `ProcStatusReply` so the cluster
 /// harness (and a rolling restart's gate) can read durability behaviour
@@ -408,28 +227,13 @@ impl StoreStats {
     }
 }
 
-impl Wire for StoreStats {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.appends);
-        emit::varint_u64(out, self.dedup_skips);
-        emit::varint_u64(out, self.snapshots);
-        emit::varint_u64(out, self.replay_records);
-        emit::varint_u64(out, self.replay_micros);
-        emit::varint_u64(out, self.relint_rejects);
-        emit::varint_u64(out, self.wal_bytes);
-        emit::varint_u64(out, self.wal_records);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StoreStats {
-            appends: r.varint_u64()?,
-            dedup_skips: r.varint_u64()?,
-            snapshots: r.varint_u64()?,
-            replay_records: r.varint_u64()?,
-            replay_micros: r.varint_u64()?,
-            relint_rejects: r.varint_u64()?,
-            wal_bytes: r.varint_u64()?,
-            wal_records: r.varint_u64()?,
-        })
-    }
-}
+wire_struct!(StoreStats {
+    appends,
+    dedup_skips,
+    snapshots,
+    replay_records,
+    replay_micros,
+    relint_rejects,
+    wal_bytes,
+    wal_records,
+});

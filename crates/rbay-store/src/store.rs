@@ -16,7 +16,7 @@
 
 use crate::record::{DurableState, StoreStats, WalRecord};
 use crate::wal::{self, frame_record};
-use rbay_wire::{decode_frame, Wire};
+use rbay_wire::{decode_frame, encode_frame};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -239,7 +239,7 @@ impl Store {
         let snap_path = self.dir.join(snap_name(new_gen));
         let tmp_path = self.dir.join(format!("{}.tmp", snap_name(new_gen)));
         {
-            let framed = rbay_wire::encode_frame(&SnapshotImage(&self.state));
+            let framed = encode_frame(&self.state);
             let mut image = Vec::with_capacity(framed.len() + wal::RECORD_HEADER_LEN);
             image.extend_from_slice(&(framed.len() as u32).to_le_bytes());
             image.extend_from_slice(&wal::crc32(&framed).to_le_bytes());
@@ -300,19 +300,6 @@ impl Store {
             sync_dir(&self.dir);
         }
         Ok(())
-    }
-}
-
-/// Wrapper so a snapshot body reuses `encode_frame` without cloning the
-/// state map.
-struct SnapshotImage<'a>(&'a DurableState);
-
-impl Wire for SnapshotImage<'_> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn decode(_r: &mut rbay_wire::Reader<'_>) -> Result<Self, rbay_wire::WireError> {
-        unreachable!("snapshots decode as DurableState")
     }
 }
 

@@ -1,12 +1,16 @@
 //! Crash-recovery property tests for the WAL (mirrors the PR-6 frame-run
 //! proptests): a WAL image mutilated by truncation, a bit flip, or a
 //! garbage suffix must still yield every intact prefix record, and the
-//! replayer must never panic on any input.
+//! replayer must never panic on any input. Then the golden bytes that
+//! freeze the on-disk format: a WAL, a snapshot and a manifest written by
+//! an earlier build must keep opening.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::TestRng;
 use rbay_query::AttrValue;
-use rbay_store::{frame_record, replay, FsyncPolicy, Store, WalRecord};
+use rbay_store::{frame_record, replay, DurableState, FsyncPolicy, Store, StoreStats, WalRecord};
+use rbay_wire::{assert_tags_covered, Reader, Wire};
 use scribe::TopicId;
 use simnet::SiteId;
 
@@ -48,6 +52,16 @@ fn s_record() -> BoxedStrategy<WalRecord> {
         any::<u64>().prop_map(|query| WalRecord::Release { query }),
     ]
     .boxed()
+}
+
+/// Every declared `WalRecord` tag comes out of `s_record` (and the tag
+/// table is unique and dense from 0): a variant added to the declaration
+/// but not to the strategy fails here.
+#[test]
+fn strategy_covers_every_declared_tag() {
+    let mut rng = TestRng::seed_for("strategy_covers_every_declared_tag");
+    let s = s_record();
+    assert_tags_covered((0..1024).map(|_| s.gen_value(&mut rng)));
 }
 
 /// Frames `recs` into one WAL image, returning the image and each
@@ -164,5 +178,187 @@ fn replay_100k_records_under_one_second() {
             "100k-record replay took {elapsed:?} (budget 1s)"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the on-disk format is frozen
+// ---------------------------------------------------------------------------
+//
+// Generated at the commit before the codec became declarative. A WAL or
+// snapshot written by any earlier build must keep replaying, so these
+// vectors are never edited to make a change pass.
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len() / 2)
+        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+        .collect()
+}
+
+fn topic(name: &str) -> TopicId {
+    TopicId::new(name, "rbay")
+}
+
+/// Appended before the snapshot, so the image has every field populated.
+fn golden_prelude() -> Vec<WalRecord> {
+    let put = |attr: &str, value| WalRecord::AttrPut {
+        attr: attr.into(),
+        value,
+    };
+    vec![
+        put("GPU", AttrValue::Bool(true)),
+        put("CPU", AttrValue::Num(12.5)),
+        put("type", AttrValue::Str("m5".into())),
+        WalRecord::NodeAaInstall {
+            source: "AA = {}".into(),
+        },
+        WalRecord::AttrAaInstall {
+            attr: "GPU".into(),
+            source: "AA = { onGet = function() return true end }".into(),
+        },
+        WalRecord::SubAdd {
+            topic: topic("GPU=true"),
+            scope: Some(SiteId(2)),
+        },
+        WalRecord::SubAdd {
+            topic: topic("rack"),
+            scope: None,
+        },
+        WalRecord::Commit { query: 7 },
+        WalRecord::Commit { query: 300 },
+    ]
+}
+
+/// One record per `WalRecord` variant in tag order, each a real change to
+/// the prelude's state (the store skips no-op appends).
+fn golden_records() -> Vec<WalRecord> {
+    vec![
+        WalRecord::AttrPut {
+            attr: "mem".into(),
+            value: AttrValue::Num(64.0),
+        },
+        WalRecord::AttrDel { attr: "CPU".into() },
+        WalRecord::NodeAaInstall {
+            source: "AA = { onGet = nil }".into(),
+        },
+        WalRecord::NodeAaUninstall,
+        WalRecord::AttrAaInstall {
+            attr: "mem".into(),
+            source: "AA = {}".into(),
+        },
+        WalRecord::AttrAaUninstall { attr: "GPU".into() },
+        WalRecord::SubAdd {
+            topic: topic("mem>=64"),
+            scope: Some(SiteId(300)),
+        },
+        WalRecord::SubRemove {
+            topic: topic("rack"),
+        },
+        WalRecord::Commit { query: 1 << 40 },
+        WalRecord::Release { query: 1 << 40 },
+    ]
+}
+
+/// The state a store holds after the prelude, a snapshot, and the records.
+fn golden_state() -> DurableState {
+    let mut s = DurableState::default();
+    for r in golden_prelude().iter().chain(&golden_records()) {
+        s.apply(r);
+    }
+    assert_eq!(s.attrs.len(), 3);
+    assert_eq!(s.node_aa, None);
+    assert_eq!(s.attr_aas.len(), 1);
+    assert_eq!(s.subs.len(), 2);
+    assert_eq!(s.committed.len(), 3);
+    assert_eq!(s.reserved, None);
+    s
+}
+
+/// Encoded body of each of [`golden_records`].
+const GOLDEN_RECORDS: [&str; 10] = [
+    "00036d656d010000000000005040",
+    "0103435055",
+    "02144141203d207b206f6e476574203d206e696c207d",
+    "03",
+    "04036d656d074141203d207b7d",
+    "0503475055",
+    "06715a1f6ed0b8d285174485adb691472801ac02",
+    "07efe05a7cff5083f29e87b63e8e1a0cf1",
+    "08808080808020",
+    "09808080808020",
+];
+/// `snapshot-1.snap` after the prelude.
+const GOLDEN_SNAPSHOT: &str = "83000000bc263e4f010303435055010000000000002940034750550001047479706502026d3501074141203d207b7d01034750552b4141203d207b206f6e476574203d2066756e6374696f6e28292072657475726e207472756520656e64207d02b6fab8e833dc2efb8c2daff7f3acf5140102efe05a7cff5083f29e87b63e8e1a0cf1000207ac0201ac02";
+/// `wal-1.log` after the ten records.
+const GOLDEN_WAL: &str = "0f0000001a6499bb0100036d656d01000000000000504006000000ee3f2d8601010343505517000000f901bf000102144141203d207b206f6e476574203d206e696c207d020000000472cbc101030e00000016183ecf0104036d656d074141203d207b7d06000000f231a474010503475055150000002c59f2ab0106715a1f6ed0b8d285174485adb691472801ac0212000000c878d2be0107efe05a7cff5083f29e87b63e8e1a0cf108000000e220b039010880808080802008000000562bc79f0109808080808020";
+const GOLDEN_MANIFEST: &str = "rbay-store v1\ngen=1\nsnapshot=snapshot-1.snap\nwal=wal-1.log\n";
+
+#[test]
+fn records_and_stats_encode_to_golden_bytes() {
+    for (rec, want) in golden_records().iter().zip(GOLDEN_RECORDS) {
+        assert_eq!(hex(&rec.encode()), want, "encoding moved for {rec:?}");
+        let bytes = unhex(want);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(&WalRecord::decode(&mut r).unwrap(), rec);
+        assert!(r.is_empty());
+    }
+    let stats = StoreStats {
+        appends: 40,
+        dedup_skips: 3,
+        snapshots: 1,
+        replay_records: 17,
+        replay_micros: 250,
+        relint_rejects: 1,
+        wal_bytes: 4096,
+        wal_records: 23,
+    };
+    assert_eq!(hex(&stats.encode()), "28030111fa0101802017");
+    assert_eq!(
+        StoreStats::decode(&mut Reader::new(&stats.encode())).unwrap(),
+        stats
+    );
+}
+
+#[test]
+fn store_writes_the_golden_files() {
+    let dir = std::env::temp_dir().join(format!("rbay-store-golden-w-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+    for r in &golden_prelude() {
+        assert!(s.append(r).unwrap());
+    }
+    s.snapshot().unwrap();
+    for r in &golden_records() {
+        assert!(s.append(r).unwrap());
+    }
+    drop(s);
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    assert_eq!(hex(&read("snapshot-1.snap")), GOLDEN_SNAPSHOT);
+    assert_eq!(hex(&read("wal-1.log")), GOLDEN_WAL);
+    assert_eq!(read("MANIFEST"), GOLDEN_MANIFEST.as_bytes());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_directory_written_by_an_earlier_build_replays() {
+    let dir = std::env::temp_dir().join(format!("rbay-store-golden-r-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snapshot-1.snap"), unhex(GOLDEN_SNAPSHOT)).unwrap();
+    std::fs::write(dir.join("wal-1.log"), unhex(GOLDEN_WAL)).unwrap();
+    std::fs::write(dir.join("MANIFEST"), GOLDEN_MANIFEST).unwrap();
+    let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+    assert!(report.snapshot_loaded && !report.snapshot_corrupt);
+    assert_eq!(report.wal_records, 10);
+    assert_eq!(report.torn_bytes, 0);
+    assert_eq!(s.state(), &golden_state());
+    // The WAL alone yields the ten records, in order.
+    let mut out = Vec::new();
+    replay(&unhex(GOLDEN_WAL), |r| out.push(r));
+    assert_eq!(out, golden_records());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -26,7 +26,7 @@ pub const WIRE_VERSION: u8 = 1;
 /// allocation) and the encoder (a runaway payload is a bug, not a frame).
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Maximum nesting depth [`Reader::enter`] allows (recursive values such
+/// Maximum nesting depth [`Reader::nested`] allows (recursive values such
 /// as `AggValue::Multi` stop here instead of overflowing the stack).
 pub const MAX_DEPTH: u32 = 32;
 
@@ -187,19 +187,14 @@ impl<'a> Reader<'a> {
         u16::try_from(self.varint_u64()?).map_err(|_| WireError::BadVarint)
     }
 
-    /// A collection length prefix for `what`, where each element needs at
-    /// least `min_elem_bytes` further input. Rejecting `len` against the
-    /// *remaining* bytes means a hostile prefix can never drive a large
-    /// allocation: whatever we reserve is bounded by input actually held.
+    /// A collection length prefix for `what`. Every element takes at least
+    /// one byte, so a length beyond the *remaining* input cannot be honest
+    /// and is rejected before anything is allocated for it; containers
+    /// further cap what they reserve by their element's in-memory size.
     #[inline]
-    pub fn seq_len(
-        &mut self,
-        what: &'static str,
-        min_elem_bytes: usize,
-    ) -> Result<usize, WireError> {
+    pub fn seq_len(&mut self, what: &'static str) -> Result<usize, WireError> {
         let len = self.varint_u64()?;
-        let cap = (self.remaining() / min_elem_bytes.max(1)) as u64;
-        if len > cap {
+        if len > self.remaining() as u64 {
             return Err(WireError::BadLength { what, len });
         }
         Ok(len as usize)
@@ -231,7 +226,7 @@ impl<'a> Reader<'a> {
     /// A length-prefixed UTF-8 string.
     #[inline]
     pub fn string(&mut self) -> Result<String, WireError> {
-        let len = self.seq_len("string", 1)?;
+        let len = self.seq_len("string")?;
         let bytes = self.take(len)?;
         match std::str::from_utf8(bytes) {
             Ok(s) => Ok(s.to_owned()),
@@ -239,21 +234,24 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Enters one nesting level of a recursive value; callers must pair
-    /// with [`Reader::exit`].
+    /// Runs `f` one nesting level down, failing with
+    /// [`WireError::TooDeep`] past [`MAX_DEPTH`]. Every heap container
+    /// (`Vec`, `Box`, `Rc`, maps, sets) decodes its contents through this,
+    /// and a type can only recurse through one of them, so no declared
+    /// type needs a guard of its own and no hostile frame can overflow the
+    /// decode stack.
     #[inline]
-    pub fn enter(&mut self) -> Result<(), WireError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
+    pub fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth >= MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
-        Ok(())
-    }
-
-    /// Leaves one nesting level.
-    #[inline]
-    pub fn exit(&mut self) {
-        self.depth = self.depth.saturating_sub(1);
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 }
 
@@ -305,7 +303,16 @@ pub mod emit {
 /// Implementations must be *total* on decode: any byte sequence either
 /// yields a value or a [`WireError`]; panics and unbounded allocation are
 /// protocol bugs (pinned by the corrupt-bytes proptests).
+///
+/// Only primitives and generic containers implement this by hand (in
+/// [`impls`](crate::impls)); every struct and tagged enum declares its
+/// layout once through [`wire_struct!`](crate::wire_struct) or
+/// [`wire_enum!`](crate::wire_enum).
 pub trait Wire: Sized {
+    /// The `(tag byte, variant name)` table of a [`wire_enum!`](crate::wire_enum)
+    /// type, in declaration order; empty for everything else.
+    const TAGS: &'static [(u8, &'static str)] = &[];
+
     /// Appends this value's encoding to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);
 
@@ -319,6 +326,108 @@ pub trait Wire: Sized {
         self.encode_into(&mut out);
         out
     }
+}
+
+/// Test support for every crate that declares a wire enum: panics unless
+/// `T`'s declared tags are unique and dense from 0 and the `samples`
+/// between them encode to each one. The round-trip suites feed this their
+/// strategies' output, so a variant added to a [`wire_enum!`](crate::wire_enum)
+/// but not to its strategy fails there.
+pub fn assert_tags_covered<T: Wire>(samples: impl IntoIterator<Item = T>) {
+    let mut declared: Vec<u8> = T::TAGS.iter().map(|&(tag, _)| tag).collect();
+    declared.sort_unstable();
+    assert!(!declared.is_empty(), "not a wire_enum! type");
+    assert!(
+        declared.iter().copied().eq(0..declared.len() as u8),
+        "tags not unique and dense from 0: {:?}",
+        T::TAGS
+    );
+    for v in samples {
+        let tag = v.encode()[0];
+        declared.retain(|&t| t != tag);
+    }
+    assert!(declared.is_empty(), "no sample has tag(s) {declared:?}");
+}
+
+/// Implements [`Wire`] for a struct: the listed fields in the listed
+/// order, each through its own `Wire` impl (decode infers the field types,
+/// so they are never re-typed). A tuple struct lists its indices:
+/// `wire_struct!(TopicId { 0 })`.
+///
+/// The field list *is* the layout: reordering, adding or removing a field
+/// changes the bytes and needs a [`WIRE_VERSION`] bump.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::Wire for $ty {
+            #[inline]
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $( $crate::Wire::encode_into(&self.$field, out); )*
+            }
+            #[inline]
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(Self { $( $field: $crate::Wire::decode(r)? ),* })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for a tagged enum — one tag byte, then the variant's
+/// fields in the listed order — and fills in [`Wire::TAGS`]:
+///
+/// ```text
+/// wire_enum!(ScribeMsg<P> {
+///     0 => Join { topic, scope, child },
+///     1 => JoinAck { topic },
+///     12 => AppDirect(p),
+///     …
+/// });
+/// ```
+///
+/// Unknown tags decode to [`WireError::BadTag`] naming the type. Adding a
+/// variant is one line with the next free tag; a shipped tag is never
+/// reused or renumbered.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident $(<$param:ident>)? {
+        $( $tag:literal => $variant:ident
+            $( { $($field:ident),* $(,)? } )?
+            $( ( $($elem:ident),* ) )?
+        ),* $(,)?
+    }) => {
+        impl $(<$param: $crate::Wire>)? $crate::Wire for $ty $(<$param>)? {
+            const TAGS: &'static [(u8, &'static str)] =
+                &[ $( ($tag, stringify!($variant)) ),* ];
+
+            #[inline]
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( Self::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => {
+                        out.push($tag);
+                        $( $( $crate::Wire::encode_into($field, out); )* )?
+                        $( $( $crate::Wire::encode_into($elem, out); )* )?
+                    } )*
+                }
+            }
+
+            #[inline]
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(match r.byte()? {
+                    $( $tag => {
+                        $( $( let $field = $crate::Wire::decode(r)?; )* )?
+                        $( $( let $elem = $crate::Wire::decode(r)?; )* )?
+                        Self::$variant $( { $($field),* } )? $( ( $($elem),* ) )?
+                    } )*
+                    tag => {
+                        return Err($crate::WireError::BadTag {
+                            what: stringify!($ty),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
 /// Encodes a message as a frame body: `[WIRE_VERSION][message bytes]`.
@@ -429,7 +538,7 @@ mod tests {
     fn seq_len_rejects_lengths_beyond_input() {
         let mut buf = Vec::new();
         emit::varint_u64(&mut buf, 1_000_000);
-        let err = Reader::new(&buf).seq_len("vec", 1).unwrap_err();
+        let err = Reader::new(&buf).seq_len("vec").unwrap_err();
         assert!(matches!(err, WireError::BadLength { len: 1_000_000, .. }));
     }
 

@@ -1,17 +1,21 @@
-//! [`Wire`] implementations for primitives and for the cross-node message
-//! surface owned by `simnet` / `pastry` / `scribe` / `rbay-query`.
+//! The hand-written [`Wire`] impls — primitives and generic containers —
+//! and the declared layouts of the cross-node message surface owned by
+//! `simnet` / `pastry` / `scribe` / `rbay-query`.
 //!
-//! Tag tables live in DESIGN.md §13. All integers are varints unless the
-//! value is an identifier with a fixed width (`NodeId` is 16 bytes LE);
-//! floats are 8-byte LE bit patterns with NaN canonicalized; collections
-//! are varint-length-prefixed with the length checked against remaining
-//! input before any allocation.
+//! All integers are varints unless the value is an identifier with a fixed
+//! width (`NodeId` is 16 bytes LE); floats are 8-byte LE bit patterns with
+//! NaN canonicalized; collections are varint-length-prefixed with the
+//! length checked against remaining input before any allocation. Each
+//! enum's tag table is its [`Wire::TAGS`].
 
 use crate::codec::{emit, Reader, Wire, WireError};
+use crate::{wire_enum, wire_struct};
 use pastry::{NodeId, NodeInfo, PastryMsg};
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
 use scribe::{AggValue, ScribeMsg, TopicId};
 use simnet::{NodeAddr, SimDuration, SimTime, SiteId};
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Primitives
@@ -133,6 +137,30 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Containers
+// ---------------------------------------------------------------------------
+//
+// Everything that owns heap memory decodes its contents through
+// `Reader::nested`: a type can only recurse through one of these, so the
+// depth guard lives here once instead of in every recursive type.
+
+/// Bytes a `Vec` may reserve whatever the input holds. Elements are often
+/// larger in memory than on the wire, so reserving strictly by the bytes
+/// left would under-size honest small vectors and make them re-grow on
+/// every decode; below this floor they get exactly `len`.
+const RESERVE_FLOOR: usize = 4096;
+
+/// How many `T`s to reserve for an announced `len`: no more memory than
+/// the bytes still unread (or [`RESERVE_FLOOR`]), whatever `T`'s in-memory
+/// size. `seq_len` only knows an element takes a byte; a `NodeInfo` or
+/// `Candidate` takes tens of bytes in memory, so reserving `len` of them
+/// would let a 16 MiB frame ask for hundreds of MiB before one element
+/// decodes. A vector that outgrows the reservation grows as it fills.
+fn bounded_capacity<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining.max(RESERVE_FLOOR) / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: Wire> Wire for Vec<T> {
     #[inline]
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -143,12 +171,85 @@ impl<T: Wire> Wire for Vec<T> {
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.seq_len("Vec", 1)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
+        let len = r.seq_len("Vec")?;
+        r.nested(|r| {
+            let mut out = Vec::with_capacity(bounded_capacity::<T>(len, r.remaining()));
+            for _ in 0..len {
+                out.push(T::decode(r)?);
+            }
+            Ok(out)
+        })
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        emit::varint_u64(out, self.len() as u64);
+        for (k, v) in self {
+            k.encode_into(out);
+            v.encode_into(out);
         }
-        Ok(out)
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.seq_len("BTreeMap")?;
+        r.nested(|r| {
+            (0..len)
+                .map(|_| Ok((K::decode(r)?, V::decode(r)?)))
+                .collect()
+        })
+    }
+}
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        emit::varint_u64(out, self.len() as u64);
+        for v in self {
+            v.encode_into(out);
+        }
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.seq_len("BTreeSet")?;
+        r.nested(|r| (0..len).map(|_| T::decode(r)).collect())
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode_into(out);
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.nested(|r| T::decode(r).map(Box::new))
+    }
+}
+
+/// `Rc` is an in-memory sharing device (`SearchState.query`); on the wire
+/// it is the plain value, re-wrapped on decode.
+impl<T: Wire> Wire for Rc<T> {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode_into(out);
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.nested(|r| T::decode(r).map(Rc::new))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -156,27 +257,8 @@ impl<T: Wire> Wire for Vec<T> {
 // simnet identifiers and time
 // ---------------------------------------------------------------------------
 
-impl Wire for NodeAddr {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.0 as u64);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeAddr(r.varint_u32()?))
-    }
-}
-
-impl Wire for SiteId {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.0 as u64);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SiteId(r.varint_u16()?))
-    }
-}
+wire_struct!(NodeAddr { 0 });
+wire_struct!(SiteId { 0 });
 
 impl Wire for SimTime {
     #[inline]
@@ -204,684 +286,94 @@ impl Wire for SimDuration {
 // pastry
 // ---------------------------------------------------------------------------
 
-impl Wire for NodeId {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::u128(out, self.0);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(r.u128()?))
-    }
-}
+wire_struct!(NodeId { 0 });
+wire_struct!(NodeInfo { id, addr, site });
 
-impl Wire for NodeInfo {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.id.encode_into(out);
-        self.addr.encode_into(out);
-        self.site.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeInfo {
-            id: NodeId::decode(r)?,
-            addr: NodeAddr::decode(r)?,
-            site: SiteId::decode(r)?,
-        })
-    }
-}
-
-/// Tag bytes for [`PastryMsg`] (DESIGN.md §13 table).
-mod pastry_tag {
-    pub const ROUTE: u8 = 0;
-    pub const JOIN: u8 = 1;
-    pub const JOIN_REPLY: u8 = 2;
-    pub const ANNOUNCE: u8 = 3;
-    pub const ROW_REQUEST: u8 = 4;
-    pub const ROW_REPLY: u8 = 5;
-    pub const LEAF_REPAIR_REQUEST: u8 = 6;
-    pub const LEAF_REPAIR_REPLY: u8 = 7;
-    pub const DIRECT: u8 = 8;
-}
-
-impl<A: Wire> Wire for PastryMsg<A> {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            PastryMsg::Route {
-                key,
-                payload,
-                hops,
-                scope,
-            } => {
-                out.push(pastry_tag::ROUTE);
-                key.encode_into(out);
-                payload.encode_into(out);
-                hops.encode_into(out);
-                scope.encode_into(out);
-            }
-            PastryMsg::Join { joiner, rows, hops } => {
-                out.push(pastry_tag::JOIN);
-                joiner.encode_into(out);
-                rows.encode_into(out);
-                hops.encode_into(out);
-            }
-            PastryMsg::JoinReply { rows, leaves, root } => {
-                out.push(pastry_tag::JOIN_REPLY);
-                rows.encode_into(out);
-                leaves.encode_into(out);
-                root.encode_into(out);
-            }
-            PastryMsg::Announce { info } => {
-                out.push(pastry_tag::ANNOUNCE);
-                info.encode_into(out);
-            }
-            PastryMsg::RowRequest { row } => {
-                out.push(pastry_tag::ROW_REQUEST);
-                row.encode_into(out);
-            }
-            PastryMsg::RowReply { row, entries } => {
-                out.push(pastry_tag::ROW_REPLY);
-                row.encode_into(out);
-                entries.encode_into(out);
-            }
-            PastryMsg::LeafRepairRequest => out.push(pastry_tag::LEAF_REPAIR_REQUEST),
-            PastryMsg::LeafRepairReply { leaves } => {
-                out.push(pastry_tag::LEAF_REPAIR_REPLY);
-                leaves.encode_into(out);
-            }
-            PastryMsg::Direct(a) => {
-                out.push(pastry_tag::DIRECT);
-                a.encode_into(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            pastry_tag::ROUTE => PastryMsg::Route {
-                key: NodeId::decode(r)?,
-                payload: A::decode(r)?,
-                hops: u16::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-            },
-            pastry_tag::JOIN => PastryMsg::Join {
-                joiner: NodeInfo::decode(r)?,
-                rows: Vec::<Vec<NodeInfo>>::decode(r)?,
-                hops: u16::decode(r)?,
-            },
-            pastry_tag::JOIN_REPLY => PastryMsg::JoinReply {
-                rows: Vec::<Vec<NodeInfo>>::decode(r)?,
-                leaves: Vec::<NodeInfo>::decode(r)?,
-                root: NodeInfo::decode(r)?,
-            },
-            pastry_tag::ANNOUNCE => PastryMsg::Announce {
-                info: NodeInfo::decode(r)?,
-            },
-            pastry_tag::ROW_REQUEST => PastryMsg::RowRequest {
-                row: u8::decode(r)?,
-            },
-            pastry_tag::ROW_REPLY => PastryMsg::RowReply {
-                row: u8::decode(r)?,
-                entries: Vec::<NodeInfo>::decode(r)?,
-            },
-            pastry_tag::LEAF_REPAIR_REQUEST => PastryMsg::LeafRepairRequest,
-            pastry_tag::LEAF_REPAIR_REPLY => PastryMsg::LeafRepairReply {
-                leaves: Vec::<NodeInfo>::decode(r)?,
-            },
-            pastry_tag::DIRECT => PastryMsg::Direct(A::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "PastryMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(PastryMsg<A> {
+    0 => Route { key, payload, hops, scope },
+    1 => Join { joiner, rows, hops },
+    2 => JoinReply { rows, leaves, root },
+    3 => Announce { info },
+    4 => RowRequest { row },
+    5 => RowReply { row, entries },
+    6 => LeafRepairRequest,
+    7 => LeafRepairReply { leaves },
+    8 => Direct(a),
+});
 
 // ---------------------------------------------------------------------------
 // scribe
 // ---------------------------------------------------------------------------
 
-impl Wire for TopicId {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TopicId(NodeId::decode(r)?))
-    }
-}
+wire_struct!(TopicId { 0 });
 
-/// Tag bytes for [`AggValue`].
-mod agg_tag {
-    pub const COUNT: u8 = 0;
-    pub const SUM: u8 = 1;
-    pub const MIN: u8 = 2;
-    pub const MAX: u8 = 3;
-    pub const MEAN: u8 = 4;
-    pub const MULTI: u8 = 5;
-}
+wire_enum!(AggValue {
+    0 => Count(n),
+    1 => Sum(v),
+    2 => Min(v),
+    3 => Max(v),
+    4 => Mean { sum, count },
+    5 => Multi(xs),
+});
 
-impl Wire for AggValue {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            AggValue::Count(n) => {
-                out.push(agg_tag::COUNT);
-                n.encode_into(out);
-            }
-            AggValue::Sum(v) => {
-                out.push(agg_tag::SUM);
-                v.encode_into(out);
-            }
-            AggValue::Min(v) => {
-                out.push(agg_tag::MIN);
-                v.encode_into(out);
-            }
-            AggValue::Max(v) => {
-                out.push(agg_tag::MAX);
-                v.encode_into(out);
-            }
-            AggValue::Mean { sum, count } => {
-                out.push(agg_tag::MEAN);
-                sum.encode_into(out);
-                count.encode_into(out);
-            }
-            AggValue::Multi(xs) => {
-                out.push(agg_tag::MULTI);
-                xs.encode_into(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            agg_tag::COUNT => AggValue::Count(u64::decode(r)?),
-            agg_tag::SUM => AggValue::Sum(f64::decode(r)?),
-            agg_tag::MIN => AggValue::Min(f64::decode(r)?),
-            agg_tag::MAX => AggValue::Max(f64::decode(r)?),
-            agg_tag::MEAN => AggValue::Mean {
-                sum: f64::decode(r)?,
-                count: u64::decode(r)?,
-            },
-            agg_tag::MULTI => {
-                // The only recursive wire value: guard the nesting depth so
-                // a hostile frame cannot overflow the decode stack.
-                r.enter()?;
-                let xs = Vec::<AggValue>::decode(r)?;
-                r.exit();
-                AggValue::Multi(xs)
-            }
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "AggValue",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-/// Tag bytes for [`ScribeMsg`].
-mod scribe_tag {
-    pub const JOIN: u8 = 0;
-    pub const JOIN_ACK: u8 = 1;
-    pub const LEAVE: u8 = 2;
-    pub const MULTICAST_REQ: u8 = 3;
-    pub const MULTICAST_DATA: u8 = 4;
-    pub const ANYCAST: u8 = 5;
-    pub const ANYCAST_STEP: u8 = 6;
-    pub const ANYCAST_RESULT: u8 = 7;
-    pub const PROBE_ROOT: u8 = 8;
-    pub const PROBE_REPLY: u8 = 9;
-    pub const AGG_UPDATE: u8 = 10;
-    pub const NOT_CHILD: u8 = 11;
-    pub const APP_DIRECT: u8 = 12;
-    pub const REPLICA_SYNC: u8 = 13;
-}
-
-impl<P: Wire> Wire for ScribeMsg<P> {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ScribeMsg::Join {
-                topic,
-                scope,
-                child,
-            } => {
-                out.push(scribe_tag::JOIN);
-                topic.encode_into(out);
-                scope.encode_into(out);
-                child.encode_into(out);
-            }
-            ScribeMsg::JoinAck { topic } => {
-                out.push(scribe_tag::JOIN_ACK);
-                topic.encode_into(out);
-            }
-            ScribeMsg::Leave { topic, child } => {
-                out.push(scribe_tag::LEAVE);
-                topic.encode_into(out);
-                child.encode_into(out);
-            }
-            ScribeMsg::MulticastReq {
-                topic,
-                scope,
-                payload,
-            } => {
-                out.push(scribe_tag::MULTICAST_REQ);
-                topic.encode_into(out);
-                scope.encode_into(out);
-                payload.encode_into(out);
-            }
-            ScribeMsg::MulticastData { topic, payload } => {
-                out.push(scribe_tag::MULTICAST_DATA);
-                topic.encode_into(out);
-                payload.encode_into(out);
-            }
-            ScribeMsg::Anycast {
-                topic,
-                scope,
-                payload,
-                origin,
-            } => {
-                out.push(scribe_tag::ANYCAST);
-                topic.encode_into(out);
-                scope.encode_into(out);
-                payload.encode_into(out);
-                origin.encode_into(out);
-            }
-            ScribeMsg::AnycastStep {
-                topic,
-                payload,
-                origin,
-                visited,
-                stack,
-            } => {
-                out.push(scribe_tag::ANYCAST_STEP);
-                topic.encode_into(out);
-                payload.encode_into(out);
-                origin.encode_into(out);
-                visited.encode_into(out);
-                stack.encode_into(out);
-            }
-            ScribeMsg::AnycastResult {
-                topic,
-                payload,
-                satisfied,
-            } => {
-                out.push(scribe_tag::ANYCAST_RESULT);
-                topic.encode_into(out);
-                payload.encode_into(out);
-                satisfied.encode_into(out);
-            }
-            ScribeMsg::ProbeRoot {
-                topic,
-                scope,
-                payload,
-                origin,
-            } => {
-                out.push(scribe_tag::PROBE_ROOT);
-                topic.encode_into(out);
-                scope.encode_into(out);
-                payload.encode_into(out);
-                origin.encode_into(out);
-            }
-            ScribeMsg::ProbeReply {
-                topic,
-                payload,
-                agg,
-                exists,
-            } => {
-                out.push(scribe_tag::PROBE_REPLY);
-                topic.encode_into(out);
-                payload.encode_into(out);
-                agg.encode_into(out);
-                exists.encode_into(out);
-            }
-            ScribeMsg::AggUpdate { topic, value } => {
-                out.push(scribe_tag::AGG_UPDATE);
-                topic.encode_into(out);
-                value.encode_into(out);
-            }
-            ScribeMsg::NotChild { topic } => {
-                out.push(scribe_tag::NOT_CHILD);
-                topic.encode_into(out);
-            }
-            ScribeMsg::AppDirect(p) => {
-                out.push(scribe_tag::APP_DIRECT);
-                p.encode_into(out);
-            }
-            ScribeMsg::ReplicaSync {
-                topic,
-                scope,
-                children,
-                agg,
-                subscribers,
-            } => {
-                out.push(scribe_tag::REPLICA_SYNC);
-                topic.encode_into(out);
-                scope.encode_into(out);
-                children.encode_into(out);
-                agg.encode_into(out);
-                subscribers.encode_into(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            scribe_tag::JOIN => ScribeMsg::Join {
-                topic: TopicId::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-                child: NodeInfo::decode(r)?,
-            },
-            scribe_tag::JOIN_ACK => ScribeMsg::JoinAck {
-                topic: TopicId::decode(r)?,
-            },
-            scribe_tag::LEAVE => ScribeMsg::Leave {
-                topic: TopicId::decode(r)?,
-                child: NodeAddr::decode(r)?,
-            },
-            scribe_tag::MULTICAST_REQ => ScribeMsg::MulticastReq {
-                topic: TopicId::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-                payload: P::decode(r)?,
-            },
-            scribe_tag::MULTICAST_DATA => ScribeMsg::MulticastData {
-                topic: TopicId::decode(r)?,
-                payload: P::decode(r)?,
-            },
-            scribe_tag::ANYCAST => ScribeMsg::Anycast {
-                topic: TopicId::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-                payload: P::decode(r)?,
-                origin: NodeAddr::decode(r)?,
-            },
-            scribe_tag::ANYCAST_STEP => ScribeMsg::AnycastStep {
-                topic: TopicId::decode(r)?,
-                payload: P::decode(r)?,
-                origin: NodeAddr::decode(r)?,
-                visited: Vec::<NodeAddr>::decode(r)?,
-                stack: Vec::<NodeAddr>::decode(r)?,
-            },
-            scribe_tag::ANYCAST_RESULT => ScribeMsg::AnycastResult {
-                topic: TopicId::decode(r)?,
-                payload: P::decode(r)?,
-                satisfied: bool::decode(r)?,
-            },
-            scribe_tag::PROBE_ROOT => ScribeMsg::ProbeRoot {
-                topic: TopicId::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-                payload: P::decode(r)?,
-                origin: NodeAddr::decode(r)?,
-            },
-            scribe_tag::PROBE_REPLY => ScribeMsg::ProbeReply {
-                topic: TopicId::decode(r)?,
-                payload: P::decode(r)?,
-                agg: Option::<AggValue>::decode(r)?,
-                exists: bool::decode(r)?,
-            },
-            scribe_tag::AGG_UPDATE => ScribeMsg::AggUpdate {
-                topic: TopicId::decode(r)?,
-                value: AggValue::decode(r)?,
-            },
-            scribe_tag::NOT_CHILD => ScribeMsg::NotChild {
-                topic: TopicId::decode(r)?,
-            },
-            scribe_tag::APP_DIRECT => ScribeMsg::AppDirect(P::decode(r)?),
-            scribe_tag::REPLICA_SYNC => ScribeMsg::ReplicaSync {
-                topic: TopicId::decode(r)?,
-                scope: Option::<SiteId>::decode(r)?,
-                children: Vec::<NodeAddr>::decode(r)?,
-                agg: Option::<AggValue>::decode(r)?,
-                subscribers: u64::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ScribeMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(ScribeMsg<P> {
+    0 => Join { topic, scope, child },
+    1 => JoinAck { topic },
+    2 => Leave { topic, child },
+    3 => MulticastReq { topic, scope, payload },
+    4 => MulticastData { topic, payload },
+    5 => Anycast { topic, scope, payload, origin },
+    6 => AnycastStep { topic, payload, origin, visited, stack },
+    7 => AnycastResult { topic, payload, satisfied },
+    8 => ProbeRoot { topic, scope, payload, origin },
+    9 => ProbeReply { topic, payload, agg, exists },
+    10 => AggUpdate { topic, value },
+    11 => NotChild { topic },
+    12 => AppDirect(p),
+    13 => ReplicaSync { topic, scope, children, agg, subscribers },
+});
 
 // ---------------------------------------------------------------------------
 // rbay-query
 // ---------------------------------------------------------------------------
 
-/// Tag bytes for [`AttrValue`].
-mod attr_tag {
-    pub const BOOL: u8 = 0;
-    pub const NUM: u8 = 1;
-    pub const STR: u8 = 2;
-}
+wire_enum!(AttrValue {
+    0 => Bool(b),
+    1 => Num(n),
+    2 => Str(s),
+});
 
-impl Wire for AttrValue {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            AttrValue::Bool(b) => {
-                out.push(attr_tag::BOOL);
-                b.encode_into(out);
-            }
-            AttrValue::Num(n) => {
-                out.push(attr_tag::NUM);
-                n.encode_into(out);
-            }
-            AttrValue::Str(s) => {
-                out.push(attr_tag::STR);
-                s.encode_into(out);
-            }
-        }
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.byte()?;
-        Ok(match tag {
-            attr_tag::BOOL => AttrValue::Bool(bool::decode(r)?),
-            attr_tag::NUM => AttrValue::Num(f64::decode(r)?),
-            attr_tag::STR => AttrValue::Str(String::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "AttrValue",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(CmpOp {
+    0 => Eq,
+    1 => Ne,
+    2 => Lt,
+    3 => Le,
+    4 => Gt,
+    5 => Ge,
+});
 
-impl Wire for CmpOp {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CmpOp::Eq => 0,
-            CmpOp::Ne => 1,
-            CmpOp::Lt => 2,
-            CmpOp::Le => 3,
-            CmpOp::Gt => 4,
-            CmpOp::Ge => 5,
-        });
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => CmpOp::Eq,
-            1 => CmpOp::Ne,
-            2 => CmpOp::Lt,
-            3 => CmpOp::Le,
-            4 => CmpOp::Gt,
-            5 => CmpOp::Ge,
-            tag => return Err(WireError::BadTag { what: "CmpOp", tag }),
-        })
-    }
-}
+wire_enum!(SortDir {
+    0 => Asc,
+    1 => Desc,
+});
 
-impl Wire for SortDir {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            SortDir::Asc => 0,
-            SortDir::Desc => 1,
-        });
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => SortDir::Asc,
-            1 => SortDir::Desc,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "SortDir",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(FromClause {
+    0 => AllSites,
+    1 => Sites(names),
+});
 
-impl Wire for Predicate {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.attr.encode_into(out);
-        self.op.encode_into(out);
-        self.value.encode_into(out);
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Predicate {
-            attr: String::decode(r)?,
-            op: CmpOp::decode(r)?,
-            value: AttrValue::decode(r)?,
-        })
-    }
-}
-
-impl Wire for FromClause {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            FromClause::AllSites => out.push(0),
-            FromClause::Sites(names) => {
-                out.push(1);
-                names.encode_into(out);
-            }
-        }
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => FromClause::AllSites,
-            1 => FromClause::Sites(Vec::<String>::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "FromClause",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Wire for Query {
-    #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.k.encode_into(out);
-        self.from.encode_into(out);
-        self.predicates.encode_into(out);
-        match &self.order_by {
-            None => out.push(0),
-            Some((attr, dir)) => {
-                out.push(1);
-                attr.encode_into(out);
-                dir.encode_into(out);
-            }
-        }
-    }
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let k = u32::decode(r)?;
-        let from = FromClause::decode(r)?;
-        let predicates = Vec::<Predicate>::decode(r)?;
-        let order_by = match r.byte()? {
-            0 => None,
-            1 => Some((String::decode(r)?, SortDir::decode(r)?)),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "Query.order_by",
-                    tag,
-                })
-            }
-        };
-        Ok(Query {
-            k,
-            from,
-            predicates,
-            order_by,
-        })
-    }
-}
+wire_struct!(Predicate { attr, op, value });
+wire_struct!(Query {
+    k,
+    from,
+    predicates,
+    order_by
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_frame, encode_frame, MAX_DEPTH};
-
-    fn info(n: u32) -> NodeInfo {
-        NodeInfo {
-            id: NodeId::hash_of(format!("n{n}").as_bytes()),
-            addr: NodeAddr(n),
-            site: SiteId((n % 4) as u16),
-        }
-    }
-
-    #[test]
-    fn pastry_msg_round_trips() {
-        let msgs: Vec<PastryMsg<u64>> = vec![
-            PastryMsg::Route {
-                key: NodeId(42),
-                payload: 7,
-                hops: 3,
-                scope: Some(SiteId(2)),
-            },
-            PastryMsg::Join {
-                joiner: info(9),
-                rows: vec![vec![info(1), info(2)], vec![]],
-                hops: 1,
-            },
-            PastryMsg::LeafRepairRequest,
-            PastryMsg::Direct(u64::MAX),
-        ];
-        for m in &msgs {
-            let bytes = encode_frame(m);
-            let back: PastryMsg<u64> = decode_frame(&bytes).unwrap();
-            assert_eq!(format!("{m:?}"), format!("{back:?}"));
-        }
-    }
-
-    #[test]
-    fn scribe_msg_round_trips() {
-        let m: ScribeMsg<String> = ScribeMsg::AnycastStep {
-            topic: TopicId::new("GPU=true", "rbay"),
-            payload: "payload".into(),
-            origin: NodeAddr(3),
-            visited: vec![NodeAddr(1), NodeAddr(2)],
-            stack: vec![NodeAddr(9)],
-        };
-        let back: ScribeMsg<String> = decode_frame(&encode_frame(&m)).unwrap();
-        assert_eq!(format!("{m:?}"), format!("{back:?}"));
-    }
+    use crate::codec::{decode_frame, encode_frame, MAX_DEPTH, MAX_FRAME_LEN};
 
     #[test]
     fn agg_value_round_trips_and_depth_limits() {
@@ -903,19 +395,93 @@ mod tests {
         );
     }
 
+    /// A locally declared recursive type gets the depth guard from `Box`
+    /// without asking for it.
+    #[derive(Debug, PartialEq)]
+    enum Chain {
+        End,
+        Link(Box<Chain>),
+    }
+
+    wire_enum!(Chain {
+        0 => End,
+        1 => Link(next),
+    });
+
     #[test]
-    fn query_round_trips() {
-        let q = Query {
-            k: 5,
-            from: FromClause::Sites(vec!["Virginia".into(), "Tokyo".into()]),
-            predicates: vec![Predicate {
-                attr: "GPU".into(),
-                op: CmpOp::Eq,
-                value: AttrValue::Bool(true),
-            }],
-            order_by: Some(("CPU_utilization".into(), SortDir::Desc)),
-        };
-        assert_eq!(decode_frame::<Query>(&encode_frame(&q)).unwrap(), q);
+    fn boxed_recursion_is_depth_limited() {
+        let chain = |links: u32| (0..links).fold(Chain::End, |c, _| Chain::Link(Box::new(c)));
+        let ok = chain(MAX_DEPTH);
+        assert_eq!(decode_frame::<Chain>(&encode_frame(&ok)).unwrap(), ok);
+        assert_eq!(
+            decode_frame::<Chain>(&encode_frame(&chain(MAX_DEPTH + 1))).unwrap_err(),
+            WireError::TooDeep
+        );
+        assert_eq!(Chain::TAGS, [(0, "End"), (1, "Link")]);
+        assert_eq!(
+            decode_frame::<Chain>(&[crate::WIRE_VERSION, 2]).unwrap_err(),
+            WireError::BadTag {
+                what: "Chain",
+                tag: 2
+            }
+        );
+    }
+
+    #[test]
+    fn vec_reservation_never_exceeds_the_bytes_left() {
+        // The worst frame: 16 MiB announcing 16 M one-byte elements.
+        let cap = bounded_capacity::<NodeInfo>(MAX_FRAME_LEN, MAX_FRAME_LEN);
+        assert!(cap * std::mem::size_of::<NodeInfo>() <= MAX_FRAME_LEN);
+        // A short frame gets the floor at most, an honest one exactly `len`.
+        assert_eq!(bounded_capacity::<u128>(1000, 1000), RESERVE_FLOOR / 16);
+        assert_eq!(bounded_capacity::<u128>(10, 100), 10);
+        assert_eq!(bounded_capacity::<()>(10, 0), 10);
+
+        // A vector larger than its reservation still decodes whole: 2000
+        // one-byte varints are 16 KB of u64 in memory.
+        let v: Vec<u64> = (0..2000).map(|i| i % 100).collect();
+        assert_eq!(decode_frame::<Vec<u64>>(&encode_frame(&v)).unwrap(), v);
+        // And a frame that lies about its length is refused as soon as its
+        // bytes run out, having reserved no more than it sent.
+        let mut hostile = vec![crate::WIRE_VERSION];
+        emit::varint_u64(&mut hostile, 1 << 20);
+        hostile.resize(hostile.len() + (1 << 20), 0);
+        assert_eq!(
+            decode_frame::<Vec<NodeInfo>>(&hostile).unwrap_err(),
+            WireError::Truncated
+        );
+    }
+
+    #[test]
+    fn containers_encode_as_their_contents() {
+        let map: BTreeMap<String, u64> = [("a".into(), 1), ("b".into(), 300)].into();
+        let pairs: Vec<(String, u64)> = map.clone().into_iter().collect();
+        assert_eq!(map.encode(), pairs.encode());
+        assert_eq!(
+            decode_frame::<BTreeMap<String, u64>>(&encode_frame(&map)).unwrap(),
+            map
+        );
+
+        let set: BTreeSet<u64> = [7, 300, 1 << 40].into();
+        assert_eq!(
+            set.encode(),
+            set.iter().copied().collect::<Vec<_>>().encode()
+        );
+        assert_eq!(
+            decode_frame::<BTreeSet<u64>>(&encode_frame(&set)).unwrap(),
+            set
+        );
+
+        assert_eq!(Rc::new(300u64).encode(), 300u64.encode());
+        assert_eq!(Box::new(300u64).encode(), 300u64.encode());
+        assert_eq!(
+            *decode_frame::<Rc<u64>>(&encode_frame(&300u64)).unwrap(),
+            300
+        );
+        assert_eq!(
+            *decode_frame::<Box<u64>>(&encode_frame(&300u64)).unwrap(),
+            300
+        );
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //!
 //! * [`codec`] — a self-contained length-prefixed binary format: the
 //!   [`Wire`] trait, varint integers, length-prefixed strings, a
-//!   protocol-version frame header, and a bounds-checked [`Reader`] whose
+//!   protocol-version frame header, a bounds-checked [`Reader`] whose
 //!   decode path is total (hostile bytes yield [`WireError`], never a
-//!   panic or unbounded allocation).
-//! * [`impls`] — `Wire` for the full cross-node message surface owned by
-//!   `simnet`/`pastry`/`scribe`/`rbay-query`: `PastryMsg`, `ScribeMsg`,
-//!   `AggValue`, `AttrValue`, and the query AST. (`RbayPayload` and
-//!   `RbayEvent` implement `Wire` in `rbay-core` itself — the orphan rule
-//!   puts impls next to whichever side is local.)
+//!   panic or unbounded allocation), and the two macros every struct and
+//!   tagged enum declares its layout with: [`wire_struct!`] and
+//!   [`wire_enum!`] (which also emits the tag table, [`Wire::TAGS`]).
+//! * [`impls`] — the only hand-written `Wire` impls (primitives and
+//!   generic containers), plus the declarations for the message surface
+//!   owned by `simnet`/`pastry`/`scribe`/`rbay-query`: `PastryMsg`,
+//!   `ScribeMsg`, `AggValue`, `AttrValue`, and the query AST.
+//!   (`RbayPayload`, `WalRecord`, `CtrlMsg` are declared in their own
+//!   crates — the orphan rule puts impls next to whichever side is
+//!   local.)
 //! * [`transport`] — the [`Transport`] trait: message delivery + clock +
 //!   timers, the only I/O surface the protocol actors need.
 //! * [`buf`] — zero-copy inbound framing: [`FrameBuf`] views into shared
@@ -44,8 +48,8 @@ pub mod transport;
 
 pub use buf::{FrameAssembler, FrameBuf};
 pub use codec::{
-    decode_frame, encode_frame, read_frame, write_frame, Reader, Wire, WireError, CANON_NAN_BITS,
-    MAX_DEPTH, MAX_FRAME_LEN, WIRE_VERSION,
+    assert_tags_covered, decode_frame, encode_frame, read_frame, write_frame, Reader, Wire,
+    WireError, CANON_NAN_BITS, MAX_DEPTH, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus, TcpTransport};
 pub use transport::Transport;

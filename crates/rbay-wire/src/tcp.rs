@@ -37,6 +37,7 @@
 use crate::buf::{FrameAssembler, FrameBuf};
 use crate::codec::{decode_frame, encode_frame, Reader, Wire, MAX_FRAME_LEN};
 use crate::transport::Transport;
+use crate::{wire_enum, wire_struct};
 use epoll_shim::{Interest, Poller};
 use simnet::{NodeAddr, SimDuration, SimTime, TimerToken};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -90,24 +91,10 @@ pub enum Hello {
     Ctrl,
 }
 
-impl Wire for Hello {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Hello::Peer(addr) => {
-                out.push(0);
-                addr.encode_into(out);
-            }
-            Hello::Ctrl => out.push(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, crate::WireError> {
-        Ok(match r.byte()? {
-            0 => Hello::Peer(NodeAddr::decode(r)?),
-            1 => Hello::Ctrl,
-            tag => return Err(crate::WireError::BadTag { what: "Hello", tag }),
-        })
-    }
-}
+wire_enum!(Hello {
+    0 => Peer(addr),
+    1 => Ctrl,
+});
 
 /// One frame delivered by the bus to the daemon's main loop.
 #[derive(Debug)]
@@ -178,24 +165,13 @@ impl DropStats {
     }
 }
 
-impl Wire for DropStats {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.unresolvable.encode_into(out);
-        self.outbound_full.encode_into(out);
-        self.write_cap.encode_into(out);
-        self.connect_exhausted.encode_into(out);
-        self.conn_closed.encode_into(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, crate::WireError> {
-        Ok(DropStats {
-            unresolvable: u64::decode(r)?,
-            outbound_full: u64::decode(r)?,
-            write_cap: u64::decode(r)?,
-            connect_exhausted: u64::decode(r)?,
-            conn_closed: u64::decode(r)?,
-        })
-    }
-}
+wire_struct!(DropStats {
+    unresolvable,
+    outbound_full,
+    write_cap,
+    connect_exhausted,
+    conn_closed,
+});
 
 /// Per-cause drop counters shared between sender threads and the event
 /// loop.
