@@ -445,7 +445,7 @@ fn on_ctrl(
             let attached = node
                 .scribe
                 .topics()
-                .filter(|(_, st)| st.is_root || st.parent.is_some())
+                .filter(|(_, st)| st.is_attached())
                 .count() as u32;
             reply(&CtrlMsg::StatusReply {
                 addr: node.pastry.info().addr,
@@ -470,11 +470,7 @@ fn on_ctrl(
                 if node.pastry.is_joined() {
                     joined += 1;
                 }
-                if node
-                    .scribe
-                    .topics()
-                    .any(|(_, st)| st.is_root || st.parent.is_some())
-                {
+                if node.scribe.topics().any(|(_, st)| st.is_attached()) {
                     attached_members += 1;
                 }
                 topics += node.scribe.topics().count() as u32;

@@ -10,8 +10,8 @@
 //! * **Quiescence invariants** ([`check_quiescent`]) run once the event
 //!   store drains: nothing is in flight, every scheduled maintenance
 //!   round has run, so the tree must be fully consistent — single live
-//!   root, attachment symmetry, exact aggregate, symmetric peer sets, and
-//!   every committed query completed.
+//!   root, no root with a parent, attachment symmetry, exact aggregate,
+//!   symmetric peer sets, and every committed query completed.
 //!
 //! False-positive discipline: the scenarios bound fault injection to an
 //! early horizon (see [`crate::scenario`]) and schedule enough
@@ -80,6 +80,15 @@ pub enum Violation {
     },
     /// Live members exist but no live node is root.
     NoLiveRoot,
+    /// At quiescence a node is root and still points at a parent: the
+    /// Root / Child / Detached states of `TopicState` are not exclusive
+    /// (its public fields cannot express that, so the checker does).
+    RootWithParent {
+        /// The root.
+        node: NodeAddr,
+        /// The parent it still points at.
+        parent: NodeAddr,
+    },
     /// A live child sat in two live parents' children sets for longer
     /// than the grace window (double-counted aggregate, duplicate
     /// multicast).
@@ -175,6 +184,7 @@ impl Violation {
             Violation::SelfLink { .. } => "self-link",
             Violation::MultipleRoots { .. } => "multiple-roots",
             Violation::NoLiveRoot => "no-live-root",
+            Violation::RootWithParent { .. } => "root-with-parent",
             Violation::DualAttachment { .. } => "dual-attachment",
             Violation::DetachedAttachment { .. } => "detached-attachment",
             Violation::OrphanedSubscriber { .. } => "orphaned-subscriber",
@@ -198,6 +208,9 @@ impl fmt::Display for Violation {
                 write!(f, "multiple live roots: {roots:?}")
             }
             Violation::NoLiveRoot => write!(f, "live members but no live root"),
+            Violation::RootWithParent { node, parent } => {
+                write!(f, "{node:?} is root yet points at parent {parent:?}")
+            }
             Violation::DualAttachment { child, parents } => {
                 write!(f, "{child:?} attached under {parents:?} simultaneously")
             }
@@ -343,6 +356,15 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
     }
     if roots.is_empty() && !members.is_empty() {
         return Some(Violation::NoLiveRoot);
+    }
+
+    // Attachment exclusivity: a root has no parent.
+    for n in live_nodes(fed) {
+        if let Some(st) = fed.node(n).scribe.topic(topic) {
+            if let (true, Some(parent)) = (st.is_root, st.parent) {
+                return Some(Violation::RootWithParent { node: n, parent });
+            }
+        }
     }
 
     // Attachment consistency: no dual attachment survives quiescence,

@@ -52,12 +52,9 @@ impl RbayNode {
                     scribe.subscribe(pastry, &mut net, host, topic, scope);
                     scribe.set_local_value(topic, host.tree_local_value());
                     // If the tree was already attached the subscribe was a
-                    // no-op; drop any pending-join marker so the loss-retry
-                    // logic does not re-join after a later unsubscribe.
-                    if scribe
-                        .topic(topic)
-                        .is_some_and(|st| st.is_root || st.parent.is_some())
-                    {
+                    // no-op; drop the pending-join marker, which otherwise
+                    // waits for an attach notice that never comes.
+                    if scribe.topic(topic).is_some_and(|st| st.is_attached()) {
                         host.sub_requested.remove(&topic);
                     }
                 }
@@ -110,28 +107,6 @@ impl RbayNode {
     pub fn maintenance_round_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
         self.host.now = tr.now();
         self.host.maintenance();
-        // Re-join any tree whose JOIN traffic was lost in flight.
-        {
-            let scribe = &self.scribe;
-            self.host.retry_pending_subscriptions(|t| {
-                scribe
-                    .topic(t)
-                    .is_some_and(|st| st.is_root || st.parent.is_some())
-            });
-            // A subscribed topic left detached (parent cleared by a
-            // NotChild NACK or a failure repair whose rejoin traffic was
-            // then lost) must keep re-joining until it is attached again;
-            // duplicate JoinAcks from the same parent are harmless.
-            let detached: Vec<(scribe::TopicId, Option<simnet::SiteId>)> = self
-                .scribe
-                .topics()
-                .filter(|(_, st)| st.subscribed && !st.is_root && st.parent.is_none())
-                .map(|(t, st)| (*t, st.scope))
-                .collect();
-            for (topic, scope) in detached {
-                self.host.ops.push_back(Op::Subscribe { topic, scope });
-            }
-        }
         // Refresh this node's contribution to every subscribed tree (the
         // aggregate attribute may have changed since the last round).
         let fresh = self.host.tree_local_value();
@@ -146,8 +121,10 @@ impl RbayNode {
         }
         {
             let mut net = NetAdapter::new(tr);
+            // The tick also re-sends the `Join` of any tree this node is
+            // detached from: the one retry per round (DESIGN.md §17).
             self.scribe
-                .aggregate_tick::<RbayPayload, _>(&mut self.pastry, &mut net);
+                .aggregate_tick(&mut self.pastry, &mut net, &mut self.host);
         }
         // Peer-set anti-entropy: one Announce + leaf-set pull per round so
         // routing knowledge lost to concurrent joins or dropped frames
@@ -265,5 +242,130 @@ impl Actor for RbayNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, RbayMsg>, token: TimerToken) {
         self.on_timer_via(&mut SimTransport::new(ctx), token);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::host::RbayConfig;
+    use crate::types::RbayEvent;
+    use aascript::SharedSandbox;
+    use pastry::{NodeId, NodeInfo};
+    use rbay_query::AttrValue;
+    use simnet::{SimDuration, SimTime, SiteId};
+    use std::rc::Rc;
+
+    /// A lone single-site node with default configuration.
+    pub(crate) fn node(index: u32) -> RbayNode {
+        let info = NodeInfo {
+            id: NodeId::hash_of(format!("test-node:{index}").as_bytes()),
+            addr: NodeAddr(index),
+            site: SiteId(0),
+        };
+        let host = RbayHost::new(
+            Rc::new(RbayConfig::default()),
+            info.id,
+            info.addr,
+            info.site,
+            SharedSandbox::new(),
+            vec![vec![NodeAddr(0)]],
+            vec!["site0".into()],
+        );
+        RbayNode {
+            pastry: PastryNode::new(info),
+            scribe: ScribeLayer::new(),
+            host,
+        }
+    }
+
+    /// Records what a node sends instead of delivering it.
+    #[derive(Default)]
+    struct RecTransport {
+        sent: Vec<(NodeAddr, RbayMsg)>,
+    }
+
+    impl Transport<RbayMsg> for RecTransport {
+        fn send(&mut self, to: NodeAddr, msg: RbayMsg) {
+            self.sent.push((to, msg));
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn set_timer(&mut self, _delay: SimDuration, _token: TimerToken) {}
+    }
+
+    impl RecTransport {
+        /// Drains the sent messages and counts the routed `Join`s.
+        fn take_joins(&mut self) -> usize {
+            let joins = |m: &RbayMsg| {
+                matches!(
+                    m,
+                    PastryMsg::Route {
+                        payload: ScribeMsg::Join { .. },
+                        ..
+                    }
+                )
+            };
+            self.sent.drain(..).filter(|(_, m)| joins(m)).count()
+        }
+    }
+
+    /// A node that posted `GPU=true` while it knew one peer, sitting at
+    /// the tree's key: its `Join` went to that peer and got lost.
+    fn subscriber_with_lost_join(tr: &mut RecTransport) -> (RbayNode, scribe::TopicId, NodeInfo) {
+        let mut n = node(1);
+        let topic = n.host.tree_topic("GPU=true", SiteId(0));
+        let peer = NodeInfo {
+            id: NodeId(topic.key().as_u128().wrapping_add(1)),
+            addr: NodeAddr(2),
+            site: SiteId(0),
+        };
+        n.host.ops.push_back(Op::LearnPeer { info: peer });
+        n.host.post_resource("GPU", AttrValue::Bool(true));
+        n.drain_ops_via(tr);
+        assert_eq!(tr.take_joins(), 1, "the first join goes out");
+        (n, topic, peer)
+    }
+
+    fn subscribed_events(n: &RbayNode) -> usize {
+        let subscribed = |e: &&RbayEvent| matches!(e, RbayEvent::Subscribed { .. });
+        n.host.events.iter().filter(subscribed).count()
+    }
+
+    /// The tick is the only retry left: a `Join` lost in flight is sent
+    /// again once per maintenance round, until the ack arrives.
+    #[test]
+    fn lost_join_is_resent_once_per_round_until_acked() {
+        let mut tr = RecTransport::default();
+        let (mut n, topic, peer) = subscriber_with_lost_join(&mut tr);
+        for _ in 0..3 {
+            n.maintenance_round_via(&mut tr);
+            assert_eq!(tr.take_joins(), 1, "one join per detached topic per round");
+            assert!(n.host.sub_requested.contains_key(&topic));
+        }
+        let ack = PastryMsg::Direct(ScribeMsg::JoinAck { topic });
+        n.on_message_via(&mut tr, peer.addr, ack);
+        assert_eq!(subscribed_events(&n), 1);
+        assert!(n.host.sub_requested.is_empty());
+        n.maintenance_round_via(&mut tr);
+        assert_eq!(tr.take_joins(), 0, "attached: nothing to retry");
+    }
+
+    /// A subscriber whose next hop vanishes while its `Join` is
+    /// unanswered is the rendezvous itself at the next tick; becoming the
+    /// root there must reach the host like every other attach.
+    #[test]
+    fn subscriber_promoted_by_the_tick_reports_its_subscription() {
+        let mut tr = RecTransport::default();
+        let (mut n, topic, peer) = subscriber_with_lost_join(&mut tr);
+        n.pastry
+            .handle_failure(&mut NetAdapter::new(&mut tr), peer.addr);
+        n.maintenance_round_via(&mut tr);
+        assert!(n.scribe.topic(topic).is_some_and(|st| st.is_root));
+        assert_eq!(subscribed_events(&n), 1);
+        assert!(n.host.sub_requested.is_empty());
+        n.maintenance_round_via(&mut tr);
+        assert_eq!(subscribed_events(&n), 1, "reported once");
     }
 }

@@ -46,10 +46,6 @@ pub struct RbayConfig {
     pub max_attempts: u32,
     /// Instruction budget per AA handler invocation.
     pub aa_budget: u64,
-    /// Which aascript engine executes AA handlers. Defaults to the
-    /// bytecode VM; the tree-walker remains available as a reference
-    /// oracle (and for A/B benchmarking).
-    pub aa_engine: aascript::Engine,
     /// Name under which RBAY trees are created (the "creator" of TreeIds).
     pub creator: String,
     /// Whether satisfied queries commit their chosen nodes (step 5). The
@@ -178,7 +174,6 @@ impl Default for RbayConfig {
             backoff_slot: SimDuration::from_millis(100),
             max_attempts: 5,
             aa_budget: 10_000,
-            aa_engine: aascript::Engine::default(),
             creator: "rbay".to_owned(),
             commit_results: true,
             site_isolation: true,
@@ -797,7 +792,7 @@ impl RbayHost {
 
     /// Compiles, lints, and instantiates one AA script.
     fn build_aa(&mut self, label: &str, src: &str) -> Result<AaInstance, InstallError> {
-        let script = Script::compile(src)?.with_engine(self.cfg.aa_engine);
+        let script = Script::compile(src)?;
         let rejected = self.lint_script(label, &script);
         if !rejected.is_empty() {
             return Err(InstallError::Lint(rejected));
@@ -1025,23 +1020,6 @@ impl RbayHost {
                 self.persist(WalRecord::SubRemove { topic });
                 self.ops.push_back(Op::Unsubscribe { topic });
             }
-        }
-    }
-
-    /// Re-issues subscriptions whose JOIN (or its ack) was lost: any tree
-    /// we requested but never got attached to is joined again. Called each
-    /// maintenance round; `attached` reports which requested topics are
-    /// now attached.
-    pub fn retry_pending_subscriptions(&mut self, attached: impl Fn(TopicId) -> bool) {
-        let stale: Vec<TopicId> = self
-            .sub_requested
-            .keys()
-            .copied()
-            .filter(|t| !attached(*t))
-            .collect();
-        for topic in stale {
-            let scope = self.routing_scope(self.site);
-            self.ops.push_back(Op::Subscribe { topic, scope });
         }
     }
 
@@ -1850,19 +1828,6 @@ mod heartbeat_tests {
         assert_eq!(v.component(1).unwrap().as_f64(), 40.0);
         assert_eq!(v.component(2).unwrap().as_f64(), 40.0);
         assert_eq!(v.component(3).unwrap().as_f64(), 40.0);
-    }
-
-    #[test]
-    fn retry_pending_subscriptions_reissues_unattached_joins() {
-        let mut h = host();
-        let topic = h.tree_topic("GPU=true", SiteId(0));
-        h.sub_requested.insert(topic, SimTime::ZERO);
-        h.retry_pending_subscriptions(|_| false);
-        assert!(matches!(h.ops.back(), Some(Op::Subscribe { .. })));
-        h.ops.clear();
-        // Attached topics are not retried.
-        h.retry_pending_subscriptions(|_| true);
-        assert!(h.ops.is_empty());
     }
 }
 

@@ -322,12 +322,7 @@ impl Pack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::{RbayConfig, RbayHost};
-    use aascript::SharedSandbox;
-    use pastry::{NodeId, NodeInfo, PastryNode};
-    use scribe::ScribeLayer;
-    use simnet::SiteId;
-    use std::rc::Rc;
+    use crate::actor::tests::node;
 
     /// Captures off-process frames.
     #[derive(Default)]
@@ -336,28 +331,6 @@ mod tests {
     impl FrameSink for VecSink {
         fn send_frame(&mut self, from: NodeAddr, to: NodeAddr, frame: Vec<u8>) {
             self.0.push((from, to, frame));
-        }
-    }
-
-    fn node(index: u32) -> RbayNode {
-        let info = NodeInfo {
-            id: NodeId::hash_of(format!("pack-test:{index}").as_bytes()),
-            addr: NodeAddr(index),
-            site: SiteId(0),
-        };
-        let host = RbayHost::new(
-            Rc::new(RbayConfig::default()),
-            info.id,
-            info.addr,
-            info.site,
-            SharedSandbox::new(),
-            vec![vec![NodeAddr(0)]],
-            vec!["site0".into()],
-        );
-        RbayNode {
-            pastry: PastryNode::new(info),
-            scribe: ScribeLayer::new(),
-            host,
         }
     }
 

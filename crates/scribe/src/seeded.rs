@@ -8,9 +8,10 @@
 //!
 //! Bug ids:
 //! 1. reparent omits the `Leave` to the old parent (double-counted
-//!    aggregate: the member stays in two children sets). Gates both
-//!    omitted-`Leave` sites: the stale-`JoinAck` reparent and the
-//!    `handle_failure` notice to a falsely-declared parent;
+//!    aggregate: the member stays in two children sets). Gates the one
+//!    site that clears a parent pointer, `detach`, which serves both the
+//!    stale-`JoinAck` reparent and the notice to a falsely-declared
+//!    parent;
 //! 2. `NotChild` NACK ignored (permanently orphaned subscriber: the
 //!    child keeps a parent that disowned it);
 //! 3. peers are never unsuspected on receipt of traffic (live peers get

@@ -90,7 +90,8 @@ fn converged_root_aggregate(
             let now = sim.now();
             sim.schedule_call(now, NodeAddr(i), |a, ctx| {
                 let mut net = SimNet::new(ctx);
-                a.scribe.aggregate_tick::<P, _>(&mut a.pastry, &mut net);
+                a.scribe
+                    .aggregate_tick(&mut a.pastry, &mut net, &mut a.host);
             });
         }
         sim.run_for(SimDuration::from_millis(50));

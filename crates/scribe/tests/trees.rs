@@ -298,9 +298,13 @@ fn aggregation_converges_to_tree_size() {
         {
             let now = sim.now();
             sim.schedule_call(now, addr, |a, ctx| {
-                let Node { pastry, scribe, .. } = a;
+                let Node {
+                    pastry,
+                    scribe,
+                    host,
+                } = a;
                 let mut net = SimNet::new(ctx);
-                scribe.aggregate_tick(pastry, &mut net);
+                scribe.aggregate_tick(pastry, &mut net, host);
             });
         }
         sim.run_for(SimDuration::from_millis(200));
@@ -325,9 +329,13 @@ fn probe_root_returns_tree_size_and_existence() {
         for i in 0..50u32 {
             let now = sim.now();
             sim.schedule_call(now, NodeAddr(i), |a, ctx| {
-                let Node { pastry, scribe, .. } = a;
+                let Node {
+                    pastry,
+                    scribe,
+                    host,
+                } = a;
                 let mut net = SimNet::new(ctx);
-                scribe.aggregate_tick(pastry, &mut net);
+                scribe.aggregate_tick(pastry, &mut net, host);
             });
         }
         sim.run_for(SimDuration::from_millis(100));

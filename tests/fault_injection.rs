@@ -40,7 +40,7 @@ fn tree_joins_survive_message_loss() {
             fed.node(**h)
                 .scribe
                 .topic(topic)
-                .is_some_and(|st| st.is_root || st.parent.is_some())
+                .is_some_and(|st| st.is_attached())
         })
         .count();
     assert_eq!(
