@@ -1,6 +1,6 @@
 //! A thin vendored readiness-polling shim for the rbay event-loop
 //! transport, in the same spirit as the workspace's vendored `rand` /
-//! `proptest` / `criterion` stand-ins: the build environment has no
+//! `proptest` stand-ins: the build environment has no
 //! crates.io access, so instead of `mio`/`libc` this crate declares the
 //! handful of C symbols it needs (they are provided by the libc that
 //! `std` already links) and wraps them in a safe, minimal API.

@@ -186,13 +186,12 @@ pub struct PastryNode {
     obs: Recorder,
     /// Round-robin position for [`PastryNode::gossip_round`].
     gossip_cursor: usize,
-    /// Peers declared failed by [`PastryNode::handle_failure`]. Gossip and
-    /// repair replies from slower peers would otherwise re-insert a buried
-    /// corpse into the leaf set, where it is never re-probed (the failure
-    /// detector pings each suspect once) and so silently blackholes every
-    /// route through it. A buried peer is refused by
-    /// [`PastryNode::insert_peer`] until proof of life arrives
-    /// ([`PastryNode::revive`]).
+    /// The peers this node believes dead — the one such set a node keeps.
+    /// [`PastryNode::handle_failure`] buries; gossip and repair replies
+    /// from slower peers would otherwise re-insert the corpse into the
+    /// leaf set, where it silently blackholes every route through it, so
+    /// [`PastryNode::insert_peer`] refuses a buried peer until the
+    /// embedding node has proof of life and calls [`PastryNode::revive`].
     buried: BTreeSet<NodeAddr>,
 }
 
@@ -273,7 +272,7 @@ impl PastryNode {
     /// site-local), preferring lower-latency candidates for contested
     /// routing-table slots.
     pub fn insert_peer<A, N: Net<A>>(&mut self, net: &N, info: NodeInfo) {
-        if info.id == self.info.id || self.buried.contains(&info.addr) {
+        if info.id == self.info.id || self.is_buried(info.addr) {
             return;
         }
         let my_site = self.info.site;
@@ -476,9 +475,6 @@ impl PastryNode {
         from: NodeAddr,
         msg: PastryMsg<A>,
     ) {
-        // Any message from a peer proves it alive: lift a false-positive
-        // burial so the peer can re-enter routing state.
-        self.revive(from);
         match msg {
             PastryMsg::Route {
                 key,
@@ -610,15 +606,26 @@ impl PastryNode {
         }
     }
 
-    /// Lifts a burial: the peer produced proof of life (a message reached
-    /// us), so gossip and repair may re-insert it.
-    pub fn revive(&mut self, addr: NodeAddr) {
-        self.buried.remove(&addr);
+    /// Whether this node believes `addr` dead.
+    pub fn is_buried(&self, addr: NodeAddr) -> bool {
+        self.buried.contains(&addr)
     }
 
-    /// Reacts to the discovery that `addr` has failed: removes it from all
-    /// routing state, asks the surviving leaf-set extremes for their
-    /// members, and asks a surviving same-row entry for each vacated
+    /// Every peer this node believes dead.
+    pub fn buried(&self) -> &BTreeSet<NodeAddr> {
+        &self.buried
+    }
+
+    /// Lifts a burial — the caller holds proof of life (a message from
+    /// `addr` reached it) — so gossip and repair may re-insert the peer.
+    /// Returns whether the peer was buried.
+    pub fn revive(&mut self, addr: NodeAddr) -> bool {
+        self.buried.remove(&addr)
+    }
+
+    /// Reacts to the discovery that `addr` has failed: buries it, removes
+    /// it from all routing state, asks the surviving leaf-set extremes for
+    /// their members, and asks a surviving same-row entry for each vacated
     /// routing-table row (the Pastry repair protocol).
     pub fn handle_failure<A, N: Net<A>>(&mut self, net: &mut N, addr: NodeAddr) {
         self.buried.insert(addr);
@@ -803,6 +810,45 @@ mod tests {
             .sent
             .iter()
             .any(|(_, m)| matches!(m, PastryMsg::RowRequest { .. })));
+    }
+
+    /// Hearing *about* a buried peer never lifts the burial, whichever
+    /// message carries the news and even if the peer itself sent it: only
+    /// `revive` does, and the embedding node decides when.
+    #[test]
+    fn buried_peer_is_refused_by_every_gossip_path_until_revived() {
+        let dead = info(200, 1, 0);
+        let gossip: [(&str, PastryMsg<P>); 3] = [
+            ("Announce", PastryMsg::Announce { info: dead }),
+            (
+                "RowReply",
+                PastryMsg::RowReply {
+                    row: 0,
+                    entries: vec![dead],
+                },
+            ),
+            (
+                "LeafRepairReply",
+                PastryMsg::LeafRepairReply { leaves: vec![dead] },
+            ),
+        ];
+        let knows_dead = |n: &PastryNode| n.known_peers().iter().any(|p| p.addr == dead.addr);
+        for (path, msg) in gossip {
+            let mut node = PastryNode::new(info(100, 0, 0));
+            let (mut net, mut app) = (RecNet::default(), RecApp::default());
+            node.insert_peer(&net, dead);
+            node.handle_failure(&mut net, dead.addr);
+            assert_eq!(node.buried().iter().collect::<Vec<_>>(), [&dead.addr]);
+            for from in [NodeAddr(2), dead.addr] {
+                node.on_message(&mut net, &mut app, from, msg.clone());
+                assert!(!knows_dead(&node), "{path} from {from} resurrected it");
+                assert!(node.is_buried(dead.addr), "{path} from {from} un-buried it");
+            }
+            assert!(node.revive(dead.addr), "it was buried");
+            assert!(!node.revive(dead.addr), "and is not any more");
+            node.on_message(&mut net, &mut app, NodeAddr(2), msg);
+            assert!(knows_dead(&node), "{path} must re-insert a revived peer");
+        }
     }
 
     #[test]

@@ -447,7 +447,7 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
 
     // No permanently evicted live peer.
     for n in live_nodes(fed) {
-        for &p in &fed.node(n).host.suspected {
+        for &p in fed.node(n).pastry.buried() {
             if live(fed, p) {
                 return Some(Violation::EvictedLivePeer {
                     suspecter: n,

@@ -64,6 +64,6 @@ fn dump_tree(st: &rbay_check::scenario::ChurnState, nodes: u32) {
                 eprintln!("node {n}: replica of {:?} age {}", rep.root, rep.age);
             }
         }
-        eprintln!("node {n}: suspected={:?}", st.fed.node(addr).host.suspected);
+        eprintln!("node {n}: buried={:?}", st.fed.node(addr).pastry.buried());
     }
 }

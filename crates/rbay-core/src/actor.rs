@@ -5,7 +5,7 @@
 //! All protocol logic is written against [`rbay_wire::Transport`] (the
 //! `*_via` methods), so the same node runs over the in-memory simulator
 //! (the [`simnet::Actor`] impl below, via `SimTransport`) or over real
-//! sockets (`rbay-bench`'s `rbay-node` daemon, via `TcpTransport`).
+//! sockets (`rbay-bench`'s `rbay-node` daemon, via [`crate::MemberCtx`]).
 
 use crate::host::{split_timer_token, Op, RbayHost};
 use crate::transport::{NetAdapter, SimTransport};
@@ -134,39 +134,9 @@ impl RbayNode {
             self.pastry.gossip_round(&mut net);
         }
         if self.host.cfg.failure_detection {
-            // Probe every peer in routing state plus tree parents/children
-            // — the peers whose failure this node must react to. The
-            // routing tables are included because a dead entry there
-            // silently blackholes every Join/anycast routed through it:
-            // unlike a leaf-set neighbour it is never consulted for
-            // repair, so nothing else would ever notice the corpse.
-            let mut peers: Vec<simnet::NodeAddr> =
-                self.pastry.known_peers().iter().map(|e| e.addr).collect();
-            for (_, st) in self.scribe.topics() {
-                peers.extend(st.children.iter().copied());
-                peers.extend(st.parent);
-            }
-            peers.sort();
-            peers.dedup();
-            self.host.heartbeat_round(&peers);
-            self.repair_failures_via(tr);
+            self.detect_failures_via(tr);
         }
         self.drain_ops_via(tr);
-    }
-
-    /// Runs Pastry and Scribe repairs for peers the failure detector just
-    /// declared dead.
-    fn repair_failures_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
-        let dead = std::mem::take(&mut self.host.newly_failed);
-        for addr in dead {
-            {
-                let mut net = NetAdapter::new(tr);
-                self.pastry.handle_failure(&mut net, addr);
-            }
-            let mut net = NetAdapter::new(tr);
-            self.scribe
-                .handle_failure(&mut self.pastry, &mut net, &mut self.host, addr);
-        }
     }
 
     /// Dispatches one incoming message over any transport (what the
@@ -179,11 +149,10 @@ impl RbayNode {
         msg: RbayMsg,
     ) {
         self.host.now = tr.now();
-        // Any message from a peer proves it alive: clear a false-positive
-        // failure declaration so the peer is re-pinged and re-grafted
-        // instead of staying buried forever.
+        // Any message from a peer proves it alive — the one place that
+        // is acted on, before anything looks at the message.
         if !scribe::seeded_bug_active(3) {
-            self.host.unsuspect(from);
+            self.proof_of_life(from);
         }
         {
             let RbayNode {
@@ -258,13 +227,18 @@ pub(crate) mod tests {
 
     /// A lone single-site node with default configuration.
     pub(crate) fn node(index: u32) -> RbayNode {
+        node_with(index, RbayConfig::default())
+    }
+
+    /// A lone single-site node under `cfg`.
+    pub(crate) fn node_with(index: u32, cfg: RbayConfig) -> RbayNode {
         let info = NodeInfo {
             id: NodeId::hash_of(format!("test-node:{index}").as_bytes()),
             addr: NodeAddr(index),
             site: SiteId(0),
         };
         let host = RbayHost::new(
-            Rc::new(RbayConfig::default()),
+            Rc::new(cfg),
             info.id,
             info.addr,
             info.site,
@@ -281,8 +255,9 @@ pub(crate) mod tests {
 
     /// Records what a node sends instead of delivering it.
     #[derive(Default)]
-    struct RecTransport {
-        sent: Vec<(NodeAddr, RbayMsg)>,
+    pub(crate) struct RecTransport {
+        pub(crate) sent: Vec<(NodeAddr, RbayMsg)>,
+        pub(crate) now: SimTime,
     }
 
     impl Transport<RbayMsg> for RecTransport {
@@ -290,7 +265,7 @@ pub(crate) mod tests {
             self.sent.push((to, msg));
         }
         fn now(&self) -> SimTime {
-            SimTime::ZERO
+            self.now
         }
         fn set_timer(&mut self, _delay: SimDuration, _token: TimerToken) {}
     }

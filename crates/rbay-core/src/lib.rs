@@ -34,6 +34,7 @@ mod engine;
 mod federation;
 pub mod frontdoor;
 mod host;
+mod liveness;
 mod naming;
 mod pack;
 mod transport;

@@ -414,4 +414,33 @@ mod tests {
         assert_eq!(fired, 2, "one slot's timer clobbered the other's");
         assert_eq!(pack.next_deadline(), None);
     }
+
+    #[test]
+    fn timer_wheel_rearms_and_fires_in_order() {
+        let mut pack = Pack::new(0, vec![node(0)]);
+        let mut sink = VecSink::default();
+        // Tokens of kind 0: the node ignores them when they fire.
+        let (rearmed, far) = (TimerToken(4), TimerToken(8));
+        let mut arm = |pack: &mut Pack, delay, token| {
+            pack.with_member(&mut sink, 0, |_, ctx| ctx.set_timer(delay, token));
+        };
+        arm(&mut pack, SimDuration::from_micros(0), rearmed);
+        arm(&mut pack, SimDuration::from_secs(3600), far);
+        // Re-arm the first `(slot, token)` later: its old deadline, still
+        // in the heap, must not fire.
+        arm(&mut pack, SimDuration::from_millis(20), rearmed);
+        let later = pack.next_deadline().expect("re-armed");
+        assert_eq!(pack.fire_due(&mut sink), 0, "superseded deadline fired");
+        // Bounded wait for the wall clock to pass the deadline — no sleeps.
+        let give_up = Instant::now() + std::time::Duration::from_secs(5);
+        let mut fired = 0;
+        while fired == 0 {
+            fired = pack.fire_due(&mut sink);
+            assert!(Instant::now() < give_up, "timer never fired");
+            std::thread::yield_now();
+        }
+        assert_eq!(fired, 1, "one firing for the re-armed token");
+        assert!(pack.now() >= later, "and not before the later deadline");
+        assert!(pack.next_deadline() > Some(later), "the far token pends");
+    }
 }

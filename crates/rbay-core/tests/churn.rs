@@ -37,7 +37,7 @@ fn heartbeats_detect_silent_crashes() {
     // Some live node must have declared 9 failed.
     let suspecters = (0..40u32)
         .filter(|i| *i != 9)
-        .filter(|i| fed.node(NodeAddr(*i)).host.suspected.contains(&NodeAddr(9)))
+        .filter(|i| fed.node(NodeAddr(*i)).pastry.is_buried(NodeAddr(9)))
         .count();
     assert!(suspecters > 0, "nobody detected the crash");
 

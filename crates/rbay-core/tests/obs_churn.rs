@@ -66,7 +66,7 @@ fn fail_recover_cycle_reconverges_the_tree() {
     );
     let suspecters = (0..n)
         .filter(|i| *i != victim.0)
-        .filter(|i| fed.node(NodeAddr(*i)).host.suspected.contains(&victim))
+        .filter(|i| fed.node(NodeAddr(*i)).pastry.is_buried(victim))
         .count();
     assert!(suspecters > 0, "nobody detected the crash");
 
@@ -78,7 +78,7 @@ fn fail_recover_cycle_reconverges_the_tree() {
 
     for i in (0..n).filter(|i| *i != victim.0) {
         assert!(
-            !fed.node(NodeAddr(i)).host.suspected.contains(&victim),
+            !fed.node(NodeAddr(i)).pastry.is_buried(victim),
             "node {i} still suspects the recovered peer"
         );
     }

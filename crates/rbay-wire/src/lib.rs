@@ -29,8 +29,9 @@
 //! * [`tcp`] — the real backend: [`tcp::TcpBus`], a single-threaded
 //!   nonblocking event loop (vendored `epoll-shim`) with per-connection
 //!   write coalescing, bounded staging queues, and `[from][to]`-headered
-//!   peer frames so one bus can host many packed members; and
-//!   [`tcp::TcpTransport`].
+//!   peer frames so one bus can host many packed members. The
+//!   [`Transport`] over it is `rbay-core`'s `MemberCtx` (one per packed
+//!   member, with the pack's wall-clock timer wheel).
 //!
 //! The simnet backend lives in `rbay-core` (`SimTransport`), so tier-1
 //! simulation behavior is bit-for-bit unchanged; the `rbay-node` daemon
@@ -51,5 +52,5 @@ pub use codec::{
     assert_tags_covered, decode_frame, encode_frame, read_frame, write_frame, Reader, Wire,
     WireError, CANON_NAN_BITS, MAX_DEPTH, MAX_FRAME_LEN, WIRE_VERSION,
 };
-pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus, TcpTransport};
+pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus};
 pub use transport::Transport;

@@ -1,7 +1,8 @@
 //! Real-socket backend: a [`TcpBus`] moving length-prefixed frames between
-//! OS processes over nonblocking `std::net::TcpStream`s, and a
-//! [`TcpTransport`] that implements [`Transport`] on top of it with a
-//! wall-clock timer wheel.
+//! OS processes over nonblocking `std::net::TcpStream`s. The
+//! [`Transport`](crate::Transport) the daemon's members see, with its
+//! wall-clock timer wheel, is `rbay_core::MemberCtx`; the bus is where its
+//! off-process frames go.
 //!
 //! Threading model (one bus per daemon): **one event-loop thread total**,
 //! regardless of peer count. The loop multiplexes the listener, every
@@ -36,10 +37,9 @@
 
 use crate::buf::{FrameAssembler, FrameBuf};
 use crate::codec::{decode_frame, encode_frame, Reader, Wire, MAX_FRAME_LEN};
-use crate::transport::Transport;
 use crate::{wire_enum, wire_struct};
 use epoll_shim::{Interest, Poller};
-use simnet::{NodeAddr, SimDuration, SimTime, TimerToken};
+use simnet::NodeAddr;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -988,77 +988,6 @@ impl EventLoop {
     }
 }
 
-/// [`Transport`] over a [`TcpBus`]: encodes messages into frames on the
-/// calling (main) thread, and keeps a wall-clock timer wheel the daemon's
-/// event loop drains with [`TcpTransport::due_timers`].
-pub struct TcpTransport<M> {
-    bus: TcpBus,
-    epoch: Instant,
-    /// Authoritative deadline per token; the heap below may hold stale
-    /// duplicates that are skipped on pop (lazy re-arm semantics).
-    deadlines: HashMap<TimerToken, SimTime>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, TimerToken)>>,
-    _msg: std::marker::PhantomData<fn(M)>,
-}
-
-impl<M: Wire> TcpTransport<M> {
-    /// Wraps a bus; the transport's clock starts at zero now.
-    pub fn new(bus: TcpBus) -> Self {
-        TcpTransport {
-            bus,
-            epoch: Instant::now(),
-            deadlines: HashMap::new(),
-            heap: std::collections::BinaryHeap::new(),
-            _msg: std::marker::PhantomData,
-        }
-    }
-
-    /// The underlying bus.
-    pub fn bus(&self) -> &TcpBus {
-        &self.bus
-    }
-
-    /// Tokens whose deadline has passed, each delivered once.
-    pub fn due_timers(&mut self) -> Vec<TimerToken> {
-        let now = self.now();
-        let mut due = Vec::new();
-        while let Some(std::cmp::Reverse((at, token))) = self.heap.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.heap.pop();
-            // Only fire if this entry is the token's live deadline.
-            if self.deadlines.get(&token) == Some(&at) {
-                self.deadlines.remove(&token);
-                due.push(token);
-            }
-        }
-        due
-    }
-
-    /// The earliest live deadline, if any — lets the event loop sleep
-    /// exactly until the next timer.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.deadlines.values().min().copied()
-    }
-}
-
-impl<M: Wire> Transport<M> for TcpTransport<M> {
-    fn send(&mut self, to: NodeAddr, msg: M) {
-        self.bus.send_to(to, encode_frame(&msg));
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let at = SimTime::from_micros(self.now().as_micros() + delay.as_micros());
-        self.deadlines.insert(token, at);
-        self.heap.push(std::cmp::Reverse((at, token)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,8 +1021,7 @@ mod tests {
         let (bus_a, _rx_a) = start_bus(NodeAddr(0), &resolver, &map);
         let (bus_b, rx_b) = start_bus(NodeAddr(1), &resolver, &map);
 
-        let mut tr: TcpTransport<u64> = TcpTransport::new(bus_a);
-        tr.send(NodeAddr(1), 4242);
+        bus_a.send_to(NodeAddr(1), encode_frame(&4242u64));
         match rx_b.recv_timeout(Duration::from_secs(5)).unwrap() {
             Inbound::Peer { from, to, frame } => {
                 assert_eq!(from, NodeAddr(0));
@@ -1102,7 +1030,7 @@ mod tests {
             }
             other => panic!("unexpected inbound: {other:?}"),
         }
-        tr.bus().shutdown();
+        bus_a.shutdown();
         bus_b.shutdown();
     }
 
@@ -1237,34 +1165,5 @@ mod tests {
         assert_eq!(stats.unresolvable, 1, "cause attributed: {stats:?}");
         assert_eq!(stats.total(), 1);
         bus.shutdown();
-    }
-
-    #[test]
-    fn timer_wheel_rearms_and_fires_in_order() {
-        let resolver: Resolver = Arc::new(|_| None);
-        let (bus, _rx) =
-            TcpBus::start("127.0.0.1:0".parse().unwrap(), NodeAddr(0), resolver).unwrap();
-        let mut tr: TcpTransport<u64> = TcpTransport::new(bus);
-
-        tr.set_timer(SimDuration::from_micros(0), TimerToken(1));
-        tr.set_timer(SimDuration::from_secs(3600), TimerToken(2));
-        // Re-arm token 1 far in the future: the old deadline must not fire.
-        tr.set_timer(SimDuration::from_secs(3600), TimerToken(1));
-        assert!(tr.due_timers().is_empty());
-
-        tr.set_timer(SimDuration::from_micros(0), TimerToken(2));
-        // Bounded wait for the wall clock to pass the deadline — no sleeps.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let due = tr.due_timers();
-            if !due.is_empty() {
-                assert_eq!(due, vec![TimerToken(2)]);
-                break;
-            }
-            assert!(Instant::now() < deadline, "timer never fired");
-            std::thread::yield_now();
-        }
-        assert!(tr.next_deadline().is_some(), "token 1 still pending");
-        tr.bus().shutdown();
     }
 }

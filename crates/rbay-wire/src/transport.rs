@@ -12,8 +12,10 @@ use simnet::{NodeAddr, SimDuration, SimTime, SiteId, TimerToken};
 ///
 /// * `rbay-core`'s `SimTransport` delegates to `simnet::Context` — exactly
 ///   the delivery path tier-1 tests have always exercised.
-/// * [`crate::tcp::TcpTransport`] frames messages over loopback/static TCP
-///   and keeps a real-time timer wheel.
+/// * `rbay-core`'s `MemberCtx` (what the `rbay-node` daemon runs) loops
+///   messages between members of one process back in memory, frames the
+///   rest onto a [`crate::tcp::TcpBus`], and keeps a real-time timer
+///   wheel.
 ///
 /// Delivery is *best-effort* on every backend: the simulator can drop
 /// messages under a loss probability, and the TCP backend drops frames on

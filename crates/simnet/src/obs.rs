@@ -7,7 +7,7 @@
 //! recorder holds no allocation at all — every hook is a single `Option`
 //! branch, and event payload construction is deferred behind a closure so a
 //! disabled run never formats, hashes, or clones anything. This is what
-//! keeps the hot path (fig. 8a criterion runs) within noise of an
+//! keeps the hot path (fig. 8a runs) within noise of an
 //! uninstrumented build.
 //!
 //! Topic and route keys are carried as raw `u128` values rather than the

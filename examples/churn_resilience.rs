@@ -59,7 +59,7 @@ fn main() {
     assert!(after >= 14, "expected ~15 live holders, got {after}");
 
     let detectors = (0..80u32)
-        .filter(|i| !fed.node(NodeAddr(*i)).host.suspected.is_empty())
+        .filter(|i| !fed.node(NodeAddr(*i)).pastry.buried().is_empty())
         .count();
     println!("{detectors} nodes participated in failure detection");
     println!("done: discovery survives churn with no manual notification.");
