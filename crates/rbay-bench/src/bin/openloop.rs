@@ -57,10 +57,8 @@ fn main() {
         };
         issued.push((origin, id));
         let password = WORKLOAD_PASSWORD.to_owned();
-        fed.sim_mut().schedule_call(at, origin, move |a, ctx| {
-            a.host.now = ctx.now();
-            a.host.issue_query(parsed, Some(password));
-            a.drain_ops(ctx);
+        fed.control_at(at, origin, move |h| {
+            h.issue_query(parsed, Some(password));
         });
     }
     fed.settle();

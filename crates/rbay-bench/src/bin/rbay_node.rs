@@ -33,7 +33,7 @@ use rbay_core::{
 };
 use rbay_query::parse_query;
 use rbay_store::{FsyncPolicy, Store, StoreStats};
-use rbay_wire::{decode_frame, encode_frame, Inbound, TcpBus, Transport};
+use rbay_wire::{decode_frame, encode_frame, Inbound, TcpBus};
 use scribe::TopicId;
 use simnet::{NodeAddr, SimDuration};
 use std::path::PathBuf;
@@ -382,17 +382,11 @@ fn on_ctrl(
     };
     match msg {
         CtrlMsg::Post { attr, value } => {
-            pack.with_member(sink, slot, |node, ctx| {
-                node.host.now = ctx.now();
-                node.host.post_resource(&attr, value);
-            });
+            pack.with_member(sink, slot, |node, _| node.host.post_resource(&attr, value));
             reply(&CtrlMsg::Ok);
         }
         CtrlMsg::InstallNodeAa { src } => {
-            let res = pack.with_member(sink, slot, |node, ctx| {
-                node.host.now = ctx.now();
-                node.host.install_node_aa(&src)
-            });
+            let res = pack.with_member(sink, slot, |node, _| node.host.install_node_aa(&src));
             match res {
                 Ok(()) => reply(&CtrlMsg::Ok),
                 Err(e) => reply(&CtrlMsg::Err { msg: e.to_string() }),
@@ -402,10 +396,8 @@ fn on_ctrl(
             Ok(q) => {
                 // Route through the front door: a no-op pass-through on
                 // members where it is not enabled.
-                let resp = pack.with_member(sink, slot, |node, ctx| {
-                    node.host.now = ctx.now();
-                    node.host.frontdoor_query(q, password)
-                });
+                let resp =
+                    pack.with_member(sink, slot, |node, _| node.host.frontdoor_query(q, password));
                 match resp {
                     FrontdoorResponse::Cached { result, satisfied } => {
                         reply(&CtrlMsg::QueryDone {
@@ -429,8 +421,7 @@ fn on_ctrl(
             capacity,
             max_pending,
         } => {
-            pack.with_member(sink, slot, |node, ctx| {
-                node.host.now = ctx.now();
+            pack.with_member(sink, slot, |node, _| {
                 node.host.enable_frontdoor(FrontdoorConfig {
                     cache_ttl: SimDuration::from_millis(ttl_ms),
                     cache_capacity: capacity as usize,

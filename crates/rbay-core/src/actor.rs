@@ -31,15 +31,25 @@ pub struct RbayNode {
 }
 
 impl RbayNode {
+    /// The one way to drive a node: stamps the host's clock from the
+    /// transport, runs `f`, then executes every host operation `f` queued.
+    /// A message, a timer, a maintenance round and an operator's request
+    /// are all bodies run inside it.
+    pub fn control<T: Transport<RbayMsg>, R>(
+        &mut self,
+        tr: &mut T,
+        f: impl FnOnce(&mut RbayNode, &mut T) -> R,
+    ) -> R {
+        self.host.now = tr.now();
+        let r = f(self, tr);
+        self.drain_ops(tr);
+        r
+    }
+
     /// Executes every queued host operation, with full access to the
     /// routing layers. Operations may enqueue further operations (e.g. a
     /// RemoteProbe handler queues probes); the loop runs until quiescence.
-    pub fn drain_ops(&mut self, ctx: &mut Context<'_, RbayMsg>) {
-        self.drain_ops_via(&mut SimTransport::new(ctx));
-    }
-
-    /// [`RbayNode::drain_ops`] over any transport.
-    pub fn drain_ops_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
+    fn drain_ops<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
         let RbayNode {
             pastry,
             scribe,
@@ -99,44 +109,36 @@ impl RbayNode {
     /// aggregation tick pushing tree aggregates one level rootward, and
     /// (when enabled) heartbeat-based failure detection over the node's
     /// overlay neighbours.
-    pub fn maintenance_round(&mut self, ctx: &mut Context<'_, RbayMsg>) {
-        self.maintenance_round_via(&mut SimTransport::new(ctx));
-    }
-
-    /// [`RbayNode::maintenance_round`] over any transport.
     pub fn maintenance_round_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
-        self.host.now = tr.now();
-        self.host.maintenance();
-        // Refresh this node's contribution to every subscribed tree (the
-        // aggregate attribute may have changed since the last round).
-        let fresh = self.host.tree_local_value();
-        let subscribed: Vec<scribe::TopicId> = self
-            .scribe
-            .topics()
-            .filter(|(_, st)| st.subscribed)
-            .map(|(t, _)| *t)
-            .collect();
-        for t in subscribed {
-            self.scribe.set_local_value(t, fresh.clone());
-        }
-        {
+        self.control(tr, |n, tr| {
+            n.host.maintenance();
+            // Refresh this node's contribution to every subscribed tree
+            // (the aggregate attribute may have changed since the last
+            // round).
+            let fresh = n.host.tree_local_value();
+            let subscribed: Vec<scribe::TopicId> = n
+                .scribe
+                .topics()
+                .filter(|(_, st)| st.subscribed)
+                .map(|(t, _)| *t)
+                .collect();
+            for t in subscribed {
+                n.scribe.set_local_value(t, fresh.clone());
+            }
             let mut net = NetAdapter::new(tr);
             // The tick also re-sends the `Join` of any tree this node is
             // detached from: the one retry per round (DESIGN.md §17).
-            self.scribe
-                .aggregate_tick(&mut self.pastry, &mut net, &mut self.host);
-        }
-        // Peer-set anti-entropy: one Announce + leaf-set pull per round so
-        // routing knowledge lost to concurrent joins or dropped frames
-        // eventually heals (the join-time Announce is one-shot).
-        {
-            let mut net = NetAdapter::new(tr);
-            self.pastry.gossip_round(&mut net);
-        }
-        if self.host.cfg.failure_detection {
-            self.detect_failures_via(tr);
-        }
-        self.drain_ops_via(tr);
+            n.scribe
+                .aggregate_tick(&mut n.pastry, &mut net, &mut n.host);
+            // Peer-set anti-entropy: one Announce + leaf-set pull per
+            // round so routing knowledge lost to concurrent joins or
+            // dropped frames eventually heals (the join-time Announce is
+            // one-shot).
+            n.pastry.gossip_round(&mut net);
+            if n.host.cfg.failure_detection {
+                n.detect_failures_via(tr);
+            }
+        });
     }
 
     /// Dispatches one incoming message over any transport (what the
@@ -148,44 +150,40 @@ impl RbayNode {
         from: NodeAddr,
         msg: RbayMsg,
     ) {
-        self.host.now = tr.now();
-        // Any message from a peer proves it alive — the one place that
-        // is acted on, before anything looks at the message.
-        if !scribe::seeded_bug_active(3) {
-            self.proof_of_life(from);
-        }
-        {
-            let RbayNode {
-                pastry,
-                scribe,
-                host,
-            } = self;
-            let mut net = NetAdapter::new(tr);
+        self.control(tr, |n, tr| {
+            // Any message from a peer proves it alive — the one place that
+            // is acted on, before anything looks at the message.
+            if !scribe::seeded_bug_active(3) {
+                n.proof_of_life(from);
+            }
             let mut app = ScribeApp {
-                layer: scribe,
-                host,
+                layer: &mut n.scribe,
+                host: &mut n.host,
             };
-            pastry.on_message(&mut net, &mut app, from, msg);
-        }
-        self.drain_ops_via(tr);
+            n.pastry
+                .on_message(&mut NetAdapter::new(tr), &mut app, from, msg);
+        });
     }
 
-    /// Fires one timer over any transport.
+    /// Fires one timer over any transport. A firing the query engine no
+    /// longer waits for (a finished query, an earlier attempt) is ignored
+    /// by [`RbayHost::on_query_timer`].
     pub fn on_timer_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T, token: TimerToken) {
-        self.host.now = tr.now();
-        let (seq, attempt, kind) = split_timer_token(token);
-        if kind != 0 {
-            self.host.on_query_timer(seq, attempt, kind);
-        }
-        self.drain_ops_via(tr);
+        self.control(tr, |n, _| {
+            let (seq, attempt, kind) = split_timer_token(token);
+            if kind != 0 {
+                n.host.on_query_timer(seq, attempt, kind);
+            }
+        });
     }
 
     /// Sends this node's Pastry join request toward `bootstrap`. Safe to
     /// re-send each tick until [`PastryNode::is_joined`] turns true — join
     /// traffic may be lost on a real network.
     pub fn join_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T, bootstrap: NodeAddr) {
-        let mut net = NetAdapter::new(tr);
-        self.pastry.join(&mut net, bootstrap);
+        self.control(tr, |n, tr| {
+            n.pastry.join(&mut NetAdapter::new(tr), bootstrap);
+        });
     }
 
     /// Marks this node as the overlay's first member: joined, with empty
@@ -219,10 +217,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::host::RbayConfig;
     use crate::types::RbayEvent;
+    use crate::Federation;
     use aascript::SharedSandbox;
     use pastry::{NodeId, NodeInfo};
     use rbay_query::AttrValue;
-    use simnet::{SimDuration, SimTime, SiteId};
+    use simnet::{SimDuration, SimTime, SiteId, Topology};
     use std::rc::Rc;
 
     /// A lone single-site node with default configuration.
@@ -296,9 +295,10 @@ pub(crate) mod tests {
             addr: NodeAddr(2),
             site: SiteId(0),
         };
-        n.host.ops.push_back(Op::LearnPeer { info: peer });
-        n.host.post_resource("GPU", AttrValue::Bool(true));
-        n.drain_ops_via(tr);
+        n.control(tr, |n, _| {
+            n.host.ops.push_back(Op::LearnPeer { info: peer });
+            n.host.post_resource("GPU", AttrValue::Bool(true));
+        });
         assert_eq!(tr.take_joins(), 1, "the first join goes out");
         (n, topic, peer)
     }
@@ -306,6 +306,38 @@ pub(crate) mod tests {
     fn subscribed_events(n: &RbayNode) -> usize {
         let subscribed = |e: &&RbayEvent| matches!(e, RbayEvent::Subscribed { .. });
         n.host.events.iter().filter(subscribed).count()
+    }
+
+    /// Driving a node is `control` and nothing else: clock first, then the
+    /// closure, then everything the closure queued, then its value.
+    #[test]
+    fn control_stamps_the_clock_drains_and_returns_the_closures_value() {
+        let mut tr = RecTransport {
+            now: SimTime::from_millis(7),
+            ..RecTransport::default()
+        };
+        // The fixture posts inside `control` and has counted the `Join`
+        // by the time it returns.
+        let (mut n, ..) = subscriber_with_lost_join(&mut tr);
+        assert_eq!(n.host.now, tr.now);
+        assert!(n.host.ops.is_empty());
+        tr.now = SimTime::from_millis(9);
+        let seen = n.control(&mut tr, |n, _| n.host.now);
+        assert_eq!(seen, tr.now, "stamped before the closure runs");
+    }
+
+    /// Every `Federation` verb is a `control` closure — the installs too,
+    /// which used to leave the node's clock where the last message put it.
+    #[test]
+    fn federation_installs_stamp_the_clock_and_drain() {
+        let mut fed = Federation::new(Topology::single_site(4, 0.5), 1);
+        let t = SimTime::from_secs(3);
+        fed.run_until(t);
+        fed.install_node_aa(NodeAddr(2), "function onGet(caller) return true end");
+        fed.settle();
+        let host = &fed.node(NodeAddr(2)).host;
+        assert_eq!(host.now, t);
+        assert!(host.ops.is_empty());
     }
 
     /// The tick is the only retry left: a `Join` lost in flight is sent

@@ -5,7 +5,8 @@
 
 use crate::actor::RbayNode;
 use crate::frontdoor::{lowest_rtt_site, FrontdoorConfig, FrontdoorResponse, FrontdoorStats};
-use crate::host::{RbayConfig, RbayHost};
+use crate::host::{Op, RbayConfig, RbayHost};
+use crate::transport::SimTransport;
 use crate::types::{AdminCommand, Candidate, QueryId, QueryRecord, RbayEvent, RbayPayload};
 use aascript::SharedSandbox;
 use pastry::{seed_overlay, NodeId, NodeInfo, PastryNode};
@@ -211,32 +212,37 @@ impl Federation {
         &self.cfg
     }
 
+    /// Runs `f` against `node`'s host at virtual time `at`, inside
+    /// [`RbayNode::control`]: the host's clock is stamped first and every
+    /// operation `f` queues is executed before the call returns. All of
+    /// the admin and customer API below is this one scheduled call.
+    pub fn control_at(
+        &mut self,
+        at: SimTime,
+        node: NodeAddr,
+        f: impl FnOnce(&mut RbayHost) + 'static,
+    ) {
+        self.sim.schedule_call(at, node, move |a, ctx| {
+            a.control(&mut SimTransport::new(ctx), |n, _| f(&mut n.host));
+        });
+    }
+
     /// Admin API: posts a resource on `node` — sets the attribute and
     /// joins the site-scoped `attr=value` tree.
     pub fn post_resource(&mut self, node: NodeAddr, attr: &str, value: AttrValue) {
         let attr = attr.to_owned();
         self.installs.push((node, attr.clone(), value.clone()));
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, ctx| {
-            a.host.now = ctx.now();
-            a.host.post_resource(&attr, value);
-            a.drain_ops(ctx);
-        });
+        self.control_at(self.sim.now(), node, move |h| h.post_resource(&attr, value));
     }
 
     /// Admin API: updates an attribute reading without changing
-    /// membership (e.g. a fresh utilization sample). Drains ops: under
+    /// membership (e.g. a fresh utilization sample). Under
     /// [`RbayConfig::frontdoor_invalidation`] the update multicasts a
     /// cache invalidation.
     pub fn update_attr(&mut self, node: NodeAddr, attr: &str, value: AttrValue) {
         let attr = attr.to_owned();
         self.installs.push((node, attr.clone(), value.clone()));
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, ctx| {
-            a.host.now = ctx.now();
-            a.host.update_attr(&attr, value);
-            a.drain_ops(ctx);
-        });
+        self.control_at(self.sim.now(), node, move |h| h.update_attr(&attr, value));
     }
 
     /// Admin API: installs the node-level policy AA. Compile errors panic
@@ -244,10 +250,8 @@ impl Federation {
     /// fallible compilation directly for validation).
     pub fn install_node_aa(&mut self, node: NodeAddr, src: &str) {
         let src = src.to_owned();
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, _ctx| {
-            a.host
-                .install_node_aa(&src)
+        self.control_at(self.sim.now(), node, move |h| {
+            h.install_node_aa(&src)
                 .expect("node AA script must compile and run");
         });
     }
@@ -255,10 +259,8 @@ impl Federation {
     /// Admin API: installs a per-attribute AA.
     pub fn install_attr_aa(&mut self, node: NodeAddr, attr: &str, src: &str) {
         let (attr, src) = (attr.to_owned(), src.to_owned());
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, _ctx| {
-            a.host
-                .install_attr_aa(&attr, &src)
+        self.control_at(self.sim.now(), node, move |h| {
+            h.install_attr_aa(&attr, &src)
                 .expect("attribute AA script must compile and run");
         });
     }
@@ -268,10 +270,7 @@ impl Federation {
     /// round.
     pub fn register_dynamic_tree(&mut self, node: NodeAddr, tree: &str) {
         let tree = tree.to_owned();
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, _ctx| {
-            a.host.dynamic_trees.push(tree);
-        });
+        self.control_at(self.sim.now(), node, move |h| h.dynamic_trees.push(tree));
     }
 
     /// Admin API: multicasts a policy command to every member of
@@ -288,23 +287,18 @@ impl Federation {
         let cmd_id = self.next_cmd;
         self.next_cmd += 1;
         let (tree_name, attr) = (tree_name.to_owned(), attr.to_owned());
-        let now = self.sim.now();
-        self.sim.schedule_call(now, admin, move |a, ctx| {
-            a.host.now = ctx.now();
-            let topic = a.host.tree_topic(&tree_name, site);
+        self.control_at(self.sim.now(), admin, move |h| {
             let cmd = AdminCommand {
                 cmd_id,
                 attr,
                 payload,
-                issued_at: ctx.now(),
+                issued_at: h.now,
             };
-            let scope = a.host.routing_scope(site);
-            a.host.ops.push_back(crate::host::Op::Multicast {
-                topic,
-                scope,
+            h.ops.push_back(Op::Multicast {
+                topic: h.tree_topic(&tree_name, site),
+                scope: h.routing_scope(site),
                 payload: RbayPayload::Admin(cmd),
             });
-            a.drain_ops(ctx);
         });
         cmd_id
     }
@@ -316,18 +310,15 @@ impl Federation {
     /// [`Federation::settle`].
     pub fn probe_tree_stats(&mut self, node: NodeAddr, tree_name: &str, site: SiteId) {
         let tree = tree_name.to_owned();
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, ctx| {
-            a.host.now = ctx.now();
-            let topic = a.host.tree_topic(&tree, site);
-            let scope = a.host.routing_scope(site);
-            let me = a.host.addr;
-            a.host.ops.push_back(crate::host::Op::Probe {
-                topic,
-                scope,
-                payload: RbayPayload::StatsProbe { reply_to: me, tree },
+        self.control_at(self.sim.now(), node, move |h| {
+            h.ops.push_back(Op::Probe {
+                topic: h.tree_topic(&tree, site),
+                scope: h.routing_scope(site),
+                payload: RbayPayload::StatsProbe {
+                    reply_to: h.addr,
+                    tree,
+                },
             });
-            a.drain_ops(ctx);
         });
     }
 
@@ -359,12 +350,9 @@ impl Federation {
         let id = QueryId::new(node, *seq);
         *seq += 1;
         let password = password.map(str::to_owned);
-        let now = self.sim.now();
-        self.sim.schedule_call(now, node, move |a, ctx| {
-            a.host.now = ctx.now();
-            let got = a.host.issue_query(query, password);
+        self.control_at(self.sim.now(), node, move |h| {
+            let got = h.issue_query(query, password);
             debug_assert_eq!(got, id, "federation id mirror out of sync");
-            a.drain_ops(ctx);
         });
         id
     }
@@ -376,17 +364,12 @@ impl Federation {
     /// set so writes keep those caches coherent; call `settle()` (or let
     /// traffic flow) so the tree joins complete.
     pub fn enable_frontdoor(&mut self, fcfg: FrontdoorConfig) {
-        let now = self.sim.now();
         let sites = self.sim.topology().site_count() as u16;
         for s in 0..sites {
             let gws = self.sim.actor(NodeAddr(0)).host.gateways[s as usize].clone();
             for gw in gws {
                 let fcfg = fcfg.clone();
-                self.sim.schedule_call(now, gw, move |a, ctx| {
-                    a.host.now = ctx.now();
-                    a.host.enable_frontdoor(fcfg);
-                    a.drain_ops(ctx);
-                });
+                self.control_at(self.sim.now(), gw, move |h| h.enable_frontdoor(fcfg));
             }
         }
     }
@@ -422,22 +405,23 @@ impl Federation {
         let gateway = self.sim.actor(client).host.gateways[site.0 as usize][0];
         let now = self.sim.now();
         let password = password.map(str::to_owned);
+        // The one stamp outside `RbayNode::control`: the response must be
+        // returned to the caller now, and a scheduled call cannot return.
         let response = {
             let a = self.sim.actor_mut(gateway);
             a.host.now = now;
             a.host.frontdoor_query(q, password)
         };
         // A new walk issued ops (probes, timers) synchronously into the
-        // gateway's queue; drain them in-context, and keep the federation's
-        // per-node id mirror in step with the gateway's sequence counter.
+        // gateway's queue; an empty control closure at the same instant
+        // executes them in-context. Keep the federation's per-node id
+        // mirror in step with the gateway's sequence counter.
         if let FrontdoorResponse::Pending {
             coalesced: false, ..
         } = &response
         {
             *self.issued.entry(gateway).or_insert(0) += 1;
-            self.sim.schedule_call(now, gateway, |a, ctx| {
-                a.drain_ops(ctx);
-            });
+            self.control_at(now, gateway, |_| {});
         }
         Ok(match response {
             FrontdoorResponse::Cached { result, satisfied } => {
@@ -463,17 +447,21 @@ impl Federation {
             .map(|fd| fd.stats)
     }
 
+    /// Schedules one maintenance round on every node at `at`.
+    fn sweep_at(&mut self, at: SimTime) {
+        for i in 0..self.sim.topology().node_count() as u32 {
+            self.sim.schedule_call(at, NodeAddr(i), |a, ctx| {
+                a.maintenance_round_via(&mut SimTransport::new(ctx));
+            });
+        }
+    }
+
     /// Runs `rounds` maintenance rounds (AA timers + aggregation ticks) on
     /// every node, separated by `interval` so each round's messages land
     /// before the next.
     pub fn run_maintenance(&mut self, rounds: u32, interval: SimDuration) {
         for _ in 0..rounds {
-            let now = self.sim.now();
-            for i in 0..self.sim.topology().node_count() as u32 {
-                self.sim.schedule_call(now, NodeAddr(i), |a, ctx| {
-                    a.maintenance_round(ctx);
-                });
-            }
+            self.sweep_at(self.sim.now());
             self.sim.run_for(interval);
         }
     }
@@ -486,11 +474,7 @@ impl Federation {
     pub fn schedule_maintenance(&mut self, rounds: u32, interval: SimDuration) {
         let mut at = self.sim.now();
         for _ in 0..rounds {
-            for i in 0..self.sim.topology().node_count() as u32 {
-                self.sim.schedule_call(at, NodeAddr(i), |a, ctx| {
-                    a.maintenance_round(ctx);
-                });
-            }
+            self.sweep_at(at);
             at += interval;
         }
     }

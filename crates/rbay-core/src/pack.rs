@@ -13,8 +13,11 @@
 //! * messages leaving the pack are encoded once and handed to a
 //!   [`FrameSink`] together with their `(from, to)` overlay addresses, so
 //!   the transport can multiplex every member over the same sockets;
-//! * timers are keyed `(slot, token)` — two members arming the same
-//!   protocol token never collide.
+//! * timers of every member share one queue ordered by `(deadline, arm
+//!   order)` — the simulator's own [`CalendarQueue`] and ordering rule —
+//!   whose entries carry the arming member's slot, so two members arming
+//!   the same protocol token never collide. Each arm fires once; there is
+//!   no cancel and no supersede (see [`Transport::set_timer`]).
 //!
 //! Backpressure follows the transport's drop-not-block rule: the loopback
 //! queue is bounded and overflow drops messages (counted via
@@ -22,15 +25,12 @@
 
 use crate::actor::{RbayMsg, RbayNode};
 use rbay_wire::{encode_frame, Transport};
-use simnet::{NodeAddr, SimDuration, SimTime, TimerToken};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Loopback queue cap (messages); overflow is dropped and counted.
 const LOOPBACK_MAX: usize = 65_536;
-/// Messages dispatched per [`Pack::pump`] call, bounding main-loop latency
-/// even when members generate message storms.
-const PUMP_BUDGET: usize = 100_000;
 
 /// Where a pack's outbound (off-process) frames go. Implemented by
 /// `rbay_wire::tcp::TcpBus`; tests use an in-memory vector.
@@ -47,17 +47,18 @@ impl FrameSink for rbay_wire::TcpBus {
 }
 
 /// State every member's transport view borrows: the loopback queue, the
-/// shared clock, and the (slot-keyed) timer wheel.
+/// shared clock, and the timer queue.
 struct PackShared {
     base: u32,
     len: u32,
     epoch: Instant,
     /// In-process deliveries: `(from, destination slot, message)`.
     loopback: VecDeque<(NodeAddr, u32, RbayMsg)>,
-    /// Authoritative deadline per `(slot, token)`; the heap holds lazy
-    /// duplicates skipped on pop.
-    deadlines: HashMap<(u32, TimerToken), SimTime>,
-    heap: BinaryHeap<std::cmp::Reverse<(SimTime, u32, TimerToken)>>,
+    /// Every armed timer as `(slot, token)`, keyed `(deadline, arm
+    /// sequence)`.
+    timers: CalendarQueue<(u32, TimerToken)>,
+    /// Timers armed so far: the next arm's sequence number.
+    armed: u64,
     loopback_dropped: u64,
 }
 
@@ -69,11 +70,17 @@ impl PackShared {
     fn slot_of(&self, addr: NodeAddr) -> Option<u32> {
         (addr.0 >= self.base && addr.0 < self.base + self.len).then(|| addr.0 - self.base)
     }
+
+    /// Removes the earliest timer if its deadline is at or before `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<(u32, TimerToken)> {
+        let (at, _) = self.timers.peek_key()?;
+        (at <= now).then(|| self.timers.pop().expect("peeked").2)
+    }
 }
 
 /// The [`Transport`] a packed member sees: local destinations loop back
 /// in-process, remote ones are encoded into the [`FrameSink`], and timers
-/// land in the pack's shared wheel under this member's slot.
+/// land in the pack's shared queue under this member's slot.
 pub struct MemberCtx<'a, S: FrameSink> {
     slot: u32,
     src: NodeAddr,
@@ -99,11 +106,11 @@ impl<S: FrameSink> Transport<RbayMsg> for MemberCtx<'_, S> {
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let at = SimTime::from_micros(self.shared.now().as_micros() + delay.as_micros());
-        self.shared.deadlines.insert((self.slot, token), at);
-        self.shared
-            .heap
-            .push(std::cmp::Reverse((at, self.slot, token)));
+        let shared = &mut *self.shared;
+        shared
+            .timers
+            .push(shared.now() + delay, shared.armed, (self.slot, token));
+        shared.armed += 1;
     }
 }
 
@@ -111,26 +118,6 @@ impl<S: FrameSink> Transport<RbayMsg> for MemberCtx<'_, S> {
 pub struct Pack {
     members: Vec<RbayNode>,
     shared: PackShared,
-}
-
-/// Dispatches one message to a member with split borrows, so the member's
-/// handlers can send (loopback or sink) while running.
-fn dispatch<S: FrameSink>(
-    members: &mut [RbayNode],
-    shared: &mut PackShared,
-    sink: &mut S,
-    slot: u32,
-    from: NodeAddr,
-    msg: RbayMsg,
-) {
-    let src = NodeAddr(shared.base + slot);
-    let mut ctx = MemberCtx {
-        slot,
-        src,
-        shared,
-        sink,
-    };
-    members[slot as usize].on_message_via(&mut ctx, from, msg);
 }
 
 impl Pack {
@@ -145,11 +132,32 @@ impl Pack {
                 len,
                 epoch: Instant::now(),
                 loopback: VecDeque::new(),
-                deadlines: HashMap::new(),
-                heap: BinaryHeap::new(),
+                timers: CalendarQueue::new(),
+                armed: 0,
                 loopback_dropped: 0,
             },
         }
+    }
+
+    /// Member `slot` and the transport view it runs under, borrowed side
+    /// by side so the member's handlers can send and arm while running.
+    fn ctx<'a, S: FrameSink>(
+        &'a mut self,
+        sink: &'a mut S,
+        slot: u32,
+    ) -> (&'a mut RbayNode, MemberCtx<'a, S>) {
+        let ctx = MemberCtx {
+            slot,
+            src: NodeAddr(self.shared.base + slot),
+            shared: &mut self.shared,
+            sink,
+        };
+        (&mut self.members[slot as usize], ctx)
+    }
+
+    fn dispatch<S: FrameSink>(&mut self, sink: &mut S, slot: u32, from: NodeAddr, msg: RbayMsg) {
+        let (node, mut ctx) = self.ctx(sink, slot);
+        node.on_message_via(&mut ctx, from, msg);
     }
 
     /// First hosted overlay address.
@@ -214,89 +222,56 @@ impl Pack {
         let Some(slot) = self.shared.slot_of(to) else {
             return false;
         };
-        dispatch(&mut self.members, &mut self.shared, sink, slot, from, msg);
+        self.dispatch(sink, slot, from, msg);
         true
     }
 
-    /// Drains pending loopback deliveries (which may enqueue more), up to
-    /// an internal budget. Returns the number dispatched; call again when
-    /// [`Pack::has_loopback`] remains true.
+    /// Drains the loopback queue to empty, deliveries enqueued along the
+    /// way included. Returns the number dispatched.
     pub fn pump<S: FrameSink>(&mut self, sink: &mut S) -> usize {
         let mut n = 0;
-        while n < PUMP_BUDGET {
-            let Some((from, slot, msg)) = self.shared.loopback.pop_front() else {
-                break;
-            };
-            dispatch(&mut self.members, &mut self.shared, sink, slot, from, msg);
+        while let Some((from, slot, msg)) = self.shared.loopback.pop_front() {
+            self.dispatch(sink, slot, from, msg);
             n += 1;
         }
         n
     }
 
-    /// Fires every expired timer on its owning member. Returns how many
-    /// fired.
+    /// Fires, on its owning member, every timer due at the instant of the
+    /// call — read once, so a handler re-arming with zero delay cannot
+    /// spin the turn. Returns how many fired.
     pub fn fire_due<S: FrameSink>(&mut self, sink: &mut S) -> usize {
         let now = self.shared.now();
-        let mut due: Vec<(u32, TimerToken)> = Vec::new();
-        while let Some(std::cmp::Reverse((at, slot, token))) = self.shared.heap.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.shared.heap.pop();
-            if self.shared.deadlines.get(&(slot, token)) == Some(&at) {
-                self.shared.deadlines.remove(&(slot, token));
-                due.push((slot, token));
-            }
-        }
-        let fired = due.len();
-        for (slot, token) in due {
-            let Pack { members, shared } = self;
-            let src = NodeAddr(shared.base + slot);
-            let mut ctx = MemberCtx {
-                slot,
-                src,
-                shared,
-                sink,
-            };
-            members[slot as usize].on_timer_via(&mut ctx, token);
+        let mut fired = 0;
+        while let Some((slot, token)) = self.shared.pop_due(now) {
+            let (node, mut ctx) = self.ctx(sink, slot);
+            node.on_timer_via(&mut ctx, token);
+            fired += 1;
         }
         fired
     }
 
-    /// The earliest live deadline across all members, if any.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.shared.deadlines.values().min().copied()
+    /// The earliest armed deadline across all members, if any.
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        self.shared.timers.peek_key().map(|(at, _)| at)
     }
 
     /// Runs one maintenance round for member `slot`.
     pub fn maintenance_round<S: FrameSink>(&mut self, sink: &mut S, slot: u32) {
-        let Pack { members, shared } = self;
-        let src = NodeAddr(shared.base + slot);
-        let mut ctx = MemberCtx {
-            slot,
-            src,
-            shared,
-            sink,
-        };
-        members[slot as usize].maintenance_round_via(&mut ctx);
+        let (node, mut ctx) = self.ctx(sink, slot);
+        node.maintenance_round_via(&mut ctx);
     }
 
     /// (Re-)sends member `slot`'s Pastry join toward `bootstrap` (which
     /// may be another member of this pack — the join then rides loopback).
     pub fn join_member<S: FrameSink>(&mut self, sink: &mut S, slot: u32, bootstrap: NodeAddr) {
-        let Pack { members, shared } = self;
-        let src = NodeAddr(shared.base + slot);
-        let mut ctx = MemberCtx {
-            slot,
-            src,
-            shared,
-            sink,
-        };
-        members[slot as usize].join_via(&mut ctx, bootstrap);
+        let (node, mut ctx) = self.ctx(sink, slot);
+        node.join_via(&mut ctx, bootstrap);
     }
 
-    /// Runs `f` against member `slot` with a live transport view, then
-    /// drains the member's deferred operations. Use for control-plane
+    /// Runs `f` against member `slot` inside [`RbayNode::control`] with a
+    /// live transport view: the member's clock is stamped first and its
+    /// deferred operations are drained after. Use for control-plane
     /// actions (post, install, issue-query) that may send messages.
     pub fn with_member<S: FrameSink, R>(
         &mut self,
@@ -304,18 +279,8 @@ impl Pack {
         slot: u32,
         f: impl FnOnce(&mut RbayNode, &mut MemberCtx<'_, S>) -> R,
     ) -> R {
-        let Pack { members, shared } = self;
-        let src = NodeAddr(shared.base + slot);
-        let mut ctx = MemberCtx {
-            slot,
-            src,
-            shared,
-            sink,
-        };
-        let node = &mut members[slot as usize];
-        let r = f(node, &mut ctx);
-        node.drain_ops_via(&mut ctx);
-        r
+        let (node, mut ctx) = self.ctx(sink, slot);
+        node.control(&mut ctx, f)
     }
 }
 
@@ -323,6 +288,8 @@ impl Pack {
 mod tests {
     use super::*;
     use crate::actor::tests::node;
+    use crate::transport::SimTransport;
+    use simnet::{Simulation, Topology, TraceEvent};
 
     /// Captures off-process frames.
     #[derive(Default)]
@@ -415,32 +382,52 @@ mod tests {
         assert_eq!(pack.next_deadline(), None);
     }
 
+    /// One arm script for both backends: `A` and `B` now, `A` again, `C`
+    /// in an hour. All are tokens of kind 0, which the node ignores.
+    const A: TimerToken = TimerToken(4);
+    const B: TimerToken = TimerToken(8);
+    const C: TimerToken = TimerToken(12);
+
+    fn arm_script<T: Transport<RbayMsg>>(tr: &mut T) {
+        for token in [A, B, A] {
+            tr.set_timer(SimDuration::from_micros(0), token);
+        }
+        tr.set_timer(SimDuration::from_secs(3600), C);
+    }
+
+    /// "In what order do timers fire" has one answer on both backends:
+    /// every arm fires once, by `(deadline, arm order)`; re-arming a live
+    /// token supersedes nothing.
     #[test]
-    fn timer_wheel_rearms_and_fires_in_order() {
+    fn both_backends_fire_every_arm_once_in_arm_order() {
+        let mut sim = Simulation::new(Topology::single_site(1, 0.5), 1, |_| node(0));
+        sim.enable_trace(8);
+        sim.schedule_call(SimTime::ZERO, NodeAddr(0), |_, ctx| {
+            arm_script(&mut SimTransport::new(ctx));
+        });
+        let fired = |sim: &Simulation<RbayNode>| -> Vec<TimerToken> {
+            let token = |e: &TraceEvent| match e {
+                TraceEvent::Timer { token, .. } => Some(*token),
+                TraceEvent::Deliver { .. } => None,
+            };
+            sim.trace().iter().filter_map(token).collect()
+        };
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(fired(&sim), [A, B, A], "simulator; C pends");
+        sim.run_until_idle();
+        assert_eq!(fired(&sim), [A, B, A, C]);
+
         let mut pack = Pack::new(0, vec![node(0)]);
         let mut sink = VecSink::default();
-        // Tokens of kind 0: the node ignores them when they fire.
-        let (rearmed, far) = (TimerToken(4), TimerToken(8));
-        let mut arm = |pack: &mut Pack, delay, token| {
-            pack.with_member(&mut sink, 0, |_, ctx| ctx.set_timer(delay, token));
-        };
-        arm(&mut pack, SimDuration::from_micros(0), rearmed);
-        arm(&mut pack, SimDuration::from_secs(3600), far);
-        // Re-arm the first `(slot, token)` later: its old deadline, still
-        // in the heap, must not fire.
-        arm(&mut pack, SimDuration::from_millis(20), rearmed);
-        let later = pack.next_deadline().expect("re-armed");
-        assert_eq!(pack.fire_due(&mut sink), 0, "superseded deadline fired");
-        // Bounded wait for the wall clock to pass the deadline — no sleeps.
-        let give_up = Instant::now() + std::time::Duration::from_secs(5);
-        let mut fired = 0;
-        while fired == 0 {
-            fired = pack.fire_due(&mut sink);
-            assert!(Instant::now() < give_up, "timer never fired");
-            std::thread::yield_now();
-        }
-        assert_eq!(fired, 1, "one firing for the re-armed token");
-        assert!(pack.now() >= later, "and not before the later deadline");
-        assert!(pack.next_deadline() > Some(later), "the far token pends");
+        pack.with_member(&mut sink, 0, |_, ctx| arm_script(ctx));
+        let now = pack.now();
+        let fired: Vec<TimerToken> = std::iter::from_fn(|| pack.shared.pop_due(now))
+            .map(|(_slot, token)| token)
+            .collect();
+        assert_eq!(fired, [A, B, A], "pack");
+        assert!(pack.next_deadline() > Some(now), "C pends");
+        // And through the public path: three firings, not two.
+        pack.with_member(&mut sink, 0, |_, ctx| arm_script(ctx));
+        assert_eq!(pack.fire_due(&mut sink), 3);
     }
 }

@@ -31,7 +31,7 @@
 //!   write coalescing, bounded staging queues, and `[from][to]`-headered
 //!   peer frames so one bus can host many packed members. The
 //!   [`Transport`] over it is `rbay-core`'s `MemberCtx` (one per packed
-//!   member, with the pack's wall-clock timer wheel).
+//!   member, with the pack's wall-clock timer queue).
 //!
 //! The simnet backend lives in `rbay-core` (`SimTransport`), so tier-1
 //! simulation behavior is bit-for-bit unchanged; the `rbay-node` daemon

@@ -1,7 +1,7 @@
 //! Real-socket backend: a [`TcpBus`] moving length-prefixed frames between
 //! OS processes over nonblocking `std::net::TcpStream`s. The
 //! [`Transport`](crate::Transport) the daemon's members see, with its
-//! wall-clock timer wheel, is `rbay_core::MemberCtx`; the bus is where its
+//! wall-clock timer queue, is `rbay_core::MemberCtx`; the bus is where its
 //! off-process frames go.
 //!
 //! Threading model (one bus per daemon): **one event-loop thread total**,

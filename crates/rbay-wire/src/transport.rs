@@ -14,8 +14,8 @@ use simnet::{NodeAddr, SimDuration, SimTime, SiteId, TimerToken};
 ///   the delivery path tier-1 tests have always exercised.
 /// * `rbay-core`'s `MemberCtx` (what the `rbay-node` daemon runs) loops
 ///   messages between members of one process back in memory, frames the
-///   rest onto a [`crate::tcp::TcpBus`], and keeps a real-time timer
-///   wheel.
+///   rest onto a [`crate::tcp::TcpBus`], and queues timers against the
+///   wall clock in the simulator's own calendar queue.
 ///
 /// Delivery is *best-effort* on every backend: the simulator can drop
 /// messages under a loss probability, and the TCP backend drops frames on
@@ -30,8 +30,13 @@ pub trait Transport<M> {
     /// The current time on this backend's clock.
     fn now(&self) -> SimTime;
 
-    /// Arms a timer that fires `token` after `delay`. Re-arming the same
-    /// token replaces the earlier deadline.
+    /// Arms a timer that fires `token` after `delay`. Each arm fires
+    /// exactly once, in `(deadline, arm order)`; there is no cancel and
+    /// re-arming a token supersedes nothing, so a receiver must tolerate a
+    /// stale firing. The only timers armed today are the query engine's,
+    /// whose tokens are unique per `(query, attempt, kind)` and whose
+    /// handler (`RbayHost::on_query_timer`) drops a firing for a finished
+    /// query or an earlier attempt — which is why no backend needs more.
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken);
 
     /// Estimated round-trip time between two sites in milliseconds, used
