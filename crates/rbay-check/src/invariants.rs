@@ -22,7 +22,7 @@
 use rbay_core::Federation;
 use scribe::TopicId;
 use simnet::NodeAddr;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// What the oracles need to know about the scenario under check.
@@ -152,6 +152,16 @@ pub enum Violation {
         /// Position in the origin's issue order.
         seq: u32,
     },
+    /// A query reported `satisfied` whose result is not `k` distinct
+    /// candidates, or — with commits on — names a live candidate that
+    /// never committed it or no longer holds its reservation (the ledger
+    /// says taken, the node is free).
+    UnheldResult {
+        /// The issuing node.
+        origin: NodeAddr,
+        /// Position in the origin's issue order.
+        seq: u32,
+    },
     /// The run failed to drain its event store within the step budget.
     NonQuiescent {
         /// Steps executed before giving up.
@@ -193,6 +203,7 @@ impl Violation {
             Violation::AggregateMismatch { .. } => "aggregate-mismatch",
             Violation::LostQuery { .. } => "lost-query",
             Violation::UnsatisfiedQuery { .. } => "unsatisfied-query",
+            Violation::UnheldResult { .. } => "unheld-result",
             Violation::NonQuiescent { .. } => "non-quiescent",
             Violation::ProbeLoss { .. } => "probe-loss",
             Violation::ReplicaDivergence { .. } => "replica-divergence",
@@ -236,6 +247,12 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "query #{seq} from {origin:?} unsatisfied with all holders live"
+                )
+            }
+            Violation::UnheldResult { origin, seq } => {
+                write!(
+                    f,
+                    "query #{seq} from {origin:?} satisfied, yet its result is not k held nodes"
                 )
             }
             Violation::NonQuiescent { steps } => {
@@ -499,7 +516,7 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
         if !live(fed, origin) {
             continue;
         }
-        let seq = (id.0 & 0xFFFF_FFFF) as u32;
+        let seq = id.seq();
         match fed.query_record(origin, id) {
             None => return Some(Violation::LostQuery { origin, seq }),
             Some(rec) => {
@@ -509,6 +526,23 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
                 if ctx.strict_recall && !rec.satisfied && ctx.holders.iter().all(|h| live(fed, *h))
                 {
                     return Some(Violation::UnsatisfiedQuery { origin, seq });
+                }
+                // Satisfied means held: exactly k distinct nodes, each (if
+                // alive, with commits on) committed to the query and still
+                // reserved for it.
+                let k = rec.query.k as usize;
+                let nodes: BTreeSet<NodeAddr> = rec.result.iter().map(|c| c.addr).collect();
+                let held = |n: &NodeAddr| {
+                    let host = &fed.node(*n).host;
+                    host.committed.contains(&id) && host.reservation.is_some_and(|(by, _)| by == id)
+                };
+                if rec.satisfied
+                    && (rec.result.len() != k
+                        || nodes.len() != k
+                        || fed.config().commit_results
+                            && !nodes.iter().filter(|n| live(fed, **n)).all(held))
+                {
+                    return Some(Violation::UnheldResult { origin, seq });
                 }
             }
         }

@@ -117,3 +117,43 @@ fn ten_thousand_distinct_interleavings_within_60s() {
     );
     assert!(report.elapsed < Duration::from_secs(60));
 }
+
+/// `unheld-result`, the half the commit-less scenarios cannot reach: with
+/// commits on, a query satisfied at its timeout (the remote site's border
+/// routers are all down; the local holder is enough for `k`) must leave
+/// its holder committed and reserved.
+#[test]
+fn a_query_satisfied_at_its_timeout_holds_its_result() {
+    use rbay_check::invariants::{check_quiescent, InvariantCtx};
+    use rbay_core::Federation;
+    use rbay_query::AttrValue;
+    use simnet::{NodeAddr, SimDuration, SiteId, SiteSpec, Topology};
+
+    let site = |name: &str| SiteSpec {
+        name: name.to_owned(),
+        nodes: 8,
+        instability: 1.0,
+    };
+    let topology = Topology::new(
+        vec![site("here"), site("there")],
+        vec![vec![0.5, 80.0], vec![80.0, 0.5]],
+    );
+    let mut fed = Federation::new(topology, 7);
+    assert!(fed.config().commit_results);
+    let holder = NodeAddr(5);
+    fed.post_resource(holder, "GPU", AttrValue::Bool(true));
+    fed.run_maintenance(4, SimDuration::from_millis(200));
+    fed.settle();
+    for gw in 8..11 {
+        fed.sim_mut().fail_node(NodeAddr(gw));
+    }
+    let q = fed
+        .issue_query(NodeAddr(6), "SELECT 1 FROM * WHERE GPU = true", None)
+        .unwrap();
+    fed.settle();
+    assert!(fed.query_record(NodeAddr(6), q).unwrap().satisfied);
+
+    let topic = fed.node(holder).host.tree_topic("GPU=true", SiteId(0));
+    let violation = check_quiescent(&fed, &InvariantCtx::new(topic, vec![holder]));
+    assert!(violation.is_none(), "{}", violation.unwrap());
+}

@@ -14,7 +14,7 @@ use crate::types::{
     Candidate, QueryId, QueryPending, QueryRecord, RbayEvent, RbayPayload, SearchState,
 };
 use rbay_query::{AttrValue, FromClause, Query, SortDir};
-use simnet::{SimDuration, SiteId};
+use simnet::{NodeAddr, SimDuration, SiteId};
 use std::cmp::Ordering;
 use std::rc::Rc;
 
@@ -110,15 +110,49 @@ impl RbayHost {
         id
     }
 
+    /// Where a query enters `site` on the given attempt: this node for its
+    /// own site — the querier is its own site's gateway — and the border
+    /// router [`RbayHost::gateway_for`] picks otherwise.
+    fn site_entry(&self, site: SiteId, attempt: u32) -> NodeAddr {
+        if site == self.site {
+            self.addr
+        } else {
+            self.gateway_for(site, attempt)
+        }
+    }
+
+    /// The one release rule: sends `Release` to every candidate in `slots`
+    /// the query does not hold. A node keeps one reservation per query, so
+    /// a second sighting of a candidate the query still counts — found by
+    /// the running attempt, or committed by a satisfied query — is the
+    /// same reservation, and releasing it would free a node the querier
+    /// reports as taken.
+    fn give_back(&mut self, query_id: QueryId, slots: &[Candidate]) {
+        let Some(rec) = self.queries.get(&query_id) else {
+            return;
+        };
+        let held: &[Candidate] = match rec.completed_at {
+            None => &rec.pending.found,
+            Some(_) if rec.satisfied && self.cfg.commit_results => &rec.result,
+            Some(_) => &[],
+        };
+        for c in slots {
+            if !held.iter().any(|h| h.addr == c.addr) {
+                self.ops.push_back(Op::Direct {
+                    to: c.addr,
+                    payload: RbayPayload::Release { query_id },
+                });
+            }
+        }
+    }
+
     /// Launches (or relaunches) the probe fan-out for a query, arming a
     /// per-attempt timeout.
     fn start_attempt(&mut self, id: QueryId) {
         let Some(rec) = self.queries.get(&id) else {
             return;
         };
-        let seq = (id.0 & 0xFFFF_FFFF) as u32;
-        let node = self.addr;
-        let attempt = rec.attempts;
+        let (node, seq, attempt) = (self.addr, id.seq(), rec.attempts);
         self.obs.count(node, "query_attempt");
         self.obs.record_with(|at| simnet::ObsEvent::QueryAttempt {
             at,
@@ -128,58 +162,32 @@ impl RbayHost {
         });
         self.ops.push_back(Op::Timer {
             delay: self.cfg.query_timeout,
-            token: query_timer_token(seq, rec.attempts, TIMER_KIND_TIMEOUT),
+            token: query_timer_token(id, attempt, TIMER_KIND_TIMEOUT),
         });
-        let Some(rec) = self.queries.get(&id) else {
-            return;
-        };
-        let query = Rc::clone(&rec.query);
-        let anchors = rec.anchor_trees.clone();
-        let sites = self.resolve_sites(&query.from);
-        if anchors.is_empty() || sites.is_empty() {
+        let trees = rec.anchor_trees.len();
+        let sites = self.resolve_sites(&rec.query.from);
+        if trees == 0 || sites.is_empty() {
             // Nothing to search: complete unsatisfied immediately.
             self.complete_query(id, Vec::new());
             return;
         }
         let rec = self.queries.get_mut(&id).expect("record exists");
         rec.pending = QueryPending {
-            probes: sites
-                .iter()
-                .map(|s| (*s, vec![None; anchors.len()]))
-                .collect(),
+            probes: sites.iter().map(|s| (*s, vec![None; trees])).collect(),
             searches: Vec::new(),
             found: Vec::new(),
         };
-        let attempt = rec.attempts;
-        let my_site = self.site;
-        let my_addr = self.addr;
         for site in sites {
-            if site == my_site {
-                for (i, tree) in anchors.iter().enumerate() {
-                    let topic = self.tree_topic(tree, site);
-                    self.ops.push_back(Op::Probe {
-                        topic,
-                        scope: self.routing_scope(site),
-                        payload: RbayPayload::SizeProbe {
-                            query_id: id,
-                            tree_idx: i as u8,
-                            reply_to: my_addr,
-                            site,
-                        },
-                    });
-                }
-            } else {
-                let gateway = self.gateway_for(site, attempt);
-                self.ops.push_back(Op::Direct {
-                    to: gateway,
-                    payload: RbayPayload::RemoteProbe {
-                        query_id: id,
-                        reply_to: my_addr,
-                        site,
-                        trees: anchors.clone(),
-                    },
-                });
-            }
+            let trees = self.queries[&id].anchor_trees.clone();
+            self.hand_to(
+                self.site_entry(site, attempt),
+                RbayPayload::RemoteProbe {
+                    query_id: id,
+                    reply_to: self.addr,
+                    site,
+                    trees,
+                },
+            );
         }
     }
 
@@ -209,51 +217,33 @@ impl RbayHost {
             return;
         }
         // All probes for this site are in: pick the smallest existing tree.
-        let sizes: Vec<(usize, Option<u64>, bool)> = entry
+        let best = entry
             .1
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let (size, exists) = s.expect("checked complete");
-                (i, size, exists)
-            })
-            .collect();
+            .filter(|(_, s)| s.is_some_and(|(_, exists)| exists))
+            .min_by_key(|(_, s)| s.and_then(|(size, _)| size).unwrap_or(u64::MAX))
+            .map(|(i, _)| i);
         rec.pending.probes.retain(|(s, _)| *s != site);
-        let best = sizes
-            .iter()
-            .filter(|(_, _, exists)| *exists)
-            .min_by_key(|(_, size, _)| size.unwrap_or(u64::MAX));
-        let Some(&(best_idx, _, _)) = best else {
+        let Some(best) = best else {
             // No anchor tree exists in this site: it contributes nothing.
             self.maybe_finalize(query_id);
             return;
         };
-        let query = Rc::clone(&rec.query);
-        let password = rec.password.clone();
-        let attempt = rec.attempts;
         rec.pending.searches.push(site);
-        let tree = rec.anchor_trees[best_idx].clone();
         let state = SearchState {
             query_id,
             reply_to: self.addr,
-            query,
-            password,
+            query: Rc::clone(&rec.query),
+            password: rec.password.clone(),
             slots: Vec::new(),
         };
-        if site == self.site {
-            let topic = self.tree_topic(&tree, site);
-            self.ops.push_back(Op::Anycast {
-                topic,
-                scope: self.routing_scope(site),
-                payload: RbayPayload::Search(state),
-            });
-        } else {
-            let gateway = self.gateway_for(site, attempt);
-            self.ops.push_back(Op::Direct {
-                to: gateway,
-                payload: RbayPayload::RemoteSearch { state, tree },
-            });
-        }
+        let tree = rec.anchor_trees[best].clone();
+        let attempt = rec.attempts;
+        self.hand_to(
+            self.site_entry(site, attempt),
+            RbayPayload::RemoteSearch { state, tree },
+        );
     }
 
     /// Records one site's search outcome (protocol step 4 completion).
@@ -267,73 +257,55 @@ impl RbayHost {
         let Some(rec) = self.queries.get_mut(&query_id) else {
             return;
         };
-        if rec.completed_at.is_some() {
-            // Late result after timeout/finish: free those reservations.
-            for c in &slots {
-                self.ops.push_back(Op::Direct {
-                    to: c.addr,
-                    payload: RbayPayload::Release { query_id },
-                });
-            }
-            return;
-        }
-        // Re-anycast idempotence: a retried query can be answered by both
-        // the old root's in-flight search and the promoted replica root.
-        // Only one reply per site per attempt counts; surplus reservations
-        // are freed so they neither leak slots nor double-count in recall.
-        if !rec.pending.searches.contains(&site) {
-            for c in &slots {
-                self.ops.push_back(Op::Direct {
-                    to: c.addr,
-                    payload: RbayPayload::Release { query_id },
-                });
-            }
+        // Only one reply per site per attempt counts. A late one (the
+        // query finished or moved on) or a second one (re-anycast: a
+        // retried walk can be answered by both the old root's in-flight
+        // search and the promoted replica root) is given back, so it
+        // neither leaks slots nor double-counts in recall.
+        if rec.completed_at.is_some() || !rec.pending.searches.contains(&site) {
+            self.give_back(query_id, &slots);
             return;
         }
         rec.pending.searches.retain(|s| *s != site);
-        let mut dup = Vec::new();
         for c in slots {
-            if rec.pending.found.iter().any(|f| f.addr == c.addr) {
-                dup.push(c.addr);
-            } else {
+            if !rec.pending.found.iter().any(|f| f.addr == c.addr) {
                 rec.pending.found.push(c);
             }
-        }
-        for addr in dup {
-            self.ops.push_back(Op::Direct {
-                to: addr,
-                payload: RbayPayload::Release { query_id },
-            });
         }
         self.maybe_finalize(query_id);
     }
 
-    /// Completes the attempt if nothing is outstanding.
+    /// Ends the attempt if nothing is outstanding.
     fn maybe_finalize(&mut self, query_id: QueryId) {
-        let Some(rec) = self.queries.get(&query_id) else {
-            return;
+        let idle = |rec: &QueryRecord| {
+            rec.completed_at.is_none()
+                && rec.pending.probes.is_empty()
+                && rec.pending.searches.is_empty()
         };
-        if rec.completed_at.is_some()
-            || !rec.pending.probes.is_empty()
-            || !rec.pending.searches.is_empty()
-        {
-            return;
+        if self.queries.get(&query_id).is_some_and(idle) {
+            self.end_attempt(query_id, false);
         }
-        self.finalize_attempt(query_id);
     }
 
-    /// Step 5: commit/release, or schedule a backoff retry.
-    fn finalize_attempt(&mut self, query_id: QueryId) {
+    /// Step 5, the one ending of an attempt — every answer is in, or the
+    /// timeout fired. With `k` found: settle the best `k` (commit, or give
+    /// back when commits are off), give back the rest, complete. Short of
+    /// `k`: give everything back and count the attempt, then complete with
+    /// the partial result at `max_attempts`, else go again — at once after
+    /// a timeout (the wait is already served; a silent or mid-repair site
+    /// should not end the query, and the retry rotates to the site's next
+    /// gateway and re-anycasts along the healed route), after a truncated
+    /// exponential backoff otherwise.
+    fn end_attempt(&mut self, query_id: QueryId, timed_out: bool) {
         let Some(rec) = self.queries.get_mut(&query_id) else {
             return;
         };
         let k = rec.query.k as usize;
         let mut found = std::mem::take(&mut rec.pending.found);
         if let Some((_, dir)) = &rec.query.order_by {
-            let dir = *dir;
             found.sort_by(|a, b| {
                 let ord = cmp_keys(&a.sort_key, &b.sort_key);
-                match dir {
+                match *dir {
                     SortDir::Asc => ord,
                     SortDir::Desc => ord.reverse(),
                 }
@@ -341,61 +313,41 @@ impl RbayHost {
         }
         if found.len() >= k {
             let (chosen, extra) = found.split_at(k);
-            let chosen = chosen.to_vec();
-            let commit = self.cfg.commit_results;
-            for c in &chosen {
-                self.ops.push_back(Op::Direct {
-                    to: c.addr,
-                    payload: if commit {
-                        RbayPayload::Commit { query_id }
-                    } else {
-                        RbayPayload::Release { query_id }
-                    },
-                });
+            if self.cfg.commit_results {
+                for c in chosen {
+                    self.ops.push_back(Op::Direct {
+                        to: c.addr,
+                        payload: RbayPayload::Commit { query_id },
+                    });
+                }
+            } else {
+                self.give_back(query_id, chosen);
             }
-            for c in extra {
-                self.ops.push_back(Op::Direct {
-                    to: c.addr,
-                    payload: RbayPayload::Release { query_id },
-                });
-            }
-            self.complete_query(query_id, chosen);
+            self.give_back(query_id, extra);
+            // An exact-size copy: the record outlives the attempt's buffer.
+            self.complete_query(query_id, chosen.to_vec());
             return;
         }
-        // Not enough candidates: release everything and retry with
-        // truncated exponential backoff, or give up with a partial result.
-        let attempts = {
-            let rec = self.queries.get_mut(&query_id).expect("record exists");
-            rec.attempts += 1;
-            rec.attempts
-        };
-        for c in &found {
-            self.ops.push_back(Op::Direct {
-                to: c.addr,
-                payload: RbayPayload::Release { query_id },
-            });
-        }
+        rec.attempts += 1;
+        let attempts = rec.attempts;
+        self.give_back(query_id, &found);
         if attempts >= self.cfg.max_attempts {
             self.complete_query(query_id, found);
-            return;
+        } else if timed_out {
+            self.start_attempt(query_id);
+        } else {
+            // Deterministic pseudo-random slot count in [0, 2^attempts - 1].
+            let h = query_id
+                .0
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(attempts as u64)
+                .rotate_left(17);
+            let slots = h % (1u64 << attempts.min(16));
+            self.ops.push_back(Op::Timer {
+                delay: self.cfg.backoff_slot.saturating_mul(slots.max(1)),
+                token: query_timer_token(query_id, attempts, TIMER_KIND_RETRY),
+            });
         }
-        // Deterministic pseudo-random slot count in [0, 2^attempts - 1].
-        let h = query_id
-            .0
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(attempts as u64)
-            .rotate_left(17);
-        let window = 1u64 << attempts.min(16);
-        let slots = h % window;
-        let delay = self.cfg.backoff_slot.saturating_mul(slots.max(1));
-        self.ops.push_back(Op::Timer {
-            delay,
-            token: query_timer_token(
-                (query_id.0 & 0xFFFF_FFFF) as u32,
-                attempts,
-                TIMER_KIND_RETRY,
-            ),
-        });
     }
 
     fn complete_query(&mut self, query_id: QueryId, result: Vec<Candidate>) {
@@ -416,7 +368,7 @@ impl RbayHost {
             satisfied,
         });
         let node = self.addr;
-        let seq = (query_id.0 & 0xFFFF_FFFF) as u32;
+        let seq = query_id.seq();
         self.obs.count(node, "query_done");
         self.obs.record_with(|at| simnet::ObsEvent::QueryDone {
             at,
@@ -456,29 +408,7 @@ impl RbayHost {
         }
         match kind {
             TIMER_KIND_RETRY => self.start_attempt(id),
-            TIMER_KIND_TIMEOUT => {
-                // Release whatever arrived. If attempts remain and the
-                // attempt fell short of k, retry — a silent or mid-repair
-                // site (e.g. a dead rendezvous root whose successor is
-                // still promoting) should not end the query; retries
-                // rotate to the site's next gateway and re-anycast along
-                // the healed route.
-                let k = rec.query.k as usize;
-                let found = rec.pending.found.clone();
-                for c in &found {
-                    self.ops.push_back(Op::Direct {
-                        to: c.addr,
-                        payload: RbayPayload::Release { query_id: id },
-                    });
-                }
-                let rec = self.queries.get_mut(&id).expect("record exists");
-                rec.attempts += 1;
-                if found.len() < k && rec.attempts < self.cfg.max_attempts {
-                    self.start_attempt(id);
-                } else {
-                    self.complete_query(id, found);
-                }
-            }
+            TIMER_KIND_TIMEOUT => self.end_attempt(id, true),
             _ => {}
         }
     }
@@ -501,10 +431,14 @@ mod tests {
     use simnet::{NodeAddr, SimTime};
 
     fn host_with_sites(n: u16) -> RbayHost {
+        host_at(NodeAddr(0), n)
+    }
+
+    fn host_at(addr: NodeAddr, n: u16) -> RbayHost {
         RbayHost::new(
             Rc::new(RbayConfig::default()),
             NodeId(1),
-            NodeAddr(0),
+            addr,
             SiteId(0),
             SharedSandbox::new(),
             (0..n).map(|i| vec![NodeAddr(i as u32 * 10)]).collect(),
@@ -514,6 +448,46 @@ mod tests {
 
     fn drain_ops(h: &mut RbayHost) -> Vec<Op> {
         std::mem::take(&mut h.ops).into_iter().collect()
+    }
+
+    /// Addresses sent `Commit` / `Release` by `ops`, in order.
+    fn settled(ops: &[Op]) -> (Vec<u32>, Vec<u32>) {
+        let (mut commits, mut releases) = (Vec::new(), Vec::new());
+        for o in ops {
+            match o {
+                Op::Direct {
+                    to,
+                    payload: RbayPayload::Commit { .. },
+                } => commits.push(to.0),
+                Op::Direct {
+                    to,
+                    payload: RbayPayload::Release { .. },
+                } => releases.push(to.0),
+                _ => {}
+            }
+        }
+        (commits, releases)
+    }
+
+    /// Delivers to `holder` what `ops` address to it, as the network would.
+    fn deliver(ops: Vec<Op>, holder: &mut RbayHost) {
+        use scribe::ScribeHost;
+        for o in ops {
+            if let Op::Direct { to, payload } = o {
+                if to == holder.addr {
+                    holder.on_direct(NodeAddr(0), payload);
+                }
+            }
+        }
+    }
+
+    fn cand(addr: u32, key: Option<f64>) -> Candidate {
+        Candidate {
+            id: NodeId(addr as u128),
+            addr: NodeAddr(addr),
+            site: SiteId(0),
+            sort_key: key.map(AttrValue::Num),
+        }
     }
 
     #[test]
@@ -566,12 +540,7 @@ mod tests {
 
     #[test]
     fn nan_sort_keys_sort_last_regardless_of_arrival_order() {
-        let mk = |addr: u32, key: f64| Candidate {
-            id: NodeId(addr as u128),
-            addr: NodeAddr(addr),
-            site: SiteId(0),
-            sort_key: Some(AttrValue::Num(key)),
-        };
+        let mk = |addr: u32, key: f64| cand(addr, Some(key));
         let run = |order: Vec<Candidate>| {
             let mut h = host_with_sites(1);
             let q = parse_query("SELECT 2 FROM * WHERE a = 1 GROUPBY load ASC").unwrap();
@@ -658,12 +627,7 @@ mod tests {
         drain_ops(&mut h);
         h.record_probe(id, 0, SiteId(0), Some(10), true);
         drain_ops(&mut h);
-        let mk = |addr: u32, key: f64| Candidate {
-            id: NodeId(addr as u128),
-            addr: NodeAddr(addr),
-            site: SiteId(0),
-            sort_key: Some(AttrValue::Num(key)),
-        };
+        let mk = |addr: u32, key: f64| cand(addr, Some(key));
         h.record_site_result(
             id,
             SiteId(0),
@@ -674,27 +638,7 @@ mod tests {
         assert!(rec.satisfied);
         let picked: Vec<u32> = rec.result.iter().map(|c| c.addr.0).collect();
         assert_eq!(picked, vec![2, 3], "DESC: highest keys first");
-        let ops = drain_ops(&mut h);
-        let commits: Vec<u32> = ops
-            .iter()
-            .filter_map(|o| match o {
-                Op::Direct {
-                    to,
-                    payload: RbayPayload::Commit { .. },
-                } => Some(to.0),
-                _ => None,
-            })
-            .collect();
-        let releases: Vec<u32> = ops
-            .iter()
-            .filter_map(|o| match o {
-                Op::Direct {
-                    to,
-                    payload: RbayPayload::Release { .. },
-                } => Some(to.0),
-                _ => None,
-            })
-            .collect();
+        let (commits, releases) = settled(&drain_ops(&mut h));
         assert_eq!(commits, vec![2, 3]);
         assert_eq!(releases, vec![1]);
     }
@@ -735,20 +679,14 @@ mod tests {
             drain_ops(&mut h);
             h.record_probe(id, 0, SiteId(0), Some(2), true);
             drain_ops(&mut h);
-            let only = Candidate {
-                id: NodeId(9),
-                addr: NodeAddr(9),
-                site: SiteId(0),
-                sort_key: None,
-            };
-            h.record_site_result(id, SiteId(0), vec![only], true);
+            h.record_site_result(id, SiteId(0), vec![cand(9, None)], true);
             let rec = &h.queries[&id];
             if round < h.cfg.max_attempts {
                 assert!(rec.completed_at.is_none(), "round {round} should retry");
                 assert_eq!(rec.attempts, round);
                 // The retry timer is armed; simulate its firing.
                 let att = h.queries[&id].attempts;
-                h.on_query_timer((id.0 & 0xFFFF_FFFF) as u32, att, TIMER_KIND_RETRY);
+                h.on_query_timer(id.seq(), att, TIMER_KIND_RETRY);
             } else {
                 assert!(rec.completed_at.is_some(), "gave up after max attempts");
                 assert!(!rec.satisfied);
@@ -759,29 +697,37 @@ mod tests {
 
     #[test]
     fn timeout_completes_with_what_arrived() {
-        let mut h = host_with_sites(2);
+        let mut h = host_with_sites(3);
         h.now = SimTime::from_millis(100);
-        let q = parse_query("SELECT 1 FROM * WHERE a = 1").unwrap();
+        let q = parse_query("SELECT 2 FROM * WHERE a = 1 GROUPBY load ASC").unwrap();
         let id = h.issue_query(q, None);
         drain_ops(&mut h);
-        // Only the local site answers; the remote site never does.
+        // Two sites answer with three candidates between them; the third
+        // site never does.
         h.record_probe(id, 0, SiteId(0), Some(3), true);
+        h.record_probe(id, 0, SiteId(1), Some(3), true);
         drain_ops(&mut h);
-        let c = Candidate {
-            id: NodeId(3),
-            addr: NodeAddr(3),
-            site: SiteId(0),
-            sort_key: None,
-        };
-        h.record_site_result(id, SiteId(0), vec![c], true);
-        assert!(h.queries[&id].completed_at.is_none(), "site1 still pending");
+        h.record_site_result(
+            id,
+            SiteId(0),
+            vec![cand(1, Some(5.0)), cand(2, Some(1.0))],
+            true,
+        );
+        h.record_site_result(id, SiteId(1), vec![cand(11, Some(3.0))], false);
+        assert!(h.queries[&id].completed_at.is_none(), "site2 still pending");
         h.now = SimTime::from_millis(5_200);
         let att = h.queries[&id].attempts;
-        h.on_query_timer((id.0 & 0xFFFF_FFFF) as u32, att, TIMER_KIND_TIMEOUT);
+        h.on_query_timer(id.seq(), att, TIMER_KIND_TIMEOUT);
         let rec = &h.queries[&id];
         assert!(rec.completed_at.is_some());
-        assert_eq!(rec.result.len(), 1);
-        assert!(rec.satisfied, "k=1 was reached despite the missing site");
+        assert!(rec.satisfied, "k=2 was reached despite the missing site");
+        let picked: Vec<u32> = rec.result.iter().map(|c| c.addr.0).collect();
+        assert_eq!(picked, vec![2, 11], "the best k in GROUPBY order");
+        // Satisfied means held: the chosen are committed, only the surplus
+        // is given back.
+        let (commits, releases) = settled(&drain_ops(&mut h));
+        assert_eq!(commits, vec![2, 11]);
+        assert_eq!(releases, vec![1]);
     }
 
     #[test]
@@ -793,20 +739,14 @@ mod tests {
         drain_ops(&mut h);
         h.record_probe(id, 0, SiteId(0), Some(3), true);
         drain_ops(&mut h);
-        let c = Candidate {
-            id: NodeId(3),
-            addr: NodeAddr(3),
-            site: SiteId(0),
-            sort_key: None,
-        };
         // One slot arrives, but k=2 and the other site is silent — e.g.
         // its rendezvous root died mid-repair. The timeout must release
         // the partial and re-issue along the healed route, not complete
         // unsatisfied on the first attempt.
-        h.record_site_result(id, SiteId(0), vec![c], true);
+        h.record_site_result(id, SiteId(0), vec![cand(3, None)], true);
         h.now = SimTime::from_millis(5_200);
         let att = h.queries[&id].attempts;
-        h.on_query_timer((id.0 & 0xFFFF_FFFF) as u32, att, TIMER_KIND_TIMEOUT);
+        h.on_query_timer(id.seq(), att, TIMER_KIND_TIMEOUT);
         let rec = &h.queries[&id];
         assert!(rec.completed_at.is_none(), "shortfall must retry");
         assert_eq!(rec.attempts, 1);
@@ -834,34 +774,35 @@ mod tests {
         let id = h.issue_query(q, None);
         drain_ops(&mut h);
         h.record_probe(id, 0, SiteId(0), Some(3), true);
+        h.record_probe(id, 0, SiteId(1), Some(3), true);
         drain_ops(&mut h);
-        let c = |n: u32| Candidate {
-            id: NodeId(n as u128),
-            addr: NodeAddr(n),
-            site: SiteId(0),
-            sort_key: None,
-        };
-        h.record_site_result(id, SiteId(0), vec![c(1)], false);
+        // Holder 1, as the walk left it: reserved for the query.
+        let mut holder = host_at(NodeAddr(1), 2);
+        holder.reservation = Some((id, SimTime::from_millis(2_000)));
+        h.record_site_result(id, SiteId(0), vec![cand(1, None)], false);
         assert_eq!(h.queries[&id].pending.found.len(), 1);
-        drain_ops(&mut h);
+        deliver(drain_ops(&mut h), &mut holder);
         // The same site answers again — the old root's in-flight reply
-        // plus the promoted replica's. The echo must not double-count.
-        h.record_site_result(id, SiteId(0), vec![c(1), c(2)], false);
+        // plus the promoted replica's. The echo must not double-count, and
+        // must not free holder 1: the query still counts it, and a node
+        // holds one reservation per query.
+        h.record_site_result(id, SiteId(0), vec![cand(1, None), cand(2, None)], false);
         let rec = &h.queries[&id];
         assert!(rec.completed_at.is_none());
         assert_eq!(rec.pending.found.len(), 1, "echo not double-counted");
         let ops = drain_ops(&mut h);
-        let released: Vec<u32> = ops
-            .iter()
-            .filter_map(|o| match o {
-                Op::Direct {
-                    to,
-                    payload: RbayPayload::Release { .. },
-                } => Some(to.0),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(released, vec![1, 2], "echoed reservations freed");
+        assert_eq!(settled(&ops).1, vec![2], "only the stranger is freed");
+        deliver(ops, &mut holder);
+        // The other site completes the attempt; the commit finds holder
+        // 1's reservation still in place.
+        h.record_site_result(id, SiteId(1), vec![cand(11, None)], false);
+        let rec = &h.queries[&id];
+        assert!(rec.satisfied);
+        let ops = drain_ops(&mut h);
+        assert_eq!(settled(&ops), (vec![1, 11], vec![]));
+        deliver(ops, &mut holder);
+        assert_eq!(holder.committed, vec![id]);
+        assert!(holder.reservation.is_some_and(|(by, _)| by == id));
     }
 
     #[test]
@@ -872,24 +813,54 @@ mod tests {
         drain_ops(&mut h);
         h.record_probe(id, 0, SiteId(0), Some(3), true);
         drain_ops(&mut h);
-        let c = |n: u32| Candidate {
-            id: NodeId(n as u128),
-            addr: NodeAddr(n),
-            site: SiteId(0),
-            sort_key: None,
-        };
-        h.record_site_result(id, SiteId(0), vec![c(1)], true);
+        h.record_site_result(id, SiteId(0), vec![cand(1, None)], true);
         assert!(h.queries[&id].completed_at.is_some());
-        drain_ops(&mut h);
-        // A duplicate/late echo now arrives.
-        h.record_site_result(id, SiteId(0), vec![c(2)], true);
-        let ops = drain_ops(&mut h);
-        assert!(ops.iter().any(|o| matches!(
-            o,
-            Op::Direct {
-                to: NodeAddr(2),
-                payload: RbayPayload::Release { .. }
-            }
-        )));
+        assert_eq!(settled(&drain_ops(&mut h)), (vec![1], vec![]));
+        // A duplicate/late echo now arrives, naming the committed holder
+        // and a stranger: the stranger is freed, the committed one is not.
+        h.record_site_result(id, SiteId(0), vec![cand(1, None), cand(2, None)], true);
+        assert_eq!(settled(&drain_ops(&mut h)), (vec![], vec![2]));
+    }
+
+    /// The querier is its own site's gateway: what it queues for its own
+    /// site is, op for op, what a gateway queues when asked by message.
+    #[test]
+    fn own_site_steps_queue_what_the_gateway_arms_queue() {
+        use scribe::ScribeHost;
+        let dbg = |ops: &[Op]| ops.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>();
+        let mut h = host_with_sites(1);
+        let q = Rc::new(parse_query("SELECT 1 FROM * WHERE a = 1 AND b = 2").unwrap());
+        let id = h.issue_query((*q).clone(), None);
+        let probes = drain_ops(&mut h);
+        assert!(matches!(probes[0], Op::Timer { .. }));
+        h.on_direct(
+            NodeAddr(10),
+            RbayPayload::RemoteProbe {
+                query_id: id,
+                reply_to: h.addr,
+                site: SiteId(0),
+                trees: vec!["a=1".into(), "b=2".into()],
+            },
+        );
+        assert_eq!(dbg(&probes[1..]), dbg(&drain_ops(&mut h)));
+
+        h.record_probe(id, 0, SiteId(0), Some(100), true);
+        h.record_probe(id, 1, SiteId(0), Some(5), true);
+        let search = drain_ops(&mut h);
+        assert_eq!(search.len(), 1);
+        h.on_direct(
+            NodeAddr(10),
+            RbayPayload::RemoteSearch {
+                state: SearchState {
+                    query_id: id,
+                    reply_to: h.addr,
+                    query: q,
+                    password: None,
+                    slots: Vec::new(),
+                },
+                tree: "b=2".into(),
+            },
+        );
+        assert_eq!(dbg(&search), dbg(&drain_ops(&mut h)));
     }
 }

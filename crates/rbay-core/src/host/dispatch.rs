@@ -9,6 +9,20 @@ use rbay_store::WalRecord;
 use scribe::{AggValue, ScribeHost, TopicId, Visit};
 use simnet::NodeAddr;
 
+impl RbayHost {
+    /// Hands `payload` to `node`: in place when that is this node, as a
+    /// queued message otherwise. The one "is it me?" of the query path: a
+    /// querier is its own site's gateway, so every step runs the same
+    /// [`ScribeHost::on_direct`] arm on whichever node serves the site.
+    pub(crate) fn hand_to(&mut self, node: NodeAddr, payload: RbayPayload) {
+        if node == self.addr {
+            self.on_direct(node, payload);
+        } else {
+            self.ops.push_back(Op::Direct { to: node, payload });
+        }
+    }
+}
+
 impl ScribeHost<RbayPayload> for RbayHost {
     fn on_multicast(&mut self, _topic: TopicId, payload: &RbayPayload) {
         if let RbayPayload::Invalidate { attr, .. } = payload {
@@ -43,21 +57,16 @@ impl ScribeHost<RbayPayload> for RbayHost {
         let RbayPayload::Search(state) = payload else {
             return;
         };
-        if state.reply_to == self.addr {
-            // We are the querier: this was a local-site search.
-            self.record_site_result(state.query_id, self.site, state.slots, satisfied);
-        } else {
-            // We are a gateway: echo the result to the querier.
-            self.ops.push_back(Op::Direct {
-                to: state.reply_to,
-                payload: RbayPayload::SearchEcho {
-                    query_id: state.query_id,
-                    site: self.site,
-                    slots: state.slots,
-                    satisfied,
-                },
-            });
-        }
+        // Gateway or querier alike: the result goes to whoever asked.
+        self.hand_to(
+            state.reply_to,
+            RbayPayload::SearchEcho {
+                query_id: state.query_id,
+                site: self.site,
+                slots: state.slots,
+                satisfied,
+            },
+        );
     }
 
     fn on_probe_reply(
@@ -68,14 +77,7 @@ impl ScribeHost<RbayPayload> for RbayHost {
         exists: bool,
     ) {
         if let RbayPayload::StatsProbe { reply_to, tree } = payload {
-            if reply_to == self.addr {
-                self.tree_stats.insert(tree, (agg, exists, self.now));
-            } else {
-                self.ops.push_back(Op::Direct {
-                    to: reply_to,
-                    payload: RbayPayload::StatsEcho { tree, agg, exists },
-                });
-            }
+            self.hand_to(reply_to, RbayPayload::StatsEcho { tree, agg, exists });
             return;
         }
         let RbayPayload::SizeProbe {
@@ -87,21 +89,16 @@ impl ScribeHost<RbayPayload> for RbayHost {
         else {
             return;
         };
-        let size = agg.and_then(|a| a.as_count());
-        if reply_to == self.addr {
-            self.record_probe(query_id, tree_idx, site, size, exists);
-        } else {
-            self.ops.push_back(Op::Direct {
-                to: reply_to,
-                payload: RbayPayload::ProbeEcho {
-                    query_id,
-                    tree_idx,
-                    site,
-                    size,
-                    exists,
-                },
-            });
-        }
+        self.hand_to(
+            reply_to,
+            RbayPayload::ProbeEcho {
+                query_id,
+                tree_idx,
+                site,
+                size: agg.and_then(|a| a.as_count()),
+                exists,
+            },
+        );
     }
 
     fn on_direct(&mut self, from: NodeAddr, payload: RbayPayload) {

@@ -111,11 +111,11 @@ pub const TIMER_KIND_TIMEOUT: u64 = 1;
 /// Retry (backoff) timer kind.
 pub const TIMER_KIND_RETRY: u64 = 2;
 
-/// Builds a query-timer token from a query sequence number, the attempt
+/// Builds a query-timer token from a query's sequence number, the attempt
 /// it belongs to, and the kind. Stale timers from earlier attempts are
 /// recognized (and ignored) by the attempt field.
-pub fn query_timer_token(seq: u32, attempt: u32, kind: u64) -> TimerToken {
-    TimerToken(((seq as u64) << 10) | (((attempt as u64) & 0xFF) << 2) | kind)
+pub fn query_timer_token(id: QueryId, attempt: u32, kind: u64) -> TimerToken {
+    TimerToken(((id.seq() as u64) << 10) | (((attempt as u64) & 0xFF) << 2) | kind)
 }
 
 /// Splits a timer token into `(seq, attempt, kind)`.

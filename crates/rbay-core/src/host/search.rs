@@ -48,7 +48,15 @@ impl RbayHost {
         if !self.check_on_get(anchor.as_deref(), &caller, state.password.as_deref()) {
             return Visit::Continue;
         }
-        self.reservation = Some((state.query_id, self.now + self.cfg.reserve_ttl));
+        // A walk of the query that already holds this node extends the
+        // hold, never shortens it: a late duplicate walk must not cut a
+        // committed hold back to the reserve TTL.
+        let fresh = self.now + self.cfg.reserve_ttl;
+        let until = match self.reservation {
+            Some((by, held)) if by == state.query_id => held.max(fresh),
+            _ => fresh,
+        };
+        self.reservation = Some((state.query_id, until));
         let sort_key = state
             .query
             .order_by
@@ -208,6 +216,15 @@ mod tests {
             },
         );
         assert_eq!(h.committed.len(), 1);
+        // A late duplicate walk of the committing query re-visits: the
+        // committed hold is not cut back to the reserve TTL.
+        let committed_until = h.reservation.unwrap().1;
+        h.update_attr("GPU", AttrValue::Bool(true));
+        h.update_attr("CPU_utilization", AttrValue::Num(10.0));
+        let mut late = search(1, None);
+        late.query_id = QueryId(5);
+        assert_eq!(h.visit_search(&mut late), Visit::Stop);
+        assert_eq!(h.reservation, Some((QueryId(5), committed_until)));
         h.on_direct(
             NodeAddr(0),
             RbayPayload::Release {

@@ -16,6 +16,17 @@ impl QueryId {
     pub fn new(origin: NodeAddr, seq: u32) -> Self {
         QueryId(((origin.0 as u64) << 32) | seq as u64)
     }
+
+    /// The issuing node.
+    pub fn origin(self) -> NodeAddr {
+        NodeAddr((self.0 >> 32) as u32)
+    }
+
+    /// The issuing node's local counter: the query's position in its
+    /// origin's issue order.
+    pub fn seq(self) -> u32 {
+        (self.0 & 0xFFFF_FFFF) as u32
+    }
 }
 
 impl std::fmt::Display for QueryId {
@@ -231,9 +242,14 @@ pub struct QueryRecord {
     pub completed_at: Option<SimTime>,
     /// Attempts made so far (for the exponential backoff).
     pub attempts: u32,
-    /// Final committed candidates.
+    /// The final candidates. For a `satisfied` query, exactly `k`: held
+    /// (sent `Commit`, never `Release`) when
+    /// [`RbayConfig::commit_results`](crate::RbayConfig::commit_results)
+    /// is on, found and given back when it is off. For a query that gave
+    /// up after `max_attempts`, the partial result: listed, not held.
     pub result: Vec<Candidate>,
-    /// Whether at least `k` candidates were found and committed.
+    /// Whether `k` candidates were found — and, with commits on,
+    /// committed.
     pub satisfied: bool,
     /// FROM-clause site names that did not resolve to any federated site —
     /// the query silently searched fewer sites than asked, so issuers
@@ -303,6 +319,7 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, QueryId::new(NodeAddr(1), 1));
+        assert_eq!((c.origin(), c.seq()), (NodeAddr(2), 1));
     }
 
     #[test]

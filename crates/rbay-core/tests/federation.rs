@@ -3,7 +3,7 @@
 
 use rbay_core::{Federation, QueryId, RbayEvent};
 use rbay_query::AttrValue;
-use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+use simnet::{NodeAddr, SimDuration, SiteId, SiteSpec, Topology};
 
 fn maintain(fed: &mut Federation, rounds: u32) {
     fed.run_maintenance(rounds, SimDuration::from_millis(200));
@@ -581,4 +581,52 @@ fn queries_work_without_site_isolation() {
     let rec = fed.query_record(NodeAddr(1), q).unwrap();
     assert_eq!(rec.result.len(), 1);
     assert_eq!(rec.result[0].site, SiteId(3));
+}
+
+/// A query satisfied at the timeout holds what it reports: the remote
+/// site is silent (all three of its border routers are down), the local
+/// holder is enough for `k`, and the timeout commits it rather than
+/// releasing it.
+#[test]
+fn timeout_with_k_found_commits_the_holder() {
+    let site = |name: &str| SiteSpec {
+        name: name.to_owned(),
+        nodes: 8,
+        instability: 1.0,
+    };
+    let topology = Topology::new(
+        vec![site("here"), site("there")],
+        vec![vec![0.5, 80.0], vec![80.0, 0.5]],
+    );
+    let mut fed = Federation::new(topology, 7);
+    let holder = NodeAddr(5);
+    fed.post_resource(holder, "GPU", AttrValue::Bool(true));
+    fed.settle();
+    maintain(&mut fed, 4);
+    let mut remote = fed.sim().topology().nodes_of_site(SiteId(1));
+    remote.sort();
+    for &gw in &remote[..3] {
+        fed.sim_mut().fail_node(gw);
+    }
+
+    let issued = fed.sim().now();
+    let q = fed
+        .issue_query(NodeAddr(6), "SELECT 1 FROM * WHERE GPU = true", None)
+        .unwrap();
+    fed.settle();
+    let rec = fed.query_record(NodeAddr(6), q).unwrap();
+    assert!(rec.satisfied, "{rec:?}");
+    assert_eq!(
+        rec.completed_at.unwrap().saturating_since(issued),
+        fed.config().query_timeout,
+        "completed by the timeout, on the first attempt"
+    );
+    assert_eq!(rec.result.len(), 1);
+    assert_eq!(rec.result[0].addr, holder);
+    assert_eq!(fed.node(holder).host.committed, vec![q]);
+    assert!(fed
+        .node(holder)
+        .host
+        .reservation
+        .is_some_and(|(by, _)| by == q));
 }
