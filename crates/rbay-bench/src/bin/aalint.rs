@@ -8,7 +8,8 @@
 //! gate on the in-repo handler corpus.
 //!
 //! ```sh
-//! # Lint the in-repo corpus (examples/handlers, experiments/handlers):
+//! # Lint the in-repo corpus (examples/handlers, experiments/handlers),
+//! # from the repository root:
 //! cargo run --bin aalint
 //! # Lint specific files or directories:
 //! cargo run --bin aalint -- path/to/policy.aa handlers/
@@ -69,21 +70,13 @@ fn parse_args() -> Args {
     args
 }
 
-/// The repository's default corpus directories, resolved relative to the
-/// current directory first (the CI case) and the workspace root second
-/// (`cargo run` from anywhere inside it).
+/// The repository's default corpus directories, relative to the current
+/// directory (run from the repository root, as CI does; name paths
+/// otherwise).
 fn default_corpus() -> Vec<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     ["examples/handlers", "experiments/handlers"]
         .iter()
-        .map(|d| {
-            let local = PathBuf::from(d);
-            if local.is_dir() {
-                local
-            } else {
-                root.join(d)
-            }
-        })
+        .map(PathBuf::from)
         .collect()
 }
 

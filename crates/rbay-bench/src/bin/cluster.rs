@@ -14,19 +14,21 @@
 //! final throughput phase runs `--qps-queries` back-to-back queries
 //! (releasing reservations between them) to measure queries/sec.
 //!
-//! Exit status 0 only on a fully verified run — CI's `cluster-smoke`
-//! and `cluster-packed` jobs run exactly this binary. With `--json` the
-//! run appends a `{agents, agents_per_proc, converge_ms,
-//! queries_per_sec, dropped_frames}` record to `BENCH_wire.json`.
+//! Exit status 0 only on a fully verified run — CI's cluster jobs run
+//! exactly this binary and judge nothing themselves. A packed run
+//! (`--agents-per-proc > 1`) also fails when the fleet dropped more
+//! than [`DROPPED_FRAME_BUDGET`] frames. With `--json` the run prints a
+//! `{"bench": "cluster", agents, agents_per_proc, converge_ms,
+//! queries_per_sec, dropped_frames, ...}` line on stdout.
 //!
 //! With `--rolling-restart` the harness then restarts every daemon once,
 //! one process at a time, while closed-loop queries keep running: the
 //! daemons journal to `--data-dir` (a fresh temp directory by default)
-//! and the run fails if any committed query is lost across a restart or
-//! the restart-window success rate drops below 0.95. With `--json` the
-//! restart phase appends a `{committed_query_loss, success_rate,
-//! restart_window_p99_ms, replay_records, ...}` record to
-//! `BENCH_restart.json`.
+//! and the run fails if any committed query is lost across a restart,
+//! the restart-window success rate drops below 0.95, or no restart
+//! replayed a WAL record. With `--json` the restart phase prints a
+//! second line, `{"bench": "rolling_restart", committed_query_loss,
+//! success_rate, restart_window_p99_ms, replay_records, ...}`.
 //!
 //! ```text
 //! cluster [--agents 5] [--agents-per-proc 1] [--k 3] [--base-port 21100]
@@ -34,24 +36,23 @@
 //!         [--rolling-restart] [--restart-queries 3] [--data-dir <dir>] [--json]
 //! ```
 
-use rbay_bench::cluster::{proc_of, proc_sock, site_of, CtrlMsg, DEFAULT_BASE_PORT};
-use rbay_bench::{append_json_record, JsonRecord};
+use rbay_bench::cluster::{
+    proc_of, proc_sock, site_of, to, Ctrl, CtrlMsg, Daemon, DEFAULT_BASE_PORT,
+};
+use rbay_bench::{flag_value, JsonRecord};
 use rbay_core::{Candidate, FrontdoorStats};
 use rbay_store::StoreStats;
 use rbay_wire::DropStats;
-use rbay_wire::{decode_frame, encode_frame, read_frame, write_frame, Hello, MAX_FRAME_LEN};
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
 use simnet::NodeAddr;
-use std::io;
-use std::net::{SocketAddr, TcpStream};
-use std::process::{Child, Command};
+use std::process::Command;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Where cluster benchmark rows land (repo root, next to the codec rows).
-const WIRE_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire.json");
-/// Where rolling-restart rows land.
-const RESTART_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_restart.json");
+/// Frames the whole fleet may drop on a packed run. The transport
+/// retries connects and stages frames, so a sustained drop count signals
+/// a regression in the event-loop bus.
+const DROPPED_FRAME_BUDGET: u64 = 10;
 
 struct Args {
     agents: u32,
@@ -89,8 +90,7 @@ fn parse_args() -> Args {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            // `--count` kept as an alias for unpacked runs.
-            "--agents" | "--count" => args.agents = flag_value(&argv, i),
+            "--agents" => args.agents = flag_value(&argv, i),
             "--agents-per-proc" => args.per = flag_value(&argv, i),
             "--k" => args.k = flag_value(&argv, i),
             "--base-port" => args.base_port = flag_value(&argv, i),
@@ -164,87 +164,15 @@ fn parse_args() -> Args {
     args
 }
 
-/// Parses the value after flag `argv[i]`, exiting with usage on errors.
-fn flag_value<T: std::str::FromStr>(argv: &[String], i: usize) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    argv.get(i + 1)
-        .unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[i]);
-            std::process::exit(2);
-        })
-        .parse()
-        .unwrap_or_else(|e| {
-            eprintln!("bad value for {}: {e}", argv[i]);
-            std::process::exit(2);
-        })
-}
-
 /// The spawned daemons. Global so [`fail`] can kill them before
 /// `exit(1)` — `std::process::exit` runs no destructors, and a leaked
 /// 160-process fleet keeps squatting on the port range.
-static FLEET: Mutex<Vec<Child>> = Mutex::new(Vec::new());
+static FLEET: Mutex<Vec<Daemon>> = Mutex::new(Vec::new());
 
 /// Kills and reaps every spawned daemon.
 fn kill_fleet() {
-    if let Ok(mut children) = FLEET.lock() {
-        for c in children.iter_mut() {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-        children.clear();
-    }
-}
-
-/// One control connection to a daemon.
-struct Ctrl {
-    stream: TcpStream,
-}
-
-impl Ctrl {
-    /// Connects (with retries until `deadline`) and performs the control
-    /// hello.
-    fn connect(addr: SocketAddr, deadline: Instant) -> io::Result<Ctrl> {
-        loop {
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                Ok(mut stream) => {
-                    stream.set_nodelay(true).ok();
-                    write_frame(&mut stream, &encode_frame(&Hello::Ctrl))?;
-                    return Ok(Ctrl { stream });
-                }
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn send(&mut self, msg: &CtrlMsg) -> io::Result<()> {
-        write_frame(&mut self.stream, &encode_frame(msg))
-    }
-
-    /// Reads one control reply, failing after `timeout`.
-    fn recv(&mut self, timeout: Duration) -> io::Result<CtrlMsg> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        let frame = read_frame(&mut self.stream, MAX_FRAME_LEN)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed ctrl"))?;
-        decode_frame::<CtrlMsg>(&frame).map_err(io::Error::other)
-    }
-
-    fn request(&mut self, msg: &CtrlMsg, timeout: Duration) -> io::Result<CtrlMsg> {
-        self.send(msg)?;
-        self.recv(timeout)
-    }
-}
-
-/// Wraps a request for one specific member in its `To` envelope.
-fn to(member: NodeAddr, msg: CtrlMsg) -> CtrlMsg {
-    CtrlMsg::To {
-        member,
-        msg: Box::new(msg),
+    if let Ok(mut daemons) = FLEET.lock() {
+        daemons.clear();
     }
 }
 
@@ -258,7 +186,7 @@ fn fail(msg: &str) -> ! {
 /// initial fleet and again by the rolling-restart phase, so a respawned
 /// daemon comes back with exactly the configuration (and `--data-dir`)
 /// it died with.
-fn spawn_daemon(daemon: &std::path::Path, args: &Args, i: u32) -> Child {
+fn spawn_daemon(daemon: &std::path::Path, args: &Args, i: u32) -> Daemon {
     let mut cmd = Command::new(daemon);
     cmd.args(["--index", &i.to_string()])
         .args(["--agents", &args.agents.to_string()])
@@ -275,8 +203,21 @@ fn spawn_daemon(daemon: &std::path::Path, args: &Args, i: u32) -> Child {
         // (the durability model here) never lose page-cache writes.
         cmd.args(["--fsync", "never"]);
     }
-    cmd.spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn daemon {i}: {e}")))
+    Daemon(
+        cmd.spawn()
+            .unwrap_or_else(|e| fail(&format!("spawn daemon {i}: {e}"))),
+    )
+}
+
+/// The dropped-frame gate: a packed run must be essentially loss-free.
+fn frame_budget(drops: &DropStats, packed: bool) -> Result<(), String> {
+    if packed && drops.total() > DROPPED_FRAME_BUDGET {
+        return Err(format!(
+            "{} frame(s) dropped fleet-wide, budget {DROPPED_FRAME_BUDGET}: {drops:?}",
+            drops.total()
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
@@ -319,20 +260,10 @@ fn main() {
         let mut joined = 0;
         let mut min_peers = u32::MAX;
         let mut dropped = 0u64;
-        for (i, ctrl) in ctrls.iter_mut().enumerate() {
-            match ctrl.request(&CtrlMsg::ProcStatus, Duration::from_secs(10)) {
-                Ok(CtrlMsg::ProcStatusReply {
-                    joined: j,
-                    min_known_peers,
-                    dropped_frames,
-                    ..
-                }) => {
-                    joined += j;
-                    min_peers = min_peers.min(min_known_peers);
-                    dropped += dropped_frames;
-                }
-                other => fail(&format!("proc status from daemon {i}: {other:?}")),
-            }
+        for reply in proc_statuses(&mut ctrls) {
+            joined += reply.joined;
+            min_peers = min_peers.min(reply.min_known_peers);
+            dropped += reply.dropped_frames;
         }
         println!(
             "cluster: {} of {} members joined (min known peers {}, {} dropped)",
@@ -359,21 +290,12 @@ fn main() {
             }
         }
         for &g in &gateways {
-            let ctrl = &mut ctrls[proc_of(g, args.per) as usize];
-            match ctrl.request(
-                &to(
-                    g,
-                    CtrlMsg::EnableFrontdoor {
-                        ttl_ms: 600_000,
-                        capacity: 1024,
-                        max_pending: args.fd_max_pending,
-                    },
-                ),
-                Duration::from_secs(10),
-            ) {
-                Ok(CtrlMsg::Ok) => {}
-                other => fail(&format!("enable frontdoor on {g:?}: {other:?}")),
-            }
+            let enable = CtrlMsg::EnableFrontdoor {
+                ttl_ms: 600_000,
+                capacity: 1024,
+                max_pending: args.fd_max_pending,
+            };
+            expect_ok(&mut ctrls, &args, g, "enable frontdoor", enable);
         }
         println!(
             "cluster: front door enabled on {} gateway(s): {gateways:?}",
@@ -391,32 +313,11 @@ fn main() {
         .map(|i| NodeAddr(i * args.agents / holder_count))
         .collect();
     for &h in &holders {
-        let ctrl = &mut ctrls[proc_of(h, args.per) as usize];
-        match ctrl.request(
-            &to(
-                h,
-                CtrlMsg::InstallNodeAa {
-                    src: password_aa_script(),
-                },
-            ),
-            Duration::from_secs(10),
-        ) {
-            Ok(CtrlMsg::Ok) => {}
-            other => fail(&format!("install AA on member {h:?}: {other:?}")),
-        }
-        match ctrl.request(
-            &to(
-                h,
-                CtrlMsg::Post {
-                    attr: "GPU".into(),
-                    value: rbay_query::AttrValue::Bool(true),
-                },
-            ),
-            Duration::from_secs(10),
-        ) {
-            Ok(CtrlMsg::Ok) => {}
-            other => fail(&format!("post on member {h:?}: {other:?}")),
-        }
+        let install = CtrlMsg::InstallNodeAa {
+            src: password_aa_script(),
+        };
+        expect_ok(&mut ctrls, &args, h, "install AA", install);
+        expect_ok(&mut ctrls, &args, h, "post", post_gpu(true));
     }
     println!(
         "cluster: posted GPU=true on {} members: {holders:?}",
@@ -530,20 +431,7 @@ fn main() {
         // purge the cached entry and the next query must re-walk.
         let flipped = holders[0];
         let misses_before = fd.misses;
-        let ctrl = &mut ctrls[proc_of(flipped, args.per) as usize];
-        match ctrl.request(
-            &to(
-                flipped,
-                CtrlMsg::Post {
-                    attr: "GPU".into(),
-                    value: rbay_query::AttrValue::Bool(false),
-                },
-            ),
-            Duration::from_secs(10),
-        ) {
-            Ok(CtrlMsg::Ok) => {}
-            other => fail(&format!("flip GPU on {flipped:?}: {other:?}")),
-        }
+        expect_ok(&mut ctrls, &args, flipped, "flip GPU", post_gpu(false));
         wait_until(Duration::from_secs(60), "invalidation multicast", || {
             let (fd, _, _) = fleet_stats(&mut ctrls);
             println!("cluster: {} invalidation(s) observed", fd.invalidations);
@@ -624,17 +512,14 @@ fn main() {
             let reap_deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 let mut fleet = FLEET.lock().unwrap();
-                match fleet[p as usize].try_wait() {
-                    Ok(Some(_)) => break,
+                match fleet[p as usize].0.try_wait() {
                     Ok(None) if Instant::now() < reap_deadline => {
                         drop(fleet);
                         std::thread::sleep(Duration::from_millis(50));
                     }
-                    _ => {
-                        let _ = fleet[p as usize].kill();
-                        let _ = fleet[p as usize].wait();
-                        break;
-                    }
+                    // Exited, or out of patience: replacing the slot
+                    // below kills and reaps whatever is left.
+                    _ => break,
                 }
             }
             FLEET.lock().unwrap()[p as usize] = spawn_daemon(&daemon, &args, p);
@@ -682,13 +567,7 @@ fn main() {
             }
             // Full strength before taking the next daemon down.
             wait_until(converge_budget, "post-restart re-convergence", || {
-                let mut joined = 0;
-                for (i, ctrl) in ctrls.iter_mut().enumerate() {
-                    match ctrl.request(&CtrlMsg::ProcStatus, Duration::from_secs(10)) {
-                        Ok(CtrlMsg::ProcStatusReply { joined: j, .. }) => joined += j,
-                        other => fail(&format!("proc status from daemon {i}: {other:?}")),
-                    }
-                }
+                let joined: u32 = proc_statuses(&mut ctrls).iter().map(|r| r.joined).sum();
                 println!("cluster: {} of {} members re-joined", joined, args.agents);
                 joined == args.agents
             });
@@ -752,6 +631,12 @@ fn main() {
             store.relint_rejects
         );
     }
+    if let Err(e) = frame_budget(&drops, args.per > 1) {
+        fail(&e);
+    }
+    if args.rolling_restart && store.replay_records == 0 {
+        fail("rolling restart replayed no WAL record");
+    }
     let run_s = spawn_start.elapsed().as_secs_f64();
 
     for (i, ctrl) in ctrls.iter_mut().enumerate() {
@@ -790,13 +675,10 @@ fn main() {
                 .int("fd_invalidations", fd.invalidations)
                 .int("stale_reads", stale_reads);
         }
-        match append_json_record(WIRE_JSON, &rec) {
-            Ok(()) => println!("cluster: appended record to {WIRE_JSON}"),
-            Err(e) => eprintln!("cluster: cannot write {WIRE_JSON}: {e}"),
-        }
+        rec.emit();
     }
     if args.json && args.rolling_restart {
-        let rec = JsonRecord::new("rolling_restart")
+        JsonRecord::new("rolling_restart")
             .int("agents", args.agents as u64)
             .int("agents_per_proc", args.per as u64)
             .int("procs", procs as u64)
@@ -810,11 +692,8 @@ fn main() {
             .int("replay_micros", store.replay_micros)
             .int("wal_appends", store.appends)
             .int("snapshots", store.snapshots)
-            .int("relint_rejects", store.relint_rejects);
-        match append_json_record(RESTART_JSON, &rec) {
-            Ok(()) => println!("cluster: appended record to {RESTART_JSON}"),
-            Err(e) => eprintln!("cluster: cannot write {RESTART_JSON}: {e}"),
-        }
+            .int("relint_rejects", store.relint_rejects)
+            .emit();
     }
     println!("cluster: PASS");
 }
@@ -873,52 +752,88 @@ fn run_query(
     None
 }
 
-/// One `ProcStatus` sweep over every daemon, aggregating front-door,
-/// per-cause drop, and durable-store counters fleet-wide.
+/// What the harness reads of one daemon's `ProcStatusReply`.
+struct ProcReport {
+    joined: u32,
+    committed: u64,
+    min_known_peers: u32,
+    dropped_frames: u64,
+    drops: DropStats,
+    frontdoor: FrontdoorStats,
+    store: StoreStats,
+}
+
+/// One `ProcStatus` sweep: every daemon's answer, in process order.
+fn proc_statuses(ctrls: &mut [Ctrl]) -> Vec<ProcReport> {
+    let sweep = ctrls.iter_mut().enumerate().map(|(i, ctrl)| {
+        match ctrl.request(&CtrlMsg::ProcStatus, Duration::from_secs(10)) {
+            Ok(CtrlMsg::ProcStatusReply {
+                joined,
+                committed,
+                min_known_peers,
+                dropped_frames,
+                drops,
+                frontdoor,
+                store,
+                ..
+            }) => ProcReport {
+                joined,
+                committed: committed as u64,
+                min_known_peers,
+                dropped_frames,
+                drops,
+                frontdoor,
+                store,
+            },
+            other => fail(&format!("proc status from daemon {i}: {other:?}")),
+        }
+    });
+    sweep.collect()
+}
+
+/// Front-door, per-cause drop, and durable-store counters fleet-wide.
 fn fleet_stats(ctrls: &mut [Ctrl]) -> (FrontdoorStats, DropStats, StoreStats) {
     let mut fd = FrontdoorStats::default();
     let mut drops = DropStats::default();
     let mut store = StoreStats::default();
-    for (i, ctrl) in ctrls.iter_mut().enumerate() {
-        match ctrl.request(&CtrlMsg::ProcStatus, Duration::from_secs(10)) {
-            Ok(CtrlMsg::ProcStatusReply {
-                drops: d,
-                frontdoor: f,
-                store: s,
-                ..
-            }) => {
-                drops.merge(&d);
-                fd.merge(&f);
-                store.merge(&s);
-            }
-            other => fail(&format!("proc status from daemon {i}: {other:?}")),
-        }
+    for reply in proc_statuses(ctrls) {
+        drops.merge(&reply.drops);
+        fd.merge(&reply.frontdoor);
+        store.merge(&reply.store);
     }
     (fd, drops, store)
 }
 
-/// Reads every daemon's process-level committed-query counter (the
+/// Every daemon's process-level committed-query counter (the
 /// rolling-restart phase's durability ledger).
 fn proc_committed(ctrls: &mut [Ctrl]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(ctrls.len());
-    for (i, ctrl) in ctrls.iter_mut().enumerate() {
-        match ctrl.request(&CtrlMsg::ProcStatus, Duration::from_secs(10)) {
-            Ok(CtrlMsg::ProcStatusReply { committed, .. }) => out.push(committed as u64),
-            other => fail(&format!("proc status from daemon {i}: {other:?}")),
-        }
-    }
-    out
+    let sweep = proc_statuses(ctrls);
+    sweep.iter().map(|r| r.committed).collect()
 }
 
 /// Clears the reservation each committed candidate holds, so the next
 /// query finds free inventory again.
 fn release_results(ctrls: &mut [Ctrl], args: &Args, results: &[Candidate]) {
     for c in results {
-        let ctrl = &mut ctrls[proc_of(c.addr, args.per) as usize];
-        match ctrl.request(&to(c.addr, CtrlMsg::Release), Duration::from_secs(10)) {
-            Ok(CtrlMsg::Ok) => {}
-            other => fail(&format!("release on member {:?}: {other:?}", c.addr)),
-        }
+        expect_ok(ctrls, args, c.addr, "release", CtrlMsg::Release);
+    }
+}
+
+/// The request posting (or withdrawing) the resource every query asks for.
+fn post_gpu(value: bool) -> CtrlMsg {
+    CtrlMsg::Post {
+        attr: "GPU".into(),
+        value: rbay_query::AttrValue::Bool(value),
+    }
+}
+
+/// Sends `msg` to `member` through its daemon and fails the run unless
+/// the daemon acknowledges it.
+fn expect_ok(ctrls: &mut [Ctrl], args: &Args, member: NodeAddr, what: &str, msg: CtrlMsg) {
+    let ctrl = &mut ctrls[proc_of(member, args.per) as usize];
+    match ctrl.request(&to(member, msg), Duration::from_secs(10)) {
+        Ok(CtrlMsg::Ok) => {}
+        other => fail(&format!("{what} on member {member:?}: {other:?}")),
     }
 }
 
@@ -934,5 +849,24 @@ fn wait_until(timeout: Duration, what: &str, mut check: impl FnMut() -> bool) {
             fail(&format!("timed out waiting for {what}"));
         }
         std::thread::sleep(Duration::from_millis(500));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frame_budget_holds_packed_runs_to_ten_drops() {
+        let drops = |n| DropStats {
+            conn_closed: n,
+            ..DropStats::default()
+        };
+        assert!(frame_budget(&drops(10), true).is_ok());
+        assert!(frame_budget(&drops(11), true).is_err());
+        assert!(
+            frame_budget(&drops(11), false).is_ok(),
+            "unpacked: no budget"
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! active-attribute handlers it triggers, so per-invocation overhead is
 //! the unit cost behind Fig. 8b/8c. This harness times the Fig. 5
 //! password handler (branch + table reads) and a loop-heavy aggregation
-//! handler on both engines and reports the speedup; `--json` appends
-//! `aa_exec` records to `BENCH_simnet.json`.
+//! handler on both engines and reports the speedup; `--json` prints one
+//! record per handler and engine.
 
 use aascript::{Engine, Script, SharedSandbox, Value};
 use rbay_bench::{emit_json, HarnessOpts, JsonRecord};
@@ -82,8 +82,7 @@ fn time_engine(case: &Case, engine: Engine, iters: u32) -> f64 {
     started.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let iters = opts.scaled(200_000, 1_000) as u32;
 
     println!(
@@ -100,7 +99,7 @@ fn main() {
         println!("{:>24} {tw:>16.1} {vm:>16.1} {speedup:>8.2}x", case.name);
         for (engine, ns) in [("treewalk", tw), ("vm", vm)] {
             emit_json(
-                &opts,
+                opts,
                 &JsonRecord::new("aa_exec")
                     .text("handler", case.name)
                     .text("engine", engine)

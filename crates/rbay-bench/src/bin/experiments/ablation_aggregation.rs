@@ -18,7 +18,7 @@ use simnet::{NodeAddr, SimDuration, SiteId, Topology};
 
 /// Runs churning membership with the given aggregation interval; returns
 /// (mean |size error| in members, messages per node per virtual second).
-fn run(interval_ms: u64, seed: u64, n_nodes: usize) -> (f64, f64) {
+fn run_interval(interval_ms: u64, seed: u64, n_nodes: usize) -> (f64, f64) {
     let mut fed = Federation::with_config(
         Topology::single_site(n_nodes, 0.5),
         seed,
@@ -99,8 +99,7 @@ fn run(interval_ms: u64, seed: u64, n_nodes: usize) -> (f64, f64) {
     )
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let n_nodes = opts.scaled(100, 30);
     println!("Ablation: aggregation interval vs root-view staleness");
     println!("({n_nodes} nodes, ~5% membership churn per epoch)\n");
@@ -109,7 +108,7 @@ fn main() {
         "interval (ms)", "mean |size error|", "msgs/node/virt-sec"
     );
     for &interval in &[100u64, 250, 500, 1_000, 2_000] {
-        let (err, rate) = run(interval, opts.seed, n_nodes);
+        let (err, rate) = run_interval(interval, opts.seed, n_nodes);
         println!("{:>14} {:>18.2} {:>22.2}", interval, err, rate);
     }
     println!("\n(longer intervals cost accuracy at the root but proportionally less");

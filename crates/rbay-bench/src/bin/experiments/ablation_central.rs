@@ -84,8 +84,7 @@ fn run_rbay(nodes_per_site: usize, seed: u64) -> (u64, f64) {
     (hottest, stats(&lats).map(|s| s.mean).unwrap_or(f64::NAN))
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     println!("Ablation: centralized master vs RBAY decentralized trees");
     println!("(hottest-node incoming load during population + 10 queries)\n");
     println!(

@@ -8,6 +8,11 @@
 //! purely by heartbeats) and reports query success rate and latency, plus
 //! the recall of the inventory (fraction of live resource holders a
 //! `SELECT all` finds) after automatic repair.
+//!
+//! The sweep judges itself ([`gate`]): it fails on an invariant
+//! violation, on a success rate under the floor at 10 % or 20 % churn,
+//! and — with `--metrics` — on a false-positive failure declaration or a
+//! level that recorded no observability events.
 
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -33,6 +38,60 @@ struct ObsOutcome {
     converge_rounds: f64,
     /// Structured events held in the recorder at the end of the run.
     events: u64,
+}
+
+/// What [`gate`] judges of one churn level, merged over its seeds.
+struct LevelRow {
+    churn_frac: f64,
+    success_rate: f64,
+    /// Heartbeat expirations naming a live peer (`--metrics` only).
+    false_positives: u64,
+    /// Observability events recorded (`--metrics` only).
+    obs_events: u64,
+    /// A protocol-invariant violation some seed's run ended with.
+    violation: Option<String>,
+}
+
+/// Lowest acceptable query success rate at a churn level: queries must
+/// keep succeeding while trees repair (replicated rendezvous state plus
+/// query retry). Levels under 10 % are reported, not gated.
+fn success_floor(churn_frac: f64) -> f64 {
+    if churn_frac >= 0.20 {
+        0.80
+    } else if churn_frac >= 0.10 {
+        0.95
+    } else {
+        0.0
+    }
+}
+
+/// The sweep's verdict. The sweep never injects link loss, so with
+/// `metrics` any false-positive failure declaration is a regression, as
+/// is a level whose recorder saw nothing.
+fn gate(rows: &[LevelRow], metrics: bool) -> Result<(), String> {
+    for r in rows {
+        let at = format!("at {:.0}% churn", r.churn_frac * 100.0);
+        if let Some(v) = &r.violation {
+            return Err(format!("invariant violation {at}: {v}"));
+        }
+        let floor = success_floor(r.churn_frac);
+        if r.success_rate < floor {
+            return Err(format!(
+                "success rate {:.2} below {floor} {at}",
+                r.success_rate
+            ));
+        }
+        if metrics && r.false_positives > 0 {
+            return Err(format!(
+                "{} false-positive failure declaration(s) {at}",
+                r.false_positives
+            ));
+        }
+        if metrics && r.obs_events == 0 {
+            return Err(format!("no observability events recorded {at}"));
+        }
+    }
+    Ok(())
 }
 
 struct Outcome {
@@ -186,7 +245,7 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
 /// `--trace`: runs one small traced federation through a crash epoch and
 /// prints the tree-repair timeline of the `GPU=true` tree (the same
 /// reconstruction the `trace_dump` tool performs on a canned scenario).
-fn print_repair_timeline(n_nodes: usize, churn_frac: f64, seed: u64) {
+fn trace_crash_epoch(n_nodes: usize, churn_frac: f64, seed: u64) {
     let cfg = RbayConfig {
         failure_detection: true,
         heartbeat_timeout: SimDuration::from_millis(400),
@@ -219,55 +278,7 @@ fn print_repair_timeline(n_nodes: usize, churn_frac: f64, seed: u64) {
     println!(
         "\nRepair timeline, GPU=true tree ({n_nodes} nodes, seed {seed}, victims {victims:?}):"
     );
-    let key = topic.key().as_u128();
-    for ev in rec.events() {
-        if ev.at() < crash_at {
-            continue;
-        }
-        let line = match ev {
-            ObsEvent::HeartbeatExpire { at, detector, peer } => {
-                Some((at, format!("{detector:?} declares {peer:?} failed")))
-            }
-            ObsEvent::TreeParent {
-                at,
-                node,
-                topic,
-                old,
-                new,
-            } if topic == key => Some((
-                at,
-                match old {
-                    Some(old) => format!("{node:?} re-parents {old:?} -> {new:?}"),
-                    None => format!("{node:?} attaches under {new:?}"),
-                },
-            )),
-            ObsEvent::TreeGraft {
-                at,
-                parent,
-                child,
-                topic,
-            } if topic == key => Some((at, format!("{parent:?} grafts child {child:?}"))),
-            ObsEvent::TreeLeave {
-                at,
-                parent,
-                child,
-                topic,
-            } if topic == key => Some((at, format!("{parent:?} drops child {child:?}"))),
-            ObsEvent::NotChild {
-                at,
-                node,
-                orphan,
-                topic,
-            } if topic == key => Some((at, format!("{node:?} NACKs orphan {orphan:?}"))),
-            _ => None,
-        };
-        if let Some((at, what)) = line {
-            println!(
-                "  +{:>8.1} ms  {what}",
-                at.saturating_since(crash_at).as_millis_f64()
-            );
-        }
-    }
+    rbay_bench::print_repair_timeline(rec.events(), crash_at, topic.key().as_u128());
     println!(
         "  final: root count {:?}, {} tree edges",
         fed.tree_root_count(topic),
@@ -343,8 +354,7 @@ fn run_value_churn(n_nodes: usize, flip_frac: f64, epochs: u32, seed: u64) -> f6
     accuracy_sum / epochs as f64
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let n_nodes = opts.scaled(120, 30);
     let epochs = 4;
     let seeds = opts.seed_list();
@@ -357,6 +367,7 @@ fn main() {
         "{:>12} {:>14} {:>10} {:>14}",
         "churn/epoch", "success rate", "recall", "avg q-lat ms"
     );
+    let mut rows = Vec::new();
     for &frac in &[0.0, 0.02, 0.05, 0.10, 0.20] {
         // One independent federation per seed; averages merged in seed order.
         let outcomes = run_seeds(&seeds, default_threads(), |seed| {
@@ -364,6 +375,7 @@ fn main() {
         });
         // Protocol-invariant oracles ran at the end of every seed's run;
         // a violation is a regression, dumped as a replayable schedule.
+        let mut violation = None;
         for (&seed, o) in seeds.iter().zip(&outcomes) {
             if let Some(v) = &o.violation {
                 eprintln!(
@@ -371,13 +383,14 @@ fn main() {
                     frac * 100.0
                 );
                 emit_schedule(
-                    &opts,
+                    opts,
                     &ScheduleFile {
                         spec: CheckSpec::bench_churn(n_nodes, frac, epochs, seed),
                         violation: Some(v.kind().to_string()),
                         directives: Vec::new(),
                     },
                 );
+                violation.get_or_insert_with(|| v.to_string());
             }
         }
         let n = outcomes.len() as f64;
@@ -403,6 +416,7 @@ fn main() {
             .num("success_rate", success)
             .num("recall", recall)
             .num_opt("avg_latency_ms", avg_latency);
+        let (mut false_positives, mut obs_events) = (0, 0);
         if opts.metrics {
             let m: Vec<&ObsOutcome> = outcomes.iter().filter_map(|o| o.obs.as_ref()).collect();
             let det: Vec<f64> = m
@@ -411,24 +425,31 @@ fn main() {
                 .filter(|l| l.is_finite())
                 .collect();
             let fd_latency = stats(&det).map(|s| s.mean).unwrap_or(f64::NAN);
-            let false_positives: u64 = m.iter().map(|o| o.false_positives).sum();
+            false_positives = m.iter().map(|o| o.false_positives).sum();
             let converge =
                 m.iter().map(|o| o.converge_rounds).sum::<f64>() / (m.len().max(1)) as f64;
-            let events: u64 = m.iter().map(|o| o.events).sum();
+            obs_events = m.iter().map(|o| o.events).sum();
             println!(
                 "{:>12} fd-lat {:>7.1} ms   false-pos {:>3}   converge {:>4.2} rounds   {:>8} events",
-                "", fd_latency, false_positives, converge, events
+                "", fd_latency, false_positives, converge, obs_events
             );
             record = record
                 .num_opt("fd_latency_ms", fd_latency)
                 .int("false_positives", false_positives)
                 .num("agg_converge_rounds", converge)
-                .int("obs_events", events);
+                .int("obs_events", obs_events);
         }
-        emit_json(&opts, &record);
+        emit_json(opts, &record);
+        rows.push(LevelRow {
+            churn_frac: frac,
+            success_rate: success,
+            false_positives,
+            obs_events,
+            violation,
+        });
     }
     if opts.trace {
-        print_repair_timeline(n_nodes.min(40), 0.20, opts.seed);
+        trace_crash_epoch(n_nodes.min(40), 0.20, opts.seed);
     }
     println!("\n(success and recall stay high while churn grows; the repair cost is");
     println!(" heartbeat traffic plus O(log N) rejoin messages per orphaned subtree)");
@@ -442,7 +463,7 @@ fn main() {
         let acc = accs.iter().sum::<f64>() / accs.len() as f64;
         println!("{:>11.0}% {:>21.1}%", frac * 100.0, acc * 100.0);
         emit_json(
-            &opts,
+            opts,
             &JsonRecord::new("churn_values")
                 .num("flip_frac", frac)
                 .int("nodes", n_nodes as u64)
@@ -452,4 +473,65 @@ fn main() {
     }
     println!("\n(onSubscribe/onUnsubscribe re-evaluate each maintenance round, so");
     println!(" membership tracks the readings within one round of the change)");
+    if let Err(e) = gate(&rows, opts.metrics) {
+        crate::fail(&e);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(churn_frac: f64, success_rate: f64) -> LevelRow {
+        LevelRow {
+            churn_frac,
+            success_rate,
+            false_positives: 0,
+            obs_events: 1,
+            violation: None,
+        }
+    }
+
+    #[test]
+    fn gate_passes_a_healthy_sweep() {
+        let rows = [row(0.0, 1.0), row(0.10, 0.95), row(0.20, 0.80)];
+        assert_eq!(gate(&rows, true), Ok(()));
+        // Without --metrics the observability columns are not judged.
+        let blind = LevelRow {
+            obs_events: 0,
+            ..row(0.10, 1.0)
+        };
+        assert_eq!(gate(&[blind], false), Ok(()));
+    }
+
+    #[test]
+    fn gate_fails_on_an_invariant_violation() {
+        let bad = LevelRow {
+            violation: Some("tree has two roots".into()),
+            ..row(0.02, 1.0)
+        };
+        assert!(gate(&[row(0.0, 1.0), bad], false).is_err());
+    }
+
+    #[test]
+    fn gate_fails_on_recall_collapse() {
+        assert!(gate(&[row(0.10, 0.94)], false).is_err());
+        assert!(gate(&[row(0.20, 0.79)], false).is_err());
+        assert_eq!(gate(&[row(0.05, 0.5)], false), Ok(()), "reported only");
+    }
+
+    #[test]
+    fn gate_fails_on_metrics_regressions() {
+        let false_positive = LevelRow {
+            false_positives: 1,
+            ..row(0.05, 1.0)
+        };
+        assert!(gate(std::slice::from_ref(&false_positive), true).is_err());
+        assert_eq!(gate(&[false_positive], false), Ok(()));
+        let silent = LevelRow {
+            obs_events: 0,
+            ..row(0.05, 1.0)
+        };
+        assert!(gate(&[silent], true).is_err());
+    }
 }

@@ -6,38 +6,11 @@
 //! included); local-site discovery stays under ~200 ms; multi-site
 //! searches land around 600 ms.
 
-use rbay_bench::{
-    build_ec2_federation, default_threads, emit_json, measure_query_latencies, run_seeds, stats,
-    HarnessOpts, JsonRecord,
-};
-use rbay_workloads::{aws8_site_names, QueryGen};
+use crate::latency_grid::run_grid;
+use rbay_bench::{default_threads, emit_json, run_seeds, stats, HarnessOpts, JsonRecord};
 use simnet::topology::AWS8_SITE_NAMES;
-use simnet::SiteId;
 
-/// Runs the full locale × predicate-width grid on one seeded federation;
-/// returns per-cell latency samples as `[site][n_sites - 1]`.
-fn run_grid(seed: u64, nodes_per_site: usize, queries_per_cell: usize) -> Vec<Vec<Vec<f64>>> {
-    let mut fed = build_ec2_federation(nodes_per_site, seed);
-    let mut qg = QueryGen::new(seed ^ 0xF00D, aws8_site_names(), 5).focus_popular(7, 15);
-    (0..AWS8_SITE_NAMES.len())
-        .map(|s| {
-            (1..=8usize)
-                .map(|n_sites| {
-                    measure_query_latencies(
-                        &mut fed,
-                        &mut qg,
-                        SiteId(s as u16),
-                        n_sites,
-                        queries_per_cell,
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let nodes_per_site = opts.scaled_nodes(100, 12);
     let queries_per_cell = opts.scaled(25, 5);
     let seeds = opts.seed_list();
@@ -51,7 +24,13 @@ fn main() {
     );
     // One full grid per seed, in parallel; merge samples in seed order.
     let grids = run_seeds(&seeds, default_threads(), |seed| {
-        run_grid(seed, nodes_per_site, queries_per_cell)
+        run_grid(
+            0..AWS8_SITE_NAMES.len() as u16,
+            0xF00D,
+            seed,
+            nodes_per_site,
+            queries_per_cell,
+        )
     });
 
     print!("{:<14}", "locale");
@@ -61,6 +40,8 @@ fn main() {
     println!();
     for (s, name) in AWS8_SITE_NAMES.iter().enumerate() {
         print!("{name:<14}");
+        // The row's records follow its text line, so each starts a line.
+        let mut records = Vec::new();
         for n_sites in 1..=8usize {
             let lats: Vec<f64> = grids
                 .iter()
@@ -69,9 +50,8 @@ fn main() {
             match stats(&lats) {
                 Some(st) => {
                     print!("{:>16}", format!("{:.0}±{:.0}", st.mean, st.stddev));
-                    emit_json(
-                        &opts,
-                        &JsonRecord::new("fig10")
+                    records.push(
+                        JsonRecord::new("fig10")
                             .text("locale", name)
                             .int("n_sites", n_sites as u64)
                             .int("seeds", seeds.len() as u64)
@@ -84,5 +64,8 @@ fn main() {
             }
         }
         println!();
+        for record in &records {
+            emit_json(opts, record);
+        }
     }
 }

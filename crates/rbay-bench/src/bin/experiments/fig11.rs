@@ -17,8 +17,7 @@ use rbay_workloads::EC2_INSTANCE_TYPES;
 use simnet::topology::AWS8_SITE_NAMES;
 use simnet::SiteId;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let nodes_per_site = opts.scaled_nodes(40, 8);
     println!("Fig. 11: tree construction (onSubscribe) and command delivery (onDeliver)");
     println!(

@@ -8,51 +8,10 @@
 //! the keys map to independent overlay locations, dividing the central
 //! lookup load.
 
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode, SimNet};
+use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once, seeded_overlay};
+use pastry::NodeId;
 use rbay_bench::{default_threads, emit_json, run_seeds, HarnessOpts, JsonRecord};
-use simnet::{Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, SiteId, Topology};
-
-#[derive(Debug, Clone, Copy)]
-struct Probe;
-impl MessageSize for Probe {}
-
-#[derive(Default)]
-struct Recorder {
-    delivered: u64,
-}
-impl PastryApp<Probe> for Recorder {
-    fn deliver<N: pastry::Net<Probe>>(
-        &mut self,
-        _node: &mut PastryNode,
-        _net: &mut N,
-        _key: NodeId,
-        _payload: Probe,
-        _hops: u16,
-    ) {
-        self.delivered += 1;
-    }
-    fn receive_direct<N: pastry::Net<Probe>>(
-        &mut self,
-        _n: &mut PastryNode,
-        _net: &mut N,
-        _f: NodeAddr,
-        _p: Probe,
-    ) {
-    }
-}
-
-struct Agent {
-    node: PastryNode,
-    app: Recorder,
-}
-impl Actor for Agent {
-    type Msg = PastryMsg<Probe>;
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
-        let Agent { node, app } = self;
-        let mut net = SimNet::new(ctx);
-        node.on_message(&mut net, app, from, msg);
-    }
-}
+use simnet::{NodeAddr, SimTime};
 
 /// Per-key forwarding-load summary of one seed's run.
 struct KeyCell {
@@ -67,31 +26,16 @@ struct Cell {
     distinct_top_forwarders: usize,
     /// Probes delivered — the routing invariant is
     /// `delivered == queries_per_key * n_keys`.
-    delivered: u64,
+    delivered: usize,
     events: u64,
     wall_secs: f64,
 }
 
 fn run_one(n_nodes: usize, queries_per_key: usize, n_keys: usize, seed: u64) -> Cell {
-    // Seed the overlay before the simulation exists so each (large)
-    // PastryNode is constructed exactly once and moved into its actor.
-    let mut nodes: Vec<PastryNode> = (0..n_nodes as u32)
-        .map(|i| {
-            let mut n = PastryNode::new(NodeInfo {
-                id: NodeId::hash_of(format!("agent:{i}").as_bytes()),
-                addr: NodeAddr(i),
-                site: SiteId(0),
-            });
-            n.enable_forward_log();
-            n
-        })
-        .collect();
-    seed_overlay(&mut nodes, |_, _| 0.0);
-    let mut seeded = nodes.into_iter();
-    let mut sim = Simulation::new(Topology::single_site(n_nodes, 0.5), seed, |_| Agent {
-        node: seeded.next().expect("one node per address"),
-        app: Recorder::default(),
-    });
+    let mut sim = seeded_overlay(n_nodes, seed);
+    for i in 0..n_nodes as u32 {
+        sim.actor_mut(NodeAddr(i)).node.enable_forward_log();
+    }
 
     let keys: Vec<NodeId> = (0..n_keys)
         .map(|k| NodeId::hash_of(format!("Q{}:{}", k + 1, seed).as_bytes()))
@@ -100,11 +44,7 @@ fn run_one(n_nodes: usize, queries_per_key: usize, n_keys: usize, seed: u64) -> 
         let key = *key;
         for q in 0..queries_per_key {
             let src = NodeAddr(((q * 6007 + ki * 97 + 13) % n_nodes) as u32);
-            sim.schedule_call(SimTime::ZERO, src, move |a, ctx| {
-                let Agent { node, app } = a;
-                let mut net = SimNet::new(ctx);
-                node.route(&mut net, app, key, Probe, None);
-            });
+            sim.schedule_call(SimTime::ZERO, src, move |a, ctx| a.route(ctx, key));
         }
     }
     sim.run_until_idle();
@@ -142,14 +82,13 @@ fn run_one(n_nodes: usize, queries_per_key: usize, n_keys: usize, seed: u64) -> 
     Cell {
         keys: out,
         distinct_top_forwarders: top_forwarders.len(),
-        delivered: sim.actors().map(|(_, a)| a.app.delivered).sum(),
+        delivered: sim.actors().map(|(_, a)| a.app.hops.len()).sum(),
         events: sim.stats().events(),
         wall_secs: sim.wall_time().as_secs_f64(),
     }
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let n_nodes = opts.scaled_nodes(10_000, 100);
     let queries_per_key = opts.scaled(100, 10);
     let n_keys = 10usize;
@@ -160,26 +99,13 @@ fn main() {
     let cells = run_seeds(&seeds, default_threads(), |seed| {
         run_one(n_nodes, queries_per_key, n_keys, seed)
     });
-    // Exactly-once delivery is the routing invariant; a miss dumps a
-    // schedule replayable through `rbay-check replay`.
-    let expected = (queries_per_key * n_keys) as u64;
-    for (&seed, c) in seeds.iter().zip(&cells) {
-        if c.delivered != expected {
-            let v = rbay_check::Violation::ProbeLoss {
-                delivered: c.delivered as usize,
-                expected: expected as usize,
-            };
-            eprintln!("INVARIANT VIOLATION ({n_nodes} nodes, seed {seed}): {v}");
-            rbay_bench::emit_schedule(
-                &opts,
-                &rbay_check::ScheduleFile {
-                    spec: rbay_check::CheckSpec::bench_fig8(n_nodes, expected as usize, seed),
-                    violation: Some(v.kind().to_string()),
-                    directives: Vec::new(),
-                },
-            );
-        }
-    }
+    let delivered = cells.iter().map(|c| c.delivered);
+    require_exactly_once(
+        opts,
+        n_nodes,
+        queries_per_key * n_keys,
+        seeds.iter().copied().zip(delivered),
+    );
 
     println!(
         "Fig. 8b: forwarding load per query key ({n_nodes} nodes, {queries_per_key} queries/key, {} seed(s))",
@@ -215,7 +141,7 @@ fn main() {
             max
         );
         emit_json(
-            &opts,
+            opts,
             &JsonRecord::new("fig8b")
                 .int("nodes", n_nodes as u64)
                 .int("queries_per_key", queries_per_key as u64)
@@ -238,7 +164,7 @@ fn main() {
         n_keys, distinct_top, n_keys
     );
     emit_json(
-        &opts,
+        opts,
         &JsonRecord::new("fig8b")
             .int("nodes", n_nodes as u64)
             .int("queries_per_key", queries_per_key as u64)
@@ -247,21 +173,7 @@ fn main() {
             .num("mean_distinct_top_forwarders", distinct_top)
             .int("events", events)
             .num("sim_wall_secs", wall)
-            .num(
-                "events_per_sec",
-                if wall > 0.0 {
-                    events as f64 / wall
-                } else {
-                    0.0
-                },
-            ),
+            .num("events_per_sec", events_per_sec(events, wall)),
     );
-    eprintln!(
-        "\n[engine] {events} events in {wall:.3}s of simulation loop = {:.0} events/sec",
-        if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        }
-    );
+    report_engine(events, wall);
 }

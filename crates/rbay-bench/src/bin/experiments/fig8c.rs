@@ -64,8 +64,7 @@ fn run_one(n: usize) -> Cell {
     }
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let seeds = opts.seed_list();
 
     println!(
@@ -93,7 +92,7 @@ fn main() {
         let wall = cells.iter().map(|c| c.instantiate_wall_secs).sum::<f64>() / cells.len() as f64;
         println!("{n:>10} {rbay_bytes:>14} {past_bytes:>14} {overhead_pct:>11.0}% {wall:>14.4}");
         emit_json(
-            &opts,
+            opts,
             &JsonRecord::new("fig8c")
                 .int("attrs", n as u64)
                 .int("seeds", seeds.len() as u64)

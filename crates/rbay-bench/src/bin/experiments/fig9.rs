@@ -9,41 +9,15 @@
 //! multi-site latency is bounded by the RTT to the farthest requested
 //! site; Singapore users see the highest multi-site latencies.
 
+use crate::latency_grid::run_grid;
 use rbay_bench::{
-    build_ec2_federation, default_threads, emit_json, measure_query_latencies, percentile,
-    print_cdf_row, run_seeds, HarnessOpts, JsonRecord,
+    default_threads, emit_json, percentile, print_cdf_row, run_seeds, HarnessOpts, JsonRecord,
 };
-use rbay_workloads::{aws8_site_names, QueryGen};
-use simnet::SiteId;
 
 // Virginia (site 0), Singapore (site 4), São Paulo (site 7).
 const LOCALES: [(&str, u16); 3] = [("Virginia", 0), ("Singapore", 4), ("SaoPaulo", 7)];
 
-/// Runs the full locale × predicate-width grid on one seeded federation;
-/// returns per-cell latency samples as `[locale][n_sites - 1]`.
-fn run_grid(seed: u64, nodes_per_site: usize, queries_per_cell: usize) -> Vec<Vec<Vec<f64>>> {
-    let mut fed = build_ec2_federation(nodes_per_site, seed);
-    let mut qg = QueryGen::new(seed ^ 0x5151, aws8_site_names(), 5).focus_popular(7, 15);
-    LOCALES
-        .iter()
-        .map(|&(_, site)| {
-            (1..=8usize)
-                .map(|n_sites| {
-                    measure_query_latencies(
-                        &mut fed,
-                        &mut qg,
-                        SiteId(site),
-                        n_sites,
-                        queries_per_cell,
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let nodes_per_site = opts.scaled_nodes(100, 12);
     let queries_per_cell = opts.scaled(30, 5);
     let seeds = opts.seed_list();
@@ -56,7 +30,13 @@ fn main() {
     );
     // One full grid per seed, in parallel; merge samples in seed order.
     let grids = run_seeds(&seeds, default_threads(), |seed| {
-        run_grid(seed, nodes_per_site, queries_per_cell)
+        run_grid(
+            LOCALES.map(|(_, site)| site),
+            0x5151,
+            seed,
+            nodes_per_site,
+            queries_per_cell,
+        )
     });
 
     for (l, (name, _)) in LOCALES.iter().enumerate() {
@@ -69,7 +49,7 @@ fn main() {
             print_cdf_row(&format!("{name} {n_sites}-site"), &mut lats);
             lats.sort_by(f64::total_cmp);
             emit_json(
-                &opts,
+                opts,
                 &JsonRecord::new("fig9")
                     .text("locale", name)
                     .int("n_sites", n_sites as u64)

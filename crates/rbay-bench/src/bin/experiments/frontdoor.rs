@@ -9,20 +9,18 @@
 //! queries — one that cached queries depend on (exercising the
 //! invalidation multicast) and a monitoring reading that none do.
 //!
-//! With `--json` each pass appends a row to `BENCH_frontdoor.json` with
-//! the run parameters (query count, duration, query mix, warmup),
-//! latency percentiles, throughput, and the front-door counters.
+//! With `--json` each pass prints a row with the run parameters (query
+//! count, duration, query mix, warmup), latency percentiles, throughput,
+//! and the front-door counters. The run fails when the two passes differ
+//! in recall.
 
-use rbay_bench::{append_json_record, percentile, HarnessOpts, JsonRecord};
+use rbay_bench::{percentile, HarnessOpts, JsonRecord};
 use rbay_core::{Federation, FrontdoorConfig, FrontdoorOutcome, FrontdoorStats, RbayConfig};
 use rbay_workloads::{
     instance_query_population, populate_ec2_federation, ScenarioConfig, WorkloadOp, ZipfWorkload,
     WORKLOAD_PASSWORD,
 };
 use simnet::{NodeAddr, SimDuration, Topology};
-
-/// Where the rows land (repo root, next to BENCH_wire.json).
-const FRONTDOOR_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_frontdoor.json");
 
 /// Distinct queries in the Zipf population.
 const DISTINCT: usize = 16;
@@ -40,8 +38,7 @@ struct PassResult {
     fd: FrontdoorStats,
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let nodes_per_site = opts.scaled_nodes(25, 8);
     let ops = opts.scaled(2000, 400);
     let warmup = DISTINCT;
@@ -52,8 +49,8 @@ fn main() {
         100.0 * READ_RATIO
     );
 
-    let off = run_pass(&opts, nodes_per_site, ops, warmup, false);
-    let on = run_pass(&opts, nodes_per_site, ops, warmup, true);
+    let off = run_pass(opts, nodes_per_site, ops, warmup, false);
+    let on = run_pass(opts, nodes_per_site, ops, warmup, true);
 
     let report = |name: &str, r: &PassResult| {
         let mut lats = r.lats_ms.clone();
@@ -88,15 +85,14 @@ fn main() {
         on.queries
     );
     if off.satisfied != on.satisfied || off.queries != on.queries {
-        eprintln!("frontdoor: FAIL: recall differs between passes");
-        std::process::exit(1);
+        crate::fail("recall differs between the cache-off and cache-on passes");
     }
 
     if opts.json {
         for (cache, r) in [(0u64, &off), (1u64, &on)] {
             let mut lats = r.lats_ms.clone();
             lats.sort_by(f64::total_cmp);
-            let rec = JsonRecord::new("frontdoor")
+            JsonRecord::new("frontdoor")
                 .int("cache", cache)
                 .int("seed", opts.seed)
                 .int("nodes_per_site", nodes_per_site as u64)
@@ -120,11 +116,8 @@ fn main() {
                 .int("fd_misses", r.fd.misses)
                 .int("fd_coalesced", r.fd.coalesced)
                 .int("fd_shed", r.fd.shed)
-                .int("fd_invalidations", r.fd.invalidations);
-            match append_json_record(FRONTDOOR_JSON, &rec) {
-                Ok(()) => println!("frontdoor: appended cache={cache} row to {FRONTDOOR_JSON}"),
-                Err(e) => eprintln!("frontdoor: cannot write {FRONTDOOR_JSON}: {e}"),
-            }
+                .int("fd_invalidations", r.fd.invalidations)
+                .emit();
         }
     }
 }

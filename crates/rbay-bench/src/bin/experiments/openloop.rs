@@ -4,15 +4,12 @@
 //! closed-loop latency harnesses, queries overlap: reservations conflict
 //! and the truncated exponential backoff earns its keep.
 
-use rbay_bench::{percentile, stats, HarnessOpts};
-use rbay_core::{Federation, QueryId, RbayConfig};
-use rbay_workloads::{
-    aws8_site_names, populate_ec2_federation, QueryGen, ScenarioConfig, WORKLOAD_PASSWORD,
-};
-use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+use rbay_bench::{build_ec2_federation, percentile, stats, HarnessOpts};
+use rbay_core::QueryId;
+use rbay_workloads::{aws8_site_names, QueryGen, WORKLOAD_PASSWORD};
+use simnet::{NodeAddr, SimDuration, SiteId};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let nodes_per_site = opts.scaled_nodes(60, 12);
     let total_queries = opts.scaled(400, 40);
     let rate_per_sec = 100.0 * opts.scale.max(0.1);
@@ -20,19 +17,7 @@ fn main() {
     println!("Open-loop load: {total_queries} composite queries at {rate_per_sec:.0}/s");
     println!("({nodes_per_site} nodes/site, queries overlap; conflicts resolved by backoff)\n");
 
-    let cfg = RbayConfig {
-        commit_results: false,
-        ..RbayConfig::default()
-    };
-    let mut fed =
-        Federation::with_config(Topology::aws_ec2_8_sites(nodes_per_site), opts.seed, cfg);
-    let scenario = ScenarioConfig {
-        extra_attrs_per_node: 5,
-        ..ScenarioConfig::default()
-    };
-    populate_ec2_federation(&mut fed, opts.seed ^ 0xA5A5, &scenario);
-    fed.run_maintenance(5, SimDuration::from_millis(250));
-    fed.settle();
+    let mut fed = build_ec2_federation(nodes_per_site, opts.seed);
 
     let mut qg = QueryGen::new(opts.seed ^ 0x0123, aws8_site_names(), 5).focus_popular(7, 15);
     let gap_us = (1_000_000.0 / rate_per_sec) as u64;

@@ -42,8 +42,7 @@ impl Actor for Pinger {
     }
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
+pub fn run(opts: &HarnessOpts) {
     let pings = opts.scaled(50, 5);
     let mut sim = Simulation::new(Topology::aws_ec2_8_sites(2), opts.seed, |_| {
         Pinger::default()

@@ -28,6 +28,7 @@
 //! ```
 
 use rbay_bench::cluster::{self, CtrlMsg};
+use rbay_bench::flag_value;
 use rbay_core::{
     FrontdoorConfig, FrontdoorResponse, FrontdoorStats, Op, Pack, QueryId, RbayConfig, RbayMsg,
 };
@@ -81,8 +82,7 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--index" => args.index = flag_value(&argv, i),
-            // `--count` kept as an alias for one-agent-per-process runs.
-            "--agents" | "--count" => args.agents = flag_value(&argv, i),
+            "--agents" => args.agents = flag_value(&argv, i),
             "--agents-per-proc" => args.per = flag_value(&argv, i),
             "--base-port" => args.base_port = flag_value(&argv, i),
             "--num-sites" => args.num_sites = flag_value(&argv, i),
@@ -120,23 +120,6 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     args
-}
-
-/// Parses the value after flag `argv[i]`, exiting with usage on errors.
-fn flag_value<T: std::str::FromStr>(argv: &[String], i: usize) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    argv.get(i + 1)
-        .unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[i]);
-            std::process::exit(2);
-        })
-        .parse()
-        .unwrap_or_else(|e| {
-            eprintln!("bad value for {}: {e}", argv[i]);
-            std::process::exit(2);
-        })
 }
 
 fn main() {
@@ -488,7 +471,7 @@ fn on_ctrl(
             });
         }
         CtrlMsg::Release => {
-            pack.member_mut(slot).host.release_reservation();
+            pack.with_member(sink, slot, |node, _| node.host.release_reservation());
             reply(&CtrlMsg::Ok);
         }
         CtrlMsg::Shutdown => {

@@ -4,7 +4,8 @@
 //!
 //! Runs a small canned federation (deterministic under `--seed`), so the
 //! output doubles as a worked example of what the trace records. The same
-//! reconstruction is available on real runs through `churn --trace`.
+//! reconstruction is available on real runs through
+//! `experiments churn --trace`.
 
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -17,7 +18,7 @@ use simnet::obs::Recorder;
 use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime, SiteId, Topology};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(std::env::args().skip(1));
     let n_nodes = opts.scaled(40, 16);
 
     let cfg = RbayConfig {
@@ -141,51 +142,10 @@ fn main() {
     fed.settle();
 
     println!("\nTree repair timeline after crashing {victim:?}:");
-    for ev in rec.events() {
-        if ev.at() < crash_at {
-            continue;
-        }
-        let line = match ev {
-            ObsEvent::HeartbeatExpire { at, detector, peer } if peer == victim => {
-                Some((at, format!("{detector:?} declares {peer:?} failed")))
-            }
-            ObsEvent::TreeParent {
-                at,
-                node,
-                topic,
-                old,
-                new,
-            } if topic == key => Some((
-                at,
-                match old {
-                    Some(old) => format!("{node:?} re-parents {old:?} -> {new:?}"),
-                    None => format!("{node:?} attaches under {new:?}"),
-                },
-            )),
-            ObsEvent::TreeGraft {
-                at,
-                parent,
-                child,
-                topic,
-            } if topic == key => Some((at, format!("{parent:?} grafts child {child:?}"))),
-            ObsEvent::TreeLeave {
-                at,
-                parent,
-                child,
-                topic,
-            } if topic == key => Some((at, format!("{parent:?} drops child {child:?}"))),
-            ObsEvent::NotChild {
-                at,
-                node,
-                orphan,
-                topic,
-            } if topic == key => Some((at, format!("{node:?} NACKs orphan {orphan:?}"))),
-            _ => None,
-        };
-        if let Some((at, what)) = line {
-            println!("  {}  {what}", fmt_at(at, crash_at));
-        }
-    }
+    // Only the victim's failure declarations belong to this repair.
+    let about_victim =
+        |ev: &ObsEvent| !matches!(ev, ObsEvent::HeartbeatExpire { peer, .. } if *peer != victim);
+    rbay_bench::print_repair_timeline(rec.events().into_iter().filter(about_victim), crash_at, key);
     let live_holders = holders.iter().filter(|h| **h != victim).count();
     println!(
         "  => root count {:?} (live holders: {live_holders}), {} tree edges, max depth {}",

@@ -1,6 +1,7 @@
 //! Shared pieces of the real-socket deployment: node construction, the
-//! loopback address plan, and the control protocol the `cluster` harness
-//! speaks to `rbay-node` daemons.
+//! loopback address plan, the control protocol the `cluster` harness
+//! speaks to `rbay-node` daemons, and the client side of it ([`Ctrl`],
+//! [`Daemon`]).
 //!
 //! Address plan: an `n`-agent deployment packs `per` members into each
 //! daemon process; process `p` hosts the contiguous overlay addresses
@@ -16,12 +17,17 @@
 use aascript::SharedSandbox;
 use pastry::{NodeId, NodeInfo, PastryNode};
 use rbay_core::{Candidate, RbayConfig, RbayHost, RbayNode};
-use rbay_wire::{wire_enum, Resolver};
+use rbay_wire::{
+    decode_frame, encode_frame, read_frame, wire_enum, write_frame, Hello, Resolver, MAX_FRAME_LEN,
+};
 use scribe::ScribeLayer;
 use simnet::{NodeAddr, SiteId};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpStream};
+use std::process::Child;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default first TCP port of a local deployment; daemon `i` listens on
 /// `base + i`. Kept below the Linux ephemeral range (32768..61000 by
@@ -259,10 +265,74 @@ wire_enum!(CtrlMsg {
     14 => EnableFrontdoor { ttl_ms, capacity, max_pending },
 });
 
+/// One control connection to a daemon.
+// `bench/src/tcp_pack.rs` keeps its own copy until a benchmark PR may edit it.
+pub struct Ctrl {
+    stream: TcpStream,
+}
+
+impl Ctrl {
+    /// Connects (with retries until `deadline`) and performs the control
+    /// hello.
+    pub fn connect(addr: SocketAddr, deadline: Instant) -> io::Result<Ctrl> {
+        loop {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
+                Ok(mut stream) => {
+                    stream.set_nodelay(true).ok();
+                    write_frame(&mut stream, &encode_frame(&Hello::Ctrl))?;
+                    return Ok(Ctrl { stream });
+                }
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Sends one request without waiting for its answer.
+    pub fn send(&mut self, msg: &CtrlMsg) -> io::Result<()> {
+        write_frame(&mut self.stream, &encode_frame(msg))
+    }
+
+    /// Reads one control reply, failing after `timeout`.
+    pub fn recv(&mut self, timeout: Duration) -> io::Result<CtrlMsg> {
+        self.stream.set_read_timeout(Some(timeout))?;
+        let frame = read_frame(&mut self.stream, MAX_FRAME_LEN)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed ctrl"))?;
+        decode_frame::<CtrlMsg>(&frame).map_err(io::Error::other)
+    }
+
+    /// [`send`](Ctrl::send) then [`recv`](Ctrl::recv).
+    pub fn request(&mut self, msg: &CtrlMsg, timeout: Duration) -> io::Result<CtrlMsg> {
+        self.send(msg)?;
+        self.recv(timeout)
+    }
+}
+
+/// Wraps a request for one specific member in its [`CtrlMsg::To`] envelope.
+pub fn to(member: NodeAddr, msg: CtrlMsg) -> CtrlMsg {
+    CtrlMsg::To {
+        member,
+        msg: Box::new(msg),
+    }
+}
+
+/// A spawned daemon process, killed and reaped when dropped — a harness
+/// that panics or returns early must not leave daemons squatting on the
+/// port range.
+pub struct Daemon(pub Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbay_wire::{decode_frame, encode_frame};
 
     /// One value per [`CtrlMsg`] variant, in tag order, with the bytes it
     /// encoded to at the commit before the codec became declarative. Old

@@ -1,34 +1,32 @@
 //! # rbay-bench — harnesses regenerating the paper's tables and figures
 //!
-//! One binary per experiment:
-//!
-//! | Binary | Reproduces |
+//! | Binary | What it is |
 //! |---|---|
-//! | `table2` | Table II — inter-site RTT matrix |
-//! | `fig8a` | Fig. 8a — hops vs number of nodes |
-//! | `fig8b` | Fig. 8b — forwarding load balance across NodeIds |
-//! | `fig8c` | Fig. 8c — AA memory vs the PAST baseline |
-//! | `fig9` | Fig. 9 — per-user query-latency CDFs (Virginia, Singapore, São Paulo) |
-//! | `fig10` | Fig. 10 — average latency ± stddev vs number of requesting sites |
-//! | `fig11` | Fig. 11 — tree construction (onSubscribe) and command delivery (onDeliver) latency |
-//! | `ablation_central` | §II.A argument — central master load vs RBAY's decentralized trees |
-//! | `ablation_aggregation` | design ablation — aggregation interval vs root-view staleness |
-//! | `churn` | §VI future work — query success/recall/latency under node churn |
-//! | `openloop` | §IV.A arrival process — concurrent queries at a fixed rate, conflicts + backoff |
+//! | `experiments` | every table, figure and ablation of the evaluation, one subcommand each (`experiments all` runs them in sequence) |
+//! | `rbay-node` | the daemon: one process hosting one or many federation members over TCP |
+//! | `cluster` | spawns a local federation of `rbay-node` processes and verifies queries end to end |
+//! | `rbay-check` | the model checker's command line (explore, replay, shrink) |
+//! | `aalint` | static analysis of AAScript handler sources |
+//! | `trace_dump` | reconstructs tree-repair and query timelines from the observability trace |
 //!
-//! Every binary accepts `--seed <n>` and `--scale <f>` (scales node and
-//! query counts; `--scale 1` matches the defaults used in
+//! The list of experiments lives in one place, the table in
+//! `src/bin/experiments/main.rs`; `experiments` with no subcommand
+//! prints it.
+//!
+//! Every experiment accepts `--seed <n>` and `--scale <f>` (scales node
+//! and query counts; `--scale 1` matches the defaults used in
 //! `EXPERIMENTS.md`; larger scales approach the paper's full 16,000-agent
 //! setup). Output is plain aligned text, one row per plotted point.
-//!
-//! The experiment binaries additionally accept:
+//! They additionally accept:
 //!
 //! * `--seeds <n>` — repeat the experiment over `n` consecutive seeds
 //!   (`seed, seed+1, …`) via [`run_seeds`], which fans the independent
 //!   simulations out over worker threads and merges the results in seed
 //!   order, so the output is identical regardless of thread count.
-//! * `--json` — additionally append machine-readable result records to
-//!   [`BENCH_JSON_PATH`] (`BENCH_simnet.json`) in the working directory.
+//! * `--json` — additionally print each machine-readable result record
+//!   as one line on stdout beginning `{"bench":` ([`JsonRecord::emit`]).
+//!
+//! A harness judges its own gates: a run that misses one exits non-zero.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +35,7 @@ pub mod cluster;
 
 use rbay_core::{Federation, QueryId, RbayConfig, RbayEvent};
 use rbay_workloads::{populate_ec2_federation, QueryGen, ScenarioConfig, WORKLOAD_PASSWORD};
-use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime, SiteId, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -53,7 +51,7 @@ pub struct HarnessOpts {
     pub node_scale: Option<f64>,
     /// Number of consecutive seeds to run (`--seeds`), starting at `seed`.
     pub seeds: usize,
-    /// Whether to append machine-readable records to [`BENCH_JSON_PATH`].
+    /// Whether to print machine-readable records ([`JsonRecord::emit`]).
     pub json: bool,
     /// Whether to enable the structured observability event trace
     /// (`--trace`): harnesses that support it print per-event timelines.
@@ -69,9 +67,10 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--seed <n>` and `--scale <f>` from `std::env::args`.
-    /// Unknown flags abort with a usage message.
-    pub fn from_args() -> Self {
+    /// Parses the harness flags from `args` (the command line after the
+    /// program name and any subcommand). Unknown flags abort with a usage
+    /// message.
+    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
         let mut opts = HarnessOpts {
             seed: 42,
             scale: 1.0,
@@ -82,60 +81,34 @@ impl HarnessOpts {
             metrics: false,
             schedule_out: None,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    opts.seed = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs an integer"));
-                    i += 2;
-                }
-                "--scale" => {
-                    opts.scale = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a number"));
-                    i += 2;
-                }
-                "--node-scale" => {
-                    opts.node_scale = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--node-scale needs a number")),
-                    );
-                    i += 2;
-                }
+        /// The value following `flag`, or a usage error.
+        fn value<T: std::str::FromStr>(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+            needs: &str,
+        ) -> T {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| usage(&format!("{flag} needs {needs}")))
+        }
+        let mut args = args;
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--seed" => opts.seed = value(&mut args, &flag, "an integer"),
+                "--scale" => opts.scale = value(&mut args, &flag, "a number"),
+                "--node-scale" => opts.node_scale = Some(value(&mut args, &flag, "a number")),
                 "--seeds" => {
-                    opts.seeds = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| usage("--seeds needs a positive integer"));
-                    i += 2;
-                }
-                "--json" => {
-                    opts.json = true;
-                    i += 1;
-                }
-                "--trace" => {
-                    opts.trace = true;
-                    i += 1;
-                }
-                "--metrics" => {
-                    opts.metrics = true;
-                    i += 1;
+                    opts.seeds = value(&mut args, &flag, "a positive integer");
+                    if opts.seeds == 0 {
+                        usage("--seeds needs a positive integer");
+                    }
                 }
                 "--schedule-out" => {
-                    opts.schedule_out = Some(
-                        args.get(i + 1)
-                            .cloned()
-                            .unwrap_or_else(|| usage("--schedule-out needs a file path")),
-                    );
-                    i += 2;
+                    opts.schedule_out = Some(value(&mut args, &flag, "a file path"))
                 }
+                "--json" => opts.json = true,
+                "--trace" => opts.trace = true,
+                "--metrics" => opts.metrics = true,
                 other => usage(&format!("unknown flag `{other}`")),
             }
         }
@@ -160,12 +133,32 @@ impl HarnessOpts {
     }
 }
 
+/// The flags [`HarnessOpts::from_args`] understands, for usage texts.
+pub const HARNESS_FLAGS: &str = "[--seed N] [--scale F] [--node-scale F] [--seeds N] [--json] \
+                                 [--trace] [--metrics] [--schedule-out FILE]";
+
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\n\
-         usage: <bin> [--seed N] [--scale F] [--node-scale F] [--seeds N] [--json] [--trace] [--metrics] [--schedule-out FILE]"
-    );
+    eprintln!("error: {msg}\nusage: <bin> {HARNESS_FLAGS}");
     std::process::exit(2);
+}
+
+/// Parses the value after flag `argv[i]` (the daemon's and the cluster
+/// harness's flag style), exiting with status 2 when it is missing or
+/// malformed.
+pub fn flag_value<T: std::str::FromStr>(argv: &[String], i: usize) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    argv.get(i + 1)
+        .unwrap_or_else(|| {
+            eprintln!("missing value for {}", argv[i]);
+            std::process::exit(2);
+        })
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("bad value for {}: {e}", argv[i]);
+            std::process::exit(2);
+        })
 }
 
 /// Worker-thread count for [`run_seeds`]: the host's available parallelism.
@@ -212,10 +205,6 @@ where
     assert_eq!(done.len(), seeds.len(), "every seed produced a result");
     done.into_iter().map(|(_, t)| t).collect()
 }
-
-/// Where `--json` appends benchmark records (relative to the working
-/// directory).
-pub const BENCH_JSON_PATH: &str = "BENCH_simnet.json";
 
 /// A flat JSON object under construction — the environment has no `serde`,
 /// so records are rendered by hand. Keys are emitted in insertion order.
@@ -280,6 +269,12 @@ impl JsonRecord {
             .collect();
         format!("{{{}}}", body.join(", "))
     }
+
+    /// The one way a row leaves a harness: one line on stdout, beginning
+    /// `{"bench":`.
+    pub fn emit(&self) {
+        println!("{}", self.render());
+    }
 }
 
 fn json_string(s: &str) -> String {
@@ -298,32 +293,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Appends `record` to the JSON array in `path`, creating the file (as a
-/// one-element array) when missing. The file stays a valid JSON array
-/// after every append.
-pub fn append_json_record(path: &str, record: &JsonRecord) -> std::io::Result<()> {
-    let line = record.render();
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = existing.trim_end();
-    let updated = if trimmed.is_empty() {
-        format!("[\n  {line}\n]\n")
-    } else {
-        let Some(body) = trimmed.strip_suffix(']') else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{path} is not a JSON array; refusing to append"),
-            ));
-        };
-        let body = body.trim_end();
-        if body == "[" {
-            format!("[\n  {line}\n]\n")
-        } else {
-            format!("{body},\n  {line}\n]\n")
-        }
-    };
-    std::fs::write(path, updated)
 }
 
 /// Writes a `.schedule` counterexample to the `--schedule-out` path when
@@ -345,14 +314,10 @@ pub fn emit_schedule(opts: &HarnessOpts, file: &rbay_check::ScheduleFile) {
     }
 }
 
-/// Appends `record` to [`BENCH_JSON_PATH`] when `opts.json` is set,
-/// reporting (but not failing on) I/O errors.
+/// [`JsonRecord::emit`]s `record` when `opts.json` is set.
 pub fn emit_json(opts: &HarnessOpts, record: &JsonRecord) {
-    if !opts.json {
-        return;
-    }
-    if let Err(e) = append_json_record(BENCH_JSON_PATH, record) {
-        eprintln!("warning: could not write {BENCH_JSON_PATH}: {e}");
+    if opts.json {
+        record.emit();
     }
 }
 
@@ -464,50 +429,103 @@ pub fn measure_query_latencies(
     out
 }
 
-/// Collects every node's `Subscribed` latencies, grouped by site (Fig. 11
-/// onSubscribe).
-pub fn subscribe_latencies_by_site(fed: &Federation) -> Vec<Vec<f64>> {
+/// Every node's events mapped through `latency_ms`, the hits grouped by
+/// the node's site.
+fn latencies_by_site(
+    fed: &Federation,
+    latency_ms: impl Fn(&RbayEvent) -> Option<f64>,
+) -> Vec<Vec<f64>> {
     let topo = fed.sim().topology();
     let mut per_site = vec![Vec::new(); topo.site_count()];
     for i in 0..topo.node_count() as u32 {
         let n = NodeAddr(i);
         let site = topo.site_of(n).0 as usize;
-        for ev in fed.events(n) {
-            if let RbayEvent::Subscribed {
-                requested_at,
-                attached_at,
-                ..
-            } = ev
-            {
-                per_site[site].push(attached_at.saturating_since(*requested_at).as_millis_f64());
-            }
-        }
+        per_site[site].extend(fed.events(n).iter().filter_map(&latency_ms));
     }
     per_site
+}
+
+/// Collects every node's `Subscribed` latencies, grouped by site (Fig. 11
+/// onSubscribe).
+pub fn subscribe_latencies_by_site(fed: &Federation) -> Vec<Vec<f64>> {
+    latencies_by_site(fed, |ev| match ev {
+        RbayEvent::Subscribed {
+            requested_at,
+            attached_at,
+            ..
+        } => Some(attached_at.saturating_since(*requested_at).as_millis_f64()),
+        _ => None,
+    })
 }
 
 /// Collects admin-delivery latencies per site for the given command ids
 /// (Fig. 11 onDeliver).
 pub fn delivery_latencies_by_site(fed: &Federation, cmd_ids: &[u64]) -> Vec<Vec<f64>> {
-    let topo = fed.sim().topology();
-    let mut per_site = vec![Vec::new(); topo.site_count()];
-    for i in 0..topo.node_count() as u32 {
-        let n = NodeAddr(i);
-        let site = topo.site_of(n).0 as usize;
-        for ev in fed.events(n) {
-            if let RbayEvent::AdminDelivered {
-                cmd_id,
-                issued_at,
-                delivered_at,
-            } = ev
-            {
-                if cmd_ids.contains(cmd_id) {
-                    per_site[site].push(delivered_at.saturating_since(*issued_at).as_millis_f64());
-                }
-            }
+    latencies_by_site(fed, |ev| match ev {
+        RbayEvent::AdminDelivered {
+            cmd_id,
+            issued_at,
+            delivered_at,
+        } if cmd_ids.contains(cmd_id) => {
+            Some(delivered_at.saturating_since(*issued_at).as_millis_f64())
         }
+        _ => None,
+    })
+}
+
+/// Prints the repair timeline of the tree keyed `tree_key`: one line per
+/// failure declaration and per graft, leave, re-parent or orphan NACK in
+/// that tree among the `events` at or after `since`, stamped relative to
+/// it (`experiments churn --trace` and `trace_dump` both end in this).
+pub fn print_repair_timeline(
+    events: impl IntoIterator<Item = ObsEvent>,
+    since: SimTime,
+    tree_key: u128,
+) {
+    for ev in events {
+        let at = ev.at();
+        if at < since {
+            continue;
+        }
+        let what = match ev {
+            ObsEvent::HeartbeatExpire { detector, peer, .. } => {
+                format!("{detector:?} declares {peer:?} failed")
+            }
+            ObsEvent::TreeParent {
+                node,
+                topic,
+                old,
+                new,
+                ..
+            } if topic == tree_key => match old {
+                Some(old) => format!("{node:?} re-parents {old:?} -> {new:?}"),
+                None => format!("{node:?} attaches under {new:?}"),
+            },
+            ObsEvent::TreeGraft {
+                parent,
+                child,
+                topic,
+                ..
+            } if topic == tree_key => format!("{parent:?} grafts child {child:?}"),
+            ObsEvent::TreeLeave {
+                parent,
+                child,
+                topic,
+                ..
+            } if topic == tree_key => format!("{parent:?} drops child {child:?}"),
+            ObsEvent::NotChild {
+                node,
+                orphan,
+                topic,
+                ..
+            } if topic == tree_key => format!("{node:?} NACKs orphan {orphan:?}"),
+            _ => continue,
+        };
+        println!(
+            "  +{:>8.1} ms  {what}",
+            at.saturating_since(since).as_millis_f64()
+        );
     }
-    per_site
 }
 
 /// Prints a labelled CDF line: selected percentiles of a sample.
@@ -621,35 +639,23 @@ mod tests {
 
     #[test]
     fn num_opt_omits_non_finite_fields() {
-        let rec = JsonRecord::new("churn")
+        let rec = JsonRecord::new("sweep")
             .num_opt("present", 1.5)
             .num_opt("absent", f64::NAN)
             .num_opt("also_absent", f64::INFINITY);
-        assert_eq!(rec.render(), r#"{"bench": "churn", "present": 1.5}"#);
+        assert_eq!(rec.render(), r#"{"bench": "sweep", "present": 1.5}"#);
     }
 
     #[test]
-    fn json_records_render_and_append() {
-        let rec = JsonRecord::new("fig8a")
+    fn json_records_render_on_one_line() {
+        let rec = JsonRecord::new("hops")
             .int("nodes", 1000)
             .num("avg_hops", 2.5)
             .num("bad", f64::NAN)
             .text("note", "a \"quoted\" value");
         assert_eq!(
             rec.render(),
-            r#"{"bench": "fig8a", "nodes": 1000, "avg_hops": 2.5, "bad": null, "note": "a \"quoted\" value"}"#
+            r#"{"bench": "hops", "nodes": 1000, "avg_hops": 2.5, "bad": null, "note": "a \"quoted\" value"}"#
         );
-
-        let path = std::env::temp_dir().join(format!("rbay_bench_json_{}", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-        append_json_record(path, &rec).unwrap();
-        append_json_record(path, &JsonRecord::new("fig9").int("seeds", 3)).unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        std::fs::remove_file(path).unwrap();
-        assert!(body.starts_with("[\n"), "{body}");
-        assert!(body.trim_end().ends_with(']'), "{body}");
-        assert_eq!(body.matches("\"bench\"").count(), 2, "{body}");
-        assert!(body.contains("},\n"), "records comma-separated: {body}");
     }
 }

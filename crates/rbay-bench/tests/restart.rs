@@ -5,24 +5,20 @@
 //! guard re-installed without any operator re-installation, and the
 //! pre-kill commit still on the ledger.
 
-use rbay_bench::cluster::{proc_sock, CtrlMsg};
-use rbay_wire::{decode_frame, encode_frame, read_frame, write_frame, Hello, MAX_FRAME_LEN};
+use rbay_bench::cluster::{proc_sock, to, Ctrl, CtrlMsg, Daemon};
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
-use std::io;
-use std::net::TcpStream;
-use std::process::{Child, Command};
+use simnet::NodeAddr;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// Test-local port block, away from the cluster harness default.
 const BASE_PORT: u16 = 24_917;
+/// How long one control reply may take.
+const REPLY: Duration = Duration::from_secs(30);
 
-struct Daemon {
-    child: Child,
-}
-
-impl Daemon {
-    fn spawn(data_dir: &std::path::Path) -> Daemon {
-        let child = Command::new(env!("CARGO_BIN_EXE_rbay-node"))
+fn spawn(data_dir: &std::path::Path) -> Daemon {
+    Daemon(
+        Command::new(env!("CARGO_BIN_EXE_rbay-node"))
             .args(["--index", "0", "--agents", "2", "--agents-per-proc", "2"])
             .args(["--base-port", &BASE_PORT.to_string()])
             .args(["--tick-ms", "50"])
@@ -30,59 +26,16 @@ impl Daemon {
             .arg(data_dir)
             .args(["--fsync", "never"])
             .spawn()
-            .expect("spawn rbay-node");
-        Daemon { child }
-    }
+            .expect("spawn rbay-node"),
+    )
 }
 
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Ctrl {
-    stream: TcpStream,
-}
-
-impl Ctrl {
-    fn connect() -> Ctrl {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match TcpStream::connect_timeout(&proc_sock(BASE_PORT, 0), Duration::from_millis(500)) {
-                Ok(mut stream) => {
-                    stream.set_nodelay(true).ok();
-                    write_frame(&mut stream, &encode_frame(&Hello::Ctrl)).expect("hello");
-                    return Ctrl { stream };
-                }
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "ctrl connect: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
-    }
-
-    fn request(&mut self, msg: &CtrlMsg) -> io::Result<CtrlMsg> {
-        write_frame(&mut self.stream, &encode_frame(msg))?;
-        self.stream
-            .set_read_timeout(Some(Duration::from_secs(30)))?;
-        let frame = read_frame(&mut self.stream, MAX_FRAME_LEN)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed ctrl"))?;
-        decode_frame::<CtrlMsg>(&frame).map_err(io::Error::other)
-    }
-
-    fn send(&mut self, msg: &CtrlMsg) -> io::Result<()> {
-        write_frame(&mut self.stream, &encode_frame(msg))
-    }
-}
-
-fn to(member: u32, msg: CtrlMsg) -> CtrlMsg {
-    CtrlMsg::To {
-        member: simnet::NodeAddr(member),
-        msg: Box::new(msg),
-    }
+fn connect() -> Ctrl {
+    Ctrl::connect(
+        proc_sock(BASE_PORT, 0),
+        Instant::now() + Duration::from_secs(20),
+    )
+    .expect("ctrl connect")
 }
 
 /// Polls `check` until it returns true or the deadline hits.
@@ -97,7 +50,7 @@ fn wait_for(what: &str, mut check: impl FnMut() -> bool) {
 fn wait_joined(ctrl: &mut Ctrl) {
     wait_for("both members joined", || {
         matches!(
-            ctrl.request(&CtrlMsg::ProcStatus),
+            ctrl.request(&CtrlMsg::ProcStatus, REPLY),
             Ok(CtrlMsg::ProcStatusReply { joined: 2, .. })
         )
     });
@@ -106,13 +59,16 @@ fn wait_joined(ctrl: &mut Ctrl) {
 /// Issues a query from member 1 and returns `(satisfied, result count)`.
 fn query(ctrl: &mut Ctrl, password: Option<&str>) -> (bool, usize) {
     let reply = ctrl
-        .request(&to(
-            1,
-            CtrlMsg::IssueQuery {
-                zql: "SELECT 1 FROM * WHERE GPU = true".into(),
-                password: password.map(str::to_owned),
-            },
-        ))
+        .request(
+            &to(
+                NodeAddr(1),
+                CtrlMsg::IssueQuery {
+                    zql: "SELECT 1 FROM * WHERE GPU = true".into(),
+                    password: password.map(str::to_owned),
+                },
+            ),
+            REPLY,
+        )
         .expect("query reply");
     match reply {
         CtrlMsg::QueryDone {
@@ -130,20 +86,26 @@ fn killed_daemon_recovers_state_and_answers_queries() {
 
     // Boot, provision member 0 (the pack's first member: bare requests
     // target it), and commit one query's reservation on it.
-    let mut daemon = Daemon::spawn(&data_dir);
-    let mut ctrl = Ctrl::connect();
+    let mut daemon = spawn(&data_dir);
+    let mut ctrl = connect();
     wait_joined(&mut ctrl);
     assert!(matches!(
-        ctrl.request(&CtrlMsg::InstallNodeAa {
-            src: password_aa_script(),
-        }),
+        ctrl.request(
+            &CtrlMsg::InstallNodeAa {
+                src: password_aa_script(),
+            },
+            REPLY
+        ),
         Ok(CtrlMsg::Ok)
     ));
     assert!(matches!(
-        ctrl.request(&CtrlMsg::Post {
-            attr: "GPU".into(),
-            value: rbay_query::AttrValue::Bool(true),
-        }),
+        ctrl.request(
+            &CtrlMsg::Post {
+                attr: "GPU".into(),
+                value: rbay_query::AttrValue::Bool(true),
+            },
+            REPLY
+        ),
         Ok(CtrlMsg::Ok)
     ));
     // One satisfied query; its commit (raced by the QueryDone ack) must
@@ -154,33 +116,33 @@ fn killed_daemon_recovers_state_and_answers_queries() {
     });
     wait_for("commit landed", || {
         matches!(
-            ctrl.request(&CtrlMsg::Status),
+            ctrl.request(&CtrlMsg::Status, REPLY),
             Ok(CtrlMsg::StatusReply { committed: 1, .. })
         )
     });
 
     // SIGKILL mid-load: a query is in flight when the process dies.
     ctrl.send(&to(
-        1,
+        NodeAddr(1),
         CtrlMsg::IssueQuery {
             zql: "SELECT 1 FROM * WHERE GPU = true".into(),
             password: Some(WORKLOAD_PASSWORD.into()),
         },
     ))
     .expect("in-flight query");
-    daemon.child.kill().expect("kill daemon");
-    let _ = daemon.child.wait();
+    daemon.0.kill().expect("kill daemon");
+    let _ = daemon.0.wait();
     drop(ctrl);
 
     // Restart on the same data dir. No re-post, no re-install.
-    daemon = Daemon::spawn(&data_dir);
-    let mut ctrl = Ctrl::connect();
+    daemon = spawn(&data_dir);
+    let mut ctrl = connect();
     wait_joined(&mut ctrl);
 
     // The WAL replayed: the pre-kill commit survives the kill.
     wait_for("replay visible in proc status", || {
         matches!(
-            ctrl.request(&CtrlMsg::ProcStatus),
+            ctrl.request(&CtrlMsg::ProcStatus, REPLY),
             Ok(CtrlMsg::ProcStatusReply { committed: 1, store, .. })
                 if store.replay_records > 0
         )
@@ -196,7 +158,10 @@ fn killed_daemon_recovers_state_and_answers_queries() {
     );
     // The committed reservation is re-held after restart, so release it
     // before expecting fresh inventory.
-    assert!(matches!(ctrl.request(&CtrlMsg::Release), Ok(CtrlMsg::Ok)));
+    assert!(matches!(
+        ctrl.request(&CtrlMsg::Release, REPLY),
+        Ok(CtrlMsg::Ok)
+    ));
     wait_for("post-restart query satisfied", || {
         query(&mut ctrl, Some(WORKLOAD_PASSWORD)) == (true, 1)
     });

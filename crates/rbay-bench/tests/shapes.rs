@@ -194,3 +194,49 @@ fn ablation_shape_central_master_is_the_bottleneck() {
         "master bytes must grow ~linearly: {small} -> {large}"
     );
 }
+
+/// The names in the `experiments` table, read off the usage text an
+/// unknown subcommand prints (which must exit 2).
+fn experiment_table() -> Vec<String> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("no-such-experiment")
+        .output()
+        .expect("run experiments");
+    assert_eq!(out.status.code(), Some(2), "unknown subcommand exits 2");
+    let usage = String::from_utf8(out.stderr).expect("utf-8 usage");
+    assert!(usage.contains("usage: experiments <name|all>"), "{usage}");
+    usage
+        .lines()
+        .skip_while(|l| *l != "experiments:")
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
+        .collect()
+}
+
+/// The whole evaluation runs end to end at small scale, every gate met:
+/// `all` covers every entry of the table — the front-door and AA-engine
+/// experiments included.
+#[test]
+fn every_experiment_runs_at_small_scale() {
+    let table = experiment_table();
+    assert!(table.len() >= 13, "usage lists the table: {table:?}");
+    for name in ["frontdoor", "aa_exec"] {
+        assert!(table.iter().any(|t| t == name), "{name} missing: {table:?}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["all", "--scale", "0.1", "--seed", "42"])
+        .output()
+        .expect("run experiments");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(
+        out.status.success(),
+        "exit {:?}\n{stdout}\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for name in &table {
+        let banner = format!("==== {name} ====");
+        assert_eq!(stdout.matches(&banner).count(), 1, "one banner for {name}");
+    }
+    assert!(stdout.contains(&format!("all {} experiments completed", table.len())));
+}

@@ -18,6 +18,11 @@ use simnet::{NodeAddr, SimDuration, SiteId};
 use std::cmp::Ordering;
 use std::rc::Rc;
 
+/// Base slot for the truncated exponential backoff on conflicts.
+const BACKOFF_SLOT: SimDuration = SimDuration::from_millis(100);
+/// Maximum query attempts before reporting a partial result.
+const MAX_ATTEMPTS: u32 = 5;
+
 /// Orders two optional sort keys: present before absent, then by
 /// [`AttrValue::cmp_total`] — an explicit total order (NaN sorts last,
 /// kinds rank `Bool < Num < Str`), so the result of a GROUPBY sort does
@@ -291,7 +296,7 @@ impl RbayHost {
     /// timeout fired. With `k` found: settle the best `k` (commit, or give
     /// back when commits are off), give back the rest, complete. Short of
     /// `k`: give everything back and count the attempt, then complete with
-    /// the partial result at `max_attempts`, else go again — at once after
+    /// the partial result at [`MAX_ATTEMPTS`], else go again — at once after
     /// a timeout (the wait is already served; a silent or mid-repair site
     /// should not end the query, and the retry rotates to the site's next
     /// gateway and re-anycasts along the healed route), after a truncated
@@ -331,7 +336,7 @@ impl RbayHost {
         rec.attempts += 1;
         let attempts = rec.attempts;
         self.give_back(query_id, &found);
-        if attempts >= self.cfg.max_attempts {
+        if attempts >= MAX_ATTEMPTS {
             self.complete_query(query_id, found);
         } else if timed_out {
             self.start_attempt(query_id);
@@ -344,7 +349,7 @@ impl RbayHost {
                 .rotate_left(17);
             let slots = h % (1u64 << attempts.min(16));
             self.ops.push_back(Op::Timer {
-                delay: self.cfg.backoff_slot.saturating_mul(slots.max(1)),
+                delay: BACKOFF_SLOT.saturating_mul(slots.max(1)),
                 token: query_timer_token(query_id, attempts, TIMER_KIND_RETRY),
             });
         }
@@ -609,7 +614,7 @@ mod tests {
         let id = h.issue_query(q, None);
         drain_ops(&mut h);
         h.record_probe(id, 0, SiteId(0), None, false);
-        // With max_attempts retries exhausted only after several rounds;
+        // With MAX_ATTEMPTS retries exhausted only after several rounds;
         // here no tree exists so the site contributes nothing and the
         // attempt finalizes unsatisfied → backoff timer queued.
         let rec = &h.queries[&id];
@@ -675,13 +680,13 @@ mod tests {
         let mut h = host_with_sites(1);
         let q = parse_query("SELECT 5 FROM * WHERE a = 1").unwrap();
         let id = h.issue_query(q, None);
-        for round in 1..=h.cfg.max_attempts {
+        for round in 1..=MAX_ATTEMPTS {
             drain_ops(&mut h);
             h.record_probe(id, 0, SiteId(0), Some(2), true);
             drain_ops(&mut h);
             h.record_site_result(id, SiteId(0), vec![cand(9, None)], true);
             let rec = &h.queries[&id];
-            if round < h.cfg.max_attempts {
+            if round < MAX_ATTEMPTS {
                 assert!(rec.completed_at.is_none(), "round {round} should retry");
                 assert_eq!(rec.attempts, round);
                 // The retry timer is armed; simulate its firing.

@@ -20,19 +20,10 @@ use simnet::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RbayConfig {
-    /// How long a reservation holds before expiring un-committed
-    /// (the paper's "short time window").
-    pub reserve_ttl: SimDuration,
     /// Give up waiting for probe/search answers after this long.
     pub query_timeout: SimDuration,
-    /// Base slot for the truncated exponential backoff on conflicts.
-    pub backoff_slot: SimDuration,
-    /// Maximum query attempts before reporting a partial result.
-    pub max_attempts: u32,
     /// Instruction budget per AA handler invocation.
     pub aa_budget: u64,
-    /// Name under which RBAY trees are created (the "creator" of TreeIds).
-    pub creator: String,
     /// Whether satisfied queries commit their chosen nodes (step 5). The
     /// latency experiments turn this off so repeated measurement queries
     /// do not exhaust the inventory ("if the customer decides not to take
@@ -157,12 +148,8 @@ impl From<aascript::RuntimeError> for InstallError {
 impl Default for RbayConfig {
     fn default() -> Self {
         RbayConfig {
-            reserve_ttl: SimDuration::from_millis(2_000),
             query_timeout: SimDuration::from_millis(5_000),
-            backoff_slot: SimDuration::from_millis(100),
-            max_attempts: 5,
             aa_budget: 10_000,
-            creator: "rbay".to_owned(),
             commit_results: true,
             site_isolation: true,
             failure_detection: false,

@@ -41,6 +41,9 @@ use std::rc::Rc;
 /// invalidations (gateways subscribe on [`RbayHost::enable_frontdoor`]).
 pub const FRONTDOOR_TREE: &str = "__frontdoor";
 
+/// Name under which RBAY trees are created (the "creator" of TreeIds).
+const CREATOR: &str = "rbay";
+
 /// A deferred operation queued by host callbacks and executed by the actor.
 #[derive(Debug)]
 pub enum Op {
@@ -257,7 +260,7 @@ impl RbayHost {
 
     /// The scoped topic of the `attr=value` tree in `site`.
     pub fn tree_topic(&self, tree_name: &str, site: SiteId) -> TopicId {
-        TopicId::scoped(tree_name, &self.cfg.creator, site)
+        TopicId::scoped(tree_name, CREATOR, site)
     }
 
     /// This node's overlay identity (carried in heartbeat messages).

@@ -7,6 +7,10 @@ use rbay_store::WalRecord;
 use scribe::Visit;
 use simnet::SimDuration;
 
+/// How long a reservation holds before expiring un-committed (the paper's
+/// "short time window").
+const RESERVE_TTL: SimDuration = SimDuration::from_millis(2_000);
+
 impl RbayHost {
     /// Whether this node currently holds an un-expired reservation for a
     /// different query.
@@ -51,7 +55,7 @@ impl RbayHost {
         // A walk of the query that already holds this node extends the
         // hold, never shortens it: a late duplicate walk must not cut a
         // committed hold back to the reserve TTL.
-        let fresh = self.now + self.cfg.reserve_ttl;
+        let fresh = self.now + RESERVE_TTL;
         let until = match self.reservation {
             Some((by, held)) if by == state.query_id => held.max(fresh),
             _ => fresh,

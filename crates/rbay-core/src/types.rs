@@ -246,7 +246,7 @@ pub struct QueryRecord {
     /// (sent `Commit`, never `Release`) when
     /// [`RbayConfig::commit_results`](crate::RbayConfig::commit_results)
     /// is on, found and given back when it is off. For a query that gave
-    /// up after `max_attempts`, the partial result: listed, not held.
+    /// up after `MAX_ATTEMPTS` (5), the partial result: listed, not held.
     pub result: Vec<Candidate>,
     /// Whether `k` candidates were found — and, with commits on,
     /// committed.
