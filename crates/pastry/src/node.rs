@@ -193,6 +193,10 @@ pub struct PastryNode {
     /// [`PastryNode::insert_peer`] refuses a buried peer until the
     /// embedding node has proof of life and calls [`PastryNode::revive`].
     buried: BTreeSet<NodeAddr>,
+    /// The next hops this node sent a [`PastryMsg::Route`] through since
+    /// the embedding node last forgot them
+    /// ([`PastryNode::forget_used_hops`]), each once.
+    used_hops: Vec<NodeAddr>,
 }
 
 impl PastryNode {
@@ -210,6 +214,7 @@ impl PastryNode {
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
+            used_hops: Vec::new(),
         }
     }
 
@@ -434,18 +439,46 @@ impl PastryNode {
                 });
                 app.deliver(self, net, key, payload, 0);
             }
-            Some(next) => {
-                net.send(
-                    next.addr,
-                    PastryMsg::Route {
-                        key,
-                        payload,
-                        hops: 1,
-                        scope,
-                    },
-                );
-            }
+            Some(next) => self.send_routed(net, next.addr, key, payload, 1, scope),
         }
+    }
+
+    /// Sends a routed message on to `next` — the one place a
+    /// [`PastryMsg::Route`] leaves a node, at its origin or at a forwarding
+    /// hop — and notes `next` as a hop this node leaned on. A routing-table
+    /// entry is not pinged every round, so the embedding node's failure
+    /// detector verifies it when it is used ([`PastryNode::used_hops`]).
+    pub fn send_routed<A, N: Net<A>>(
+        &mut self,
+        net: &mut N,
+        next: NodeAddr,
+        key: NodeId,
+        payload: A,
+        hops: u16,
+        scope: Option<SiteId>,
+    ) {
+        if !self.used_hops.contains(&next) {
+            self.used_hops.push(next);
+        }
+        let msg = PastryMsg::Route {
+            key,
+            payload,
+            hops,
+            scope,
+        };
+        net.send(next, msg);
+    }
+
+    /// The next hops routed through since
+    /// [`PastryNode::forget_used_hops`], each once — so on a node nobody
+    /// asks the list cannot outgrow the overlay.
+    pub fn used_hops(&self) -> &[NodeAddr] {
+        &self.used_hops
+    }
+
+    /// Empties [`PastryNode::used_hops`].
+    pub fn forget_used_hops(&mut self) {
+        self.used_hops.clear();
     }
 
     /// Sends an unrouted application message straight to `to`.
@@ -509,15 +542,7 @@ impl PastryNode {
                         hops,
                     });
                     if let Some(payload) = app.forward(self, net, key, payload, &next) {
-                        net.send(
-                            next.addr,
-                            PastryMsg::Route {
-                                key,
-                                payload,
-                                hops: hops + 1,
-                                scope,
-                            },
-                        );
+                        self.send_routed(net, next.addr, key, payload, hops + 1, scope);
                     }
                 }
             },

@@ -11,8 +11,9 @@
 //!
 //! The sweep judges itself ([`gate`]): it fails on an invariant
 //! violation, on a success rate under the floor at 10 % or 20 % churn,
-//! and — with `--metrics` — on a false-positive failure declaration or a
-//! level that recorded no observability events.
+//! and — with `--metrics` — on a false-positive failure declaration, a
+//! level that recorded no observability events, or a heartbeat budget
+//! that grew back (pings per node and round with nobody crashing).
 
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -38,6 +39,9 @@ struct ObsOutcome {
     converge_rounds: f64,
     /// Structured events held in the recorder at the end of the run.
     events: u64,
+    /// Heartbeat pings sent (`hb_send`: every-round, slow-cadence and
+    /// on-use) per live node and maintenance round.
+    hb_per_node_round: f64,
 }
 
 /// What [`gate`] judges of one churn level, merged over its seeds.
@@ -48,6 +52,8 @@ struct LevelRow {
     false_positives: u64,
     /// Observability events recorded (`--metrics` only).
     obs_events: u64,
+    /// Heartbeat pings per live node and round (`--metrics` only).
+    hb_per_node_round: f64,
     /// A protocol-invariant violation some seed's run ended with.
     violation: Option<String>,
 }
@@ -64,6 +70,14 @@ fn success_floor(churn_frac: f64) -> f64 {
         0.0
     }
 }
+
+/// Most heartbeat pings a node may send per round while nobody crashes:
+/// its leaf sets (16) and tree neighbours every round, an eighth of the
+/// rest of its routing table, the odd ping on use. Measured 17.1 at 30
+/// nodes and 18.3 at 120, the sizes this sweep runs at; every known peer
+/// every round — what the budget replaced — was 22.2 and 30.1, so the
+/// ceiling sits between the two at either size.
+const HB_PER_NODE_ROUND_CEILING: f64 = 20.0;
 
 /// The sweep's verdict. The sweep never injects link loss, so with
 /// `metrics` any false-positive failure declaration is a regression, as
@@ -89,6 +103,12 @@ fn gate(rows: &[LevelRow], metrics: bool) -> Result<(), String> {
         }
         if metrics && r.obs_events == 0 {
             return Err(format!("no observability events recorded {at}"));
+        }
+        if metrics && r.churn_frac == 0.0 && r.hb_per_node_round > HB_PER_NODE_ROUND_CEILING {
+            return Err(format!(
+                "{:.1} heartbeat pings per node and round {at}, over the budget of {HB_PER_NODE_ROUND_CEILING}",
+                r.hb_per_node_round
+            ));
         }
     }
     Ok(())
@@ -221,6 +241,12 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
                 }
             }
         }
+        // A crashed node's round counter stopped with it, so the sum is
+        // the rounds live nodes ran.
+        let node_rounds: u64 = (st.fed.sim().actors())
+            .map(|(_, a)| a.host.heartbeat_rounds())
+            .sum();
+        let snap = rec.snapshot();
         let det: Vec<f64> = first_detect
             .iter()
             .map(|(p, &d)| d.saturating_since(fail_at[p]).as_millis_f64())
@@ -229,7 +255,8 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
             fd_latency_ms: stats(&det).map(|s| s.mean).unwrap_or(f64::NAN),
             false_positives,
             converge_rounds: converge_rounds_sum / converge_epochs.max(1) as f64,
-            events: rec.snapshot().events_recorded,
+            events: snap.events_recorded,
+            hb_per_node_round: snap.count("hb_send") as f64 / node_rounds.max(1) as f64,
         }
     });
 
@@ -416,7 +443,7 @@ pub fn run(opts: &HarnessOpts) {
             .num("success_rate", success)
             .num("recall", recall)
             .num_opt("avg_latency_ms", avg_latency);
-        let (mut false_positives, mut obs_events) = (0, 0);
+        let (mut false_positives, mut obs_events, mut hb_per_node_round) = (0, 0, 0.0);
         if opts.metrics {
             let m: Vec<&ObsOutcome> = outcomes.iter().filter_map(|o| o.obs.as_ref()).collect();
             let det: Vec<f64> = m
@@ -429,15 +456,18 @@ pub fn run(opts: &HarnessOpts) {
             let converge =
                 m.iter().map(|o| o.converge_rounds).sum::<f64>() / (m.len().max(1)) as f64;
             obs_events = m.iter().map(|o| o.events).sum();
+            hb_per_node_round =
+                m.iter().map(|o| o.hb_per_node_round).sum::<f64>() / (m.len().max(1)) as f64;
             println!(
-                "{:>12} fd-lat {:>7.1} ms   false-pos {:>3}   converge {:>4.2} rounds   {:>8} events",
-                "", fd_latency, false_positives, converge, obs_events
+                "{:>12} fd-lat {:>7.1} ms   false-pos {:>3}   converge {:>4.2} rounds   {:>8} events   {:>5.1} pings/node/round",
+                "", fd_latency, false_positives, converge, obs_events, hb_per_node_round
             );
             record = record
                 .num_opt("fd_latency_ms", fd_latency)
                 .int("false_positives", false_positives)
                 .num("agg_converge_rounds", converge)
-                .int("obs_events", obs_events);
+                .int("obs_events", obs_events)
+                .num("hb_per_node_round", hb_per_node_round);
         }
         emit_json(opts, &record);
         rows.push(LevelRow {
@@ -445,6 +475,7 @@ pub fn run(opts: &HarnessOpts) {
             success_rate: success,
             false_positives,
             obs_events,
+            hb_per_node_round,
             violation,
         });
     }
@@ -488,6 +519,7 @@ mod tests {
             success_rate,
             false_positives: 0,
             obs_events: 1,
+            hb_per_node_round: 18.0,
             violation: None,
         }
     }
@@ -533,5 +565,14 @@ mod tests {
             ..row(0.05, 1.0)
         };
         assert!(gate(&[silent], true).is_err());
+        // The heartbeat budget is judged where nobody crashes: repair
+        // traffic at the other levels is not the budget growing back.
+        let chatty = |churn_frac| LevelRow {
+            hb_per_node_round: 42.3,
+            ..row(churn_frac, 1.0)
+        };
+        assert!(gate(&[chatty(0.0)], true).is_err());
+        assert_eq!(gate(&[chatty(0.0)], false), Ok(()));
+        assert_eq!(gate(&[chatty(0.05)], true), Ok(()));
     }
 }

@@ -11,7 +11,8 @@
 //!   store drains: nothing is in flight, every scheduled maintenance
 //!   round has run, so the tree must be fully consistent — single live
 //!   root, no root with a parent, attachment symmetry, exact aggregate,
-//!   symmetric peer sets, and every committed query completed.
+//!   no long-dead peer kept, symmetric peer sets, and every committed
+//!   query completed.
 //!
 //! False-positive discipline: the scenarios bound fault injection to an
 //! early horizon (see [`crate::scenario`]) and schedule enough
@@ -19,9 +20,9 @@
 //! before the quiescence check — a violation therefore indicts the
 //! protocol, not the harness.
 
-use rbay_core::Federation;
+use rbay_core::{Federation, SLOW_PROBE_PERIOD};
 use scribe::TopicId;
-use simnet::NodeAddr;
+use simnet::{NodeAddr, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -48,6 +49,9 @@ pub struct InvariantCtx {
     /// window; only a mutant (or a dropped Leave, which the fault horizon
     /// rules out) lets the state outlive the grace window.
     pub dual_grace: usize,
+    /// Interval between the scenario's maintenance rounds (sets how many
+    /// rounds a heartbeat takes to expire).
+    pub round: SimDuration,
 }
 
 impl InvariantCtx {
@@ -61,6 +65,7 @@ impl InvariantCtx {
             check_peer_symmetry: true,
             strict_recall: false,
             dual_grace: 48,
+            round: SimDuration::from_millis(250),
         }
     }
 }
@@ -119,6 +124,18 @@ pub enum Violation {
         suspecter: NodeAddr,
         /// The live peer it buried.
         peer: NodeAddr,
+    },
+    /// With failure detection on, a live node still keeps — in a leaf set,
+    /// as a tree neighbour, or in a routing table — a peer that crashed
+    /// more heartbeat rounds ago than the detector's budget allows (every
+    /// round for the first two, the slow cadence for the third).
+    KeptCorpse {
+        /// The node holding the stale entry.
+        holder: NodeAddr,
+        /// The crashed peer it keeps.
+        corpse: NodeAddr,
+        /// Heartbeat rounds the holder has run since the crash.
+        rounds: u64,
     },
     /// Leaf-set membership is asymmetric between two live nodes after
     /// gossip convergence.
@@ -199,6 +216,7 @@ impl Violation {
             Violation::DetachedAttachment { .. } => "detached-attachment",
             Violation::OrphanedSubscriber { .. } => "orphaned-subscriber",
             Violation::EvictedLivePeer { .. } => "evicted-live-peer",
+            Violation::KeptCorpse { .. } => "kept-corpse",
             Violation::AsymmetricPeers { .. } => "asymmetric-peers",
             Violation::AggregateMismatch { .. } => "aggregate-mismatch",
             Violation::LostQuery { .. } => "lost-query",
@@ -233,6 +251,16 @@ impl fmt::Display for Violation {
             }
             Violation::EvictedLivePeer { suspecter, peer } => {
                 write!(f, "{suspecter:?} still declares live {peer:?} failed")
+            }
+            Violation::KeptCorpse {
+                holder,
+                corpse,
+                rounds,
+            } => {
+                write!(
+                    f,
+                    "{holder:?} still keeps {corpse:?}, crashed {rounds} heartbeat rounds ago"
+                )
             }
             Violation::AsymmetricPeers { a, b } => {
                 write!(f, "{b:?} lists {a:?} but not vice versa")
@@ -297,6 +325,49 @@ fn attachment_map(fed: &Federation, topic: TopicId) -> BTreeMap<NodeAddr, Vec<No
         }
     }
     map
+}
+
+/// The failure detector's contract, in heartbeat rounds since a peer
+/// crashed (rounds reach all live nodes together and a crashed node runs
+/// none, so the two counters' difference is exact; wall time is not,
+/// because scenarios let time pass without maintenance). With `e` the
+/// rounds a ping takes to expire: a leaf-set member or tree neighbour is
+/// pinged at the first round after the crash — the second, if a message
+/// it sent before crashing arrived in between — and declared `e` rounds
+/// later; any other routing-table entry is pinged within
+/// [`SLOW_PROBE_PERIOD`] rounds. Both limits are doubled: a node that did
+/// not know the peer can still learn it (a leaf-set or row reply) from
+/// one that has not declared it yet, and then runs the same course.
+fn kept_corpse(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation> {
+    let timeout = fed.config().heartbeat_timeout;
+    let expiry = timeout.as_micros() / ctx.round.as_micros().max(1) + 1;
+    let hot_limit = 2 * (2 + expiry);
+    let cold_limit = 2 * (SLOW_PROBE_PERIOD + 1 + expiry);
+    for n in live_nodes(fed) {
+        let node = fed.node(n);
+        let hot = node.hot_peers();
+        let known = node.pastry.known_peers();
+        for corpse in (hot.iter().copied()).chain(known.iter().map(|e| e.addr)) {
+            if live(fed, corpse) {
+                continue;
+            }
+            let gone = fed.node(corpse).host.heartbeat_rounds();
+            let rounds = node.host.heartbeat_rounds().saturating_sub(gone);
+            let limit = if hot.binary_search(&corpse).is_ok() {
+                hot_limit
+            } else {
+                cold_limit
+            };
+            if rounds > limit {
+                return Some(Violation::KeptCorpse {
+                    holder: n,
+                    corpse,
+                    rounds,
+                });
+            }
+        }
+    }
+    None
 }
 
 /// Per-run step-invariant state: sanity conditions plus the
@@ -471,6 +542,13 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
                     peer: p,
                 });
             }
+        }
+    }
+
+    // No corpse kept past the heartbeat budget.
+    if fed.config().failure_detection {
+        if let Some(v) = kept_corpse(fed, ctx) {
+            return Some(v);
         }
     }
 

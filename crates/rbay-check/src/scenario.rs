@@ -179,7 +179,8 @@ impl CheckSpec {
         // Exploration takes over: rounds and the query land in the event
         // store instead of executing.
         fed.sim_mut().enable_exploration();
-        fed.schedule_maintenance(self.rounds, SimDuration::from_millis(500));
+        let round = SimDuration::from_millis(500);
+        fed.schedule_maintenance(self.rounds, round);
         let origin = NodeAddr(0);
         let query = fed
             .issue_query(origin, "SELECT 1 FROM * WHERE GPU = true", None)
@@ -194,6 +195,7 @@ impl CheckSpec {
         };
         let mut ctx = InvariantCtx::new(topic, holders);
         ctx.strict_recall = self.strict_recall;
+        ctx.round = round;
         Prepared {
             fed,
             ctx,

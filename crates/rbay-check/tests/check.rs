@@ -28,13 +28,21 @@ fn correct_code_has_no_violations_in_bounded_exploration() {
 
 #[test]
 fn correct_code_survives_random_walks() {
-    let spec = CheckSpec::subscribe_fail_repair(4, 11);
-    let report = explore_random(&spec, 40, 0.02);
-    assert!(
-        report.violations.is_empty(),
-        "false positive on correct code: {:?}",
-        report.violations[0].violation
-    );
+    // The second spec is the mutation suite's search (`mutation.rs`): what
+    // finds the four mutants must stay silent without them.
+    let mut heavy_loss = CheckSpec::subscribe_fail_repair(3, 7);
+    heavy_loss.max_drops = 6;
+    for (spec, walks, p_fault) in [
+        (CheckSpec::subscribe_fail_repair(4, 11), 40, 0.02),
+        (heavy_loss, 400, 0.3),
+    ] {
+        let report = explore_random(&spec, walks, p_fault);
+        assert!(
+            report.violations.is_empty(),
+            "false positive on correct code: {:?}",
+            report.violations[0].violation
+        );
+    }
 }
 
 #[test]
@@ -156,4 +164,56 @@ fn a_query_satisfied_at_its_timeout_holds_its_result() {
     let topic = fed.node(holder).host.tree_topic("GPU=true", SiteId(0));
     let violation = check_quiescent(&fed, &InvariantCtx::new(topic, vec![holder]));
     assert!(violation.is_none(), "{}", violation.unwrap());
+}
+
+/// `kept-corpse`: once the detector's budget of rounds has passed, no
+/// live node holds a crashed peer — and one that does (here: taught the
+/// corpse again behind the detector's back) is reported.
+#[test]
+fn a_corpse_kept_past_the_heartbeat_budget_is_a_violation() {
+    use rbay_check::invariants::{check_quiescent, InvariantCtx};
+    use rbay_check::Violation;
+    use rbay_core::{Federation, NetAdapter, RbayConfig, SimTransport};
+    use rbay_query::AttrValue;
+    use simnet::{NodeAddr, SimDuration, SimTime, SiteId, Topology};
+
+    let cfg = RbayConfig {
+        failure_detection: true,
+        heartbeat_timeout: SimDuration::from_millis(400),
+        ..RbayConfig::default()
+    };
+    let mut fed = Federation::with_config(Topology::single_site(6, 0.5), 7, cfg);
+    let holders: Vec<NodeAddr> = (1..6).map(NodeAddr).collect();
+    for &h in &holders {
+        fed.post_resource(h, "GPU", AttrValue::Bool(true));
+    }
+    fed.settle();
+    fed.run_maintenance(2, SimDuration::from_millis(250));
+    let corpse = NodeAddr(5);
+    let its_info = fed.node(corpse).pastry.info();
+    fed.sim_mut().fail_node(corpse);
+    fed.run_maintenance(10, SimDuration::from_millis(250));
+    fed.settle();
+
+    let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
+    let ctx = InvariantCtx::new(topic, holders);
+    let violation = check_quiescent(&fed, &ctx);
+    assert!(violation.is_none(), "{}", violation.unwrap());
+
+    let holder = NodeAddr(2);
+    fed.sim_mut()
+        .schedule_call(SimTime::ZERO, holder, move |node, ctx| {
+            node.pastry.revive(corpse);
+            let mut tr = SimTransport::new(ctx);
+            node.pastry.insert_peer(&NetAdapter::new(&mut tr), its_info);
+        });
+    fed.settle();
+    assert_eq!(
+        check_quiescent(&fed, &ctx),
+        Some(Violation::KeptCorpse {
+            holder,
+            corpse,
+            rounds: 10
+        })
+    );
 }

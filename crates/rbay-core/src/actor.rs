@@ -32,9 +32,10 @@ pub struct RbayNode {
 
 impl RbayNode {
     /// The one way to drive a node: stamps the host's clock from the
-    /// transport, runs `f`, then executes every host operation `f` queued.
-    /// A message, a timer, a maintenance round and an operator's request
-    /// are all bodies run inside it.
+    /// transport, runs `f`, executes every host operation `f` queued, then
+    /// pings the next hops all that routed through (the failure
+    /// detector's on-use cadence). A message, a timer, a maintenance round
+    /// and an operator's request are all bodies run inside it.
     pub fn control<T: Transport<RbayMsg>, R>(
         &mut self,
         tr: &mut T,
@@ -43,13 +44,14 @@ impl RbayNode {
         self.host.now = tr.now();
         let r = f(self, tr);
         self.drain_ops(tr);
+        self.ping_used_hops(tr);
         r
     }
 
     /// Executes every queued host operation, with full access to the
     /// routing layers. Operations may enqueue further operations (e.g. a
     /// RemoteProbe handler queues probes); the loop runs until quiescence.
-    fn drain_ops<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
+    pub(crate) fn drain_ops<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
         let RbayNode {
             pastry,
             scribe,

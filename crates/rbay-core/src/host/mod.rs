@@ -24,6 +24,7 @@ mod search;
 pub use config::{InstallError, LintPolicy, RbayConfig, RestoreSummary};
 
 use crate::frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorDecision};
+use crate::liveness::Contact;
 use crate::naming::HybridNaming;
 use crate::types::{QueryId, QueryRecord, RbayEvent, RbayPayload};
 use aascript::analysis::Diagnostic;
@@ -177,12 +178,13 @@ pub struct RbayHost {
     /// Latest answers to admin stats probes: tree name → (aggregate,
     /// exists, as-of time).
     pub tree_stats: BTreeMap<String, (Option<AggValue>, bool, SimTime)>,
-    /// Outstanding heartbeats: peer → send time. The failure detector's
-    /// ledger ([`crate::liveness`]); which peers are believed dead is
+    /// The failure detector's ledger ([`crate::liveness`]), one entry per
+    /// peer: a ping it owes an answer to, or that it has been heard from
+    /// since the last heartbeat round. Which peers are believed dead is
     /// Pastry's to say ([`pastry::PastryNode::buried`]).
-    pub pending_pings: BTreeMap<NodeAddr, SimTime>,
-    /// Heartbeat round counter: paces the probes of buried peers and
-    /// numbers the pings of a round.
+    pub(crate) contacts: BTreeMap<NodeAddr, Contact>,
+    /// Heartbeat round counter: paces the slow cadence and numbers the
+    /// pings of a round.
     pub(crate) hb_round: u64,
     /// Deferred operations for the actor to execute.
     pub ops: VecDeque<Op>,
@@ -245,7 +247,7 @@ impl RbayHost {
             events: Vec::new(),
             sub_requested: BTreeMap::new(),
             tree_stats: BTreeMap::new(),
-            pending_pings: BTreeMap::new(),
+            contacts: BTreeMap::new(),
             hb_round: 0,
             ops: VecDeque::new(),
             aa_denials: 0,

@@ -47,6 +47,7 @@ pub use frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorResponse, Fr
 pub use host::{
     InstallError, LintPolicy, Op, RbayConfig, RbayHost, RestoreSummary, FRONTDOOR_TREE,
 };
+pub use liveness::SLOW_PROBE_PERIOD;
 pub use naming::HybridNaming;
 pub use pack::{FrameSink, MemberCtx, Pack};
 pub use transport::{NetAdapter, SimTransport};

@@ -6,7 +6,16 @@
 //! consult it inside every gossip-driven `insert_peer` — and written from
 //! exactly two places, both here: [`RbayNode::declare_dead`] and
 //! [`RbayNode::proof_of_life`]. [`RbayHost`] keeps only the ledger of
-//! outstanding pings.
+//! [`Contact`]s.
+//!
+//! Pings go out on a budget, at three cadences. **Every round**: the peers
+//! this node's correctness leans on — both leaf sets and every tree parent
+//! and child. **On use**: the next hop of a routed message, at the moment
+//! the message leaves, unless the hop was heard from since the last round
+//! or already owes an answer. **Slowly** ([`SLOW_PROBE_PERIOD`]): the rest
+//! of the routing tables, and the buried — except that a round which
+//! finds an every-round ping still unanswered verifies the whole routing
+//! table at once, because crashes come together.
 
 use crate::actor::{RbayMsg, RbayNode};
 use crate::host::{Op, RbayHost};
@@ -15,59 +24,141 @@ use crate::types::RbayPayload;
 use pastry::NodeInfo;
 use rbay_wire::Transport;
 use simnet::obs::ObsEvent;
-use simnet::NodeAddr;
+use simnet::{NodeAddr, SimTime};
 use std::collections::BTreeSet;
 
-/// Every this many heartbeat rounds, buried peers are pinged once. Repair
-/// evicts a declared peer from every table, so its detectors stop pinging
-/// it — but routing-table knowledge is asymmetric, and a recovered peer
-/// that never knew its detector would otherwise stay buried forever
-/// (gossip cannot re-insert it). A corpse never answers, so the cost is
-/// bounded by the size of the buried set.
-pub const SUSPECT_PROBE_PERIOD: u64 = 4;
+/// A peer on the slow cadence is pinged on one heartbeat round in this
+/// many; which one depends on its address and the pinger's, so neither end
+/// sees a burst. One period serves two kinds of peer. *Routing-table
+/// entries outside the leaf sets*: a dead one blackholes whatever is
+/// routed through it, but a route pings its hop on use, so the stripe only
+/// has to clear out corpses nothing routes through before they pile up
+/// over epochs of churn (a tree rejoin burns two rounds on every dead hop
+/// it meets). *Buried peers*: repair evicts a declared peer from every
+/// table, so its detectors stop pinging it — but routing-table knowledge
+/// is asymmetric, and a recovered peer that never knew its detector would
+/// otherwise stay buried forever (gossip cannot re-insert it). A corpse
+/// never answers, so that cost is bounded by the size of the buried set.
+pub const SLOW_PROBE_PERIOD: u64 = 8;
+
+/// What the ledger holds about a peer. A peer without an entry is Alive
+/// and has been silent since the last heartbeat round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Contact {
+    /// A message from the peer arrived since the last heartbeat round: it
+    /// need not be pinged on use.
+    Heard,
+    /// A ping sent at this time is unanswered.
+    Pinged(SimTime),
+}
 
 impl RbayHost {
     /// Forgets every ping that has been outstanding for longer than
     /// `heartbeat_timeout` and returns the peers that owed the answer.
     pub(crate) fn expire_pings(&mut self) -> Vec<NodeAddr> {
         let (now, deadline) = (self.now, self.cfg.heartbeat_timeout);
-        self.pending_pings
-            .extract_if(.., |_, sent| now.saturating_since(*sent) > deadline)
+        let overdue = |c: &Contact| match c {
+            Contact::Pinged(sent) => now.saturating_since(*sent) > deadline,
+            Contact::Heard => false,
+        };
+        self.contacts
+            .extract_if(.., |_, c| overdue(c))
             .map(|(peer, _)| peer)
             .collect()
     }
 
-    /// Queues this round's heartbeats: one to every peer of `peers` that
-    /// is neither `buried` nor already owes an answer, and — every
-    /// [`SUSPECT_PROBE_PERIOD`]th round — one to every buried peer that
-    /// owes none.
-    pub(crate) fn heartbeat_round(&mut self, peers: &[NodeAddr], buried: &BTreeSet<NodeAddr>) {
+    /// Queues this round's heartbeats: one to every peer of `hot`, and one
+    /// to every peer of `cold` and of `buried` whose slow-cadence turn this
+    /// round is — each unless it already owes an answer. What was heard
+    /// before this round stops counting as fresh.
+    ///
+    /// A `hot` peer that let a whole round pass without answering (a round
+    /// is hundreds of round trips) is most likely dead, and the repair that
+    /// follows its declaration routes `Join`s through `cold` entries that
+    /// may have died with it: that round every `cold` peer takes its turn,
+    /// so the corpses among them are gone one round after the repair
+    /// starts rather than up to a period later. It costs nothing while
+    /// nothing fails, and under a timeout shorter than two rounds one
+    /// sweep per burst of crashes: the silent peer is declared at the next
+    /// round. (Under a longer one the sweep repeats until it is — what
+    /// every round cost before there was a budget.)
+    pub(crate) fn heartbeat_round(
+        &mut self,
+        hot: &[NodeAddr],
+        cold: &[NodeAddr],
+        buried: &BTreeSet<NodeAddr>,
+    ) {
         self.hb_round = self.hb_round.wrapping_add(1);
-        let from = self.addr;
-        for &to in peers {
-            if to == from || buried.contains(&to) || self.pending_pings.contains_key(&to) {
-                continue;
+        self.contacts.retain(|_, c| *c != Contact::Heard);
+        let alarm = hot.iter().any(|p| self.owes_answer(*p));
+        for &to in hot {
+            if !buried.contains(&to) {
+                self.heartbeat(to, None);
             }
-            self.obs.count(from, "hb_send");
-            self.obs
-                .record_with(|at| ObsEvent::HeartbeatSend { at, from, to });
-            self.ping(to);
         }
-        if self.hb_round.is_multiple_of(SUSPECT_PROBE_PERIOD) {
-            for &to in buried {
-                if !self.pending_pings.contains_key(&to) {
-                    self.obs.count(from, "suspect_probe");
-                    self.ping(to);
-                }
+        for &to in cold {
+            if (alarm || self.slow_turn(to)) && !buried.contains(&to) {
+                self.heartbeat(to, Some("hb_cold"));
+            }
+        }
+        for &to in buried {
+            if self.slow_turn(to) && !self.contacts.contains_key(&to) {
+                self.obs.count(self.addr, "suspect_probe");
+                self.ping(to);
             }
         }
     }
 
+    /// Heartbeat rounds this node has run. Rounds reach every live node
+    /// of a federation together, so the difference to a crashed peer's
+    /// count is how many rounds the peer has been gone.
+    pub fn heartbeat_rounds(&self) -> u64 {
+        self.hb_round
+    }
+
+    /// Whether a ping to `peer` is outstanding.
+    fn owes_answer(&self, peer: NodeAddr) -> bool {
+        matches!(self.contacts.get(&peer), Some(Contact::Pinged(_)))
+    }
+
+    /// Whether this round is `peer`'s turn on the slow cadence.
+    fn slow_turn(&self, peer: NodeAddr) -> bool {
+        let stripe = u64::from(peer.0) + u64::from(self.addr.0) + self.hb_round;
+        stripe.is_multiple_of(SLOW_PROBE_PERIOD)
+    }
+
+    /// A routed message just left through `hop`: ping it now, unless it
+    /// was heard from since the last round or already owes an answer. A
+    /// dead routing-table entry is found out one timeout after its first
+    /// use, not one timeout after its next turn on the slow cadence.
+    pub(crate) fn ping_on_use(&mut self, hop: NodeAddr) {
+        if !self.contacts.contains_key(&hop) {
+            self.heartbeat(hop, Some("hb_on_use"));
+        }
+    }
+
+    /// Alive → Pinged, for a peer that is not buried: every such ping
+    /// counts `hb_send`, and `cadence` beside it when it is not the
+    /// every-round one. A peer that already owes an answer is left alone.
+    fn heartbeat(&mut self, to: NodeAddr, cadence: Option<&'static str>) {
+        let from = self.addr;
+        if to == from || self.owes_answer(to) {
+            return;
+        }
+        self.obs.count(from, "hb_send");
+        if let Some(cadence) = cadence {
+            self.obs.count(from, cadence);
+        }
+        self.obs
+            .record_with(|at| ObsEvent::HeartbeatSend { at, from, to });
+        self.ping(to);
+    }
+
     /// Enters a ping to `peer` in the ledger and queues it. The nonce is
-    /// the round that sent it; the ledger is keyed by peer, so any Pong
+    /// the round that sent it; the ledger is keyed by peer, so any message
     /// from the peer settles it.
     fn ping(&mut self, peer: NodeAddr) {
-        self.pending_pings.insert(peer, self.now);
+        self.contacts.insert(peer, Contact::Pinged(self.now));
         let payload = RbayPayload::Ping {
             nonce: self.hb_round,
             info: self.self_info(),
@@ -99,39 +190,73 @@ impl RbayHost {
         }
     }
 
-    /// `Pong` received: re-learn the responder and settle its ping — the
-    /// only message that does so for a peer that is not buried.
+    /// `Pong` received: re-learn the responder. Its ping was settled when
+    /// the frame arrived, like any other message's
+    /// ([`RbayNode::proof_of_life`]).
     pub(crate) fn on_pong(&mut self, from: NodeAddr, info: NodeInfo) {
-        if self.learn_sender(from, info) {
-            self.pending_pings.remove(&from);
-        }
+        self.learn_sender(from, info);
     }
 }
 
 impl RbayNode {
+    /// The peers pinged every round, sorted: those whose failure this
+    /// node must react to at once — leaf-set neighbours (every route ends
+    /// on them, and they are whom repair consults) and tree parents and
+    /// children.
+    pub fn hot_peers(&self) -> Vec<NodeAddr> {
+        let leaves = self.pastry.leaf_set().members();
+        let mut hot: Vec<NodeAddr> = leaves
+            .chain(self.pastry.site_leaf_set().members())
+            .map(|e| e.addr)
+            .collect();
+        for (_, st) in self.scribe.topics() {
+            hot.extend(st.children.iter().copied());
+            hot.extend(st.parent);
+        }
+        hot.sort();
+        hot.dedup();
+        hot
+    }
+
     /// The failure-detection part of a maintenance round: peers whose
     /// ping is overdue are declared dead, then the round's pings go out.
     pub(crate) fn detect_failures_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
-        // Probe every peer in routing state plus tree parents/children
-        // — the peers whose failure this node must react to. The
-        // routing tables are included because a dead entry there
-        // silently blackholes every Join/anycast routed through it:
-        // unlike a leaf-set neighbour it is never consulted for
-        // repair, so nothing else would ever notice the corpse.
-        let mut peers: Vec<NodeAddr> = self.pastry.known_peers().iter().map(|e| e.addr).collect();
-        for (_, st) in self.scribe.topics() {
-            peers.extend(st.children.iter().copied());
-            peers.extend(st.parent);
-        }
-        peers.sort();
-        peers.dedup();
+        let hot = self.hot_peers();
+        // Cold, pinged on use and on the slow cadence: the rest of the
+        // routing tables. A dead entry there blackholes every Join and
+        // anycast routed through it, and unlike a leaf-set neighbour it
+        // is never consulted for repair, so nothing else would ever
+        // notice the corpse.
+        let known = self.pastry.known_peers();
+        let cold: Vec<NodeAddr> = known
+            .iter()
+            .map(|e| e.addr)
+            .filter(|a| hot.binary_search(a).is_err())
+            .collect();
         for peer in self.host.expire_pings() {
             // A buried peer's unanswered probe is not news.
             if !self.pastry.is_buried(peer) {
                 self.declare_dead(tr, peer);
             }
         }
-        self.host.heartbeat_round(&peers, self.pastry.buried());
+        self.host.heartbeat_round(&hot, &cold, self.pastry.buried());
+    }
+
+    /// The on-use cadence, run at the end of every [`RbayNode::control`]:
+    /// pings the next hops the closure (and the operations it queued)
+    /// routed through, in the same instant. Most calls routed nothing and
+    /// return at once.
+    pub(crate) fn ping_used_hops<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
+        if self.pastry.used_hops().is_empty() {
+            return;
+        }
+        if self.host.cfg.failure_detection {
+            for &hop in self.pastry.used_hops() {
+                self.host.ping_on_use(hop);
+            }
+            self.drain_ops(tr);
+        }
+        self.pastry.forget_used_hops();
     }
 
     /// Alive or Pinged → Buried: Pastry buries `peer` and repairs its
@@ -148,13 +273,17 @@ impl RbayNode {
             .handle_failure(&mut self.pastry, &mut net, &mut self.host, peer);
     }
 
-    /// Buried → Alive: a message from `peer` arrived, so it is not dead.
-    /// Gossip and heartbeats may re-insert it, and a probe it still owes
-    /// an answer to is forgotten so the next round pings it afresh. A
-    /// no-op for a peer that is not buried.
+    /// A message from `peer` arrived, so it is not dead. Pinged → Alive:
+    /// whatever the message is, it settles the peer's outstanding ping —
+    /// a node that hears a neighbour's aggregates every round does not
+    /// declare it dead over lost `Pong`s. Buried → Alive: gossip and
+    /// heartbeats may re-insert it. Either way it counts as heard from
+    /// until the next heartbeat round.
     pub(crate) fn proof_of_life(&mut self, peer: NodeAddr) {
+        if self.host.cfg.failure_detection {
+            self.host.contacts.insert(peer, Contact::Heard);
+        }
         if self.pastry.revive(peer) {
-            self.host.pending_pings.remove(&peer);
             let node = self.host.addr;
             self.host.obs.count(node, "unsuspect");
             self.host
@@ -170,7 +299,7 @@ mod heartbeat_tests {
     use crate::actor::tests::{node_with, RecTransport};
     use crate::host::RbayConfig;
     use pastry::{NodeId, PastryMsg};
-    use scribe::{ScribeHost, ScribeMsg};
+    use scribe::{AggValue, ScribeHost, ScribeMsg, TopicId};
     use simnet::obs::Recorder;
     use simnet::{SimDuration, SimTime, SiteId};
 
@@ -244,34 +373,131 @@ mod heartbeat_tests {
         (n, tr)
     }
 
+    /// A detector whose leaf set is full of sixteen nearer peers
+    /// (addresses 100–115), so that `PEER` sits in its routing table only.
+    fn detector_with_cold_peer() -> (RbayNode, RecTransport) {
+        let (mut n, mut tr) = detector(&[PEER.0]);
+        let me = n.pastry.id().as_u128();
+        for i in 0..16u32 {
+            let off = u128::from(1 + i / 2);
+            let near = NodeInfo {
+                id: NodeId(if i % 2 == 0 {
+                    me.wrapping_add(off)
+                } else {
+                    me.wrapping_sub(off)
+                }),
+                addr: NodeAddr(100 + i),
+                site: SiteId(0),
+            };
+            n.pastry.insert_peer(&NetAdapter::new(&mut tr), near);
+        }
+        assert!(n.pastry.leaf_set().members().all(|e| e.addr != PEER));
+        assert!(knows(&n, PEER));
+        (n, tr)
+    }
+
+    /// A [`round`] whose every ping is answered, except by `silent` — and
+    /// by a message that is not a `Pong`.
+    fn answered_round(
+        n: &mut RbayNode,
+        tr: &mut RecTransport,
+        ms: u64,
+        silent: Option<NodeAddr>,
+    ) -> Vec<NodeAddr> {
+        let pinged = round(n, tr, ms);
+        for &p in pinged.iter().filter(|p| Some(**p) != silent) {
+            n.on_message_via(tr, p, PastryMsg::LeafRepairRequest);
+        }
+        tr.sent.clear();
+        pinged
+    }
+
+    /// A probe for `PEER`'s own id arrives from node 9 and is forwarded
+    /// through `PEER`; returns whom the node pinged while forwarding it.
+    fn route_through_peer(n: &mut RbayNode, tr: &mut RecTransport, ms: u64) -> Vec<NodeAddr> {
+        tr.now = SimTime::from_millis(ms);
+        let topic = n.host.tree_topic("GPU=true", SiteId(0));
+        let probe = PastryMsg::Route {
+            key: info(PEER.0).id,
+            payload: ScribeMsg::ProbeRoot {
+                topic,
+                scope: None,
+                payload: RbayPayload::Ping {
+                    nonce: 0,
+                    info: info(9),
+                },
+                origin: NodeAddr(9),
+            },
+            hops: 1,
+            scope: None,
+        };
+        n.on_message_via(tr, NodeAddr(9), probe);
+        let mut routed = false;
+        let mut pinged = Vec::new();
+        for (to, m) in tr.sent.drain(..) {
+            match m {
+                PastryMsg::Route { .. } => routed |= to == PEER,
+                PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Ping { .. })) => {
+                    pinged.push(to)
+                }
+                _ => {}
+            }
+        }
+        assert!(routed, "the probe goes through the peer");
+        pinged
+    }
+
+    fn owes(n: &RbayNode, peer: NodeAddr) -> bool {
+        n.host.owes_answer(peer)
+    }
+
     #[test]
     fn heartbeat_round_pings_new_peers_once() {
         let (mut n, _) = detector(&[]);
         let none = BTreeSet::new();
-        n.host.heartbeat_round(&[NodeAddr(5), NodeAddr(6)], &none);
+        n.host
+            .heartbeat_round(&[NodeAddr(5), NodeAddr(6)], &[], &none);
         assert_eq!(queued_pings(&mut n.host), [NodeAddr(5), NodeAddr(6)]);
         // Outstanding peers are not re-pinged.
-        n.host.heartbeat_round(&[NodeAddr(5), NodeAddr(6)], &none);
+        n.host
+            .heartbeat_round(&[NodeAddr(5), NodeAddr(6)], &[], &none);
         assert!(n.host.ops.is_empty());
     }
 
+    /// Pinged → Alive on whatever the peer sends, not on a `Pong` only: a
+    /// neighbour whose aggregates keep arriving is not declared dead.
     #[test]
-    fn pong_clears_the_outstanding_ping() {
-        let (mut n, _) = detector(&[]);
-        let none = BTreeSet::new();
-        n.host.heartbeat_round(&[PEER], &none);
-        n.host.on_direct(
-            PEER,
-            RbayPayload::Pong {
-                nonce: 1,
-                info: info(PEER.0),
-            },
-        );
-        assert!(n.host.pending_pings.is_empty());
-        // The peer can be pinged again later.
-        n.host.ops.clear();
-        n.host.heartbeat_round(&[PEER], &none);
-        assert_eq!(queued_pings(&mut n.host), [PEER]);
+    fn any_message_from_the_peer_settles_its_ping() {
+        let topic = TopicId::scoped("GPU=true", "rbay", SiteId(0));
+        let messages: [(&str, RbayMsg); 3] = [
+            (
+                "Pong",
+                PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Pong {
+                    nonce: 1,
+                    info: info(PEER.0),
+                })),
+            ),
+            (
+                "AggUpdate",
+                PastryMsg::Direct(ScribeMsg::AggUpdate {
+                    topic,
+                    value: AggValue::Count(1),
+                }),
+            ),
+            ("Announce", PastryMsg::Announce { info: info(PEER.0) }),
+        ];
+        for (what, msg) in messages {
+            let (mut n, mut tr) = detector(&[PEER.0]);
+            assert_eq!(round(&mut n, &mut tr, 0), [PEER]);
+            assert!(owes(&n, PEER));
+            tr.now = SimTime::from_millis(300);
+            n.on_message_via(&mut tr, PEER, msg);
+            assert_eq!(n.host.contacts.get(&PEER), Some(&Contact::Heard), "{what}");
+            // Long past the timeout of the settled ping: pinged afresh,
+            // not declared.
+            assert_eq!(round(&mut n, &mut tr, 1_000), [PEER], "{what}");
+            assert_eq!(count(&n, "hb_expire"), 0, "{what}");
+        }
     }
 
     #[test]
@@ -279,10 +505,15 @@ mod heartbeat_tests {
         let (mut n, mut tr) = detector_with_buried_peer();
         assert_eq!(count(&n, "hb_expire"), 1);
         assert!(!knows(&n, PEER), "repair evicts the declared peer");
-        // A buried peer is not re-declared and is dropped from the
-        // regular ping set (it only gets the slow-cadence probe).
-        n.host.heartbeat_round(&[PEER], n.pastry.buried());
-        assert!(n.host.ops.is_empty());
+        // A buried peer is not re-declared and is dropped from the regular
+        // ping sets: over a whole period it gets the one slow-cadence
+        // probe and nothing else.
+        for _ in 0..SLOW_PROBE_PERIOD {
+            n.host.heartbeat_round(&[PEER], &[PEER], n.pastry.buried());
+        }
+        assert_eq!(queued_pings(&mut n.host), [PEER]);
+        assert_eq!(count(&n, "hb_send"), 1);
+        assert_eq!(count(&n, "suspect_probe"), 1);
         round(&mut n, &mut tr, 3_000);
         round(&mut n, &mut tr, 4_000);
         assert_eq!(count(&n, "hb_expire"), 1);
@@ -295,14 +526,14 @@ mod heartbeat_tests {
         // eligible for pinging again.
         n.proof_of_life(PEER);
         assert!(n.pastry.buried().is_empty());
-        assert!(n.host.pending_pings.is_empty());
-        n.host.heartbeat_round(&[PEER], n.pastry.buried());
+        assert!(!owes(&n, PEER));
+        n.host.heartbeat_round(&[PEER], &[], n.pastry.buried());
         assert_eq!(
             queued_pings(&mut n.host),
             [PEER],
             "recovered peer must be pinged again"
         );
-        // Proof of life from a peer that was never buried is a no-op.
+        // Proof of life from a peer that was never buried lifts nothing.
         n.proof_of_life(NodeAddr(9));
         assert_eq!(count(&n, "unsuspect"), 1);
     }
@@ -310,17 +541,121 @@ mod heartbeat_tests {
     #[test]
     fn suspected_peers_are_probed_at_the_slow_cadence() {
         let (mut n, mut tr) = detector_with_buried_peer();
-        // Rounds up to the probe period send nothing to the corpse; the
-        // period-th round re-pings it so a revived peer can answer and
-        // lift the burial even on detectors it never knew about.
-        let probed_at = (1..=SUSPECT_PROBE_PERIOD)
-            .find(|r| round(&mut n, &mut tr, 1_000 + r * 1_000) == [PEER]);
-        assert!(
-            probed_at.is_some(),
-            "buried peer was never probed within a full period"
-        );
+        // One round of a period re-pings the corpse, so a revived peer can
+        // answer and lift the burial even on detectors it never knew
+        // about; the others send it nothing.
+        let probes = (1..=SLOW_PROBE_PERIOD)
+            .filter(|r| round(&mut n, &mut tr, 1_000 + r * 1_000) == [PEER])
+            .count();
+        assert_eq!(probes, 1, "one probe per period");
         // The probe never re-declares the peer.
-        round(&mut n, &mut tr, 9_000);
+        round(&mut n, &mut tr, 20_000);
+        assert_eq!(count(&n, "hb_expire"), 1);
+    }
+
+    /// A routing-table entry outside the leaf sets is on the slow cadence:
+    /// one ping per period, while a leaf-set neighbour gets one per round.
+    #[test]
+    fn cold_peer_is_pinged_on_its_slow_turn_only() {
+        let (mut n, mut tr) = detector_with_cold_peer();
+        let rounds: Vec<Vec<NodeAddr>> = (0..SLOW_PROBE_PERIOD)
+            .map(|r| answered_round(&mut n, &mut tr, r * 250, None))
+            .collect();
+        let pinging = |peer| rounds.iter().filter(|r| r.contains(&peer)).count() as u64;
+        assert_eq!(pinging(PEER), 1);
+        assert!(!rounds[0].contains(&PEER), "not its turn: {:?}", rounds[0]);
+        assert_eq!(pinging(NodeAddr(100)), SLOW_PROBE_PERIOD);
+        // Every ping counts `hb_send`; the cold one `hb_cold` beside it.
+        assert_eq!(count(&n, "hb_send"), 16 * SLOW_PROBE_PERIOD + 1);
+        assert_eq!(count(&n, "hb_cold"), 1);
+        assert_eq!(count(&n, "hb_expire"), 0);
+    }
+
+    /// A leaf-set neighbour that lets a round pass without answering is
+    /// the alarm: that round pings the cold peers too, whoever's turn it
+    /// is — once, not on every round the neighbour stays silent.
+    #[test]
+    fn an_unanswered_hot_ping_sweeps_the_cold_peers() {
+        let (mut n, mut tr) = detector_with_cold_peer();
+        let silent = Some(NodeAddr(100));
+        assert!(!answered_round(&mut n, &mut tr, 0, silent).contains(&PEER));
+        assert!(answered_round(&mut n, &mut tr, 250, silent).contains(&PEER));
+        assert_eq!(count(&n, "hb_cold"), 1);
+        // Round 3 declares the neighbour; round 3 is also the peer's slow
+        // turn, and it answered the sweep, so it is pinged afresh.
+        assert!(answered_round(&mut n, &mut tr, 500, silent).contains(&PEER));
+        assert!(n.pastry.is_buried(NodeAddr(100)));
+        for r in 3..8 {
+            assert!(!answered_round(&mut n, &mut tr, r * 250, silent).contains(&PEER));
+        }
+        assert_eq!(count(&n, "hb_cold"), 2);
+    }
+
+    /// On use: a route through a cold peer pings it in the same instant —
+    /// and not again while the ping is outstanding, nor while the peer
+    /// counts as heard from; the next round makes it stale again.
+    #[test]
+    fn route_through_a_cold_peer_pings_it_at_once() {
+        let (mut n, mut tr) = detector_with_cold_peer();
+        assert!(!answered_round(&mut n, &mut tr, 0, None).contains(&PEER));
+        assert_eq!(route_through_peer(&mut n, &mut tr, 10), [PEER]);
+        assert!(owes(&n, PEER));
+        assert_eq!(route_through_peer(&mut n, &mut tr, 20), [], "outstanding");
+        n.on_message_via(&mut tr, PEER, PastryMsg::LeafRepairRequest);
+        assert_eq!(route_through_peer(&mut n, &mut tr, 30), [], "fresh");
+        assert!(!answered_round(&mut n, &mut tr, 250, None).contains(&PEER));
+        assert_eq!(route_through_peer(&mut n, &mut tr, 260), [PEER], "stale");
+        assert_eq!(count(&n, "hb_on_use"), 2);
+        assert_eq!(count(&n, "hb_cold"), 0);
+    }
+
+    /// The origin site: a `Join` this node routes itself pings its first
+    /// hop in the same `control` call, before any round has run.
+    #[test]
+    fn an_originated_route_pings_its_first_hop() {
+        let (mut n, mut tr) = detector(&[]);
+        let topic = n.host.tree_topic("GPU=true", SiteId(0));
+        let rendezvous = NodeInfo {
+            id: NodeId(topic.key().as_u128().wrapping_add(1)),
+            addr: PEER,
+            site: SiteId(0),
+        };
+        n.control(&mut tr, |n, _| {
+            n.host.ops.push_back(Op::LearnPeer { info: rendezvous });
+            n.host
+                .post_resource("GPU", rbay_query::AttrValue::Bool(true));
+        });
+        let kinds: Vec<&str> = tr
+            .sent
+            .iter()
+            .map(|(to, m)| {
+                assert_eq!(*to, PEER);
+                match m {
+                    PastryMsg::Route { .. } => "route",
+                    PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Ping { .. })) => "ping",
+                    _ => "other",
+                }
+            })
+            .collect();
+        assert_eq!(kinds, ["route", "ping"]);
+        assert_eq!(count(&n, "hb_on_use"), 1);
+    }
+
+    /// An on-use ping nobody answers ends like any other: the first round
+    /// past the timeout declares the peer, once.
+    #[test]
+    fn unanswered_on_use_ping_declares_the_peer_once() {
+        let (mut n, mut tr) = detector_with_cold_peer();
+        answered_round(&mut n, &mut tr, 0, Some(PEER));
+        assert_eq!(route_through_peer(&mut n, &mut tr, 10), [PEER]);
+        answered_round(&mut n, &mut tr, 250, Some(PEER));
+        assert_eq!(count(&n, "hb_expire"), 0, "240 ms: not overdue");
+        answered_round(&mut n, &mut tr, 500, Some(PEER));
+        assert!(n.pastry.is_buried(PEER));
+        assert!(!knows(&n, PEER));
+        for r in 3..12 {
+            answered_round(&mut n, &mut tr, r * 250, Some(PEER));
+        }
         assert_eq!(count(&n, "hb_expire"), 1);
     }
 
@@ -350,10 +685,11 @@ mod heartbeat_tests {
 
     /// The identity a heartbeat claims is outside input: one that does not
     /// match the frame's sender inserts nothing into the routing state,
-    /// gets no answer and settles no ping.
+    /// gets no answer and settles no ping — a frame proves only its own
+    /// sender alive.
     #[test]
     fn heartbeat_naming_another_sender_is_dropped() {
-        let (mut n, _) = detector(&[]);
+        let (mut n, mut tr) = detector(&[]);
         n.host.on_direct(
             NodeAddr(7),
             RbayPayload::Ping {
@@ -362,62 +698,75 @@ mod heartbeat_tests {
             },
         );
         assert!(n.host.ops.is_empty(), "spoofed Ping: {:?}", n.host.ops);
-        n.host.heartbeat_round(&[PEER], &BTreeSet::new());
+        n.host.heartbeat_round(&[PEER], &[], &BTreeSet::new());
         n.host.ops.clear();
-        n.host.on_direct(
-            PEER,
-            RbayPayload::Pong {
-                nonce: 1,
-                info: info(9),
-            },
-        );
-        assert!(n.host.ops.is_empty(), "spoofed Pong: {:?}", n.host.ops);
-        assert!(n.host.pending_pings.contains_key(&PEER));
+        let pong_naming_peer = PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Pong {
+            nonce: 1,
+            info: info(PEER.0),
+        }));
+        n.on_message_via(&mut tr, NodeAddr(7), pong_naming_peer);
+        assert!(tr.sent.is_empty(), "spoofed Pong: {:?}", tr.sent);
+        assert!(!knows(&n, PEER));
+        assert!(owes(&n, PEER));
     }
 
     /// What a step of the walk does to the detector.
     enum Step {
         /// A maintenance round at this many milliseconds.
         Round(u64),
+        /// This many further rounds, 10 ms apart, from this time on.
+        Rounds(u64, u64),
         /// An `Announce` naming the peer arrives from this address.
         Hear(u32),
     }
 
-    /// One peer through DESIGN.md §17's state table: Alive → Pinged →
-    /// overdue → Buried (refused by `insert_peer`, skipped by the round,
-    /// probed on every [`SUSPECT_PROBE_PERIOD`]th round only) → any
-    /// message → Alive again.
+    /// One leaf-set peer through DESIGN.md §17's state table: Alive →
+    /// Pinged → its message settles the ping → Pinged → overdue → Buried
+    /// (refused by `insert_peer`, skipped by the round, probed on its
+    /// [`SLOW_PROBE_PERIOD`] turn only) → any message → Alive again.
     #[test]
     fn one_peer_walks_the_state_table() {
-        use Step::{Hear, Round};
-        // After each step: [it pinged the peer, the peer owes a Pong, the
-        // peer is buried, the peer is in routing state].
+        use Step::{Hear, Round, Rounds};
+        // After each step: [it pinged the peer, the peer owes an answer,
+        // the peer is buried, the peer is in routing state].
         let walk = [
-            (
-                "alive: the round pings",
-                Round(0),
-                [true, true, false, true],
-            ),
+            ("alive: round 1 pings", Round(0), [true, true, false, true]),
             (
                 "pinged: not due yet",
                 Round(300),
                 [false, true, false, true],
             ),
             (
-                "overdue: declared",
-                Round(1_000),
+                "its message settles",
+                Hear(PEER.0),
+                [false, false, false, true],
+            ),
+            (
+                "alive: round 3 pings",
+                Round(600),
+                [true, true, false, true],
+            ),
+            (
+                "overdue: round 4 declares",
+                Round(1_100),
                 [false, false, true, false],
             ),
             ("gossip is refused", Hear(3), [false, false, true, false]),
-            ("round 4 probes", Round(2_000), [true, true, true, false]),
+            (
+                "rounds 5 to 10 skip",
+                Rounds(1_200, 6),
+                [false, false, true, false],
+            ),
+            (
+                "round 11: its slow turn",
+                Round(2_000),
+                [true, true, true, false],
+            ),
             (
                 "the probe expires",
                 Round(3_000),
                 [false, false, true, false],
             ),
-            ("round 6 skips", Round(4_000), [false, false, true, false]),
-            ("round 7 skips", Round(5_000), [false, false, true, false]),
-            ("round 8 probes", Round(6_000), [true, true, true, false]),
             (
                 "its message revives",
                 Hear(PEER.0),
@@ -425,7 +774,7 @@ mod heartbeat_tests {
             ),
             (
                 "alive: pinged afresh",
-                Round(6_100),
+                Round(3_100),
                 [true, true, false, true],
             ),
         ];
@@ -433,20 +782,27 @@ mod heartbeat_tests {
         for (what, step, want) in walk {
             let pinged = match step {
                 Round(ms) => round(&mut n, &mut tr, ms).contains(&PEER),
+                Rounds(ms, k) => {
+                    (0..k).any(|r| round(&mut n, &mut tr, ms + r * 10).contains(&PEER))
+                }
                 Hear(from) => {
                     let about_peer = PastryMsg::Announce { info: info(PEER.0) };
                     n.on_message_via(&mut tr, NodeAddr(from), about_peer);
                     false
                 }
             };
-            let owes = n.host.pending_pings.contains_key(&PEER);
-            let got = [pinged, owes, n.pastry.is_buried(PEER), knows(&n, PEER)];
+            let got = [
+                pinged,
+                owes(&n, PEER),
+                n.pastry.is_buried(PEER),
+                knows(&n, PEER),
+            ];
             assert_eq!(got, want, "{what}");
         }
         for (kind, want) in [
-            ("hb_send", 2),
+            ("hb_send", 3),
             ("hb_expire", 1),
-            ("suspect_probe", 2),
+            ("suspect_probe", 1),
             ("unsuspect", 1),
         ] {
             assert_eq!(count(&n, kind), want, "{kind}");

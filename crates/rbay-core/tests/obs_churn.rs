@@ -1,7 +1,8 @@
 //! Integration tests pinning the tree-repair bugfixes through the
 //! observability plane: a fail→recover cycle re-converging the tree
-//! (un-suspect on message receipt), NotChild-driven orphan recovery under
-//! message loss with an aggressive heartbeat timeout, and a combined
+//! (un-suspect on message receipt, NotChild-driven orphan recovery),
+//! false-positive failure declarations under message loss with an
+//! aggressive heartbeat timeout, and a combined
 //! crash+loss churn scenario whose re-convergence is asserted through the
 //! tree metrics.
 
@@ -105,14 +106,22 @@ fn fail_recover_cycle_reconverges_the_tree() {
         fed.recorder().global_count("unsuspect") > 0,
         "no unsuspect events recorded across the fail/recover cycle"
     );
+    // And the stale parent pointer was cleared by a NotChild NACK.
+    assert!(
+        fed.recorder().global_count("orphan_rejoin") > 0,
+        "the revived node never re-joined via NotChild"
+    );
 }
 
 /// Bugfix 2 integration: with lossy links and an aggressive heartbeat
-/// timeout, false-positive failure declarations orphan live subtrees; the
-/// NotChild NACK must bring every orphan back and the root aggregate must
-/// keep re-converging to the true holder count.
+/// timeout, false-positive failure declarations evict live peers and may
+/// orphan live subtrees; the root aggregate must keep re-converging to
+/// the true holder count. (Any message settles a ping, and tree
+/// neighbours exchange pings both ways and an aggregate every round, so
+/// the declarations of this window fall on routing-table entries; the
+/// NotChild NACK itself is pinned by the fail/recover test above.)
 #[test]
-fn not_child_recovers_false_positive_orphans_under_loss() {
+fn false_positives_under_loss_leave_the_tree_converging() {
     let n = 30u32;
     let cfg = RbayConfig {
         failure_detection: true,
@@ -133,7 +142,7 @@ fn not_child_recovers_false_positive_orphans_under_loss() {
 
     // Open a lossy window: with pings every 250 ms and a 300 ms timeout,
     // dropped heartbeat traffic produces false-positive failure
-    // declarations that orphan live subtrees. Nobody actually crashes.
+    // declarations. Nobody actually crashes.
     fed.sim_mut().set_loss_prob(0.20);
     maintain(&mut fed, 8);
     fed.sim_mut().set_loss_prob(0.0);
@@ -145,7 +154,7 @@ fn not_child_recovers_false_positive_orphans_under_loss() {
          does not exercise the orphan-recovery path"
     );
 
-    // Clean recovery phase: every orphan's next aggregate push is NACKed
+    // Clean recovery phase: an orphan's next aggregate push is NACKed
     // with NotChild, it re-joins, and the root count returns to exact.
     let mut converged_at = None;
     for round in 1..=15u32 {
@@ -163,11 +172,6 @@ fn not_child_recovers_false_positive_orphans_under_loss() {
         holders.len(),
         expirations,
         fed.recorder().global_count("orphan_rejoin"),
-    );
-    assert!(
-        fed.recorder().global_count("orphan_rejoin") > 0,
-        "false positives occurred ({expirations} declarations) but no \
-         orphan ever re-joined via NotChild"
     );
 }
 

@@ -95,7 +95,7 @@ impl ScribeLayer {
     /// stays as it is, and a re-sent `Join` grafts nothing twice.
     pub(super) fn reattach<P, N, H>(
         &mut self,
-        pastry: &PastryNode,
+        pastry: &mut PastryNode,
         net: &mut N,
         host: &mut H,
         topic: TopicId,
@@ -199,7 +199,7 @@ impl ScribeLayer {
     /// join again.
     pub(super) fn on_not_child<P, N, H>(
         &mut self,
-        pastry: &PastryNode,
+        pastry: &mut PastryNode,
         net: &mut N,
         host: &mut H,
         from: NodeAddr,

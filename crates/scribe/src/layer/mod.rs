@@ -195,7 +195,7 @@ impl ScribeLayer {
 /// node is itself the rendezvous nothing is sent and `msg` comes back for
 /// the caller to act on locally.
 fn route_to_root<P, N>(
-    pastry: &PastryNode,
+    pastry: &mut PastryNode,
     net: &mut N,
     topic: TopicId,
     scope: Option<SiteId>,
@@ -207,14 +207,6 @@ where
     let Some(next) = pastry.next_hop(topic.key(), scope) else {
         return Some(msg);
     };
-    net.send(
-        next.addr,
-        PastryMsg::Route {
-            key: topic.key(),
-            payload: msg,
-            hops: 1,
-            scope,
-        },
-    );
+    pastry.send_routed(net, next.addr, topic.key(), msg, 1, scope);
     None
 }

@@ -42,6 +42,11 @@ const BUCKET_SHIFT: u32 = 8;
 pub const NUM_BUCKETS: usize = 1 << 12;
 const DAY_MASK: u64 = (NUM_BUCKETS as u64) - 1;
 
+/// Most entries' worth of allocation a drained bucket keeps for its next
+/// day. Steady traffic puts a handful of events in a bucket; only a burst
+/// exceeds this, and a burst's memory is given back once it has drained.
+const RETAINED_BUCKET_CAPACITY: usize = 64;
+
 /// One queued event.
 struct Entry<T> {
     at: SimTime,
@@ -229,7 +234,15 @@ impl<T> CalendarQueue<T> {
         let entry = match loc {
             Loc::Wheel(idx) => {
                 self.wheel_len -= 1;
-                self.buckets[idx].pop()
+                let bucket = &mut self.buckets[idx];
+                let entry = bucket.pop();
+                // A burst (one maintenance round's sends) lands in a few
+                // buckets, and the next burst in a few others: a drained
+                // bucket that kept its allocation would hold it for good.
+                if bucket.is_empty() && bucket.capacity() > RETAINED_BUCKET_CAPACITY {
+                    *bucket = BinaryHeap::new();
+                }
+                entry
             }
             Loc::Overflow => self.overflow.pop(),
         }
@@ -353,6 +366,32 @@ mod tests {
         q.push(SimTime::from_secs(5).max(SimTime::ZERO), 2, 2);
         let next_two: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, s, _)| s).collect();
         assert_eq!(next_two, vec![0, 2], "same-time overflow events pop by seq");
+    }
+
+    /// A burst into one day must not stay allocated after it drains: at
+    /// 4,096 buckets, bursts that each dirty fresh buckets would otherwise
+    /// add up to the whole run's traffic.
+    #[test]
+    fn drained_burst_gives_its_memory_back() {
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let retained = |q: &CalendarQueue<u64>| -> usize {
+            q.buckets.iter().map(BinaryHeap::capacity).sum::<usize>() + q.overflow.capacity()
+        };
+        let day = SimTime::from_millis(250);
+        for i in 0..50_000 {
+            q.push(day, i, i);
+        }
+        assert!(retained(&q) >= 50_000);
+        assert_eq!(drain(&mut q).len(), 50_000);
+        assert!(
+            retained(&q) <= RETAINED_BUCKET_CAPACITY,
+            "{} entries still allocated",
+            retained(&q)
+        );
+        // Steady traffic keeps its small allocation from day to day.
+        q.push(SimTime::from_millis(300), 50_000, 50_000);
+        assert!(q.pop().is_some());
+        assert!(retained(&q) > 0);
     }
 
     #[test]
