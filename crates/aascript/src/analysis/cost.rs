@@ -23,9 +23,9 @@
 //! error: every invocation of such a handler would be killed at runtime,
 //! which in RBAY's dispatch silently *denies* the request.
 
-use super::lints::{builtin_fn, stdlib_member, Member};
 use crate::compile::{Chunk, Op, Proto};
 use crate::error::Pos;
+use crate::stdlib::{builtin_fn, stdlib_member, Def};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -378,7 +378,7 @@ impl<'a> CostModel<'a> {
                             _ => return Callee::Unknown,
                         };
                         if !self.ever_stored.contains(name)
-                            && matches!(stdlib_member(module, &member), Some(Member::Func(_)))
+                            && matches!(stdlib_member(module, &member), Some(Def::Func { .. }))
                         {
                             return Callee::Native;
                         }

@@ -9,136 +9,8 @@
 use super::diag::{Diagnostic, LintId};
 use crate::ast::*;
 use crate::error::Pos;
+use crate::stdlib::{builtin_fn, module_members, stdlib_member, Def};
 use std::collections::HashSet;
-
-/// Arity bounds of a stdlib function.
-#[derive(Debug, Clone, Copy)]
-pub struct Sig {
-    /// Fewest arguments that make sense.
-    pub min: usize,
-    /// Most arguments accepted (`None` = varargs).
-    pub max: Option<usize>,
-}
-
-/// What kind of thing a stdlib member is.
-#[derive(Debug, Clone, Copy)]
-pub enum Member {
-    /// A callable with the given arity bounds.
-    Func(Sig),
-    /// A plain value (`math.pi`): calling it is a kind error.
-    Const,
-}
-
-const fn f(min: usize, max: usize) -> Member {
-    Member::Func(Sig {
-        min,
-        max: Some(max),
-    })
-}
-
-const fn va(min: usize) -> Member {
-    Member::Func(Sig { min, max: None })
-}
-
-static MATH: &[(&str, Member)] = &[
-    ("pi", Member::Const),
-    ("huge", Member::Const),
-    ("abs", f(1, 1)),
-    ("ceil", f(1, 1)),
-    ("floor", f(1, 1)),
-    ("sqrt", f(1, 1)),
-    ("max", va(1)),
-    ("min", va(1)),
-    ("fmod", f(2, 2)),
-];
-
-static STRING: &[(&str, Member)] = &[
-    ("len", f(1, 1)),
-    ("upper", f(1, 1)),
-    ("lower", f(1, 1)),
-    ("sub", f(2, 3)),
-    ("rep", f(2, 2)),
-    ("find", f(2, 2)),
-    ("byte", f(1, 2)),
-    ("char", va(0)),
-    ("format", va(1)),
-];
-
-static TABLE: &[(&str, Member)] = &[
-    ("insert", f(2, 3)),
-    ("remove", f(1, 2)),
-    ("concat", f(1, 2)),
-];
-
-static BUILTINS: &[(&str, Sig)] = &[
-    (
-        "tostring",
-        Sig {
-            min: 1,
-            max: Some(1),
-        },
-    ),
-    (
-        "tonumber",
-        Sig {
-            min: 1,
-            max: Some(1),
-        },
-    ),
-    (
-        "type",
-        Sig {
-            min: 1,
-            max: Some(1),
-        },
-    ),
-    (
-        "assert",
-        Sig {
-            min: 1,
-            max: Some(2),
-        },
-    ),
-    (
-        "error",
-        Sig {
-            min: 1,
-            max: Some(1),
-        },
-    ),
-    ("pcall", Sig { min: 1, max: None }),
-];
-
-/// Members of a sandbox stdlib module, or `None` for non-module names.
-fn module_members(module: &str) -> Option<&'static [(&'static str, Member)]> {
-    match module {
-        "math" => Some(MATH),
-        "string" => Some(STRING),
-        "table" => Some(TABLE),
-        _ => None,
-    }
-}
-
-/// Looks up a stdlib module member (`stdlib_member("math", "abs")`).
-pub fn stdlib_member(module: &str, member: &str) -> Option<Member> {
-    module_members(module)?
-        .iter()
-        .find(|(n, _)| *n == member)
-        .map(|&(_, m)| m)
-}
-
-/// Looks up a top-level sandbox builtin (`tostring`, `pcall`, …).
-pub fn builtin_fn(name: &str) -> Option<Sig> {
-    BUILTINS.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
-}
-
-/// Every global name the sealed sandbox provides — the stdlib seed of the
-/// defined-globals analysis.
-pub fn stdlib_global_names() -> &'static [&'static str] {
-    &[
-        "tostring", "tonumber", "type", "assert", "error", "pcall", "math", "string", "table",
-    ]
-}
 
 /// Levenshtein distance, for "did you mean" suggestions.
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -206,135 +78,42 @@ pub fn ast_lints(block: &Block) -> Vec<Diagnostic> {
 /// variables, assignments): member/arity lints must not second-guess a
 /// user-defined `string` table.
 fn collect_shadowed(block: &Block, out: &mut HashSet<Name>) {
-    fn is_stdlib_name(n: &str) -> bool {
-        module_members(n).is_some() || builtin_fn(n).is_some()
-    }
-    fn add(n: &Name, out: &mut HashSet<Name>) {
-        if is_stdlib_name(n) {
-            out.insert(n.clone());
-        }
-    }
-    fn walk_def(def: &FuncDef, out: &mut HashSet<Name>) {
-        for p in &def.params {
-            add(p, out);
-        }
-        collect_shadowed(&def.body, out);
-    }
     for stmt in &block.stmts {
         match stmt {
-            Stmt::Local(n, _) => add(n, out),
-            Stmt::Assign(Target::Name(n), _) => add(n, out),
-            Stmt::Assign(Target::Index(..), _) | Stmt::ExprStmt(_) => {}
-            Stmt::If(arms, else_b) => {
-                for (_, b) in arms {
-                    collect_shadowed(b, out);
-                }
-                if let Some(b) = else_b {
-                    collect_shadowed(b, out);
-                }
+            Stmt::Local(n, _)
+            | Stmt::Assign(Target::Name(n), _)
+            | Stmt::NumericFor { var: n, .. }
+            | Stmt::FuncDecl {
+                target: Target::Name(n),
+                ..
             }
-            Stmt::While(_, b) => collect_shadowed(b, out),
-            Stmt::Repeat(b, _) => collect_shadowed(b, out),
-            Stmt::NumericFor { var, body, .. } => {
-                add(var, out);
-                collect_shadowed(body, out);
+            | Stmt::LocalFunc { name: n, .. } => shadow(n, out),
+            Stmt::GenericFor { k, v, .. } => {
+                shadow(k, out);
+                v.iter().for_each(|v| shadow(v, out));
             }
-            Stmt::GenericFor { k, v, body, .. } => {
-                add(k, out);
-                if let Some(v) = v {
-                    add(v, out);
-                }
-                collect_shadowed(body, out);
-            }
-            Stmt::FuncDecl { target, def } => {
-                if let Target::Name(n) = target {
-                    add(n, out);
-                }
-                walk_def(def, out);
-            }
-            Stmt::LocalFunc { name, def } => {
-                add(name, out);
-                walk_def(def, out);
-            }
-            Stmt::Return(_) | Stmt::Break => {}
+            _ => {}
+        }
+        stmt.for_each_child(|c| collect_shadowed_child(c, out));
+    }
+}
+
+fn collect_shadowed_child(child: Child<'_>, out: &mut HashSet<Name>) {
+    match child {
+        Child::Expr(e) => e.for_each_child(|c| collect_shadowed_child(c, out)),
+        Child::Block(b) => collect_shadowed(b, out),
+        Child::Func(def) => {
+            def.params.iter().for_each(|p| shadow(p, out));
+            collect_shadowed(&def.body, out);
         }
     }
-    // Expression-level function literals can also shadow via params.
-    fn exprs(block: &Block, out: &mut HashSet<Name>) {
-        fn expr(e: &Expr, out: &mut HashSet<Name>) {
-            match e {
-                Expr::Func(def) => walk_def(def, out),
-                Expr::Index(a, b) | Expr::Bin(_, a, b) => {
-                    expr(a, out);
-                    expr(b, out);
-                }
-                Expr::Un(_, a) => expr(a, out),
-                Expr::Call(g, args) => {
-                    expr(g, out);
-                    args.iter().for_each(|a| expr(a, out));
-                }
-                Expr::MethodCall(o, _, args) => {
-                    expr(o, out);
-                    args.iter().for_each(|a| expr(a, out));
-                }
-                Expr::TableCtor(items) => {
-                    for it in items {
-                        match it {
-                            TableItem::Positional(e) | TableItem::Named(_, e) => expr(e, out),
-                            TableItem::Keyed(k, e) => {
-                                expr(k, out);
-                                expr(e, out);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Local(_, Some(e)) | Stmt::Assign(_, e) | Stmt::ExprStmt(e) => expr(e, out),
-                Stmt::Return(Some(e)) => expr(e, out),
-                Stmt::If(arms, else_b) => {
-                    for (c, b) in arms {
-                        expr(c, out);
-                        exprs(b, out);
-                    }
-                    if let Some(b) = else_b {
-                        exprs(b, out);
-                    }
-                }
-                Stmt::While(c, b) => {
-                    expr(c, out);
-                    exprs(b, out);
-                }
-                Stmt::Repeat(b, c) => {
-                    exprs(b, out);
-                    expr(c, out);
-                }
-                Stmt::NumericFor {
-                    start,
-                    stop,
-                    step,
-                    body,
-                    ..
-                } => {
-                    expr(start, out);
-                    expr(stop, out);
-                    if let Some(s) = step {
-                        expr(s, out);
-                    }
-                    exprs(body, out);
-                }
-                Stmt::GenericFor { expr: e, body, .. } => {
-                    expr(e, out);
-                    exprs(body, out);
-                }
-                _ => {}
-            }
-        }
+}
+
+/// Records a rebinding of `n` if it is a stdlib name.
+fn shadow(n: &Name, out: &mut HashSet<Name>) {
+    if builtin_fn(n).is_some() || module_members(n).next().is_some() {
+        out.insert(n.clone());
     }
-    exprs(block, out);
 }
 
 impl AstLinter {
@@ -545,18 +324,18 @@ impl AstLinter {
 
     /// Is `name` a live (unshadowed) stdlib module reference here?
     fn stdlib_module(&self, name: &str) -> bool {
-        module_members(name).is_some() && !self.shadowed.contains(name) && !self.is_local(name)
+        module_members(name).next().is_some()
+            && !self.shadowed.contains(name)
+            && !self.is_local(name)
     }
 
     fn walk_expr(&mut self, expr: &Expr) {
         match expr {
-            Expr::Nil | Expr::Bool(_) | Expr::Num(_) | Expr::Str(_) | Expr::Var(_) => {}
+            // AA003: `math.flor`.
             Expr::Index(obj, key) => {
-                // AA003: `math.flor`.
                 if let (Expr::Var(m), Expr::Str(k)) = (&**obj, &**key) {
                     if self.stdlib_module(m) && stdlib_member(m, k).is_none() {
-                        let members = module_members(m).expect("checked above");
-                        let hint = suggest(k, members.iter().map(|(n, _)| *n))
+                        let hint = suggest(k, module_members(m).map(|(n, _)| n))
                             .map(|s| format!(" — did you mean `{m}.{s}`?"))
                             .unwrap_or_default();
                         self.diags.push(Diagnostic::error(
@@ -566,45 +345,20 @@ impl AstLinter {
                         ));
                     }
                 }
-                self.walk_expr(obj);
-                self.walk_expr(key);
             }
-            Expr::Call(f, args) => {
-                self.check_call(f, args.len());
-                self.walk_expr(f);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::MethodCall(obj, _, args) => {
-                self.walk_expr(obj);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::Bin(_, l, r) => {
-                self.walk_expr(l);
-                self.walk_expr(r);
-            }
-            Expr::Un(_, e) => self.walk_expr(e),
-            Expr::TableCtor(items) => {
-                for item in items {
-                    match item {
-                        TableItem::Positional(e) | TableItem::Named(_, e) => self.walk_expr(e),
-                        TableItem::Keyed(k, e) => {
-                            self.walk_expr(k);
-                            self.walk_expr(e);
-                        }
-                    }
-                }
-            }
-            Expr::Func(def) => self.walk_def(def),
+            Expr::Call(f, args) => self.check_call(f, args.len()),
+            _ => {}
         }
+        expr.for_each_child(|c| match c {
+            Child::Expr(e) => self.walk_expr(e),
+            Child::Func(def) => self.walk_def(def),
+            Child::Block(_) => unreachable!("an expression holds blocks only inside a function"),
+        });
     }
 
     /// AA004: stdlib arity and kind checks at call sites.
     fn check_call(&mut self, callee: &Expr, nargs: usize) {
-        let (label, sig) = match callee {
+        let (label, def) = match callee {
             Expr::Index(obj, key) => {
                 let (Expr::Var(m), Expr::Str(k)) = (&**obj, &**key) else {
                     return;
@@ -613,15 +367,7 @@ impl AstLinter {
                     return;
                 }
                 match stdlib_member(m, k) {
-                    Some(Member::Func(sig)) => (format!("{m}.{k}"), sig),
-                    Some(Member::Const) => {
-                        self.diags.push(Diagnostic::error(
-                            LintId::StdlibMisuse,
-                            self.cur_pos,
-                            format!("`{m}.{k}` is a value, not a function"),
-                        ));
-                        return;
-                    }
+                    Some(def) => (format!("{m}.{k}"), def),
                     None => return, // AA003 already reported it.
                 }
             }
@@ -630,24 +376,31 @@ impl AstLinter {
                     return;
                 }
                 match builtin_fn(n) {
-                    Some(sig) => (n.to_string(), sig),
+                    Some(def) => (n.to_string(), def),
                     None => return,
                 }
             }
             _ => return,
         };
-        if nargs < sig.min {
+        let Def::Func { min, max, .. } = def else {
+            self.diags.push(Diagnostic::error(
+                LintId::StdlibMisuse,
+                self.cur_pos,
+                format!("`{label}` is a value, not a function"),
+            ));
+            return;
+        };
+        if nargs < min {
             self.diags.push(Diagnostic::error(
                 LintId::StdlibMisuse,
                 self.cur_pos,
                 format!(
                     "`{label}` expects at least {} argument{}, got {nargs}",
-                    sig.min,
-                    if sig.min == 1 { "" } else { "s" }
+                    min,
+                    if min == 1 { "" } else { "s" }
                 ),
             ));
-        } else if sig.max.is_some_and(|m| nargs > m) {
-            let max = sig.max.expect("checked");
+        } else if let Some(max) = max.filter(|&m| nargs > m) {
             self.diags.push(Diagnostic::error(
                 LintId::StdlibMisuse,
                 self.cur_pos,

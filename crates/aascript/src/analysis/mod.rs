@@ -6,7 +6,7 @@
 //! where a runtime error silently *denies* the request. This module family
 //! verifies scripts at install time instead:
 //!
-//! * [`cfg`] — basic-block CFGs recovered from compiled bytecode;
+//! * [`mod@cfg`] — basic-block CFGs recovered from compiled bytecode;
 //! * [`dataflow`] — forward definite-initialization analyses for register
 //!   slots and globals;
 //! * [`cost`] — abstract-interpretation worst-case instruction-cost
@@ -149,9 +149,7 @@ pub fn analyze(block: &Block, chunk: &Chunk, opts: &LintOptions) -> Vec<Diagnost
         .collect();
     let seed = name_indices(
         chunk,
-        lints::stdlib_global_names()
-            .iter()
-            .copied()
+        crate::stdlib::stdlib_global_names()
             .chain(std::iter::once("AA"))
             .chain(opts.externs.iter().map(|s| s.as_str())),
     );

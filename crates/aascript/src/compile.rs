@@ -1,6 +1,6 @@
 //! AST → bytecode lowering.
 //!
-//! The compiler turns a parsed [`Block`] into a [`Chunk`]: flat opcode
+//! The compiler turns a parsed `Block` into a [`Chunk`]: flat opcode
 //! vectors with jump-patched control flow, a deduplicated constant pool, and
 //! an interned name table. The key transformation is **compile-time slot
 //! resolution**: every local variable and upvalue is resolved here, once, to
@@ -519,7 +519,7 @@ impl Compiler {
         top_level: bool,
     ) -> Result<u32, CompileError> {
         let mut captured = HashSet::new();
-        captured_names_block(body, &mut captured);
+        captured_names_block(body, false, &mut captured);
         self.fns.push(FnCtx {
             code: Vec::new(),
             lines: Vec::new(),
@@ -1002,242 +1002,35 @@ impl Compiler {
 
 /// Collects every variable name referenced (read or written) inside any
 /// function definition nested within `block` — the names whose enclosing
-/// locals must be cell-allocated.
-fn captured_names_block(block: &Block, out: &mut HashSet<Name>) {
+/// locals must be cell-allocated. `nested` says whether `block` itself is
+/// already inside such a definition.
+fn captured_names_block(block: &Block, nested: bool, out: &mut HashSet<Name>) {
     for stmt in &block.stmts {
-        captured_names_stmt(stmt, out);
-    }
-}
-
-fn captured_names_stmt(stmt: &Stmt, out: &mut HashSet<Name>) {
-    match stmt {
-        Stmt::Local(_, init) => {
-            if let Some(e) = init {
-                captured_names_expr(e, out);
-            }
-        }
-        Stmt::Assign(target, e) => {
-            captured_names_target(target, out);
-            captured_names_expr(e, out);
-        }
-        Stmt::ExprStmt(e) => captured_names_expr(e, out),
-        Stmt::If(arms, else_body) => {
-            for (c, b) in arms {
-                captured_names_expr(c, out);
-                captured_names_block(b, out);
-            }
-            if let Some(b) = else_body {
-                captured_names_block(b, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            captured_names_expr(c, out);
-            captured_names_block(b, out);
-        }
-        Stmt::Repeat(b, c) => {
-            captured_names_block(b, out);
-            captured_names_expr(c, out);
-        }
-        Stmt::NumericFor {
-            start,
-            stop,
-            step,
-            body,
-            ..
-        } => {
-            captured_names_expr(start, out);
-            captured_names_expr(stop, out);
-            if let Some(e) = step {
-                captured_names_expr(e, out);
-            }
-            captured_names_block(body, out);
-        }
-        Stmt::GenericFor { expr, body, .. } => {
-            captured_names_expr(expr, out);
-            captured_names_block(body, out);
-        }
-        Stmt::FuncDecl { target, def } => {
-            captured_names_target(target, out);
-            all_names_block(&def.body, out);
-        }
-        Stmt::LocalFunc { def, .. } => all_names_block(&def.body, out),
-        Stmt::Return(e) => {
-            if let Some(e) = e {
-                captured_names_expr(e, out);
-            }
-        }
-        Stmt::Break => {}
-    }
-}
-
-fn captured_names_target(target: &Target, out: &mut HashSet<Name>) {
-    if let Target::Index(obj, key) = target {
-        captured_names_expr(obj, out);
-        captured_names_expr(key, out);
-    }
-}
-
-fn captured_names_expr(expr: &Expr, out: &mut HashSet<Name>) {
-    match expr {
-        Expr::Nil | Expr::Bool(_) | Expr::Num(_) | Expr::Str(_) | Expr::Var(_) => {}
-        Expr::Index(a, b) => {
-            captured_names_expr(a, out);
-            captured_names_expr(b, out);
-        }
-        Expr::Call(f, args) => {
-            captured_names_expr(f, out);
-            for a in args {
-                captured_names_expr(a, out);
-            }
-        }
-        Expr::MethodCall(obj, _, args) => {
-            captured_names_expr(obj, out);
-            for a in args {
-                captured_names_expr(a, out);
-            }
-        }
-        Expr::Bin(_, l, r) => {
-            captured_names_expr(l, out);
-            captured_names_expr(r, out);
-        }
-        Expr::Un(_, e) => captured_names_expr(e, out),
-        Expr::TableCtor(items) => {
-            for item in items {
-                match item {
-                    TableItem::Positional(e) | TableItem::Named(_, e) => {
-                        captured_names_expr(e, out)
-                    }
-                    TableItem::Keyed(k, e) => {
-                        captured_names_expr(k, out);
-                        captured_names_expr(e, out);
-                    }
-                }
-            }
-        }
-        Expr::Func(def) => all_names_block(&def.body, out),
-    }
-}
-
-/// Collects every variable reference in `block`, including inside nested
-/// function definitions (used once we are *inside* a nested function).
-fn all_names_block(block: &Block, out: &mut HashSet<Name>) {
-    for stmt in &block.stmts {
-        all_names_stmt(stmt, out);
-    }
-}
-
-fn all_names_stmt(stmt: &Stmt, out: &mut HashSet<Name>) {
-    match stmt {
-        Stmt::Local(_, init) => {
-            if let Some(e) = init {
-                all_names_expr(e, out);
-            }
-        }
-        Stmt::Assign(target, e) => {
-            all_names_target(target, out);
-            all_names_expr(e, out);
-        }
-        Stmt::ExprStmt(e) => all_names_expr(e, out),
-        Stmt::If(arms, else_body) => {
-            for (c, b) in arms {
-                all_names_expr(c, out);
-                all_names_block(b, out);
-            }
-            if let Some(b) = else_body {
-                all_names_block(b, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            all_names_expr(c, out);
-            all_names_block(b, out);
-        }
-        Stmt::Repeat(b, c) => {
-            all_names_block(b, out);
-            all_names_expr(c, out);
-        }
-        Stmt::NumericFor {
-            start,
-            stop,
-            step,
-            body,
-            ..
-        } => {
-            all_names_expr(start, out);
-            all_names_expr(stop, out);
-            if let Some(e) = step {
-                all_names_expr(e, out);
-            }
-            all_names_block(body, out);
-        }
-        Stmt::GenericFor { expr, body, .. } => {
-            all_names_expr(expr, out);
-            all_names_block(body, out);
-        }
-        Stmt::FuncDecl { target, def } => {
-            all_names_target(target, out);
-            all_names_block(&def.body, out);
-        }
-        Stmt::LocalFunc { def, .. } => all_names_block(&def.body, out),
-        Stmt::Return(e) => {
-            if let Some(e) = e {
-                all_names_expr(e, out);
-            }
-        }
-        Stmt::Break => {}
-    }
-}
-
-fn all_names_target(target: &Target, out: &mut HashSet<Name>) {
-    match target {
-        Target::Name(n) => {
+        if let (
+            true,
+            Stmt::Assign(Target::Name(n), _)
+            | Stmt::FuncDecl {
+                target: Target::Name(n),
+                ..
+            },
+        ) = (nested, stmt)
+        {
             out.insert(Rc::clone(n));
         }
-        Target::Index(obj, key) => {
-            all_names_expr(obj, out);
-            all_names_expr(key, out);
-        }
+        stmt.for_each_child(|c| captured_names_child(c, nested, out));
     }
 }
 
-fn all_names_expr(expr: &Expr, out: &mut HashSet<Name>) {
-    match expr {
-        Expr::Nil | Expr::Bool(_) | Expr::Num(_) | Expr::Str(_) => {}
-        Expr::Var(n) => {
-            out.insert(Rc::clone(n));
-        }
-        Expr::Index(a, b) => {
-            all_names_expr(a, out);
-            all_names_expr(b, out);
-        }
-        Expr::Call(f, args) => {
-            all_names_expr(f, out);
-            for a in args {
-                all_names_expr(a, out);
+fn captured_names_child(child: Child<'_>, nested: bool, out: &mut HashSet<Name>) {
+    match child {
+        Child::Expr(e) => {
+            if let (true, Expr::Var(n)) = (nested, e) {
+                out.insert(Rc::clone(n));
             }
+            e.for_each_child(|c| captured_names_child(c, nested, out));
         }
-        Expr::MethodCall(obj, _, args) => {
-            all_names_expr(obj, out);
-            for a in args {
-                all_names_expr(a, out);
-            }
-        }
-        Expr::Bin(_, l, r) => {
-            all_names_expr(l, out);
-            all_names_expr(r, out);
-        }
-        Expr::Un(_, e) => all_names_expr(e, out),
-        Expr::TableCtor(items) => {
-            for item in items {
-                match item {
-                    TableItem::Positional(e) | TableItem::Named(_, e) => all_names_expr(e, out),
-                    TableItem::Keyed(k, e) => {
-                        all_names_expr(k, out);
-                        all_names_expr(e, out);
-                    }
-                }
-            }
-        }
-        Expr::Func(def) => all_names_block(&def.body, out),
+        Child::Block(b) => captured_names_block(b, nested, out),
+        Child::Func(def) => captured_names_block(&def.body, true, out),
     }
 }
 
@@ -1318,6 +1111,40 @@ mod tests {
             .find(|p| !p.upvals.is_empty())
             .expect("inner must capture an upvalue");
         assert_eq!(inner.upvals, vec![UpvalSrc::ParentCell(0)]);
+
+        // Is `outer`'s one local a cell? (`outer` is the last proto before
+        // main; its closures compile first.)
+        let outer_cells = |body: &str| {
+            let c = chunk_of(&format!("function outer() {body} end"));
+            let outer = &c.protos[c.main - 1];
+            assert_eq!(outer.n_cells + outer.n_regs, 1, "one local: {body}");
+            outer.n_cells == 1
+        };
+        assert!(
+            outer_cells("local w = 0 return function() w = 1 end"),
+            "a closure that only assigns (never reads) still captures"
+        );
+        assert!(
+            outer_cells("local cb return function() function cb() end end"),
+            "naming a local as a `function name()` target inside a closure captures it"
+        );
+        assert!(
+            !outer_cells("local r = 0 r = 1 function r() end return function() end"),
+            "the same writes at the outer level capture nothing"
+        );
+        // Two function levels down: the middle function relays the cell.
+        let c = chunk_of(
+            "function outer()
+                 local deep = 0
+                 return function() return function() return deep end end
+             end",
+        );
+        let [innermost, middle, outer, _main] = &c.protos[..] else {
+            panic!("three functions and main: {}", c.protos.len());
+        };
+        assert_eq!(outer.n_cells, 1);
+        assert_eq!(middle.upvals, vec![UpvalSrc::ParentCell(0)]);
+        assert_eq!(innermost.upvals, vec![UpvalSrc::ParentUpval(0)]);
     }
 
     #[test]

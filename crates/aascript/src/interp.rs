@@ -1,4 +1,7 @@
-//! The tree-walking evaluator with its sandbox protections.
+//! The tree-walking evaluator with its sandbox protections, and the scope
+//! chains ([`Env`]) it and the VM keep globals in. Hosts run the VM; this
+//! evaluator is the reference the differential tests compare it against,
+//! reached through [`crate::oracle`].
 //!
 //! Every AST node visited consumes one unit of the instruction budget; when
 //! the budget runs out the handler is terminated immediately with
@@ -227,14 +230,6 @@ impl Interp {
                 }
             }
             Value::Native(_, nf) => nf(args),
-            // A bytecode closure can flow into tree-walked code through a
-            // shared global or table; delegate to the VM on the same budget.
-            Value::Compiled(_) => {
-                let mut vm = crate::vm::Vm::new(self.budget, Rc::clone(&self.globals));
-                let result = vm.call(f, args);
-                self.budget = vm.budget;
-                result
-            }
             other => Err(RuntimeError::TypeError(format!(
                 "attempt to call a {} value",
                 other.type_name()
@@ -406,7 +401,7 @@ impl Interp {
                 // this engine never breaks (pinned by
                 // `treewalk_closure_env_cycle_is_the_documented_divergence`
                 // in lib.rs). VM closures capture individual cells and are
-                // fully reclaimed — one reason the VM is the default.
+                // fully reclaimed — one reason the VM is the engine.
                 let f = Value::Func(Rc::new(Closure {
                     def: Rc::clone(def),
                     env: Rc::clone(env),
@@ -627,5 +622,15 @@ impl Interp {
             }
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }
+    }
+}
+
+#[cfg(test)]
+pub mod testing {
+    use super::{Env, Name};
+
+    /// The names bound in exactly this scope.
+    pub fn scope_names(env: &Env) -> Vec<Name> {
+        env.vars.borrow().keys().cloned().collect()
     }
 }

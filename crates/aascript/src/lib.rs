@@ -55,26 +55,9 @@ pub mod vm;
 pub use error::{CompileError, Pos, RuntimeError};
 pub use value::{display_value, BcClosure, Key, NativeFn, Table, Value};
 
-use interp::{child_env, lookup, scope_size_bytes, sealed_env_from, Env, Interp};
+use interp::{child_env, lookup, scope_size_bytes, sealed_env_from, Env};
 use std::rc::Rc;
 use vm::Vm;
-
-/// Which execution engine runs a script.
-///
-/// Both engines share the parser, values, stdlib, and sandbox rules, and
-/// are kept behaviorally identical (a differential property test asserts
-/// it). The tree-walker survives as the reference oracle; the bytecode VM
-/// is the production engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Compile to bytecode and run on the VM (default). The instruction
-    /// budget is charged per opcode.
-    #[default]
-    Bytecode,
-    /// Walk the AST directly. The instruction budget is charged per
-    /// visited node.
-    TreeWalk,
-}
 
 /// The standard handler names of the active-attribute API (paper Table I).
 pub const HANDLER_NAMES: [&str; 5] = [
@@ -119,20 +102,18 @@ impl std::fmt::Debug for SharedSandbox {
 
 /// A compiled AAScript program (parsed once, instantiable many times).
 ///
-/// Holds both the AST (for the tree-walking oracle) and the lowered
-/// bytecode [`compile::Chunk`]; [`Script::engine`] selects which one
-/// [`Script::instantiate`] uses.
+/// Holds the lowered bytecode [`compile::Chunk`] that
+/// [`Script::instantiate`] runs, and the AST it was lowered from (for the
+/// static analyzer and the reference evaluator the tests compare against).
 #[derive(Debug, Clone)]
 pub struct Script {
     block: Rc<ast::Block>,
     chunk: Rc<compile::Chunk>,
-    engine: Engine,
     source_len: usize,
 }
 
 impl Script {
-    /// Parses and lowers `src` into a reusable compiled script running on
-    /// the default engine (the bytecode VM).
+    /// Parses and lowers `src` into a reusable compiled script.
     ///
     /// # Errors
     ///
@@ -143,7 +124,6 @@ impl Script {
         Ok(Script {
             block,
             chunk,
-            engine: Engine::default(),
             source_len: src.len(),
         })
     }
@@ -154,18 +134,6 @@ impl Script {
     /// catalog.
     pub fn analyze(&self, opts: &analysis::LintOptions) -> Vec<analysis::Diagnostic> {
         analysis::analyze(&self.block, &self.chunk, opts)
-    }
-
-    /// Selects the execution engine for instances of this script.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine instances of this script will run on.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Runs the script top-to-bottom in a fresh instance environment,
@@ -182,19 +150,9 @@ impl Script {
         budget: u64,
     ) -> Result<AaInstance, RuntimeError> {
         let globals = child_env(&sandbox.env);
-        match self.engine {
-            Engine::Bytecode => {
-                let mut vm = Vm::new(budget, globals.clone());
-                vm.exec_main(&self.chunk)?;
-            }
-            Engine::TreeWalk => {
-                let mut interp = Interp::new(budget, globals.clone());
-                interp.exec_chunk(&self.block, &globals)?;
-            }
-        }
+        Vm::new(budget, globals.clone()).exec_main(&self.chunk)?;
         Ok(AaInstance {
             globals,
-            engine: self.engine,
             source_len: self.source_len,
         })
     }
@@ -206,8 +164,24 @@ impl Script {
 #[derive(Debug)]
 pub struct AaInstance {
     globals: Env,
-    engine: Engine,
     source_len: usize,
+}
+
+/// The lookup behind [`AaInstance::handler`], shared with the reference
+/// evaluator's instances.
+fn find_handler(globals: &Env, name: &str) -> Option<Value> {
+    let is_fn = |v: &Value| matches!(v, Value::Func(_) | Value::Compiled(_) | Value::Native(..));
+    let direct = lookup(globals, name);
+    if is_fn(&direct) {
+        return Some(direct);
+    }
+    if let Value::Table(aa) = lookup(globals, "AA") {
+        let v = aa.borrow().get(&Key::Str(name.into()));
+        if is_fn(&v) {
+            return Some(v);
+        }
+    }
+    None
 }
 
 impl AaInstance {
@@ -215,20 +189,7 @@ impl AaInstance {
     /// same-named function inside the global `AA` table (the paper allows
     /// both styles).
     pub fn handler(&self, name: &str) -> Option<Value> {
-        let direct = lookup(&self.globals, name);
-        if matches!(
-            direct,
-            Value::Func(_) | Value::Compiled(_) | Value::Native(..)
-        ) {
-            return Some(direct);
-        }
-        if let Value::Table(aa) = lookup(&self.globals, "AA") {
-            let v = aa.borrow().get(&Key::Str(name.into()));
-            if matches!(v, Value::Func(_) | Value::Compiled(_) | Value::Native(..)) {
-                return Some(v);
-            }
-        }
-        None
+        find_handler(&self.globals, name)
     }
 
     /// Whether the instance defines `name` as a handler.
@@ -246,21 +207,7 @@ impl AaInstance {
         let f = self
             .handler(name)
             .ok_or_else(|| RuntimeError::Undefined(format!("handler `{name}`")))?;
-        match self.engine {
-            Engine::Bytecode => {
-                let mut vm = Vm::new(budget, self.globals.clone());
-                vm.call(&f, args)
-            }
-            Engine::TreeWalk => {
-                let mut interp = Interp::new(budget, self.globals.clone());
-                interp.call(&f, args)
-            }
-        }
-    }
-
-    /// The engine this instance dispatches handlers on.
-    pub fn engine(&self) -> Engine {
-        self.engine
+        Vm::new(budget, self.globals.clone()).call(&f, args)
     }
 
     /// Reads a global of the instance (e.g. the `AA` table).
@@ -280,7 +227,11 @@ impl AaInstance {
     /// and are not charged. This is the quantity compared against the
     /// PAST baseline in Fig. 8c.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + 48 + scope_size_bytes(&self.globals)
+        // The handle and its globals scope's allocation, as one constant
+        // rather than `size_of::<Self>()`: Fig. 8c must not move when a
+        // field of this struct does.
+        const FIXED_BOOKKEEPING: usize = 72;
+        FIXED_BOOKKEEPING + scope_size_bytes(&self.globals)
     }
 
     /// Length of the (shared) source this instance was built from.
@@ -299,6 +250,66 @@ pub fn eval_script(src: &str, budget: u64) -> Result<AaInstance, Box<dyn std::er
     let sandbox = SharedSandbox::new();
     let script = Script::compile(src)?;
     Ok(script.instantiate(&sandbox, budget)?)
+}
+
+/// The tree-walking reference evaluator, for the differential tests and the
+/// `aa_exec` experiment only: it runs a [`Script`]'s AST directly, charging
+/// the budget per visited node, and must agree with the VM on everything a
+/// handler can observe (DESIGN.md §10 lists the three documented
+/// divergences).
+#[doc(hidden)]
+pub mod oracle {
+    use super::{find_handler, RuntimeError, Script, SharedSandbox, Value};
+    use crate::interp::{child_env, lookup, Env, Interp};
+
+    /// A script instantiated on the reference evaluator. Deliberately not an
+    /// [`AaInstance`](super::AaInstance): its closures are the walker's, which
+    /// the VM cannot call.
+    #[derive(Debug)]
+    pub struct Instance {
+        pub(crate) globals: Env,
+    }
+
+    /// [`Script::instantiate`] on the reference evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Any runtime error raised by top-level code, including budget
+    /// exhaustion.
+    pub fn instantiate(
+        script: &Script,
+        sandbox: &SharedSandbox,
+        budget: u64,
+    ) -> Result<Instance, RuntimeError> {
+        let globals = child_env(&sandbox.env);
+        Interp::new(budget, globals.clone()).exec_chunk(&script.block, &globals)?;
+        Ok(Instance { globals })
+    }
+
+    impl Instance {
+        /// [`AaInstance::invoke`](super::AaInstance::invoke) on the reference
+        /// evaluator.
+        ///
+        /// # Errors
+        ///
+        /// [`RuntimeError::Undefined`] if no such handler exists, or any
+        /// error the handler raises (including budget exhaustion).
+        pub fn invoke(
+            &self,
+            name: &str,
+            args: &[Value],
+            budget: u64,
+        ) -> Result<Value, RuntimeError> {
+            let f = find_handler(&self.globals, name)
+                .ok_or_else(|| RuntimeError::Undefined(format!("handler `{name}`")))?;
+            Interp::new(budget, self.globals.clone()).call(&f, args)
+        }
+
+        /// Reads a global of the instance.
+        pub fn global(&self, name: &str) -> Value {
+            lookup(&self.globals, name)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -595,11 +606,7 @@ mod tests {
         let src = "function onGet() return 1 end";
         let sandbox = SharedSandbox::new();
 
-        let walker = Script::compile(src)
-            .unwrap()
-            .with_engine(Engine::TreeWalk)
-            .instantiate(&sandbox, 10_000)
-            .unwrap();
+        let walker = oracle::instantiate(&Script::compile(src).unwrap(), &sandbox, 10_000).unwrap();
         let weak = Rc::downgrade(&walker.globals);
         drop(walker);
         assert!(
@@ -609,7 +616,6 @@ mod tests {
 
         let vm = Script::compile(src)
             .unwrap()
-            .with_engine(Engine::Bytecode)
             .instantiate(&sandbox, 10_000)
             .unwrap();
         let weak = Rc::downgrade(&vm.globals);

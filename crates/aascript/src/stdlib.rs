@@ -8,18 +8,10 @@
 //! nondeterminism.
 
 use crate::error::RuntimeError;
-use crate::interp::{declare, root_env, Env};
-use crate::value::{display_value, Key, NativeFn, Table, Value};
+use crate::interp::{declare, lookup, root_env, Env};
+use crate::value::{display_value, Key, Table, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn native(
-    name: &'static str,
-    f: impl Fn(&[Value]) -> Result<Value, RuntimeError> + 'static,
-) -> Value {
-    let nf: NativeFn = Rc::new(f);
-    Value::Native(name, nf)
-}
 
 fn arg(args: &[Value], i: usize) -> Value {
     args.get(i).cloned().unwrap_or(Value::Nil)
@@ -79,339 +71,318 @@ fn str_range(len: usize, i: f64, j: f64) -> (usize, usize) {
     ((start - 1) as usize, stop as usize)
 }
 
-/// Builds a fresh global environment containing the sandboxed stdlib.
-pub fn sandbox_globals() -> Env {
-    let env = root_env();
+/// What a name of the sandbox library is bound to.
+#[derive(Clone, Copy)]
+pub(crate) enum Def {
+    /// A native function accepting `min..=max` arguments (`None` =
+    /// varargs). The bounds are what AA004 enforces at call sites.
+    Func {
+        min: usize,
+        max: Option<usize>,
+        run: NativeImpl,
+    },
+    /// A plain number (`math.pi`): calling it is a kind error.
+    Const(f64),
+}
 
-    declare(
-        &env,
-        "tostring",
-        native("tostring", |args| {
-            Ok(Value::str(display_value(&arg(args, 0))))
-        }),
-    );
+type NativeImpl = fn(&[Value]) -> Result<Value, RuntimeError>;
 
-    declare(
-        &env,
-        "tonumber",
-        native("tonumber", |args| match arg(args, 0) {
-            Value::Num(n) => Ok(Value::Num(n)),
-            Value::Str(s) => Ok(s
-                .trim()
-                .parse::<f64>()
-                .map(Value::Num)
-                .unwrap_or(Value::Nil)),
-            _ => Ok(Value::Nil),
-        }),
-    );
+/// A native bound at `path`, taking `min..=max` arguments.
+const fn f(path: &str, min: usize, max: Option<usize>, run: NativeImpl) -> (&str, Def) {
+    (path, Def::Func { min, max, run })
+}
 
-    declare(
-        &env,
-        "type",
-        native("type", |args| Ok(Value::str(arg(args, 0).type_name()))),
-    );
-
-    declare(
-        &env,
-        "assert",
-        native("assert", |args| {
-            let v = arg(args, 0);
-            if v.truthy() {
-                Ok(v)
-            } else {
-                let msg = match arg(args, 1) {
-                    Value::Str(s) => s.to_string(),
-                    Value::Nil => "assertion failed!".into(),
-                    other => display_value(&other),
-                };
-                Err(RuntimeError::Other(msg))
-            }
-        }),
-    );
-
-    declare(
-        &env,
-        "error",
-        native("error", |args| {
-            Err(RuntimeError::Other(display_value(&arg(args, 0))))
-        }),
-    );
-
+/// The whole sandbox library, by the path scripts reach it through
+/// (`tostring`, `math.abs`): the environment [`sandbox_globals`] builds and
+/// the signatures the analyzer checks calls against are both read off this.
+pub(crate) static LIBRARY: &[(&str, Def)] = &[
+    f("tostring", 1, Some(1), |args| {
+        Ok(Value::str(display_value(&arg(args, 0))))
+    }),
+    f("tonumber", 1, Some(1), |args| match arg(args, 0) {
+        Value::Num(n) => Ok(Value::Num(n)),
+        Value::Str(s) => Ok(s
+            .trim()
+            .parse::<f64>()
+            .map(Value::Num)
+            .unwrap_or(Value::Nil)),
+        _ => Ok(Value::Nil),
+    }),
+    f("type", 1, Some(1), |args| {
+        Ok(Value::str(arg(args, 0).type_name()))
+    }),
+    f("assert", 1, Some(2), |args| {
+        let v = arg(args, 0);
+        if v.truthy() {
+            Ok(v)
+        } else {
+            let msg = match arg(args, 1) {
+                Value::Str(s) => s.to_string(),
+                Value::Nil => "assertion failed!".into(),
+                other => display_value(&other),
+            };
+            Err(RuntimeError::Other(msg))
+        }
+    }),
+    f("error", 1, Some(1), |args| {
+        Err(RuntimeError::Other(display_value(&arg(args, 0))))
+    }),
     // `pcall` is dispatched specially by the interpreter (it must run the
     // callee); this binding only provides the name. Unlike Lua's
     // multi-value return, it returns a table: `{ok = bool, value = ...}`
     // on success, `{ok = false, error = "..."}` on a caught error.
-    declare(
-        &env,
-        "pcall",
-        native("pcall", |_args| {
-            Err(RuntimeError::Other(
-                "pcall must be called directly, not through a variable".into(),
-            ))
-        }),
-    );
-
+    f("pcall", 1, None, |_args| {
+        Err(RuntimeError::Other(
+            "pcall must be called directly, not through a variable".into(),
+        ))
+    }),
     // ---- math ----
-    let math = Table::new();
-    let math = Rc::new(RefCell::new(math));
-    let mut m = math.borrow_mut();
-    m.set(Key::Str("pi".into()), Value::Num(std::f64::consts::PI));
-    m.set(Key::Str("huge".into()), Value::Num(f64::INFINITY));
-    m.set(
-        Key::Str("abs".into()),
-        native("math.abs", |a| Ok(Value::Num(num_arg(a, 0, "abs")?.abs()))),
-    );
-    m.set(
-        Key::Str("ceil".into()),
-        native("math.ceil", |a| {
-            Ok(Value::Num(num_arg(a, 0, "ceil")?.ceil()))
-        }),
-    );
-    m.set(
-        Key::Str("floor".into()),
-        native("math.floor", |a| {
-            Ok(Value::Num(num_arg(a, 0, "floor")?.floor()))
-        }),
-    );
-    m.set(
-        Key::Str("sqrt".into()),
-        native("math.sqrt", |a| {
-            Ok(Value::Num(num_arg(a, 0, "sqrt")?.sqrt()))
-        }),
-    );
-    m.set(
-        Key::Str("max".into()),
-        native("math.max", |a| {
-            if a.is_empty() {
-                return Err(RuntimeError::Other("math.max needs arguments".into()));
-            }
-            let mut best = num_arg(a, 0, "max")?;
-            for i in 1..a.len() {
-                best = best.max(num_arg(a, i, "max")?);
-            }
-            Ok(Value::Num(best))
-        }),
-    );
-    m.set(
-        Key::Str("min".into()),
-        native("math.min", |a| {
-            if a.is_empty() {
-                return Err(RuntimeError::Other("math.min needs arguments".into()));
-            }
-            let mut best = num_arg(a, 0, "min")?;
-            for i in 1..a.len() {
-                best = best.min(num_arg(a, i, "min")?);
-            }
-            Ok(Value::Num(best))
-        }),
-    );
-    m.set(
-        Key::Str("fmod".into()),
-        native("math.fmod", |a| {
-            Ok(Value::Num(num_arg(a, 0, "fmod")? % num_arg(a, 1, "fmod")?))
-        }),
-    );
-    drop(m);
-    declare(&env, "math", Value::Table(math));
-
+    ("math.pi", Def::Const(std::f64::consts::PI)),
+    ("math.huge", Def::Const(f64::INFINITY)),
+    f("math.abs", 1, Some(1), |a| {
+        Ok(Value::Num(num_arg(a, 0, "abs")?.abs()))
+    }),
+    f("math.ceil", 1, Some(1), |a| {
+        Ok(Value::Num(num_arg(a, 0, "ceil")?.ceil()))
+    }),
+    f("math.floor", 1, Some(1), |a| {
+        Ok(Value::Num(num_arg(a, 0, "floor")?.floor()))
+    }),
+    f("math.sqrt", 1, Some(1), |a| {
+        Ok(Value::Num(num_arg(a, 0, "sqrt")?.sqrt()))
+    }),
+    f("math.max", 1, None, |a| {
+        if a.is_empty() {
+            return Err(RuntimeError::Other("math.max needs arguments".into()));
+        }
+        let mut best = num_arg(a, 0, "max")?;
+        for i in 1..a.len() {
+            best = best.max(num_arg(a, i, "max")?);
+        }
+        Ok(Value::Num(best))
+    }),
+    f("math.min", 1, None, |a| {
+        if a.is_empty() {
+            return Err(RuntimeError::Other("math.min needs arguments".into()));
+        }
+        let mut best = num_arg(a, 0, "min")?;
+        for i in 1..a.len() {
+            best = best.min(num_arg(a, i, "min")?);
+        }
+        Ok(Value::Num(best))
+    }),
+    f("math.fmod", 2, Some(2), |a| {
+        Ok(Value::Num(num_arg(a, 0, "fmod")? % num_arg(a, 1, "fmod")?))
+    }),
     // ---- string ----
-    let string = Rc::new(RefCell::new(Table::new()));
-    let mut s = string.borrow_mut();
-    s.set(
-        Key::Str("len".into()),
-        native("string.len", |a| {
-            Ok(Value::Num(str_arg(a, 0, "len")?.len() as f64))
-        }),
-    );
-    s.set(
-        Key::Str("upper".into()),
-        native("string.upper", |a| {
-            Ok(Value::str(str_arg(a, 0, "upper")?.to_uppercase()))
-        }),
-    );
-    s.set(
-        Key::Str("lower".into()),
-        native("string.lower", |a| {
-            Ok(Value::str(str_arg(a, 0, "lower")?.to_lowercase()))
-        }),
-    );
-    s.set(
-        Key::Str("sub".into()),
-        native("string.sub", |a| {
-            let text = str_arg(a, 0, "sub")?;
-            let i = num_arg(a, 1, "sub")?;
-            let j = match arg(a, 2) {
-                Value::Nil => -1.0,
-                v => v.as_num()?,
-            };
-            let (lo, hi) = str_range(text.len(), i, j);
-            Ok(Value::str(&text[lo..hi]))
-        }),
-    );
-    s.set(
-        Key::Str("rep".into()),
-        native("string.rep", |a| {
-            let text = str_arg(a, 0, "rep")?;
-            let n = num_arg(a, 1, "rep")?.max(0.0) as usize;
-            if text.len().saturating_mul(n) > 1 << 20 {
-                return Err(RuntimeError::Other("string.rep result too large".into()));
-            }
-            Ok(Value::str(text.repeat(n)))
-        }),
-    );
-    s.set(
-        Key::Str("find".into()),
-        native("string.find", |a| {
-            // Plain substring find (no patterns in the sandbox); returns the
-            // 1-based start index or nil.
-            let hay = str_arg(a, 0, "find")?;
-            let needle = str_arg(a, 1, "find")?;
-            Ok(hay
-                .find(&needle)
-                .map(|i| Value::Num((i + 1) as f64))
-                .unwrap_or(Value::Nil))
-        }),
-    );
-    s.set(
-        Key::Str("byte".into()),
-        native("string.byte", |a| {
-            let text = str_arg(a, 0, "byte")?;
-            let i = match arg(a, 1) {
-                Value::Nil => 1.0,
-                v => v.as_num()?,
-            };
-            let (lo, hi) = str_range(text.len(), i, i);
-            if lo >= hi {
-                return Ok(Value::Nil);
-            }
-            Ok(Value::Num(text.as_bytes()[lo] as f64))
-        }),
-    );
-    s.set(
-        Key::Str("char".into()),
-        native("string.char", |a| {
-            let mut out = String::new();
-            for i in 0..a.len() {
-                let c = num_arg(a, i, "char")? as u32;
-                let c = char::from_u32(c)
-                    .ok_or_else(|| RuntimeError::Other(format!("invalid char code {c}")))?;
+    f("string.len", 1, Some(1), |a| {
+        Ok(Value::Num(str_arg(a, 0, "len")?.len() as f64))
+    }),
+    f("string.upper", 1, Some(1), |a| {
+        Ok(Value::str(str_arg(a, 0, "upper")?.to_uppercase()))
+    }),
+    f("string.lower", 1, Some(1), |a| {
+        Ok(Value::str(str_arg(a, 0, "lower")?.to_lowercase()))
+    }),
+    f("string.sub", 2, Some(3), |a| {
+        let text = str_arg(a, 0, "sub")?;
+        let i = num_arg(a, 1, "sub")?;
+        let j = match arg(a, 2) {
+            Value::Nil => -1.0,
+            v => v.as_num()?,
+        };
+        let (lo, hi) = str_range(text.len(), i, j);
+        Ok(Value::str(&text[lo..hi]))
+    }),
+    f("string.rep", 2, Some(2), |a| {
+        let text = str_arg(a, 0, "rep")?;
+        let n = num_arg(a, 1, "rep")?.max(0.0) as usize;
+        if text.len().saturating_mul(n) > 1 << 20 {
+            return Err(RuntimeError::Other("string.rep result too large".into()));
+        }
+        Ok(Value::str(text.repeat(n)))
+    }),
+    f("string.find", 2, Some(2), |a| {
+        // Plain substring find (no patterns in the sandbox); returns the
+        // 1-based start index or nil.
+        let hay = str_arg(a, 0, "find")?;
+        let needle = str_arg(a, 1, "find")?;
+        Ok(hay
+            .find(&needle)
+            .map(|i| Value::Num((i + 1) as f64))
+            .unwrap_or(Value::Nil))
+    }),
+    f("string.byte", 1, Some(2), |a| {
+        let text = str_arg(a, 0, "byte")?;
+        let i = match arg(a, 1) {
+            Value::Nil => 1.0,
+            v => v.as_num()?,
+        };
+        let (lo, hi) = str_range(text.len(), i, i);
+        if lo >= hi {
+            return Ok(Value::Nil);
+        }
+        Ok(Value::Num(text.as_bytes()[lo] as f64))
+    }),
+    f("string.char", 0, None, |a| {
+        let mut out = String::new();
+        for i in 0..a.len() {
+            let c = num_arg(a, i, "char")? as u32;
+            let c = char::from_u32(c)
+                .ok_or_else(|| RuntimeError::Other(format!("invalid char code {c}")))?;
+            out.push(c);
+        }
+        Ok(Value::str(out))
+    }),
+    f("string.format", 1, None, |a| {
+        // Minimal %s / %d / %f / %% support.
+        let fmt = str_arg(a, 0, "format")?;
+        let mut out = String::new();
+        let mut argi = 1usize;
+        let mut chars = fmt.chars().peekable();
+        while let Some(c) = chars.next() {
+            if c != '%' {
                 out.push(c);
+                continue;
             }
-            Ok(Value::str(out))
-        }),
-    );
-    s.set(
-        Key::Str("format".into()),
-        native("string.format", |a| {
-            // Minimal %s / %d / %f / %% support.
-            let fmt = str_arg(a, 0, "format")?;
-            let mut out = String::new();
-            let mut argi = 1usize;
-            let mut chars = fmt.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c != '%' {
-                    out.push(c);
-                    continue;
+            match chars.next() {
+                Some('%') => out.push('%'),
+                Some('s') => {
+                    out.push_str(&display_value(&arg(a, argi)));
+                    argi += 1;
                 }
-                match chars.next() {
-                    Some('%') => out.push('%'),
-                    Some('s') => {
-                        out.push_str(&display_value(&arg(a, argi)));
-                        argi += 1;
-                    }
-                    Some('d') => {
-                        out.push_str(&format!("{}", num_arg(a, argi, "format")? as i64));
-                        argi += 1;
-                    }
-                    Some('f') => {
-                        out.push_str(&format!("{:.6}", num_arg(a, argi, "format")?));
-                        argi += 1;
-                    }
-                    other => {
-                        return Err(RuntimeError::Other(format!(
-                            "unsupported format directive %{}",
-                            other.map(String::from).unwrap_or_default()
-                        )))
-                    }
+                Some('d') => {
+                    out.push_str(&format!("{}", num_arg(a, argi, "format")? as i64));
+                    argi += 1;
                 }
-            }
-            Ok(Value::str(out))
-        }),
-    );
-    drop(s);
-    declare(&env, "string", Value::Table(string));
-
-    // ---- table ----
-    let table_lib = Rc::new(RefCell::new(Table::new()));
-    let mut t = table_lib.borrow_mut();
-    t.set(
-        Key::Str("insert".into()),
-        native("table.insert", |a| {
-            let t = table_arg(a, 0, "insert")?;
-            match a.len() {
-                2 => {
-                    let n = t.borrow().len();
-                    t.borrow_mut().set(Key::Int(n + 1), arg(a, 1));
-                    Ok(Value::Nil)
+                Some('f') => {
+                    out.push_str(&format!("{:.6}", num_arg(a, argi, "format")?));
+                    argi += 1;
                 }
-                3 => {
-                    let pos = num_arg(a, 1, "insert")? as i64;
-                    t.borrow_mut().array_insert(pos, arg(a, 2));
-                    Ok(Value::Nil)
-                }
-                n => Err(RuntimeError::Other(format!(
-                    "wrong number of arguments to table.insert ({n})"
-                ))),
-            }
-        }),
-    );
-    t.set(
-        Key::Str("remove".into()),
-        native("table.remove", |a| {
-            let t = table_arg(a, 0, "remove")?;
-            let pos = match arg(a, 1) {
-                Value::Nil => t.borrow().len(),
-                v => v.as_num()? as i64,
-            };
-            if pos == 0 {
-                return Ok(Value::Nil);
-            }
-            let removed = t.borrow_mut().array_remove(pos);
-            Ok(removed)
-        }),
-    );
-    t.set(
-        Key::Str("concat".into()),
-        native("table.concat", |a| {
-            let t = table_arg(a, 0, "concat")?;
-            let sep = match arg(a, 1) {
-                Value::Nil => String::new(),
-                Value::Str(s) => s.to_string(),
                 other => {
-                    return Err(RuntimeError::TypeError(format!(
-                        "bad separator of type {}",
-                        other.type_name()
+                    return Err(RuntimeError::Other(format!(
+                        "unsupported format directive %{}",
+                        other.map(String::from).unwrap_or_default()
                     )))
                 }
-            };
-            let t = t.borrow();
-            let mut parts = Vec::new();
-            for i in 1..=t.len() {
-                parts.push(t.get(&Key::Int(i)).concat_str()?);
             }
-            Ok(Value::str(parts.join(&sep)))
-        }),
-    );
-    drop(t);
-    declare(&env, "table", Value::Table(table_lib));
+        }
+        Ok(Value::str(out))
+    }),
+    // ---- table ----
+    f("table.insert", 2, Some(3), |a| {
+        let t = table_arg(a, 0, "insert")?;
+        match a.len() {
+            2 => {
+                let n = t.borrow().len();
+                t.borrow_mut().set(Key::Int(n + 1), arg(a, 1));
+                Ok(Value::Nil)
+            }
+            3 => {
+                let pos = num_arg(a, 1, "insert")? as i64;
+                t.borrow_mut().array_insert(pos, arg(a, 2));
+                Ok(Value::Nil)
+            }
+            n => Err(RuntimeError::Other(format!(
+                "wrong number of arguments to table.insert ({n})"
+            ))),
+        }
+    }),
+    f("table.remove", 1, Some(2), |a| {
+        let t = table_arg(a, 0, "remove")?;
+        let pos = match arg(a, 1) {
+            Value::Nil => t.borrow().len(),
+            v => v.as_num()? as i64,
+        };
+        if pos == 0 {
+            return Ok(Value::Nil);
+        }
+        let removed = t.borrow_mut().array_remove(pos);
+        Ok(removed)
+    }),
+    f("table.concat", 1, Some(2), |a| {
+        let t = table_arg(a, 0, "concat")?;
+        let sep = match arg(a, 1) {
+            Value::Nil => String::new(),
+            Value::Str(s) => s.to_string(),
+            other => {
+                return Err(RuntimeError::TypeError(format!(
+                    "bad separator of type {}",
+                    other.type_name()
+                )))
+            }
+        };
+        let t = t.borrow();
+        let mut parts = Vec::new();
+        for i in 1..=t.len() {
+            parts.push(t.get(&Key::Int(i)).concat_str()?);
+        }
+        Ok(Value::str(parts.join(&sep)))
+    }),
+];
 
+/// The members of sandbox module `module`, in declaration order; empty for
+/// a name that is not a module.
+pub(crate) fn module_members(module: &str) -> impl Iterator<Item = (&'static str, Def)> + '_ {
+    LIBRARY.iter().filter_map(move |&(path, def)| {
+        let member = path.strip_prefix(module)?.strip_prefix('.')?;
+        Some((member, def))
+    })
+}
+
+/// Looks up a stdlib module member (`stdlib_member("math", "abs")`).
+pub(crate) fn stdlib_member(module: &str, member: &str) -> Option<Def> {
+    module_members(module)
+        .find(|&(name, _)| name == member)
+        .map(|(_, def)| def)
+}
+
+/// Looks up a top-level sandbox builtin (`tostring`, `pcall`, …).
+pub(crate) fn builtin_fn(name: &str) -> Option<Def> {
+    // A member's path holds a dot, so it never equals an identifier.
+    LIBRARY
+        .iter()
+        .find(|&&(path, _)| path == name)
+        .map(|&(_, def)| def)
+}
+
+/// Every global name the sealed sandbox provides — the stdlib seed of the
+/// defined-globals analysis. A module is yielded once per member.
+pub(crate) fn stdlib_global_names<'a>() -> impl Iterator<Item = &'a str> {
+    LIBRARY
+        .iter()
+        .map(|&(path, _)| path.split_once('.').map_or(path, |(module, _)| module))
+}
+
+/// Builds a fresh global environment containing the sandboxed stdlib.
+pub fn sandbox_globals() -> Env {
+    let env = root_env();
+    for &(path, def) in LIBRARY {
+        let value = match def {
+            Def::Func { run, .. } => Value::Native(path, Rc::new(run)),
+            Def::Const(n) => Value::Num(n),
+        };
+        let Some((module, name)) = path.split_once('.') else {
+            declare(&env, path, value);
+            continue;
+        };
+        let table = match lookup(&env, module) {
+            Value::Table(t) => t,
+            _ => {
+                let t = Rc::new(RefCell::new(Table::new()));
+                declare(&env, module, Value::Table(Rc::clone(&t)));
+                t
+            }
+        };
+        table.borrow_mut().set(Key::Str(name.into()), value);
+    }
     env
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{lookup, Interp};
+    use crate::interp::Interp;
     use crate::parser::parse;
 
     fn run(src: &str) -> Result<Value, RuntimeError> {
@@ -523,6 +494,72 @@ mod tests {
                 matches!(lookup(&env, name), Value::Nil),
                 "{name} must not exist in the sandbox"
             );
+        }
+    }
+
+    #[test]
+    fn library_table_and_built_environment_list_the_same_paths() {
+        let env = sandbox_globals();
+        let mut built = Vec::new();
+        for global in crate::interp::testing::scope_names(&env) {
+            match lookup(&env, &global) {
+                Value::Table(t) => built.extend(t.borrow().iter().map(|(k, _)| match k {
+                    Key::Str(member) => format!("{global}.{member}"),
+                    Key::Int(i) => panic!("`{global}[{i}]` in the stdlib"),
+                })),
+                _ => built.push(global.to_string()),
+            }
+        }
+        built.sort();
+        // A path listed twice (or with two dots) builds one binding, not two.
+        let mut listed: Vec<&str> = LIBRARY.iter().map(|&(path, _)| path).collect();
+        listed.sort_unstable();
+        assert_eq!(built, listed);
+
+        for &(path, def) in LIBRARY {
+            let bound = run(&format!("return {path}")).unwrap();
+            match def {
+                Def::Func { .. } => assert!(matches!(bound, Value::Native(p, _) if p == path)),
+                Def::Const(n) => assert_eq!(bound.as_num().unwrap(), n, "{path}"),
+            }
+        }
+        let mut globals: Vec<&str> = stdlib_global_names().collect();
+        globals.dedup();
+        assert_eq!(
+            globals,
+            [
+                "tostring", "tonumber", "type", "assert", "error", "pcall", "math", "string",
+                "table"
+            ]
+        );
+    }
+
+    #[test]
+    fn declared_arity_is_what_aa004_enforces() {
+        use crate::analysis::{lints::ast_lints, LintId};
+        let misuse = |path: &str, nargs: usize| {
+            let src = format!("x = {path}({})", vec!["nil"; nargs].join(", "));
+            ast_lints(&parse(&src).unwrap())
+                .iter()
+                .any(|d| d.id == LintId::StdlibMisuse)
+        };
+        for &(path, def) in LIBRARY {
+            match def {
+                Def::Func { min, max, .. } => {
+                    assert!(!misuse(path, min), "{path} with its minimum");
+                    if min > 0 {
+                        assert!(misuse(path, min - 1), "{path} one short");
+                    }
+                    match max {
+                        Some(max) => {
+                            assert!(!misuse(path, max), "{path} with its maximum");
+                            assert!(misuse(path, max + 1), "{path} one over");
+                        }
+                        None => assert!(!misuse(path, min + 7), "{path} is varargs"),
+                    }
+                }
+                Def::Const(_) => assert!(misuse(path, 0), "{path} is not callable"),
+            }
         }
     }
 

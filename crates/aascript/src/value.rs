@@ -124,13 +124,6 @@ impl Table {
         removed
     }
 
-    /// Approximate heap footprint of this table in bytes, used by the
-    /// Fig. 8c memory accounting. Recurses into nested tables with a depth
-    /// limit so cyclic tables terminate.
-    pub fn deep_size_bytes(&self) -> usize {
-        self.deep_size_bytes_depth(8)
-    }
-
     fn deep_size_bytes_depth(&self, depth: u32) -> usize {
         let mut total = std::mem::size_of::<Self>();
         for (k, v) in &self.entries {

@@ -11,21 +11,21 @@
 //! uncatchable.
 //!
 //! Globals intentionally stay name-addressed through the instance's
-//! [`Env`]: hosts write them between invocations (`set_global`,
+//! `Env`: hosts write them between invocations (`set_global`,
 //! `refresh_aa_env`) and handlers must observe the new bindings, so they
 //! cannot be slot-resolved at compile time.
 
 use crate::ast::IterKind;
 use crate::compile::{Chunk, Op, Proto, Slot, UpvalSrc};
 use crate::error::RuntimeError;
-use crate::interp::{declare_interned, lookup, Env, Interp};
+use crate::interp::{declare_interned, lookup, Env};
 use crate::value::{BcClosure, Key, Table, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The bytecode executor. Like [`Interp`], it holds only the sandbox
-/// counters and the globals handle; all program state lives in frames,
-/// cells, and shared tables.
+/// The bytecode executor. It holds only the sandbox counters and the
+/// globals handle; all program state lives in frames, cells, and shared
+/// tables.
 #[derive(Debug)]
 pub struct Vm {
     /// Remaining instruction budget for the current invocation.
@@ -40,9 +40,9 @@ thread_local! {
     /// One recycled operand stack per thread. A host invokes handlers at
     /// very high rates (every query triggers one), so the per-invocation
     /// `Vec` allocation is measurable; the most recently dropped VM parks
-    /// its buffer here for the next one. A single slot suffices: nested
-    /// VMs (a VM delegating through the tree-walker back into a VM) are
-    /// rare and simply allocate fresh.
+    /// its buffer here for the next one. A single slot suffices: calls
+    /// nest as frames of one VM, and a second VM alive on the thread
+    /// simply allocates fresh.
     static SPARE_STACK: std::cell::Cell<Option<Vec<Value>>> =
         const { std::cell::Cell::new(None) };
 }
@@ -131,14 +131,6 @@ impl Vm {
                 result
             }
             Value::Native(_, nf) => nf(args),
-            // A tree-walk closure can flow in through a shared global or
-            // table; delegate to the tree-walker on the same budget.
-            Value::Func(_) => {
-                let mut interp = Interp::new(self.budget, Rc::clone(&self.globals));
-                let result = interp.call(f, args);
-                self.budget = interp.budget;
-                result
-            }
             other => Err(RuntimeError::TypeError(format!(
                 "attempt to call a {} value",
                 other.type_name()

@@ -17,7 +17,7 @@
 //!    declared before them textually (the pool locals at the top of
 //!    `main`, loop variables, or their own parameter).
 
-use aascript::{display_value, Engine, RuntimeError, Script, SharedSandbox};
+use aascript::{display_value, oracle, AaInstance, RuntimeError, Script, SharedSandbox, Value};
 use proptest::prelude::*;
 
 /// Locals declared at the top of `main` (or globals in top-level programs).
@@ -232,17 +232,57 @@ fn program(stmts: &[Stmt]) -> String {
 
 type Outcome = (Result<String, RuntimeError>, Vec<String>);
 
+/// The two evaluators under comparison: the VM every host runs, and the
+/// tree-walking reference it must agree with.
+#[derive(Debug, Clone, Copy)]
+enum Evaluator {
+    Vm,
+    Oracle,
+}
+
+/// A script instantiated on one of them.
+enum Instance {
+    Vm(AaInstance),
+    Oracle(oracle::Instance),
+}
+
+impl Evaluator {
+    fn instantiate(self, src: &str, budget: u64) -> Result<Instance, RuntimeError> {
+        let sandbox = SharedSandbox::new();
+        let script = Script::compile(src)
+            .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"));
+        match self {
+            Evaluator::Vm => script.instantiate(&sandbox, budget).map(Instance::Vm),
+            Evaluator::Oracle => {
+                oracle::instantiate(&script, &sandbox, budget).map(Instance::Oracle)
+            }
+        }
+    }
+}
+
+impl Instance {
+    fn invoke(&self, name: &str, budget: u64) -> Result<Value, RuntimeError> {
+        match self {
+            Instance::Vm(aa) => aa.invoke(name, &[], budget),
+            Instance::Oracle(aa) => aa.invoke(name, &[], budget),
+        }
+    }
+
+    fn global(&self, name: &str) -> Value {
+        match self {
+            Instance::Vm(aa) => aa.global(name),
+            Instance::Oracle(aa) => aa.global(name),
+        }
+    }
+}
+
 /// Instantiates `src` on the given engine, invokes `main`, and snapshots
 /// the observable global state.
-fn run_engine(src: &str, engine: Engine, budget: u64) -> Outcome {
-    let sandbox = SharedSandbox::new();
-    let script = Script::compile(src)
-        .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"))
-        .with_engine(engine);
-    let aa = script
-        .instantiate(&sandbox, budget)
+fn run_engine(src: &str, engine: Evaluator, budget: u64) -> Outcome {
+    let aa = engine
+        .instantiate(src, budget)
         .unwrap_or_else(|e| panic!("trivial top level must run: {e:?}\n{src}"));
-    let result = aa.invoke("main", &[], budget).map(|v| display_value(&v));
+    let result = aa.invoke("main", budget).map(|v| display_value(&v));
     let state = ["g0", "g1", "T"]
         .iter()
         .map(|n| display_value(&aa.global(n)))
@@ -345,8 +385,8 @@ proptest! {
     #[test]
     fn vm_matches_treewalker_on_handlers(stmts in proptest::collection::vec(stmt(), 0..8)) {
         let src = program(&stmts);
-        let vm = run_engine(&src, Engine::Bytecode, BUDGET);
-        let tw = run_engine(&src, Engine::TreeWalk, BUDGET);
+        let vm = run_engine(&src, Evaluator::Vm, BUDGET);
+        let tw = run_engine(&src, Evaluator::Oracle, BUDGET);
         prop_assert!(
             vm == tw,
             "engines diverged on:\n{}\n  vm: {:?}\n  tw: {:?}",
@@ -369,19 +409,15 @@ proptest! {
         for s in &stmts {
             rstmt(s, 0, &mut src);
         }
-        let run = |engine: Engine| -> Result<Vec<String>, RuntimeError> {
-            let sandbox = SharedSandbox::new();
-            let script = Script::compile(&src)
-                .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"))
-                .with_engine(engine);
-            let aa = script.instantiate(&sandbox, BUDGET)?;
+        let run = |engine: Evaluator| -> Result<Vec<String>, RuntimeError> {
+            let aa = engine.instantiate(&src, BUDGET)?;
             Ok(["va", "vb", "vc", "vd", "g0", "g1", "T"]
                 .iter()
                 .map(|n| display_value(&aa.global(n)))
                 .collect())
         };
-        let vm = run(Engine::Bytecode);
-        let tw = run(Engine::TreeWalk);
+        let vm = run(Evaluator::Vm);
+        let tw = run(Evaluator::Oracle);
         prop_assert!(
             vm == tw,
             "engines diverged on:\n{}\n  vm: {:?}\n  tw: {:?}",
@@ -422,8 +458,8 @@ proptest! {
         }
         src.push_str(spin);
         src.push_str("end\n");
-        let vm = run_engine(&src, Engine::Bytecode, 60_000);
-        let tw = run_engine(&src, Engine::TreeWalk, 60_000);
+        let vm = run_engine(&src, Evaluator::Vm, 60_000);
+        let tw = run_engine(&src, Evaluator::Oracle, 60_000);
         prop_assert!(
             vm == tw,
             "engines diverged on:\n{}\n  vm: {:?}\n  tw: {:?}",
@@ -439,7 +475,7 @@ proptest! {
 #[test]
 fn both_engines_exhaust_budget_on_spin() {
     let src = "function main() while true do end end";
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+    for engine in [Evaluator::Vm, Evaluator::Oracle] {
         let (result, _) = run_engine(src, engine, 10_000);
         assert_eq!(result, Err(RuntimeError::BudgetExhausted), "{engine:?}");
     }
@@ -450,7 +486,7 @@ fn both_engines_overflow_on_deep_recursion() {
     // Both engines share the 120-frame call-depth limit; with a budget far
     // above what 120 calls can burn, both must report StackOverflow.
     let src = "function f() return f() end\nfunction main() return f() end";
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+    for engine in [Evaluator::Vm, Evaluator::Oracle] {
         let (result, _) = run_engine(src, engine, 10_000_000);
         assert_eq!(result, Err(RuntimeError::StackOverflow), "{engine:?}");
     }
@@ -465,7 +501,7 @@ fn pcall_cannot_contain_budget_exhaustion_on_either_engine() {
             return "survived"
         end
     "#;
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+    for engine in [Evaluator::Vm, Evaluator::Oracle] {
         let (result, _) = run_engine(src, engine, 10_000);
         assert_eq!(result, Err(RuntimeError::BudgetExhausted), "{engine:?}");
     }

@@ -9,7 +9,7 @@
 //! is exactly that, so the runtime outcome isolates the property.
 
 use aascript::analysis::{has_errors, LintId, LintOptions, Severity};
-use aascript::{Engine, RuntimeError, Script, SharedSandbox, Value};
+use aascript::{oracle, RuntimeError, Script, SharedSandbox, Value};
 use proptest::prelude::*;
 
 const BUDGET: u64 = 100_000;
@@ -67,12 +67,15 @@ proptest! {
             &src, &diags
         );
 
-        for engine in [Engine::Bytecode, Engine::TreeWalk] {
-            let sandbox = SharedSandbox::new();
-            let aa = script.clone().with_engine(engine)
-                .instantiate(&sandbox, BUDGET)
-                .unwrap_or_else(|e| panic!("top level must run: {e}\n{src}"));
-            let res = aa.invoke("onGet", &[Value::Nil], BUDGET);
+        let sandbox = SharedSandbox::new();
+        let vm = script
+            .instantiate(&sandbox, BUDGET)
+            .unwrap_or_else(|e| panic!("top level must run: {e}\n{src}"))
+            .invoke("onGet", &[Value::Nil], BUDGET);
+        let walker = oracle::instantiate(&script, &sandbox, BUDGET)
+            .unwrap_or_else(|e| panic!("top level must run: {e}\n{src}"))
+            .invoke("onGet", &[Value::Nil], BUDGET);
+        for (engine, res) in [("vm", vm), ("oracle", walker)] {
             if clean {
                 prop_assert!(
                     res.is_ok(),

@@ -8,7 +8,7 @@
 //! handler on both engines and reports the speedup; `--json` prints one
 //! record per handler and engine.
 
-use aascript::{Engine, Script, SharedSandbox, Value};
+use aascript::{oracle, RuntimeError, Script, SharedSandbox, Value};
 use rbay_bench::{emit_json, HarnessOpts, JsonRecord};
 use std::hint::black_box;
 use std::time::Instant;
@@ -56,30 +56,33 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Times `iters` invocations and returns mean ns/invocation.
-fn time_engine(case: &Case, engine: Engine, iters: u32) -> f64 {
-    let sandbox = SharedSandbox::new();
-    let script = Script::compile(case.src)
-        .expect("handler compiles")
-        .with_engine(engine);
-    let aa = script
-        .instantiate(&sandbox, case.budget)
-        .expect("instantiates");
+/// Times `iters` calls of `invoke` (after a warm-up) and returns mean
+/// ns/invocation.
+fn time_invoke(iters: u32, invoke: impl Fn() -> Result<Value, RuntimeError>) -> f64 {
     // Warm-up: touch every path once so lazy setup is off the clock.
     for _ in 0..1_000 {
-        black_box(
-            aa.invoke(case.handler, &case.args, case.budget)
-                .expect("runs"),
-        );
+        black_box(invoke().expect("runs"));
     }
     let started = Instant::now();
     for _ in 0..iters {
-        black_box(
-            aa.invoke(case.handler, &case.args, case.budget)
-                .expect("runs"),
-        );
+        black_box(invoke().expect("runs"));
     }
     started.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Mean ns/invocation of `case` on the tree-walking oracle and on the VM.
+fn time_case(case: &Case, iters: u32) -> (f64, f64) {
+    let sandbox = SharedSandbox::new();
+    let script = Script::compile(case.src).expect("handler compiles");
+    let walker = oracle::instantiate(&script, &sandbox, case.budget).expect("instantiates");
+    let tw = time_invoke(iters, || {
+        walker.invoke(case.handler, &case.args, case.budget)
+    });
+    let aa = script
+        .instantiate(&sandbox, case.budget)
+        .expect("instantiates");
+    let vm = time_invoke(iters, || aa.invoke(case.handler, &case.args, case.budget));
+    (tw, vm)
 }
 
 pub fn run(opts: &HarnessOpts) {
@@ -93,8 +96,7 @@ pub fn run(opts: &HarnessOpts) {
         "handler", "treewalk ns/inv", "vm ns/inv", "speedup"
     );
     for case in cases() {
-        let tw = time_engine(&case, Engine::TreeWalk, iters);
-        let vm = time_engine(&case, Engine::Bytecode, iters);
+        let (tw, vm) = time_case(&case, iters);
         let speedup = tw / vm;
         println!("{:>24} {tw:>16.1} {vm:>16.1} {speedup:>8.2}x", case.name);
         for (engine, ns) in [("treewalk", tw), ("vm", vm)] {

@@ -417,13 +417,6 @@ impl RbayHost {
             _ => {}
         }
     }
-
-    /// The latency of a completed query, if it finished.
-    pub fn query_latency(&self, id: QueryId) -> Option<SimDuration> {
-        let rec = self.queries.get(&id)?;
-        let done = rec.completed_at?;
-        Some(done.saturating_since(rec.issued_at))
-    }
 }
 
 #[cfg(test)]

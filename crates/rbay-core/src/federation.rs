@@ -43,10 +43,6 @@ pub struct Federation {
     /// Shared observability recorder; disabled until
     /// [`Federation::enable_obs`].
     obs: Recorder,
-    /// Linearized log of admin installs (`post_resource` /
-    /// `update_attr`), in issue order — the ground-truth oracle
-    /// `rbay-check` linearizes query results against.
-    installs: Vec<(NodeAddr, String, AttrValue)>,
 }
 
 impl Federation {
@@ -116,7 +112,6 @@ impl Federation {
             issued: BTreeMap::new(),
             next_cmd: 0,
             obs: Recorder::default(),
-            installs: Vec::new(),
         }
     }
 
@@ -231,7 +226,6 @@ impl Federation {
     /// joins the site-scoped `attr=value` tree.
     pub fn post_resource(&mut self, node: NodeAddr, attr: &str, value: AttrValue) {
         let attr = attr.to_owned();
-        self.installs.push((node, attr.clone(), value.clone()));
         self.control_at(self.sim.now(), node, move |h| h.post_resource(&attr, value));
     }
 
@@ -241,7 +235,6 @@ impl Federation {
     /// cache invalidation.
     pub fn update_attr(&mut self, node: NodeAddr, attr: &str, value: AttrValue) {
         let attr = attr.to_owned();
-        self.installs.push((node, attr.clone(), value.clone()));
         self.control_at(self.sim.now(), node, move |h| h.update_attr(&attr, value));
     }
 
@@ -504,13 +497,6 @@ impl Federation {
             .collect()
     }
 
-    /// The linearized admin install log (`post_resource` /
-    /// `update_attr` calls in issue order): the ground truth the
-    /// committed-query oracle checks recall against.
-    pub fn install_log(&self) -> &[(NodeAddr, String, AttrValue)] {
-        &self.installs
-    }
-
     /// All measurement events recorded by `node`.
     pub fn events(&self, node: NodeAddr) -> &[RbayEvent] {
         &self.sim.actor(node).host.events
@@ -520,11 +506,6 @@ impl Federation {
     /// and harnesses.
     pub fn node(&self, addr: NodeAddr) -> &RbayNode {
         self.sim.actor(addr)
-    }
-
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, addr: NodeAddr) -> &mut RbayNode {
-        self.sim.actor_mut(addr)
     }
 }
 

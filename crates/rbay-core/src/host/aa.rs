@@ -68,7 +68,7 @@ impl RbayHost {
 
     /// Installs the node-level policy AA from source. The script is vetted
     /// by the `aalint` static analysis first, per
-    /// [`RbayConfig::lint_policy`].
+    /// [`RbayConfig::lint_policy`](super::RbayConfig::lint_policy).
     ///
     /// # Errors
     ///
@@ -84,7 +84,7 @@ impl RbayHost {
     }
 
     /// Installs a per-attribute AA from source. The script is vetted by
-    /// the `aalint` static analysis first, per [`RbayConfig::lint_policy`].
+    /// the `aalint` static analysis first, per [`RbayConfig::lint_policy`](super::RbayConfig::lint_policy).
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@
 //!   into frames **zero-copy** by a [`FrameAssembler`] — each delivered
 //!   [`FrameBuf`] is a view into the read buffer, so a 64 KiB read full
 //!   of frames costs one allocation, not one per frame;
-//! * outbound frames are staged in a per-connection [`WriteQueue`] and
+//! * outbound frames are staged in a per-connection `WriteQueue` and
 //!   **coalesced**: one `write(2)` per wakeup pushes a whole run of
 //!   length-prefixed frames, instead of two writes per frame on a
 //!   dedicated thread;

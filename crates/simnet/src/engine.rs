@@ -20,7 +20,7 @@ use crate::obs::Recorder;
 use crate::queue::CalendarQueue;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{NodeAddr, SiteId, Topology};
+use crate::topology::{NodeAddr, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -94,14 +94,6 @@ impl EventKind {
     pub fn touches(&self, node: NodeAddr) -> bool {
         let (a, b) = self.footprint();
         a == node || b == node
-    }
-
-    /// Whether two events operate on disjoint nodes — in which case firing
-    /// them in either order reaches the same state, and an explorer only
-    /// needs one of the two orders.
-    pub fn commutes_with(&self, other: &EventKind) -> bool {
-        let (a, b) = other.footprint();
-        !self.touches(a) && !self.touches(b)
     }
 
     /// Whether the event is a message delivery (the only kind a fault
@@ -335,11 +327,6 @@ impl<'a, M: MessageSize> Context<'a, M> {
         self.self_addr
     }
 
-    /// The site this actor lives in.
-    pub fn self_site(&self) -> SiteId {
-        self.topology.site_of(self.self_addr)
-    }
-
     /// The shared topology (read-only).
     pub fn topology(&self) -> &Topology {
         self.topology
@@ -515,11 +502,6 @@ impl<A: Actor> Simulation<A> {
             });
         }
         self.explore = Some(store);
-    }
-
-    /// Whether exploration mode is on.
-    pub fn exploration_enabled(&self) -> bool {
-        self.explore.is_some()
     }
 
     /// Starts recording delivered messages and fired timers, keeping at

@@ -183,12 +183,6 @@ impl Topology {
         }
     }
 
-    /// Sets the jitter scale as a fraction of the mean one-way latency.
-    pub fn set_jitter_frac(&mut self, frac: f64) {
-        assert!(frac >= 0.0, "jitter fraction must be non-negative");
-        self.jitter_frac = frac;
-    }
-
     /// Sets the probability that any message is lost in flight (fault
     /// injection; protocols must recover through timeouts and retries).
     pub fn set_loss_prob(&mut self, p: f64) {
