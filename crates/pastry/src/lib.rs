@@ -7,9 +7,10 @@
 //! administrative isolation.
 //!
 //! The protocol core ([`PastryNode`]) is sans-I/O: it emits messages through
-//! the [`Net`] trait and surfaces application payloads through
-//! [`PastryApp`], so the same code runs over the deterministic [`simnet`]
-//! simulator (see [`SimNet`]) or any other transport.
+//! a [`Net`] — any [`simnet::Transport`] of [`PastryMsg`]s — and surfaces
+//! application payloads through [`PastryApp`], so the same code runs over
+//! the deterministic [`simnet`] simulator (whose [`simnet::Context`] is such
+//! a transport) or over real sockets.
 //!
 //! ```
 //! use pastry::{NodeId, NodeInfo, PastryNode};
@@ -40,33 +41,3 @@ pub use bootstrap::seed_overlay;
 pub use id::{NodeId, BITS_PER_DIGIT, DIGIT_BASE, ID_DIGITS};
 pub use node::{Net, PastryApp, PastryMsg, PastryNode, PastryStats};
 pub use state::{LeafSet, NodeInfo, RoutingTable, LEAF_SET_SIDE};
-
-use simnet::{Context, MessageSize, SiteId};
-
-/// Adapter implementing [`Net`] over a [`simnet::Context`], so protocol code
-/// can run inside simulation actors. RTT hints come from the topology.
-pub struct SimNet<'a, 'c, A> {
-    ctx: &'a mut Context<'c, PastryMsg<A>>,
-}
-
-impl<'a, 'c, A> SimNet<'a, 'c, A> {
-    /// Wraps a simulation context.
-    pub fn new(ctx: &'a mut Context<'c, PastryMsg<A>>) -> Self {
-        SimNet { ctx }
-    }
-
-    /// The wrapped context.
-    pub fn ctx(&mut self) -> &mut Context<'c, PastryMsg<A>> {
-        self.ctx
-    }
-}
-
-impl<'a, 'c, A: MessageSize> Net<A> for SimNet<'a, 'c, A> {
-    fn send(&mut self, to: simnet::NodeAddr, msg: PastryMsg<A>) {
-        self.ctx.send(to, msg);
-    }
-
-    fn rtt_ms(&self, a: SiteId, b: SiteId) -> f64 {
-        self.ctx.topology().rtt_ms(a, b)
-    }
-}

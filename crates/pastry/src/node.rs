@@ -3,29 +3,19 @@
 //! administrative isolation (paper §III.E).
 //!
 //! The implementation is *sans-I/O*: [`PastryNode`] holds only protocol
-//! state, sends through a [`Net`] abstraction, and hands application
-//! payloads to a [`PastryApp`]. The simulation harness (or any transport)
-//! implements `Net`.
+//! state, sends through a [`Net`] — any [`Transport`] that carries
+//! [`PastryMsg`]s — and hands application payloads to a [`PastryApp`].
 
 use crate::id::{NodeId, ID_DIGITS};
 use crate::state::{LeafSet, NodeInfo, RoutingTable};
 use simnet::obs::{ObsEvent, Recorder};
-use simnet::{MessageSize, NodeAddr, SiteId};
+use simnet::{MessageSize, NodeAddr, SiteId, Transport};
 use std::collections::{BTreeSet, HashMap};
 
-/// Transport abstraction used by the protocol to emit messages.
-pub trait Net<A> {
-    /// Queues `msg` for delivery to `to`.
-    fn send(&mut self, to: NodeAddr, msg: PastryMsg<A>);
-
-    /// Round-trip estimate between two sites, used for proximity-aware
-    /// routing-table choices. The default (constant) disables the
-    /// preference.
-    fn rtt_ms(&self, a: SiteId, b: SiteId) -> f64 {
-        let _ = (a, b);
-        0.0
-    }
-}
+/// Short for "a [`Transport`] of [`PastryMsg`]s with payload `A`": what the
+/// protocol emits messages through. Every such transport is one.
+pub trait Net<A>: Transport<PastryMsg<A>> {}
+impl<A, T: Transport<PastryMsg<A>>> Net<A> for T {}
 
 /// Application callbacks invoked by the routing layer.
 ///
@@ -690,7 +680,7 @@ impl PastryNode {
 mod tests {
     use super::*;
     use crate::id::NodeId;
-    use simnet::{NodeAddr, SiteId};
+    use simnet::{NodeAddr, SimDuration, SimTime, SiteId, TimerToken};
     use std::collections::VecDeque;
 
     /// Local payload type (the orphan rule forbids impls on `u32`).
@@ -703,10 +693,14 @@ mod tests {
     struct RecNet {
         sent: VecDeque<(NodeAddr, PastryMsg<P>)>,
     }
-    impl Net<P> for RecNet {
+    impl Transport<PastryMsg<P>> for RecNet {
         fn send(&mut self, to: NodeAddr, msg: PastryMsg<P>) {
             self.sent.push_back((to, msg));
         }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn set_timer(&mut self, _: SimDuration, _: TimerToken) {}
     }
 
     #[derive(Default)]

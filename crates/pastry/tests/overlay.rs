@@ -2,7 +2,7 @@
 //! joins, routing correctness against a brute-force oracle, failure repair,
 //! and property-based routing invariants.
 
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode, SimNet};
+use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
 use proptest::prelude::*;
 use simnet::{Actor, Context, MessageSize, NodeAddr, Simulation, SiteId, Topology};
 
@@ -47,8 +47,7 @@ impl Actor for OverlayActor {
     type Msg = PastryMsg<Payload>;
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
         let OverlayActor { node, app } = self;
-        let mut net = SimNet::new(ctx);
-        node.on_message(&mut net, app, from, msg);
+        node.on_message(ctx, app, from, msg);
     }
 }
 
@@ -110,8 +109,7 @@ fn protocol_join_converges_and_routes_correctly() {
     for i in 1..n as u32 {
         let now = sim.now();
         sim.schedule_call(now, NodeAddr(i), |a, ctx| {
-            let mut net = SimNet::new(ctx);
-            a.node.join(&mut net, NodeAddr(0));
+            a.node.join(ctx, NodeAddr(0));
         });
         sim.run_until_idle();
     }
@@ -125,8 +123,7 @@ fn protocol_join_converges_and_routes_correctly() {
         let now = sim.now();
         sim.schedule_call(now, NodeAddr(3), move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(k), None);
+            node.route(ctx, app, key, Payload(k), None);
         });
         sim.run_until_idle();
         let root = oracle_root(&infos, key);
@@ -153,8 +150,7 @@ fn seeded_overlay_routes_all_keys_to_oracle_root() {
         let now = sim.now();
         sim.schedule_call(now, src, move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(k), None);
+            node.route(ctx, app, key, Payload(k), None);
         });
         sim.run_until_idle();
         let root = oracle_root(&infos, key);
@@ -181,8 +177,7 @@ fn hop_counts_are_logarithmic() {
         let now = sim.now();
         sim.schedule_call(now, src, move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(k), None);
+            node.route(ctx, app, key, Payload(k), None);
         });
     }
     sim.run_until_idle();
@@ -209,8 +204,7 @@ fn failure_repair_keeps_routing_correct() {
         }
         let now = sim.now();
         sim.schedule_call(now, NodeAddr(i), move |a, ctx| {
-            let mut net = SimNet::new(ctx);
-            a.node.handle_failure(&mut net, dead);
+            a.node.handle_failure(ctx, dead);
         });
     }
     sim.run_until_idle();
@@ -220,8 +214,7 @@ fn failure_repair_keeps_routing_correct() {
         let now = sim.now();
         sim.schedule_call(now, NodeAddr(1), move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(1_000 + k), None);
+            node.route(ctx, app, key, Payload(1_000 + k), None);
         });
         sim.run_until_idle();
         let root = oracle_root(&live, key);
@@ -266,8 +259,7 @@ fn site_scoped_routing_stays_in_site() {
         let now = sim.now();
         sim.schedule_call(now, src, move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(k), Some(SiteId(2)));
+            node.route(ctx, app, key, Payload(k), Some(SiteId(2)));
         });
         sim.run_until_idle();
         let root = site2
@@ -306,8 +298,7 @@ proptest! {
             let now = sim.now();
             sim.schedule_call(now, src, move |a, ctx| {
                 let OverlayActor { node, app } = a;
-                let mut net = SimNet::new(ctx);
-                node.route(&mut net, app, key, payload, None);
+                node.route(ctx, app, key, payload, None);
             });
             sim.run_until_idle();
             let root = oracle_root(&infos, key);
@@ -336,8 +327,7 @@ proptest! {
         for i in 1..n as u32 {
             let now = sim.now();
             sim.schedule_call(now, NodeAddr(i), |a, ctx| {
-                let mut net = SimNet::new(ctx);
-                a.node.join(&mut net, NodeAddr(0));
+                a.node.join(ctx, NodeAddr(0));
             });
             sim.run_until_idle();
         }
@@ -346,8 +336,7 @@ proptest! {
         let now = sim.now();
         sim.schedule_call(now, NodeAddr(0), move |a, ctx| {
             let OverlayActor { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Payload(seed), None);
+            node.route(ctx, app, key, Payload(seed), None);
         });
         sim.run_until_idle();
         let total: usize = sim.actors().map(|(_, a)| a.app.delivered.len()).sum();

@@ -10,7 +10,9 @@
 //! roots.
 
 use rbay_query::AttrValue;
-use simnet::{Actor, Context, MessageSize, NodeAddr, SimDuration, SimTime, Simulation, Topology};
+use simnet::{
+    Actor, Context, MessageSize, NodeAddr, SimDuration, SimTime, Simulation, Topology, Transport,
+};
 use std::collections::BTreeMap;
 
 /// Node state shipped in snapshots: attribute → value.

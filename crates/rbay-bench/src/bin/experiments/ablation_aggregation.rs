@@ -52,11 +52,10 @@ fn run_interval(interval_ms: u64, seed: u64, n_nodes: usize) -> (f64, f64) {
                 if member[i] {
                     let now = fed.sim().now();
                     fed.sim_mut().schedule_call(now, addr, move |a, ctx| {
-                        let mut net = pastry::SimNet::new(ctx);
                         let topic = a.host.tree_topic("GPU=true", SiteId(0));
                         a.scribe.unsubscribe::<rbay_core::RbayPayload, _>(
                             &mut a.pastry,
-                            &mut net,
+                            ctx,
                             topic,
                         );
                     });

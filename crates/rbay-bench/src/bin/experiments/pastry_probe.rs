@@ -2,7 +2,7 @@
 //! through: bare [`PastryNode`]s with seeded routing state, one hop
 //! recorder each, no RBAY layer on top.
 
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode, SimNet};
+use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
 use rbay_bench::{emit_schedule, HarnessOpts};
 use rbay_check::{CheckSpec, ScheduleFile, Violation};
 use simnet::{Actor, Context, MessageSize, NodeAddr, Simulation, SiteId, Topology};
@@ -49,8 +49,7 @@ impl Agent {
     /// Routes one probe from this member toward `key`.
     pub fn route(&mut self, ctx: &mut Context<'_, PastryMsg<Probe>>, key: NodeId) {
         let Agent { node, app } = self;
-        let mut net = SimNet::new(ctx);
-        node.route(&mut net, app, key, Probe, None);
+        node.route(ctx, app, key, Probe, None);
     }
 }
 
@@ -58,8 +57,7 @@ impl Actor for Agent {
     type Msg = PastryMsg<Probe>;
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
         let Agent { node, app } = self;
-        let mut net = SimNet::new(ctx);
-        node.on_message(&mut net, app, from, msg);
+        node.on_message(ctx, app, from, msg);
     }
 }
 

@@ -9,7 +9,9 @@
 
 use rbay_bench::HarnessOpts;
 use simnet::topology::AWS8_SITE_NAMES;
-use simnet::{Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, SiteId, Topology};
+use simnet::{
+    Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, SiteId, Topology, Transport,
+};
 
 #[derive(Debug)]
 enum Msg {

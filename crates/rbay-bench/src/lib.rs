@@ -590,7 +590,7 @@ mod tests {
     /// One independent simulation per seed, returning its full deterministic
     /// fingerprint (clock, stats, trace).
     fn fingerprint(seed: u64) -> (simnet::SimTime, simnet::NetStats, Vec<simnet::TraceEvent>) {
-        use simnet::{Actor, Context, MessageSize, SimTime, Simulation};
+        use simnet::{Actor, Context, MessageSize, SimTime, Simulation, Transport};
 
         #[derive(Debug)]
         struct Ping(u32);

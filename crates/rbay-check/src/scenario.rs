@@ -391,7 +391,7 @@ pub struct Fig8Outcome {
 /// which routing-delivery loss does not depend on). The invariant is
 /// exactly-once delivery.
 pub fn run_fig8_default(nodes: usize, queries: usize, seed: u64) -> Fig8Outcome {
-    use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode, SimNet};
+    use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
     use simnet::{Actor, Context, MessageSize, SimTime, Simulation};
 
     #[derive(Debug, Clone, Copy)]
@@ -431,8 +431,7 @@ pub fn run_fig8_default(nodes: usize, queries: usize, seed: u64) -> Fig8Outcome 
         type Msg = PastryMsg<Probe>;
         fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
             let Agent { node, app } = self;
-            let mut net = SimNet::new(ctx);
-            node.on_message(&mut net, app, from, msg);
+            node.on_message(ctx, app, from, msg);
         }
     }
 
@@ -456,8 +455,7 @@ pub fn run_fig8_default(nodes: usize, queries: usize, seed: u64) -> Fig8Outcome 
         let src = NodeAddr(((q * 7919 + seed as usize) % nodes) as u32);
         sim.schedule_call(SimTime::ZERO, src, move |a, ctx| {
             let Agent { node, app } = a;
-            let mut net = SimNet::new(ctx);
-            node.route(&mut net, app, key, Probe, None);
+            node.route(ctx, app, key, Probe, None);
         });
     }
     sim.run_until_idle();

@@ -2,18 +2,17 @@
 //! trees, and the RBAY application host. Also drains the host's deferred
 //! operation queue after every dispatch.
 //!
-//! All protocol logic is written against [`rbay_wire::Transport`] (the
-//! `*_via` methods), so the same node runs over the in-memory simulator
-//! (the [`simnet::Actor`] impl below, via `SimTransport`) or over real
-//! sockets (`rbay-bench`'s `rbay-node` daemon, via [`crate::MemberCtx`]).
+//! All protocol logic is written against [`simnet::Transport`] (the `*_via`
+//! methods), so the same node runs over the in-memory simulator (the
+//! [`simnet::Actor`] impl below hands its [`Context`] straight through) or
+//! over real sockets (`rbay-bench`'s `rbay-node` daemon, via
+//! [`crate::MemberCtx`]).
 
 use crate::host::{split_timer_token, Op, RbayHost};
-use crate::transport::{NetAdapter, SimTransport};
 use crate::types::RbayPayload;
 use pastry::{LeafSet, PastryMsg, PastryNode, RoutingTable};
-use rbay_wire::Transport;
 use scribe::{ScribeApp, ScribeLayer, ScribeMsg};
-use simnet::{Actor, Context, NodeAddr, TimerToken};
+use simnet::{Actor, Context, NodeAddr, TimerToken, Transport};
 
 /// The message type on the wire: Pastry framing around Scribe framing
 /// around RBAY payloads.
@@ -58,10 +57,9 @@ impl RbayNode {
             host,
         } = self;
         while let Some(op) = host.ops.pop_front() {
-            let mut net = NetAdapter::new(tr);
             match op {
                 Op::Subscribe { topic, scope } => {
-                    scribe.subscribe(pastry, &mut net, host, topic, scope);
+                    scribe.subscribe(pastry, tr, host, topic, scope);
                     scribe.set_local_value(topic, host.tree_local_value());
                     // If the tree was already attached the subscribe was a
                     // no-op; drop the pending-join marker, which otherwise
@@ -71,34 +69,34 @@ impl RbayNode {
                     }
                 }
                 Op::Unsubscribe { topic } => {
-                    scribe.unsubscribe::<RbayPayload, _>(pastry, &mut net, topic);
+                    scribe.unsubscribe::<RbayPayload, _>(pastry, tr, topic);
                 }
                 Op::Probe {
                     topic,
                     scope,
                     payload,
                 } => {
-                    scribe.probe_root(pastry, &mut net, host, topic, scope, payload);
+                    scribe.probe_root(pastry, tr, host, topic, scope, payload);
                 }
                 Op::Anycast {
                     topic,
                     scope,
                     payload,
                 } => {
-                    scribe.anycast(pastry, &mut net, host, topic, scope, payload);
+                    scribe.anycast(pastry, tr, host, topic, scope, payload);
                 }
                 Op::Multicast {
                     topic,
                     scope,
                     payload,
                 } => {
-                    scribe.multicast(pastry, &mut net, host, topic, scope, payload);
+                    scribe.multicast(pastry, tr, host, topic, scope, payload);
                 }
                 Op::Direct { to, payload } => {
-                    scribe.send_direct(&mut net, to, payload);
+                    scribe.send_direct(tr, to, payload);
                 }
                 Op::LearnPeer { info } => {
-                    pastry.insert_peer(&net, info);
+                    pastry.insert_peer(tr, info);
                 }
                 Op::Timer { delay, token } => {
                     tr.set_timer(delay, token);
@@ -127,16 +125,14 @@ impl RbayNode {
             for t in subscribed {
                 n.scribe.set_local_value(t, fresh.clone());
             }
-            let mut net = NetAdapter::new(tr);
             // The tick also re-sends the `Join` of any tree this node is
             // detached from: the one retry per round (DESIGN.md §17).
-            n.scribe
-                .aggregate_tick(&mut n.pastry, &mut net, &mut n.host);
+            n.scribe.aggregate_tick(&mut n.pastry, tr, &mut n.host);
             // Peer-set anti-entropy: one Announce + leaf-set pull per
             // round so routing knowledge lost to concurrent joins or
             // dropped frames eventually heals (the join-time Announce is
             // one-shot).
-            n.pastry.gossip_round(&mut net);
+            n.pastry.gossip_round(tr);
             if n.host.cfg.failure_detection {
                 n.detect_failures_via(tr);
             }
@@ -162,8 +158,7 @@ impl RbayNode {
                 layer: &mut n.scribe,
                 host: &mut n.host,
             };
-            n.pastry
-                .on_message(&mut NetAdapter::new(tr), &mut app, from, msg);
+            n.pastry.on_message(tr, &mut app, from, msg);
         });
     }
 
@@ -184,7 +179,7 @@ impl RbayNode {
     /// traffic may be lost on a real network.
     pub fn join_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T, bootstrap: NodeAddr) {
         self.control(tr, |n, tr| {
-            n.pastry.join(&mut NetAdapter::new(tr), bootstrap);
+            n.pastry.join(tr, bootstrap);
         });
     }
 
@@ -206,11 +201,11 @@ impl Actor for RbayNode {
     type Msg = RbayMsg;
 
     fn on_message(&mut self, ctx: &mut Context<'_, RbayMsg>, from: NodeAddr, msg: RbayMsg) {
-        self.on_message_via(&mut SimTransport::new(ctx), from, msg);
+        self.on_message_via(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, RbayMsg>, token: TimerToken) {
-        self.on_timer_via(&mut SimTransport::new(ctx), token);
+        self.on_timer_via(ctx, token);
     }
 }
 
@@ -368,8 +363,7 @@ pub(crate) mod tests {
     fn subscriber_promoted_by_the_tick_reports_its_subscription() {
         let mut tr = RecTransport::default();
         let (mut n, topic, peer) = subscriber_with_lost_join(&mut tr);
-        n.pastry
-            .handle_failure(&mut NetAdapter::new(&mut tr), peer.addr);
+        n.pastry.handle_failure(&mut tr, peer.addr);
         n.maintenance_round_via(&mut tr);
         assert!(n.scribe.topic(topic).is_some_and(|st| st.is_root));
         assert_eq!(subscribed_events(&n), 1);

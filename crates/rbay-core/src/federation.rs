@@ -6,7 +6,6 @@
 use crate::actor::RbayNode;
 use crate::frontdoor::{lowest_rtt_site, FrontdoorConfig, FrontdoorResponse, FrontdoorStats};
 use crate::host::{Op, RbayConfig, RbayHost};
-use crate::transport::SimTransport;
 use crate::types::{AdminCommand, Candidate, QueryId, QueryRecord, RbayEvent, RbayPayload};
 use aascript::SharedSandbox;
 use pastry::{seed_overlay, NodeId, NodeInfo, PastryNode};
@@ -218,7 +217,7 @@ impl Federation {
         f: impl FnOnce(&mut RbayHost) + 'static,
     ) {
         self.sim.schedule_call(at, node, move |a, ctx| {
-            a.control(&mut SimTransport::new(ctx), |n, _| f(&mut n.host));
+            a.control(ctx, |n, _| f(&mut n.host));
         });
     }
 
@@ -444,7 +443,7 @@ impl Federation {
     fn sweep_at(&mut self, at: SimTime) {
         for i in 0..self.sim.topology().node_count() as u32 {
             self.sim.schedule_call(at, NodeAddr(i), |a, ctx| {
-                a.maintenance_round_via(&mut SimTransport::new(ctx));
+                a.maintenance_round_via(ctx);
             });
         }
     }

@@ -37,7 +37,6 @@ mod host;
 mod liveness;
 mod naming;
 mod pack;
-mod transport;
 mod types;
 mod wire;
 
@@ -50,7 +49,6 @@ pub use host::{
 pub use liveness::SLOW_PROBE_PERIOD;
 pub use naming::HybridNaming;
 pub use pack::{FrameSink, MemberCtx, Pack};
-pub use transport::{NetAdapter, SimTransport};
 pub use types::{
     AdminCommand, Candidate, QueryId, QueryPending, QueryRecord, RbayEvent, RbayPayload,
     SearchState,

@@ -19,11 +19,10 @@
 
 use crate::actor::{RbayMsg, RbayNode};
 use crate::host::{Op, RbayHost};
-use crate::transport::NetAdapter;
 use crate::types::RbayPayload;
 use pastry::NodeInfo;
-use rbay_wire::Transport;
 use simnet::obs::ObsEvent;
+use simnet::Transport;
 use simnet::{NodeAddr, SimTime};
 use std::collections::BTreeSet;
 
@@ -267,10 +266,9 @@ impl RbayNode {
         self.host
             .obs
             .record_with(|at| ObsEvent::HeartbeatExpire { at, detector, peer });
-        let mut net = NetAdapter::new(tr);
-        self.pastry.handle_failure(&mut net, peer);
+        self.pastry.handle_failure(tr, peer);
         self.scribe
-            .handle_failure(&mut self.pastry, &mut net, &mut self.host, peer);
+            .handle_failure(&mut self.pastry, tr, &mut self.host, peer);
     }
 
     /// A message from `peer` arrived, so it is not dead. Pinged → Alive:
@@ -325,9 +323,9 @@ mod heartbeat_tests {
             },
         );
         n.host.obs = Recorder::enabled(64);
-        let mut tr = RecTransport::default();
+        let tr = RecTransport::default();
         for &p in peers {
-            n.pastry.insert_peer(&NetAdapter::new(&mut tr), info(p));
+            n.pastry.insert_peer(&tr, info(p));
         }
         (n, tr)
     }
@@ -376,7 +374,7 @@ mod heartbeat_tests {
     /// A detector whose leaf set is full of sixteen nearer peers
     /// (addresses 100–115), so that `PEER` sits in its routing table only.
     fn detector_with_cold_peer() -> (RbayNode, RecTransport) {
-        let (mut n, mut tr) = detector(&[PEER.0]);
+        let (mut n, tr) = detector(&[PEER.0]);
         let me = n.pastry.id().as_u128();
         for i in 0..16u32 {
             let off = u128::from(1 + i / 2);
@@ -389,7 +387,7 @@ mod heartbeat_tests {
                 addr: NodeAddr(100 + i),
                 site: SiteId(0),
             };
-            n.pastry.insert_peer(&NetAdapter::new(&mut tr), near);
+            n.pastry.insert_peer(&tr, near);
         }
         assert!(n.pastry.leaf_set().members().all(|e| e.addr != PEER));
         assert!(knows(&n, PEER));

@@ -24,8 +24,8 @@
 //! [`Pack::loopback_dropped`]); protocols above already tolerate loss.
 
 use crate::actor::{RbayMsg, RbayNode};
-use rbay_wire::{encode_frame, Transport};
-use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken};
+use rbay_wire::encode_frame;
+use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken, Transport};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -288,7 +288,6 @@ impl Pack {
 mod tests {
     use super::*;
     use crate::actor::tests::node;
-    use crate::transport::SimTransport;
     use simnet::{Simulation, Topology, TraceEvent};
 
     /// Captures off-process frames.
@@ -402,9 +401,7 @@ mod tests {
     fn both_backends_fire_every_arm_once_in_arm_order() {
         let mut sim = Simulation::new(Topology::single_site(1, 0.5), 1, |_| node(0));
         sim.enable_trace(8);
-        sim.schedule_call(SimTime::ZERO, NodeAddr(0), |_, ctx| {
-            arm_script(&mut SimTransport::new(ctx));
-        });
+        sim.schedule_call(SimTime::ZERO, NodeAddr(0), |_, ctx| arm_script(ctx));
         let fired = |sim: &Simulation<RbayNode>| -> Vec<TimerToken> {
             let token = |e: &TraceEvent| match e {
                 TraceEvent::Timer { token, .. } => Some(*token),

@@ -21,8 +21,6 @@
 //!   (`RbayPayload`, `WalRecord`, `CtrlMsg` are declared in their own
 //!   crates — the orphan rule puts impls next to whichever side is
 //!   local.)
-//! * [`transport`] — the [`Transport`] trait: message delivery + clock +
-//!   timers, the only I/O surface the protocol actors need.
 //! * [`buf`] — zero-copy inbound framing: [`FrameBuf`] views into shared
 //!   read buffers and the [`FrameAssembler`] that carves socket reads
 //!   into frame runs.
@@ -33,10 +31,11 @@
 //!   [`Transport`] over it is `rbay-core`'s `MemberCtx` (one per packed
 //!   member, with the pack's wall-clock timer queue).
 //!
-//! The simnet backend lives in `rbay-core` (`SimTransport`), so tier-1
-//! simulation behavior is bit-for-bit unchanged; the `rbay-node` daemon
-//! and `cluster` harness in `rbay-bench` run the same actors over real
-//! loopback sockets.
+//! [`Transport`] itself — message delivery + clock + timers, the only I/O
+//! surface the protocol actors need — is `simnet`'s trait, re-exported
+//! here; the simulator's `Context` implements it too, so the `rbay-node`
+//! daemon and `cluster` harness in `rbay-bench` run over real loopback
+//! sockets the same actors tier-1 simulates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,12 +44,11 @@ pub mod buf;
 pub mod codec;
 pub mod impls;
 pub mod tcp;
-pub mod transport;
 
 pub use buf::{FrameAssembler, FrameBuf};
 pub use codec::{
     assert_tags_covered, decode_frame, encode_frame, read_frame, write_frame, Reader, Wire,
     WireError, CANON_NAN_BITS, MAX_DEPTH, MAX_FRAME_LEN, WIRE_VERSION,
 };
+pub use simnet::Transport;
 pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus};
-pub use transport::Transport;

@@ -3,7 +3,7 @@
 
 use super::*;
 use pastry::{NodeId, NodeInfo};
-use simnet::MessageSize;
+use simnet::{MessageSize, SimDuration, SimTime, TimerToken, Transport};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -16,10 +16,14 @@ pub(super) type Msg = PastryMsg<ScribeMsg<P>>;
 pub(super) struct RecNet {
     pub sent: VecDeque<(NodeAddr, Msg)>,
 }
-impl Net<ScribeMsg<P>> for RecNet {
+impl Transport<Msg> for RecNet {
     fn send(&mut self, to: NodeAddr, msg: Msg) {
         self.sent.push_back((to, msg));
     }
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn set_timer(&mut self, _: SimDuration, _: TimerToken) {}
 }
 
 #[derive(Default)]

@@ -3,7 +3,7 @@
 //! root's aggregate after convergence equals the direct fold over the
 //! members.
 
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode, SimNet};
+use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode};
 use proptest::prelude::*;
 use scribe::{AggValue, ScribeApp, ScribeHost, ScribeLayer, ScribeMsg, TopicId, Visit};
 use simnet::{Actor, Context, MessageSize, NodeAddr, SimDuration, Simulation, Topology};
@@ -37,12 +37,11 @@ impl Actor for Node {
             scribe,
             host,
         } = self;
-        let mut net = SimNet::new(ctx);
         let mut app = ScribeApp {
             layer: scribe,
             host,
         };
-        pastry.on_message(&mut net, &mut app, from, msg);
+        pastry.on_message(ctx, &mut app, from, msg);
     }
 }
 
@@ -78,8 +77,7 @@ fn converged_root_aggregate(
                 scribe,
                 host,
             } = a;
-            let mut net = SimNet::new(ctx);
-            scribe.subscribe(pastry, &mut net, host, topic, None);
+            scribe.subscribe(pastry, ctx, host, topic, None);
             scribe.set_local_value(topic, v);
         });
     }
@@ -89,9 +87,7 @@ fn converged_root_aggregate(
         for i in 0..n_nodes as u32 {
             let now = sim.now();
             sim.schedule_call(now, NodeAddr(i), |a, ctx| {
-                let mut net = SimNet::new(ctx);
-                a.scribe
-                    .aggregate_tick(&mut a.pastry, &mut net, &mut a.host);
+                a.scribe.aggregate_tick(&mut a.pastry, ctx, &mut a.host);
             });
         }
         sim.run_for(SimDuration::from_millis(50));

@@ -2,7 +2,7 @@
 //! multicast coverage, anycast DFS, aggregation convergence, and scoped
 //! (per-site) trees.
 
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode, SimNet};
+use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode};
 use scribe::{AggValue, ScribeApp, ScribeHost, ScribeLayer, ScribeMsg, TopicId, Visit};
 use simnet::{Actor, Context, MessageSize, NodeAddr, SimDuration, Simulation, SiteId, Topology};
 use std::collections::HashSet;
@@ -60,12 +60,11 @@ impl Actor for Node {
             scribe,
             host,
         } = self;
-        let mut net = SimNet::new(ctx);
         let mut app = ScribeApp {
             layer: scribe,
             host,
         };
-        pastry.on_message(&mut net, &mut app, from, msg);
+        pastry.on_message(ctx, &mut app, from, msg);
     }
 }
 
@@ -101,8 +100,7 @@ fn subscribe_all(sim: &mut Simulation<Node>, topic: TopicId, members: &[NodeAddr
                 scribe,
                 host,
             } = a;
-            let mut net = SimNet::new(ctx);
-            scribe.subscribe(pastry, &mut net, host, topic, None);
+            scribe.subscribe(pastry, ctx, host, topic, None);
             scribe.set_local_value(topic, AggValue::Count(1));
         });
     }
@@ -187,8 +185,7 @@ fn multicast_reaches_every_subscriber_exactly_once() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.multicast(pastry, &mut net, host, topic, None, P(99));
+        scribe.multicast(pastry, ctx, host, topic, None, P(99));
     });
     sim.run_until_idle();
 
@@ -221,8 +218,7 @@ fn anycast_stops_at_first_accepting_member() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.anycast(pastry, &mut net, host, topic, None, P(0));
+        scribe.anycast(pastry, ctx, host, topic, None, P(0));
     });
     sim.run_until_idle();
     let origin = sim.actor(NodeAddr(0));
@@ -249,8 +245,7 @@ fn anycast_exhausts_tree_when_nobody_accepts() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.anycast(pastry, &mut net, host, topic, None, P(0));
+        scribe.anycast(pastry, ctx, host, topic, None, P(0));
     });
     sim.run_until_idle();
     let origin = sim.actor(NodeAddr(30));
@@ -273,8 +268,7 @@ fn anycast_into_missing_tree_is_unsatisfied() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.anycast(pastry, &mut net, host, topic, None, P(0));
+        scribe.anycast(pastry, ctx, host, topic, None, P(0));
     });
     sim.run_until_idle();
     let origin = sim.actor(NodeAddr(3));
@@ -303,8 +297,7 @@ fn aggregation_converges_to_tree_size() {
                     scribe,
                     host,
                 } = a;
-                let mut net = SimNet::new(ctx);
-                scribe.aggregate_tick(pastry, &mut net, host);
+                scribe.aggregate_tick(pastry, ctx, host);
             });
         }
         sim.run_for(SimDuration::from_millis(200));
@@ -334,8 +327,7 @@ fn probe_root_returns_tree_size_and_existence() {
                     scribe,
                     host,
                 } = a;
-                let mut net = SimNet::new(ctx);
-                scribe.aggregate_tick(pastry, &mut net, host);
+                scribe.aggregate_tick(pastry, ctx, host);
             });
         }
         sim.run_for(SimDuration::from_millis(100));
@@ -349,8 +341,7 @@ fn probe_root_returns_tree_size_and_existence() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.probe_root(pastry, &mut net, host, topic, None, P(0));
+        scribe.probe_root(pastry, ctx, host, topic, None, P(0));
     });
     // Probe a tree that does not exist, too.
     let missing = TopicId::new("no-such-tree", "rbay");
@@ -360,8 +351,7 @@ fn probe_root_returns_tree_size_and_existence() {
             scribe,
             host,
         } = a;
-        let mut net = SimNet::new(ctx);
-        scribe.probe_root(pastry, &mut net, host, missing, None, P(1));
+        scribe.probe_root(pastry, ctx, host, missing, None, P(1));
     });
     sim.run_until_idle();
 
@@ -390,8 +380,7 @@ fn scoped_trees_use_per_site_rendezvous() {
                 scribe,
                 host,
             } = a;
-            let mut net = SimNet::new(ctx);
-            scribe.subscribe(pastry, &mut net, host, topic, Some(SiteId(1)));
+            scribe.subscribe(pastry, ctx, host, topic, Some(SiteId(1)));
         });
     }
     sim.run_until_idle();

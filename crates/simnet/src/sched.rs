@@ -347,9 +347,12 @@ impl Scheduler for ReplayScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Actor, Context, EarliestFirst, MessageSize, Simulation};
+    use crate::engine::{
+        Actor, Context, EarliestFirst, MessageSize, Simulation, TimerToken, TraceEvent,
+    };
     use crate::time::{SimDuration, SimTime};
     use crate::topology::Topology;
+    use crate::transport::Transport;
     use std::collections::BTreeSet;
 
     #[derive(Debug)]
@@ -388,18 +391,38 @@ mod tests {
             .collect()
     }
 
+    /// Also across a crash: a timer pending on the node that dies mid-run
+    /// fires in neither mode, so neither trace may claim it.
     #[test]
     fn explored_default_order_matches_normal_run() {
-        let mut normal = three_message_sim(7);
-        normal.enable_trace(64);
+        let with_timers = |mut sim: Simulation<Sink>| {
+            for node in [NodeAddr(2), NodeAddr(3)] {
+                sim.schedule_call(SimTime::ZERO, node, |_, ctx| {
+                    ctx.set_timer(SimDuration::from_millis(5), TimerToken(1));
+                });
+            }
+            sim.enable_trace(64);
+            sim
+        };
+        let crash_at = SimTime::from_millis(1);
+
+        let mut normal = with_timers(three_message_sim(7));
+        normal.run_until(crash_at);
+        normal.fail_node(NodeAddr(2));
         normal.run_until_idle();
 
-        let mut explored = three_message_sim(7);
-        explored.enable_trace(64);
+        let mut explored = with_timers(three_message_sim(7));
         explored.enable_exploration();
+        explored.run_until(crash_at);
+        explored.fail_node(NodeAddr(2));
         let mut sched = EarliestFirst;
         explored.run_explored(&mut sched, SimDuration::from_millis(1), 1_000);
 
+        let timers = |sim: &Simulation<Sink>| {
+            let is_timer = |e: &&TraceEvent| matches!(e, TraceEvent::Timer { .. });
+            sim.trace().iter().filter(is_timer).count()
+        };
+        assert_eq!(timers(&normal), 1, "node 3's only");
         assert_eq!(normal.trace(), explored.trace());
         assert_eq!(run_signature(&normal), run_signature(&explored));
     }

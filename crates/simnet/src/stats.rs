@@ -43,10 +43,6 @@ impl NetStats {
         self.events += 1;
     }
 
-    pub(crate) fn record_cancelled_timer(&mut self) {
-        self.cancelled_timers += 1;
-    }
-
     /// Total messages sent.
     pub fn sent(&self) -> u64 {
         self.sent
@@ -81,13 +77,14 @@ impl NetStats {
     ///
     /// Deterministic: participates in snapshot equality, so two same-seed
     /// runs must agree on it. Divide by a wall-clock measurement (see
-    /// [`crate::Simulation::events_per_sec`]) to get engine throughput.
+    /// [`crate::Simulation::wall_time`]) to get engine throughput.
     pub fn events(&self) -> u64 {
         self.events
     }
 
-    /// Timer events that were lazily discarded because the timer was
-    /// cancelled (or superseded) before it fired.
+    /// Always zero: timers cannot be cancelled (see
+    /// [`crate::Transport::set_timer`]). Kept, with its field, for the one
+    /// benchmark probe that reads it.
     pub fn cancelled_timers(&self) -> u64 {
         self.cancelled_timers
     }
@@ -147,8 +144,7 @@ mod tests {
         let mut s = NetStats::new();
         s.record_event();
         s.record_event();
-        s.record_cancelled_timer();
         assert_eq!(s.events(), 2);
-        assert_eq!(s.cancelled_timers(), 1);
+        assert_eq!(s.cancelled_timers(), 0);
     }
 }

@@ -3,19 +3,21 @@
 //! trait, so the same `pastry`/`scribe`/`rbay-core` state machines run
 //! unchanged over the in-memory simulator or a real socket backend.
 
-use simnet::{NodeAddr, SimDuration, SimTime, SiteId, TimerToken};
+use crate::engine::TimerToken;
+use crate::time::{SimDuration, SimTime};
+use crate::topology::{NodeAddr, SiteId};
 
 /// A message plane for one node: sends typed messages to peer addresses,
 /// reads a clock, and arms timers.
 ///
 /// Implementations:
 ///
-/// * `rbay-core`'s `SimTransport` delegates to `simnet::Context` — exactly
-///   the delivery path tier-1 tests have always exercised.
+/// * [`crate::Context`], the handle every [`crate::Actor`] callback gets:
+///   sends and timer arms become events of the [`crate::Simulation`].
 /// * `rbay-core`'s `MemberCtx` (what the `rbay-node` daemon runs) loops
 ///   messages between members of one process back in memory, frames the
-///   rest onto a [`crate::tcp::TcpBus`], and queues timers against the
-///   wall clock in the simulator's own calendar queue.
+///   rest onto `rbay-wire`'s `TcpBus`, and queues timers against the wall
+///   clock in a [`crate::CalendarQueue`] of its own.
 ///
 /// Delivery is *best-effort* on every backend: the simulator can drop
 /// messages under a loss probability, and the TCP backend drops frames on

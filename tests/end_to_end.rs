@@ -81,14 +81,11 @@ fn churn_during_queries_is_survivable() {
         }
         let now = fed.sim().now();
         fed.sim_mut().schedule_call(now, n, move |a, ctx| {
-            let mut net = rbay::pastry::SimNet::new(ctx);
             for d in dead {
-                a.pastry.handle_failure(&mut net, d);
+                a.pastry.handle_failure(ctx, d);
             }
-            let mut net = rbay::pastry::SimNet::new(ctx);
             for d in dead {
-                a.scribe
-                    .handle_failure(&mut a.pastry, &mut net, &mut a.host, d);
+                a.scribe.handle_failure(&mut a.pastry, ctx, &mut a.host, d);
             }
         });
     }
