@@ -5,6 +5,9 @@
 //! The implementation is *sans-I/O*: [`PastryNode`] holds only protocol
 //! state, sends through a [`Net`] — any [`Transport`] that carries
 //! [`PastryMsg`]s — and hands application payloads to a [`PastryApp`].
+//! Which peers are believed dead is kept here ([`PastryNode::buried`]);
+//! what was routed through which hop is not — the application sees every
+//! routed payload before it leaves and keeps what it needs.
 
 use crate::id::{NodeId, ID_DIGITS};
 use crate::state::{LeafSet, NodeInfo, RoutingTable};
@@ -183,10 +186,6 @@ pub struct PastryNode {
     /// [`PastryNode::insert_peer`] refuses a buried peer until the
     /// embedding node has proof of life and calls [`PastryNode::revive`].
     buried: BTreeSet<NodeAddr>,
-    /// The next hops this node sent a [`PastryMsg::Route`] through since
-    /// the embedding node last forgot them
-    /// ([`PastryNode::forget_used_hops`]), each once.
-    used_hops: Vec<NodeAddr>,
 }
 
 impl PastryNode {
@@ -204,7 +203,6 @@ impl PastryNode {
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
-            used_hops: Vec::new(),
         }
     }
 
@@ -435,9 +433,12 @@ impl PastryNode {
 
     /// Sends a routed message on to `next` — the one place a
     /// [`PastryMsg::Route`] leaves a node, at its origin or at a forwarding
-    /// hop — and notes `next` as a hop this node leaned on. A routing-table
-    /// entry is not pinged every round, so the embedding node's failure
-    /// detector verifies it when it is used ([`PastryNode::used_hops`]).
+    /// hop. Pastry keeps no record of the hop: only the application knows
+    /// which payloads are worth watching, so it is told first — at a
+    /// forwarding hop through [`PastryApp::forward`], at the origin by
+    /// whoever routes (in RBAY, Scribe tells its host, whose failure
+    /// detector pings the hop on use and keeps a copy of a query-path
+    /// message to route again if the hop turns out dead).
     pub fn send_routed<A, N: Net<A>>(
         &mut self,
         net: &mut N,
@@ -447,9 +448,6 @@ impl PastryNode {
         hops: u16,
         scope: Option<SiteId>,
     ) {
-        if !self.used_hops.contains(&next) {
-            self.used_hops.push(next);
-        }
         let msg = PastryMsg::Route {
             key,
             payload,
@@ -457,18 +455,6 @@ impl PastryNode {
             scope,
         };
         net.send(next, msg);
-    }
-
-    /// The next hops routed through since
-    /// [`PastryNode::forget_used_hops`], each once — so on a node nobody
-    /// asks the list cannot outgrow the overlay.
-    pub fn used_hops(&self) -> &[NodeAddr] {
-        &self.used_hops
-    }
-
-    /// Empties [`PastryNode::used_hops`].
-    pub fn forget_used_hops(&mut self) {
-        self.used_hops.clear();
     }
 
     /// Sends an unrouted application message straight to `to`.

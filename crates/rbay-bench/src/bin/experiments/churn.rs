@@ -12,6 +12,7 @@
 //! The sweep judges itself ([`gate`]): it fails on an invariant
 //! violation, on a success rate under the floor at 10 % or 20 % churn,
 //! and — with `--metrics` — on a false-positive failure declaration, a
+//! satisfied query that waited out its timeout (the `timeouts` column), a
 //! level that recorded no observability events, or a heartbeat budget
 //! that grew back (pings per node and round with nobody crashing).
 
@@ -48,6 +49,8 @@ struct ObsOutcome {
 struct LevelRow {
     churn_frac: f64,
     success_rate: f64,
+    /// Satisfied queries whose latency reached the query timeout.
+    timeouts: u32,
     /// Heartbeat expirations naming a live peer (`--metrics` only).
     false_positives: u64,
     /// Observability events recorded (`--metrics` only).
@@ -101,6 +104,13 @@ fn gate(rows: &[LevelRow], metrics: bool) -> Result<(), String> {
                 r.false_positives
             ));
         }
+        if metrics && r.timeouts > 0 {
+            return Err(format!(
+                "{} satisfied quer{} waited out the query timeout {at}",
+                r.timeouts,
+                if r.timeouts == 1 { "y" } else { "ies" }
+            ));
+        }
         if metrics && r.obs_events == 0 {
             return Err(format!("no observability events recorded {at}"));
         }
@@ -116,6 +126,9 @@ fn gate(rows: &[LevelRow], metrics: bool) -> Result<(), String> {
 
 struct Outcome {
     success_rate: f64,
+    /// Satisfied queries that waited out the query timeout: an attempt was
+    /// lost and only its retry answered.
+    timeouts: u32,
     recall: f64,
     avg_latency: f64,
     obs: Option<ObsOutcome>,
@@ -144,6 +157,7 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
 
     let mut latencies = Vec::new();
     let mut successes = 0u32;
+    let mut timeouts = 0u32;
     let mut attempts = 0u32;
     let mut recall_sum = 0.0;
     let mut recall_n = 0u32;
@@ -199,8 +213,9 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
             attempts += 1;
             if rec.satisfied {
                 successes += 1;
-                let done = rec.completed_at.unwrap();
-                latencies.push(done.saturating_since(rec.issued_at).as_millis_f64());
+                let took = rec.completed_at.unwrap().saturating_since(rec.issued_at);
+                timeouts += u32::from(took >= st.fed.config().query_timeout);
+                latencies.push(took.as_millis_f64());
             }
             let horizon = st.fed.sim().now() + SimDuration::from_millis(2_500);
             st.fed.run_until(horizon);
@@ -262,6 +277,7 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
 
     Outcome {
         success_rate: successes as f64 / attempts.max(1) as f64,
+        timeouts,
         recall: recall_sum / recall_n.max(1) as f64,
         avg_latency: stats(&latencies).map(|s| s.mean).unwrap_or(f64::NAN),
         obs,
@@ -391,8 +407,8 @@ pub fn run(opts: &HarnessOpts) {
         seeds.len()
     );
     println!(
-        "{:>12} {:>14} {:>10} {:>14}",
-        "churn/epoch", "success rate", "recall", "avg q-lat ms"
+        "{:>12} {:>14} {:>10} {:>14} {:>9}",
+        "churn/epoch", "success rate", "recall", "avg q-lat ms", "timeouts"
     );
     let mut rows = Vec::new();
     for &frac in &[0.0, 0.02, 0.05, 0.10, 0.20] {
@@ -429,12 +445,14 @@ pub fn run(opts: &HarnessOpts) {
             .filter(|l| l.is_finite())
             .collect();
         let avg_latency = stats(&lats).map(|s| s.mean).unwrap_or(f64::NAN);
+        let timeouts = outcomes.iter().map(|o| o.timeouts).sum::<u32>();
         println!(
-            "{:>11.0}% {:>13.0}% {:>9.0}% {:>14.1}",
+            "{:>11.0}% {:>13.0}% {:>9.0}% {:>14.1} {:>9}",
             frac * 100.0,
             success * 100.0,
             recall * 100.0,
-            avg_latency
+            avg_latency,
+            timeouts
         );
         let mut record = JsonRecord::new("churn")
             .num("churn_frac", frac)
@@ -442,7 +460,8 @@ pub fn run(opts: &HarnessOpts) {
             .int("seeds", seeds.len() as u64)
             .num("success_rate", success)
             .num("recall", recall)
-            .num_opt("avg_latency_ms", avg_latency);
+            .num_opt("avg_latency_ms", avg_latency)
+            .int("timeouts", u64::from(timeouts));
         let (mut false_positives, mut obs_events, mut hb_per_node_round) = (0, 0, 0.0);
         if opts.metrics {
             let m: Vec<&ObsOutcome> = outcomes.iter().filter_map(|o| o.obs.as_ref()).collect();
@@ -473,6 +492,7 @@ pub fn run(opts: &HarnessOpts) {
         rows.push(LevelRow {
             churn_frac: frac,
             success_rate: success,
+            timeouts,
             false_positives,
             obs_events,
             hb_per_node_round,
@@ -517,6 +537,7 @@ mod tests {
         LevelRow {
             churn_frac,
             success_rate,
+            timeouts: 0,
             false_positives: 0,
             obs_events: 1,
             hb_per_node_round: 18.0,
@@ -565,6 +586,15 @@ mod tests {
             ..row(0.05, 1.0)
         };
         assert!(gate(&[silent], true).is_err());
+        // A probe a dead hop swallowed is routed again when the hop is
+        // declared: a query that still waits out its timeout is a
+        // regression at every level.
+        let timed_out = LevelRow {
+            timeouts: 1,
+            ..row(0.20, 1.0)
+        };
+        assert!(gate(std::slice::from_ref(&timed_out), true).is_err());
+        assert_eq!(gate(&[timed_out], false), Ok(()));
         // The heartbeat budget is judged where nobody crashes: repair
         // traffic at the other levels is not the budget growing back.
         let chatty = |churn_frac| LevelRow {

@@ -18,9 +18,7 @@
 //! exits non-zero when the recorded violation does not reproduce.
 //! `shrink` delta-debugs a schedule down to a locally minimal one.
 
-use rbay_check::{
-    explore, explore_random, replay, runner, shrink, CheckSpec, ScenarioKind, ScheduleFile,
-};
+use rbay_check::{explore, explore_random, replay, runner, shrink, CheckSpec, ScheduleFile};
 use simnet::{ObsEvent, ReplayScheduler, SimTime};
 use std::time::Duration;
 
@@ -164,10 +162,10 @@ fn cmd_replay(args: &[String]) -> ! {
         file.violation.as_deref().unwrap_or("none"),
     );
 
-    // For the explorable scenario, re-run step by step with obs tracing
+    // For the explorable scenarios, re-run step by step with obs tracing
     // forced on and print the tree-repair timeline; bench scenarios
     // re-run their deterministic core end to end.
-    let found = if file.spec.kind == ScenarioKind::SubscribeFailRepair {
+    let found = if file.spec.kind.is_explorable() {
         let mut p = file.spec.prepare();
         let rec = p.fed.enable_obs(1 << 16);
         let started = p.fed.sim().now();

@@ -11,8 +11,8 @@
 //!   store drains: nothing is in flight, every scheduled maintenance
 //!   round has run, so the tree must be fully consistent — single live
 //!   root, no root with a parent, attachment symmetry, exact aggregate,
-//!   no long-dead peer kept, symmetric peer sets, and every committed
-//!   query completed.
+//!   no long-dead peer kept, no query-path copy kept past its ping,
+//!   symmetric peer sets, and every committed query completed.
 //!
 //! False-positive discipline: the scenarios bound fault injection to an
 //! early horizon (see [`crate::scenario`]) and schedule enough
@@ -137,6 +137,18 @@ pub enum Violation {
         /// Heartbeat rounds the holder has run since the crash.
         rounds: u64,
     },
+    /// A live node keeps a copy of a query-path message beside a peer it
+    /// has buried, or that owes it no answer: the copy outlived the ping
+    /// that bounds it, so it is memory kept for nothing and a re-route
+    /// that will never come.
+    CopyOwesAnswer {
+        /// The node keeping the copies.
+        holder: NodeAddr,
+        /// The peer they left through.
+        peer: NodeAddr,
+        /// How many.
+        copies: usize,
+    },
     /// Leaf-set membership is asymmetric between two live nodes after
     /// gossip convergence.
     AsymmetricPeers {
@@ -217,6 +229,7 @@ impl Violation {
             Violation::OrphanedSubscriber { .. } => "orphaned-subscriber",
             Violation::EvictedLivePeer { .. } => "evicted-live-peer",
             Violation::KeptCorpse { .. } => "kept-corpse",
+            Violation::CopyOwesAnswer { .. } => "copy-owes-answer",
             Violation::AsymmetricPeers { .. } => "asymmetric-peers",
             Violation::AggregateMismatch { .. } => "aggregate-mismatch",
             Violation::LostQuery { .. } => "lost-query",
@@ -260,6 +273,16 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "{holder:?} still keeps {corpse:?}, crashed {rounds} heartbeat rounds ago"
+                )
+            }
+            Violation::CopyOwesAnswer {
+                holder,
+                peer,
+                copies,
+            } => {
+                write!(
+                    f,
+                    "{holder:?} keeps {copies} copies beside {peer:?}, which owes it no answer"
                 )
             }
             Violation::AsymmetricPeers { a, b } => {
@@ -370,6 +393,28 @@ fn kept_corpse(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation> {
     None
 }
 
+/// `copy-owes-answer`: every query-path copy a live node keeps names a
+/// peer that is not buried and still owes that node the answer to a ping
+/// — so the copies are bounded in the same terms as `kept-corpse`: a ping
+/// expires at the first round past the heartbeat timeout, and its copies
+/// go out again or with it. Always true, so it is checked after every step
+/// as well as at quiescence.
+pub fn copy_owes_answer(fed: &Federation) -> Option<Violation> {
+    for holder in live_nodes(fed) {
+        let node = fed.node(holder);
+        for (peer, copies) in node.host.kept_copies() {
+            if node.pastry.is_buried(peer) || !node.host.owes_answer(peer) {
+                return Some(Violation::CopyOwesAnswer {
+                    holder,
+                    peer,
+                    copies,
+                });
+            }
+        }
+    }
+    None
+}
+
 /// Per-run step-invariant state: sanity conditions plus the
 /// dual-attachment persistence counter.
 pub struct StepTracker {
@@ -388,9 +433,12 @@ impl StepTracker {
         }
     }
 
-    /// Cheap after-every-step check: self-links and over-grace dual
-    /// attachments.
+    /// Cheap after-every-step check: self-links, `copy-owes-answer` and
+    /// over-grace dual attachments.
     pub fn check(&mut self, fed: &Federation, ctx: &InvariantCtx) -> Option<Violation> {
+        if let Some(v) = copy_owes_answer(fed) {
+            return Some(v);
+        }
         for n in live_nodes(fed) {
             if let Some(st) = fed.node(n).scribe.topic(ctx.topic) {
                 if st.parent == Some(n) || st.children.contains(&n) {
@@ -545,9 +593,10 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
         }
     }
 
-    // No corpse kept past the heartbeat budget.
+    // No corpse kept past the heartbeat budget, and no copy past its
+    // ping.
     if fed.config().failure_detection {
-        if let Some(v) = kept_corpse(fed, ctx) {
+        if let Some(v) = kept_corpse(fed, ctx).or_else(|| copy_owes_answer(fed)) {
             return Some(v);
         }
     }

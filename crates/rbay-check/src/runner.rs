@@ -259,7 +259,7 @@ pub fn explore_random(spec: &CheckSpec, runs: u64, p_fault: f64) -> ExploreRepor
 /// violation the replayed run exhibits (if any).
 pub fn replay(file: &ScheduleFile) -> Option<Violation> {
     match file.spec.kind {
-        ScenarioKind::SubscribeFailRepair => {
+        ScenarioKind::SubscribeFailRepair | ScenarioKind::RootCrashMidQuery => {
             let mut sched = ReplayScheduler::new(file.directives.iter().copied());
             run_one(&file.spec, &mut sched).violation
         }

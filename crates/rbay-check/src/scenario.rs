@@ -9,7 +9,10 @@
 //! false-positive discipline: all faults land before the first possible
 //! failure declaration completes, so the scheduled rounds that follow are
 //! guaranteed (for correct code) to repair, expire stale state, and
-//! converge — making the quiescence oracles exact.
+//! converge — making the quiescence oracles exact. Its twin
+//! **root-crash-mid-query** spends the crash on the tree's root at the
+//! instant the query is issued, so the explored runs take the path where
+//! the probe is lost with the root and routed again at its declaration.
 //!
 //! The `bench:churn` scenario is the deterministic core of the churn
 //! bench (`rbay-bench/src/bin/churn.rs` drives the same [`ChurnState`]),
@@ -30,6 +33,10 @@ use simnet::{FaultOpts, NodeAddr, SimDuration, SiteId, Topology};
 pub enum ScenarioKind {
     /// The canonical explorable 3–5-node subscribe/fail/repair window.
     SubscribeFailRepair,
+    /// The same window with the tree's root crashed the instant the query
+    /// is issued: its probe meets the corpse, and only the re-route at the
+    /// root's declaration answers it before the query timeout.
+    RootCrashMidQuery,
     /// The churn bench's deterministic core (replay only — too large to
     /// explore exhaustively).
     BenchChurn,
@@ -43,6 +50,7 @@ impl ScenarioKind {
     pub fn name(&self) -> &'static str {
         match self {
             ScenarioKind::SubscribeFailRepair => "subscribe-fail-repair",
+            ScenarioKind::RootCrashMidQuery => "root-crash-mid-query",
             ScenarioKind::BenchChurn => "bench:churn",
             ScenarioKind::BenchFig8 => "bench:fig8",
         }
@@ -52,10 +60,20 @@ impl ScenarioKind {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "subscribe-fail-repair" => Some(ScenarioKind::SubscribeFailRepair),
+            "root-crash-mid-query" => Some(ScenarioKind::RootCrashMidQuery),
             "bench:churn" => Some(ScenarioKind::BenchChurn),
             "bench:fig8" => Some(ScenarioKind::BenchFig8),
             _ => None,
         }
+    }
+
+    /// Whether the explorer can drive it step by step (the bench
+    /// scenarios only replay end to end).
+    pub fn is_explorable(&self) -> bool {
+        matches!(
+            self,
+            ScenarioKind::SubscribeFailRepair | ScenarioKind::RootCrashMidQuery
+        )
     }
 }
 
@@ -113,6 +131,17 @@ impl CheckSpec {
         }
     }
 
+    /// The root-crash-mid-query spec: [`CheckSpec::subscribe_fail_repair`]'s
+    /// window and drop budget, with the crash spent on the tree's root at
+    /// the instant the query is issued.
+    pub fn root_crash_mid_query(nodes: usize, seed: u64) -> Self {
+        CheckSpec {
+            kind: ScenarioKind::RootCrashMidQuery,
+            max_crashes: 0,
+            ..CheckSpec::subscribe_fail_repair(nodes, seed)
+        }
+    }
+
     /// A bench:churn spec mirroring `churn.rs`'s per-level parameters.
     pub fn bench_churn(nodes: usize, churn_frac: f64, epochs: u32, seed: u64) -> Self {
         CheckSpec {
@@ -152,10 +181,10 @@ impl CheckSpec {
     /// settled, exploration enabled, maintenance + query scheduled, fault
     /// budget resolved. Only meaningful for explorable kinds.
     pub fn prepare(&self) -> Prepared {
-        assert_eq!(
-            self.kind,
-            ScenarioKind::SubscribeFailRepair,
-            "only subscribe-fail-repair is explorable; bench scenarios replay via run_churn_default"
+        assert!(
+            self.kind.is_explorable(),
+            "{} is not explorable; bench scenarios replay via run_churn_default",
+            self.kind.name()
         );
         let cfg = RbayConfig {
             failure_detection: true,
@@ -185,6 +214,12 @@ impl CheckSpec {
         let query = fed
             .issue_query(origin, "SELECT 1 FROM * WHERE GPU = true", None)
             .expect("static query parses");
+        if self.kind == ScenarioKind::RootCrashMidQuery {
+            let root = (holders.iter().copied())
+                .find(|h| fed.node(*h).scribe.topic(topic).is_some_and(|t| t.is_root))
+                .unwrap_or_else(|| panic!("seed {}: the querier roots the tree", self.seed));
+            fed.sim_mut().fail_node(root);
+        }
 
         let horizon = fed.sim().now() + self.horizon;
         let faults = FaultOpts {

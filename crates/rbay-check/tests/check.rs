@@ -9,21 +9,25 @@ use std::time::Duration;
 
 #[test]
 fn correct_code_has_no_violations_in_bounded_exploration() {
-    let spec = CheckSpec::subscribe_fail_repair(3, 7);
-    let report = explore(
-        &spec,
-        &ExploreOpts {
-            budget: Duration::from_secs(10),
-            target_distinct: 1_500,
-            ..Default::default()
-        },
-    );
-    assert!(
-        report.violations.is_empty(),
-        "false positive on correct code: {:?}",
-        report.violations[0].violation
-    );
-    assert!(report.distinct > 100, "explorer barely moved: {report:?}");
+    for (spec, target_distinct) in [
+        (CheckSpec::subscribe_fail_repair(3, 7), 1_500),
+        (CheckSpec::root_crash_mid_query(5, 11), 300),
+    ] {
+        let report = explore(
+            &spec,
+            &ExploreOpts {
+                budget: Duration::from_secs(10),
+                target_distinct,
+                ..Default::default()
+            },
+        );
+        assert!(
+            report.violations.is_empty(),
+            "false positive on correct code: {:?}",
+            report.violations[0].violation
+        );
+        assert!(report.distinct > 100, "explorer barely moved: {report:?}");
+    }
 }
 
 #[test]
@@ -34,6 +38,7 @@ fn correct_code_survives_random_walks() {
     heavy_loss.max_drops = 6;
     for (spec, walks, p_fault) in [
         (CheckSpec::subscribe_fail_repair(4, 11), 40, 0.02),
+        (CheckSpec::root_crash_mid_query(5, 11), 40, 0.02),
         (heavy_loss, 400, 0.3),
     ] {
         let report = explore_random(&spec, walks, p_fault);
@@ -241,6 +246,86 @@ fn a_corpse_kept_past_the_heartbeat_budget_is_a_violation() {
             holder,
             corpse,
             rounds: 10
+        })
+    );
+}
+
+/// The root-crash-mid-query scenario reaches the re-route: in the default
+/// order the querier's probe meets the crashed root, a detector routes its
+/// copy again when it declares the root, and the query is answered long
+/// before its timeout, with no invariant tripped.
+#[test]
+fn a_probe_lost_with_the_root_is_rerouted_in_the_checked_scenario() {
+    let spec = CheckSpec::root_crash_mid_query(5, 11);
+    let mut p = spec.prepare();
+    let obs = p.fed.enable_obs(1 << 16);
+    p.fed
+        .sim_mut()
+        .run_explored(&mut EarliestFirst, runner::WINDOW, runner::MAX_STEPS as u64);
+    assert!(
+        obs.snapshot().count("reroute") >= 1,
+        "nothing was re-routed"
+    );
+    let rec = p.fed.query_record(p.origin, p.query).expect("issued");
+    assert!(rec.satisfied, "{rec:?}");
+    let took = rec.completed_at.unwrap().saturating_since(rec.issued_at);
+    assert!(took < p.fed.config().query_timeout, "took {took}");
+    let violation = rbay_check::invariants::check_quiescent(&p.fed, &p.ctx);
+    assert!(violation.is_none(), "{}", violation.unwrap());
+}
+
+/// `copy-owes-answer`: a probe routed through a hop whose ping is
+/// outstanding is kept beside that ping; burying the hop behind the
+/// detector's back leaves the copy beside a corpse, and that is reported.
+#[test]
+fn a_copy_kept_beside_a_buried_peer_is_a_violation() {
+    use rbay_check::invariants::copy_owes_answer;
+    use rbay_check::Violation;
+    use rbay_core::{Federation, RbayConfig};
+    use rbay_query::AttrValue;
+    use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+
+    let cfg = RbayConfig {
+        failure_detection: true,
+        heartbeat_timeout: SimDuration::from_millis(400),
+        ..RbayConfig::default()
+    };
+    let mut fed = Federation::with_config(Topology::single_site(6, 0.5), 7, cfg);
+    for h in (1..6).map(NodeAddr) {
+        fed.post_resource(h, "GPU", AttrValue::Bool(true));
+    }
+    fed.settle();
+    fed.run_maintenance(2, SimDuration::from_millis(250));
+    fed.settle();
+    let key = fed
+        .node(NodeAddr(0))
+        .host
+        .tree_topic("GPU=true", SiteId(0))
+        .key();
+    let (holder, hop) = (0..6)
+        .map(NodeAddr)
+        .find_map(|n| Some((n, fed.node(n).pastry.next_hop(key, Some(SiteId(0)))?.addr)))
+        .expect("someone routes toward the root");
+    // A round pings every leaf-set peer; the probe that follows in the
+    // same instant leaves through a hop that owes its answer.
+    fed.schedule_maintenance(1, SimDuration::from_millis(250));
+    fed.probe_tree_stats(holder, "GPU=true", SiteId(0));
+    let now = fed.sim().now();
+    fed.run_until(now);
+    let kept: Vec<_> = fed.node(holder).host.kept_copies().collect();
+    assert_eq!(kept, [(hop, 1)]);
+    assert_eq!(copy_owes_answer(&fed), None);
+
+    fed.sim_mut().schedule_call(now, holder, move |node, ctx| {
+        node.pastry.handle_failure(ctx, hop);
+    });
+    fed.run_until(now);
+    assert_eq!(
+        copy_owes_answer(&fed),
+        Some(Violation::CopyOwesAnswer {
+            holder,
+            peer: hop,
+            copies: 1
         })
     );
 }

@@ -31,10 +31,10 @@ pub struct RbayNode {
 
 impl RbayNode {
     /// The one way to drive a node: stamps the host's clock from the
-    /// transport, runs `f`, executes every host operation `f` queued, then
-    /// pings the next hops all that routed through (the failure
-    /// detector's on-use cadence). A message, a timer, a maintenance round
-    /// and an operator's request are all bodies run inside it.
+    /// transport, runs `f`, then executes every host operation `f` queued
+    /// (the failure detector's on-use pings among them). A message, a
+    /// timer, a maintenance round and an operator's request are all bodies
+    /// run inside it.
     pub fn control<T: Transport<RbayMsg>, R>(
         &mut self,
         tr: &mut T,
@@ -43,7 +43,6 @@ impl RbayNode {
         self.host.now = tr.now();
         let r = f(self, tr);
         self.drain_ops(tr);
-        self.ping_used_hops(tr);
         r
     }
 
@@ -111,6 +110,7 @@ impl RbayNode {
     /// overlay neighbours.
     pub fn maintenance_round_via<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
         self.control(tr, |n, tr| {
+            n.host.begin_round();
             n.host.maintenance();
             // Refresh this node's contribution to every subscribed tree
             // (the aggregate attribute may have changed since the last

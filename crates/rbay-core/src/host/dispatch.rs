@@ -6,7 +6,7 @@
 use super::{Op, RbayHost};
 use crate::types::{RbayEvent, RbayPayload};
 use rbay_store::WalRecord;
-use scribe::{AggValue, ScribeHost, TopicId, Visit};
+use scribe::{AggValue, ScribeHost, ScribeMsg, TopicId, Visit};
 use simnet::NodeAddr;
 
 impl RbayHost {
@@ -140,14 +140,7 @@ impl ScribeHost<RbayPayload> for RbayHost {
                     });
                 }
             }
-            RbayPayload::RemoteSearch { state, tree } => {
-                let topic = self.tree_topic(&tree, self.site);
-                self.ops.push_back(Op::Anycast {
-                    topic,
-                    scope: self.routing_scope(self.site),
-                    payload: RbayPayload::Search(state),
-                });
-            }
+            RbayPayload::RemoteSearch { state, tree } => self.search_here(state, tree),
             RbayPayload::Commit { query_id } => self.on_commit(query_id),
             RbayPayload::Release { query_id } => self.on_release(query_id),
             RbayPayload::StatsEcho { tree, agg, exists } => {
@@ -175,6 +168,10 @@ impl ScribeHost<RbayPayload> for RbayHost {
                 attached_at: self.now,
             });
         }
+    }
+
+    fn on_route(&mut self, hop: NodeAddr, msg: &ScribeMsg<RbayPayload>) {
+        self.routed_through(hop, msg);
     }
 }
 

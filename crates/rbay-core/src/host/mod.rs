@@ -26,7 +26,7 @@ pub use config::{InstallError, LintPolicy, RbayConfig, RestoreSummary};
 use crate::frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorDecision};
 use crate::liveness::Contact;
 use crate::naming::HybridNaming;
-use crate::types::{QueryId, QueryRecord, RbayEvent, RbayPayload};
+use crate::types::{QueryId, QueryRecord, RbayEvent, RbayPayload, SearchState};
 use aascript::analysis::Diagnostic;
 use aascript::{AaInstance, SharedSandbox};
 use pastry::NodeId;
@@ -179,7 +179,8 @@ pub struct RbayHost {
     /// exists, as-of time).
     pub tree_stats: BTreeMap<String, (Option<AggValue>, bool, SimTime)>,
     /// The failure detector's ledger ([`crate::liveness`]), one entry per
-    /// peer: a ping it owes an answer to, or that it has been heard from
+    /// peer: a ping it owes an answer to, with a copy of each query-path
+    /// message routed through it since, or that it has been heard from
     /// since the last heartbeat round. Which peers are believed dead is
     /// Pastry's to say ([`pastry::PastryNode::buried`]).
     pub(crate) contacts: BTreeMap<NodeAddr, Contact>,
@@ -213,6 +214,10 @@ pub struct RbayHost {
     /// policy fix plus a restart can still install it; the running node
     /// simply operates without the handler.
     pub quarantined: Vec<(String, String)>,
+    /// Searches waiting, in arrival order, for this node's hold on itself
+    /// by another of its own queries to be handed back
+    /// (`RbayHost::search_here`).
+    pub(crate) parked_searches: VecDeque<(SearchState, String)>,
 }
 
 impl RbayHost {
@@ -257,6 +262,7 @@ impl RbayHost {
             frontdoor: None,
             store: None,
             quarantined: Vec::new(),
+            parked_searches: VecDeque::new(),
         }
     }
 

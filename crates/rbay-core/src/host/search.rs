@@ -1,8 +1,9 @@
-//! The node-side of the query protocol's steps 4 and 5: a search walk
-//! visiting this node, and the reservation it takes, commits or releases.
+//! The node-side of the query protocol's steps 4 and 5: a search entering
+//! the site here, a search walk visiting this node, and the reservation it
+//! takes, commits or releases.
 
-use super::RbayHost;
-use crate::types::{Candidate, QueryId, SearchState};
+use super::{Op, RbayHost};
+use crate::types::{Candidate, QueryId, RbayPayload, SearchState};
 use rbay_store::WalRecord;
 use scribe::Visit;
 use simnet::SimDuration;
@@ -30,6 +31,35 @@ impl RbayHost {
             self.persist(WalRecord::Release { query: by.0 });
             self.reservation = None;
         }
+    }
+
+    /// A search enters this site here (protocol step 3): the anycast walk
+    /// starts — or, while this node is held by another query it issued
+    /// itself and has not committed, waits for that hold to be handed
+    /// back. The walk would visit this node first; walking past it sends
+    /// every waiting search up the tree in the same depth-first order, so
+    /// n searches started together (a failover's re-routed probes all
+    /// answered in one instant) take n²/2 steps between them. Parked,
+    /// each starts one `Release` later and finds this node free.
+    pub(super) fn search_here(&mut self, state: SearchState, tree: String) {
+        let own_hold = match self.reservation {
+            Some((by, until)) => {
+                by != state.query_id
+                    && by.origin() == self.addr
+                    && until > self.now
+                    && !self.committed.contains(&by)
+            }
+            None => false,
+        };
+        if own_hold && state.query.matches_all(|attr| self.attrs.get(attr)) {
+            self.parked_searches.push_back((state, tree));
+            return;
+        }
+        self.ops.push_back(Op::Anycast {
+            topic: self.tree_topic(&tree, self.site),
+            scope: self.routing_scope(self.site),
+            payload: RbayPayload::Search(state),
+        });
     }
 
     /// One step of the search walk visiting this node (protocol step 4):
@@ -89,15 +119,23 @@ impl RbayHost {
                 // Hold far beyond the protocol horizon; release is
                 // explicit from here on.
                 self.reservation = Some((query_id, self.now + SimDuration::from_secs(3_600)));
+                // Taken for good: the parked searches walk past it.
+                for (state, tree) in std::mem::take(&mut self.parked_searches) {
+                    self.search_here(state, tree);
+                }
             }
         }
     }
 
     /// Protocol step 5, not taken: `query_id` releases the reservation it
-    /// holds here. A release from any other query is ignored.
+    /// holds here, and the first parked search starts. A release from any
+    /// other query is ignored.
     pub(super) fn on_release(&mut self, query_id: QueryId) {
         if self.reservation.is_some_and(|(by, _)| by == query_id) {
             self.release_reservation();
+            if let Some((state, tree)) = self.parked_searches.pop_front() {
+                self.search_here(state, tree);
+            }
         }
     }
 }
@@ -236,5 +274,47 @@ mod tests {
             },
         );
         assert!(h.reservation.is_none());
+    }
+
+    /// A search that would start on a node held by another query of that
+    /// node waits for the hold to be handed back: one starts per
+    /// `Release`, all of them on a `Commit` (they walk past, as before). A
+    /// hold by another node's query parks nothing.
+    #[test]
+    fn searches_wait_for_the_nodes_own_hold_to_be_handed_back() {
+        let mut h = host();
+        h.update_attr("GPU", AttrValue::Bool(true));
+        h.update_attr("CPU_utilization", AttrValue::Num(10.0));
+        h.ops.clear();
+        let (own, next) = (QueryId::new(h.addr, 1), QueryId::new(h.addr, 2));
+        let hold = |by| Some((by, SimTime::from_millis(2_000)));
+        let walks = |h: &mut RbayHost| {
+            let n = h
+                .ops
+                .iter()
+                .filter(|o| matches!(o, Op::Anycast { .. }))
+                .count();
+            h.ops.clear();
+            n
+        };
+        h.reservation = hold(own);
+        for _ in 0..3 {
+            h.search_here(search(1, None), "GPU=true".into());
+        }
+        assert_eq!((walks(&mut h), h.parked_searches.len()), (0, 3));
+        h.on_release(QueryId(5));
+        assert_eq!(
+            walks(&mut h),
+            0,
+            "another query's release hands back nothing"
+        );
+        h.on_release(own);
+        assert_eq!((walks(&mut h), h.parked_searches.len()), (1, 2));
+        h.reservation = hold(next);
+        h.on_commit(next);
+        assert_eq!((walks(&mut h), h.parked_searches.len()), (2, 0));
+        h.reservation = hold(QueryId::new(NodeAddr(3), 1));
+        h.search_here(search(1, None), "GPU=true".into());
+        assert_eq!((walks(&mut h), h.parked_searches.len()), (1, 0));
     }
 }

@@ -16,11 +16,19 @@
 //! of the routing tables, and the buried — except that a round which
 //! finds an every-round ping still unanswered verifies the whole routing
 //! table at once, because crashes come together.
+//!
+//! A routed message that leaves through a hop which owes an answer may be
+//! lost with it, and only this node knows where it went. So beside the
+//! ping the ledger keeps a copy of each query-path message routed through
+//! the hop ([`RbayHost::routed_through`], the one writer): any message
+//! from the hop drops the copies, and [`RbayNode::declare_dead`] routes
+//! them again through the repaired tables (the one reader).
 
 use crate::actor::{RbayMsg, RbayNode};
 use crate::host::{Op, RbayHost};
 use crate::types::RbayPayload;
 use pastry::NodeInfo;
+use scribe::ScribeMsg;
 use simnet::obs::ObsEvent;
 use simnet::Transport;
 use simnet::{NodeAddr, SimTime};
@@ -40,36 +48,52 @@ use std::collections::BTreeSet;
 /// never answers, so that cost is bounded by the size of the buried set.
 pub const SLOW_PROBE_PERIOD: u64 = 8;
 
+/// A routed message as it left this node: what a [`Contact::Pinged`]
+/// entry keeps a copy of.
+pub(crate) type Routed = ScribeMsg<RbayPayload>;
+
 /// What the ledger holds about a peer. A peer without an entry is Alive
 /// and has been silent since the last heartbeat round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) enum Contact {
     /// A message from the peer arrived since the last heartbeat round: it
-    /// need not be pinged on use.
+    /// need not be pinged on use, and nothing routed through it is kept.
     Heard,
-    /// A ping sent at this time is unanswered.
-    Pinged(SimTime),
+    /// A ping sent at this time is unanswered; beside it, a copy of each
+    /// query-path message routed through the peer since.
+    Pinged(SimTime, Vec<Routed>),
+}
+
+impl Contact {
+    /// The copies kept beside the entry (none beside `Heard`).
+    fn into_copies(self) -> Vec<Routed> {
+        match self {
+            Contact::Pinged(_, copies) => copies,
+            Contact::Heard => Vec::new(),
+        }
+    }
 }
 
 impl RbayHost {
     /// Forgets every ping that has been outstanding for longer than
-    /// `heartbeat_timeout` and returns the peers that owed the answer.
-    pub(crate) fn expire_pings(&mut self) -> Vec<NodeAddr> {
+    /// `heartbeat_timeout` and returns the peers that owed the answer,
+    /// each with the copies kept beside its ping.
+    pub(crate) fn expire_pings(&mut self) -> Vec<(NodeAddr, Vec<Routed>)> {
         let (now, deadline) = (self.now, self.cfg.heartbeat_timeout);
         let overdue = |c: &Contact| match c {
-            Contact::Pinged(sent) => now.saturating_since(*sent) > deadline,
+            Contact::Pinged(sent, _) => now.saturating_since(*sent) > deadline,
             Contact::Heard => false,
         };
         self.contacts
             .extract_if(.., |_, c| overdue(c))
-            .map(|(peer, _)| peer)
+            .map(|(peer, c)| (peer, c.into_copies()))
             .collect()
     }
 
     /// Queues this round's heartbeats: one to every peer of `hot`, and one
     /// to every peer of `cold` and of `buried` whose slow-cadence turn this
-    /// round is — each unless it already owes an answer. What was heard
-    /// before this round stops counting as fresh.
+    /// round is — each unless it already owes an answer (what was heard
+    /// before this round stopped counting at [`RbayHost::begin_round`]).
     ///
     /// A `hot` peer that let a whole round pass without answering (a round
     /// is hundreds of round trips) is most likely dead, and the repair that
@@ -88,8 +112,11 @@ impl RbayHost {
         buried: &BTreeSet<NodeAddr>,
     ) {
         self.hb_round = self.hb_round.wrapping_add(1);
-        self.contacts.retain(|_, c| *c != Contact::Heard);
-        let alarm = hot.iter().any(|p| self.owes_answer(*p));
+        // A ping this round's own repair or tick sent on use, in this
+        // instant, is not an earlier round's ping left unanswered.
+        let now = self.now;
+        let alarm = (hot.iter())
+            .any(|p| matches!(self.contacts.get(p), Some(Contact::Pinged(at, _)) if *at < now));
         for &to in hot {
             if !buried.contains(&to) {
                 self.heartbeat(to, None);
@@ -108,6 +135,13 @@ impl RbayHost {
         }
     }
 
+    /// A maintenance round begins: what was heard before it stops counting
+    /// as fresh — before the round routes anything, so that a hop the
+    /// tick's or the repair's `Join` leaves through is pinged on use.
+    pub(crate) fn begin_round(&mut self) {
+        self.contacts.retain(|_, c| !matches!(c, Contact::Heard));
+    }
+
     /// Heartbeat rounds this node has run. Rounds reach every live node
     /// of a federation together, so the difference to a crashed peer's
     /// count is how many rounds the peer has been gone.
@@ -116,8 +150,19 @@ impl RbayHost {
     }
 
     /// Whether a ping to `peer` is outstanding.
-    fn owes_answer(&self, peer: NodeAddr) -> bool {
-        matches!(self.contacts.get(&peer), Some(Contact::Pinged(_)))
+    pub fn owes_answer(&self, peer: NodeAddr) -> bool {
+        matches!(self.contacts.get(&peer), Some(Contact::Pinged(..)))
+    }
+
+    /// The query-path copies this node keeps, as `(peer they left
+    /// through, how many)`. Each such peer owes an answer and is not
+    /// buried (rbay-check's `copy-owes-answer`), so the copies live no
+    /// longer than the ping beside them.
+    pub fn kept_copies(&self) -> impl Iterator<Item = (NodeAddr, usize)> + '_ {
+        self.contacts.iter().filter_map(|(peer, c)| match c {
+            Contact::Pinged(_, copies) if !copies.is_empty() => Some((*peer, copies.len())),
+            _ => None,
+        })
     }
 
     /// Whether this round is `peer`'s turn on the slow cadence.
@@ -126,13 +171,33 @@ impl RbayHost {
         stripe.is_multiple_of(SLOW_PROBE_PERIOD)
     }
 
-    /// A routed message just left through `hop`: ping it now, unless it
-    /// was heard from since the last round or already owes an answer. A
-    /// dead routing-table entry is found out one timeout after its first
-    /// use, not one timeout after its next turn on the slow cadence.
-    pub(crate) fn ping_on_use(&mut self, hop: NodeAddr) {
+    /// A routed message is leaving through `hop` — the on-use cadence and
+    /// the one writer of copies. Unless the hop was heard from since the
+    /// last round, it is pinged now (if it does not owe an answer
+    /// already), so a dead routing-table entry is found out one timeout
+    /// after its first use, not after its next turn on the slow cadence;
+    /// and a `ProbeRoot`, `Anycast` or `MulticastReq` — whose sender has
+    /// no retry of its own — is kept beside the ping, to be routed again
+    /// if the hop is declared dead. A `Join` is not: the Scribe tick
+    /// re-sends it (DESIGN.md §17, one retry per round). Nothing is
+    /// written with `failure_detection` off.
+    pub(crate) fn routed_through(&mut self, hop: NodeAddr, msg: &Routed) {
+        if !self.cfg.failure_detection {
+            return;
+        }
         if !self.contacts.contains_key(&hop) {
             self.heartbeat(hop, Some("hb_on_use"));
+        }
+        let query_path = matches!(
+            msg,
+            ScribeMsg::ProbeRoot { .. }
+                | ScribeMsg::Anycast { .. }
+                | ScribeMsg::MulticastReq { .. }
+        );
+        if let Some(Contact::Pinged(_, copies)) = self.contacts.get_mut(&hop) {
+            if query_path {
+                copies.push(msg.clone());
+            }
         }
     }
 
@@ -157,7 +222,8 @@ impl RbayHost {
     /// the round that sent it; the ledger is keyed by peer, so any message
     /// from the peer settles it.
     fn ping(&mut self, peer: NodeAddr) {
-        self.contacts.insert(peer, Contact::Pinged(self.now));
+        self.contacts
+            .insert(peer, Contact::Pinged(self.now, Vec::new()));
         let payload = RbayPayload::Ping {
             nonce: self.hb_round,
             info: self.self_info(),
@@ -232,51 +298,52 @@ impl RbayNode {
             .map(|e| e.addr)
             .filter(|a| hot.binary_search(a).is_err())
             .collect();
-        for peer in self.host.expire_pings() {
-            // A buried peer's unanswered probe is not news.
-            if !self.pastry.is_buried(peer) {
-                self.declare_dead(tr, peer);
-            }
-        }
+        let mut overdue = self.host.expire_pings();
+        // A buried peer's unanswered probe is not news.
+        overdue.retain(|(peer, _)| !self.pastry.is_buried(*peer));
+        self.declare_dead(tr, overdue);
         self.host.heartbeat_round(&hot, &cold, self.pastry.buried());
     }
 
-    /// The on-use cadence, run at the end of every [`RbayNode::control`]:
-    /// pings the next hops the closure (and the operations it queued)
-    /// routed through, in the same instant. Most calls routed nothing and
-    /// return at once.
-    pub(crate) fn ping_used_hops<T: Transport<RbayMsg>>(&mut self, tr: &mut T) {
-        if self.pastry.used_hops().is_empty() {
-            return;
-        }
-        if self.host.cfg.failure_detection {
-            for &hop in self.pastry.used_hops() {
-                self.host.ping_on_use(hop);
-            }
-            self.drain_ops(tr);
-        }
-        self.pastry.forget_used_hops();
-    }
-
-    /// Alive or Pinged → Buried: Pastry buries `peer` and repairs its
-    /// routing state around it, then Scribe repairs the trees.
-    fn declare_dead<T: Transport<RbayMsg>>(&mut self, tr: &mut T, peer: NodeAddr) {
+    /// Alive or Pinged → Buried, for each overdue peer in turn: Pastry
+    /// buries it and repairs its routing state around it, then Scribe
+    /// repairs the trees. Then the copies of what was routed through the
+    /// corpses since their pings go out again through the repaired tables
+    /// — once each, and delivered here where this node is now the key's
+    /// root. Every corpse of the round is buried before any copy leaves,
+    /// so none is routed into a peer declared a moment later. The querier
+    /// cannot know which hop ate its probe; without this it waits out its
+    /// timeout.
+    fn declare_dead<T: Transport<RbayMsg>>(
+        &mut self,
+        tr: &mut T,
+        overdue: Vec<(NodeAddr, Vec<Routed>)>,
+    ) {
         let detector = self.host.addr;
-        self.host.obs.count(detector, "hb_expire");
-        self.host
-            .obs
-            .record_with(|at| ObsEvent::HeartbeatExpire { at, detector, peer });
-        self.pastry.handle_failure(tr, peer);
-        self.scribe
-            .handle_failure(&mut self.pastry, tr, &mut self.host, peer);
+        let mut copies = Vec::new();
+        for (peer, kept) in overdue {
+            self.host.obs.count(detector, "hb_expire");
+            self.host
+                .obs
+                .record_with(|at| ObsEvent::HeartbeatExpire { at, detector, peer });
+            self.pastry.handle_failure(tr, peer);
+            self.scribe
+                .handle_failure(&mut self.pastry, tr, &mut self.host, peer);
+            copies.extend(kept);
+        }
+        for msg in copies {
+            self.host.obs.count(detector, "reroute");
+            self.scribe
+                .reroute(&mut self.pastry, tr, &mut self.host, msg);
+        }
     }
 
     /// A message from `peer` arrived, so it is not dead. Pinged → Alive:
     /// whatever the message is, it settles the peer's outstanding ping —
     /// a node that hears a neighbour's aggregates every round does not
-    /// declare it dead over lost `Pong`s. Buried → Alive: gossip and
-    /// heartbeats may re-insert it. Either way it counts as heard from
-    /// until the next heartbeat round.
+    /// declare it dead over lost `Pong`s — and drops the copies kept
+    /// beside it. Buried → Alive: gossip and heartbeats may re-insert it.
+    /// Either way it counts as heard from until the next heartbeat round.
     pub(crate) fn proof_of_life(&mut self, peer: NodeAddr) {
         if self.host.cfg.failure_detection {
             self.host.contacts.insert(peer, Contact::Heard);
@@ -332,13 +399,7 @@ mod heartbeat_tests {
 
     /// One maintenance round at `ms`; returns whom it pinged.
     fn round(n: &mut RbayNode, tr: &mut RecTransport, ms: u64) -> Vec<NodeAddr> {
-        tr.now = SimTime::from_millis(ms);
-        n.maintenance_round_via(tr);
-        let ping = |(to, m): (NodeAddr, RbayMsg)| match m {
-            PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Ping { .. })) => Some(to),
-            _ => None,
-        };
-        tr.sent.drain(..).filter_map(ping).collect()
+        round_sent(n, tr, ms).pings
     }
 
     /// The pings a bare `heartbeat_round` queued.
@@ -410,39 +471,77 @@ mod heartbeat_tests {
         pinged
     }
 
-    /// A probe for `PEER`'s own id arrives from node 9 and is forwarded
-    /// through `PEER`; returns whom the node pinged while forwarding it.
-    fn route_through_peer(n: &mut RbayNode, tr: &mut RecTransport, ms: u64) -> Vec<NodeAddr> {
-        tr.now = SimTime::from_millis(ms);
-        let topic = n.host.tree_topic("GPU=true", SiteId(0));
-        let probe = PastryMsg::Route {
-            key: info(PEER.0).id,
-            payload: ScribeMsg::ProbeRoot {
-                topic,
-                scope: None,
-                payload: RbayPayload::Ping {
-                    nonce: 0,
-                    info: info(9),
-                },
-                origin: NodeAddr(9),
-            },
-            hops: 1,
-            scope: None,
-        };
-        n.on_message_via(tr, NodeAddr(9), probe);
-        let mut routed = false;
-        let mut pinged = Vec::new();
+    /// What a node sent, by kind.
+    #[derive(Debug, Default)]
+    struct Sent {
+        /// Where routed messages went.
+        routes: Vec<NodeAddr>,
+        /// Whom it pinged.
+        pings: Vec<NodeAddr>,
+        /// Whom it answered a probe, as the root.
+        replies: Vec<NodeAddr>,
+    }
+
+    fn drain(tr: &mut RecTransport) -> Sent {
+        let mut s = Sent::default();
         for (to, m) in tr.sent.drain(..) {
             match m {
-                PastryMsg::Route { .. } => routed |= to == PEER,
+                PastryMsg::Route { .. } => s.routes.push(to),
                 PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Ping { .. })) => {
-                    pinged.push(to)
+                    s.pings.push(to)
                 }
+                PastryMsg::Direct(ScribeMsg::ProbeReply { .. }) => s.replies.push(to),
                 _ => {}
             }
         }
-        assert!(routed, "the probe goes through the peer");
-        pinged
+        s
+    }
+
+    /// A `ProbeRoot` from node 9.
+    fn probe(n: &RbayNode) -> Routed {
+        ScribeMsg::ProbeRoot {
+            topic: n.host.tree_topic("GPU=true", SiteId(0)),
+            scope: None,
+            payload: RbayPayload::Ping {
+                nonce: 0,
+                info: info(9),
+            },
+            origin: NodeAddr(9),
+        }
+    }
+
+    /// `msg`, routed toward `key`, arrives from node 9 at `ms`; returns
+    /// what the node sent handling it.
+    fn forward(n: &mut RbayNode, tr: &mut RecTransport, ms: u64, key: NodeId, msg: Routed) -> Sent {
+        tr.now = SimTime::from_millis(ms);
+        let route = PastryMsg::Route {
+            key,
+            payload: msg,
+            hops: 1,
+            scope: None,
+        };
+        n.on_message_via(tr, NodeAddr(9), route);
+        drain(tr)
+    }
+
+    /// A probe for `PEER`'s own id arrives from node 9 and is forwarded
+    /// through `PEER`; returns whom the node pinged while forwarding it.
+    fn route_through_peer(n: &mut RbayNode, tr: &mut RecTransport, ms: u64) -> Vec<NodeAddr> {
+        let msg = probe(n);
+        let sent = forward(n, tr, ms, info(PEER.0).id, msg);
+        assert_eq!(sent.routes, [PEER], "the probe goes through the peer");
+        sent.pings
+    }
+
+    /// One maintenance round at `ms`; returns everything it sent.
+    fn round_sent(n: &mut RbayNode, tr: &mut RecTransport, ms: u64) -> Sent {
+        tr.now = SimTime::from_millis(ms);
+        n.maintenance_round_via(tr);
+        drain(tr)
+    }
+
+    fn copies(n: &RbayNode) -> Vec<(NodeAddr, usize)> {
+        n.host.kept_copies().collect()
     }
 
     fn owes(n: &RbayNode, peer: NodeAddr) -> bool {
@@ -490,7 +589,10 @@ mod heartbeat_tests {
             assert!(owes(&n, PEER));
             tr.now = SimTime::from_millis(300);
             n.on_message_via(&mut tr, PEER, msg);
-            assert_eq!(n.host.contacts.get(&PEER), Some(&Contact::Heard), "{what}");
+            assert!(
+                matches!(n.host.contacts.get(&PEER), Some(Contact::Heard)),
+                "{what}"
+            );
             // Long past the timeout of the settled ping: pinged afresh,
             // not declared.
             assert_eq!(round(&mut n, &mut tr, 1_000), [PEER], "{what}");
@@ -605,6 +707,149 @@ mod heartbeat_tests {
         assert_eq!(route_through_peer(&mut n, &mut tr, 260), [PEER], "stale");
         assert_eq!(count(&n, "hb_on_use"), 2);
         assert_eq!(count(&n, "hb_cold"), 0);
+    }
+
+    /// A detector knowing `peers`, the first of them `PEER`, at ids just
+    /// past the probed tree's key, so that `PEER` is its root and the next
+    /// one would be. Its round at 0 ms pinged them all and heard from all
+    /// but `PEER`; a probe routed through `PEER` at 10 ms was copied beside
+    /// its ping.
+    fn detector_with_a_copy(peers: &[u32]) -> (RbayNode, RecTransport) {
+        let (mut n, mut tr) = detector(&[]);
+        let key = n.host.tree_topic("GPU=true", SiteId(0)).key();
+        for (i, &p) in peers.iter().enumerate() {
+            let near = NodeInfo {
+                id: NodeId(key.as_u128().wrapping_add(1 + i as u128)),
+                ..info(p)
+            };
+            n.pastry.insert_peer(&tr, near);
+        }
+        assert_eq!(
+            answered_round(&mut n, &mut tr, 0, Some(PEER)).len(),
+            peers.len()
+        );
+        let msg = probe(&n);
+        let sent = forward(&mut n, &mut tr, 10, key, msg);
+        assert_eq!(sent.routes, [PEER]);
+        assert!(
+            sent.pings.is_empty(),
+            "the round's ping is still outstanding"
+        );
+        assert_eq!(copies(&n), [(PEER, 1)]);
+        (n, tr)
+    }
+
+    /// What a dead hop swallowed goes out again: the round that declares
+    /// `PEER` routes the kept probe once, through the repaired tables, and
+    /// no later round routes it again.
+    #[test]
+    fn a_probe_routed_through_a_pinged_hop_is_rerouted_once_when_it_is_declared() {
+        let (mut n, mut tr) = detector_with_a_copy(&[PEER.0, 6]);
+        answered_round(&mut n, &mut tr, 250, Some(PEER));
+        assert_eq!(copies(&n), [(PEER, 1)], "240 ms: not overdue");
+        let declared = round_sent(&mut n, &mut tr, 500);
+        assert!(n.pastry.is_buried(PEER));
+        assert_eq!(
+            declared.routes,
+            [NodeAddr(6)],
+            "one re-route, to the repaired hop"
+        );
+        // The round forgot what 6 said before it, so the re-route keeps
+        // its own copy until 6 answers the ping it owes.
+        assert_eq!(copies(&n), [(NodeAddr(6), 1)]);
+        n.on_message_via(&mut tr, NodeAddr(6), PastryMsg::LeafRepairRequest);
+        assert!(copies(&n).is_empty());
+        for ms in [750, 1_000, 1_250] {
+            assert!(answered_round(&mut n, &mut tr, ms, None)
+                .iter()
+                .all(|p| *p != PEER));
+        }
+        assert_eq!(count(&n, "reroute"), 1);
+        assert_eq!(count(&n, "hb_expire"), 1);
+    }
+
+    /// The mirror that promotes itself: where the declaring node is now
+    /// the key's root, the kept probe is answered here.
+    #[test]
+    fn a_kept_probe_is_answered_here_when_this_node_is_now_the_root() {
+        let (mut n, mut tr) = detector_with_a_copy(&[PEER.0]);
+        round_sent(&mut n, &mut tr, 250);
+        let declared = round_sent(&mut n, &mut tr, 500);
+        assert!(n.pastry.is_buried(PEER));
+        assert!(declared.routes.is_empty(), "{declared:?}");
+        assert_eq!(declared.replies, [NodeAddr(9)], "answered to the origin");
+        assert!(copies(&n).is_empty());
+    }
+
+    /// Any message from the hop — not only a `Pong` — proves it alive:
+    /// the copy is dropped, and nothing is re-sent even when the hop later
+    /// goes silent and is declared.
+    #[test]
+    fn any_message_from_the_hop_drops_its_copies() {
+        let pong = PastryMsg::Direct(ScribeMsg::AppDirect(RbayPayload::Pong {
+            nonce: 1,
+            info: info(PEER.0),
+        }));
+        for (what, msg) in [
+            ("Pong", pong),
+            ("LeafRepairRequest", PastryMsg::LeafRepairRequest),
+        ] {
+            let (mut n, mut tr) = detector_with_a_copy(&[PEER.0]);
+            tr.now = SimTime::from_millis(20);
+            n.on_message_via(&mut tr, PEER, msg);
+            drain(&mut tr);
+            assert!(copies(&n).is_empty(), "{what}");
+            for ms in [250, 500, 750] {
+                let sent = round_sent(&mut n, &mut tr, ms);
+                assert!(sent.routes.is_empty() && sent.replies.is_empty(), "{what}");
+            }
+            assert!(n.pastry.is_buried(PEER), "{what}: silent since 250 ms");
+            assert_eq!(count(&n, "reroute"), 0, "{what}");
+        }
+    }
+
+    /// A hop heard from since the last round is neither pinged nor given a
+    /// copy: the window this leaves open is the rest of that round.
+    #[test]
+    fn a_heard_hop_keeps_no_copy() {
+        let (mut n, mut tr) = detector(&[PEER.0]);
+        answered_round(&mut n, &mut tr, 0, None);
+        let msg = probe(&n);
+        let sent = forward(&mut n, &mut tr, 10, info(PEER.0).id, msg);
+        assert_eq!(sent.routes, [PEER]);
+        assert!(sent.pings.is_empty());
+        assert!(copies(&n).is_empty());
+    }
+
+    /// A `Join` is re-sent by the Scribe tick, not from a copy — but its
+    /// hop is still verified on use.
+    #[test]
+    fn a_join_keeps_no_copy_but_pings_its_hop() {
+        let (mut n, mut tr) = detector_with_cold_peer();
+        answered_round(&mut n, &mut tr, 0, None);
+        let join = ScribeMsg::Join {
+            topic: n.host.tree_topic("GPU=true", SiteId(0)),
+            scope: None,
+            child: info(9),
+        };
+        let sent = forward(&mut n, &mut tr, 10, info(PEER.0).id, join);
+        assert_eq!(sent.routes, [PEER]);
+        assert_eq!(sent.pings, [PEER]);
+        assert!(owes(&n, PEER));
+        assert!(copies(&n).is_empty());
+    }
+
+    /// With the detector off nothing is written: no ping, no copy.
+    #[test]
+    fn nothing_is_kept_with_failure_detection_off() {
+        let mut n = node_with(0, RbayConfig::default());
+        let mut tr = RecTransport::default();
+        n.pastry.insert_peer(&tr, info(PEER.0));
+        let msg = probe(&n);
+        let sent = forward(&mut n, &mut tr, 10, info(PEER.0).id, msg);
+        assert_eq!(sent.routes, [PEER]);
+        assert!(sent.pings.is_empty());
+        assert!(n.host.contacts.is_empty());
     }
 
     /// The origin site: a `Join` this node routes itself pings its first

@@ -189,3 +189,129 @@ fn gateway_failover_rotates_border_routers() {
     assert!(rec.attempts >= 1, "first attempt should have timed out");
     assert_eq!(rec.result[0].addr, tokyo[5]);
 }
+
+/// A tree whose root crashes on a round boundary, and a `SELECT 1` issued
+/// 10 ms later from a node that is not the root's leaf-set neighbour. The
+/// federation, the crashed root, the querier and the query's id.
+struct RootBlackout {
+    fed: Federation,
+    root: NodeAddr,
+    querier: NodeAddr,
+    id: rbay_core::QueryId,
+    /// Copies routed again by the root's detectors.
+    reroutes: u64,
+}
+
+const ROUND: SimDuration = SimDuration::from_millis(250);
+
+/// Builds [`RootBlackout`]; `late_answer` runs on the crashed root's actor
+/// at the round that declares it (t0 + 500 ms), before anything else it
+/// could do then.
+fn root_blackout(late_answer: bool) -> RootBlackout {
+    let mut fed = Federation::with_config(Topology::single_site(60, 0.5), 41, churn_config());
+    for h in (10..30).map(NodeAddr) {
+        fed.post_resource(h, "GPU", AttrValue::Bool(true));
+    }
+    fed.settle();
+    maintain(&mut fed, 3);
+    let topic = (fed.node(NodeAddr(0)).host).tree_topic("GPU=true", simnet::SiteId(0));
+    let root = (0..60)
+        .map(NodeAddr)
+        .find(|n| fed.node(*n).scribe.topic(topic).is_some_and(|t| t.is_root))
+        .expect("the tree has a root");
+    let neighbour = |n: NodeAddr| {
+        fed.node(n)
+            .pastry
+            .leaf_set()
+            .members()
+            .any(|e| e.addr == root)
+    };
+    let querier = (10..30)
+        .map(NodeAddr)
+        .find(|n| *n != root && !neighbour(*n))
+        .expect("a holder outside the root's leaf set");
+
+    let obs = fed.enable_obs(1 << 16);
+    let t0 = fed.sim().now();
+    fed.sim_mut().fail_node(root);
+    fed.schedule_maintenance(8, ROUND);
+    fed.run_until(t0 + SimDuration::from_millis(10));
+    let id = (fed.issue_query(querier, "SELECT 1 FROM * WHERE GPU = true", None)).unwrap();
+    if late_answer {
+        // A false positive: the root was only slow. It answers the probe
+        // it swallowed right after its detectors declared it, so the
+        // querier hears from it and from the re-routed copy.
+        let probe: rbay_core::RbayMsg = pastry::PastryMsg::Route {
+            key: topic.key(),
+            payload: scribe::ScribeMsg::ProbeRoot {
+                topic,
+                scope: Some(simnet::SiteId(0)),
+                payload: rbay_core::RbayPayload::SizeProbe {
+                    query_id: id,
+                    tree_idx: 0,
+                    reply_to: querier,
+                    site: simnet::SiteId(0),
+                },
+                origin: querier,
+            },
+            hops: 2,
+            scope: Some(simnet::SiteId(0)),
+        };
+        let declared = t0 + ROUND.saturating_mul(2);
+        fed.run_until(declared);
+        fed.sim_mut().revive_node(root);
+        fed.sim_mut()
+            .schedule_call(declared, root, move |node, ctx| {
+                node.on_message_via(ctx, querier, probe);
+            });
+    }
+    fed.settle();
+    RootBlackout {
+        fed,
+        root,
+        querier,
+        id,
+        reroutes: obs.snapshot().count("reroute"),
+    }
+}
+
+/// What the crashed root swallowed in the 500 ms before its detectors
+/// declared it is routed again when they do: the query is answered then,
+/// not after its 5 s timeout.
+#[test]
+fn a_query_sent_into_a_root_blackout_is_answered_when_the_root_is_declared() {
+    let b = root_blackout(false);
+    let cfg = b.fed.config();
+    let rec = b.fed.query_record(b.querier, b.id).unwrap();
+    assert!(rec.satisfied, "{rec:?}");
+    let took = rec.completed_at.unwrap().saturating_since(rec.issued_at);
+    assert!(
+        took < cfg.heartbeat_timeout + ROUND.saturating_mul(2),
+        "took {took} (the query timeout is {})",
+        cfg.query_timeout
+    );
+    assert_eq!(rec.attempts, 0, "no attempt timed out");
+    assert!(b.reroutes >= 1);
+    assert!(rec.result.iter().all(|c| c.addr != b.root));
+}
+
+/// The re-route is safe to repeat: a root declared dead that answers the
+/// probe after all is one more answer for the same site, and the query
+/// completes once, with `k` distinct candidates.
+#[test]
+fn a_false_positive_root_answers_twice_and_the_query_completes_once() {
+    let b = root_blackout(true);
+    let rec = b.fed.query_record(b.querier, b.id).unwrap();
+    assert!(rec.satisfied, "{rec:?}");
+    let k = rec.query.k as usize;
+    let distinct: std::collections::BTreeSet<NodeAddr> =
+        rec.result.iter().map(|c| c.addr).collect();
+    assert_eq!((rec.result.len(), distinct.len()), (k, k));
+    let done = b.fed.events(b.querier).iter().filter(
+        |e| matches!(e, rbay_core::RbayEvent::QueryDone { query_id, .. } if *query_id == b.id),
+    );
+    assert_eq!(done.count(), 1);
+    assert!(b.reroutes >= 1, "the copy went out as well");
+    let took = rec.completed_at.unwrap().saturating_since(rec.issued_at);
+    assert!(took < b.fed.config().query_timeout, "took {took}");
+}

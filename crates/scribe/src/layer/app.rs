@@ -88,9 +88,9 @@ where
         net: &mut N,
         _key: pastry::NodeId,
         payload: ScribeMsg<P>,
-        _next: &NodeInfo,
+        next: &NodeInfo,
     ) -> Option<ScribeMsg<P>> {
-        match payload {
+        let onward = match payload {
             ScribeMsg::Join {
                 topic,
                 scope,
@@ -125,7 +125,11 @@ where
                 None
             }
             other => Some(other),
+        };
+        if let Some(msg) = &onward {
+            self.host.on_route(next.addr, msg);
         }
+        onward
     }
 
     fn receive_direct<N: Net<ScribeMsg<P>>>(

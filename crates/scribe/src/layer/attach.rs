@@ -111,7 +111,7 @@ impl ScribeLayer {
             scope,
             child: pastry.info(),
         };
-        if route_to_root(pastry, net, topic, scope, join).is_some() {
+        if route_to_root(pastry, net, host, topic, scope, join).is_some() {
             self.become_root(pastry.info(), net, host, topic);
         } else if let Some(st) = self.topics.get_mut(&topic) {
             st.is_root = false;

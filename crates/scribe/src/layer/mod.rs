@@ -11,7 +11,8 @@
 //!   join paths) and dispatches direct tree messages.
 //!
 //! Application behaviour is injected through [`ScribeHost`]: visit
-//! decisions, multicast consumption, and probe/anycast results.
+//! decisions, multicast consumption, probe/anycast results, and the hop
+//! each routed message leaves through.
 //!
 //! The layer is one type split over the seams of the protocol:
 //!
@@ -38,7 +39,7 @@ pub use replica::{ReplicaCache, REPLICA_K, REPLICA_TTL_ROUNDS};
 use crate::types::{AggValue, ScribeMsg, TopicId, Visit};
 use pastry::{Net, PastryMsg, PastryNode};
 use simnet::obs::Recorder;
-use simnet::{NodeAddr, SiteId};
+use simnet::{MessageSize, NodeAddr, SiteId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Application callbacks for tree events.
@@ -71,6 +72,15 @@ pub trait ScribeHost<P> {
     /// This node completed its subscription (grafted, or became root).
     fn on_subscribed(&mut self, topic: TopicId) {
         let _ = topic;
+    }
+
+    /// A routed message is about to leave this node through `hop`, at its
+    /// origin or at a forwarding hop: the one place the host sees what
+    /// left through which peer. RBAY's failure detector pings the hop on
+    /// use here and keeps a copy of a query-path message, which
+    /// [`ScribeLayer::reroute`] sends again if the hop is declared dead.
+    fn on_route(&mut self, hop: NodeAddr, msg: &ScribeMsg<P>) {
+        let _ = (hop, msg);
     }
 }
 
@@ -189,24 +199,58 @@ impl ScribeLayer {
     {
         net.send(to, PastryMsg::Direct(ScribeMsg::AppDirect(payload)));
     }
+
+    /// Routes `msg`, a routed message, toward its tree's root once more
+    /// through the repaired tables: the host kept a copy of it when it
+    /// left through a hop that has since been declared dead. Where this
+    /// node is now the rendezvous — the mirror that just promoted itself —
+    /// it is delivered here, as if it had arrived. A direct-only message
+    /// has no root to go to and is dropped.
+    pub fn reroute<P, N, H>(
+        &mut self,
+        pastry: &mut PastryNode,
+        net: &mut N,
+        host: &mut H,
+        msg: ScribeMsg<P>,
+    ) where
+        P: MessageSize + Clone,
+        N: Net<ScribeMsg<P>>,
+        H: ScribeHost<P>,
+    {
+        let (topic, scope) = match &msg {
+            ScribeMsg::Join { topic, scope, .. }
+            | ScribeMsg::MulticastReq { topic, scope, .. }
+            | ScribeMsg::Anycast { topic, scope, .. }
+            | ScribeMsg::ProbeRoot { topic, scope, .. } => (*topic, *scope),
+            _ => return,
+        };
+        if let Some(msg) = route_to_root(pastry, net, host, topic, scope, msg) {
+            let mut app = ScribeApp { layer: self, host };
+            pastry::PastryApp::deliver(&mut app, pastry, net, topic.key(), msg, 0);
+        }
+    }
 }
 
-/// Routes `msg` one hop toward the rendezvous root of `topic`. When this
+/// Routes `msg` one hop toward the rendezvous root of `topic`, telling the
+/// host which hop it leaves through ([`ScribeHost::on_route`]). When this
 /// node is itself the rendezvous nothing is sent and `msg` comes back for
 /// the caller to act on locally.
-fn route_to_root<P, N>(
+fn route_to_root<P, N, H>(
     pastry: &mut PastryNode,
     net: &mut N,
+    host: &mut H,
     topic: TopicId,
     scope: Option<SiteId>,
     msg: ScribeMsg<P>,
 ) -> Option<ScribeMsg<P>>
 where
     N: Net<ScribeMsg<P>>,
+    H: ScribeHost<P>,
 {
     let Some(next) = pastry.next_hop(topic.key(), scope) else {
         return Some(msg);
     };
+    host.on_route(next.addr, &msg);
     pastry.send_routed(net, next.addr, topic.key(), msg, 1, scope);
     None
 }

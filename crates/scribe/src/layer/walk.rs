@@ -28,7 +28,7 @@ impl ScribeLayer {
             payload,
         };
         if let Some(ScribeMsg::MulticastReq { payload, .. }) =
-            route_to_root(pastry, net, topic, scope, req)
+            route_to_root(pastry, net, host, topic, scope, req)
         {
             self.disseminate(net, host, topic, payload);
         }
@@ -92,7 +92,7 @@ impl ScribeLayer {
             origin,
         };
         if let Some(ScribeMsg::Anycast { payload, .. }) =
-            route_to_root(pastry, net, topic, scope, req)
+            route_to_root(pastry, net, host, topic, scope, req)
         {
             // We are the rendezvous node but the tree does not exist.
             host.on_anycast_result(topic, payload, false);
@@ -120,7 +120,7 @@ impl ScribeLayer {
             origin: pastry.info().addr,
         };
         if let Some(ScribeMsg::ProbeRoot { mut payload, .. }) =
-            route_to_root(pastry, net, topic, scope, req)
+            route_to_root(pastry, net, host, topic, scope, req)
         {
             let (agg, exists) = self.probe_answer(topic);
             host.on_root_probe(topic, &mut payload);
@@ -194,8 +194,11 @@ impl ScribeLayer {
                 }
             }
         }
+        // The stack was built from other members' views, so it can name a
+        // peer this node has already buried: skip it like a visited one,
+        // or the walk is handed to a corpse and lost.
         while let Some(next) = stack.pop() {
-            if visited.contains(&next) {
+            if visited.contains(&next) || pastry.is_buried(next) {
                 continue;
             }
             net.send(
@@ -270,6 +273,32 @@ mod tests {
             })
         ));
         assert_eq!(host.visits, 1);
+    }
+
+    /// A walk whose carried stack names a peer this node has buried skips
+    /// it, as it skips a visited one, and goes on to the live entry below.
+    #[test]
+    fn walk_step_skips_a_buried_stack_entry() {
+        let (mut pastry, mut layer, mut net, mut host) = node(0);
+        let (live, buried) = (NodeAddr(3), NodeAddr(4));
+        pastry.insert_peer(&net, info(buried.0));
+        pastry.handle_failure(&mut net, buried);
+        net.sent.clear();
+        let step = PastryMsg::Direct(ScribeMsg::AnycastStep {
+            topic: topic(),
+            payload: P(1),
+            origin: NodeAddr(9),
+            visited: vec![NodeAddr(9)],
+            stack: vec![live, buried],
+        });
+        deliver(&mut pastry, &mut layer, &mut net, &mut host, 9, step);
+        let (to, msg) = net.sent.pop_front().expect("the walk goes on");
+        assert_eq!(to, live);
+        let PastryMsg::Direct(ScribeMsg::AnycastStep { stack, .. }) = msg else {
+            panic!("expected an AnycastStep, got {msg:?}");
+        };
+        assert!(stack.is_empty(), "the corpse is dropped from the stack");
+        assert!(net.sent.is_empty());
     }
 
     #[test]
