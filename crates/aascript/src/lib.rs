@@ -109,7 +109,6 @@ impl std::fmt::Debug for SharedSandbox {
 pub struct Script {
     block: Rc<ast::Block>,
     chunk: Rc<compile::Chunk>,
-    source_len: usize,
 }
 
 impl Script {
@@ -121,11 +120,7 @@ impl Script {
     pub fn compile(src: &str) -> Result<Script, CompileError> {
         let block = Rc::new(parser::parse(src)?);
         let chunk = Rc::new(compile::compile(&block)?);
-        Ok(Script {
-            block,
-            chunk,
-            source_len: src.len(),
-        })
+        Ok(Script { block, chunk })
     }
 
     /// Runs the static analyzer over the compiled script and returns its
@@ -151,10 +146,7 @@ impl Script {
     ) -> Result<AaInstance, RuntimeError> {
         let globals = child_env(&sandbox.env);
         Vm::new(budget, globals.clone()).exec_main(&self.chunk)?;
-        Ok(AaInstance {
-            globals,
-            source_len: self.source_len,
-        })
+        Ok(AaInstance { globals })
     }
 }
 
@@ -164,7 +156,6 @@ impl Script {
 #[derive(Debug)]
 pub struct AaInstance {
     globals: Env,
-    source_len: usize,
 }
 
 /// The lookup behind [`AaInstance::handler`], shared with the reference
@@ -232,11 +223,6 @@ impl AaInstance {
         // field of this struct does.
         const FIXED_BOOKKEEPING: usize = 72;
         FIXED_BOOKKEEPING + scope_size_bytes(&self.globals)
-    }
-
-    /// Length of the (shared) source this instance was built from.
-    pub fn source_len(&self) -> usize {
-        self.source_len
     }
 }
 

@@ -84,11 +84,6 @@ impl Table {
         self.entries.is_empty()
     }
 
-    /// Number of entries (any key shape).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Deterministic iteration over all entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
         self.entries.iter()
@@ -304,7 +299,7 @@ impl fmt::Debug for Value {
 
 /// Formats a number the way Lua prints it: integral values without a
 /// decimal point.
-pub fn fmt_num(n: f64) -> String {
+fn fmt_num(n: f64) -> String {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         format!("{}", n as i64)
     } else {
@@ -373,9 +368,9 @@ mod tests {
     fn table_set_nil_removes() {
         let mut t = Table::new();
         t.set(Key::Str("a".into()), Value::Num(1.0));
-        assert_eq!(t.entry_count(), 1);
+        assert_eq!(t.iter().count(), 1);
         t.set(Key::Str("a".into()), Value::Nil);
-        assert_eq!(t.entry_count(), 0);
+        assert!(t.is_empty());
         assert!(matches!(t.get(&Key::Str("a".into())), Value::Nil));
     }
 

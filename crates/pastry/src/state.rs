@@ -50,7 +50,7 @@ impl LeafSet {
 
     /// An empty leaf set with a custom per-side capacity (tests use small
     /// sides to force interesting evictions).
-    pub fn with_side(self_id: NodeId, side: usize) -> Self {
+    fn with_side(self_id: NodeId, side: usize) -> Self {
         assert!(side > 0, "leaf set side must be positive");
         LeafSet {
             self_id,

@@ -17,15 +17,14 @@
 //! that grew back (pings per node and round with nobody crashing).
 
 use rand::rngs::SmallRng;
-use rand::{seq::SliceRandom, Rng, SeedableRng};
+use rand::{Rng, SeedableRng};
 use rbay_bench::{
     default_threads, emit_json, emit_schedule, run_seeds, stats, HarnessOpts, JsonRecord,
 };
-use rbay_check::{invariants, CheckSpec, ChurnParams, ChurnState, ScheduleFile, Violation};
+use rbay_check::{invariants, ChurnParams, ChurnState, Scenario, ScheduleFile, Violation};
 use rbay_core::{Federation, RbayConfig};
 use rbay_query::AttrValue;
-use rbay_workloads::WORKLOAD_PASSWORD;
-use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime, SiteId, Topology};
+use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime, Topology};
 use std::collections::BTreeMap;
 
 /// Observability-derived metrics for one seed's run (`--metrics`).
@@ -138,108 +137,42 @@ struct Outcome {
 }
 
 fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: bool) -> Outcome {
-    // The deterministic core (federation build, victim selection, recall
-    // origin) is shared with `rbay-check`'s bench:churn scenario, so a
-    // violating seed replays byte-identically via `rbay-check replay`.
+    // The measured epochs are `rbay-check`'s bench:churn core, so a
+    // violating seed replays through `rbay-check replay` the same code.
     let params = ChurnParams {
         nodes: n_nodes,
         frac: churn_frac,
         epochs,
         seed,
     };
-    let mut rec = None;
     let mut st = ChurnState::with_setup(&params, |fed| {
         if metrics {
-            rec = Some(fed.enable_obs(1 << 18));
+            fed.enable_obs(1 << 18);
         }
     });
-    let topic = st.topic;
-
-    let mut latencies = Vec::new();
-    let mut successes = 0u32;
-    let mut timeouts = 0u32;
-    let mut attempts = 0u32;
-    let mut recall_sum = 0.0;
-    let mut recall_n = 0u32;
-    let mut fail_at: BTreeMap<NodeAddr, SimTime> = BTreeMap::new();
-    let mut converge_rounds_sum = 0.0;
-    let mut converge_epochs = 0u32;
-
-    for _ in 0..epochs {
-        // Crash `churn_frac` of the currently-alive nodes (sparing one
-        // querier corner of the id space).
-        let crashed_at = st.fed.sim().now();
-        for v in st.crash_epoch(churn_frac) {
-            fail_at.insert(v, crashed_at);
-        }
-        // Heartbeats detect and repair. With `--metrics`, run the same 8
-        // rounds one at a time (byte-identical schedule) and record the
-        // first round after which the root aggregate matches the live
-        // holder count again.
-        if metrics {
-            let mut converged_at = None;
-            for r in 1..=8u32 {
-                st.fed.run_maintenance(1, SimDuration::from_millis(250));
-                if converged_at.is_none()
-                    && st.fed.tree_root_count(topic) == Some(st.holders.len() as u64)
-                {
-                    converged_at = Some(r);
-                }
-            }
-            converge_rounds_sum += converged_at.unwrap_or(9) as f64;
-            converge_epochs += 1;
-        } else {
-            st.fed.run_maintenance(8, SimDuration::from_millis(250));
-        }
-        st.fed.settle();
-
-        // Measure: a few k=1 queries plus one full-inventory query.
-        let live_queriers = st.live_queriers();
-        if live_queriers.is_empty() || st.holders.is_empty() {
-            break;
-        }
-        for q in 0..3 {
-            let origin = NodeAddr(live_queriers[q % live_queriers.len()]);
-            let id = st
-                .fed
-                .issue_query(
-                    origin,
-                    "SELECT 1 FROM * WHERE GPU = true",
-                    Some(WORKLOAD_PASSWORD),
-                )
-                .unwrap();
-            st.fed.settle();
-            let rec = st.fed.query_record(origin, id).unwrap();
-            attempts += 1;
-            if rec.satisfied {
-                successes += 1;
-                let took = rec.completed_at.unwrap().saturating_since(rec.issued_at);
-                timeouts += u32::from(took >= st.fed.config().query_timeout);
-                latencies.push(took.as_millis_f64());
-            }
-            let horizon = st.fed.sim().now() + SimDuration::from_millis(2_500);
-            st.fed.run_until(horizon);
-        }
-        let origin = st.recall_origin().expect("checked non-empty");
-        let id = st
-            .fed
-            .issue_query(
-                origin,
-                &format!("SELECT {} FROM * WHERE GPU = true", st.holders.len().max(1)),
-                Some(WORKLOAD_PASSWORD),
-            )
-            .unwrap();
-        st.fed.settle();
-        let rec = st.fed.query_record(origin, id).unwrap();
-        recall_sum += rec.result.len() as f64 / st.holders.len().max(1) as f64;
-        recall_n += 1;
-        let horizon = st.fed.sim().now() + SimDuration::from_secs(4);
-        st.fed.run_until(horizon);
-    }
-    st.fed.settle();
+    let query_timeout = st.fed.config().query_timeout;
+    // With `--metrics`, record the first repair round after which the root
+    // aggregate matches the live holder count again.
+    let ran = st.run(churn_frac, epochs, |st| {
+        metrics && st.fed.tree_root_count(st.topic) == Some(st.holders.len() as u64)
+    });
     let violation = invariants::check_quiescent(&st.fed, &st.invariant_ctx());
 
-    let obs = rec.map(|rec| {
+    let mut latencies = Vec::new();
+    let mut timeouts = 0u32;
+    let mut fail_at: BTreeMap<NodeAddr, SimTime> = BTreeMap::new();
+    for epoch in &ran {
+        fail_at.extend(epoch.victims.iter().map(|v| (*v, epoch.crashed_at)));
+        for took in epoch.latencies.iter().flatten() {
+            timeouts += u32::from(*took >= query_timeout);
+            latencies.push(took.as_millis_f64());
+        }
+    }
+    let attempts: usize = ran.iter().map(|e| e.latencies.len()).sum();
+    let recalls: Vec<f64> = ran.iter().filter_map(|e| e.recall).collect();
+
+    let obs = metrics.then(|| {
+        let rec = st.fed.recorder();
         // Failure-detection latency: first HeartbeatExpire naming each
         // victim at or after its crash. Any expiration naming a peer that
         // was alive at that moment is a false positive.
@@ -266,19 +199,23 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
             .iter()
             .map(|(p, &d)| d.saturating_since(fail_at[p]).as_millis_f64())
             .collect();
+        // 9: not converged within the epoch's 8 repair rounds.
+        let converged: Vec<f64> = (ran.iter())
+            .map(|e| e.converged_after.unwrap_or(9) as f64)
+            .collect();
         ObsOutcome {
             fd_latency_ms: stats(&det).map(|s| s.mean).unwrap_or(f64::NAN),
             false_positives,
-            converge_rounds: converge_rounds_sum / converge_epochs.max(1) as f64,
+            converge_rounds: converged.iter().sum::<f64>() / converged.len().max(1) as f64,
             events: snap.events_recorded,
             hb_per_node_round: snap.count("hb_send") as f64 / node_rounds.max(1) as f64,
         }
     });
 
     Outcome {
-        success_rate: successes as f64 / attempts.max(1) as f64,
+        success_rate: latencies.len() as f64 / attempts.max(1) as f64,
         timeouts,
-        recall: recall_sum / recall_n.max(1) as f64,
+        recall: recalls.iter().sum::<f64>() / recalls.len().max(1) as f64,
         avg_latency: stats(&latencies).map(|s| s.mean).unwrap_or(f64::NAN),
         obs,
         violation,
@@ -289,43 +226,27 @@ fn run_level(n_nodes: usize, churn_frac: f64, epochs: u32, seed: u64, metrics: b
 /// prints the tree-repair timeline of the `GPU=true` tree (the same
 /// reconstruction the `trace_dump` tool performs on a canned scenario).
 fn trace_crash_epoch(n_nodes: usize, churn_frac: f64, seed: u64) {
-    let cfg = RbayConfig {
-        failure_detection: true,
-        heartbeat_timeout: SimDuration::from_millis(400),
-        commit_results: false,
-        ..RbayConfig::default()
+    let params = ChurnParams {
+        nodes: n_nodes,
+        frac: churn_frac,
+        epochs: 1,
+        seed,
     };
-    let mut fed = Federation::with_config(Topology::single_site(n_nodes, 0.5), seed, cfg);
-    let rec = fed.enable_obs(1 << 16);
-    let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
-    for h in (0..(n_nodes / 3) as u32).map(NodeAddr) {
-        fed.post_resource(h, "GPU", AttrValue::Bool(true));
-    }
-    fed.settle();
-    fed.run_maintenance(3, SimDuration::from_millis(250));
-    fed.settle();
-
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let victims: Vec<u32> = (4..n_nodes as u32)
-        .collect::<Vec<_>>()
-        .choose_multiple(&mut rng, ((n_nodes as f64) * churn_frac) as usize)
-        .copied()
-        .collect();
-    let crash_at = fed.sim().now();
-    for v in &victims {
-        fed.sim_mut().fail_node(NodeAddr(*v));
-    }
-    fed.run_maintenance(8, SimDuration::from_millis(250));
-    fed.settle();
+    let mut st = ChurnState::with_setup(&params, |fed| {
+        fed.enable_obs(1 << 16);
+    });
+    let epoch = st.epoch(churn_frac, |_| false);
+    let victims: Vec<u32> = epoch.victims.iter().map(|v| v.0).collect();
 
     println!(
         "\nRepair timeline, GPU=true tree ({n_nodes} nodes, seed {seed}, victims {victims:?}):"
     );
-    rbay_bench::print_repair_timeline(rec.events(), crash_at, topic.key().as_u128());
+    let tree = st.topic.key().as_u128();
+    rbay_bench::print_repair_timeline(st.fed.recorder().events(), epoch.crashed_at, tree);
     println!(
         "  final: root count {:?}, {} tree edges",
-        fed.tree_root_count(topic),
-        fed.tree_edge_count(topic)
+        st.fed.tree_root_count(st.topic),
+        st.fed.tree_edge_count(st.topic)
     );
 }
 
@@ -428,7 +349,12 @@ pub fn run(opts: &HarnessOpts) {
                 emit_schedule(
                     opts,
                     &ScheduleFile {
-                        spec: CheckSpec::bench_churn(n_nodes, frac, epochs, seed),
+                        spec: Scenario::Churn(ChurnParams {
+                            nodes: n_nodes,
+                            frac,
+                            epochs,
+                            seed,
+                        }),
                         violation: Some(v.kind().to_string()),
                         directives: Vec::new(),
                     },

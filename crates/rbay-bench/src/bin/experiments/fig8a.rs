@@ -6,29 +6,22 @@
 //! datacenter size grows exponentially. Expectation: hops grow linearly in
 //! log(N) — `O(log N)` routing.
 
-use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once, seeded_overlay};
-use pastry::NodeId;
+use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once};
 use rbay_bench::{default_threads, emit_json, run_seeds, stats, HarnessOpts, JsonRecord};
-use simnet::{NodeAddr, SimTime};
+use rbay_check::{Fig8Params, Probes, Violation};
 
 struct Cell {
     mean_hops: f64,
     max_hops: f64,
-    /// Probes delivered — the routing invariant is `delivered == queries`.
-    delivered: usize,
+    /// The routing invariant's verdict: every query delivered once.
+    violation: Option<Violation>,
     events: u64,
     wall_secs: f64,
 }
 
-fn avg_hops(n_nodes: usize, n_queries: usize, seed: u64) -> Cell {
-    let mut sim = seeded_overlay(n_nodes, seed);
+fn avg_hops(params: Fig8Params) -> Cell {
     // Each query targets one unique attribute key from a random source.
-    for q in 0..n_queries {
-        let key = NodeId::hash_of(format!("attr:{seed}:{q}").as_bytes());
-        let src = NodeAddr(((q * 7919 + seed as usize) % n_nodes) as u32);
-        sim.schedule_call(SimTime::ZERO, src, move |a, ctx| a.route(ctx, key));
-    }
-    sim.run_until_idle();
+    let sim = params.run(|_| {});
     let hops: Vec<f64> = sim
         .actors()
         .flat_map(|(_, a)| a.app.hops.iter().map(|h| *h as f64))
@@ -37,7 +30,7 @@ fn avg_hops(n_nodes: usize, n_queries: usize, seed: u64) -> Cell {
     Cell {
         mean_hops: s.mean,
         max_hops: s.max,
-        delivered: hops.len(),
+        violation: params.check(&sim),
         events: sim.stats().events(),
         wall_secs: sim.wall_time().as_secs_f64(),
     }
@@ -61,9 +54,14 @@ pub fn run(opts: &HarnessOpts) {
         let n = opts.scaled_nodes(n, 4);
         // One independent simulation per seed; merge deterministically in
         // seed order (mean of per-seed means, max of maxes).
-        let cells = run_seeds(&seeds, default_threads(), |seed| avg_hops(n, queries, seed));
-        let delivered = cells.iter().map(|c| c.delivered);
-        require_exactly_once(opts, n, queries, seeds.iter().copied().zip(delivered));
+        let params = |seed| Fig8Params {
+            nodes: n,
+            probes: Probes::Unique(queries),
+            seed,
+        };
+        let cells = run_seeds(&seeds, default_threads(), |seed| avg_hops(params(seed)));
+        let verdicts = cells.iter().map(|c| c.violation.clone());
+        require_exactly_once(opts, seeds.iter().map(|&s| params(s)).zip(verdicts));
         let mean = cells.iter().map(|c| c.mean_hops).sum::<f64>() / cells.len() as f64;
         let max = cells.iter().map(|c| c.max_hops).fold(0.0, f64::max);
         let events: u64 = cells.iter().map(|c| c.events).sum();

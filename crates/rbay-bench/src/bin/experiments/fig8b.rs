@@ -8,10 +8,10 @@
 //! the keys map to independent overlay locations, dividing the central
 //! lookup load.
 
-use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once, seeded_overlay};
-use pastry::NodeId;
+use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once};
 use rbay_bench::{default_threads, emit_json, run_seeds, HarnessOpts, JsonRecord};
-use simnet::{NodeAddr, SimTime};
+use rbay_check::{Fig8Params, Probes, Violation};
+use simnet::NodeAddr;
 
 /// Per-key forwarding-load summary of one seed's run.
 struct KeyCell {
@@ -24,32 +24,21 @@ struct KeyCell {
 struct Cell {
     keys: Vec<KeyCell>,
     distinct_top_forwarders: usize,
-    /// Probes delivered — the routing invariant is
-    /// `delivered == queries_per_key * n_keys`.
-    delivered: usize,
+    /// The routing invariant's verdict: every query delivered once.
+    violation: Option<Violation>,
     events: u64,
     wall_secs: f64,
 }
 
-fn run_one(n_nodes: usize, queries_per_key: usize, n_keys: usize, seed: u64) -> Cell {
-    let mut sim = seeded_overlay(n_nodes, seed);
-    for i in 0..n_nodes as u32 {
-        sim.actor_mut(NodeAddr(i)).node.enable_forward_log();
-    }
-
-    let keys: Vec<NodeId> = (0..n_keys)
-        .map(|k| NodeId::hash_of(format!("Q{}:{}", k + 1, seed).as_bytes()))
-        .collect();
-    for (ki, key) in keys.iter().enumerate() {
-        let key = *key;
-        for q in 0..queries_per_key {
-            let src = NodeAddr(((q * 6007 + ki * 97 + 13) % n_nodes) as u32);
-            sim.schedule_call(SimTime::ZERO, src, move |a, ctx| a.route(ctx, key));
+fn run_one(params: Fig8Params) -> Cell {
+    let sim = params.run(|sim| {
+        for i in 0..params.nodes as u32 {
+            sim.actor_mut(NodeAddr(i)).node.enable_forward_log();
         }
-    }
-    sim.run_until_idle();
+    });
 
-    let mut out = Vec::with_capacity(n_keys);
+    let keys = params.keys();
+    let mut out = Vec::with_capacity(keys.len());
     let mut top_forwarders = Vec::new();
     for key in &keys {
         let mut total = 0u64;
@@ -82,7 +71,7 @@ fn run_one(n_nodes: usize, queries_per_key: usize, n_keys: usize, seed: u64) -> 
     Cell {
         keys: out,
         distinct_top_forwarders: top_forwarders.len(),
-        delivered: sim.actors().map(|(_, a)| a.app.hops.len()).sum(),
+        violation: params.check(&sim),
         events: sim.stats().events(),
         wall_secs: sim.wall_time().as_secs_f64(),
     }
@@ -96,16 +85,17 @@ pub fn run(opts: &HarnessOpts) {
 
     // One independent simulation per seed; merge deterministically in seed
     // order (per-key means across seeds).
-    let cells = run_seeds(&seeds, default_threads(), |seed| {
-        run_one(n_nodes, queries_per_key, n_keys, seed)
-    });
-    let delivered = cells.iter().map(|c| c.delivered);
-    require_exactly_once(
-        opts,
-        n_nodes,
-        queries_per_key * n_keys,
-        seeds.iter().copied().zip(delivered),
-    );
+    let params = |seed| Fig8Params {
+        nodes: n_nodes,
+        probes: Probes::PerKey {
+            keys: n_keys,
+            per_key: queries_per_key,
+        },
+        seed,
+    };
+    let cells = run_seeds(&seeds, default_threads(), |seed| run_one(params(seed)));
+    let verdicts = cells.iter().map(|c| c.violation.clone());
+    require_exactly_once(opts, seeds.iter().map(|&s| params(s)).zip(verdicts));
 
     println!(
         "Fig. 8b: forwarding load per query key ({n_nodes} nodes, {queries_per_key} queries/key, {} seed(s))",

@@ -18,8 +18,10 @@
 //! exits non-zero when the recorded violation does not reproduce.
 //! `shrink` delta-debugs a schedule down to a locally minimal one.
 
-use rbay_check::{explore, explore_random, replay, runner, shrink, CheckSpec, ScheduleFile};
-use simnet::{ObsEvent, ReplayScheduler, SimTime};
+use rbay_check::{
+    explore, explore_random, replay, runner, shrink, CheckSpec, Scenario, ScheduleFile,
+};
+use simnet::ReplayScheduler;
 use std::time::Duration;
 
 fn usage(msg: &str) -> ! {
@@ -154,32 +156,32 @@ fn read_schedule(args: &[String]) -> ScheduleFile {
 
 fn cmd_replay(args: &[String]) -> ! {
     let file = read_schedule(args);
+    let (name, nodes, seed) = file.spec.identity();
     println!(
-        "replaying {} (nodes {}, seed {}), recorded violation: {}",
-        file.spec.kind.name(),
-        file.spec.nodes,
-        file.spec.seed,
+        "replaying {name} (nodes {nodes}, seed {seed}), recorded violation: {}",
         file.violation.as_deref().unwrap_or("none"),
     );
 
     // For the explorable scenarios, re-run step by step with obs tracing
     // forced on and print the tree-repair timeline; bench scenarios
-    // re-run their deterministic core end to end.
-    let found = if file.spec.kind.is_explorable() {
-        let mut p = file.spec.prepare();
-        let rec = p.fed.enable_obs(1 << 16);
-        let started = p.fed.sim().now();
-        let mut sched = ReplayScheduler::new(file.directives.iter().copied());
-        let outcome = runner::run_prepared(p, &mut sched);
-        print_timeline(&rec.events(), started);
-        println!(
-            "replayed {} steps, {} divergences",
-            outcome.steps,
-            outcome.decisions.len()
-        );
-        outcome.violation
-    } else {
-        replay(&file)
+    // re-run their experiment's core end to end.
+    let found = match &file.spec {
+        Scenario::Explored(spec) => {
+            let mut p = spec.prepare();
+            let rec = p.fed.enable_obs(1 << 16);
+            let started = p.fed.sim().now();
+            let mut sched = ReplayScheduler::new(file.directives.iter().copied());
+            let outcome = runner::run_prepared(&mut p, &mut sched);
+            let tree = p.ctx.topic.key().as_u128();
+            rbay_bench::print_repair_timeline(rec.events(), started, tree);
+            println!(
+                "replayed {} steps, {} divergences",
+                outcome.steps,
+                outcome.decisions.len()
+            );
+            outcome.violation
+        }
+        _ => replay(&file).violation,
     };
 
     match &found {
@@ -230,38 +232,4 @@ fn cmd_shrink(args: &[String]) -> ! {
         None => print!("{}", reduced.render()),
     }
     std::process::exit(0);
-}
-
-/// Prints the repair-relevant obs events of a replayed run.
-fn print_timeline(events: &[ObsEvent], since: SimTime) {
-    for ev in events {
-        if ev.at() < since {
-            continue;
-        }
-        let line = match *ev {
-            ObsEvent::HeartbeatExpire { detector, peer, .. } => {
-                Some(format!("{detector:?} declares {peer:?} failed"))
-            }
-            ObsEvent::TreeParent { node, old, new, .. } => Some(match old {
-                Some(old) => format!("{node:?} re-parents {old:?} -> {new:?}"),
-                None => format!("{node:?} attaches under {new:?}"),
-            }),
-            ObsEvent::TreeGraft { parent, child, .. } => {
-                Some(format!("{parent:?} grafts child {child:?}"))
-            }
-            ObsEvent::TreeLeave { parent, child, .. } => {
-                Some(format!("{parent:?} drops child {child:?}"))
-            }
-            ObsEvent::NotChild { node, orphan, .. } => {
-                Some(format!("{node:?} NACKs orphan {orphan:?}"))
-            }
-            _ => None,
-        };
-        if let Some(what) = line {
-            println!(
-                "  +{:>8.1} ms  {what}",
-                ev.at().saturating_since(since).as_millis_f64()
-            );
-        }
-    }
 }

@@ -7,39 +7,40 @@
 //! reconstruction is available on real runs through
 //! `experiments churn --trace`.
 
-use rand::rngs::SmallRng;
-use rand::{seq::SliceRandom, SeedableRng};
+use rand::seq::SliceRandom;
 use rbay_bench::{cluster, HarnessOpts};
-use rbay_core::{Federation, LintPolicy, RbayConfig};
+use rbay_check::{ChurnParams, ChurnState};
+use rbay_core::{LintPolicy, RbayConfig};
 use rbay_query::AttrValue;
 use rbay_store::{FsyncPolicy, Store};
 use rbay_workloads::WORKLOAD_PASSWORD;
 use simnet::obs::Recorder;
-use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime, SiteId, Topology};
+use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime};
 
 fn main() {
     let opts = HarnessOpts::from_args(std::env::args().skip(1));
     let n_nodes = opts.scaled(40, 16);
 
-    let cfg = RbayConfig {
-        failure_detection: true,
-        heartbeat_timeout: SimDuration::from_millis(400),
-        commit_results: false,
-        ..RbayConfig::default()
+    // The churn experiment's federation: a third of the fleet holds the
+    // resource, and the tree is warm.
+    let params = ChurnParams {
+        nodes: n_nodes,
+        frac: 0.0,
+        epochs: 0,
+        seed: opts.seed,
     };
-    let mut fed = Federation::with_config(Topology::single_site(n_nodes, 0.5), opts.seed, cfg);
-    let rec = fed.enable_obs(1 << 16);
-    let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
+    let st = ChurnState::with_setup(&params, |fed| {
+        fed.enable_obs(1 << 16);
+    });
+    let rec = st.fed.recorder().clone();
+    let ChurnState {
+        mut fed,
+        topic,
+        holders,
+        mut rng,
+        ..
+    } = st;
     let key = topic.key().as_u128();
-
-    // A third of the fleet holds the resource; warm the tree.
-    let holders: Vec<NodeAddr> = (0..(n_nodes / 3) as u32).map(NodeAddr).collect();
-    for &h in &holders {
-        fed.post_resource(h, "GPU", AttrValue::Bool(true));
-    }
-    fed.settle();
-    fed.run_maintenance(3, SimDuration::from_millis(250));
-    fed.settle();
 
     // ---- Part 1: one query's route path ------------------------------
     let origin = NodeAddr(n_nodes as u32 - 1);
@@ -134,7 +135,6 @@ fn main() {
 
     // ---- Part 2: the tree's repair timeline --------------------------
     // Crash a mid-tree holder and replay the repair events.
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xC0FFEE);
     let victim = *holders[1..].choose(&mut rng).expect("at least two holders");
     let crash_at = fed.sim().now();
     fed.sim_mut().fail_node(victim);

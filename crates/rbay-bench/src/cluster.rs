@@ -36,11 +36,6 @@ use std::time::{Duration, Instant};
 /// later daemons' listen ports.
 pub const DEFAULT_BASE_PORT: u16 = 21_100;
 
-/// The socket address of overlay node `addr` under `base_port`.
-pub fn sock_of(base_port: u16, addr: NodeAddr) -> SocketAddr {
-    SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), base_port + addr.0 as u16)
-}
-
 /// The daemon-process index hosting overlay address `addr` when `per`
 /// members are packed per process.
 pub fn proc_of(addr: NodeAddr, per: u32) -> u32 {
@@ -506,7 +501,7 @@ mod tests {
         assert_eq!(r(NodeAddr(10)), None);
         // per = 1 matches the historical one-agent-per-process plan.
         let r1 = resolver(50_000, 3);
-        assert_eq!(r1(NodeAddr(2)), Some(sock_of(50_000, NodeAddr(2))));
+        assert_eq!(r1(NodeAddr(2)), Some(proc_sock(50_000, 2)));
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub mod scenario;
 pub mod schedule;
 
 pub use invariants::{InvariantCtx, Violation};
-pub use runner::{explore, explore_random, replay, shrink, Counterexample, ExploreOpts};
+pub use runner::{explore, explore_random, replay, shrink, Counterexample, ExploreOpts, Replayed};
 pub use scenario::{
-    run_churn_default, run_fig8_default, CheckSpec, ChurnParams, ChurnState, Fig8Outcome,
+    run_churn_default, CheckSpec, ChurnParams, ChurnState, Epoch, Fig8Params, Probes, Scenario,
     ScenarioKind,
 };
 pub use schedule::ScheduleFile;

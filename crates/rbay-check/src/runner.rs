@@ -10,11 +10,12 @@
 //! which is all a `.schedule` file records.
 
 use crate::invariants::{self, StepTracker, Violation};
-use crate::scenario::{
-    run_churn_default, run_fig8_default, CheckSpec, ChurnParams, Prepared, ScenarioKind,
-};
+use crate::scenario::{run_churn_default, CheckSpec, Prepared, Scenario};
 use crate::schedule::ScheduleFile;
-use simnet::{Choice, ExploreScheduler, RandomScheduler, ReplayScheduler, Scheduler, SimDuration};
+use simnet::{
+    Actor, Choice, ExploreScheduler, NetStats, RandomScheduler, ReplayScheduler, Scheduler,
+    SimDuration, SimTime, Simulation,
+};
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -53,12 +54,12 @@ impl RunOutcome {
 
 /// Executes one run of `spec` under `sched`.
 pub fn run_one(spec: &CheckSpec, sched: &mut dyn Scheduler) -> RunOutcome {
-    run_prepared(spec.prepare(), sched)
+    run_prepared(&mut spec.prepare(), sched)
 }
 
 /// Executes one already-prepared run under `sched`. The CLI uses this
 /// directly so it can force obs tracing on before a replay.
-pub fn run_prepared(mut p: Prepared, sched: &mut dyn Scheduler) -> RunOutcome {
+pub fn run_prepared(p: &mut Prepared, sched: &mut dyn Scheduler) -> RunOutcome {
     let mut tracker = StepTracker::new(&p.ctx);
     let mut decisions = Vec::new();
     let mut violation = None;
@@ -116,7 +117,7 @@ impl Counterexample {
     /// Serializes the counterexample to `.schedule` text.
     pub fn to_schedule(&self, spec: &CheckSpec) -> ScheduleFile {
         ScheduleFile {
-            spec: spec.clone(),
+            spec: Scenario::Explored(spec.clone()),
             violation: Some(self.violation.kind().to_string()),
             directives: self.decisions.clone(),
         }
@@ -253,33 +254,51 @@ pub fn explore_random(spec: &CheckSpec, runs: u64, p_fault: f64) -> ExploreRepor
     report
 }
 
+/// What a replayed run ended with: its verdict, and the clock and
+/// counters a fixture's digest records.
+#[derive(Debug)]
+pub struct Replayed {
+    /// The violation the run exhibits, if any.
+    pub violation: Option<Violation>,
+    /// Explored steps; the bench scenarios run without the explorer, 0.
+    pub steps: usize,
+    /// The simulated clock at the end.
+    pub now: SimTime,
+    /// The network's counters at the end.
+    pub stats: NetStats,
+}
+
+impl Replayed {
+    fn of<A: Actor>(violation: Option<Violation>, steps: usize, sim: &Simulation<A>) -> Self {
+        let (now, stats) = (sim.now(), sim.stats().clone());
+        Replayed {
+            violation,
+            steps,
+            now,
+            stats,
+        }
+    }
+}
+
 /// Replays a schedule deterministically. For explorable scenarios the
-/// recorded divergences are re-applied step by step; for `bench:churn`
-/// the deterministic bench core is re-run end to end. Returns the
-/// violation the replayed run exhibits (if any).
-pub fn replay(file: &ScheduleFile) -> Option<Violation> {
-    match file.spec.kind {
-        ScenarioKind::SubscribeFailRepair | ScenarioKind::RootCrashMidQuery => {
+/// recorded divergences are re-applied step by step; a bench scenario
+/// re-runs its experiment's core end to end.
+pub fn replay(file: &ScheduleFile) -> Replayed {
+    match &file.spec {
+        Scenario::Explored(spec) => {
+            let mut p = spec.prepare();
             let mut sched = ReplayScheduler::new(file.directives.iter().copied());
-            run_one(&file.spec, &mut sched).violation
+            let outcome = run_prepared(&mut p, &mut sched);
+            Replayed::of(outcome.violation, outcome.steps, p.fed.sim())
         }
-        ScenarioKind::BenchChurn => {
-            let p = ChurnParams {
-                nodes: file.spec.nodes,
-                frac: file.spec.churn_frac,
-                epochs: file.spec.epochs,
-                seed: file.spec.seed,
-            };
-            let st = run_churn_default(&p);
-            let ctx = st.invariant_ctx();
-            invariants::check_quiescent(&st.fed, &ctx)
+        Scenario::Churn(params) => {
+            let st = run_churn_default(params);
+            let violation = invariants::check_quiescent(&st.fed, &st.invariant_ctx());
+            Replayed::of(violation, 0, st.fed.sim())
         }
-        ScenarioKind::BenchFig8 => {
-            let out = run_fig8_default(file.spec.nodes, file.spec.queries, file.spec.seed);
-            (out.delivered != out.expected).then_some(Violation::ProbeLoss {
-                delivered: out.delivered,
-                expected: out.expected,
-            })
+        Scenario::Fig8(params) => {
+            let sim = params.run(|_| {});
+            Replayed::of(params.check(&sim), 0, &sim)
         }
     }
 }
@@ -298,9 +317,7 @@ pub fn shrink(file: &ScheduleFile) -> ScheduleFile {
         while i < best.directives.len() {
             let mut candidate = best.clone();
             candidate.directives.remove(i);
-            let still_fails = replay(&candidate)
-                .map(|v| v.kind() == target)
-                .unwrap_or(false);
+            let still_fails = (replay(&candidate).violation).is_some_and(|v| v.kind() == target);
             if still_fails {
                 best = candidate;
                 reduced = true;

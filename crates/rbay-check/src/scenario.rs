@@ -1,5 +1,6 @@
 //! Checkable scenarios: small, fully deterministic federations whose
-//! event interleavings the explorer enumerates.
+//! event interleavings the explorer enumerates, and the cores of the
+//! experiments whose failing seeds replay as `.schedule` files.
 //!
 //! The canonical scenario is **subscribe-fail-repair**: a single-site
 //! federation builds the `GPU=true` tree on the fast path, then
@@ -14,21 +15,27 @@
 //! instant the query is issued, so the explored runs take the path where
 //! the probe is lost with the root and routed again at its declaration.
 //!
-//! The `bench:churn` scenario is the deterministic core of the churn
-//! bench (`rbay-bench/src/bin/churn.rs` drives the same [`ChurnState`]),
-//! so a seed that trips an invariant in the bench replays through
-//! `rbay-check replay` byte-identically.
+//! The two bench scenarios are experiments' own code, not copies of it:
+//! `bench:churn` is [`ChurnState`], whose measured epochs
+//! `rbay-bench/src/bin/experiments/churn.rs` runs, and `bench:fig8` is
+//! [`Fig8Params`], whose overlay and probe schedules `experiments fig8a`
+//! and `fig8b` route. A seed that trips an invariant there dumps its
+//! [`Scenario`], and `rbay-check replay` runs the same core again.
 
-use crate::invariants::InvariantCtx;
+use crate::invariants::{InvariantCtx, Violation};
+use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rbay_core::{Federation, QueryId, RbayConfig};
 use rbay_query::AttrValue;
 use rbay_workloads::WORKLOAD_PASSWORD;
 use scribe::TopicId;
-use simnet::{FaultOpts, NodeAddr, SimDuration, SiteId, Topology};
+use simnet::{
+    Actor, Context, FaultOpts, MessageSize, NodeAddr, SimDuration, SimTime, Simulation, SiteId,
+    Topology,
+};
 
-/// Which scenario a spec (or `.schedule` file) refers to.
+/// Which explorable window a [`CheckSpec`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// The canonical explorable 3–5-node subscribe/fail/repair window.
@@ -37,12 +44,6 @@ pub enum ScenarioKind {
     /// is issued: its probe meets the corpse, and only the re-route at the
     /// root's declaration answers it before the query timeout.
     RootCrashMidQuery,
-    /// The churn bench's deterministic core (replay only — too large to
-    /// explore exhaustively).
-    BenchChurn,
-    /// The fig8 probe-routing core (replay only): every routed probe must
-    /// be delivered exactly once.
-    BenchFig8,
 }
 
 impl ScenarioKind {
@@ -51,8 +52,6 @@ impl ScenarioKind {
         match self {
             ScenarioKind::SubscribeFailRepair => "subscribe-fail-repair",
             ScenarioKind::RootCrashMidQuery => "root-crash-mid-query",
-            ScenarioKind::BenchChurn => "bench:churn",
-            ScenarioKind::BenchFig8 => "bench:fig8",
         }
     }
 
@@ -61,25 +60,36 @@ impl ScenarioKind {
         match s {
             "subscribe-fail-repair" => Some(ScenarioKind::SubscribeFailRepair),
             "root-crash-mid-query" => Some(ScenarioKind::RootCrashMidQuery),
-            "bench:churn" => Some(ScenarioKind::BenchChurn),
-            "bench:fig8" => Some(ScenarioKind::BenchFig8),
             _ => None,
         }
     }
+}
 
-    /// Whether the explorer can drive it step by step (the bench
-    /// scenarios only replay end to end).
-    pub fn is_explorable(&self) -> bool {
-        matches!(
-            self,
-            ScenarioKind::SubscribeFailRepair | ScenarioKind::RootCrashMidQuery
-        )
+/// What a `.schedule` file rebuilds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scenario {
+    /// An explorable window, replayed step by step.
+    Explored(CheckSpec),
+    /// The churn experiment's core (`bench:churn`), replayed end to end.
+    Churn(ChurnParams),
+    /// The fig8 experiments' core (`bench:fig8`), replayed end to end.
+    Fig8(Fig8Params),
+}
+
+impl Scenario {
+    /// The name, federation size and seed every scenario has.
+    pub fn identity(&self) -> (&'static str, usize, u64) {
+        match self {
+            Scenario::Explored(s) => (s.kind.name(), s.nodes, s.seed),
+            Scenario::Churn(p) => ("bench:churn", p.nodes, p.seed),
+            Scenario::Fig8(p) => ("bench:fig8", p.nodes, p.seed),
+        }
     }
 }
 
-/// Everything needed to rebuild a run from scratch — the identity of a
-/// schedule file minus its decision trace.
-#[derive(Debug, Clone)]
+/// Everything needed to rebuild an explorable window from scratch — the
+/// identity of a schedule file minus its decision trace.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckSpec {
     /// Scenario family.
     pub kind: ScenarioKind,
@@ -87,8 +97,7 @@ pub struct CheckSpec {
     pub nodes: usize,
     /// Base seed (fixes topology jitter and the setup phase).
     pub seed: u64,
-    /// Maintenance rounds scheduled into the explored window
-    /// (subscribe-fail-repair) or per crash epoch (bench:churn).
+    /// Maintenance rounds scheduled into the explored window.
     pub rounds: u32,
     /// Fault budget: deliveries droppable per run.
     pub max_drops: usize,
@@ -98,12 +107,18 @@ pub struct CheckSpec {
     pub horizon: SimDuration,
     /// Arm the strict-recall oracle (ROADMAP-1 hunting mode).
     pub strict_recall: bool,
-    /// bench:churn only — fraction of live nodes crashed per epoch.
-    pub churn_frac: f64,
-    /// bench:churn only — crash epochs.
-    pub epochs: u32,
-    /// bench:fig8 only — probes routed over the overlay.
-    pub queries: usize,
+}
+
+/// The configuration every checked federation runs under: heartbeat
+/// failure detection with a 400 ms timeout, and commits off, so a
+/// satisfied query's finds lapse instead of staying reserved.
+fn checked_config() -> RbayConfig {
+    RbayConfig {
+        failure_detection: true,
+        heartbeat_timeout: SimDuration::from_millis(400),
+        commit_results: false,
+        ..RbayConfig::default()
+    }
 }
 
 impl CheckSpec {
@@ -125,9 +140,6 @@ impl CheckSpec {
             max_crashes: 1,
             horizon: SimDuration::from_millis(450),
             strict_recall: false,
-            churn_frac: 0.0,
-            epochs: 0,
-            queries: 0,
         }
     }
 
@@ -142,58 +154,15 @@ impl CheckSpec {
         }
     }
 
-    /// A bench:churn spec mirroring `churn.rs`'s per-level parameters.
-    pub fn bench_churn(nodes: usize, churn_frac: f64, epochs: u32, seed: u64) -> Self {
-        CheckSpec {
-            kind: ScenarioKind::BenchChurn,
-            nodes,
-            seed,
-            rounds: 8,
-            max_drops: 0,
-            max_crashes: 0,
-            horizon: SimDuration::ZERO,
-            strict_recall: false,
-            churn_frac,
-            epochs,
-            queries: 0,
-        }
-    }
-
-    /// A bench:fig8 spec: `queries` probes routed over an `nodes`-node
-    /// overlay, all of which must be delivered.
-    pub fn bench_fig8(nodes: usize, queries: usize, seed: u64) -> Self {
-        CheckSpec {
-            kind: ScenarioKind::BenchFig8,
-            nodes,
-            seed,
-            rounds: 0,
-            max_drops: 0,
-            max_crashes: 0,
-            horizon: SimDuration::ZERO,
-            strict_recall: false,
-            churn_frac: 0.0,
-            epochs: 0,
-            queries,
-        }
-    }
-
     /// Builds the scenario to the explored window's start: federation
     /// settled, exploration enabled, maintenance + query scheduled, fault
-    /// budget resolved. Only meaningful for explorable kinds.
+    /// budget resolved.
     pub fn prepare(&self) -> Prepared {
-        assert!(
-            self.kind.is_explorable(),
-            "{} is not explorable; bench scenarios replay via run_churn_default",
-            self.kind.name()
+        let mut fed = Federation::with_config(
+            Topology::single_site(self.nodes, 0.5),
+            self.seed,
+            checked_config(),
         );
-        let cfg = RbayConfig {
-            failure_detection: true,
-            heartbeat_timeout: SimDuration::from_millis(400),
-            commit_results: false,
-            ..RbayConfig::default()
-        };
-        let mut fed =
-            Federation::with_config(Topology::single_site(self.nodes, 0.5), self.seed, cfg);
         let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
         // Node 0 is the querier (never crashed); everyone else holds the
         // resource and subscribes to the tree.
@@ -255,8 +224,8 @@ pub struct Prepared {
     pub query: QueryId,
 }
 
-/// Parameters of the churn bench's deterministic core.
-#[derive(Debug, Clone)]
+/// Parameters of the churn experiment's core.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnParams {
     /// Federation size.
     pub nodes: usize,
@@ -264,14 +233,38 @@ pub struct ChurnParams {
     pub frac: f64,
     /// Crash epochs.
     pub epochs: u32,
-    /// Seed (federation uses it directly; churn decisions use
-    /// `seed ^ 0xC0FFEE`, matching the bench).
+    /// Seed (the federation uses it directly; churn decisions use
+    /// `seed ^ 0xC0FFEE`).
     pub seed: u64,
 }
 
-/// The churn bench's deterministic state: federation, topic, holders,
-/// and the churn RNG. `churn.rs` drives this directly so bench runs and
-/// `rbay-check replay` runs make identical decisions.
+/// Maintenance rounds a measured epoch runs between its crash and its
+/// queries.
+const REPAIR_ROUNDS: u32 = 8;
+
+/// What one measured churn epoch saw.
+#[derive(Debug)]
+pub struct Epoch {
+    /// When the victims crashed.
+    pub crashed_at: SimTime,
+    /// The nodes crashed.
+    pub victims: Vec<NodeAddr>,
+    /// The first repair round after which the caller's convergence probe
+    /// held (1-based).
+    pub converged_after: Option<u32>,
+    /// The latency of each `SELECT 1` query; `None` for one that came back
+    /// unsatisfied.
+    pub latencies: Vec<Option<SimDuration>>,
+    /// The share of the live holders the recall query found; `None` when
+    /// no querier or no holder survived the crash, so nothing was asked
+    /// and the run ends with this epoch.
+    pub recall: Option<f64>,
+}
+
+/// The churn experiment's deterministic state: federation, topic,
+/// holders, and the churn RNG. `experiments churn`, `rbay-check replay`
+/// and the `sim_churn` benchmark all build it here, so they make
+/// identical decisions.
 pub struct ChurnState {
     /// The federation.
     pub fed: Federation,
@@ -281,27 +274,27 @@ pub struct ChurnState {
     pub holders: Vec<NodeAddr>,
     /// Liveness bitmap.
     pub alive: Vec<bool>,
-    rng: SmallRng,
+    /// The churn RNG, seeded `seed ^ 0xC0FFEE`: victims and recall
+    /// origins are drawn from it.
+    pub rng: SmallRng,
 }
 
 impl ChurnState {
-    /// Builds and settles the churn federation exactly as
-    /// `churn.rs::run_level` does.
+    /// Builds and settles the churn federation: a third of the nodes post
+    /// `GPU=true`, then three maintenance rounds warm the tree.
     pub fn new(p: &ChurnParams) -> Self {
         Self::with_setup(p, |_| {})
     }
 
     /// Like [`ChurnState::new`], but runs `setup` on the freshly built
-    /// federation before anything else happens — the hook the bench uses
+    /// federation before anything else happens — the hook the tools use
     /// to enable observability without perturbing the shared schedule.
     pub fn with_setup(p: &ChurnParams, setup: impl FnOnce(&mut Federation)) -> Self {
-        let cfg = RbayConfig {
-            failure_detection: true,
-            heartbeat_timeout: SimDuration::from_millis(400),
-            commit_results: false,
-            ..RbayConfig::default()
-        };
-        let mut fed = Federation::with_config(Topology::single_site(p.nodes, 0.5), p.seed, cfg);
+        let mut fed = Federation::with_config(
+            Topology::single_site(p.nodes, 0.5),
+            p.seed,
+            checked_config(),
+        );
         setup(&mut fed);
         let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
         let rng = SmallRng::seed_from_u64(p.seed ^ 0xC0FFEE);
@@ -322,8 +315,7 @@ impl ChurnState {
     }
 
     /// Crashes `frac` of the currently-alive nodes (sparing the querier
-    /// corner, addresses 0–3) and returns the victims. Consumes the
-    /// churn RNG identically to the bench.
+    /// corner, addresses 0–3) and returns the victims.
     pub fn crash_epoch(&mut self, frac: f64) -> Vec<NodeAddr> {
         let n_nodes = self.alive.len();
         let victims: Vec<u32> = (4..n_nodes as u32)
@@ -345,14 +337,97 @@ impl ChurnState {
         (0..4u32).filter(|i| self.alive[*i as usize]).collect()
     }
 
-    /// Picks the recall-query origin, consuming the churn RNG
-    /// identically to the bench. `None` when no querier survives.
+    /// Picks the recall-query origin from the churn RNG. `None` when no
+    /// querier survives.
     pub fn recall_origin(&mut self) -> Option<NodeAddr> {
         let live = self.live_queriers();
         if live.is_empty() {
             return None;
         }
         Some(NodeAddr(live[self.rng.gen_range(0..live.len())]))
+    }
+
+    /// One measured epoch: crash `frac`, let heartbeats detect and repair
+    /// over eight maintenance rounds — asking `converged` after
+    /// each until it holds — then ask three `SELECT 1` queries and one
+    /// for every live holder.
+    pub fn epoch(&mut self, frac: f64, mut converged: impl FnMut(&Self) -> bool) -> Epoch {
+        let crashed_at = self.fed.sim().now();
+        let victims = self.crash_epoch(frac);
+        let mut converged_after = None;
+        for round in 1..=REPAIR_ROUNDS {
+            self.fed.run_maintenance(1, SimDuration::from_millis(250));
+            if converged_after.is_none() && converged(self) {
+                converged_after = Some(round);
+            }
+        }
+        self.fed.settle();
+        let mut epoch = Epoch {
+            crashed_at,
+            victims,
+            converged_after,
+            latencies: Vec::new(),
+            recall: None,
+        };
+        let queriers = self.live_queriers();
+        if queriers.is_empty() || self.holders.is_empty() {
+            return epoch;
+        }
+        for q in 0..3 {
+            let origin = NodeAddr(queriers[q % queriers.len()]);
+            let (latency, _) = self.ask(origin, 1, SimDuration::from_millis(2_500));
+            epoch.latencies.push(latency);
+        }
+        let origin = self.recall_origin().expect("checked non-empty");
+        let all = self.holders.len();
+        let (_, found) = self.ask(origin, all, SimDuration::from_secs(4));
+        epoch.recall = Some(found as f64 / all as f64);
+        epoch
+    }
+
+    /// Issues `SELECT k … GPU = true` from `origin`, settles, and lets
+    /// `pause` pass so its reservations lapse. Returns its latency, if
+    /// satisfied, and how many it found.
+    fn ask(
+        &mut self,
+        origin: NodeAddr,
+        k: usize,
+        pause: SimDuration,
+    ) -> (Option<SimDuration>, usize) {
+        let query = format!("SELECT {k} FROM * WHERE GPU = true");
+        let id = (self.fed)
+            .issue_query(origin, &query, Some(WORKLOAD_PASSWORD))
+            .expect("static query parses");
+        self.fed.settle();
+        let rec = self.fed.query_record(origin, id).expect("issued query");
+        let latency = (rec.completed_at)
+            .filter(|_| rec.satisfied)
+            .map(|done| done.saturating_since(rec.issued_at));
+        let found = rec.result.len();
+        let resume = self.fed.sim().now() + pause;
+        self.fed.run_until(resume);
+        (latency, found)
+    }
+
+    /// Runs `epochs` measured epochs of `frac` churn — ending early after
+    /// one that found nobody to ask — then settles.
+    pub fn run(
+        &mut self,
+        frac: f64,
+        epochs: u32,
+        mut converged: impl FnMut(&Self) -> bool,
+    ) -> Vec<Epoch> {
+        let mut seen = Vec::new();
+        for _ in 0..epochs {
+            let epoch = self.epoch(frac, &mut converged);
+            let asked = epoch.recall.is_some();
+            seen.push(epoch);
+            if !asked {
+                break;
+            }
+        }
+        self.fed.settle();
+        seen
     }
 
     /// The invariant context for the churn tree.
@@ -367,136 +442,163 @@ impl ChurnState {
     }
 }
 
-/// Replays the churn bench's non-metrics measurement loop end to end
-/// (the default schedule: no divergent decisions). Returns the final
-/// state for invariant evaluation.
+/// Runs the churn experiment's epochs under `p` with nothing observing
+/// them — the `bench:churn` replay. Returns the final state for invariant
+/// evaluation.
 pub fn run_churn_default(p: &ChurnParams) -> ChurnState {
     let mut st = ChurnState::new(p);
-    for _ in 0..p.epochs {
-        st.crash_epoch(p.frac);
-        st.fed.run_maintenance(8, SimDuration::from_millis(250));
-        st.fed.settle();
-
-        let live_queriers = st.live_queriers();
-        if live_queriers.is_empty() || st.holders.is_empty() {
-            break;
-        }
-        for q in 0..3 {
-            let origin = NodeAddr(live_queriers[q % live_queriers.len()]);
-            st.fed
-                .issue_query(
-                    origin,
-                    "SELECT 1 FROM * WHERE GPU = true",
-                    Some(WORKLOAD_PASSWORD),
-                )
-                .expect("static query parses");
-            st.fed.settle();
-            let horizon = st.fed.sim().now() + SimDuration::from_millis(2_500);
-            st.fed.run_until(horizon);
-        }
-        let origin = st.recall_origin().expect("checked non-empty");
-        st.fed
-            .issue_query(
-                origin,
-                &format!("SELECT {} FROM * WHERE GPU = true", st.holders.len().max(1)),
-                Some(WORKLOAD_PASSWORD),
-            )
-            .expect("static query parses");
-        st.fed.settle();
-        let horizon = st.fed.sim().now() + SimDuration::from_secs(4);
-        st.fed.run_until(horizon);
-    }
-    st.fed.settle();
+    st.run(p.frac, p.epochs, |_| false);
     st
 }
 
-/// Outcome of the fig8 probe-routing core: how many of the routed probes
-/// arrived.
+/// The routed payload of the fig8 overlay: the figures measure the route,
+/// not the content.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig8Outcome {
-    /// Probes delivered to their key's responsible node.
-    pub delivered: usize,
-    /// Probes routed.
-    pub expected: usize,
+pub struct Probe;
+impl MessageSize for Probe {}
+
+/// Records the hop count of every probe delivered at its member.
+#[derive(Default)]
+pub struct HopRecorder {
+    /// One entry per delivered probe.
+    pub hops: Vec<u16>,
 }
 
-/// Replays the fig8 benches' probe-routing core: a seeded `nodes`-node
-/// overlay over which `queries` probes are routed, each to a unique
-/// attribute key (the fig8a schedule; fig8b differs only in key choice,
-/// which routing-delivery loss does not depend on). The invariant is
-/// exactly-once delivery.
-pub fn run_fig8_default(nodes: usize, queries: usize, seed: u64) -> Fig8Outcome {
-    use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
-    use simnet::{Actor, Context, MessageSize, SimTime, Simulation};
-
-    #[derive(Debug, Clone, Copy)]
-    struct Probe;
-    impl MessageSize for Probe {}
-
-    #[derive(Default)]
-    struct Counter {
-        delivered: usize,
+impl PastryApp<Probe> for HopRecorder {
+    fn deliver<N: pastry::Net<Probe>>(
+        &mut self,
+        _node: &mut PastryNode,
+        _net: &mut N,
+        _key: NodeId,
+        _payload: Probe,
+        hops: u16,
+    ) {
+        self.hops.push(hops);
     }
-    impl PastryApp<Probe> for Counter {
-        fn deliver<N: pastry::Net<Probe>>(
-            &mut self,
-            _node: &mut PastryNode,
-            _net: &mut N,
-            _key: NodeId,
-            _payload: Probe,
-            _hops: u16,
-        ) {
-            self.delivered += 1;
+    fn receive_direct<N: pastry::Net<Probe>>(
+        &mut self,
+        _node: &mut PastryNode,
+        _net: &mut N,
+        _from: NodeAddr,
+        _payload: Probe,
+    ) {
+    }
+}
+
+/// One fig8 overlay member: a bare Pastry node, no RBAY layer on top, and
+/// its hop recorder.
+pub struct Agent {
+    /// The Pastry node.
+    pub node: PastryNode,
+    /// What was delivered here.
+    pub app: HopRecorder,
+}
+
+impl Actor for Agent {
+    type Msg = PastryMsg<Probe>;
+    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
+        let Agent { node, app } = self;
+        node.on_message(ctx, app, from, msg);
+    }
+}
+
+/// Which probes a fig8 run routes, all sent at time zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probes {
+    /// Fig. 8a: this many probes, each to an attribute key of its own.
+    Unique(usize),
+    /// Fig. 8b: `per_key` probes to each of `keys` query keys.
+    PerKey {
+        /// Distinct query keys.
+        keys: usize,
+        /// Probes routed to each.
+        per_key: usize,
+    },
+}
+
+/// Parameters of the fig8 probe-routing core: a seeded overlay and the
+/// probes routed over it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fig8Params {
+    /// Overlay size.
+    pub nodes: usize,
+    /// What is routed.
+    pub probes: Probes,
+    /// Seed of the simulation and of the probe keys.
+    pub seed: u64,
+}
+
+impl Fig8Params {
+    /// Probes routed.
+    pub fn expected(&self) -> usize {
+        match self.probes {
+            Probes::Unique(n) => n,
+            Probes::PerKey { keys, per_key } => keys * per_key,
         }
-        fn receive_direct<N: pastry::Net<Probe>>(
-            &mut self,
-            _node: &mut PastryNode,
-            _net: &mut N,
-            _from: NodeAddr,
-            _payload: Probe,
-        ) {
+    }
+
+    /// The distinct keys probed, in routing order.
+    pub fn keys(&self) -> Vec<NodeId> {
+        let seed = self.seed;
+        let key = |name: String| NodeId::hash_of(name.as_bytes());
+        match self.probes {
+            Probes::Unique(n) => (0..n).map(|q| key(format!("attr:{seed}:{q}"))).collect(),
+            Probes::PerKey { keys, .. } => {
+                (1..=keys).map(|k| key(format!("Q{k}:{seed}"))).collect()
+            }
         }
     }
 
-    struct Agent {
-        node: PastryNode,
-        app: Counter,
-    }
-    impl Actor for Agent {
-        type Msg = PastryMsg<Probe>;
-        fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
-            let Agent { node, app } = self;
-            node.on_message(ctx, app, from, msg);
-        }
-    }
-
-    let mut nodes_v: Vec<PastryNode> = (0..nodes as u32)
-        .map(|i| {
-            PastryNode::new(NodeInfo {
-                id: NodeId::hash_of(format!("agent:{i}").as_bytes()),
-                addr: NodeAddr(i),
-                site: SiteId(0),
+    /// Builds an overlay of `nodes` members with converged routing state
+    /// and no join traffic, lets `setup` see it, routes every probe from
+    /// its source and runs until idle.
+    pub fn run(&self, setup: impl FnOnce(&mut Simulation<Agent>)) -> Simulation<Agent> {
+        let n = self.nodes;
+        // Seed the overlay before the simulation exists so each (large)
+        // PastryNode is constructed exactly once and moved into its actor.
+        let mut members: Vec<PastryNode> = (0..n as u32)
+            .map(|i| {
+                PastryNode::new(NodeInfo {
+                    id: NodeId::hash_of(format!("agent:{i}").as_bytes()),
+                    addr: NodeAddr(i),
+                    site: SiteId(0),
+                })
             })
-        })
-        .collect();
-    seed_overlay(&mut nodes_v, |_, _| 0.0);
-    let mut seeded = nodes_v.into_iter();
-    let mut sim = Simulation::new(Topology::single_site(nodes, 0.5), seed, |_| Agent {
-        node: seeded.next().expect("one node per address"),
-        app: Counter::default(),
-    });
-    for q in 0..queries {
-        let key = NodeId::hash_of(format!("attr:{seed}:{q}").as_bytes());
-        let src = NodeAddr(((q * 7919 + seed as usize) % nodes) as u32);
-        sim.schedule_call(SimTime::ZERO, src, move |a, ctx| {
-            let Agent { node, app } = a;
-            node.route(ctx, app, key, Probe, None);
+            .collect();
+        seed_overlay(&mut members, |_, _| 0.0);
+        let mut seeded = members.into_iter();
+        let mut sim = Simulation::new(Topology::single_site(n, 0.5), self.seed, |_| Agent {
+            node: seeded.next().expect("one node per address"),
+            app: HopRecorder::default(),
         });
+        setup(&mut sim);
+        let keys = self.keys();
+        let probes: Vec<(usize, NodeId)> = match self.probes {
+            Probes::Unique(_) => (keys.into_iter().enumerate())
+                .map(|(q, key)| ((q * 7919 + self.seed as usize) % n, key))
+                .collect(),
+            Probes::PerKey { per_key, .. } => (keys.into_iter().enumerate())
+                .flat_map(|(k, key)| (0..per_key).map(move |q| ((q * 6007 + k * 97 + 13) % n, key)))
+                .collect(),
+        };
+        for (src, key) in probes {
+            sim.schedule_call(SimTime::ZERO, NodeAddr(src as u32), move |a, ctx| {
+                let Agent { node, app } = a;
+                node.route(ctx, app, key, Probe, None);
+            });
+        }
+        sim.run_until_idle();
+        sim
     }
-    sim.run_until_idle();
-    let delivered = sim.actors().map(|(_, a)| a.app.delivered).sum();
-    Fig8Outcome {
-        delivered,
-        expected: queries,
+
+    /// Exactly-once delivery, the routing invariant: `ProbeLoss` unless
+    /// `sim` delivered every probe once.
+    pub fn check(&self, sim: &Simulation<Agent>) -> Option<Violation> {
+        let delivered = sim.actors().map(|(_, a)| a.app.hops.len()).sum();
+        let expected = self.expected();
+        (delivered != expected).then_some(Violation::ProbeLoss {
+            delivered,
+            expected,
+        })
     }
 }

@@ -22,15 +22,21 @@
 //! fires the earliest ready event, which is exactly what the original
 //! run did. Determinism of the engine (same decision prefix ⇒ same
 //! event sequence numbers) makes the `seq=` references stable.
+//!
+//! A bench scenario records its experiment's parameters in place of a
+//! fault budget and has no steps: `churn-frac-pct` and `epochs` for
+//! `bench:churn`; `queries` for `bench:fig8`, plus `keys` when the
+//! queries go to that many keys in equal shares (fig8b) rather than one
+//! key each (fig8a).
 
-use crate::scenario::{CheckSpec, ScenarioKind};
+use crate::scenario::{CheckSpec, ChurnParams, Fig8Params, Probes, Scenario, ScenarioKind};
 use simnet::{Choice, NodeAddr, SimDuration};
 
 /// A parsed (or to-be-written) schedule file.
 #[derive(Debug, Clone)]
 pub struct ScheduleFile {
     /// The scenario to rebuild.
-    pub spec: CheckSpec,
+    pub spec: Scenario,
     /// The violation kind the run exhibited (matched during shrinking).
     pub violation: Option<String>,
     /// Divergent decisions, by step.
@@ -40,27 +46,32 @@ pub struct ScheduleFile {
 impl ScheduleFile {
     /// Renders the schedule to its text form.
     pub fn render(&self) -> String {
-        let mut out = String::from("# rbay-check schedule v1\n");
-        let s = &self.spec;
-        out.push_str(&format!("scenario {}\n", s.kind.name()));
-        out.push_str(&format!("nodes {}\n", s.nodes));
-        out.push_str(&format!("seed {}\n", s.seed));
-        out.push_str(&format!("rounds {}\n", s.rounds));
-        out.push_str(&format!("max-drops {}\n", s.max_drops));
-        out.push_str(&format!("max-crashes {}\n", s.max_crashes));
-        out.push_str(&format!("horizon-ms {}\n", s.horizon.as_micros() / 1_000));
-        if s.strict_recall {
-            out.push_str("strict-recall true\n");
-        }
-        if s.kind == ScenarioKind::BenchChurn {
-            out.push_str(&format!(
-                "churn-frac-pct {}\n",
-                (s.churn_frac * 100.0) as u64
-            ));
-            out.push_str(&format!("epochs {}\n", s.epochs));
-        }
-        if s.kind == ScenarioKind::BenchFig8 {
-            out.push_str(&format!("queries {}\n", s.queries));
+        let (name, nodes, seed) = self.spec.identity();
+        let mut out =
+            format!("# rbay-check schedule v1\nscenario {name}\nnodes {nodes}\nseed {seed}\n");
+        match &self.spec {
+            Scenario::Explored(s) => {
+                out.push_str(&format!("rounds {}\n", s.rounds));
+                out.push_str(&format!("max-drops {}\n", s.max_drops));
+                out.push_str(&format!("max-crashes {}\n", s.max_crashes));
+                out.push_str(&format!("horizon-ms {}\n", s.horizon.as_micros() / 1_000));
+                if s.strict_recall {
+                    out.push_str("strict-recall true\n");
+                }
+            }
+            Scenario::Churn(p) => {
+                out.push_str(&format!(
+                    "churn-frac-pct {}\n",
+                    (p.frac * 100.0).round() as u64
+                ));
+                out.push_str(&format!("epochs {}\n", p.epochs));
+            }
+            Scenario::Fig8(p) => {
+                if let Probes::PerKey { keys, .. } = p.probes {
+                    out.push_str(&format!("keys {keys}\n"));
+                }
+                out.push_str(&format!("queries {}\n", p.expected()));
+            }
         }
         if let Some(v) = &self.violation {
             out.push_str(&format!("violation {v}\n"));
@@ -76,9 +87,11 @@ impl ScheduleFile {
     }
 
     /// Parses the text form. Unknown keys are rejected so stale files
-    /// fail loudly instead of replaying something else.
+    /// fail loudly instead of replaying something else; a key the named
+    /// scenario does not read (the fault budget of a bench scenario, as
+    /// older files spell it) is accepted and ignored.
     pub fn parse(text: &str) -> Result<ScheduleFile, String> {
-        let mut kind = None;
+        let mut name = None;
         let mut nodes = 3usize;
         let mut seed = 0u64;
         let mut rounds = 10u32;
@@ -89,6 +102,7 @@ impl ScheduleFile {
         let mut churn_frac = 0.0f64;
         let mut epochs = 0u32;
         let mut queries = 0usize;
+        let mut keys = None;
         let mut violation = None;
         let mut directives = Vec::new();
 
@@ -102,10 +116,7 @@ impl ScheduleFile {
             let err = |what: &str| format!("line {}: {what}: {line:?}", ln + 1);
             let mut val = || it.next().ok_or_else(|| err("missing value"));
             match key {
-                "scenario" => {
-                    let name = val()?;
-                    kind = Some(ScenarioKind::parse(name).ok_or_else(|| err("unknown scenario"))?);
-                }
+                "scenario" => name = Some(val()?.to_owned()),
                 "nodes" => nodes = val()?.parse().map_err(|_| err("bad nodes"))?,
                 "seed" => seed = val()?.parse().map_err(|_| err("bad seed"))?,
                 "rounds" => rounds = val()?.parse().map_err(|_| err("bad rounds"))?,
@@ -121,6 +132,7 @@ impl ScheduleFile {
                 }
                 "epochs" => epochs = val()?.parse().map_err(|_| err("bad epochs"))?,
                 "queries" => queries = val()?.parse().map_err(|_| err("bad queries"))?,
+                "keys" => keys = Some(val()?.parse().map_err(|_| err("bad keys"))?),
                 "violation" => violation = Some(val()?.to_string()),
                 "step" => {
                     let step: usize = val()?.parse().map_err(|_| err("bad step"))?;
@@ -153,10 +165,29 @@ impl ScheduleFile {
             }
         }
 
-        let kind = kind.ok_or_else(|| "missing `scenario` line".to_string())?;
-        Ok(ScheduleFile {
-            spec: CheckSpec {
-                kind,
+        let name = name.ok_or_else(|| "missing `scenario` line".to_string())?;
+        let spec = match name.as_str() {
+            "bench:churn" => Scenario::Churn(ChurnParams {
+                nodes,
+                frac: churn_frac,
+                epochs,
+                seed,
+            }),
+            "bench:fig8" => Scenario::Fig8(Fig8Params {
+                nodes,
+                seed,
+                probes: match keys {
+                    None => Probes::Unique(queries),
+                    Some(keys) if keys > 0 && queries.is_multiple_of(keys) => Probes::PerKey {
+                        keys,
+                        per_key: queries / keys,
+                    },
+                    Some(keys) => return Err(format!("{queries} queries over {keys} keys")),
+                },
+            }),
+            _ => Scenario::Explored(CheckSpec {
+                kind: ScenarioKind::parse(&name)
+                    .ok_or_else(|| format!("unknown scenario {name:?}"))?,
                 nodes,
                 seed,
                 rounds,
@@ -164,10 +195,10 @@ impl ScheduleFile {
                 max_crashes,
                 horizon: SimDuration::from_millis(horizon_ms),
                 strict_recall,
-                churn_frac,
-                epochs,
-                queries,
-            },
+            }),
+        };
+        Ok(ScheduleFile {
+            spec,
             violation,
             directives,
         })
@@ -183,7 +214,7 @@ mod tests {
         let mut spec = CheckSpec::subscribe_fail_repair(3, 7);
         spec.strict_recall = true;
         let sf = ScheduleFile {
-            spec,
+            spec: Scenario::Explored(spec),
             violation: Some("lost-query".into()),
             directives: vec![
                 (12, Choice::Drop(345)),
@@ -193,10 +224,13 @@ mod tests {
         };
         let text = sf.render();
         let back = ScheduleFile::parse(&text).unwrap();
-        assert_eq!(back.spec.nodes, 3);
-        assert_eq!(back.spec.seed, 7);
-        assert_eq!(back.spec.max_drops, 2);
-        assert!(back.spec.strict_recall);
+        let Scenario::Explored(spec) = &back.spec else {
+            panic!("{:?}", back.spec)
+        };
+        assert_eq!(spec.nodes, 3);
+        assert_eq!(spec.seed, 7);
+        assert_eq!(spec.max_drops, 2);
+        assert!(spec.strict_recall);
         assert_eq!(back.violation.as_deref(), Some("lost-query"));
         assert_eq!(back.directives, sf.directives);
         assert_eq!(back.render(), text);
@@ -209,19 +243,40 @@ mod tests {
             ScheduleFile::parse("step 3 fire seq=nope\nscenario subscribe-fail-repair\n").is_err()
         );
         assert!(ScheduleFile::parse("nodes 3\n").is_err());
+        assert!(ScheduleFile::parse("scenario bench:nope\n").is_err());
+        assert!(ScheduleFile::parse("scenario bench:fig8\nkeys 3\nqueries 10\n").is_err());
     }
 
     #[test]
-    fn churn_round_trips() {
-        let sf = ScheduleFile {
-            spec: CheckSpec::bench_churn(30, 0.10, 4, 42),
-            violation: Some("orphaned-subscriber".into()),
-            directives: Vec::new(),
+    fn bench_scenarios_round_trip() {
+        let churn = ChurnParams {
+            nodes: 30,
+            frac: 0.10,
+            epochs: 4,
+            seed: 42,
         };
-        let back = ScheduleFile::parse(&sf.render()).unwrap();
-        assert_eq!(back.spec.kind, ScenarioKind::BenchChurn);
-        assert_eq!(back.spec.nodes, 30);
-        assert!((back.spec.churn_frac - 0.10).abs() < 1e-9);
-        assert_eq!(back.spec.epochs, 4);
+        let fig8 = |probes| Fig8Params {
+            nodes: 100,
+            probes,
+            seed: 42,
+        };
+        for spec in [
+            Scenario::Churn(churn),
+            Scenario::Fig8(fig8(Probes::Unique(100))),
+            Scenario::Fig8(fig8(Probes::PerKey {
+                keys: 10,
+                per_key: 10,
+            })),
+        ] {
+            let sf = ScheduleFile {
+                spec,
+                violation: Some("orphaned-subscriber".into()),
+                directives: Vec::new(),
+            };
+            let text = sf.render();
+            let back = ScheduleFile::parse(&text).unwrap();
+            assert_eq!(back.render(), text);
+            assert_eq!(back.spec, sf.spec);
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! exploration (>= 10k distinct interleavings, < 60 s) holds.
 
 use rbay_check::runner::{self, ExploreOpts};
-use rbay_check::{explore, explore_random, replay, CheckSpec, ScheduleFile};
+use rbay_check::{
+    explore, explore_random, replay, CheckSpec, Fig8Params, Probes, Scenario, ScheduleFile,
+};
 use simnet::{EarliestFirst, ReplayScheduler};
 use std::time::Duration;
 
@@ -93,40 +95,82 @@ fn divergent_schedule_replays_deterministically() {
 fn schedule_file_replay_matches_direct_run() {
     let spec = CheckSpec::subscribe_fail_repair(3, 7);
     let file = ScheduleFile {
-        spec: spec.clone(),
+        spec: Scenario::Explored(spec),
         violation: None,
         directives: Vec::new(),
     };
     let parsed = ScheduleFile::parse(&file.render()).expect("round trip");
-    assert!(replay(&parsed).is_none());
+    assert!(replay(&parsed).violation.is_none());
 }
 
 /// Saved schedules name events by `seq`, so the order the engine numbers
-/// events in is a file format. The fixture and its digest were recorded at
-/// PR 23; an engine change that renumbers events replays the file to
-/// something else and fails here.
+/// events in is a file format; and a bench schedule names an experiment's
+/// core, so that core is one too. Each fixture and its digest were
+/// recorded before the code that replays it last changed: `divergent` (an
+/// explored window: fire, drop, crash, fire), `churn` (the 30-node, 20 %,
+/// 4-epoch, seed-43 sweep cell that once left the tree rootless) and
+/// `fig8a` (100 nodes, 100 probes, seed 42) before the experiments came to
+/// run the cores `replay` runs. A change that renumbers events or alters a
+/// core replays a file to something else and fails here.
 #[test]
-fn committed_schedule_replays_to_its_recorded_digest() {
-    let file = ScheduleFile::parse(include_str!("fixtures/divergent.schedule")).expect("parses");
-    assert_eq!(file.directives.len(), 4, "fire, drop, crash, fire");
-    let mut p = file.spec.prepare();
-    let mut sched = ReplayScheduler::new(file.directives.iter().copied());
-    let steps = p
-        .fed
-        .sim_mut()
-        .run_explored(&mut sched, runner::WINDOW, runner::MAX_STEPS as u64);
-    let stats = p.fed.sim().stats();
-    let digest = format!(
-        "violation {}\nsteps {steps}\nclock-us {}\nsent {}\ndelivered {}\ndropped {}\nbytes {}\nevents {}\n",
-        replay(&file).map_or("none", |v| v.kind()),
-        p.fed.sim().now().as_micros(),
-        stats.sent(),
-        stats.delivered(),
-        stats.dropped(),
-        stats.bytes(),
-        stats.events(),
-    );
-    assert_eq!(digest, include_str!("fixtures/divergent.digest"));
+fn committed_schedules_replay_to_their_recorded_digests() {
+    for (name, schedule, digest) in [
+        (
+            "divergent",
+            include_str!("fixtures/divergent.schedule"),
+            include_str!("fixtures/divergent.digest"),
+        ),
+        (
+            "churn",
+            include_str!("fixtures/churn.schedule"),
+            include_str!("fixtures/churn.digest"),
+        ),
+        (
+            "fig8a",
+            include_str!("fixtures/fig8a.schedule"),
+            include_str!("fixtures/fig8a.digest"),
+        ),
+    ] {
+        let file = ScheduleFile::parse(schedule).expect("parses");
+        let r = replay(&file);
+        let got = format!(
+            "violation {}\nsteps {}\nclock-us {}\nsent {}\ndelivered {}\ndropped {}\nbytes {}\nevents {}\n",
+            r.violation.as_ref().map_or("none", |v| v.kind()),
+            r.steps,
+            r.now.as_micros(),
+            r.stats.sent(),
+            r.stats.delivered(),
+            r.stats.dropped(),
+            r.stats.bytes(),
+            r.stats.events(),
+        );
+        assert_eq!(got, digest, "{name}");
+    }
+}
+
+/// A fig8b counterexample names fig8b's probes — ten keys, each probed
+/// `per_key` times — so its replay routes what the experiment routed, not
+/// fig8a's one probe per key.
+#[test]
+fn a_fig8b_schedule_replays_fig8b() {
+    let params = Fig8Params {
+        nodes: 100,
+        probes: Probes::PerKey {
+            keys: 10,
+            per_key: 10,
+        },
+        seed: 42,
+    };
+    let ran = params.run(|_| {});
+    let file = ScheduleFile {
+        spec: Scenario::Fig8(params),
+        violation: None,
+        directives: Vec::new(),
+    };
+    let replayed = replay(&ScheduleFile::parse(&file.render()).expect("round trip"));
+    assert!(replayed.violation.is_none(), "{:?}", replayed.violation);
+    assert_eq!(replayed.stats, *ran.stats());
+    assert_eq!(replayed.now, ran.now());
 }
 
 /// The ISSUE acceptance run: >= 10_000 distinct interleavings of the

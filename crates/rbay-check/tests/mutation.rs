@@ -61,7 +61,7 @@ fn checker_detects_all_four_seeded_pr4_bugs() {
         let replayed = replay(&parsed);
         scribe::set_seeded_bug(0);
         assert_eq!(
-            replayed.as_ref().map(|v| v.kind()),
+            replayed.violation.as_ref().map(|v| v.kind()),
             Some(expected_kind),
             "seeded bug {bug}: replay of {text:?} did not reproduce"
         );
@@ -74,7 +74,7 @@ fn checker_detects_all_four_seeded_pr4_bugs() {
         scribe::set_seeded_bug(0);
         assert!(reduced.directives.len() <= parsed.directives.len());
         assert_eq!(
-            re_replayed.as_ref().map(|v| v.kind()),
+            re_replayed.violation.as_ref().map(|v| v.kind()),
             Some(expected_kind),
             "seeded bug {bug}: shrunk schedule no longer reproduces"
         );

@@ -371,16 +371,6 @@ impl Frontdoor {
         self.stats.invalidations += dropped as u64;
         dropped
     }
-
-    /// Number of live cache entries (tests and diagnostics).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of in-flight leader walks (admission diagnostics).
-    pub fn in_flight(&self) -> usize {
-        self.leaders.len()
-    }
 }
 
 #[cfg(test)]
@@ -475,9 +465,9 @@ mod tests {
             FrontdoorDecision::Coalesce { leader } => assert_eq!(leader, QueryId(7)),
             other => panic!("expected coalesce, got {other:?}"),
         }
-        assert_eq!(fd.in_flight(), 1);
+        assert_eq!(fd.leaders.len(), 1);
         assert!(fd.complete(QueryId(7), vec![], false, vec![], t0));
-        assert_eq!(fd.in_flight(), 0);
+        assert!(fd.leaders.is_empty());
         assert!(
             matches!(fd.begin("k", t0), FrontdoorDecision::Hit { .. }),
             "negative results cache too"
@@ -520,7 +510,7 @@ mod tests {
         assert!(matches!(fd.begin("c", t0), FrontdoorDecision::Admit));
         fd.lead("c".into(), QueryId(9));
         fd.complete(QueryId(9), vec![], true, vec![], t0);
-        assert_eq!(fd.cache_len(), 2);
+        assert_eq!(fd.cache.len(), 2);
         assert!(matches!(fd.begin("a", t0), FrontdoorDecision::Hit { .. }));
         assert!(
             matches!(fd.begin("b", t0), FrontdoorDecision::Admit),

@@ -186,7 +186,7 @@ impl RbayHost {
     }
 
     /// Converts an [`AttrValue`] into a script value.
-    pub fn attr_to_script(v: &AttrValue) -> Value {
+    fn attr_to_script(v: &AttrValue) -> Value {
         match v {
             AttrValue::Bool(b) => Value::Bool(*b),
             AttrValue::Num(n) => Value::Num(*n),
@@ -196,7 +196,7 @@ impl RbayHost {
 
     /// Converts a script value back into an [`AttrValue`] (functions and
     /// tables are stringified).
-    pub fn script_to_attr(v: &Value) -> Option<AttrValue> {
+    fn script_to_attr(v: &Value) -> Option<AttrValue> {
         match v {
             Value::Nil => None,
             Value::Bool(b) => Some(AttrValue::Bool(*b)),

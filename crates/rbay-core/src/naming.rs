@@ -47,16 +47,6 @@ impl HybridNaming {
         self.links.insert(attr.to_owned(), major_tree.to_owned());
     }
 
-    /// Removes a link.
-    pub fn unlink(&mut self, attr: &str) {
-        self.links.remove(attr);
-    }
-
-    /// Whether `attr` is linked to a major tree.
-    pub fn is_linked(&self, attr: &str) -> bool {
-        self.links.contains_key(attr)
-    }
-
     /// The tree an anchor predicate routes to: its major tree if linked,
     /// else the canonical `attr=value` tree.
     pub fn tree_for(&self, pred: &Predicate) -> String {
@@ -118,17 +108,6 @@ mod tests {
             n.tree_for_post("GPU_core_size", &AttrValue::Num(2496.0)),
             "GPU=true"
         );
-        assert!(n.is_linked("GPU_model"));
         assert_eq!(n.len(), 2);
-    }
-
-    #[test]
-    fn unlink_restores_dedicated_trees() {
-        let mut n = HybridNaming::new();
-        n.link("x", "major");
-        n.unlink("x");
-        assert!(!n.is_linked("x"));
-        assert_eq!(n.tree_for(&pred("x", "1")), "x=1");
-        assert!(n.is_empty());
     }
 }

@@ -35,7 +35,7 @@ impl Predicate {
 
     /// Whether this predicate can anchor tree selection: equality
     /// predicates correspond directly to `attr=value` aggregation trees.
-    pub fn is_anchor(&self) -> bool {
+    fn is_anchor(&self) -> bool {
         self.op == CmpOp::Eq
     }
 

@@ -22,17 +22,6 @@ pub struct FrameBuf {
 }
 
 impl FrameBuf {
-    /// Wraps an owned vector as a single frame (used at copy boundaries
-    /// and in tests).
-    pub fn from_vec(v: Vec<u8>) -> FrameBuf {
-        let end = v.len();
-        FrameBuf {
-            buf: Arc::new(v),
-            start: 0,
-            end,
-        }
-    }
-
     /// A sub-view starting `offset` bytes into this one. Panics if
     /// `offset > len`.
     pub fn slice(&self, offset: usize) -> FrameBuf {
@@ -185,7 +174,11 @@ mod tests {
 
     #[test]
     fn slice_views_share_storage() {
-        let fb = FrameBuf::from_vec(vec![1, 2, 3, 4, 5]);
+        let fb = FrameBuf {
+            buf: Arc::new(vec![1, 2, 3, 4, 5]),
+            start: 0,
+            end: 5,
+        };
         let tail = fb.slice(2);
         assert_eq!(&*tail, &[3, 4, 5]);
         assert_eq!(&*fb, &[1, 2, 3, 4, 5]);

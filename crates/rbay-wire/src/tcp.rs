@@ -288,11 +288,6 @@ impl TcpBus {
         Ok((bus, rx))
     }
 
-    /// The overlay address this bus announces in its hello.
-    pub fn my_addr(&self) -> NodeAddr {
-        self.inner.my_addr
-    }
-
     /// The socket address actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.local_addr

@@ -42,7 +42,7 @@ impl Footprint {
 
     /// Whether the two footprints share a node (the choices are
     /// *dependent* — their order can matter).
-    pub fn intersects(&self, other: &Footprint) -> bool {
+    fn intersects(&self, other: &Footprint) -> bool {
         self.0 == other.0 || self.0 == other.1 || self.1 == other.0 || self.1 == other.1
     }
 }

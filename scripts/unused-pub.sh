@@ -1,10 +1,10 @@
 #!/bin/sh
 # Every `pub fn` under crates/*/src (vendored rand/proptest/epoll-shim left
 # out) whose name appears in no other tracked file of crates/ src/ tests/
-# examples/ bench/src/: candidates for losing their `pub`, or going altogether.
-# A name match is textual, so trait methods and names reused elsewhere are
-# false positives either way; the list is a prompt, not a verdict. One row per
-# name: the name, then everywhere it is declared.
+# examples/ bench/src/: it should lose its `pub`, or go altogether. One row per
+# name: the name, then everywhere it is declared. Exits 1 when it prints a row.
+# A name match is textual, so a name reused elsewhere hides a row; a trait
+# method implemented with `pub fn` would show one.
 # usage: scripts/unused-pub.sh
 set -eu
 cd "$(git rev-parse --show-toplevel)"
@@ -26,5 +26,6 @@ git grep -n -I -e '' -- crates src tests examples bench/src | awk '{
         else if (home[w] != path) shared[w] = 1
     }
 } END {
-    for (i = 1; i <= names; i++) if (!(order[i] in shared)) print order[i] sites[order[i]]
+    for (i = 1; i <= names; i++) if (!(order[i] in shared)) { print order[i] sites[order[i]]; rows++ }
+    exit rows > 0
 }'
