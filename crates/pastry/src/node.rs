@@ -255,7 +255,10 @@ impl PastryNode {
     }
 
     /// Approximate memory used by routing state, in bytes (Fig. 8c
-    /// accounting).
+    /// accounting): the entries of both routing tables and both leaf sets
+    /// times `size_of::<NodeInfo>()`. It counts what the node knows, not
+    /// what the allocator holds: empty slots of an allocated routing-table
+    /// row and spare vector capacity are left out.
     pub fn state_bytes(&self) -> usize {
         let info = std::mem::size_of::<NodeInfo>();
         (self.rt.len() + self.site_rt.len() + self.leaf.len() + self.site_leaf.len()) * info
@@ -517,8 +520,9 @@ impl PastryNode {
                         key: key.as_u128(),
                         hops,
                     });
+                    let hops = hops.saturating_add(1);
                     if let Some(payload) = app.forward(self, net, key, payload, &next) {
-                        self.send_routed(net, next.addr, key, payload, hops + 1, scope);
+                        self.send_routed(net, next.addr, key, payload, hops, scope);
                     }
                 }
             },
@@ -557,7 +561,7 @@ impl PastryNode {
                             PastryMsg::Join {
                                 joiner,
                                 rows,
-                                hops: hops + 1,
+                                hops: hops.saturating_add(1),
                             },
                         );
                     }
@@ -888,6 +892,27 @@ mod tests {
             },
         );
         assert!(fresh.known_peers().iter().any(|p| p.addr == peer.addr));
+    }
+
+    /// A row index is one byte from whoever sent the frame, and a table has
+    /// 32 rows: a request for any other row is answered, with nothing.
+    #[test]
+    fn row_request_past_the_last_row_gets_an_empty_reply() {
+        let mut node = PastryNode::new(info(100, 0, 0));
+        let (mut net, mut app) = (RecNet::default(), RecApp::default());
+        node.insert_peer(&net, info(0x1000_0000_0000_0000_0000_0000_0000_0000, 1, 0));
+        node.on_message(
+            &mut net,
+            &mut app,
+            NodeAddr(9),
+            PastryMsg::RowRequest { row: 200 },
+        );
+        let (to, msg) = net.sent.pop_front().expect("a reply");
+        assert_eq!(to, NodeAddr(9));
+        let PastryMsg::RowReply { row: 200, entries } = msg else {
+            panic!("expected RowReply for row 200, got {msg:?}");
+        };
+        assert!(entries.is_empty());
     }
 
     #[test]

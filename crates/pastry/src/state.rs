@@ -1,6 +1,6 @@
 //! Per-node Pastry routing state: the routing table and the leaf set.
 
-use crate::id::{NodeId, DIGIT_BASE, ID_DIGITS};
+use crate::id::{NodeId, DIGIT_BASE};
 use simnet::{NodeAddr, SiteId};
 
 /// Everything a node knows about a peer: ring id, transport address, and the
@@ -187,11 +187,16 @@ impl LeafSet {
     }
 }
 
+/// A routing-table row with no entries.
+const EMPTY_ROW: [Option<NodeInfo>; DIGIT_BASE] = [None; DIGIT_BASE];
+
 /// The prefix-routing table: up to 32 rows (one per matched-prefix length)
 /// of 16 columns (one per next digit).
 ///
 /// `rows[l][d]` holds a node whose id shares the first `l` digits with this
-/// node's id and whose `(l+1)`-th digit is `d`.
+/// node's id and whose `(l+1)`-th digit is `d`. Only about ⌈log₁₆ N⌉ rows
+/// ever fill in an N-node overlay, so rows are allocated up to the deepest
+/// one an entry has landed in; a row past that reads as empty.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     self_id: NodeId,
@@ -203,7 +208,7 @@ impl RoutingTable {
     pub fn new(self_id: NodeId) -> Self {
         RoutingTable {
             self_id,
-            rows: vec![[None; DIGIT_BASE]; ID_DIGITS],
+            rows: Vec::new(),
         }
     }
 
@@ -228,16 +233,16 @@ impl RoutingTable {
         let Some((row, col)) = self.slot(info.id) else {
             return false;
         };
-        match &self.rows[row][col] {
-            None => {
-                self.rows[row][col] = Some(info);
+        if self.rows.len() <= row {
+            self.rows.resize(row + 1, EMPTY_ROW);
+        }
+        let slot = &mut self.rows[row][col];
+        match slot {
+            Some(cur) if cur.id == info.id || !prefer(cur, &info) => false,
+            _ => {
+                *slot = Some(info);
                 true
             }
-            Some(cur) if cur.id != info.id && prefer(cur, &info) => {
-                self.rows[row][col] = Some(info);
-                true
-            }
-            _ => false,
         }
     }
 
@@ -254,10 +259,7 @@ impl RoutingTable {
     /// The natural next hop for `key`: the entry sharing one more digit.
     pub fn next_hop(&self, key: NodeId) -> Option<&NodeInfo> {
         let row = self.self_id.common_prefix_len(key);
-        if row >= ID_DIGITS {
-            return None;
-        }
-        self.rows[row][key.digit(row)].as_ref()
+        self.rows.get(row)?[key.digit(row)].as_ref()
     }
 
     /// Removes all entries with address `addr`. Returns the `(row, col)`
@@ -282,12 +284,9 @@ impl RoutingTable {
 
     /// One full row (16 slots), used by the join protocol: the `l`-th row of
     /// a node sharing `l` digits with the joiner seeds the joiner's row `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= 32`.
+    /// A row never filled — any `row >= 32` among them — is all `None`.
     pub fn row(&self, row: usize) -> &[Option<NodeInfo>; DIGIT_BASE] {
-        &self.rows[row]
+        self.rows.get(row).unwrap_or(&EMPTY_ROW)
     }
 
     /// Number of populated entries.
@@ -442,5 +441,122 @@ mod tests {
         let mut rt = RoutingTable::new(NodeId(7));
         assert!(!rt.insert(info(7)));
         assert!(rt.is_empty());
+    }
+
+    #[test]
+    fn routing_table_rows_past_the_last_filled_read_as_empty() {
+        let mut rt = RoutingTable::new(NodeId(0));
+        assert!(rt.insert(info(0x00F0_0000_0000_0000_0000_0000_0000_0000)));
+        for r in [0, 1, 3, 31, 32, 255, usize::MAX] {
+            assert_eq!(rt.row(r), &[None; DIGIT_BASE], "row {r}");
+        }
+        assert_eq!(rt.row(2).iter().flatten().count(), 1);
+        assert!(rt
+            .next_hop(NodeId(0x0000_0000_0000_0000_0000_0000_0000_0001))
+            .is_none());
+        assert!(rt.next_hop(NodeId(0)).is_none(), "self");
+    }
+
+    /// The routing table as it was before rows were allocated on demand:
+    /// all 32 × 16 slots from birth. [`RoutingTable`] must be
+    /// indistinguishable from it.
+    struct DenseTable {
+        me: NodeId,
+        rows: [[Option<NodeInfo>; DIGIT_BASE]; crate::ID_DIGITS],
+    }
+
+    impl DenseTable {
+        fn insert_with(
+            &mut self,
+            info: NodeInfo,
+            prefer: fn(&NodeInfo, &NodeInfo) -> bool,
+        ) -> bool {
+            if info.id == self.me {
+                return false;
+            }
+            let row = self.me.common_prefix_len(info.id);
+            let slot = &mut self.rows[row][info.id.digit(row)];
+            match slot {
+                None => *slot = Some(info),
+                Some(cur) if cur.id != info.id && prefer(cur, &info) => *slot = Some(info),
+                _ => return false,
+            }
+            true
+        }
+
+        fn remove(&mut self, addr: NodeAddr) -> Vec<(usize, usize)> {
+            let mut vacated = Vec::new();
+            for (r, row) in self.rows.iter_mut().enumerate() {
+                for (c, slot) in row.iter_mut().enumerate() {
+                    if slot.is_some_and(|e| e.addr == addr) {
+                        *slot = None;
+                        vacated.push((r, c));
+                    }
+                }
+            }
+            vacated
+        }
+
+        fn next_hop(&self, key: NodeId) -> Option<NodeInfo> {
+            let row = self.me.common_prefix_len(key);
+            self.rows.get(row).and_then(|r| r[key.digit(row)])
+        }
+
+        fn row(&self, row: usize) -> [Option<NodeInfo>; DIGIT_BASE] {
+            self.rows.get(row).copied().unwrap_or([None; DIGIT_BASE])
+        }
+
+        fn entries(&self) -> Vec<NodeInfo> {
+            self.rows.iter().flatten().flatten().copied().collect()
+        }
+    }
+
+    /// An id sharing at least `digits` leading digits with `me` (all 32:
+    /// `me` itself), the rest drawn from `noise`.
+    fn near(me: NodeId, digits: usize, noise: u128) -> NodeId {
+        NodeId(me.0 ^ noise.checked_shr(4 * digits as u32).unwrap_or(0))
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random `insert` / `insert_with` / `remove` runs: after every
+        /// step the on-demand table answers `next_hop`, `row` (every index
+        /// a `u8` can name), `entries` and `len` exactly as the dense one.
+        /// Ids come from a few noise values so that one id recurs under
+        /// another address or site.
+        #[test]
+        fn routing_table_matches_the_dense_table(
+            me in any::<u128>(),
+            noises in vec(any::<u128>(), 1..5),
+            ops in vec((0u8..3, 0usize..33, 0usize..5, 0u32..6, 0u16..3), 0..48),
+            keys in vec((0usize..33, any::<u128>()), 1..6),
+        ) {
+            let me = NodeId(me);
+            let mut rt = RoutingTable::new(me);
+            let mut dense = DenseTable { me, rows: [[None; DIGIT_BASE]; crate::ID_DIGITS] };
+            let prefer: fn(&NodeInfo, &NodeInfo) -> bool = |cur, cand| cand.site.0 < cur.site.0;
+            for (kind, digits, noise, addr, site) in ops {
+                let id = near(me, digits, noises[noise % noises.len()]);
+                let e = NodeInfo { id, addr: NodeAddr(addr), site: SiteId(site) };
+                match kind {
+                    0 => prop_assert_eq!(rt.insert(e), dense.insert_with(e, |_, _| false)),
+                    1 => prop_assert_eq!(rt.insert_with(e, prefer), dense.insert_with(e, prefer)),
+                    _ => prop_assert_eq!(rt.remove(e.addr), dense.remove(e.addr)),
+                }
+                for &(digits, noise) in &keys {
+                    let key = near(me, digits, noise);
+                    prop_assert_eq!(rt.next_hop(key).copied(), dense.next_hop(key));
+                }
+                for r in 0..=usize::from(u8::MAX) {
+                    prop_assert_eq!((r, rt.row(r)), (r, &dense.row(r)));
+                }
+                prop_assert_eq!(rt.entries().copied().collect::<Vec<_>>(), dense.entries());
+                prop_assert_eq!(rt.len(), dense.entries().len());
+            }
+        }
     }
 }
