@@ -538,21 +538,22 @@ fn graceful_leave(pack: &mut Pack, sink: &mut TcpBus, bus: &TcpBus, index: u32) 
 }
 
 /// Sends [`CtrlMsg::QueryDone`] for every pending query whose record has
-/// completed, dropping it from the wait list.
+/// completed, and [`CtrlMsg::Err`] for one whose record is gone, dropping
+/// it from the wait list.
 fn answer_finished_queries(pack: &mut Pack, bus: &TcpBus, pending: &mut Vec<(u32, QueryId, u64)>) {
     pending.retain(|&(slot, id, conn)| {
-        let Some(rec) = pack.member(slot).host.queries.get(&id) else {
-            return false;
+        let answer = match pack.member(slot).host.queries.get(&id) {
+            None => CtrlMsg::Err {
+                msg: format!("query {id} has no record"),
+            },
+            Some(rec) if rec.completed_at.is_none() => return true,
+            Some(rec) => CtrlMsg::QueryDone {
+                satisfied: rec.satisfied,
+                results: rec.result.clone(),
+                unknown_sites: rec.unknown_sites.clone(),
+            },
         };
-        if rec.completed_at.is_none() {
-            return true;
-        }
-        let done = CtrlMsg::QueryDone {
-            satisfied: rec.satisfied,
-            results: rec.result.clone(),
-            unknown_sites: rec.unknown_sites.clone(),
-        };
-        if let Err(e) = bus.send_ctrl(conn, &encode_frame(&done)) {
+        if let Err(e) = bus.send_ctrl(conn, &encode_frame(&answer)) {
             eprintln!("rbay-node: query answer failed: {e}");
         }
         false

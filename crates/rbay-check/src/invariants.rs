@@ -180,7 +180,9 @@ pub enum Violation {
         expected: u64,
     },
     /// An issued query whose origin is alive never completed (the
-    /// ROADMAP-1 reflex: queries silently lost mid-repair).
+    /// ROADMAP-1 reflex: queries silently lost mid-repair). A record its
+    /// origin retired counts as completed, and gets neither the
+    /// `unsatisfied-query` nor the `unheld-result` check.
     LostQuery {
         /// The issuing node.
         origin: NodeAddr,
@@ -442,7 +444,7 @@ pub fn copy_owes_answer(fed: &Federation) -> Option<Violation> {
 
 /// `site-probe-bounded`: no live node keeps a query's site probe step
 /// older than the query timeout, nor one for a query it issued and has
-/// completed. The querier's own-site entry leaves with its site's last
+/// completed (or retired: [`rbay_core::RbayHost::retired`]). The querier's own-site entry leaves with its site's last
 /// answer or its query's completion, and a retry's entry replaces it;
 /// any entry past the timeout goes when the node adds the next one. (A
 /// border router whose answers were lost keeps its entry until then;
@@ -456,10 +458,11 @@ pub fn site_probe_bounded(fed: &Federation) -> Option<Violation> {
     for holder in live_nodes(fed) {
         let host = &fed.node(holder).host;
         for (id, since) in host.site_probes() {
-            let completed = host
-                .queries
-                .get(&id)
-                .is_some_and(|r| r.completed_at.is_some());
+            let completed = host.retired(id)
+                || host
+                    .queries
+                    .get(&id)
+                    .is_some_and(|r| r.completed_at.is_some());
             if completed || now.saturating_since(since) > bound {
                 return Some(Violation::SiteProbeBounded {
                     holder,
@@ -701,12 +704,18 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
 
     // No committed query lost: a query whose origin is still alive must
     // have completed (retries are bounded, so quiescence ⇒ completion).
+    // Only a completed record is retired, so a retired one counts as
+    // completed; with its record gone it no longer gets the
+    // `unsatisfied-query` and `unheld-result` checks below. The latter
+    // only bites with commits on, and every shipped scenario runs with
+    // commits off.
     for (origin, id) in fed.issued_queries() {
         if !live(fed, origin) {
             continue;
         }
         let seq = id.seq();
         match fed.query_record(origin, id) {
+            None if fed.node(origin).host.retired(id) => {}
             None => return Some(Violation::LostQuery { origin, seq }),
             Some(rec) => {
                 if rec.completed_at.is_none() {

@@ -100,8 +100,12 @@ impl RbayHost {
 
     /// Issues a query from this node. Returns its id.
     /// Results arrive asynchronously; read them from
-    /// [`RbayHost::queries`] after the simulation settles.
+    /// [`RbayHost::queries`] after the simulation settles. A record can
+    /// be read from issue until this node's first issue more than
+    /// `query_timeout` after the query completed: that issue retires it,
+    /// with its `QueryDone` event ([`RbayHost::retired`]). No timer.
     pub fn issue_query(&mut self, query: Query, password: Option<String>) -> QueryId {
+        self.retire_finished();
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = QueryId::new(self.addr, seq);
@@ -138,6 +142,45 @@ impl RbayHost {
         id
     }
 
+    /// Drops the oldest records while each completed more than
+    /// `query_timeout` ago, stopping at the first still open or too
+    /// recent, and the `QueryDone` events of those it dropped. A host
+    /// holds only its own queries, keyed by origin then seq, so key order
+    /// is issue order.
+    fn retire_finished(&mut self) {
+        let (now, horizon) = (self.now, self.cfg.query_timeout);
+        let mut any = false;
+        while let Some(oldest) = self.queries.first_entry() {
+            match oldest.get().completed_at {
+                Some(done) if now.saturating_since(done) > horizon => {
+                    oldest.remove();
+                    any = true;
+                }
+                _ => break,
+            }
+        }
+        if any {
+            let kept_from = self.first_kept_seq();
+            self.events.retain(|e| {
+                !matches!(e, RbayEvent::QueryDone { query_id, .. } if query_id.seq() < kept_from)
+            });
+        }
+    }
+
+    /// The seq of this node's oldest record still kept, or the next seq
+    /// when none is.
+    fn first_kept_seq(&self) -> u32 {
+        self.queries
+            .first_key_value()
+            .map_or(self.next_seq, |(id, _)| id.seq())
+    }
+
+    /// Whether `id` is a query this node issued whose record it has
+    /// retired: every seq below the first record it still keeps.
+    pub fn retired(&self, id: QueryId) -> bool {
+        id.origin() == self.addr && id.seq() < self.first_kept_seq()
+    }
+
     /// Where a query enters `site` on the given attempt: this node for its
     /// own site — the querier is its own site's gateway — and the border
     /// router [`RbayHost::gateway_for`] picks otherwise.
@@ -154,15 +197,19 @@ impl RbayHost {
     /// a second sighting of a candidate the query still counts — found by
     /// the running attempt, or committed by a satisfied query — is the
     /// same reservation, and releasing it would free a node the querier
-    /// reports as taken.
+    /// reports as taken. A retired query's held set went with its record:
+    /// with commits off it held nothing, so every slot is released; with
+    /// commits on none is, and the reservations lapse at their TTL, since
+    /// a `Release` could free a node the query committed.
     fn give_back(&mut self, query_id: QueryId, slots: &[Candidate]) {
-        let Some(rec) = self.queries.get(&query_id) else {
-            return;
-        };
-        let held: &[Candidate] = match rec.completed_at {
-            None => &rec.pending.found,
-            Some(_) if rec.satisfied && self.cfg.commit_results => &rec.result,
-            Some(_) => &[],
+        let held: &[Candidate] = match self.queries.get(&query_id) {
+            Some(rec) => match rec.completed_at {
+                None => &rec.pending.found,
+                Some(_) if rec.satisfied && self.cfg.commit_results => &rec.result,
+                Some(_) => &[],
+            },
+            None if self.retired(query_id) && !self.cfg.commit_results => &[],
+            None => return,
         };
         for c in slots {
             if !held.iter().any(|h| h.addr == c.addr) {
@@ -309,14 +356,15 @@ impl RbayHost {
         site: SiteId,
         slots: Vec<Candidate>,
     ) {
+        // Only one reply per site per attempt counts. A late one (the
+        // query finished, moved on, or was retired) or a second one
+        // (re-anycast: a retried walk can be answered by both the old
+        // root's in-flight search and the promoted replica root) is given
+        // back, so it neither leaks slots nor double-counts in recall.
         let Some(rec) = self.queries.get_mut(&query_id) else {
+            self.give_back(query_id, &slots);
             return;
         };
-        // Only one reply per site per attempt counts. A late one (the
-        // query finished or moved on) or a second one (re-anycast: a
-        // retried walk can be answered by both the old root's in-flight
-        // search and the promoted replica root) is given back, so it
-        // neither leaks slots nor double-counts in recall.
         if rec.completed_at.is_some() || !rec.pending.searches.contains(&site) {
             self.give_back(query_id, &slots);
             return;
@@ -1053,6 +1101,106 @@ mod tests {
         enter(&mut gw, 3);
         let left: Vec<u32> = gw.site_probes().map(|(id, _)| id.seq()).collect();
         assert_eq!(left, vec![2, 3]);
+    }
+
+    /// A query the host completes at once: its one site answers `slots`.
+    fn issue_answered(h: &mut RbayHost, slots: Vec<Candidate>) -> QueryId {
+        let id = h.issue_query(parse_query("SELECT 1 FROM * WHERE a = 1").unwrap(), None);
+        h.record_probe(id, 0, Some(3), true);
+        h.record_site_result(id, SiteId(0), slots);
+        drain_ops(h);
+        id
+    }
+
+    fn query_dones(h: &RbayHost) -> Vec<QueryId> {
+        h.events
+            .iter()
+            .filter_map(|e| match e {
+                RbayEvent::QueryDone { query_id, .. } => Some(*query_id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A completed record stays until the origin's first issue more than
+    /// the query timeout after completion, and leaves with its
+    /// `QueryDone`; other events stay.
+    #[test]
+    fn a_completed_record_leaves_at_the_first_issue_past_the_timeout() {
+        let mut h = host_with_sites(1);
+        let admin = RbayEvent::AdminDelivered {
+            cmd_id: 9,
+            issued_at: SimTime::ZERO,
+            delivered_at: SimTime::ZERO,
+        };
+        h.events.push(admin.clone());
+        let first = issue_answered(&mut h, vec![cand(1, None)]);
+        assert!(h.queries[&first].completed_at.is_some());
+        h.now = SimTime::ZERO + h.cfg.query_timeout;
+        let second = issue_answered(&mut h, vec![cand(2, None)]);
+        assert!(h.queries.contains_key(&first), "at the timeout: kept");
+        assert_eq!(query_dones(&h), vec![first, second]);
+        h.now += SimDuration::from_millis(1);
+        let third = issue_answered(&mut h, vec![cand(3, None)]);
+        assert_eq!(
+            h.queries.keys().copied().collect::<Vec<_>>(),
+            vec![second, third]
+        );
+        assert!(h.retired(first) && !h.retired(second) && !h.retired(third));
+        assert!(!h.retired(QueryId::new(NodeAddr(5), 0)), "not its query");
+        assert_eq!(query_dones(&h), vec![second, third]);
+        assert_eq!(h.events[0], admin);
+    }
+
+    /// The oldest record still open stops the pops, however old the
+    /// completed ones behind it are.
+    #[test]
+    fn a_record_in_backoff_stops_the_pops() {
+        let mut h = host_with_sites(1);
+        let open = h.issue_query(parse_query("SELECT 1 FROM * WHERE nope = 1").unwrap(), None);
+        h.record_probe(open, 0, None, false);
+        assert!(h.queries[&open].completed_at.is_none(), "in backoff");
+        let done = issue_answered(&mut h, vec![cand(1, None)]);
+        h.now = SimTime::ZERO + h.cfg.query_timeout.saturating_mul(3);
+        issue_answered(&mut h, vec![cand(2, None)]);
+        assert!(h.queries.contains_key(&open) && h.queries.contains_key(&done));
+        assert!(!h.retired(done));
+        assert_eq!(query_dones(&h).len(), 2);
+    }
+
+    /// A late `SearchEcho` for a retired query: with commits off every
+    /// slot is released, as for a completed record; with commits on none
+    /// is, since the held set went with the record.
+    #[test]
+    fn a_late_echo_for_a_retired_query_releases_by_the_commit_mode() {
+        for commit_results in [false, true] {
+            let mut h = RbayHost::new(
+                Rc::new(RbayConfig {
+                    commit_results,
+                    ..RbayConfig::default()
+                }),
+                NodeId(1),
+                NodeAddr(0),
+                SiteId(0),
+                SharedSandbox::new(),
+                vec![vec![NodeAddr(0)]],
+                vec!["site0".into()],
+            );
+            let old = issue_answered(&mut h, vec![cand(1, None)]);
+            h.now = SimTime::ZERO + h.cfg.query_timeout + SimDuration::from_millis(1);
+            issue_answered(&mut h, vec![cand(2, None)]);
+            assert!(h.retired(old));
+            let echo = RbayPayload::SearchEcho {
+                query_id: old,
+                site: SiteId(0),
+                slots: vec![cand(1, None), cand(3, None)],
+                satisfied: true,
+            };
+            h.on_direct(NodeAddr(10), echo);
+            let released = settled(&drain_ops(&mut h)).1;
+            let want = if commit_results { vec![] } else { vec![1, 3] };
+            assert_eq!(released, want, "commit_results: {commit_results}");
+        }
     }
 
     /// A repeated anchor names one tree, and one tree is probed once.

@@ -481,14 +481,17 @@ impl Federation {
         self.sim.run_until(deadline);
     }
 
-    /// The query record kept by the issuing node.
+    /// The query record kept by the issuing node: `None` once `node`
+    /// has retired it, at its first issue more than `query_timeout` after
+    /// the query completed ([`RbayHost::retired`](crate::RbayHost::retired)).
     pub fn query_record(&self, node: NodeAddr, id: QueryId) -> Option<&QueryRecord> {
         self.sim.actor(node).host.queries.get(&id)
     }
 
     /// Every query id issued through the federation API, in issue order
-    /// per node. The committed-query oracle walks this list: a query
-    /// whose origin is still alive must eventually complete.
+    /// per node, retired ones included: [`Federation::query_record`] is
+    /// `None` for those. The committed-query oracle walks this list: a
+    /// query whose origin is still alive must eventually complete.
     pub fn issued_queries(&self) -> Vec<(NodeAddr, QueryId)> {
         self.issued
             .iter()

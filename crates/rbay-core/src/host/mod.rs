@@ -157,7 +157,9 @@ pub struct RbayHost {
     pub reservation: Option<(QueryId, SimTime)>,
     /// Queries whose reservations were committed on this node.
     pub committed: Vec<QueryId>,
-    /// Queries issued by this node.
+    /// Queries issued by this node, in issue order. A record stays from
+    /// issue until this node's first issue more than `query_timeout` after
+    /// it completed, which retires it ([`RbayHost::issue_query`]).
     pub queries: BTreeMap<QueryId, QueryRecord>,
     /// Local sequence for query ids.
     pub next_seq: u32,
@@ -172,7 +174,8 @@ pub struct RbayHost {
     pub dynamic_trees: Vec<String>,
     /// Hybrid naming links (minor attribute → major tree, §III.C).
     pub naming: HybridNaming,
-    /// Timestamped events for the measurement harnesses.
+    /// Timestamped events for the measurement harnesses. A `QueryDone`
+    /// leaves with its query's record; the other events stay.
     pub events: Vec<RbayEvent>,
     /// Join-request times awaiting their JoinAck (Fig. 11).
     pub sub_requested: BTreeMap<TopicId, SimTime>,

@@ -113,6 +113,67 @@ fn no_site_probe_step_outlives_its_answers() {
     assert!(kept.is_empty(), "probe steps kept at {kept:?}");
 }
 
+/// An issuer forgets a finished query at its first issue more than
+/// `query_timeout` after completion. Over 2,000 composite queries 2.5 s
+/// apart from 32 rotating origins, the federation never keeps more than
+/// two records plus `QueryDone` events per origin.
+#[test]
+fn finished_queries_are_forgotten_by_their_issuers() {
+    let cfg = rbay_core::RbayConfig {
+        commit_results: false,
+        ..rbay_core::RbayConfig::default()
+    };
+    let mut fed = Federation::with_config(Topology::aws_ec2_8_sites(12), 5, cfg);
+    let topo = fed.sim().topology().clone();
+    for s in 0..8u16 {
+        for (i, n) in topo.nodes_of_site(SiteId(s)).into_iter().enumerate() {
+            fed.post_resource(n, "instance", AttrValue::str(format!("m{}", i % 3)));
+            fed.update_attr(n, "CPU_utilization", AttrValue::Num((i * 7) as f64));
+        }
+    }
+    fed.settle();
+    maintain(&mut fed, 4);
+
+    let origins: Vec<NodeAddr> = (0..8u16)
+        .flat_map(|s| topo.nodes_of_site(SiteId(s))[4..8].to_vec())
+        .collect();
+    let kept = |fed: &Federation| -> usize {
+        (0..topo.node_count() as u32)
+            .map(|n| {
+                let host = &fed.node(NodeAddr(n)).host;
+                let dones = host.events.iter();
+                let dones = dones.filter(|e| matches!(e, RbayEvent::QueryDone { .. }));
+                host.queries.len() + dones.count()
+            })
+            .sum()
+    };
+    let mut peak = 0;
+    for i in 0..2_000usize {
+        let origin = origins[i % origins.len()];
+        let home = topo.site_of(origin).0 as usize;
+        let sites: Vec<String> = (0..1 + i % 8)
+            .map(|j| format!("{:?}", topo.site(SiteId(((home + j) % 8) as u16)).name))
+            .collect();
+        let k = if i % 2 == 0 { 1 } else { 3 };
+        let text = format!(
+            "SELECT {k} FROM {} WHERE instance = \"m{}\" AND CPU_utilization < 90",
+            sites.join(", "),
+            i % 3
+        );
+        let q = fed.issue_query(origin, &text, None).unwrap();
+        fed.settle();
+        assert!(fed.query_record(origin, q).unwrap().satisfied, "{text}");
+        peak = peak.max(kept(&fed));
+        let next = fed.sim().now() + SimDuration::from_millis(2_500);
+        fed.run_until(next);
+    }
+    assert!(
+        peak <= 2 * origins.len(),
+        "{peak} records and QueryDone events kept for {} origins",
+        origins.len()
+    );
+}
+
 #[test]
 fn from_clause_restricts_sites() {
     let mut fed = Federation::new(Topology::aws_ec2_8_sites(10), 4);
