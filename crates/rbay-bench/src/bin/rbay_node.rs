@@ -428,7 +428,7 @@ fn on_ctrl(
                 known_peers: node.pastry.known_peers().len() as u32,
                 topics: node.scribe.topics().count() as u32,
                 attached,
-                committed: node.host.committed.len() as u32,
+                committed: node.host.commits as u32,
             });
         }
         CtrlMsg::ProcStatus => {
@@ -448,7 +448,7 @@ fn on_ctrl(
                     attached_members += 1;
                 }
                 topics += node.scribe.topics().count() as u32;
-                committed += node.host.committed.len() as u32;
+                committed += node.host.commits as u32;
                 min_known_peers = min_known_peers.min(node.pastry.known_peers().len() as u32);
                 if let Some(fd) = &node.host.frontdoor {
                     frontdoor.merge(&fd.stats);

@@ -22,7 +22,7 @@
 //! protocol, not the harness.
 
 use crate::runner::WINDOW;
-use rbay_core::{Federation, SLOW_PROBE_PERIOD};
+use rbay_core::{Federation, Hold, SLOW_PROBE_PERIOD};
 use scribe::TopicId;
 use simnet::{NodeAddr, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
@@ -198,9 +198,11 @@ pub enum Violation {
         seq: u32,
     },
     /// A query reported `satisfied` whose result is not `k` distinct
-    /// candidates, or — with commits on — names a live candidate that
-    /// never committed it or no longer holds its reservation (the ledger
-    /// says taken, the node is free).
+    /// candidates, or — with commits on — names a live candidate whose
+    /// one hold is not `Hold::Committed` by it (the ledger says taken, the
+    /// node is free or another query's). A node holds one query at a time,
+    /// so this is also `no-double-commit`: two satisfied queries naming
+    /// one node cannot both pass.
     UnheldResult {
         /// The issuing node.
         origin: NodeAddr,
@@ -707,8 +709,7 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
     // Only a completed record is retired, so a retired one counts as
     // completed; with its record gone it no longer gets the
     // `unsatisfied-query` and `unheld-result` checks below. The latter
-    // only bites with commits on, and every shipped scenario runs with
-    // commits off.
+    // only bites with commits on, as in `root-crash-mid-query`.
     for (origin, id) in fed.issued_queries() {
         if !live(fed, origin) {
             continue;
@@ -726,14 +727,11 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
                     return Some(Violation::UnsatisfiedQuery { origin, seq });
                 }
                 // Satisfied means held: exactly k distinct nodes, each (if
-                // alive, with commits on) committed to the query and still
-                // reserved for it.
+                // alive, with commits on) committed to the query.
                 let k = rec.query.k as usize;
                 let nodes: BTreeSet<NodeAddr> = rec.result.iter().map(|c| c.addr).collect();
-                let held = |n: &NodeAddr| {
-                    let host = &fed.node(*n).host;
-                    host.committed.contains(&id) && host.reservation.is_some_and(|(by, _)| by == id)
-                };
+                let held =
+                    |n: &NodeAddr| fed.node(*n).host.hold == Some(Hold::Committed { by: id });
                 if rec.satisfied
                     && (rec.result.len() != k
                         || nodes.len() != k

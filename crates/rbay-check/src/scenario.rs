@@ -42,7 +42,8 @@ pub enum ScenarioKind {
     SubscribeFailRepair,
     /// The same window with the tree's root crashed the instant the query
     /// is issued: its probe meets the corpse, and only the re-route at the
-    /// root's declaration answers it before the query timeout.
+    /// root's declaration answers it before the query timeout. Commits are
+    /// on, so the answered query must leave its holder committed to it.
     RootCrashMidQuery,
 }
 
@@ -156,13 +157,14 @@ impl CheckSpec {
 
     /// Builds the scenario to the explored window's start: federation
     /// settled, exploration enabled, maintenance + query scheduled, fault
-    /// budget resolved.
+    /// budget resolved. The kind decides whether the query commits.
     pub fn prepare(&self) -> Prepared {
-        let mut fed = Federation::with_config(
-            Topology::single_site(self.nodes, 0.5),
-            self.seed,
-            checked_config(),
-        );
+        let cfg = RbayConfig {
+            commit_results: self.kind == ScenarioKind::RootCrashMidQuery,
+            ..checked_config()
+        };
+        let mut fed =
+            Federation::with_config(Topology::single_site(self.nodes, 0.5), self.seed, cfg);
         let topic = fed.node(NodeAddr(0)).host.tree_topic("GPU=true", SiteId(0));
         // Node 0 is the querier (never crashed); everyone else holds the
         // resource and subscribes to the tree.

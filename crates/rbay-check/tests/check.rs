@@ -203,10 +203,10 @@ fn ten_thousand_distinct_interleavings_within_60s() {
     assert!(report.elapsed < Duration::from_secs(60));
 }
 
-/// `unheld-result`, the half the commit-less scenarios cannot reach: with
-/// commits on, a query satisfied at its timeout (the remote site's border
-/// routers are all down; the local holder is enough for `k`) must leave
-/// its holder committed and reserved.
+/// `unheld-result` off the explored windows: with commits on, a query
+/// satisfied at its timeout (the remote site's border routers are all
+/// down; the local holder is enough for `k`) must leave its holder
+/// committed to it.
 #[test]
 fn a_query_satisfied_at_its_timeout_holds_its_result() {
     use rbay_check::invariants::{check_quiescent, InvariantCtx};
@@ -241,6 +241,56 @@ fn a_query_satisfied_at_its_timeout_holds_its_result() {
     let topic = fed.node(holder).host.tree_topic("GPU=true", SiteId(0));
     let violation = check_quiescent(&fed, &InvariantCtx::new(topic, vec![holder]));
     assert!(violation.is_none(), "{}", violation.unwrap());
+}
+
+/// Contention with commits on: two issuers race for the one matching node
+/// with `k = 1`. The winner holds it committed, the loser gives up, and
+/// the run is clean. A node committed to the loser instead — what a double
+/// grant would leave — is `unheld-result` for the winner.
+#[test]
+fn a_node_committed_to_the_losing_query_is_an_unheld_result() {
+    use rbay_check::invariants::{check_quiescent, InvariantCtx};
+    use rbay_check::Violation;
+    use rbay_core::{Federation, Hold};
+    use rbay_query::AttrValue;
+    use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+
+    let mut fed = Federation::new(Topology::single_site(6, 0.5), 7);
+    assert!(fed.config().commit_results);
+    let holder = NodeAddr(3);
+    fed.post_resource(holder, "GPU", AttrValue::Bool(true));
+    fed.settle();
+    fed.run_maintenance(2, SimDuration::from_millis(250));
+    fed.settle();
+    let ids = [NodeAddr(1), NodeAddr(2)].map(|origin| {
+        let id = fed.issue_query(origin, "SELECT 1 FROM * WHERE GPU = true", None);
+        (origin, id.unwrap())
+    });
+    fed.settle();
+    let satisfied = |(origin, id): (NodeAddr, _)| fed.query_record(origin, id).unwrap().satisfied;
+    let [(winner, won), (_, lost)] = match ids.map(satisfied) {
+        [true, false] => ids,
+        [false, true] => [ids[1], ids[0]],
+        both => panic!("one query must win the node: {both:?}"),
+    };
+    assert_eq!(
+        fed.node(holder).host.hold,
+        Some(Hold::Committed { by: won })
+    );
+
+    let topic = fed.node(holder).host.tree_topic("GPU=true", SiteId(0));
+    let ctx = InvariantCtx::new(topic, vec![holder]);
+    let violation = check_quiescent(&fed, &ctx);
+    assert!(violation.is_none(), "{}", violation.unwrap());
+
+    fed.sim_mut().actor_mut(holder).host.hold = Some(Hold::Committed { by: lost });
+    assert_eq!(
+        check_quiescent(&fed, &ctx),
+        Some(Violation::UnheldResult {
+            origin: winner,
+            seq: won.seq()
+        })
+    );
 }
 
 /// `kept-corpse`: once the detector's budget of rounds has passed, no

@@ -13,9 +13,7 @@
 //!    Conflicts retry under truncated exponential backoff.
 
 use crate::host::{query_timer_token, Op, RbayHost, TIMER_KIND_RETRY, TIMER_KIND_TIMEOUT};
-use crate::types::{
-    Candidate, QueryId, QueryPending, QueryRecord, RbayEvent, RbayPayload, SearchState,
-};
+use crate::types::{Candidate, QueryId, QueryPending, QueryRecord, RbayPayload, SearchState};
 use rbay_query::{AttrValue, FromClause, Query, SortDir};
 use simnet::{NodeAddr, SimDuration, SimTime, SiteId};
 use std::cmp::Ordering;
@@ -102,8 +100,8 @@ impl RbayHost {
     /// Results arrive asynchronously; read them from
     /// [`RbayHost::queries`] after the simulation settles. A record can
     /// be read from issue until this node's first issue more than
-    /// `query_timeout` after the query completed: that issue retires it,
-    /// with its `QueryDone` event ([`RbayHost::retired`]). No timer.
+    /// `query_timeout` after the query completed: that issue retires it
+    /// ([`RbayHost::retired`]). No timer.
     pub fn issue_query(&mut self, query: Query, password: Option<String>) -> QueryId {
         self.retire_finished();
         let seq = self.next_seq;
@@ -144,26 +142,17 @@ impl RbayHost {
 
     /// Drops the oldest records while each completed more than
     /// `query_timeout` ago, stopping at the first still open or too
-    /// recent, and the `QueryDone` events of those it dropped. A host
-    /// holds only its own queries, keyed by origin then seq, so key order
-    /// is issue order.
+    /// recent. A host holds only its own queries, keyed by origin then
+    /// seq, so key order is issue order.
     fn retire_finished(&mut self) {
         let (now, horizon) = (self.now, self.cfg.query_timeout);
-        let mut any = false;
         while let Some(oldest) = self.queries.first_entry() {
             match oldest.get().completed_at {
                 Some(done) if now.saturating_since(done) > horizon => {
                     oldest.remove();
-                    any = true;
                 }
                 _ => break,
             }
-        }
-        if any {
-            let kept_from = self.first_kept_seq();
-            self.events.retain(|e| {
-                !matches!(e, RbayEvent::QueryDone { query_id, .. } if query_id.seq() < kept_from)
-            });
         }
     }
 
@@ -197,10 +186,9 @@ impl RbayHost {
     /// a second sighting of a candidate the query still counts — found by
     /// the running attempt, or committed by a satisfied query — is the
     /// same reservation, and releasing it would free a node the querier
-    /// reports as taken. A retired query's held set went with its record:
-    /// with commits off it held nothing, so every slot is released; with
-    /// commits on none is, and the reservations lapse at their TTL, since
-    /// a `Release` could free a node the query committed.
+    /// reports as taken. A retired query's held set went with its record,
+    /// so every slot is released: a node the query committed ignores the
+    /// `Release`, and one it only reserved is freed instead of lapsing.
     fn give_back(&mut self, query_id: QueryId, slots: &[Candidate]) {
         let held: &[Candidate] = match self.queries.get(&query_id) {
             Some(rec) => match rec.completed_at {
@@ -208,7 +196,7 @@ impl RbayHost {
                 Some(_) if rec.satisfied && self.cfg.commit_results => &rec.result,
                 Some(_) => &[],
             },
-            None if self.retired(query_id) && !self.cfg.commit_results => &[],
+            None if self.retired(query_id) => &[],
             None => return,
         };
         for c in slots {
@@ -463,12 +451,6 @@ impl RbayHost {
         rec.completed_at = Some(now);
         rec.pending = QueryPending::default();
         let satisfied = rec.satisfied;
-        self.events.push(RbayEvent::QueryDone {
-            query_id,
-            issued_at: rec.issued_at,
-            completed_at: now,
-            satisfied,
-        });
         let node = self.addr;
         let seq = query_id.seq();
         self.obs.count(node, "query_done");
@@ -520,6 +502,7 @@ impl RbayHost {
 mod tests {
     use super::*;
     use crate::host::RbayConfig;
+    use crate::types::Hold;
     use aascript::SharedSandbox;
     use pastry::NodeId;
     use rbay_query::parse_query;
@@ -883,7 +866,10 @@ mod tests {
         drain_ops(&mut h);
         // Holder 1, as the walk left it: reserved for the query.
         let mut holder = host_at(NodeAddr(1), SiteId(0), 2);
-        holder.reservation = Some((id, SimTime::from_millis(2_000)));
+        holder.hold = Some(Hold::Reserved {
+            by: id,
+            until: SimTime::from_millis(2_000),
+        });
         h.record_site_result(id, SiteId(0), vec![cand(1, None)]);
         assert_eq!(h.queries[&id].pending.found.len(), 1);
         deliver(drain_ops(&mut h), &mut holder);
@@ -906,8 +892,7 @@ mod tests {
         let ops = drain_ops(&mut h);
         assert_eq!(settled(&ops), (vec![1, 11], vec![]));
         deliver(ops, &mut holder);
-        assert_eq!(holder.committed, vec![id]);
-        assert!(holder.reservation.is_some_and(|(by, _)| by == id));
+        assert_eq!(holder.hold, Some(Hold::Committed { by: id }));
     }
 
     #[test]
@@ -1112,44 +1097,25 @@ mod tests {
         id
     }
 
-    fn query_dones(h: &RbayHost) -> Vec<QueryId> {
-        h.events
-            .iter()
-            .filter_map(|e| match e {
-                RbayEvent::QueryDone { query_id, .. } => Some(*query_id),
-                _ => None,
-            })
-            .collect()
+    fn kept(h: &RbayHost) -> Vec<QueryId> {
+        h.queries.keys().copied().collect()
     }
 
     /// A completed record stays until the origin's first issue more than
-    /// the query timeout after completion, and leaves with its
-    /// `QueryDone`; other events stay.
+    /// the query timeout after completion.
     #[test]
     fn a_completed_record_leaves_at_the_first_issue_past_the_timeout() {
         let mut h = host_with_sites(1);
-        let admin = RbayEvent::AdminDelivered {
-            cmd_id: 9,
-            issued_at: SimTime::ZERO,
-            delivered_at: SimTime::ZERO,
-        };
-        h.events.push(admin.clone());
         let first = issue_answered(&mut h, vec![cand(1, None)]);
         assert!(h.queries[&first].completed_at.is_some());
         h.now = SimTime::ZERO + h.cfg.query_timeout;
         let second = issue_answered(&mut h, vec![cand(2, None)]);
-        assert!(h.queries.contains_key(&first), "at the timeout: kept");
-        assert_eq!(query_dones(&h), vec![first, second]);
+        assert_eq!(kept(&h), vec![first, second], "at the timeout: kept");
         h.now += SimDuration::from_millis(1);
         let third = issue_answered(&mut h, vec![cand(3, None)]);
-        assert_eq!(
-            h.queries.keys().copied().collect::<Vec<_>>(),
-            vec![second, third]
-        );
+        assert_eq!(kept(&h), vec![second, third]);
         assert!(h.retired(first) && !h.retired(second) && !h.retired(third));
         assert!(!h.retired(QueryId::new(NodeAddr(5), 0)), "not its query");
-        assert_eq!(query_dones(&h), vec![second, third]);
-        assert_eq!(h.events[0], admin);
     }
 
     /// The oldest record still open stops the pops, however old the
@@ -1162,17 +1128,16 @@ mod tests {
         assert!(h.queries[&open].completed_at.is_none(), "in backoff");
         let done = issue_answered(&mut h, vec![cand(1, None)]);
         h.now = SimTime::ZERO + h.cfg.query_timeout.saturating_mul(3);
-        issue_answered(&mut h, vec![cand(2, None)]);
-        assert!(h.queries.contains_key(&open) && h.queries.contains_key(&done));
+        let last = issue_answered(&mut h, vec![cand(2, None)]);
+        assert_eq!(kept(&h), vec![open, done, last]);
         assert!(!h.retired(done));
-        assert_eq!(query_dones(&h).len(), 2);
     }
 
-    /// A late `SearchEcho` for a retired query: with commits off every
-    /// slot is released, as for a completed record; with commits on none
-    /// is, since the held set went with the record.
+    /// A late `SearchEcho` for a retired query releases every slot in
+    /// both commit modes: the held set went with the record, and a node
+    /// the query committed ignores the `Release`.
     #[test]
-    fn a_late_echo_for_a_retired_query_releases_by_the_commit_mode() {
+    fn a_late_echo_for_a_retired_query_releases_every_slot() {
         for commit_results in [false, true] {
             let mut h = RbayHost::new(
                 Rc::new(RbayConfig {
@@ -1198,8 +1163,7 @@ mod tests {
             };
             h.on_direct(NodeAddr(10), echo);
             let released = settled(&drain_ops(&mut h)).1;
-            let want = if commit_results { vec![] } else { vec![1, 3] };
-            assert_eq!(released, want, "commit_results: {commit_results}");
+            assert_eq!(released, vec![1, 3], "commit_results: {commit_results}");
         }
     }
 

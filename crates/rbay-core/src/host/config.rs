@@ -125,7 +125,8 @@ pub struct RestoreSummary {
     pub quarantined: usize,
     /// Tree subscriptions queued for re-join.
     pub subs: usize,
-    /// Committed reservations re-held.
+    /// Commits the store journaled over the node's life, released or not
+    /// (at most one of them is held again).
     pub committed: usize,
     /// WAL records the store replayed at open.
     pub replay_records: u64,

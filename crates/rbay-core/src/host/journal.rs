@@ -3,10 +3,9 @@
 //! itself from what the store replays.
 
 use super::{InstallError, Op, RbayHost, RestoreSummary};
-use crate::types::QueryId;
+use crate::types::{Hold, QueryId};
 use rbay_store::{Store, WalRecord};
 use simnet::obs::ObsEvent;
-use simnet::SimDuration;
 
 impl RbayHost {
     /// Appends one durable record — *before* the enclosing mutation is
@@ -54,8 +53,8 @@ impl RbayHost {
     /// re-compiled and **re-linted under the current policy** (a source
     /// that was admitted under `Warn` but fails under `Deny` is
     /// quarantined, not installed), subscriptions are queued as joins
-    /// (the per-round retry machinery handles pre-join timing), and
-    /// committed reservations are re-held. Call before the node joins the
+    /// (the per-round retry machinery handles pre-join timing), and the
+    /// commit still held is held again. Call before the node joins the
     /// overlay.
     pub fn attach_store(&mut self, store: Box<Store>) -> RestoreSummary {
         let state = store.state().clone();
@@ -107,12 +106,9 @@ impl RbayHost {
             summary.subs += 1;
         }
         summary.committed = state.committed.len();
-        self.committed = state.committed.iter().map(|&q| QueryId(q)).collect();
-        if let Some(q) = state.reserved {
-            // Commits hold their reservation far beyond the protocol
-            // horizon (release is explicit); re-hold it the same way.
-            self.reservation = Some((QueryId(q), self.now + SimDuration::from_secs(3_600)));
-        }
+        self.commits = state.committed.len() as u64;
+        // Only a commit is journaled, so what the store holds is one.
+        self.hold = state.reserved.map(|q| Hold::Committed { by: QueryId(q) });
         summary
     }
 
@@ -141,12 +137,13 @@ mod store_tests {
     use super::*;
     use crate::host::testkit::host_with_policy;
     use crate::host::LintPolicy;
-    use crate::types::RbayPayload;
-    use rbay_query::AttrValue;
+    use crate::types::{RbayPayload, SearchState};
+    use rbay_query::{parse_query, AttrValue};
     use rbay_store::FsyncPolicy;
-    use scribe::ScribeHost;
+    use scribe::{ScribeHost, Visit};
     use simnet::{NodeAddr, SimTime};
     use std::path::{Path, PathBuf};
+    use std::rc::Rc;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -180,8 +177,12 @@ mod store_tests {
                 .unwrap();
             h.install_attr_aa("GPU", "AA = { onGet = function(q) return true end }")
                 .unwrap();
-            // A committed reservation, as the query protocol would leave it.
-            h.reservation = Some((committed_query, SimTime::ZERO));
+            // A walk's reservation, then its commit, as the query protocol
+            // would leave them.
+            h.hold = Some(Hold::Reserved {
+                by: committed_query,
+                until: SimTime::from_millis(2_000),
+            });
             h.on_direct(
                 NodeAddr(7),
                 RbayPayload::Commit {
@@ -199,15 +200,34 @@ mod store_tests {
         assert_eq!(h.attrs.get("GPU"), Some(&AttrValue::str("A100")));
         assert!(h.node_aa.is_some());
         assert!(h.attr_aas.contains_key("GPU"));
-        assert_eq!(h.committed, vec![committed_query]);
-        assert!(
-            matches!(h.reservation, Some((q, _)) if q == committed_query),
-            "committed reservation re-held"
+        assert_eq!(h.commits, 1);
+        assert_eq!(
+            h.hold,
+            Some(Hold::Committed {
+                by: committed_query
+            })
         );
         // The restored subscription is queued as a join and tracked for
         // retry until attached.
         assert!(matches!(h.ops.pop_front(), Some(Op::Subscribe { .. })));
         assert_eq!(h.sub_requested.len(), 1);
+        // The restored commit has no horizon either: an hour on, another
+        // query's walk passes the node by.
+        h.now = SimTime::from_secs(3_601);
+        let mut walk = SearchState {
+            query_id: QueryId::new(NodeAddr(1), 1),
+            reply_to: NodeAddr(1),
+            query: Rc::new(parse_query(r#"SELECT 1 FROM * WHERE GPU = "A100""#).unwrap()),
+            password: None,
+            slots: Vec::new(),
+        };
+        assert_eq!(h.visit_search(&mut walk), Visit::Continue);
+        // The client's release ends it, and a restart does not re-hold it.
+        h.release_reservation();
+        assert_eq!(h.hold, None);
+        drop(h);
+        let (h, summary) = durable_host(&dir, LintPolicy::Warn);
+        assert_eq!((h.hold, h.commits, summary.committed), (None, 1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

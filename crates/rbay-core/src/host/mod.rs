@@ -27,7 +27,7 @@ use crate::engine::SiteProbe;
 use crate::frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorDecision};
 use crate::liveness::Contact;
 use crate::naming::HybridNaming;
-use crate::types::{QueryId, QueryRecord, RbayEvent, RbayPayload, SearchState};
+use crate::types::{Hold, QueryId, QueryRecord, RbayEvent, RbayPayload, SearchState};
 use aascript::analysis::Diagnostic;
 use aascript::{AaInstance, SharedSandbox};
 use pastry::NodeId;
@@ -153,10 +153,11 @@ pub struct RbayHost {
     pub node_aa: Option<AaInstance>,
     /// Shared sealed stdlib for AA instantiation.
     pub sandbox: SharedSandbox,
-    /// Current reservation, if any: `(holder, expires_at)`.
-    pub reservation: Option<(QueryId, SimTime)>,
-    /// Queries whose reservations were committed on this node.
-    pub committed: Vec<QueryId>,
+    /// What holds this node for a query, if anything.
+    pub hold: Option<Hold>,
+    /// Commits this node has taken, across restarts: one per `Commit` that
+    /// turned a reservation into a commit.
+    pub commits: u64,
     /// Queries issued by this node, in issue order. A record stays from
     /// issue until this node's first issue more than `query_timeout` after
     /// it completed, which retires it ([`RbayHost::issue_query`]).
@@ -174,8 +175,7 @@ pub struct RbayHost {
     pub dynamic_trees: Vec<String>,
     /// Hybrid naming links (minor attribute → major tree, §III.C).
     pub naming: HybridNaming,
-    /// Timestamped events for the measurement harnesses. A `QueryDone`
-    /// leaves with its query's record; the other events stay.
+    /// Timestamped events for the measurement harnesses.
     pub events: Vec<RbayEvent>,
     /// Join-request times awaiting their JoinAck (Fig. 11).
     pub sub_requested: BTreeMap<TopicId, SimTime>,
@@ -252,8 +252,8 @@ impl RbayHost {
             attr_aas: BTreeMap::new(),
             node_aa: None,
             sandbox,
-            reservation: None,
-            committed: Vec::new(),
+            hold: None,
+            commits: 0,
             queries: BTreeMap::new(),
             next_seq: 0,
             gateways,

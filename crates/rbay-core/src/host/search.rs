@@ -1,9 +1,9 @@
 //! The node-side of the query protocol's steps 4 and 5: a search entering
-//! the site here, a search walk visiting this node, and the reservation it
-//! takes, commits or releases.
+//! the site here, a search walk visiting this node, and the node's one
+//! [`Hold`]: the reservation a walk takes, its commit, and its release.
 
 use super::{Op, RbayHost};
-use crate::types::{Candidate, QueryId, RbayPayload, SearchState};
+use crate::types::{Candidate, Hold, QueryId, RbayPayload, SearchState};
 use rbay_store::WalRecord;
 use scribe::Visit;
 use simnet::SimDuration;
@@ -13,44 +13,39 @@ use simnet::SimDuration;
 const RESERVE_TTL: SimDuration = SimDuration::from_millis(2_000);
 
 impl RbayHost {
-    /// Whether this node currently holds an un-expired reservation for a
-    /// different query.
+    /// Whether this node is held for a different query: committed to it,
+    /// or reserved by it until a time still to come.
     fn is_reserved_against(&self, query: QueryId) -> bool {
-        match self.reservation {
-            Some((by, until)) => by != query && until > self.now,
+        match self.hold {
+            Some(Hold::Reserved { by, until }) => by != query && until > self.now,
+            Some(Hold::Committed { by }) => by != query,
             None => false,
         }
     }
 
-    /// Releases whatever reservation this node holds, persisting the
-    /// release first so a restart does not resurrect it. Operator control
-    /// path; the query protocol releases via
+    /// Frees whatever holds this node: the client's explicit release, the
+    /// only end of a commit. A commit's release is journaled first so a
+    /// restart does not re-hold it. Operator control path; the query
+    /// protocol frees a reservation via
     /// [`RbayPayload::Release`](crate::RbayPayload::Release).
     pub fn release_reservation(&mut self) {
-        if let Some((by, _)) = self.reservation {
+        if let Some(Hold::Committed { by }) = self.hold {
             self.persist(WalRecord::Release { query: by.0 });
-            self.reservation = None;
         }
+        self.hold = None;
     }
 
     /// A search enters this site here (protocol step 3): the anycast walk
-    /// starts — or, while this node is held by another query it issued
-    /// itself and has not committed, waits for that hold to be handed
-    /// back. The walk would visit this node first; walking past it sends
-    /// every waiting search up the tree in the same depth-first order, so
-    /// n searches started together (a failover's re-routed probes all
-    /// answered in one instant) take n²/2 steps between them. Parked,
-    /// each starts one `Release` later and finds this node free.
+    /// starts — or, while this node is reserved by another query it issued
+    /// itself, waits for that reservation to be handed back. The walk
+    /// would visit this node first; walking past it sends every waiting
+    /// search up the tree in the same depth-first order, so n searches
+    /// started together (a failover's re-routed probes all answered in one
+    /// instant) take n²/2 steps between them. Parked, each starts one
+    /// `Release` later and finds this node free.
     pub(crate) fn search_here(&mut self, state: SearchState, tree: String) {
-        let own_hold = match self.reservation {
-            Some((by, until)) => {
-                by != state.query_id
-                    && by.origin() == self.addr
-                    && until > self.now
-                    && !self.committed.contains(&by)
-            }
-            None => false,
-        };
+        let own_hold = matches!(self.hold, Some(Hold::Reserved { by, until })
+            if by != state.query_id && by.origin() == self.addr && until > self.now);
         if own_hold && state.query.matches_all(|attr| self.attrs.get(attr)) {
             self.parked_searches.push_back((state, tree));
             return;
@@ -82,15 +77,15 @@ impl RbayHost {
         if !self.check_on_get(anchor.as_deref(), &caller, state.password.as_deref()) {
             return Visit::Continue;
         }
-        // A walk of the query that already holds this node extends the
-        // hold, never shortens it: a late duplicate walk must not cut a
-        // committed hold back to the reserve TTL.
-        let fresh = self.now + RESERVE_TTL;
-        let until = match self.reservation {
-            Some((by, held)) if by == state.query_id => held.max(fresh),
-            _ => fresh,
-        };
-        self.reservation = Some((state.query_id, until));
+        // A late duplicate walk of the query this node is committed to
+        // finds it still committed; any other walk that gets here reserves
+        // it afresh.
+        if self.hold != Some(Hold::Committed { by: state.query_id }) {
+            self.hold = Some(Hold::Reserved {
+                by: state.query_id,
+                until: self.now + RESERVE_TTL,
+            });
+        }
         let sort_key = state
             .query
             .order_by
@@ -110,29 +105,28 @@ impl RbayHost {
     }
 
     /// Protocol step 5, taken: `query_id` commits the reservation it holds
-    /// here. A commit from any other query is ignored.
+    /// here, journaled before it holds. A commit from any other query, or a
+    /// repeated one, is ignored.
     pub(super) fn on_commit(&mut self, query_id: QueryId) {
-        if let Some((by, _)) = self.reservation {
-            if by == query_id {
-                self.persist(WalRecord::Commit { query: query_id.0 });
-                self.committed.push(query_id);
-                // Hold far beyond the protocol horizon; release is
-                // explicit from here on.
-                self.reservation = Some((query_id, self.now + SimDuration::from_secs(3_600)));
-                // Taken for good: the parked searches walk past it.
-                for (state, tree) in std::mem::take(&mut self.parked_searches) {
-                    self.search_here(state, tree);
-                }
-            }
+        if !matches!(self.hold, Some(Hold::Reserved { by, .. }) if by == query_id) {
+            return;
+        }
+        self.persist(WalRecord::Commit { query: query_id.0 });
+        self.hold = Some(Hold::Committed { by: query_id });
+        self.commits += 1;
+        // Taken for good: the parked searches walk past it.
+        for (state, tree) in std::mem::take(&mut self.parked_searches) {
+            self.search_here(state, tree);
         }
     }
 
-    /// Protocol step 5, not taken: `query_id` releases the reservation it
+    /// Protocol step 5, not taken: `query_id` frees the reservation it
     /// holds here, and the first parked search starts. A release from any
-    /// other query is ignored.
+    /// other query is ignored, and so is one naming a commit: only the
+    /// client's [`RbayHost::release_reservation`] ends that.
     pub(super) fn on_release(&mut self, query_id: QueryId) {
-        if self.reservation.is_some_and(|(by, _)| by == query_id) {
-            self.release_reservation();
+        if matches!(self.hold, Some(Hold::Reserved { by, .. }) if by == query_id) {
+            self.hold = None;
             if let Some((state, tree)) = self.parked_searches.pop_front() {
                 self.search_here(state, tree);
             }
@@ -179,7 +173,7 @@ mod tests {
             Some(AttrValue::Num(10.0)),
             "GROUPBY key captured"
         );
-        assert!(h.reservation.is_some());
+        assert!(h.hold.is_some());
     }
 
     #[test]
@@ -199,7 +193,7 @@ mod tests {
         let mut s = search(1, None);
         assert_eq!(h.visit_search(&mut s), Visit::Continue);
         assert!(s.slots.is_empty());
-        assert!(h.reservation.is_none());
+        assert!(h.hold.is_none());
     }
 
     #[test]
@@ -207,7 +201,10 @@ mod tests {
         let mut h = host();
         h.update_attr("GPU", AttrValue::Bool(true));
         h.update_attr("CPU_utilization", AttrValue::Num(10.0));
-        h.reservation = Some((QueryId(1), SimTime::from_millis(500)));
+        h.hold = Some(Hold::Reserved {
+            by: QueryId(1),
+            until: SimTime::from_millis(500),
+        });
         h.now = SimTime::from_millis(100);
         let mut s = search(1, None);
         assert_eq!(h.visit_search(&mut s), Visit::Continue, "still locked");
@@ -239,41 +236,56 @@ mod tests {
         assert_eq!(h.visit_search(&mut right), Visit::Stop);
     }
 
+    /// Only the client ends a commit: the wrong query's `Commit` takes
+    /// nothing, a repeated one counts once, a late duplicate walk of the
+    /// committing query finds the node still committed, and a protocol
+    /// `Release` leaves it so. The ctrl release frees it.
     #[test]
     fn commit_and_release_lifecycle() {
         let mut h = host();
-        h.reservation = Some((QueryId(5), SimTime::from_millis(100)));
-        h.on_direct(
-            NodeAddr(0),
-            RbayPayload::Commit {
-                query_id: QueryId(5),
-            },
-        );
-        assert_eq!(h.committed, vec![QueryId(5)]);
-        // Commit from the wrong query does nothing.
-        h.on_direct(
-            NodeAddr(0),
+        let q = QueryId(5);
+        let send = |h: &mut RbayHost, payload| h.on_direct(NodeAddr(0), payload);
+        h.hold = Some(Hold::Reserved {
+            by: q,
+            until: SimTime::from_millis(100),
+        });
+        send(
+            &mut h,
             RbayPayload::Commit {
                 query_id: QueryId(6),
             },
         );
-        assert_eq!(h.committed.len(), 1);
-        // A late duplicate walk of the committing query re-visits: the
-        // committed hold is not cut back to the reserve TTL.
-        let committed_until = h.reservation.unwrap().1;
+        assert_eq!(h.commits, 0);
+        send(&mut h, RbayPayload::Commit { query_id: q });
+        send(&mut h, RbayPayload::Commit { query_id: q });
+        assert_eq!((h.hold, h.commits), (Some(Hold::Committed { by: q }), 1));
         h.update_attr("GPU", AttrValue::Bool(true));
         h.update_attr("CPU_utilization", AttrValue::Num(10.0));
         let mut late = search(1, None);
-        late.query_id = QueryId(5);
+        late.query_id = q;
         assert_eq!(h.visit_search(&mut late), Visit::Stop);
-        assert_eq!(h.reservation, Some((QueryId(5), committed_until)));
-        h.on_direct(
-            NodeAddr(0),
-            RbayPayload::Release {
-                query_id: QueryId(5),
-            },
-        );
-        assert!(h.reservation.is_none());
+        send(&mut h, RbayPayload::Release { query_id: q });
+        assert_eq!(h.hold, Some(Hold::Committed { by: q }));
+        h.release_reservation();
+        assert_eq!((h.hold, h.commits), (None, 1));
+    }
+
+    /// A commit has no horizon: an hour after it, a walk of another query
+    /// still walks past the node.
+    #[test]
+    fn a_commit_has_no_horizon() {
+        let mut h = host();
+        h.update_attr("GPU", AttrValue::Bool(true));
+        h.update_attr("CPU_utilization", AttrValue::Num(10.0));
+        let mut own = search(1, None);
+        own.query_id = QueryId(5);
+        assert_eq!(h.visit_search(&mut own), Visit::Stop);
+        h.on_commit(QueryId(5));
+        h.now = SimTime::from_secs(3_601);
+        let mut other = search(1, None);
+        assert_eq!(h.visit_search(&mut other), Visit::Continue);
+        assert!(other.slots.is_empty());
+        assert_eq!(h.hold, Some(Hold::Committed { by: QueryId(5) }));
     }
 
     /// A search that would start on a node held by another query of that
@@ -287,7 +299,12 @@ mod tests {
         h.update_attr("CPU_utilization", AttrValue::Num(10.0));
         h.ops.clear();
         let (own, next) = (QueryId::new(h.addr, 1), QueryId::new(h.addr, 2));
-        let hold = |by| Some((by, SimTime::from_millis(2_000)));
+        let hold = |by| {
+            Some(Hold::Reserved {
+                by,
+                until: SimTime::from_millis(2_000),
+            })
+        };
         let walks = |h: &mut RbayHost| {
             let n = h
                 .ops
@@ -297,7 +314,7 @@ mod tests {
             h.ops.clear();
             n
         };
-        h.reservation = hold(own);
+        h.hold = hold(own);
         for _ in 0..3 {
             h.search_here(search(1, None), "GPU=true".into());
         }
@@ -310,10 +327,10 @@ mod tests {
         );
         h.on_release(own);
         assert_eq!((walks(&mut h), h.parked_searches.len()), (1, 2));
-        h.reservation = hold(next);
+        h.hold = hold(next);
         h.on_commit(next);
         assert_eq!((walks(&mut h), h.parked_searches.len()), (2, 0));
-        h.reservation = hold(QueryId::new(NodeAddr(3), 1));
+        h.hold = hold(QueryId::new(NodeAddr(3), 1));
         h.search_here(search(1, None), "GPU=true".into());
         assert_eq!((walks(&mut h), h.parked_searches.len()), (1, 0));
     }

@@ -50,6 +50,6 @@ pub use liveness::SLOW_PROBE_PERIOD;
 pub use naming::HybridNaming;
 pub use pack::{FrameSink, MemberCtx, Pack};
 pub use types::{
-    AdminCommand, Candidate, QueryId, QueryPending, QueryRecord, RbayEvent, RbayPayload,
+    AdminCommand, Candidate, Hold, QueryId, QueryPending, QueryRecord, RbayEvent, RbayPayload,
     SearchState,
 };

@@ -204,6 +204,25 @@ impl MessageSize for RbayPayload {
     }
 }
 
+/// What holds a node for a query (protocol step 5). A walk reserves the
+/// node for a short window; the querier's `Commit` turns that reservation
+/// into a commit, which only the client's explicit release ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hold {
+    /// Reserved by a walk of `by`; lapses at `until`.
+    Reserved {
+        /// The reserving query.
+        by: QueryId,
+        /// When the reservation lapses.
+        until: SimTime,
+    },
+    /// Committed to `by`, with no expiry.
+    Committed {
+        /// The committing query.
+        by: QueryId,
+    },
+}
+
 /// Lifecycle of one issued query, kept by the issuing node.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
@@ -267,17 +286,6 @@ pub enum RbayEvent {
         issued_at: SimTime,
         /// When it arrived here.
         delivered_at: SimTime,
-    },
-    /// A query this node issued completed.
-    QueryDone {
-        /// The query.
-        query_id: QueryId,
-        /// Issue time.
-        issued_at: SimTime,
-        /// Completion time.
-        completed_at: SimTime,
-        /// Whether it found its `k` nodes.
-        satisfied: bool,
     },
 }
 

@@ -7,7 +7,7 @@
 //! each enum's tag table is its `Wire::TAGS`.
 
 use crate::frontdoor::FrontdoorStats;
-use crate::types::{AdminCommand, Candidate, QueryId, RbayEvent, RbayPayload, SearchState};
+use crate::types::{AdminCommand, Candidate, QueryId, RbayPayload, SearchState};
 use rbay_wire::{wire_enum, wire_struct};
 
 wire_struct!(QueryId { 0 });
@@ -55,10 +55,4 @@ wire_enum!(RbayPayload {
     12 => Pong { nonce, info },
     13 => Invalidate { attr, fanout },
     14 => SiteSearch { state, trees },
-});
-
-wire_enum!(RbayEvent {
-    0 => Subscribed { topic, requested_at, attached_at },
-    1 => AdminDelivered { cmd_id, issued_at, delivered_at },
-    2 => QueryDone { query_id, issued_at, completed_at, satisfied },
 });

@@ -1,7 +1,7 @@
 //! End-to-end federation tests: the full stack (simnet → pastry → scribe →
 //! rbay) exercised through the public `Federation` API.
 
-use rbay_core::{Federation, QueryId, RbayEvent};
+use rbay_core::{Federation, Hold, QueryId, RbayEvent};
 use rbay_query::AttrValue;
 use simnet::{NodeAddr, SimDuration, SiteId, SiteSpec, Topology};
 
@@ -116,7 +116,7 @@ fn no_site_probe_step_outlives_its_answers() {
 /// An issuer forgets a finished query at its first issue more than
 /// `query_timeout` after completion. Over 2,000 composite queries 2.5 s
 /// apart from 32 rotating origins, the federation never keeps more than
-/// two records plus `QueryDone` events per origin.
+/// two records per origin.
 #[test]
 fn finished_queries_are_forgotten_by_their_issuers() {
     let cfg = rbay_core::RbayConfig {
@@ -139,12 +139,7 @@ fn finished_queries_are_forgotten_by_their_issuers() {
         .collect();
     let kept = |fed: &Federation| -> usize {
         (0..topo.node_count() as u32)
-            .map(|n| {
-                let host = &fed.node(NodeAddr(n)).host;
-                let dones = host.events.iter();
-                let dones = dones.filter(|e| matches!(e, RbayEvent::QueryDone { .. }));
-                host.queries.len() + dones.count()
-            })
+            .map(|n| fed.node(NodeAddr(n)).host.queries.len())
             .sum()
     };
     let mut peak = 0;
@@ -169,7 +164,7 @@ fn finished_queries_are_forgotten_by_their_issuers() {
     }
     assert!(
         peak <= 2 * origins.len(),
-        "{peak} records and QueryDone events kept for {} origins",
+        "{peak} records kept for {} origins",
         origins.len()
     );
 }
@@ -271,8 +266,8 @@ fn concurrent_queries_conflict_then_backoff_resolves() {
         winner_count >= 1,
         "at least one query must win: {ra:?} {rb:?}"
     );
-    let committed = &fed.node(NodeAddr(9)).host.committed;
-    assert_eq!(committed.len(), winner_count, "commits match winners");
+    let commits = fed.node(NodeAddr(9)).host.commits;
+    assert_eq!(commits, winner_count as u64, "commits match winners");
 }
 
 #[test]
@@ -716,10 +711,5 @@ fn timeout_with_k_found_commits_the_holder() {
     );
     assert_eq!(rec.result.len(), 1);
     assert_eq!(rec.result[0].addr, holder);
-    assert_eq!(fed.node(holder).host.committed, vec![q]);
-    assert!(fed
-        .node(holder)
-        .host
-        .reservation
-        .is_some_and(|(by, _)| by == q));
+    assert_eq!(fed.node(holder).host.hold, Some(Hold::Committed { by: q }));
 }

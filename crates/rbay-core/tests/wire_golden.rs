@@ -1,12 +1,12 @@
 //! Golden bytes for RBAY's own payload types: one fixed vector per variant
-//! of `RbayPayload` and `RbayEvent` and per struct they carry. Generated at
+//! of `RbayPayload` and per struct it carries. Generated at
 //! the commit before the codec became declarative, except those of the
 //! variants wire version 2 changed or added (`SizeProbe`, `SiteSearch`);
 //! see `rbay-wire/tests/golden.rs` for why these must never be edited.
 
 use pastry::{NodeId, NodeInfo, PastryMsg};
 use rbay_core::{
-    AdminCommand, Candidate, FrontdoorStats, QueryId, RbayEvent, RbayMsg, RbayPayload, SearchState,
+    AdminCommand, Candidate, FrontdoorStats, QueryId, RbayMsg, RbayPayload, SearchState,
 };
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
 use rbay_wire::{Reader, Wire};
@@ -174,35 +174,6 @@ fn payloads() {
             trees: vec!["GPU=true".into(), "rack".into()],
         },
         "0e89808080300302010105546f6b796f0103475055000001010f4350555f7574696c697a6174696f6e00010270770204100000000000000000000000000000040101010000000000002940c8100000000000000000000000000000c801010002084750553d74727565047261636b",
-    );
-}
-
-#[test]
-fn events() {
-    golden(
-        RbayEvent::Subscribed {
-            topic: TopicId(NodeId(5)),
-            requested_at: SimTime::from_micros(10),
-            attached_at: SimTime::from_micros(20_000),
-        },
-        "00050000000000000000000000000000000aa09c01",
-    );
-    golden(
-        RbayEvent::AdminDelivered {
-            cmd_id: 3,
-            issued_at: SimTime::from_micros(1),
-            delivered_at: SimTime::from_micros(2),
-        },
-        "01030102",
-    );
-    golden(
-        RbayEvent::QueryDone {
-            query_id: QueryId(1 << 40),
-            issued_at: SimTime::from_micros(0),
-            completed_at: SimTime::from_micros(644_000),
-            satisfied: true,
-        },
-        "0280808080802000a0a72701",
     );
 }
 

@@ -10,7 +10,7 @@ use proptest::option;
 use proptest::prelude::*;
 use proptest::TestRng;
 use rbay_core::{
-    AdminCommand, Candidate, Federation, FrontdoorConfig, QueryId, RbayConfig, RbayEvent, RbayMsg,
+    AdminCommand, Candidate, Federation, FrontdoorConfig, QueryId, RbayConfig, RbayMsg,
     RbayPayload, SearchState,
 };
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
@@ -217,33 +217,6 @@ fn s_payload(aim: &Aim) -> BoxedStrategy<RbayPayload> {
     .boxed()
 }
 
-fn s_event() -> impl Strategy<Value = RbayEvent> {
-    prop_oneof![
-        (any::<u128>(), any::<u64>(), any::<u64>()).prop_map(|(topic, req, att)| {
-            RbayEvent::Subscribed {
-                topic: TopicId(NodeId(topic)),
-                requested_at: SimTime::from_micros(req),
-                attached_at: SimTime::from_micros(att),
-            }
-        }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(cmd_id, iss, del)| {
-            RbayEvent::AdminDelivered {
-                cmd_id,
-                issued_at: SimTime::from_micros(iss),
-                delivered_at: SimTime::from_micros(del),
-            }
-        }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-            |(qid, iss, done, satisfied)| RbayEvent::QueryDone {
-                query_id: QueryId(qid),
-                issued_at: SimTime::from_micros(iss),
-                completed_at: SimTime::from_micros(done),
-                satisfied,
-            }
-        ),
-    ]
-}
-
 fn s_scribe_msg(aim: &Aim) -> BoxedStrategy<ScribeMsg<RbayPayload>> {
     let (topic, addr, payload) = (aim.topic(), aim.addr(), s_payload(aim));
     prop_oneof![
@@ -386,7 +359,6 @@ fn strategies_cover_every_declared_tag() {
     }
     let aim = Aim::default();
     assert_tags_covered(samples(s_payload(&aim)));
-    assert_tags_covered(samples(s_event()));
     assert_tags_covered(samples(s_scribe_msg(&aim)));
     assert_tags_covered(samples(s_rbay_msg(&aim)));
 }
@@ -434,11 +406,6 @@ proptest! {
     }
 
     #[test]
-    fn events_round_trip(e in s_event()) {
-        prop_assert_eq!(reencodes(&e), e);
-    }
-
-    #[test]
     fn full_rbay_msgs_round_trip(m in s_rbay_msg(&Aim::default())) {
         reencodes(&m);
     }
@@ -453,7 +420,6 @@ proptest! {
         let _ = decode_frame::<RbayPayload>(&bytes);
         let _ = decode_frame::<SearchState>(&bytes);
         let _ = decode_frame::<Candidate>(&bytes);
-        let _ = decode_frame::<RbayEvent>(&bytes);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 #!/bin/sh
 # Every backticked `name()` or `Type::name` (also `Type::{a, b}`) in
-# DESIGN.md and README.md whose segments do not all appear as words in
-# a tracked file under crates/: the prose names something that does not
-# exist (renamed, deleted, or misspelt). One row per span: where, the span,
-# the missing segment. Fenced code blocks are skipped. Exits 1 when it
-# prints a row. A word match is textual, so a name reused elsewhere hides
-# a row.
+# DESIGN.md, README.md and EXPERIMENTS.md whose segments do not all
+# appear as words in a tracked file under crates/: the prose names
+# something that does not exist (renamed, deleted, or misspelt). One row
+# per span: where, the span, the missing segment. Fenced code blocks are
+# skipped. Exits 1 when it prints a row. A word match is textual, so a
+# name reused elsewhere hides a row.
 # usage: scripts/doc-names.sh
 set -eu
 cd "$(git rev-parse --show-toplevel)"
-git grep -n -I -e '' -- DESIGN.md README.md crates | awk '
+git grep -n -I -e '' -- DESIGN.md README.md EXPERIMENTS.md crates | awk '
 function check(seg, where, span) {
     sub(/\(.*\)$/, "", seg); gsub(/^ +| +$/, "", seg)
     if (seg !~ /^[A-Za-z_][A-Za-z_0-9]*$/) return
