@@ -9,11 +9,13 @@
 //! ## Hot path
 //!
 //! Every pending event lives in one [`CalendarQueue`] keyed on `(at, seq)`,
-//! `seq` being the order events were scheduled in. Message deliveries and
-//! timer fires — the overwhelming majority — carry plain-data payloads, so
-//! scheduling and dispatching them allocates nothing (the per-callback
-//! pending buffer is pooled and reused); only the rare external
-//! [`Simulation::schedule_call`] closure is boxed.
+//! `seq` being the order events were scheduled in. A callback's send or
+//! timer arm goes straight into the queue, which stores each event once,
+//! in a slot of its payload slab, and orders only the 24-byte keys.
+//! Message deliveries and timer fires — the overwhelming majority — carry
+//! plain-data payloads, so scheduling and dispatching them allocates
+//! nothing once the slab has grown to the pending count; only the rare
+//! external [`Simulation::schedule_call`] closure is boxed.
 
 use crate::obs::Recorder;
 use crate::queue::CalendarQueue;
@@ -190,8 +192,8 @@ pub trait Actor: Sized {
 /// A deferred external call against one actor.
 type CallFn<A> = Box<dyn FnOnce(&mut A, &mut Context<'_, <A as Actor>::Msg>)>;
 
-/// The plain-data events a callback can cause: what [`Context`] buffers, so
-/// the per-message path never touches a boxed closure.
+/// The plain-data events a callback can cause: what a [`Context`]
+/// schedules, so the per-message path never touches a boxed closure.
 enum EventPayload<M> {
     Deliver {
         from: NodeAddr,
@@ -223,18 +225,56 @@ impl<A: Actor> Entry<A> {
     }
 }
 
+/// Every pending event, and the counter that numbers them as they are
+/// scheduled.
+struct Events<A: Actor> {
+    queue: CalendarQueue<Entry<A>>,
+    /// Exploration store ([`Simulation::enable_exploration`]): when
+    /// `Some`, pending events live here as `(at, seq, entry)` instead of
+    /// in `queue`, so a [`Scheduler`] can fire them in any order.
+    explore: Option<Vec<(SimTime, u64, Entry<A>)>>,
+    seq: u64,
+}
+
+impl<A: Actor> Events<A> {
+    /// Stores a newly scheduled event under the next sequence number — the
+    /// one place that chooses between the calendar queue and the
+    /// exploration store.
+    fn enqueue(&mut self, at: SimTime, entry: Entry<A>) {
+        let seq = self.seq;
+        self.seq += 1;
+        match &mut self.explore {
+            Some(store) => store.push((at, seq, entry)),
+            None => self.queue.push(at, seq, entry),
+        }
+    }
+}
+
+/// [`Events`] as a [`Context`] sees it: a context names the message type
+/// only, not the actor's.
+trait Schedule<M> {
+    fn schedule(&mut self, at: SimTime, event: EventPayload<M>);
+}
+
+impl<A: Actor> Schedule<A::Msg> for Events<A> {
+    fn schedule(&mut self, at: SimTime, event: EventPayload<A::Msg>) {
+        self.enqueue(at, Entry::Payload(event));
+    }
+}
+
 /// Everything an actor callback may touch besides its own state: the
 /// simulator's [`Transport`], plus the actor's address and the topology.
 ///
-/// Sends and timer arms are buffered and applied to the global event queue
-/// when the callback returns, preserving deterministic ordering.
+/// Sends and timer arms go straight into the simulation's event queue,
+/// numbered in the order the callback makes them. Nothing else is
+/// scheduled while a callback runs, so the order stays deterministic.
 pub struct Context<'a, M> {
     now: SimTime,
     self_addr: NodeAddr,
     topology: &'a Topology,
     rng: &'a mut SmallRng,
     stats: &'a mut NetStats,
-    pending: Vec<(SimTime, EventPayload<M>)>,
+    events: &'a mut dyn Schedule<M>,
 }
 
 impl<M> Context<'_, M> {
@@ -264,8 +304,8 @@ impl<M: MessageSize> Transport<M> for Context<'_, M> {
             return;
         }
         let lat = self.topology.sample_latency(from, to, self.rng);
-        self.pending
-            .push((self.now + lat, EventPayload::Deliver { from, to, msg }));
+        self.events
+            .schedule(self.now + lat, EventPayload::Deliver { from, to, msg });
     }
 
     fn now(&self) -> SimTime {
@@ -274,8 +314,8 @@ impl<M: MessageSize> Transport<M> for Context<'_, M> {
 
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
         let node = self.self_addr;
-        self.pending
-            .push((self.now + delay, EventPayload::Timer { node, token }));
+        self.events
+            .schedule(self.now + delay, EventPayload::Timer { node, token });
     }
 
     fn rtt_ms(&self, a: SiteId, b: SiteId) -> f64 {
@@ -310,27 +350,17 @@ impl<M: MessageSize> Transport<M> for Context<'_, M> {
 pub struct Simulation<A: Actor> {
     actors: Vec<A>,
     topology: Topology,
-    /// Every pending event, keyed `(at, seq)`.
-    events: CalendarQueue<Entry<A>>,
+    events: Events<A>,
     now: SimTime,
     rng: SmallRng,
     stats: NetStats,
     failed: Vec<bool>,
-    seq: u64,
     trace: Option<Vec<TraceEvent>>,
     trace_cap: usize,
     /// Observability-plane handle; disabled (a no-op) by default. The
     /// engine's only job is to keep its clock current at every dispatch so
     /// actor-layer hooks stamp events with the right virtual time.
     obs: Recorder,
-    /// Recycled `Context::pending` buffer: swapped into each callback's
-    /// context and back, so steady-state dispatch does not allocate.
-    pending_pool: Vec<(SimTime, EventPayload<A::Msg>)>,
-    /// Exploration store ([`Simulation::enable_exploration`]): when
-    /// `Some`, pending events live here as `(at, seq, entry)` instead of
-    /// in the calendar queue, so a [`Scheduler`] can fire them in any
-    /// order.
-    explore: Option<Vec<(SimTime, u64, Entry<A>)>>,
     /// Wall-clock nanoseconds spent inside `run_*` loops. Kept out of
     /// [`NetStats`] so stats snapshots stay comparable across runs.
     wall_nanos: u64,
@@ -346,16 +376,17 @@ impl<A: Actor> Simulation<A> {
             actors,
             failed: vec![false; n],
             topology,
-            events: CalendarQueue::new(),
+            events: Events {
+                queue: CalendarQueue::new(),
+                explore: None,
+                seq: 0,
+            },
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
             stats: NetStats::default(),
-            seq: 0,
             trace: None,
             trace_cap: 0,
             obs: Recorder::default(),
-            pending_pool: Vec::new(),
-            explore: None,
             wall_nanos: 0,
         }
     }
@@ -373,8 +404,9 @@ impl<A: Actor> Simulation<A> {
     /// advances the clock to `max(now, at)` — an event deliberately held
     /// back past later events models a delayed delivery.
     pub fn enable_exploration(&mut self) {
-        if self.explore.is_none() {
-            self.explore = Some(std::iter::from_fn(|| self.events.pop()).collect());
+        let Events { queue, explore, .. } = &mut self.events;
+        if explore.is_none() {
+            *explore = Some(std::iter::from_fn(|| queue.pop()).collect());
         }
     }
 
@@ -490,19 +522,8 @@ impl<A: Actor> Simulation<A> {
         f: impl FnOnce(&mut A, &mut Context<'_, A::Msg>) + 'static,
     ) {
         let f = Box::new(f);
-        self.enqueue(at.max(self.now), Entry::Call { node, f });
-    }
-
-    /// Stores a newly scheduled event under the next sequence number — the
-    /// one place that chooses between the calendar queue and the
-    /// exploration store.
-    fn enqueue(&mut self, at: SimTime, entry: Entry<A>) {
-        let seq = self.seq;
-        self.seq += 1;
-        match &mut self.explore {
-            Some(store) => store.push((at, seq, entry)),
-            None => self.events.push(at, seq, entry),
-        }
+        self.events
+            .enqueue(at.max(self.now), Entry::Call { node, f });
     }
 
     /// Removes the earliest `(at, seq)` event, unless it lies past
@@ -510,19 +531,20 @@ impl<A: Actor> Simulation<A> {
     /// comes from.
     fn take_next(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, u64, Entry<A>)> {
         let due = |at: SimTime| deadline.is_none_or(|d| at <= d);
-        if self.explore.is_some() {
+        if self.events.explore.is_some() {
             self.explore_prune();
-            let store = self.explore.as_mut()?;
+            let store = self.events.explore.as_mut()?;
             let i = (0..store.len()).min_by_key(|&i| (store[i].0, store[i].1))?;
             due(store[i].0).then(|| store.swap_remove(i))
         } else {
-            let (at, _) = self.events.peek_key()?;
-            due(at).then(|| self.events.pop().expect("peeked event exists"))
+            let queue = &mut self.events.queue;
+            let (at, _) = queue.peek_key()?;
+            due(at).then(|| queue.pop().expect("peeked event exists"))
         }
     }
 
-    /// Runs `f` against actor `node` with a live context, then moves the
-    /// sends and timers it buffered into the event queue.
+    /// Runs `f` against actor `node` with a live context; what it sends
+    /// and arms is scheduled as it goes.
     fn dispatch(&mut self, node: NodeAddr, f: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
         let mut ctx = Context {
             now: self.now,
@@ -530,16 +552,9 @@ impl<A: Actor> Simulation<A> {
             topology: &self.topology,
             rng: &mut self.rng,
             stats: &mut self.stats,
-            // Reuse the pooled buffer; callbacks cannot re-enter dispatch,
-            // so one buffer covers every callback in the simulation.
-            pending: std::mem::take(&mut self.pending_pool),
+            events: &mut self.events,
         };
         f(&mut self.actors[node.index()], &mut ctx);
-        let mut pending = ctx.pending;
-        for (at, payload) in pending.drain(..) {
-            self.enqueue(at, Entry::Payload(payload));
-        }
-        self.pending_pool = pending;
     }
 
     /// Discards exploration-store events that would be no-ops anyway
@@ -551,12 +566,14 @@ impl<A: Actor> Simulation<A> {
     /// crashes as permanent.
     fn explore_prune(&mut self) {
         let Simulation {
-            explore,
+            events,
             failed,
             stats,
             ..
         } = self;
-        let Some(store) = explore else { return };
+        let Some(store) = &mut events.explore else {
+            return;
+        };
         store.retain(|(_, _, entry)| {
             let kind = entry.kind();
             let (a, b) = kind.footprint();
@@ -579,7 +596,7 @@ impl<A: Actor> Simulation<A> {
     /// meaningful in exploration mode.
     pub fn explore_ready(&mut self, window: SimDuration) -> Vec<EventDesc> {
         self.explore_prune();
-        let Some(store) = &self.explore else {
+        let Some(store) = &self.events.explore else {
             return Vec::new();
         };
         let Some(min_at) = store.iter().map(|&(at, ..)| at).min() else {
@@ -613,7 +630,7 @@ impl<A: Actor> Simulation<A> {
             }
             Choice::Fire(seq) | Choice::Drop(seq) => seq,
         };
-        let Some(store) = &mut self.explore else {
+        let Some(store) = &mut self.events.explore else {
             return false;
         };
         let Some(i) = store.iter().position(|&(_, s, _)| s == seq) else {
@@ -636,7 +653,7 @@ impl<A: Actor> Simulation<A> {
     /// no-ops). Zero means the simulation has quiesced.
     pub fn explore_pending(&mut self) -> usize {
         self.explore_prune();
-        self.explore.as_ref().map_or(0, |s| s.len())
+        self.events.explore.as_ref().map_or(0, |s| s.len())
     }
 
     /// Drives the simulation with `sched` until quiescence, the scheduler

@@ -10,6 +10,13 @@
 //!
 //! Design:
 //!
+//! * **Keys over a slab** — each pending payload is stored once, in a slot
+//!   of one slab, and only its 24-byte `(at, seq, slot)` key is ordered.
+//!   Heaps sift keys, never payloads, and a burst that drains leaves no
+//!   payload-sized holes behind in thousands of bucket allocations: the
+//!   slab is the one place a burst's payloads live. It grows a page of
+//!   `SLAB_PAGE` slots at a time, so growing never copies what it holds,
+//!   and when the queue drains it gives back every page but the first.
 //! * **Near tier** — a wheel of [`NUM_BUCKETS`] buckets, each covering
 //!   [`BUCKET_WIDTH_US`] µs of virtual time. An event lands in bucket
 //!   `(at / width) % NUM_BUCKETS`. At any instant every bucket holds
@@ -23,9 +30,9 @@
 //!
 //! Ordering is **exactly** the total order of the previous global heap:
 //! `(at, seq)` lexicographically, where `seq` is the global schedule
-//! sequence number. The engine's determinism guarantees are therefore
-//! preserved bit-for-bit (asserted by the trace-equality tests in
-//! `engine.rs`).
+//! sequence number. The slot an event is stored in never takes part in the
+//! order. The engine's determinism guarantees are therefore preserved
+//! bit-for-bit (asserted by the trace-equality tests in `engine.rs`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -42,32 +49,36 @@ const BUCKET_SHIFT: u32 = 8;
 pub const NUM_BUCKETS: usize = 1 << 12;
 const DAY_MASK: u64 = (NUM_BUCKETS as u64) - 1;
 
-/// Most entries' worth of allocation a drained bucket keeps for its next
+/// Most keys' worth of allocation a drained bucket keeps for its next
 /// day. Steady traffic puts a handful of events in a bucket; only a burst
 /// exceeds this, and a burst's memory is given back once it has drained.
 const RETAINED_BUCKET_CAPACITY: usize = 64;
 
-/// One queued event.
-struct Entry<T> {
+/// Slots per page of the payload slab. A page is allocated when every
+/// slot so far is taken; a `Vec` that doubled instead would copy the
+/// whole burst and hold it twice for the length of the copy.
+const SLAB_PAGE: usize = 1 << 10;
+
+/// One queued event's place in the order: its `(at, seq)` and the slab
+/// slot that holds its payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: SimTime,
     seq: u64,
-    payload: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for Entry<T> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (at, seq) wins.
+        // `seq` is unique, so `slot` never decides.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
@@ -94,14 +105,19 @@ enum Loc {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct CalendarQueue<T> {
-    buckets: Vec<BinaryHeap<Entry<T>>>,
-    overflow: BinaryHeap<Entry<T>>,
+    buckets: Vec<BinaryHeap<Key>>,
+    overflow: BinaryHeap<Key>,
+    /// Every pending payload, at the slot its key names: slot `s` is
+    /// `slab[s / SLAB_PAGE][s % SLAB_PAGE]`. Of the first `slots_used`
+    /// slots, those holding `None` are listed in `free`.
+    slab: Vec<Box<[Option<T>]>>,
+    slots_used: usize,
+    free: Vec<u32>,
     /// First "day" (bucket-width window) that may still hold events.
     /// Invariant: every queued event's day is `>= cursor_day`.
     cursor_day: u64,
     /// Events currently in the wheel (not counting overflow).
     wheel_len: usize,
-    len: usize,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -116,24 +132,31 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             buckets: (0..NUM_BUCKETS).map(|_| BinaryHeap::new()).collect(),
             overflow: BinaryHeap::new(),
+            slab: Vec::new(),
+            slots_used: 0,
+            free: Vec::new(),
             cursor_day: 0,
             wheel_len: 0,
-            len: 0,
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots_used - self.free.len()
     }
 
     /// Whether the queue holds no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     fn day_of(at: SimTime) -> u64 {
         at.as_micros() >> BUCKET_SHIFT
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut Option<T> {
+        let slot = slot as usize;
+        &mut self.slab[slot / SLAB_PAGE][slot % SLAB_PAGE]
     }
 
     /// Inserts an event. `seq` must be unique per queue (the engine's
@@ -146,14 +169,21 @@ impl<T> CalendarQueue<T> {
         if day < self.cursor_day {
             self.cursor_day = day;
         }
-        let entry = Entry { at, seq, payload };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if self.slots_used == self.slab.len() * SLAB_PAGE {
+                self.slab.push((0..SLAB_PAGE).map(|_| None).collect());
+            }
+            self.slots_used += 1;
+            u32::try_from(self.slots_used - 1).expect("fewer than 2^32 pending events")
+        });
+        *self.slot_mut(slot) = Some(payload);
+        let key = Key { at, seq, slot };
         if day >= self.cursor_day + NUM_BUCKETS as u64 {
-            self.overflow.push(entry);
+            self.overflow.push(key);
         } else {
-            self.buckets[(day & DAY_MASK) as usize].push(entry);
+            self.buckets[(day & DAY_MASK) as usize].push(key);
             self.wheel_len += 1;
         }
-        self.len += 1;
     }
 
     /// Locates the earliest event, advancing the cursor past empty days.
@@ -167,10 +197,10 @@ impl<T> CalendarQueue<T> {
     /// winning event's day, preserving the invariant that no queued event
     /// is earlier than the cursor.
     fn peek_loc(&mut self) -> Option<Loc> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
-        let overflow_key = self.overflow.peek().map(|e| (e.at, e.seq));
+        let overflow_key = self.overflow.peek().map(|k| (k.at, k.seq));
         let overflow_day = overflow_key.map(|(at, _)| Self::day_of(at));
 
         // (day, bucket index, (at, seq)) of the best wheel candidate.
@@ -221,34 +251,49 @@ impl<T> CalendarQueue<T> {
     /// `(at, seq)` of the earliest event without removing it.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         let loc = self.peek_loc()?;
-        let entry = match loc {
+        let key = match loc {
             Loc::Wheel(idx) => self.buckets[idx].peek(),
             Loc::Overflow => self.overflow.peek(),
         };
-        entry.map(|e| (e.at, e.seq))
+        key.map(|k| (k.at, k.seq))
     }
 
     /// Removes and returns the earliest event as `(at, seq, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let loc = self.peek_loc()?;
-        let entry = match loc {
+        let key = match loc {
             Loc::Wheel(idx) => {
                 self.wheel_len -= 1;
                 let bucket = &mut self.buckets[idx];
-                let entry = bucket.pop();
+                let key = bucket.pop();
                 // A burst (one maintenance round's sends) lands in a few
                 // buckets, and the next burst in a few others: a drained
                 // bucket that kept its allocation would hold it for good.
                 if bucket.is_empty() && bucket.capacity() > RETAINED_BUCKET_CAPACITY {
                     *bucket = BinaryHeap::new();
                 }
-                entry
+                key
             }
             Loc::Overflow => self.overflow.pop(),
         }
         .expect("peek_loc found an event");
-        self.len -= 1;
-        Some((entry.at, entry.seq, entry.payload))
+        let payload = self
+            .slot_mut(key.slot)
+            .take()
+            .expect("a queued key names a full slot");
+        self.free.push(key.slot);
+        if self.is_empty() {
+            // Every slot is free. The first page stays for the next burst
+            // (a simulation that drains after every query would otherwise
+            // allocate it again each time); the rest of the slab's peak is
+            // given back rather than kept for a burst that may never come.
+            self.slab.truncate(1);
+            self.slots_used = 0;
+            self.free.clear();
+            self.free.shrink_to(SLAB_PAGE);
+            self.overflow.shrink_to(RETAINED_BUCKET_CAPACITY);
+        }
+        Some((key.at, key.seq, payload))
     }
 }
 
@@ -289,7 +334,9 @@ mod tests {
     #[test]
     fn matches_reference_heap_on_random_workload() {
         // Deterministic pseudo-random interleaving of pushes and pops,
-        // compared against a plain sorted reference.
+        // compared against a plain sorted reference. Every 500th round
+        // drains the queue, so slabs given back and regrown are covered,
+        // and each payload must come back with its own key.
         let mut q = CalendarQueue::new();
         let mut reference: Vec<(SimTime, u64)> = Vec::new();
         let mut x: u64 = 0x1234_5678;
@@ -316,14 +363,17 @@ mod tests {
                 let expect = reference.remove(0);
                 let got = q.pop().expect("queue non-empty");
                 assert_eq!((got.0, got.1), expect, "round {round}");
+                assert_eq!(got.1, got.2, "round {round}: payload of another key");
                 now = got.0; // events only move time forward
+            }
+            if round % 500 == 499 {
+                reference.sort();
+                assert_eq!(drain(&mut q), std::mem::take(&mut reference));
+                now = SimTime::ZERO; // and the cursor rolls back
             }
         }
         reference.sort();
-        for expect in reference {
-            let got = q.pop().expect("queue non-empty");
-            assert_eq!((got.0, got.1), expect);
-        }
+        assert_eq!(drain(&mut q), reference);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
@@ -368,30 +418,53 @@ mod tests {
         assert_eq!(next_two, vec![0, 2], "same-time overflow events pop by seq");
     }
 
-    /// A burst into one day must not stay allocated after it drains: at
-    /// 4,096 buckets, bursts that each dirty fresh buckets would otherwise
-    /// add up to the whole run's traffic.
+    /// A burst must not stay allocated after it drains: at 4,096 buckets,
+    /// bursts that each dirty fresh buckets would otherwise add up to the
+    /// whole run's traffic, and the slab would keep the largest burst's
+    /// payloads for good.
     #[test]
     fn drained_burst_gives_its_memory_back() {
         let mut q: CalendarQueue<u64> = CalendarQueue::new();
-        let retained = |q: &CalendarQueue<u64>| -> usize {
+        let keys = |q: &CalendarQueue<u64>| -> usize {
             q.buckets.iter().map(BinaryHeap::capacity).sum::<usize>() + q.overflow.capacity()
         };
         let day = SimTime::from_millis(250);
         for i in 0..50_000 {
             q.push(day, i, i);
         }
-        assert!(retained(&q) >= 50_000);
-        assert_eq!(drain(&mut q).len(), 50_000);
+        q.push(SimTime::from_secs(30), 50_000, 50_000);
+        assert!(keys(&q) > 50_000);
+        assert!(q.slab.len() * SLAB_PAGE > 50_000);
+        assert_eq!(drain(&mut q).len(), 50_001);
         assert!(
-            retained(&q) <= RETAINED_BUCKET_CAPACITY,
-            "{} entries still allocated",
-            retained(&q)
+            keys(&q) <= 2 * RETAINED_BUCKET_CAPACITY,
+            "{} keys",
+            keys(&q)
         );
+        assert_eq!(q.slab.len(), 1, "pages past the first are given back");
+        assert!(q.free.capacity() <= SLAB_PAGE);
         // Steady traffic keeps its small allocation from day to day.
-        q.push(SimTime::from_millis(300), 50_000, 50_000);
+        q.push(SimTime::from_millis(300), 50_001, 50_001);
         assert!(q.pop().is_some());
-        assert!(retained(&q) > 0);
+        assert!(keys(&q) > 0);
+    }
+
+    /// A payload is stored once, in a slot a popped event gave back: a
+    /// queue that holds 100 events at a time never has more than 100 slots,
+    /// however many events pass through it.
+    #[test]
+    fn steady_traffic_reuses_slab_slots() {
+        let mut q = CalendarQueue::new();
+        for seq in 0..100 {
+            q.push(SimTime::from_micros(seq * 10), seq, seq);
+        }
+        for seq in 100..10_000 {
+            let (at, s, payload) = q.pop().expect("queue stays full");
+            assert_eq!(s, payload);
+            q.push(at + crate::SimDuration::from_millis(1), seq, seq);
+            assert_eq!(q.slots_used, 100);
+        }
+        assert_eq!(q.len(), 100);
     }
 
     #[test]
