@@ -27,8 +27,17 @@ pub const ID_DIGITS: usize = 128 / BITS_PER_DIGIT as usize;
 /// assert_ne!(a, b);
 /// assert_eq!(a.common_prefix_len(a), 32);
 /// ```
+///
+/// Packed to 8-byte alignment: a `u128` alone would align every struct
+/// holding an id — `NodeInfo`, routing slots, messages — to 16 bytes and
+/// pad each of them. Read the field by value (`{ id.0 }`); a reference to
+/// it would be unaligned.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed(8))]
 pub struct NodeId(pub u128);
+
+const _: () = assert!(std::mem::align_of::<NodeId>() == 8);
+const _: () = assert!(std::mem::size_of::<NodeId>() == 16);
 
 impl NodeId {
     /// Identifier formed from the first 128 bits of `SHA-1(data)`.
@@ -90,7 +99,7 @@ impl NodeId {
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NodeId({:032x})", self.0)
+        write!(f, "NodeId({:032x})", { self.0 })
     }
 }
 
@@ -119,7 +128,7 @@ mod tests {
         assert_eq!(id.digit(15), 0xF);
         assert_eq!(id.digit(31), 0xF);
         let recomposed = (0..ID_DIGITS).fold(0u128, |acc, i| (acc << 4) | id.digit(i) as u128);
-        assert_eq!(recomposed, id.0);
+        assert_eq!(recomposed, { id.0 });
     }
 
     #[test]

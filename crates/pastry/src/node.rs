@@ -256,12 +256,15 @@ impl PastryNode {
 
     /// Approximate memory used by routing state, in bytes (Fig. 8c
     /// accounting): the entries of both routing tables and both leaf sets
-    /// times `size_of::<NodeInfo>()`. It counts what the node knows, not
+    /// times a fixed per-entry charge. It counts what the node knows, not
     /// what the allocator holds: empty slots of an allocated routing-table
     /// row and spare vector capacity are left out.
     pub fn state_bytes(&self) -> usize {
-        let info = std::mem::size_of::<NodeInfo>();
-        (self.rt.len() + self.site_rt.len() + self.leaf.len() + self.site_leaf.len()) * info
+        // One entry's charge as one constant rather than
+        // `size_of::<NodeInfo>()` (24 B since `NodeId` packs to 8-byte
+        // alignment): Fig. 8c must not move when the layout does.
+        const ENTRY_BYTES: usize = 32;
+        (self.rt.len() + self.site_rt.len() + self.leaf.len() + self.site_leaf.len()) * ENTRY_BYTES
     }
 
     /// Inserts a peer into routing state (both global and, if same-site,
@@ -312,11 +315,11 @@ impl PastryNode {
         if !self.joined {
             return;
         }
-        let peers = self.known_peers();
-        if peers.is_empty() {
+        let n = self.peers().count();
+        if n == 0 {
             return;
         }
-        let peer = peers[self.gossip_cursor % peers.len()];
+        let peer = *self.peers().nth(self.gossip_cursor % n).expect("n peers");
         self.gossip_cursor = self.gossip_cursor.wrapping_add(1);
         net.send(peer.addr, PastryMsg::Announce { info: self.info });
         net.send(peer.addr, PastryMsg::LeafRepairRequest);
@@ -324,25 +327,25 @@ impl PastryNode {
 
     /// All peers this node knows, deduplicated by address.
     pub fn known_peers(&self) -> Vec<NodeInfo> {
-        let mut out: Vec<NodeInfo> = Vec::new();
-        let mut push = |e: &NodeInfo| {
-            if !out.iter().any(|o| o.addr == e.addr) {
-                out.push(*e);
-            }
-        };
-        for e in self.rt.entries() {
-            push(e);
-        }
-        for e in self.leaf.members() {
-            push(e);
-        }
-        for e in self.site_rt.entries() {
-            push(e);
-        }
-        for e in self.site_leaf.members() {
-            push(e);
-        }
-        out
+        self.peers().copied().collect()
+    }
+
+    /// Every known peer once, in first-appearance order over the global
+    /// table, the global leaf set, the site table and the site leaf set.
+    /// A peer's id is fixed by its address, so whether an earlier routing
+    /// table holds an entry is one slot lookup ([`RoutingTable::holds`]);
+    /// only the 16-entry leaf set is scanned.
+    fn peers(&self) -> impl Iterator<Item = &NodeInfo> {
+        let (rt, leaf, site_rt) = (&self.rt, &self.leaf, &self.site_rt);
+        let seen = move |e: &NodeInfo| rt.holds(e) || leaf.members().any(|m| m.addr == e.addr);
+        rt.entries()
+            .chain(leaf.members().filter(move |e| !rt.holds(e)))
+            .chain(site_rt.entries().filter(move |e| !seen(e)))
+            .chain(
+                self.site_leaf
+                    .members()
+                    .filter(move |e| !seen(e) && !site_rt.holds(e)),
+            )
     }
 
     /// Picks the next hop for `key`, or `None` if this node is the key's
@@ -356,10 +359,10 @@ impl PastryNode {
                 } else {
                     // We are outside the scope; fall back to any known node
                     // of that site to enter it ("border routing").
-                    self.known_peers()
-                        .into_iter()
+                    self.peers()
                         .filter(|p| p.site == site)
                         .min_by_key(|p| p.id.ring_distance(key))
+                        .copied()
                 }
             }
         }
@@ -913,6 +916,44 @@ mod tests {
             panic!("expected RowReply for row 200, got {msg:?}");
         };
         assert!(entries.is_empty());
+    }
+
+    /// The gossip pick walks the peers without collecting them, and picks
+    /// what indexing the old address-deduplicated list picked.
+    #[test]
+    fn gossip_picks_round_robin_over_the_deduplicated_peers() {
+        let me = NodeInfo {
+            id: NodeId::hash_of(b"peer:0"),
+            addr: NodeAddr(0),
+            site: SiteId(0),
+        };
+        let mut node = PastryNode::new(me);
+        let mut net = RecNet::default();
+        for a in 1..400u32 {
+            let id = NodeId::hash_of(format!("peer:{a}").as_bytes());
+            node.insert_peer(&net, info(id.as_u128(), a, (a % 3 == 0) as u16));
+        }
+        node.handle_failure(&mut net, NodeAddr(7));
+        node.joined = true;
+        let mut listed: Vec<NodeInfo> = Vec::new();
+        for e in node
+            .rt
+            .entries()
+            .chain(node.leaf.members())
+            .chain(node.site_rt.entries())
+            .chain(node.site_leaf.members())
+        {
+            if !listed.iter().any(|o| o.addr == e.addr) {
+                listed.push(*e);
+            }
+        }
+        assert!(listed.len() > 40, "{} peers", listed.len());
+        assert_eq!(node.known_peers(), listed);
+        for round in 0..listed.len() + 3 {
+            net.sent.clear();
+            node.gossip_round(&mut net);
+            assert_eq!(net.sent[0].0, listed[round % listed.len()].addr);
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@ pub struct NodeInfo {
     pub site: SiteId,
 }
 
+// 22 bytes of data in 24; a routing-table slot is 32. A field added here
+// widens every slot of every table, so it must fail the build first.
+const _: () = assert!(std::mem::size_of::<NodeInfo>() == 24);
+const _: () = assert!(std::mem::size_of::<Option<NodeInfo>>() == 32);
+
 /// Maximum number of leaf-set entries per side (`|L|/2 = 8`, so `|L| = 16`).
 pub const LEAF_SET_SIDE: usize = 8;
 
@@ -254,6 +259,14 @@ impl RoutingTable {
     /// The entry at `(row, col)`, if any.
     pub fn entry(&self, row: usize, col: usize) -> Option<&NodeInfo> {
         self.rows.get(row)?.get(col)?.as_ref()
+    }
+
+    /// Whether `info` is in the table. Only the slot its id maps to can
+    /// hold it, so this is one lookup, not a scan.
+    pub(crate) fn holds(&self, info: &NodeInfo) -> bool {
+        self.slot(info.id)
+            .and_then(|(row, col)| self.entry(row, col))
+            .is_some_and(|e| e.addr == info.addr)
     }
 
     /// The natural next hop for `key`: the entry sharing one more digit.

@@ -6,7 +6,7 @@ use rbay_check::runner::{self, ExploreOpts};
 use rbay_check::{
     explore, explore_random, replay, CheckSpec, Fig8Params, Probes, Scenario, ScheduleFile,
 };
-use simnet::{EarliestFirst, ReplayScheduler};
+use simnet::{EarliestFirst, ReplayScheduler, ThinVec};
 use std::time::Duration;
 
 #[test]
@@ -453,13 +453,13 @@ fn a_probe_step_kept_past_its_bound_is_a_violation() {
 
     // `holder` enters the site for `id`, and the probes it sends are lost.
     let enter = |fed: &mut Federation, holder: NodeAddr, id: QueryId| {
-        let state = SearchState {
+        let state = Box::new(SearchState {
             query_id: id,
             reply_to: id.origin(),
             query: Rc::clone(&query),
             password: None,
-            slots: Vec::new(),
-        };
+            slots: ThinVec::new(),
+        });
         let trees = vec!["GPU=true".to_owned()];
         let now = fed.sim().now();
         fed.control_at(now, holder, move |h| {

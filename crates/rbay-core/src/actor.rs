@@ -18,6 +18,12 @@ use simnet::{Actor, Context, NodeAddr, TimerToken, Transport};
 /// around RBAY payloads.
 pub type RbayMsg = PastryMsg<ScribeMsg<RbayPayload>>;
 
+// Every pending simulator event and every queued loopback frame holds one
+// `RbayMsg` inline, so its width is paid per message in flight. The widest
+// variant is a walk step: Route and AnycastStep framing around a search
+// state held inline; rarer large payloads are boxed (DESIGN §9).
+const _: () = assert!(std::mem::size_of::<RbayMsg>() <= 120);
+
 /// One complete RBAY node.
 #[derive(Debug)]
 pub struct RbayNode {

@@ -15,7 +15,7 @@
 use crate::host::{query_timer_token, Op, RbayHost, TIMER_KIND_RETRY, TIMER_KIND_TIMEOUT};
 use crate::types::{Candidate, QueryId, QueryPending, QueryRecord, RbayPayload, SearchState};
 use rbay_query::{AttrValue, FromClause, Query, SortDir};
-use simnet::{NodeAddr, SimDuration, SimTime, SiteId};
+use simnet::{NodeAddr, SimDuration, SimTime, SiteId, ThinVec};
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::rc::Rc;
@@ -238,7 +238,7 @@ impl RbayHost {
             reply_to: self.addr,
             query: Rc::clone(&rec.query),
             password: rec.password.clone(),
-            slots: Vec::new(),
+            slots: ThinVec::new(),
         };
         let trees = rec.anchor_trees.clone();
         self.queries.get_mut(&id).expect("record exists").pending = QueryPending {
@@ -247,7 +247,7 @@ impl RbayHost {
         };
         for site in sites {
             let payload = RbayPayload::SiteSearch {
-                state: state.clone(),
+                state: Box::new(state.clone()),
                 trees: trees.clone(),
             };
             self.hand_to(self.site_entry(site, attempt), payload);
@@ -933,13 +933,13 @@ mod tests {
         gw.on_direct(
             h.addr,
             RbayPayload::SiteSearch {
-                state: SearchState {
+                state: Box::new(SearchState {
                     query_id: id,
                     reply_to: h.addr,
                     query: Rc::clone(&rec.query),
                     password: None,
-                    slots: Vec::new(),
-                },
+                    slots: ThinVec::new(),
+                }),
                 trees: rec.anchor_trees.clone(),
             },
         );
@@ -1068,13 +1068,13 @@ mod tests {
         let mut gw = host_at(NodeAddr(10), SiteId(1), 2);
         let q = Rc::new(parse_query("SELECT 1 FROM * WHERE a = 1").unwrap());
         let enter = |gw: &mut RbayHost, seq: u32| {
-            let state = SearchState {
+            let state = Box::new(SearchState {
                 query_id: QueryId::new(NodeAddr(0), seq),
                 reply_to: NodeAddr(0),
                 query: Rc::clone(&q),
                 password: None,
-                slots: Vec::new(),
-            };
+                slots: ThinVec::new(),
+            });
             let trees = vec!["a=1".to_owned()];
             gw.on_direct(NodeAddr(0), RbayPayload::SiteSearch { state, trees });
         };

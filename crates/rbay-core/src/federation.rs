@@ -289,7 +289,7 @@ impl Federation {
             h.ops.push_back(Op::Multicast {
                 topic: h.tree_topic(&tree_name, site),
                 scope: h.routing_scope(site),
-                payload: RbayPayload::Admin(cmd),
+                payload: RbayPayload::Admin(Box::new(cmd)),
             });
         });
         cmd_id

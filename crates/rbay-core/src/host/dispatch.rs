@@ -63,7 +63,7 @@ impl ScribeHost<RbayPayload> for RbayHost {
             RbayPayload::SearchEcho {
                 query_id: state.query_id,
                 site: self.site,
-                slots: state.slots,
+                slots: state.slots.into_vec(),
                 satisfied,
             },
         );
@@ -77,6 +77,7 @@ impl ScribeHost<RbayPayload> for RbayHost {
         exists: bool,
     ) {
         if let RbayPayload::StatsProbe { reply_to, tree } = payload {
+            let agg = agg.map(Box::new);
             self.hand_to(reply_to, RbayPayload::StatsEcho { tree, agg, exists });
             return;
         }
@@ -88,7 +89,7 @@ impl ScribeHost<RbayPayload> for RbayHost {
 
     fn on_direct(&mut self, from: NodeAddr, payload: RbayPayload) {
         match payload {
-            RbayPayload::SiteSearch { state, trees } => self.enter_site(state, trees),
+            RbayPayload::SiteSearch { state, trees } => self.enter_site(*state, trees),
             RbayPayload::SearchEcho {
                 query_id,
                 site,
@@ -98,7 +99,8 @@ impl ScribeHost<RbayPayload> for RbayHost {
             RbayPayload::Commit { query_id } => self.on_commit(query_id),
             RbayPayload::Release { query_id } => self.on_release(query_id),
             RbayPayload::StatsEcho { tree, agg, exists } => {
-                self.tree_stats.insert(tree, (agg, exists, self.now));
+                self.tree_stats
+                    .insert(tree, (agg.map(|a| *a), exists, self.now));
             }
             RbayPayload::Ping { nonce, info } => self.on_ping(from, nonce, info),
             RbayPayload::Pong { info, .. } => self.on_pong(from, info),
@@ -153,12 +155,12 @@ mod tests {
         h.now = SimTime::from_millis(50);
         h.on_multicast(
             TopicId::new("price", "rbay"),
-            &RbayPayload::Admin(crate::types::AdminCommand {
+            &RbayPayload::Admin(Box::new(crate::types::AdminCommand {
                 cmd_id: 1,
                 attr: "price".into(),
                 payload: AttrValue::Num(21.0),
                 issued_at: SimTime::from_millis(10),
-            }),
+            })),
         );
         assert_eq!(h.attrs["price"], AttrValue::Num(42.0));
         assert!(matches!(
@@ -172,12 +174,12 @@ mod tests {
         let mut h = host();
         h.on_multicast(
             TopicId::new("expiry", "rbay"),
-            &RbayPayload::Admin(crate::types::AdminCommand {
+            &RbayPayload::Admin(Box::new(crate::types::AdminCommand {
                 cmd_id: 2,
                 attr: "expiry".into(),
                 payload: AttrValue::str("22:00"),
                 issued_at: SimTime::ZERO,
-            }),
+            })),
         );
         assert_eq!(h.attrs["expiry"], AttrValue::str("22:00"));
     }

@@ -141,7 +141,7 @@ mod store_tests {
     use rbay_query::{parse_query, AttrValue};
     use rbay_store::FsyncPolicy;
     use scribe::{ScribeHost, Visit};
-    use simnet::{NodeAddr, SimTime};
+    use simnet::{NodeAddr, SimTime, ThinVec};
     use std::path::{Path, PathBuf};
     use std::rc::Rc;
 
@@ -219,7 +219,7 @@ mod store_tests {
             reply_to: NodeAddr(1),
             query: Rc::new(parse_query(r#"SELECT 1 FROM * WHERE GPU = "A100""#).unwrap()),
             password: None,
-            slots: Vec::new(),
+            slots: ThinVec::new(),
         };
         assert_eq!(h.visit_search(&mut walk), Visit::Continue);
         // The client's release ends it, and a restart does not re-hold it.

@@ -142,7 +142,7 @@ mod tests {
     use pastry::NodeId;
     use rbay_query::{parse_query, AttrValue};
     use scribe::ScribeHost;
-    use simnet::{NodeAddr, SimTime};
+    use simnet::{NodeAddr, SimTime, ThinVec};
     use std::rc::Rc;
 
     fn search(k: u32, password: Option<&str>) -> SearchState {
@@ -155,7 +155,7 @@ mod tests {
             reply_to: NodeAddr(1),
             query: Rc::new(q),
             password: password.map(str::to_owned),
-            slots: Vec::new(),
+            slots: ThinVec::new(),
         }
     }
 

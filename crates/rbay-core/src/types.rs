@@ -3,7 +3,7 @@
 use pastry::NodeId;
 use rbay_query::{AttrValue, Query};
 use scribe::TopicId;
-use simnet::{MessageSize, NodeAddr, SimTime, SiteId};
+use simnet::{MessageSize, NodeAddr, SimTime, SiteId, ThinVec};
 use std::rc::Rc;
 
 /// A unique query identifier: issuing node address in the high bits, local
@@ -61,7 +61,7 @@ pub struct SearchState {
     /// Optional password presented to `onGet` handlers.
     pub password: Option<String>,
     /// Candidates found so far.
-    pub slots: Vec<Candidate>,
+    pub slots: ThinVec<Candidate>,
 }
 
 /// An admin command disseminated down a tree and handed to each member's
@@ -113,7 +113,7 @@ pub enum RbayPayload {
     /// comes back.
     SiteSearch {
         /// The walk to run; `reply_to` inside names the querier.
-        state: SearchState,
+        state: Box<SearchState>,
         /// Anchor tree names to probe, in the query's anchor order.
         trees: Vec<String>,
     },
@@ -128,7 +128,7 @@ pub enum RbayPayload {
         query_id: QueryId,
     },
     /// Multicast admin command (policy changes, Fig. 11 onDeliver).
-    Admin(AdminCommand),
+    Admin(Box<AdminCommand>),
     /// An admin's stats probe toward a tree root ("calculate a global view
     /// of the tree to the root … the size of the tree, the average value
     /// of all nodes' attributes", §II.B.3).
@@ -144,7 +144,7 @@ pub enum RbayPayload {
         /// The probed tree's textual name.
         tree: String,
         /// Root aggregate, if the tree exists.
-        agg: Option<scribe::AggValue>,
+        agg: Option<Box<scribe::AggValue>>,
         /// Whether the tree exists.
         exists: bool,
     },
@@ -321,7 +321,8 @@ mod tests {
                         sort_key: None,
                     };
                     n
-                ],
+                ]
+                .into(),
             })
         };
         assert!(mk(5).wire_size() > mk(1).wire_size());

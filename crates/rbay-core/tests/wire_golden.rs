@@ -63,7 +63,8 @@ fn search_state() -> SearchState {
         slots: vec![
             candidate(4, Some(AttrValue::Num(12.5))),
             candidate(200, None),
-        ],
+        ]
+        .into(),
     }
 }
 
@@ -121,12 +122,12 @@ fn payloads() {
     golden(P::Commit { query_id: qid }, "068280808010");
     golden(P::Release { query_id: qid }, "078280808010");
     golden(
-        P::Admin(AdminCommand {
+        P::Admin(Box::new(AdminCommand {
             cmd_id: 1,
             attr: "expires".into(),
             payload: AttrValue::Bool(false),
             issued_at: SimTime::from_micros(42),
-        }),
+        })),
         "0801076578706972657300002a",
     );
     golden(
@@ -139,10 +140,10 @@ fn payloads() {
     golden(
         P::StatsEcho {
             tree: "CPU".into(),
-            agg: Some(AggValue::Mean {
+            agg: Some(Box::new(AggValue::Mean {
                 sum: 90.0,
                 count: 4,
-            }),
+            })),
             exists: true,
         },
         "0a03435055010400000000008056400401",
@@ -170,7 +171,7 @@ fn payloads() {
     );
     golden(
         P::SiteSearch {
-            state: search_state(),
+            state: Box::new(search_state()),
             trees: vec!["GPU=true".into(), "rack".into()],
         },
         "0e89808080300302010105546f6b796f0103475055000001010f4350555f7574696c697a6174696f6e00010270770204100000000000000000000000000000040101010000000000002940c8100000000000000000000000000000c801010002084750553d74727565047261636b",

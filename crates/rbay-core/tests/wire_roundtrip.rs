@@ -166,7 +166,7 @@ fn s_search_state(aim: &Aim) -> impl Strategy<Value = SearchState> {
             reply_to,
             query: Rc::new(query),
             password,
-            slots,
+            slots: slots.into(),
         })
 }
 
@@ -194,16 +194,20 @@ fn s_payload(aim: &Aim) -> BoxedStrategy<RbayPayload> {
         aim.query_id()
             .prop_map(|query_id| RbayPayload::Release { query_id }),
         (any::<u64>(), s_string(), s_attr_value(), any::<u64>()).prop_map(
-            |(cmd_id, attr, payload, at)| RbayPayload::Admin(AdminCommand {
+            |(cmd_id, attr, payload, at)| RbayPayload::Admin(Box::new(AdminCommand {
                 cmd_id,
                 attr,
                 payload,
                 issued_at: SimTime::from_micros(at),
-            })
+            }))
         ),
         (aim.addr(), s_string())
             .prop_map(|(reply_to, tree)| RbayPayload::StatsProbe { reply_to, tree }),
-        (s_string(), option::of(s_agg_value()), any::<bool>())
+        (
+            s_string(),
+            option::of(s_agg_value().prop_map(Box::new)),
+            any::<bool>()
+        )
             .prop_map(|(tree, agg, exists)| RbayPayload::StatsEcho { tree, agg, exists }),
         (ends(0, u64::MAX), s_node_info(aim))
             .prop_map(|(nonce, info)| RbayPayload::Ping { nonce, info }),
@@ -211,7 +215,10 @@ fn s_payload(aim: &Aim) -> BoxedStrategy<RbayPayload> {
             .prop_map(|(nonce, info)| RbayPayload::Pong { nonce, info }),
         (s_string(), any::<bool>())
             .prop_map(|(attr, fanout)| RbayPayload::Invalidate { attr, fanout }),
-        (s_search_state(aim), vec(s_string(), 0..3))
+        (
+            s_search_state(aim).prop_map(Box::new),
+            vec(s_string(), 0..3)
+        )
             .prop_map(|(state, trees)| RbayPayload::SiteSearch { state, trees }),
     ]
     .boxed()
@@ -258,8 +265,8 @@ fn s_scribe_msg(aim: &Aim) -> BoxedStrategy<ScribeMsg<RbayPayload>> {
                     topic,
                     payload,
                     origin,
-                    visited,
-                    stack,
+                    visited: visited.into(),
+                    stack: stack.into(),
                 }
             }),
         (topic.clone(), payload.clone(), any::<bool>()).prop_map(|(topic, payload, satisfied)| {
@@ -280,7 +287,7 @@ fn s_scribe_msg(aim: &Aim) -> BoxedStrategy<ScribeMsg<RbayPayload>> {
         (
             topic.clone(),
             payload.clone(),
-            option::of(s_agg_value()),
+            option::of(s_agg_value().prop_map(Box::new)),
             any::<bool>()
         )
             .prop_map(|(topic, payload, agg, exists)| ScribeMsg::ProbeReply {

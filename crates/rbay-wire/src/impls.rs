@@ -13,7 +13,7 @@ use crate::{wire_enum, wire_struct};
 use pastry::{NodeId, NodeInfo, PastryMsg};
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
 use scribe::{AggValue, ScribeMsg, TopicId};
-use simnet::{NodeAddr, SimDuration, SimTime, SiteId};
+use simnet::{NodeAddr, SimDuration, SimTime, SiteId, ThinVec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -161,13 +161,19 @@ fn bounded_capacity<T>(len: usize, remaining: usize) -> usize {
     len.min(remaining.max(RESERVE_FLOOR) / std::mem::size_of::<T>().max(1))
 }
 
+/// A sequence on the wire: its length, then each element.
+#[inline]
+fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    emit::varint_u64(out, items.len() as u64);
+    for v in items {
+        v.encode_into(out);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     #[inline]
     fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.len() as u64);
-        for v in self {
-            v.encode_into(out);
-        }
+        encode_seq(self, out);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -179,6 +185,18 @@ impl<T: Wire> Wire for Vec<T> {
             }
             Ok(out)
         })
+    }
+}
+
+/// A `ThinVec` is an in-memory layout; on the wire it is the `Vec`.
+impl<T: Wire> Wire for ThinVec<T> {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_seq(self, out);
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Vec::decode(r).map(ThinVec::from)
     }
 }
 
@@ -286,7 +304,18 @@ impl Wire for SimDuration {
 // pastry
 // ---------------------------------------------------------------------------
 
-wire_struct!(NodeId { 0 });
+// `NodeId` is packed, so its field is read by value, not by reference.
+impl Wire for NodeId {
+    #[inline]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        emit::u128(out, self.as_u128());
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u128().map(NodeId)
+    }
+}
+
 wire_struct!(NodeInfo { id, addr, site });
 
 wire_enum!(PastryMsg<A> {

@@ -205,8 +205,8 @@ fn scribe_msgs() {
             topic: topic(),
             payload: p(),
             origin: NodeAddr(3),
-            visited: vec![NodeAddr(1), NodeAddr(200)],
-            stack: vec![NodeAddr(9)],
+            visited: vec![NodeAddr(1), NodeAddr(200)].into(),
+            stack: vec![NodeAddr(9)].into(),
         },
         "062a00000000000000efbefecacefaedfe03706179030201c8010109",
     );
@@ -231,7 +231,7 @@ fn scribe_msgs() {
         M::ProbeReply {
             topic: topic(),
             payload: p(),
-            agg: Some(AggValue::Count(12)),
+            agg: Some(Box::new(AggValue::Count(12))),
             exists: true,
         },
         "092a00000000000000efbefecacefaedfe0370617901000c01",

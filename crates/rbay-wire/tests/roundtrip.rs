@@ -14,7 +14,7 @@ use rbay_wire::{
     assert_tags_covered, decode_frame, encode_frame, FrameAssembler, Hello, Wire, MAX_FRAME_LEN,
 };
 use scribe::{AggValue, ScribeMsg, TopicId};
-use simnet::{NodeAddr, SimDuration, SimTime, SiteId};
+use simnet::{NodeAddr, SimDuration, SimTime, SiteId, ThinVec};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -155,8 +155,8 @@ fn s_scribe_msg() -> BoxedStrategy<ScribeMsg<AggValue>> {
                     topic,
                     payload,
                     origin,
-                    visited,
-                    stack,
+                    visited: visited.into(),
+                    stack: stack.into(),
                 }
             }),
         (s_topic(), s_agg_value(), any::<bool>()).prop_map(|(topic, payload, satisfied)| {
@@ -177,7 +177,7 @@ fn s_scribe_msg() -> BoxedStrategy<ScribeMsg<AggValue>> {
         (
             s_topic(),
             s_agg_value(),
-            option::of(s_agg_value()),
+            option::of(s_agg_value().prop_map(Box::new)),
             any::<bool>()
         )
             .prop_map(|(topic, payload, agg, exists)| ScribeMsg::ProbeReply {
@@ -340,6 +340,25 @@ proptest! {
     #[test]
     fn queries_round_trip(q in s_query()) {
         prop_assert_eq!(reencodes(&q), q);
+    }
+
+    /// `Box` and `ThinVec` are in-memory layouts: a boxed value and a thin
+    /// vector frame exactly as the plain value and `Vec` do, and each
+    /// decodes from the other's frame.
+    #[test]
+    fn boxed_and_thin_values_frame_as_plain_ones(
+        v in s_agg_value(),
+        addrs in vec(any::<u32>().prop_map(NodeAddr), 0..8),
+    ) {
+        let boxed = Box::new(v.clone());
+        prop_assert_eq!(encode_frame(&boxed), encode_frame(&v));
+        prop_assert_eq!(reencodes(&boxed), boxed);
+        prop_assert_eq!(decode_frame::<AggValue>(&encode_frame(&Box::new(v.clone()))).unwrap(), v);
+
+        let thin = ThinVec::from(addrs.clone());
+        prop_assert_eq!(encode_frame(&thin), encode_frame(&addrs));
+        prop_assert_eq!(reencodes(&thin), thin);
+        prop_assert_eq!(decode_frame::<ThinVec<NodeAddr>>(&encode_frame(&addrs)).unwrap().into_vec(), addrs);
     }
 
     #[test]

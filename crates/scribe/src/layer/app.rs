@@ -71,7 +71,7 @@ where
                     PastryMsg::Direct(ScribeMsg::ProbeReply {
                         topic,
                         payload,
-                        agg,
+                        agg: agg.map(Box::new),
                         exists,
                     }),
                 );
@@ -174,7 +174,8 @@ where
                 agg,
                 exists,
             } => {
-                self.host.on_probe_reply(topic, payload, agg, exists);
+                self.host
+                    .on_probe_reply(topic, payload, agg.map(|a| *a), exists);
             }
             ScribeMsg::AggUpdate { topic, value } => {
                 self.layer.on_agg_update(net, me, from, topic, value);

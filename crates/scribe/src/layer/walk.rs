@@ -4,7 +4,7 @@
 use super::{route_to_root, ScribeHost, ScribeLayer};
 use crate::types::{ScribeMsg, TopicId, Visit};
 use pastry::{Net, PastryMsg, PastryNode};
-use simnet::{NodeAddr, SiteId};
+use simnet::{NodeAddr, SiteId, ThinVec};
 
 impl ScribeLayer {
     /// Multicasts `payload` to every subscriber of `topic` (dissemination
@@ -148,8 +148,8 @@ impl ScribeLayer {
             topic,
             payload,
             origin,
-            Vec::new(),
-            Vec::new(),
+            ThinVec::new(),
+            ThinVec::new(),
         );
     }
 
@@ -165,8 +165,8 @@ impl ScribeLayer {
         topic: TopicId,
         mut payload: P,
         origin: NodeAddr,
-        mut visited: Vec<NodeAddr>,
-        mut stack: Vec<NodeAddr>,
+        mut visited: ThinVec<NodeAddr>,
+        mut stack: ThinVec<NodeAddr>,
     ) where
         N: Net<ScribeMsg<P>>,
         H: ScribeHost<P>,
@@ -288,8 +288,8 @@ mod tests {
             topic: topic(),
             payload: P(1),
             origin: NodeAddr(9),
-            visited: vec![NodeAddr(9)],
-            stack: vec![live, buried],
+            visited: vec![NodeAddr(9)].into(),
+            stack: vec![live, buried].into(),
         });
         deliver(&mut pastry, &mut layer, &mut net, &mut host, 9, step);
         let (to, msg) = net.sent.pop_front().expect("the walk goes on");

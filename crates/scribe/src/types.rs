@@ -1,7 +1,7 @@
 //! Topic naming, aggregate values, and Scribe wire messages.
 
 use pastry::{NodeId, NodeInfo};
-use simnet::{MessageSize, NodeAddr, SiteId};
+use simnet::{MessageSize, NodeAddr, SiteId, ThinVec};
 
 /// Identifies a Scribe tree: the hash of the tree's textual name
 /// concatenated with its creator's name (paper §II.B.2). The node whose
@@ -242,9 +242,9 @@ pub enum ScribeMsg<P> {
         /// Node awaiting the result.
         origin: NodeAddr,
         /// Nodes already visited.
-        visited: Vec<NodeAddr>,
+        visited: ThinVec<NodeAddr>,
         /// DFS stack of nodes still to visit.
-        stack: Vec<NodeAddr>,
+        stack: ThinVec<NodeAddr>,
     },
     /// Final answer of an anycast, sent to its origin.
     AnycastResult {
@@ -273,8 +273,9 @@ pub enum ScribeMsg<P> {
         topic: TopicId,
         /// Annotated payload.
         payload: P,
-        /// The root's current aggregate, if the tree exists.
-        agg: Option<AggValue>,
+        /// The root's current aggregate, if the tree exists (boxed: a
+        /// multi-aggregate would widen every message).
+        agg: Option<Box<AggValue>>,
         /// Whether the probed tree exists at the rendezvous node.
         exists: bool,
     },

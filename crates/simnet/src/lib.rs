@@ -85,6 +85,7 @@ pub mod obs;
 pub mod queue;
 pub mod sched;
 mod stats;
+mod thin;
 mod time;
 pub mod topology;
 mod transport;
@@ -97,6 +98,7 @@ pub use obs::{MetricsSnapshot, ObsEvent, Recorder};
 pub use queue::CalendarQueue;
 pub use sched::{ExploreScheduler, FaultOpts, Footprint, RandomScheduler, ReplayScheduler};
 pub use stats::NetStats;
+pub use thin::ThinVec;
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeAddr, SiteId, SiteSpec, Topology};
 pub use transport::Transport;
