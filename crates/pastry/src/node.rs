@@ -12,7 +12,7 @@
 use crate::id::{NodeId, ID_DIGITS};
 use crate::state::{LeafSet, NodeInfo, RoutingTable};
 use simnet::obs::{ObsEvent, Recorder};
-use simnet::{MessageSize, NodeAddr, SiteId, Transport};
+use simnet::{NodeAddr, SiteId, Transport};
 use std::collections::{BTreeSet, HashMap};
 
 /// Short for "a [`Transport`] of [`PastryMsg`]s with payload `A`": what the
@@ -126,27 +126,6 @@ pub enum PastryMsg<A> {
     Direct(A),
 }
 
-impl<A: MessageSize> MessageSize for PastryMsg<A> {
-    fn wire_size(&self) -> usize {
-        const INFO: usize = 16 + 4 + 2; // id + addr + site on the wire
-        match self {
-            PastryMsg::Route { payload, .. } => 16 + 2 + 3 + payload.wire_size(),
-            PastryMsg::Join { rows, .. } => {
-                INFO + 2 + rows.iter().map(|r| r.len() * INFO).sum::<usize>()
-            }
-            PastryMsg::JoinReply { rows, leaves, .. } => {
-                INFO + leaves.len() * INFO + rows.iter().map(|r| r.len() * INFO).sum::<usize>()
-            }
-            PastryMsg::Announce { .. } => INFO,
-            PastryMsg::RowRequest { .. } => 2,
-            PastryMsg::RowReply { entries, .. } => 2 + entries.len() * INFO,
-            PastryMsg::LeafRepairRequest => 1,
-            PastryMsg::LeafRepairReply { leaves } => 1 + leaves.len() * INFO,
-            PastryMsg::Direct(a) => a.wire_size(),
-        }
-    }
-}
-
 /// Counters exposed for the evaluation harnesses (Fig. 8a/8b).
 #[derive(Debug, Clone, Default)]
 pub struct PastryStats {
@@ -154,8 +133,6 @@ pub struct PastryStats {
     pub forwards: u64,
     /// Routed messages delivered at this node as the key's root.
     pub delivered: u64,
-    /// Join requests this node helped route.
-    pub joins_seen: u64,
 }
 
 /// Protocol state of one Pastry node.
@@ -534,7 +511,6 @@ impl PastryNode {
                 mut rows,
                 hops,
             } => {
-                self.stats.joins_seen += 1;
                 // Contribute routing rows up to the shared-prefix length.
                 let l = self.info.id.common_prefix_len(joiner.id).min(ID_DIGITS - 1);
                 while rows.len() <= l {
@@ -679,7 +655,6 @@ mod tests {
     /// Local payload type (the orphan rule forbids impls on `u32`).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct P(u32);
-    impl MessageSize for P {}
 
     /// A loopback "network" that records sends for single-node unit tests.
     #[derive(Default)]
@@ -954,21 +929,5 @@ mod tests {
             node.gossip_round(&mut net);
             assert_eq!(net.sent[0].0, listed[round % listed.len()].addr);
         }
-    }
-
-    #[test]
-    fn wire_size_charges_payload() {
-        let small = PastryMsg::Route {
-            key: NodeId(0),
-            payload: P(0),
-            hops: 0,
-            scope: None,
-        };
-        let join: PastryMsg<P> = PastryMsg::Join {
-            joiner: info(0, 0, 0),
-            rows: vec![vec![info(1, 1, 0); 16]],
-            hops: 0,
-        };
-        assert!(join.wire_size() > small.wire_size());
     }
 }

@@ -4,11 +4,10 @@
 
 use pastry::{seed_overlay, NodeId, NodeInfo, PastryApp, PastryMsg, PastryNode};
 use proptest::prelude::*;
-use simnet::{Actor, Context, MessageSize, NodeAddr, Simulation, SiteId, Topology};
+use simnet::{Actor, Context, NodeAddr, Simulation, SiteId, Topology};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Payload(u64);
-impl MessageSize for Payload {}
 
 /// Records every delivery so tests can check who became the root.
 #[derive(Default)]

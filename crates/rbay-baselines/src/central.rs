@@ -10,9 +10,7 @@
 //! roots.
 
 use rbay_query::AttrValue;
-use simnet::{
-    Actor, Context, MessageSize, NodeAddr, SimDuration, SimTime, Simulation, Topology, Transport,
-};
+use simnet::{Actor, Context, NodeAddr, SimDuration, SimTime, Simulation, Topology, Transport};
 use std::collections::BTreeMap;
 
 /// Node state shipped in snapshots: attribute → value.
@@ -65,20 +63,6 @@ fn attr_map_size(m: &AttrMap) -> usize {
                 }
         })
         .sum()
-}
-
-impl MessageSize for CentralMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            CentralMsg::PollCluster | CentralMsg::PollLeaf => 1,
-            CentralMsg::LeafState { attrs } => attr_map_size(attrs),
-            CentralMsg::ClusterSnapshot { nodes } => {
-                nodes.iter().map(|(_, m)| 4 + attr_map_size(m)).sum()
-            }
-            CentralMsg::Query { attr, .. } => 12 + attr.len(),
-            CentralMsg::QueryReply { nodes, .. } => 8 + nodes.len() * 4,
-        }
-    }
 }
 
 /// Role of a node in the centralized hierarchy.
@@ -152,9 +136,22 @@ impl CentralNode {
 impl Actor for CentralNode {
     type Msg = CentralMsg;
 
+    /// This baseline has no codec: its bytes are a hand estimate.
+    fn wire_size(msg: &CentralMsg) -> usize {
+        match msg {
+            CentralMsg::PollCluster | CentralMsg::PollLeaf => 1,
+            CentralMsg::LeafState { attrs } => attr_map_size(attrs),
+            CentralMsg::ClusterSnapshot { nodes } => {
+                nodes.iter().map(|(_, m)| 4 + attr_map_size(m)).sum()
+            }
+            CentralMsg::Query { attr, .. } => 12 + attr.len(),
+            CentralMsg::QueryReply { nodes, .. } => 8 + nodes.len() * 4,
+        }
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_, CentralMsg>, from: NodeAddr, msg: CentralMsg) {
         self.messages_in += 1;
-        self.bytes_in += msg.wire_size() as u64;
+        self.bytes_in += Self::wire_size(&msg) as u64;
         match msg {
             CentralMsg::PollCluster => {
                 // Head: fan a poll out to every leaf.

@@ -37,10 +37,10 @@
 //! ```
 
 use rbay_bench::cluster::{
-    proc_of, proc_sock, site_of, to, Ctrl, CtrlMsg, Daemon, DEFAULT_BASE_PORT,
+    daemon_topology, proc_of, proc_sock, to, Ctrl, CtrlMsg, Daemon, DEFAULT_BASE_PORT,
 };
 use rbay_bench::{flag_value, JsonRecord};
-use rbay_core::{Candidate, FrontdoorStats};
+use rbay_core::{Candidate, FrontdoorStats, RbayNode};
 use rbay_store::StoreStats;
 use rbay_wire::DropStats;
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
@@ -277,18 +277,11 @@ fn main() {
     let converge_ms = spawn_start.elapsed().as_secs_f64() * 1e3;
     println!("cluster: overlay converged in {converge_ms:.0} ms");
 
-    // Front door: enable the cache on every gateway (each site's three
-    // lowest members — the layout build_node computes on every daemon).
+    // Front door: enable the cache on every gateway, as build_node lays
+    // them out on every daemon.
     let mut gateways: Vec<NodeAddr> = Vec::new();
     if args.frontdoor {
-        let mut per_site = vec![0u32; args.num_sites as usize];
-        for i in 0..args.agents {
-            let s = site_of(i, args.agents, args.num_sites).0 as usize;
-            if per_site[s] < 3 {
-                per_site[s] += 1;
-                gateways.push(NodeAddr(i));
-            }
-        }
+        gateways = RbayNode::gateways(&daemon_topology(args.agents, args.num_sites)).concat();
         for &g in &gateways {
             let enable = CtrlMsg::EnableFrontdoor {
                 ttl_ms: 600_000,

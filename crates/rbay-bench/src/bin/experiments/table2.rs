@@ -9,16 +9,13 @@
 
 use rbay_bench::HarnessOpts;
 use simnet::topology::AWS8_SITE_NAMES;
-use simnet::{
-    Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, SiteId, Topology, Transport,
-};
+use simnet::{Actor, Context, NodeAddr, SimTime, Simulation, SiteId, Topology, Transport};
 
 #[derive(Debug)]
 enum Msg {
     Ping { seq: u32 },
     Pong { seq: u32 },
 }
-impl MessageSize for Msg {}
 
 #[derive(Default)]
 struct Pinger {

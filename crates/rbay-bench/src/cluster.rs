@@ -15,13 +15,11 @@
 //! identical gateway logic.
 
 use aascript::SharedSandbox;
-use pastry::{NodeId, NodeInfo, PastryNode};
-use rbay_core::{Candidate, RbayConfig, RbayHost, RbayNode};
+use rbay_core::{Candidate, RbayConfig, RbayNode};
 use rbay_wire::{
     decode_frame, encode_frame, read_frame, wire_enum, write_frame, Hello, Resolver, MAX_FRAME_LEN,
 };
-use scribe::ScribeLayer;
-use simnet::{NodeAddr, SiteId};
+use simnet::{NodeAddr, SiteId, SiteSpec, Topology};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpStream};
 use std::process::Child;
@@ -65,47 +63,33 @@ pub fn resolver(base_port: u16, count: u32) -> Resolver {
     packed_resolver(base_port, count, 1)
 }
 
-/// The site of daemon `index` in an `n`-daemon, `num_sites`-site plan:
-/// contiguous blocks, the same split `Topology` produces for equal-sized
-/// sites.
-pub fn site_of(index: u32, count: u32, num_sites: u16) -> SiteId {
-    let per = (count as usize).div_ceil(num_sites as usize) as u32;
-    SiteId(((index / per) as u16).min(num_sites - 1))
+/// The layout of a `count`-daemon, `num_sites`-site deployment: sites
+/// named `site{s}`, each a contiguous block of `ceil(count / num_sites)`
+/// daemons but the last, which takes what is left.
+pub fn daemon_topology(count: u32, num_sites: u16) -> Topology {
+    let per = count.div_ceil(num_sites as u32);
+    let sites = (0..num_sites as u32)
+        .map(|s| SiteSpec {
+            name: format!("site{s}"),
+            nodes: per.min(count.saturating_sub(s * per)) as usize,
+            instability: 1.0,
+        })
+        .collect();
+    Topology::new(
+        sites,
+        vec![vec![0.0; num_sites as usize]; num_sites as usize],
+    )
 }
 
-/// Builds one daemon's [`RbayNode`] with identity and federation layout
-/// consistent across every daemon of the deployment (and with the
-/// simulated `Federation`: node ids hash the same string, gateways are
-/// each site's three lowest addresses).
+/// Builds daemon `index`'s [`RbayNode`] as the simulated `Federation`
+/// builds its members ([`RbayNode::member`]), over [`daemon_topology`].
 pub fn build_node(index: u32, count: u32, num_sites: u16, cfg: RbayConfig) -> RbayNode {
-    let info = NodeInfo {
-        id: NodeId::hash_of(format!("rbay-node:{index}").as_bytes()),
-        addr: NodeAddr(index),
-        site: site_of(index, count, num_sites),
-    };
-    let mut gateways: Vec<Vec<NodeAddr>> = vec![Vec::new(); num_sites as usize];
-    for i in 0..count {
-        let s = site_of(i, count, num_sites);
-        let list = &mut gateways[s.0 as usize];
-        if list.len() < 3 {
-            list.push(NodeAddr(i));
-        }
-    }
-    let site_names: Vec<String> = (0..num_sites).map(|s| format!("site{s}")).collect();
-    let host = RbayHost::new(
+    RbayNode::member(
+        &daemon_topology(count, num_sites),
+        NodeAddr(index),
         Rc::new(cfg),
-        info.id,
-        info.addr,
-        info.site,
         SharedSandbox::new(),
-        gateways,
-        site_names,
-    );
-    RbayNode {
-        pastry: PastryNode::new(info),
-        scribe: ScribeLayer::new(),
-        host,
-    }
+    )
 }
 
 /// The control protocol between the `cluster` harness (or any operator
@@ -328,6 +312,7 @@ impl Drop for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pastry::NodeId;
 
     /// One value per [`CtrlMsg`] variant, in tag order, with the message
     /// bytes it encoded to at the commit before the codec became
@@ -468,6 +453,7 @@ mod tests {
                 .map(|b| format!("{b:02x}"))
                 .collect();
             assert_eq!(&got, hex, "encoding moved for {m:?}");
+            assert_eq!(rbay_wire::Wire::encoded_len(m) * 2, hex.len());
             assert_eq!(&decode_frame::<CtrlMsg>(&encode_frame(m)).unwrap(), m);
         }
         // One vector per declared tag: a new variant needs a new vector.
@@ -486,6 +472,42 @@ mod tests {
             };
         }
         assert!(decode_frame::<CtrlMsg>(&encode_frame(&msg)).is_err());
+    }
+
+    /// A control socket takes bytes from anyone: random frames, every
+    /// strict prefix and every single-bit flip of each golden frame decode
+    /// to a value or a `WireError`, never a panic, and a length beyond
+    /// the frame is refused before anything is reserved for it.
+    #[test]
+    fn corrupt_ctrl_frames_error_not_panic() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use rbay_wire::{Sink, WireError, WIRE_VERSION};
+        for (m, _) in golden_ctrl_msgs() {
+            let frame = encode_frame(&m);
+            for cut in 0..frame.len() {
+                assert!(decode_frame::<CtrlMsg>(&frame[..cut]).is_err());
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(back) = decode_frame::<CtrlMsg>(&flipped) {
+                    let _ = encode_frame(&back);
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..4096 {
+            let len = rng.gen_range(0..96);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let _ = decode_frame::<CtrlMsg>(&bytes);
+        }
+        // A `QueryDone` announcing 2^40 results in a nine-byte frame.
+        let mut hostile = vec![WIRE_VERSION, 3, 1];
+        hostile.varint(1 << 40);
+        assert!(matches!(
+            decode_frame::<CtrlMsg>(&hostile),
+            Err(WireError::BadLength { len, .. }) if len == 1 << 40
+        ));
     }
 
     #[test]
@@ -507,10 +529,13 @@ mod tests {
     #[test]
     fn layout_matches_across_daemons() {
         // 10 nodes over 2 sites: 0..4 in site0, 5..9 in site1.
-        assert_eq!(site_of(0, 10, 2), SiteId(0));
-        assert_eq!(site_of(4, 10, 2), SiteId(0));
-        assert_eq!(site_of(5, 10, 2), SiteId(1));
-        assert_eq!(site_of(9, 10, 2), SiteId(1));
+        let topo = daemon_topology(10, 2);
+        assert_eq!(topo.site_of(NodeAddr(4)), SiteId(0));
+        assert_eq!(topo.site_of(NodeAddr(5)), SiteId(1));
+        assert_eq!(topo.node_count(), 10);
+        // 9 nodes over 4 sites: blocks of 3, and the last site is empty.
+        let sizes = |t: &Topology| (0..4).map(|s| t.site(SiteId(s)).nodes).collect::<Vec<_>>();
+        assert_eq!(sizes(&daemon_topology(9, 4)), [3, 3, 3, 0]);
         let a = build_node(0, 10, 2, RbayConfig::default());
         let b = build_node(7, 10, 2, RbayConfig::default());
         assert_eq!(a.host.gateways, b.host.gateways);
@@ -519,5 +544,16 @@ mod tests {
             a.host.gateways[1],
             vec![NodeAddr(5), NodeAddr(6), NodeAddr(7)]
         );
+        // The simulator builds the same members.
+        let fed = rbay_core::Federation::new(topo, 1);
+        for i in 0..10 {
+            let (sim, tcp) = (
+                fed.sim().actor(NodeAddr(i)),
+                build_node(i, 10, 2, RbayConfig::default()),
+            );
+            assert_eq!(sim.pastry.info(), tcp.pastry.info());
+            assert_eq!(sim.host.gateways, tcp.host.gateways);
+            assert_eq!(sim.host.site_names, tcp.host.site_names);
+        }
     }
 }

@@ -671,11 +671,10 @@ mod tests {
     /// One independent simulation per seed, returning its full deterministic
     /// fingerprint (clock, stats, trace).
     fn fingerprint(seed: u64) -> (simnet::SimTime, simnet::NetStats, Vec<simnet::TraceEvent>) {
-        use simnet::{Actor, Context, MessageSize, SimTime, Simulation, Transport};
+        use simnet::{Actor, Context, SimTime, Simulation, Transport};
 
         #[derive(Debug)]
         struct Ping(u32);
-        impl MessageSize for Ping {}
         struct Bouncer;
         impl Actor for Bouncer {
             type Msg = Ping;

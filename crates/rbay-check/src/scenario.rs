@@ -28,11 +28,11 @@ use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rbay_core::{Federation, QueryId, RbayConfig};
 use rbay_query::AttrValue;
+use rbay_wire::Wire;
 use rbay_workloads::WORKLOAD_PASSWORD;
 use scribe::TopicId;
 use simnet::{
-    Actor, Context, FaultOpts, MessageSize, NodeAddr, SimDuration, SimTime, Simulation, SiteId,
-    Topology,
+    Actor, Context, FaultOpts, NodeAddr, SimDuration, SimTime, Simulation, SiteId, Topology,
 };
 
 /// Which explorable window a [`CheckSpec`] builds.
@@ -457,7 +457,7 @@ pub fn run_churn_default(p: &ChurnParams) -> ChurnState {
 /// not the content.
 #[derive(Debug, Clone, Copy)]
 pub struct Probe;
-impl MessageSize for Probe {}
+rbay_wire::wire_struct!(Probe {});
 
 /// Records the hop count of every probe delivered at its member.
 #[derive(Default)]
@@ -498,6 +498,9 @@ pub struct Agent {
 
 impl Actor for Agent {
     type Msg = PastryMsg<Probe>;
+    fn wire_size(msg: &Self::Msg) -> usize {
+        msg.encoded_len()
+    }
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg) {
         let Agent { node, app } = self;
         node.on_message(ctx, app, from, msg);

@@ -8,11 +8,14 @@
 //! over real sockets (`rbay-bench`'s `rbay-node` daemon, via
 //! [`crate::MemberCtx`]).
 
-use crate::host::{split_timer_token, Op, RbayHost};
+use crate::host::{split_timer_token, Op, RbayConfig, RbayHost};
 use crate::types::RbayPayload;
-use pastry::{LeafSet, PastryMsg, PastryNode, RoutingTable};
+use aascript::SharedSandbox;
+use pastry::{LeafSet, NodeId, NodeInfo, PastryMsg, PastryNode, RoutingTable};
+use rbay_wire::Wire;
 use scribe::{ScribeApp, ScribeLayer, ScribeMsg};
-use simnet::{Actor, Context, NodeAddr, TimerToken, Transport};
+use simnet::{Actor, Context, NodeAddr, SiteId, TimerToken, Topology, Transport};
+use std::rc::Rc;
 
 /// The message type on the wire: Pastry framing around Scribe framing
 /// around RBAY payloads.
@@ -36,6 +39,54 @@ pub struct RbayNode {
 }
 
 impl RbayNode {
+    /// Member `addr` of the federation laid out by `topology`. The
+    /// simulator and every TCP daemon build their members here, so a
+    /// deployment agrees on each member's ring id (the hash of
+    /// `"rbay-node:{addr}"`) and on [`RbayNode::gateways`].
+    pub fn member(
+        topology: &Topology,
+        addr: NodeAddr,
+        cfg: Rc<RbayConfig>,
+        sandbox: SharedSandbox,
+    ) -> Self {
+        let info = NodeInfo {
+            id: NodeId::hash_of(format!("rbay-node:{}", addr.0).as_bytes()),
+            addr,
+            site: topology.site_of(addr),
+        };
+        let site_names = (0..topology.site_count() as u16)
+            .map(|s| topology.site(SiteId(s)).name.clone())
+            .collect();
+        RbayNode {
+            pastry: PastryNode::new(info),
+            scribe: ScribeLayer::new(),
+            host: RbayHost::new(
+                cfg,
+                info.id,
+                addr,
+                info.site,
+                sandbox,
+                Self::gateways(topology),
+                site_names,
+            ),
+        }
+    }
+
+    /// Each site's border routers: its three lowest addresses (retries
+    /// rotate through them, so one failed gateway is survivable). A
+    /// topology numbers its nodes site by site, so they start each block.
+    pub fn gateways(topology: &Topology) -> Vec<Vec<NodeAddr>> {
+        let mut first = 0;
+        (0..topology.site_count() as u16)
+            .map(|s| {
+                let nodes = topology.site(SiteId(s)).nodes;
+                let lowest = (first..first + nodes.min(3)).map(|a| NodeAddr(a as u32));
+                first += nodes;
+                lowest.collect()
+            })
+            .collect()
+    }
+
     /// The one way to drive a node: stamps the host's clock from the
     /// transport, runs `f`, then executes every host operation `f` queued
     /// (the failure detector's on-use pings among them). A message, a
@@ -205,6 +256,12 @@ impl RbayNode {
 
 impl Actor for RbayNode {
     type Msg = RbayMsg;
+
+    /// The message's own encoding; a TCP peer frame adds its `u32`
+    /// length, `from`/`to` varints and version byte (DESIGN §13).
+    fn wire_size(msg: &RbayMsg) -> usize {
+        msg.encoded_len()
+    }
 
     fn on_message(&mut self, ctx: &mut Context<'_, RbayMsg>, from: NodeAddr, msg: RbayMsg) {
         self.on_message_via(ctx, from, msg);

@@ -8,9 +8,9 @@ use crate::frontdoor::{lowest_rtt_site, FrontdoorConfig, FrontdoorResponse, Fron
 use crate::host::{Op, RbayConfig, RbayHost};
 use crate::types::{AdminCommand, Candidate, QueryId, QueryRecord, RbayEvent, RbayPayload};
 use aascript::SharedSandbox;
-use pastry::{seed_overlay, NodeId, NodeInfo, PastryNode};
+use pastry::{seed_overlay, PastryNode};
 use rbay_query::{parse_query, AttrValue, ParseQueryError, Query};
-use scribe::{ScribeLayer, TopicId};
+use scribe::TopicId;
 use simnet::obs::Recorder;
 use simnet::{NodeAddr, SimDuration, SimTime, Simulation, SiteId, Topology};
 use std::collections::BTreeMap;
@@ -54,42 +54,14 @@ impl Federation {
     pub fn with_config(topology: Topology, seed: u64, cfg: RbayConfig) -> Self {
         let cfg = Rc::new(cfg);
         let sandbox = SharedSandbox::new();
-        // Border routers per site: the three lowest addresses (retries
-        // rotate through them, so one failed gateway is survivable).
-        let gateways: Vec<Vec<NodeAddr>> = (0..topology.site_count() as u16)
-            .map(|s| {
-                let mut nodes = topology.nodes_of_site(SiteId(s));
-                nodes.sort();
-                nodes.truncate(3);
-                assert!(!nodes.is_empty(), "every site has nodes");
-                nodes
-            })
-            .collect();
-        let site_names: Vec<String> = (0..topology.site_count() as u16)
-            .map(|s| topology.site(SiteId(s)).name.clone())
-            .collect();
-
+        assert!(
+            RbayNode::gateways(&topology).iter().all(|g| !g.is_empty()),
+            "every site has nodes"
+        );
         let cfg2 = Rc::clone(&cfg);
         let topo2 = topology.clone();
         let mut sim = Simulation::new(topology, seed, move |addr| {
-            let info = NodeInfo {
-                id: NodeId::hash_of(format!("rbay-node:{}", addr.0).as_bytes()),
-                addr,
-                site: topo2.site_of(addr),
-            };
-            RbayNode {
-                pastry: PastryNode::new(info),
-                scribe: ScribeLayer::new(),
-                host: RbayHost::new(
-                    Rc::clone(&cfg2),
-                    info.id,
-                    addr,
-                    info.site,
-                    sandbox.clone(),
-                    gateways.clone(),
-                    site_names.clone(),
-                ),
-            }
+            RbayNode::member(&topo2, addr, Rc::clone(&cfg2), sandbox.clone())
         });
 
         // Seed the converged overlay (protocol joins remain available and

@@ -3,7 +3,7 @@
 use pastry::NodeId;
 use rbay_query::{AttrValue, Query};
 use scribe::TopicId;
-use simnet::{MessageSize, NodeAddr, SimTime, SiteId, ThinVec};
+use simnet::{NodeAddr, SimTime, SiteId, ThinVec};
 use std::rc::Rc;
 
 /// A unique query identifier: issuing node address in the high bits, local
@@ -179,31 +179,6 @@ pub enum RbayPayload {
     },
 }
 
-/// The simulated size of a walk's state on the wire.
-fn search_size(s: &SearchState) -> usize {
-    48 + s.slots.len() * 40 + s.query.predicates.len() * 32
-}
-
-impl MessageSize for RbayPayload {
-    fn wire_size(&self) -> usize {
-        match self {
-            RbayPayload::SizeProbe { .. } => 16,
-            RbayPayload::Search(s) => search_size(s),
-            RbayPayload::SearchEcho { slots, .. } => 16 + slots.len() * 40,
-            RbayPayload::SiteSearch { state, trees } => {
-                search_size(state) + trees.iter().map(|t| t.len()).sum::<usize>()
-            }
-            RbayPayload::Commit { .. } | RbayPayload::Release { .. } => 9,
-            RbayPayload::Admin(c) => 24 + c.attr.len(),
-            // nonce + NodeInfo (ring id, address, site).
-            RbayPayload::Ping { .. } | RbayPayload::Pong { .. } => 33,
-            RbayPayload::StatsProbe { tree, .. } => 5 + tree.len(),
-            RbayPayload::StatsEcho { tree, .. } => 30 + tree.len(),
-            RbayPayload::Invalidate { attr, .. } => 3 + attr.len(),
-        }
-    }
-}
-
 /// What holds a node for a query (protocol step 5). A walk reserves the
 /// node for a short window; the querier's `Commit` turns that reservation
 /// into a commit, which only the client's explicit release ends.
@@ -302,29 +277,5 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a, QueryId::new(NodeAddr(1), 1));
         assert_eq!((c.origin(), c.seq()), (NodeAddr(2), 1));
-    }
-
-    #[test]
-    fn wire_size_scales_with_slots() {
-        let q = Rc::new(rbay_query::parse_query("SELECT 3 FROM * WHERE a = 1").unwrap());
-        let mk = |n: usize| {
-            RbayPayload::Search(SearchState {
-                query_id: QueryId(1),
-                reply_to: NodeAddr(0),
-                query: Rc::clone(&q),
-                password: None,
-                slots: vec![
-                    Candidate {
-                        id: NodeId(0),
-                        addr: NodeAddr(0),
-                        site: SiteId(0),
-                        sort_key: None,
-                    };
-                    n
-                ]
-                .into(),
-            })
-        };
-        assert!(mk(5).wire_size() > mk(1).wire_size());
     }
 }

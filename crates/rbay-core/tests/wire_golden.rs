@@ -22,6 +22,7 @@ fn golden<T: Wire + Debug>(v: T, hex: &str) {
     let bytes = v.encode();
     let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(got, hex, "encoding moved for {v:?}");
+    assert_eq!(v.encoded_len(), bytes.len(), "encoded_len miscounts {v:?}");
     let mut r = Reader::new(&bytes);
     let back = T::decode(&mut r).expect("golden bytes decode");
     assert!(r.is_empty(), "decode left bytes behind for {v:?}");

@@ -377,6 +377,7 @@ fn strategies_cover_every_declared_tag() {
 /// Byte-identity round trip (the payload enums have no `PartialEq`; a
 /// lost or swapped field shows up as a byte diff on re-encode).
 fn reencodes<T: Wire>(v: &T) -> T {
+    assert_eq!(v.encoded_len(), v.encode().len(), "encoded_len miscounts");
     let bytes = encode_frame(v);
     let back = decode_frame::<T>(&bytes).expect("valid frame decodes");
     assert_eq!(

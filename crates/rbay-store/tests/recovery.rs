@@ -301,6 +301,11 @@ const GOLDEN_MANIFEST: &str = "rbay-store v1\ngen=1\nsnapshot=snapshot-1.snap\nw
 fn records_and_stats_encode_to_golden_bytes() {
     for (rec, want) in golden_records().iter().zip(GOLDEN_RECORDS) {
         assert_eq!(hex(&rec.encode()), want, "encoding moved for {rec:?}");
+        assert_eq!(
+            rec.encoded_len() * 2,
+            want.len(),
+            "encoded_len miscounts {rec:?}"
+        );
         let bytes = unhex(want);
         let mut r = Reader::new(&bytes);
         assert_eq!(&WalRecord::decode(&mut r).unwrap(), rec);
@@ -317,6 +322,7 @@ fn records_and_stats_encode_to_golden_bytes() {
         wal_records: 23,
     };
     assert_eq!(hex(&stats.encode()), "28030111fa0101802017");
+    assert_eq!(stats.encoded_len(), 10);
     assert_eq!(
         StoreStats::decode(&mut Reader::new(&stats.encode())).unwrap(),
         stats

@@ -4,7 +4,8 @@
 //! Design constraints (DESIGN.md §13):
 //!
 //! * **Self-contained** — no external serialization crates; every encoder
-//!   writes plain bytes into a `Vec<u8>`.
+//!   writes plain bytes into a [`Sink`]: a `Vec<u8>`, or the counter behind
+//!   [`Wire::encoded_len`].
 //! * **Attacker-facing decode** — frames arrive from arbitrary sockets, so
 //!   every length and tag is validated against the remaining input before a
 //!   single byte is trusted. Decoding truncated or hostile bytes must
@@ -255,46 +256,81 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encoder-side primitives, free functions so composite impls stay terse.
-pub mod emit {
-    use super::CANON_NAN_BITS;
+/// Where an encoding goes: a byte buffer, or a counter of the bytes it
+/// would take. [`Wire::encode_into`] writes through this, so the one
+/// layout a type declares serves both [`Wire::encode`] and
+/// [`Wire::encoded_len`].
+pub trait Sink {
+    /// A run of bytes.
+    fn bytes(&mut self, b: &[u8]);
 
     /// LEB128 varint.
+    fn varint(&mut self, v: u64);
+
+    /// One byte.
     #[inline]
-    pub fn varint_u64(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
+    fn byte(&mut self, b: u8) {
+        self.bytes(&[b]);
     }
 
     /// `f64` as 8 little-endian bytes, NaN canonicalized.
     #[inline]
-    pub fn f64(out: &mut Vec<u8>, v: f64) {
+    fn f64(&mut self, v: f64) {
         let bits = if v.is_nan() {
             CANON_NAN_BITS
         } else {
             v.to_bits()
         };
-        out.extend_from_slice(&bits.to_le_bytes());
+        self.bytes(&bits.to_le_bytes());
     }
 
     /// `u128` as 16 little-endian bytes.
     #[inline]
-    pub fn u128(out: &mut Vec<u8>, v: u128) {
-        out.extend_from_slice(&v.to_le_bytes());
+    fn u128(&mut self, v: u128) {
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Length-prefixed UTF-8 string.
     #[inline]
-    pub fn string(out: &mut Vec<u8>, s: &str) {
-        varint_u64(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
+    fn string(&mut self, s: &str) {
+        self.varint(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.push(byte);
+                return;
+            }
+            self.push(byte | 0x80);
+        }
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written to it.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+
+    /// One byte per started 7 bits of `v`, and one for zero.
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        self.0 += (70 - (v | 1).leading_zeros() as usize) / 7;
     }
 }
 
@@ -313,8 +349,8 @@ pub trait Wire: Sized {
     /// type, in declaration order; empty for everything else.
     const TAGS: &'static [(u8, &'static str)] = &[];
 
-    /// Appends this value's encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    /// Writes this value's encoding to `out`.
+    fn encode_into<S: Sink>(&self, out: &mut S);
 
     /// Decodes one value from the reader, consuming exactly its bytes.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
@@ -325,6 +361,14 @@ pub trait Wire: Sized {
         let mut out = Vec::new();
         self.encode_into(&mut out);
         out
+    }
+
+    /// The length of [`Wire::encode`]'s output, counted without building it.
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        let mut n = ByteCount(0);
+        self.encode_into(&mut n);
+        n.0
     }
 }
 
@@ -362,7 +406,7 @@ macro_rules! wire_struct {
     ($ty:ident { $($field:tt),* $(,)? }) => {
         impl $crate::Wire for $ty {
             #[inline]
-            fn encode_into(&self, out: &mut Vec<u8>) {
+            fn encode_into<S: $crate::Sink>(&self, out: &mut S) {
                 $( $crate::Wire::encode_into(&self.$field, out); )*
             }
             #[inline]
@@ -401,10 +445,10 @@ macro_rules! wire_enum {
                 &[ $( ($tag, stringify!($variant)) ),* ];
 
             #[inline]
-            fn encode_into(&self, out: &mut Vec<u8>) {
+            fn encode_into<S: $crate::Sink>(&self, out: &mut S) {
                 match self {
                     $( Self::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => {
-                        out.push($tag);
+                        $crate::Sink::byte(out, $tag);
                         $( $( $crate::Wire::encode_into($field, out); )* )?
                         $( $( $crate::Wire::encode_into($elem, out); )* )?
                     } )*
@@ -521,7 +565,8 @@ mod tests {
     fn varint_round_trips_at_boundaries() {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            emit::varint_u64(&mut buf, v);
+            buf.varint(v);
+            assert_eq!(v.encoded_len(), buf.len());
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint_u64().unwrap(), v);
             assert!(r.is_empty());
@@ -553,7 +598,7 @@ mod tests {
     #[test]
     fn seq_len_rejects_lengths_beyond_input() {
         let mut buf = Vec::new();
-        emit::varint_u64(&mut buf, 1_000_000);
+        buf.varint(1_000_000);
         let err = Reader::new(&buf).seq_len("vec").unwrap_err();
         assert!(matches!(err, WireError::BadLength { len: 1_000_000, .. }));
     }
@@ -563,7 +608,7 @@ mod tests {
         let weird = f64::from_bits(0x7ff0_dead_beef_0001);
         assert!(weird.is_nan());
         let mut buf = Vec::new();
-        emit::f64(&mut buf, weird);
+        buf.f64(weird);
         let got = Reader::new(&buf).f64().unwrap();
         assert_eq!(got.to_bits(), CANON_NAN_BITS);
     }

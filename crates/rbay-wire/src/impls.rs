@@ -8,7 +8,7 @@
 //! length checked against remaining input before any allocation. Each
 //! enum's tag table is its [`Wire::TAGS`].
 
-use crate::codec::{emit, Reader, Wire, WireError};
+use crate::codec::{Reader, Sink, Wire, WireError};
 use crate::{wire_enum, wire_struct};
 use pastry::{NodeId, NodeInfo, PastryMsg};
 use rbay_query::{AttrValue, CmpOp, FromClause, Predicate, Query, SortDir};
@@ -23,8 +23,8 @@ use std::rc::Rc;
 
 impl Wire for u8 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.byte(*self);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -34,8 +34,8 @@ impl Wire for u8 {
 
 impl Wire for u16 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, *self as u64);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(*self as u64);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -45,8 +45,8 @@ impl Wire for u16 {
 
 impl Wire for u32 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, *self as u64);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(*self as u64);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -56,8 +56,8 @@ impl Wire for u32 {
 
 impl Wire for u64 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, *self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(*self);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -67,8 +67,8 @@ impl Wire for u64 {
 
 impl Wire for u128 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::u128(out, *self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.u128(*self);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -78,8 +78,8 @@ impl Wire for u128 {
 
 impl Wire for bool {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.byte(*self as u8);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -93,8 +93,8 @@ impl Wire for bool {
 
 impl Wire for f64 {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::f64(out, *self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.f64(*self);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -104,8 +104,8 @@ impl Wire for f64 {
 
 impl Wire for String {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::string(out, self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.string(self);
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -115,11 +115,11 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Option<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
-            None => out.push(0),
+            None => out.byte(0),
             Some(v) => {
-                out.push(1);
+                out.byte(1);
                 v.encode_into(out);
             }
         }
@@ -163,8 +163,8 @@ fn bounded_capacity<T>(len: usize, remaining: usize) -> usize {
 
 /// A sequence on the wire: its length, then each element.
 #[inline]
-fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
-    emit::varint_u64(out, items.len() as u64);
+fn encode_seq<T: Wire, S: Sink>(items: &[T], out: &mut S) {
+    out.varint(items.len() as u64);
     for v in items {
         v.encode_into(out);
     }
@@ -172,7 +172,7 @@ fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
 
 impl<T: Wire> Wire for Vec<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         encode_seq(self, out);
     }
     #[inline]
@@ -191,7 +191,7 @@ impl<T: Wire> Wire for Vec<T> {
 /// A `ThinVec` is an in-memory layout; on the wire it is the `Vec`.
 impl<T: Wire> Wire for ThinVec<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         encode_seq(self, out);
     }
     #[inline]
@@ -202,8 +202,8 @@ impl<T: Wire> Wire for ThinVec<T> {
 
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.len() as u64);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(self.len() as u64);
         for (k, v) in self {
             k.encode_into(out);
             v.encode_into(out);
@@ -222,8 +222,8 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
 
 impl<T: Wire + Ord> Wire for BTreeSet<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.len() as u64);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(self.len() as u64);
         for v in self {
             v.encode_into(out);
         }
@@ -237,7 +237,7 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
 
 impl<T: Wire> Wire for Box<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.as_ref().encode_into(out);
     }
     #[inline]
@@ -250,7 +250,7 @@ impl<T: Wire> Wire for Box<T> {
 /// it is the plain value, re-wrapped on decode.
 impl<T: Wire> Wire for Rc<T> {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.as_ref().encode_into(out);
     }
     #[inline]
@@ -261,7 +261,7 @@ impl<T: Wire> Wire for Rc<T> {
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.0.encode_into(out);
         self.1.encode_into(out);
     }
@@ -280,8 +280,8 @@ wire_struct!(SiteId { 0 });
 
 impl Wire for SimTime {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.as_micros());
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(self.as_micros());
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -291,8 +291,8 @@ impl Wire for SimTime {
 
 impl Wire for SimDuration {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::varint_u64(out, self.as_micros());
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.varint(self.as_micros());
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -307,8 +307,8 @@ impl Wire for SimDuration {
 // `NodeId` is packed, so its field is read by value, not by reference.
 impl Wire for NodeId {
     #[inline]
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        emit::u128(out, self.as_u128());
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.u128(self.as_u128());
     }
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -473,7 +473,7 @@ mod tests {
         // And a frame that lies about its length is refused as soon as its
         // bytes run out, having reserved no more than it sent.
         let mut hostile = vec![crate::WIRE_VERSION];
-        emit::varint_u64(&mut hostile, 1 << 20);
+        hostile.varint(1 << 20);
         hostile.resize(hostile.len() + (1 << 20), 0);
         assert_eq!(
             decode_frame::<Vec<NodeInfo>>(&hostile).unwrap_err(),

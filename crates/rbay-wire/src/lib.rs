@@ -48,7 +48,8 @@ pub mod tcp;
 pub use buf::{FrameAssembler, FrameBuf};
 pub use codec::{
     assert_tags_covered, decode_frame, decode_frame_as, encode_frame, encode_frame_as, read_frame,
-    write_frame, Reader, Wire, WireError, CANON_NAN_BITS, MAX_DEPTH, MAX_FRAME_LEN, WIRE_VERSION,
+    write_frame, Reader, Sink, Wire, WireError, CANON_NAN_BITS, MAX_DEPTH, MAX_FRAME_LEN,
+    WIRE_VERSION,
 };
 pub use simnet::Transport;
 pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus};

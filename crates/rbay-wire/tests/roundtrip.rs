@@ -274,6 +274,7 @@ fn strategies_cover_every_declared_tag() {
 /// to the identical bytes (a round trip that needs no `PartialEq` on the
 /// message type; any lost or swapped field shows up as a byte diff).
 fn reencodes<T: Wire>(v: &T) -> T {
+    assert_eq!(v.encoded_len(), v.encode().len(), "encoded_len miscounts");
     let bytes = encode_frame(v);
     let back = decode_frame::<T>(&bytes).expect("valid frame decodes");
     assert_eq!(

@@ -4,7 +4,7 @@
 use super::{ReplicaCache, ScribeHost, ScribeLayer};
 use crate::types::ScribeMsg;
 use pastry::{Net, NodeInfo, PastryApp, PastryMsg, PastryNode};
-use simnet::{MessageSize, NodeAddr};
+use simnet::NodeAddr;
 
 /// Glue implementing [`PastryApp`] for a Scribe layer plus its host. Build
 /// one per dispatch:
@@ -22,7 +22,7 @@ pub struct ScribeApp<'a, H> {
 
 impl<'a, P, H> PastryApp<ScribeMsg<P>> for ScribeApp<'a, H>
 where
-    P: MessageSize + Clone,
+    P: Clone,
     H: ScribeHost<P>,
 {
     fn deliver<N: Net<ScribeMsg<P>>>(

@@ -39,7 +39,7 @@ pub use replica::{ReplicaCache, REPLICA_K, REPLICA_TTL_ROUNDS};
 use crate::types::{AggValue, ScribeMsg, TopicId, Visit};
 use pastry::{Net, PastryMsg, PastryNode};
 use simnet::obs::Recorder;
-use simnet::{MessageSize, NodeAddr, SiteId};
+use simnet::{NodeAddr, SiteId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Application callbacks for tree events.
@@ -213,7 +213,7 @@ impl ScribeLayer {
         host: &mut H,
         msg: ScribeMsg<P>,
     ) where
-        P: MessageSize + Clone,
+        P: Clone,
         N: Net<ScribeMsg<P>>,
         H: ScribeHost<P>,
     {

@@ -3,12 +3,11 @@
 
 use super::*;
 use pastry::{NodeId, NodeInfo};
-use simnet::{MessageSize, SimDuration, SimTime, TimerToken, Transport};
+use simnet::{SimDuration, SimTime, TimerToken, Transport};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct P(pub u32);
-impl MessageSize for P {}
 
 pub(super) type Msg = PastryMsg<ScribeMsg<P>>;
 

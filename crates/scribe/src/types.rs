@@ -1,7 +1,7 @@
 //! Topic naming, aggregate values, and Scribe wire messages.
 
 use pastry::{NodeId, NodeInfo};
-use simnet::{MessageSize, NodeAddr, SiteId, ThinVec};
+use simnet::{NodeAddr, SiteId, ThinVec};
 
 /// Identifies a Scribe tree: the hash of the tree's textual name
 /// concatenated with its creator's name (paper §II.B.2). The node whose
@@ -312,35 +312,6 @@ pub enum ScribeMsg<P> {
         /// Subscriber summary (the aggregate's count reading).
         subscribers: u64,
     },
-}
-
-impl<P: MessageSize> MessageSize for ScribeMsg<P> {
-    fn wire_size(&self) -> usize {
-        const ID: usize = 16;
-        const ADDR: usize = 4;
-        match self {
-            ScribeMsg::Join { .. } => ID + 3 + 22,
-            ScribeMsg::JoinAck { .. } => ID,
-            ScribeMsg::Leave { .. } => ID + ADDR,
-            ScribeMsg::MulticastReq { payload, .. } | ScribeMsg::MulticastData { payload, .. } => {
-                ID + payload.wire_size()
-            }
-            ScribeMsg::Anycast { payload, .. } => ID + ADDR + payload.wire_size(),
-            ScribeMsg::AnycastStep {
-                payload,
-                visited,
-                stack,
-                ..
-            } => ID + ADDR + payload.wire_size() + (visited.len() + stack.len()) * ADDR,
-            ScribeMsg::AnycastResult { payload, .. } => ID + 1 + payload.wire_size(),
-            ScribeMsg::ProbeRoot { payload, .. } => ID + ADDR + payload.wire_size(),
-            ScribeMsg::ProbeReply { payload, .. } => ID + 24 + 1 + payload.wire_size(),
-            ScribeMsg::AggUpdate { .. } => ID + 24,
-            ScribeMsg::NotChild { .. } => ID,
-            ScribeMsg::AppDirect(p) => p.wire_size(),
-            ScribeMsg::ReplicaSync { children, .. } => ID + 3 + 24 + 8 + children.len() * ADDR,
-        }
-    }
 }
 
 #[cfg(test)]

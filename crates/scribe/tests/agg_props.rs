@@ -6,11 +6,10 @@
 use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode};
 use proptest::prelude::*;
 use scribe::{AggValue, ScribeApp, ScribeHost, ScribeLayer, ScribeMsg, TopicId, Visit};
-use simnet::{Actor, Context, MessageSize, NodeAddr, SimDuration, Simulation, Topology};
+use simnet::{Actor, Context, NodeAddr, SimDuration, Simulation, Topology};
 
 #[derive(Debug, Clone, PartialEq)]
 struct P;
-impl MessageSize for P {}
 
 struct NullHost;
 impl ScribeHost<P> for NullHost {

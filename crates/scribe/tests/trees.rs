@@ -4,12 +4,11 @@
 
 use pastry::{seed_overlay, NodeId, NodeInfo, PastryMsg, PastryNode};
 use scribe::{AggValue, ScribeApp, ScribeHost, ScribeLayer, ScribeMsg, TopicId, Visit};
-use simnet::{Actor, Context, MessageSize, NodeAddr, SimDuration, Simulation, SiteId, Topology};
+use simnet::{Actor, Context, NodeAddr, SimDuration, Simulation, SiteId, Topology};
 use std::collections::HashSet;
 
 #[derive(Debug, Clone, PartialEq)]
 struct P(u64);
-impl MessageSize for P {}
 
 #[derive(Default)]
 struct Host {

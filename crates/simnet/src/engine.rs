@@ -157,28 +157,20 @@ impl Scheduler for EarliestFirst {
     }
 }
 
-/// Wire-size accounting for simulated messages.
-///
-/// The default implementation charges the in-memory size, which is a fair
-/// stand-in for the compact binary encodings real deployments use; override
-/// it for messages with significant heap payloads.
-pub trait MessageSize {
-    /// Approximate encoded size of this message in bytes.
-    fn wire_size(&self) -> usize
-    where
-        Self: Sized,
-    {
-        std::mem::size_of_val(self)
-    }
-}
-
 /// A simulated protocol participant.
 ///
 /// One actor instance lives at each [`NodeAddr`]. All callbacks receive a
 /// [`Context`] for sending messages and arming timers.
 pub trait Actor: Sized {
     /// The message type exchanged between actors of this simulation.
-    type Msg: MessageSize;
+    type Msg;
+
+    /// The bytes [`NetStats`] charges for sending `msg`. The default, its
+    /// in-memory size, suits messages without a wire encoding; an actor
+    /// whose messages have one returns its length.
+    fn wire_size(msg: &Self::Msg) -> usize {
+        std::mem::size_of_val(msg)
+    }
 
     /// Called when a message from `from` is delivered to this actor.
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeAddr, msg: Self::Msg);
@@ -275,6 +267,7 @@ pub struct Context<'a, M> {
     rng: &'a mut SmallRng,
     stats: &'a mut NetStats,
     events: &'a mut dyn Schedule<M>,
+    wire_size: fn(&M) -> usize,
 }
 
 impl<M> Context<'_, M> {
@@ -289,14 +282,14 @@ impl<M> Context<'_, M> {
     }
 }
 
-impl<M: MessageSize> Transport<M> for Context<'_, M> {
+impl<M> Transport<M> for Context<'_, M> {
     /// Sends `msg` to `to`; it is delivered after a latency sampled from the
     /// topology. Messages to failed nodes are dropped at delivery time, like
     /// packets to a crashed host.
     fn send(&mut self, to: NodeAddr, msg: M) {
         let from = self.self_addr;
         let cross = self.topology.site_of(from) != self.topology.site_of(to);
-        self.stats.record_send(msg.wire_size(), cross);
+        self.stats.record_send((self.wire_size)(&msg), cross);
         // Fault injection: messages may be lost in flight.
         let loss = self.topology.loss_prob();
         if loss > 0.0 && rand::Rng::gen_bool(self.rng, loss) {
@@ -326,12 +319,11 @@ impl<M: MessageSize> Transport<M> for Context<'_, M> {
 /// A deterministic discrete-event simulation over a fixed set of actors.
 ///
 /// ```
-/// use simnet::{Actor, Context, MessageSize, NodeAddr, Simulation, Topology, Transport};
+/// use simnet::{Actor, Context, NodeAddr, Simulation, Topology, Transport};
 ///
 /// struct Echo(u32);
 /// #[derive(Debug)]
 /// struct Ping;
-/// impl MessageSize for Ping {}
 /// impl Actor for Echo {
 ///     type Msg = Ping;
 ///     fn on_message(&mut self, _ctx: &mut Context<'_, Ping>, _from: NodeAddr, _msg: Ping) {
@@ -553,6 +545,7 @@ impl<A: Actor> Simulation<A> {
             rng: &mut self.rng,
             stats: &mut self.stats,
             events: &mut self.events,
+            wire_size: A::wire_size,
         };
         f(&mut self.actors[node.index()], &mut ctx);
     }
@@ -770,7 +763,6 @@ mod tests {
         Ping(u32),
         Pong(#[allow(dead_code)] u32),
     }
-    impl MessageSize for Msg {}
 
     #[derive(Default)]
     struct PingPong {
@@ -882,7 +874,6 @@ mod tests {
     fn calls_and_events_pop_in_at_seq_order_behind_the_cursor() {
         #[derive(Debug)]
         struct Mark(u64);
-        impl MessageSize for Mark {}
         #[derive(Default)]
         struct Log(Vec<(SimTime, u64)>);
         impl Actor for Log {
@@ -945,6 +936,28 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.stats().cross_site_sent(), 2); // ping + pong
     }
+
+    #[test]
+    fn sends_are_charged_the_actors_wire_size() {
+        /// Each message claims to be as many bytes as its value.
+        struct Sized;
+        impl Actor for Sized {
+            type Msg = u32;
+            fn wire_size(msg: &u32) -> usize {
+                *msg as usize
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeAddr, _: u32) {}
+        }
+        // Two nodes per site: 0 and 1 in Virginia, 2 in Oregon.
+        let mut sim = Simulation::new(Topology::aws_ec2_8_sites(2), 1, |_| Sized);
+        sim.schedule_call(SimTime::ZERO, NodeAddr(0), |_, ctx| {
+            ctx.send(NodeAddr(1), 5);
+            ctx.send(NodeAddr(2), 1000);
+        });
+        sim.run_until_idle();
+        assert_eq!(sim.stats().bytes(), 1005);
+        assert_eq!(sim.stats().cross_site_bytes(), 1000);
+    }
 }
 
 #[cfg(test)]
@@ -954,7 +967,6 @@ mod trace_tests {
 
     #[derive(Debug)]
     struct Echo;
-    impl MessageSize for Echo {}
     struct Node;
     impl Actor for Node {
         type Msg = Echo;

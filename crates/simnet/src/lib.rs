@@ -21,11 +21,10 @@
 //! ## Example
 //!
 //! ```
-//! use simnet::{Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, Topology, Transport};
+//! use simnet::{Actor, Context, NodeAddr, SimTime, Simulation, Topology, Transport};
 //!
 //! #[derive(Debug)]
 //! struct Hello;
-//! impl MessageSize for Hello {}
 //!
 //! struct Greeter { greeted: u32 }
 //! impl Actor for Greeter {
@@ -49,11 +48,10 @@
 //! written; inside an [`Actor`] the `Context` is that transport:
 //!
 //! ```
-//! use simnet::{Actor, Context, MessageSize, NodeAddr, SimTime, Simulation, Topology, Transport};
+//! use simnet::{Actor, Context, NodeAddr, SimTime, Simulation, Topology, Transport};
 //!
 //! #[derive(Debug)]
 //! struct Ball(u32);
-//! impl MessageSize for Ball {}
 //!
 //! /// Returns the ball until it has bounced three times.
 //! fn bounce<T: Transport<Ball>>(tr: &mut T, from: NodeAddr, ball: Ball) {
@@ -91,8 +89,8 @@ pub mod topology;
 mod transport;
 
 pub use engine::{
-    Actor, Choice, Context, EarliestFirst, EventDesc, EventKind, MessageSize, Scheduler,
-    Simulation, TimerToken, TraceEvent,
+    Actor, Choice, Context, EarliestFirst, EventDesc, EventKind, Scheduler, Simulation, TimerToken,
+    TraceEvent,
 };
 pub use obs::{MetricsSnapshot, ObsEvent, Recorder};
 pub use queue::CalendarQueue;

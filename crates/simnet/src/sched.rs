@@ -347,9 +347,7 @@ impl Scheduler for ReplayScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        Actor, Context, EarliestFirst, MessageSize, Simulation, TimerToken, TraceEvent,
-    };
+    use crate::engine::{Actor, Context, EarliestFirst, Simulation, TimerToken, TraceEvent};
     use crate::time::{SimDuration, SimTime};
     use crate::topology::Topology;
     use crate::transport::Transport;
@@ -357,7 +355,6 @@ mod tests {
 
     #[derive(Debug)]
     struct Token(u32);
-    impl MessageSize for Token {}
 
     /// Records the order in which its messages arrive.
     #[derive(Default)]

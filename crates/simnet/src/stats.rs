@@ -58,7 +58,7 @@ impl NetStats {
         self.dropped
     }
 
-    /// Total bytes sent (per [`crate::MessageSize`]).
+    /// Total bytes sent (per [`crate::Actor::wire_size`]).
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
