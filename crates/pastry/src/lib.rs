@@ -39,5 +39,5 @@ mod state;
 
 pub use bootstrap::seed_overlay;
 pub use id::{NodeId, BITS_PER_DIGIT, DIGIT_BASE, ID_DIGITS};
-pub use node::{Net, PastryApp, PastryMsg, PastryNode, PastryStats};
+pub use node::{Net, PastryApp, PastryMsg, PastryNode};
 pub use state::{LeafSet, NodeInfo, RoutingTable, LEAF_SET_SIDE};

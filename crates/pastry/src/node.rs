@@ -13,7 +13,7 @@ use crate::id::{NodeId, ID_DIGITS};
 use crate::state::{LeafSet, NodeInfo, RoutingTable};
 use simnet::obs::{ObsEvent, Recorder};
 use simnet::{NodeAddr, SiteId, Transport};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Short for "a [`Transport`] of [`PastryMsg`]s with payload `A`": what the
 /// protocol emits messages through. Every such transport is one.
@@ -126,15 +126,6 @@ pub enum PastryMsg<A> {
     Direct(A),
 }
 
-/// Counters exposed for the evaluation harnesses (Fig. 8a/8b).
-#[derive(Debug, Clone, Default)]
-pub struct PastryStats {
-    /// Routed messages this node forwarded toward another node.
-    pub forwards: u64,
-    /// Routed messages delivered at this node as the key's root.
-    pub delivered: u64,
-}
-
 /// Protocol state of one Pastry node.
 ///
 /// The node participates in the global overlay and, for administrative
@@ -148,10 +139,6 @@ pub struct PastryNode {
     site_rt: RoutingTable,
     site_leaf: LeafSet,
     joined: bool,
-    /// Public counters for the evaluation harnesses.
-    pub stats: PastryStats,
-    /// When enabled, counts forwards per destination key (Fig. 8b).
-    forward_log: Option<HashMap<NodeId, u64>>,
     /// Observability-plane handle; disabled (a no-op) by default.
     obs: Recorder,
     /// Round-robin position for [`PastryNode::gossip_round`].
@@ -175,8 +162,6 @@ impl PastryNode {
             site_rt: RoutingTable::new(info.id),
             site_leaf: LeafSet::new(info.id),
             joined: false,
-            stats: PastryStats::default(),
-            forward_log: None,
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
@@ -215,20 +200,10 @@ impl PastryNode {
         &self.site_leaf
     }
 
-    /// Starts per-key forward counting (Fig. 8b instrumentation).
-    pub fn enable_forward_log(&mut self) {
-        self.forward_log = Some(HashMap::new());
-    }
-
     /// Installs an observability recorder (a clone of the federation-wide
     /// handle); routing hooks stay no-ops while the recorder is disabled.
     pub fn set_recorder(&mut self, obs: Recorder) {
         self.obs = obs;
-    }
-
-    /// The per-key forward counts, if logging was enabled.
-    pub fn forward_log(&self) -> Option<&HashMap<NodeId, u64>> {
-        self.forward_log.as_ref()
     }
 
     /// Approximate memory used by routing state, in bytes (Fig. 8c
@@ -398,12 +373,9 @@ impl PastryNode {
     ) {
         match self.next_hop(key, scope) {
             None => {
-                self.stats.delivered += 1;
                 let me = self.info.addr;
-                self.obs.count(me, "route_deliver");
-                self.obs.observe_hops(0);
-                self.obs.record_with(|at| ObsEvent::RouteDeliver {
-                    at,
+                self.obs.record_with(|| ObsEvent::RouteDeliver {
+                    at: net.now(),
                     node: me,
                     key: key.as_u128(),
                     hops: 0,
@@ -475,12 +447,9 @@ impl PastryNode {
                 scope,
             } => match self.next_hop(key, scope) {
                 None => {
-                    self.stats.delivered += 1;
                     let me = self.info.addr;
-                    self.obs.count(me, "route_deliver");
-                    self.obs.observe_hops(hops);
-                    self.obs.record_with(|at| ObsEvent::RouteDeliver {
-                        at,
+                    self.obs.record_with(|| ObsEvent::RouteDeliver {
+                        at: net.now(),
                         node: me,
                         key: key.as_u128(),
                         hops,
@@ -488,14 +457,9 @@ impl PastryNode {
                     app.deliver(self, net, key, payload, hops);
                 }
                 Some(next) => {
-                    self.stats.forwards += 1;
-                    if let Some(log) = &mut self.forward_log {
-                        *log.entry(key).or_insert(0) += 1;
-                    }
                     let me = self.info.addr;
-                    self.obs.count(me, "route_forward");
-                    self.obs.record_with(|at| ObsEvent::RouteForward {
-                        at,
+                    self.obs.record_with(|| ObsEvent::RouteForward {
+                        at: net.now(),
                         node: me,
                         key: key.as_u128(),
                         hops,
@@ -729,9 +693,10 @@ mod tests {
     }
 
     #[test]
-    fn forward_increments_stats_and_log() {
+    fn forward_is_recorded_once() {
         let mut node = PastryNode::new(info(100, 0, 0));
-        node.enable_forward_log();
+        let obs = Recorder::enabled(8);
+        node.set_recorder(obs.clone());
         let (mut net, mut app) = (RecNet::default(), RecApp::default());
         node.insert_peer(&net, info(50_000, 1, 0));
         node.on_message(
@@ -745,8 +710,14 @@ mod tests {
                 scope: None,
             },
         );
-        assert_eq!(node.stats.forwards, 1);
-        assert_eq!(node.forward_log().unwrap()[&NodeId(49_999)], 1);
+        let forward = ObsEvent::RouteForward {
+            at: SimTime::ZERO,
+            node: NodeAddr(0),
+            key: 49_999,
+            hops: 3,
+        };
+        assert_eq!(obs.events(), vec![forward]);
+        assert_eq!(obs.snapshot().count("route_forward"), 1);
         let (_, msg) = net.sent.pop_front().unwrap();
         assert!(matches!(msg, PastryMsg::Route { hops: 4, .. }));
     }

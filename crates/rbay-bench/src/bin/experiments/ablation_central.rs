@@ -12,7 +12,8 @@ use rbay_bench::{stats, HarnessOpts};
 use rbay_core::{Federation, RbayConfig};
 use rbay_query::AttrValue;
 use rbay_workloads::{populate_ec2_federation, ScenarioConfig, WORKLOAD_PASSWORD};
-use simnet::{NodeAddr, SimDuration, SiteId, Topology};
+use simnet::{NodeAddr, ObsEvent, SimDuration, SiteId, Topology};
+use std::collections::BTreeMap;
 
 /// One poll round + a handful of queries on the centralized design.
 fn run_central(nodes_per_site: usize, seed: u64) -> (u64, f64) {
@@ -46,6 +47,7 @@ fn run_rbay(nodes_per_site: usize, seed: u64) -> (u64, f64) {
         ..RbayConfig::default()
     };
     let mut fed = Federation::with_config(Topology::aws_ec2_8_sites(nodes_per_site), seed, cfg);
+    let obs = fed.enable_obs(1 << 20);
     let scenario = ScenarioConfig {
         extra_attrs_per_node: 2,
         ..ScenarioConfig::default()
@@ -75,12 +77,14 @@ fn run_rbay(nodes_per_site: usize, seed: u64) -> (u64, f64) {
     }
     // Hottest node by protocol work: forwards + deliveries at the Pastry
     // layer (the analogue of the master's message load).
-    let hottest = fed
-        .sim()
-        .actors()
-        .map(|(_, a)| a.pastry.stats.forwards + a.pastry.stats.delivered)
-        .max()
-        .unwrap_or(0);
+    assert_eq!(obs.snapshot().events_dropped, 0, "every route recorded");
+    let mut routed: BTreeMap<NodeAddr, u64> = BTreeMap::new();
+    for ev in obs.events() {
+        if let ObsEvent::RouteForward { node, .. } | ObsEvent::RouteDeliver { node, .. } = ev {
+            *routed.entry(node).or_insert(0) += 1;
+        }
+    }
+    let hottest = routed.into_values().max().unwrap_or(0);
     (hottest, stats(&lats).map(|s| s.mean).unwrap_or(f64::NAN))
 }
 

@@ -11,7 +11,8 @@
 use crate::pastry_probe::{events_per_sec, report_engine, require_exactly_once};
 use rbay_bench::{default_threads, emit_json, run_seeds, HarnessOpts, JsonRecord};
 use rbay_check::{Fig8Params, Probes, Violation};
-use simnet::NodeAddr;
+use simnet::{NodeAddr, ObsEvent, Recorder};
+use std::collections::BTreeMap;
 
 /// Per-key forwarding-load summary of one seed's run.
 struct KeyCell {
@@ -31,30 +32,36 @@ struct Cell {
 }
 
 fn run_one(params: Fig8Params) -> Cell {
+    let obs = Recorder::enabled(1 << 20);
     let sim = params.run(|sim| {
         for i in 0..params.nodes as u32 {
-            sim.actor_mut(NodeAddr(i)).node.enable_forward_log();
+            sim.actor_mut(NodeAddr(i)).node.set_recorder(obs.clone());
         }
     });
+    assert_eq!(obs.snapshot().events_dropped, 0, "every forward recorded");
+    // Forwards per (key, forwarder), forwarders in address order.
+    let mut forwards: BTreeMap<(u128, NodeAddr), u64> = BTreeMap::new();
+    for ev in obs.events() {
+        if let ObsEvent::RouteForward { node, key, .. } = ev {
+            *forwards.entry((key, node)).or_insert(0) += 1;
+        }
+    }
 
     let keys = params.keys();
     let mut out = Vec::with_capacity(keys.len());
     let mut top_forwarders = Vec::new();
     for key in &keys {
+        let key = key.as_u128();
         let mut total = 0u64;
         let mut max = 0u64;
         let mut distinct = 0u32;
         let mut top = None;
-        for (addr, a) in sim.actors() {
-            if let Some(log) = a.node.forward_log() {
-                if let Some(c) = log.get(key) {
-                    total += c;
-                    distinct += 1;
-                    if *c > max {
-                        max = *c;
-                        top = Some(addr);
-                    }
-                }
+        for (&(_, addr), &c) in forwards.range((key, NodeAddr(0))..=(key, NodeAddr(u32::MAX))) {
+            total += c;
+            distinct += 1;
+            if c > max {
+                max = c;
+                top = Some(addr);
             }
         }
         if let Some(addr) = top {

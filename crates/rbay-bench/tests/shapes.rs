@@ -56,6 +56,45 @@ fn fig8a_shape_hops_are_logarithmic() {
     );
 }
 
+/// Fig. 8b's accounting: the forwards its table sums come from the
+/// `RouteForward` events, one per forwarding hop. A probe delivered after
+/// `hops` hops was forwarded `hops - 1` times — the origin's send is hop 1
+/// and is not a forward.
+#[test]
+fn fig8b_forward_events_account_for_every_hop() {
+    use rbay_check::{Fig8Params, Probes};
+    use simnet::{NodeAddr, ObsEvent, Recorder};
+
+    let params = Fig8Params {
+        nodes: 300,
+        probes: Probes::PerKey {
+            keys: 4,
+            per_key: 25,
+        },
+        seed: 42,
+    };
+    let obs = Recorder::enabled(1 << 16);
+    let sim = params.run(|sim| {
+        for i in 0..params.nodes as u32 {
+            sim.actor_mut(NodeAddr(i)).node.set_recorder(obs.clone());
+        }
+    });
+    assert_eq!(params.check(&sim), None, "every probe delivered once");
+    assert_eq!(obs.snapshot().events_dropped, 0);
+    let keys: Vec<u128> = params.keys().iter().map(|k| k.as_u128()).collect();
+    let forwards = obs
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::RouteForward { key, .. } if keys.contains(key)))
+        .count() as u64;
+    let hops: u64 = (sim.actors())
+        .flat_map(|(_, a)| a.app.hops.iter())
+        .map(|&h| u64::from(h.saturating_sub(1)))
+        .sum();
+    assert!(forwards > 0, "a 300-node overlay forwards");
+    assert_eq!(forwards, hops);
+}
+
 /// Fig. 9/10's claims: local queries are much faster than multi-site
 /// ones; latency is non-decreasing-ish in sites and plateaus once the
 /// farthest site is included; and it is bounded by the RTT to that site.

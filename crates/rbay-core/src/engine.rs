@@ -216,9 +216,8 @@ impl RbayHost {
             return;
         };
         let (node, seq, attempt) = (self.addr, id.seq(), rec.attempts);
-        self.obs.count(node, "query_attempt");
-        self.obs.record_with(|at| simnet::ObsEvent::QueryAttempt {
-            at,
+        self.obs.record_with(|| simnet::ObsEvent::QueryAttempt {
+            at: self.now,
             node,
             seq,
             attempt,
@@ -453,9 +452,8 @@ impl RbayHost {
         let satisfied = rec.satisfied;
         let node = self.addr;
         let seq = query_id.seq();
-        self.obs.count(node, "query_done");
-        self.obs.record_with(|at| simnet::ObsEvent::QueryDone {
-            at,
+        self.obs.record_with(|| simnet::ObsEvent::QueryDone {
+            at: now,
             node,
             seq,
             satisfied,
@@ -472,9 +470,7 @@ impl RbayHost {
                 )
             };
             if let Some(fd) = self.frontdoor.as_mut() {
-                if fd.complete(query_id, result, satisfied, attrs, now) {
-                    self.obs.count(node, "fd_fill");
-                }
+                fd.complete(query_id, result, satisfied, attrs, now);
             }
         }
     }

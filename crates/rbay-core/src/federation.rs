@@ -88,11 +88,10 @@ impl Federation {
 
     /// Turns on the observability plane for the whole federation: one
     /// shared [`Recorder`] (event buffer capped at `capacity`) is installed
-    /// into the engine and every node's Pastry, Scribe, and host layers.
-    /// Returns a handle onto the shared buffer.
+    /// into every node's Pastry, Scribe, and host layers. Returns a handle
+    /// onto the shared buffer.
     pub fn enable_obs(&mut self, capacity: usize) -> Recorder {
         let rec = Recorder::enabled(capacity);
-        self.sim.set_recorder(rec.clone());
         for i in 0..self.sim.topology().node_count() as u32 {
             let a = self.sim.actor_mut(NodeAddr(i));
             a.pastry.set_recorder(rec.clone());

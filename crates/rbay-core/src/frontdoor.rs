@@ -155,9 +155,9 @@ impl Default for FrontdoorConfig {
     }
 }
 
-/// Plain counters mirroring the obs-plane `fd_*` series, so the TCP
-/// daemon (which runs without a `Recorder`) can surface them through
-/// `ProcStatus`.
+/// The front door's one set of counters: plain values, so the harnesses
+/// and the TCP daemon (through `ProcStatus`) read them with the obs plane
+/// off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontdoorStats {
     /// Queries answered from the cache.
@@ -262,7 +262,7 @@ pub struct Frontdoor {
     /// leader walk → its key (reverse index for completion).
     leaders: BTreeMap<QueryId, String>,
     lru_clock: u64,
-    /// Counter mirror of the obs `fd_*` series.
+    /// What the front door decided, counted.
     pub stats: FrontdoorStats,
 }
 
@@ -318,7 +318,7 @@ impl Frontdoor {
 
     /// Completion hook: if `id` was a leader walk, stores its result in
     /// the cache (evicting the LRU entry at capacity) and clears the
-    /// single-flight slot. Returns `true` when `id` was frontdoor-led.
+    /// single-flight slot.
     pub fn complete(
         &mut self,
         id: QueryId,
@@ -326,13 +326,13 @@ impl Frontdoor {
         satisfied: bool,
         attrs: Vec<String>,
         now: SimTime,
-    ) -> bool {
+    ) {
         let Some(key) = self.leaders.remove(&id) else {
-            return false;
+            return;
         };
         self.inflight.remove(&key);
         if self.cfg.cache_capacity == 0 {
-            return true;
+            return;
         }
         while self.cache.len() >= self.cfg.cache_capacity {
             let lru = self
@@ -359,17 +359,13 @@ impl Frontdoor {
                 touched: self.lru_clock,
             },
         );
-        true
     }
 
-    /// Purges every cached entry whose result depends on `attr`. Returns
-    /// how many entries were dropped.
-    pub fn invalidate_attr(&mut self, attr: &str) -> usize {
+    /// Purges every cached entry whose result depends on `attr`.
+    pub fn invalidate_attr(&mut self, attr: &str) {
         let before = self.cache.len();
         self.cache.retain(|_, e| !e.attrs.iter().any(|a| a == attr));
-        let dropped = before - self.cache.len();
-        self.stats.invalidations += dropped as u64;
-        dropped
+        self.stats.invalidations += (before - self.cache.len()) as u64;
     }
 }
 
@@ -436,7 +432,7 @@ mod tests {
         let t0 = SimTime::from_millis(0);
         assert!(matches!(fd.begin("k", t0), FrontdoorDecision::Admit));
         fd.lead("k".into(), QueryId(1));
-        assert!(fd.complete(QueryId(1), vec![cand(1)], true, vec!["a".into()], t0));
+        fd.complete(QueryId(1), vec![cand(1)], true, vec!["a".into()], t0);
         match fd.begin("k", SimTime::from_millis(999)) {
             FrontdoorDecision::Hit { result, satisfied } => {
                 assert!(satisfied);
@@ -466,7 +462,7 @@ mod tests {
             other => panic!("expected coalesce, got {other:?}"),
         }
         assert_eq!(fd.leaders.len(), 1);
-        assert!(fd.complete(QueryId(7), vec![], false, vec![], t0));
+        fd.complete(QueryId(7), vec![], false, vec![], t0);
         assert!(fd.leaders.is_empty());
         assert!(
             matches!(fd.begin("k", t0), FrontdoorDecision::Hit { .. }),
@@ -529,7 +525,7 @@ mod tests {
         fd.begin("cpu", t0);
         fd.lead("cpu".into(), QueryId(2));
         fd.complete(QueryId(2), vec![cand(2)], true, vec!["CPU".into()], t0);
-        assert_eq!(fd.invalidate_attr("GPU"), 1);
+        fd.invalidate_attr("GPU");
         assert!(matches!(fd.begin("gpu", t0), FrontdoorDecision::Admit));
         assert!(matches!(fd.begin("cpu", t0), FrontdoorDecision::Hit { .. }));
         assert_eq!(fd.stats.invalidations, 1);

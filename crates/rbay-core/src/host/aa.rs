@@ -27,8 +27,9 @@ impl RbayHost {
         inst.set_global("sha1hex", Value::Native("sha1hex", f));
     }
 
-    /// Lints a compiled script under this host's policy, recording
-    /// diagnostics in [`Self::lint_reports`] under `label`. Returns the
+    /// Lints a compiled script under this host's policy, replacing the
+    /// diagnostics [`Self::lint_reports`] holds under `label` (a clean
+    /// script clears them). Returns the
     /// error diagnostics the installer must refuse on (empty unless the
     /// policy is [`LintPolicy::Deny`]).
     fn lint_script(&mut self, label: &str, script: &Script) -> Vec<Diagnostic> {
@@ -48,8 +49,10 @@ impl RbayHost {
         if self.cfg.lint_policy == LintPolicy::Deny && has_errors(&diags) {
             return diags;
         }
-        if !diags.is_empty() {
-            self.lint_reports.push((label.to_owned(), diags));
+        if diags.is_empty() {
+            self.lint_reports.remove(label);
+        } else {
+            self.lint_reports.insert(label.to_owned(), diags);
         }
         Vec::new()
     }
@@ -381,9 +384,23 @@ mod lint_tests {
             .unwrap();
         assert!(h.node_aa.is_some(), "Warn policy still installs");
         assert_eq!(h.lint_reports.len(), 1);
-        let (label, diags) = &h.lint_reports[0];
-        assert_eq!(label, "node");
+        let diags = &h.lint_reports["node"];
         assert!(diags.iter().any(|d| d.id == LintId::UnknownHandler));
+    }
+
+    /// Re-installing keeps one report per label: a dirty re-install
+    /// replaces it, a clean one clears it.
+    #[test]
+    fn reinstalls_keep_only_the_latest_report() {
+        let mut h = host_with_policy(LintPolicy::Warn);
+        let dirty = "AA = { onGte = function(q) return true end }";
+        for _ in 0..3 {
+            h.install_node_aa(dirty).unwrap();
+        }
+        assert_eq!(h.lint_reports.len(), 1);
+        h.install_node_aa("AA = { onGet = function(q) return true end }")
+            .unwrap();
+        assert!(h.lint_reports.is_empty(), "clean re-install clears it");
     }
 
     #[test]

@@ -24,27 +24,22 @@ impl RbayHost {
             Ok(false) => {}
             Ok(true) => {
                 let stats = store.stats();
-                let node = self.addr;
-                self.obs.count(node, "store_append");
-                self.obs.record_with(|at| ObsEvent::StoreAppend {
+                let (node, at) = (self.addr, self.now);
+                self.obs.record_with(|| ObsEvent::StoreAppend {
                     at,
                     node,
                     kind: rec.kind(),
                     wal_records: stats.wal_records,
                 });
                 if stats.snapshots > snaps_before {
-                    self.obs.count(node, "store_snapshot");
-                    self.obs.record_with(|at| ObsEvent::StoreSnapshot {
+                    self.obs.record_with(|| ObsEvent::StoreSnapshot {
                         at,
                         node,
                         snapshots: stats.snapshots,
                     });
                 }
             }
-            Err(_) => {
-                let node = self.addr;
-                self.obs.count(node, "store_append_err");
-            }
+            Err(_) => self.obs.count("store_append_err"),
         }
     }
 
@@ -60,12 +55,9 @@ impl RbayHost {
         let state = store.state().clone();
         let stats = store.stats();
         self.store = Some(store);
-        let node = self.addr;
-        self.obs
-            .count_n(node, "store_replay_records", stats.replay_records);
-        self.obs.record_with(|at| ObsEvent::StoreReplay {
-            at,
-            node,
+        self.obs.record_with(|| ObsEvent::StoreReplay {
+            at: self.now,
+            node: self.addr,
             records: stats.replay_records,
             micros: stats.replay_micros,
         });
@@ -124,10 +116,10 @@ impl RbayHost {
         if let Some(store) = self.store.as_mut() {
             store.note_relint_reject();
         }
-        let node = self.addr;
-        self.obs.count(node, "restore_relint_rejects");
-        self.obs
-            .record_with(|at| ObsEvent::RestoreRelintReject { at, node });
+        self.obs.record_with(|| ObsEvent::RestoreRelintReject {
+            at: self.now,
+            node: self.addr,
+        });
         summary.quarantined += 1;
     }
 }

@@ -197,11 +197,11 @@ pub struct RbayHost {
     pub aa_denials: u64,
     /// Count of AA runtime errors (budget exhaustion etc.).
     pub aa_errors: u64,
-    /// Lint diagnostics from installed scripts, per install: `(label,
-    /// diagnostics)` where `label` is `"node"` or the attribute name.
-    /// Populated under [`LintPolicy::Warn`] (all diagnostics) and
-    /// [`LintPolicy::Deny`] (warnings of accepted scripts).
-    pub lint_reports: Vec<(String, Vec<Diagnostic>)>,
+    /// Lint diagnostics of the latest install per label (`"node"` or the
+    /// attribute name), so re-installs do not grow it. Populated under
+    /// [`LintPolicy::Warn`] (all diagnostics) and [`LintPolicy::Deny`]
+    /// (warnings of accepted scripts).
+    pub lint_reports: BTreeMap<String, Vec<Diagnostic>>,
     /// Observability-plane handle; disabled (a no-op) by default.
     pub obs: Recorder,
     /// The query front door (result cache, single-flight, admission
@@ -268,7 +268,7 @@ impl RbayHost {
             ops: VecDeque::new(),
             aa_denials: 0,
             aa_errors: 0,
-            lint_reports: Vec::new(),
+            lint_reports: BTreeMap::new(),
             obs: Recorder::default(),
             frontdoor: None,
             store: None,
@@ -375,9 +375,7 @@ impl RbayHost {
         if !self.cfg.frontdoor_invalidation {
             return;
         }
-        if let Some(fd) = self.frontdoor.as_mut() {
-            fd.invalidate_attr(attr);
-        }
+        self.invalidate_frontdoor(attr);
         self.multicast_invalidation(attr.to_owned());
         for s in 0..self.gateways.len() as u16 {
             let site = SiteId(s);
@@ -416,10 +414,7 @@ impl RbayHost {
     /// whatever this gateway cached that depends on it.
     fn invalidate_frontdoor(&mut self, attr: &str) {
         if let Some(fd) = self.frontdoor.as_mut() {
-            if fd.invalidate_attr(attr) > 0 {
-                let node = self.addr;
-                self.obs.count(node, "fd_invalidate");
-            }
+            fd.invalidate_attr(attr);
         }
     }
 
@@ -445,7 +440,6 @@ impl RbayHost {
         password: Option<String>,
     ) -> crate::frontdoor::FrontdoorResponse {
         use crate::frontdoor::FrontdoorResponse;
-        let node = self.addr;
         let Some(fd) = self.frontdoor.as_mut() else {
             let id = self.issue_query(query, password);
             return FrontdoorResponse::Pending {
@@ -456,25 +450,19 @@ impl RbayHost {
         let key = query_key(&query);
         match fd.begin(&key, self.now) {
             FrontdoorDecision::Hit { result, satisfied } => {
-                self.obs.count(node, "fd_hit");
                 FrontdoorResponse::Cached { result, satisfied }
             }
-            FrontdoorDecision::Coalesce { leader } => {
-                self.obs.count(node, "fd_coalesce");
-                FrontdoorResponse::Pending {
-                    id: leader,
-                    coalesced: true,
-                }
-            }
+            FrontdoorDecision::Coalesce { leader } => FrontdoorResponse::Pending {
+                id: leader,
+                coalesced: true,
+            },
             FrontdoorDecision::Shed { retry_after } => {
                 // A shed is advisory back-pressure, never a query outcome:
                 // the cache is untouched and recall accounting never sees
                 // it.
-                self.obs.count(node, "fd_shed");
                 FrontdoorResponse::Shed { retry_after }
             }
             FrontdoorDecision::Admit => {
-                self.obs.count(node, "fd_miss");
                 // Register the leader *before* issuing: anchorless queries
                 // complete synchronously inside `issue_query`, and the
                 // completion hook must already see the leader entry.

@@ -129,7 +129,7 @@ impl RbayHost {
         }
         for &to in buried {
             if self.slow_turn(to) && !self.contacts.contains_key(&to) {
-                self.obs.count(self.addr, "suspect_probe");
+                self.obs.count("suspect_probe");
                 self.ping(to);
             }
         }
@@ -209,12 +209,14 @@ impl RbayHost {
         if to == from || self.owes_answer(to) {
             return;
         }
-        self.obs.count(from, "hb_send");
+        self.obs.record_with(|| ObsEvent::HeartbeatSend {
+            at: self.now,
+            from,
+            to,
+        });
         if let Some(cadence) = cadence {
-            self.obs.count(from, cadence);
+            self.obs.count(cadence);
         }
-        self.obs
-            .record_with(|at| ObsEvent::HeartbeatSend { at, from, to });
         self.ping(to);
     }
 
@@ -322,17 +324,18 @@ impl RbayNode {
         let detector = self.host.addr;
         let mut copies = Vec::new();
         for (peer, kept) in overdue {
-            self.host.obs.count(detector, "hb_expire");
-            self.host
-                .obs
-                .record_with(|at| ObsEvent::HeartbeatExpire { at, detector, peer });
+            self.host.obs.record_with(|| ObsEvent::HeartbeatExpire {
+                at: self.host.now,
+                detector,
+                peer,
+            });
             self.pastry.handle_failure(tr, peer);
             self.scribe
                 .handle_failure(&mut self.pastry, tr, &mut self.host, peer);
             copies.extend(kept);
         }
         for msg in copies {
-            self.host.obs.count(detector, "reroute");
+            self.host.obs.count("reroute");
             self.scribe
                 .reroute(&mut self.pastry, tr, &mut self.host, msg);
         }
@@ -349,11 +352,11 @@ impl RbayNode {
             self.host.contacts.insert(peer, Contact::Heard);
         }
         if self.pastry.revive(peer) {
-            let node = self.host.addr;
-            self.host.obs.count(node, "unsuspect");
-            self.host
-                .obs
-                .record_with(|at| ObsEvent::Unsuspect { at, node, peer });
+            self.host.obs.record_with(|| ObsEvent::Unsuspect {
+                at: self.host.now,
+                node: self.host.addr,
+                peer,
+            });
         }
     }
 }
@@ -419,7 +422,7 @@ mod heartbeat_tests {
     }
 
     fn count(n: &RbayNode, kind: &str) -> u64 {
-        n.host.obs.global_count(kind)
+        n.host.obs.snapshot().count(kind)
     }
 
     /// A detector whose only peer was pinged at 0 ms and declared dead by

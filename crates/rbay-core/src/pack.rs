@@ -121,9 +121,16 @@ pub struct Pack {
 }
 
 impl Pack {
-    /// Hosts `members` as overlay addresses `base .. base + members.len()`
-    /// (member `i`'s own address must be `NodeAddr(base + i)`).
+    /// Hosts `members` as overlay addresses `base .. base + members.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless member `i`'s own address is `NodeAddr(base + i)`:
+    /// otherwise it would receive another member's traffic.
     pub fn new(base: u32, members: Vec<RbayNode>) -> Pack {
+        for (i, m) in members.iter().enumerate() {
+            assert_eq!(m.host.addr, NodeAddr(base + i as u32), "pack member {i}");
+        }
         let len = members.len() as u32;
         Pack {
             members,
@@ -344,6 +351,12 @@ mod tests {
             rbay_wire::decode_frame::<RbayMsg>(frame).is_ok(),
             "sink frames are complete encoded messages"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "pack member 1")]
+    fn members_must_sit_at_base_plus_slot() {
+        Pack::new(10, vec![node(10), node(12)]);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn second_identical_query_is_a_cache_hit() {
     let stats = fed.frontdoor_stats(gateway).unwrap();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
-    assert_eq!(fed.recorder().global_count("fd_hit"), 0, "obs disabled");
+    assert!(fed.recorder().snapshot().counts.is_empty(), "obs disabled");
 }
 
 #[test]
@@ -235,22 +235,4 @@ fn redirection_targets_the_lowest_rtt_site() {
     };
     let gw_site = fed.sim().topology().site_of(gateway);
     assert_eq!(gw_site, SiteId(0), "client 2 lives in site 0");
-}
-
-/// The obs plane carries the `fd_*` counter series once enabled.
-#[test]
-fn obs_counters_flow_for_hits_and_misses() {
-    let mut fed = gpu_federation(&[10, 20], 6);
-    let _rec = fed.enable_obs(4096);
-    let zql = "SELECT 2 FROM * WHERE GPU = true";
-    let FrontdoorOutcome::Pending { .. } = fed.frontdoor_query(NodeAddr(5), zql, None).unwrap()
-    else {
-        panic!("cold cache must walk");
-    };
-    fed.settle();
-    let _ = fed.frontdoor_query(NodeAddr(6), zql, None).unwrap();
-    let snap = fed.recorder().snapshot();
-    assert_eq!(snap.count("fd_miss"), 1);
-    assert_eq!(snap.count("fd_hit"), 1);
-    assert_eq!(snap.count("fd_fill"), 1);
 }

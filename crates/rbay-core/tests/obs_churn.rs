@@ -103,12 +103,12 @@ fn fail_recover_cycle_reconverges_the_tree() {
     }
     // The plane saw the recovery: at least one un-suspicion was recorded.
     assert!(
-        fed.recorder().global_count("unsuspect") > 0,
+        fed.recorder().snapshot().count("unsuspect") > 0,
         "no unsuspect events recorded across the fail/recover cycle"
     );
     // And the stale parent pointer was cleared by a NotChild NACK.
     assert!(
-        fed.recorder().global_count("orphan_rejoin") > 0,
+        fed.recorder().snapshot().count("orphan_rejoin") > 0,
         "the revived node never re-joined via NotChild"
     );
 }
@@ -147,7 +147,7 @@ fn false_positives_under_loss_leave_the_tree_converging() {
     maintain(&mut fed, 8);
     fed.sim_mut().set_loss_prob(0.0);
 
-    let expirations = fed.recorder().global_count("hb_expire");
+    let expirations = fed.recorder().snapshot().count("hb_expire");
     assert!(
         expirations > 0,
         "lossy window produced no false-positive declarations; the scenario \
@@ -171,7 +171,7 @@ fn false_positives_under_loss_leave_the_tree_converging() {
         fed.tree_root_count(topic),
         holders.len(),
         expirations,
-        fed.recorder().global_count("orphan_rejoin"),
+        fed.recorder().snapshot().count("orphan_rejoin"),
     );
 }
 

@@ -7,7 +7,7 @@ use super::{ScribeHost, ScribeLayer};
 use crate::types::{AggValue, ScribeMsg, TopicId};
 use pastry::{Net, PastryMsg, PastryNode};
 use simnet::obs::ObsEvent;
-use simnet::NodeAddr;
+use simnet::{NodeAddr, SimTime};
 
 /// Ticks a child may stay silent before its edge and cached aggregate are
 /// expired. Attached children push every tick, so silence this long means
@@ -46,7 +46,7 @@ impl ScribeLayer {
         let me = pastry.info().addr;
         let topics: Vec<TopicId> = self.topics.keys().copied().collect();
         for topic in topics {
-            self.age_topic(me, topic);
+            self.age_topic(net.now(), me, topic);
             // A forwarder whose subtree is gone leaves the tree. (The
             // rendezvous keeps even an empty root state: children that
             // re-join land here.)
@@ -82,15 +82,15 @@ impl ScribeLayer {
                 } else {
                     "rejoin_retry"
                 };
-                self.obs.count(me, kind);
+                self.obs.count(kind);
             }
         }
         for (topic, st) in &self.topics {
             let (Some(parent), Some(value)) = (st.parent, st.merged_agg()) else {
                 continue;
             };
-            self.obs.record_with(|at| ObsEvent::AggSend {
-                at,
+            self.obs.record_with(|| ObsEvent::AggSend {
+                at: net.now(),
                 from: me,
                 to: parent,
                 topic: topic.key().as_u128(),
@@ -103,7 +103,7 @@ impl ScribeLayer {
                 }),
             );
         }
-        self.age_replicas(me);
+        self.age_replicas();
         self.push_replicas(pastry, net);
     }
 
@@ -113,7 +113,7 @@ impl ScribeLayer {
     /// forever even though the child crashed or moved to another parent
     /// (its Leave lost in flight). A live expired child is NACKed into a
     /// clean re-join by its next push.
-    fn age_topic(&mut self, me: NodeAddr, topic: TopicId) {
+    fn age_topic(&mut self, now: SimTime, me: NodeAddr, topic: TopicId) {
         let st = self.topics.get_mut(&topic).expect("listed topic exists");
         st.agg_round += 1;
         let round = st.agg_round;
@@ -133,8 +133,8 @@ impl ScribeLayer {
             .map(|(c, _)| *c)
             .collect();
         for c in stale {
-            self.drop_child(me, topic, c);
-            self.obs.count(me, "stale_child_expire");
+            self.drop_child(now, me, topic, c);
+            self.obs.count("stale_child_expire");
         }
     }
 
@@ -155,7 +155,7 @@ impl ScribeLayer {
                 st.child_agg.insert(from, value);
                 let round = st.agg_round;
                 st.child_seen.insert(from, round);
-                self.obs.count(me, "agg_update_recv");
+                self.obs.count("agg_update_recv");
             }
             _ => {
                 // The sender believes we are its parent but we do not
@@ -163,8 +163,8 @@ impl ScribeLayer {
                 // failure declaration dropped it). NACK so the orphan
                 // clears its stale parent pointer and re-joins instead
                 // of silently falling out of the aggregate forever.
-                self.obs.record_with(|at| ObsEvent::NotChild {
-                    at,
+                self.obs.record_with(|| ObsEvent::NotChild {
+                    at: net.now(),
                     node: me,
                     orphan: from,
                     topic: topic.key().as_u128(),
@@ -254,7 +254,7 @@ mod tests {
             for _ in 0..STALE_AGG_ROUNDS + 2 {
                 layer.aggregate_tick(&mut pastry, &mut net, &mut host);
             }
-            assert_eq!(obs.global_count("stale_child_expire"), 0);
+            assert_eq!(obs.snapshot().count("stale_child_expire"), 0);
             let leaves = obs
                 .events()
                 .iter()

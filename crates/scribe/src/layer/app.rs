@@ -145,7 +145,7 @@ where
                 self.layer.on_join_ack(net, self.host, me, from, topic);
             }
             ScribeMsg::Leave { topic, child } => {
-                self.layer.drop_child(me, topic, child);
+                self.layer.drop_child(net.now(), me, topic, child);
                 self.layer.maybe_prune(net, me, topic);
             }
             ScribeMsg::MulticastData { topic, payload } => {

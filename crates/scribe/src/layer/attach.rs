@@ -16,7 +16,7 @@ use super::{route_to_root, ScribeHost, ScribeLayer};
 use crate::types::{ScribeMsg, TopicId};
 use pastry::{Net, NodeInfo, PastryMsg, PastryNode};
 use simnet::obs::ObsEvent;
-use simnet::{NodeAddr, SiteId};
+use simnet::{NodeAddr, SimTime, SiteId};
 
 /// Tells `parent` that `child` is no longer below it.
 fn send_leave<P, N>(net: &mut N, parent: NodeAddr, topic: TopicId, child: NodeAddr)
@@ -84,7 +84,7 @@ impl ScribeLayer {
         if let Some(parent) = st.parent {
             send_leave(net, parent, topic, me);
         }
-        self.obs.count(me, "tree_prune");
+        self.obs.count("tree_prune");
         self.topics.remove(&topic);
     }
 
@@ -182,8 +182,8 @@ impl ScribeLayer {
             self.detach(net, me, topic);
         }
         self.topics.get_mut(&topic).expect("checked above").parent = Some(from);
-        self.obs.record_with(|at| ObsEvent::TreeParent {
-            at,
+        self.obs.record_with(|| ObsEvent::TreeParent {
+            at: net.now(),
             node: me,
             topic: topic.key().as_u128(),
             old,
@@ -222,7 +222,7 @@ impl ScribeLayer {
         }
         st.parent = None;
         let me = pastry.info().addr;
-        self.obs.count(me, "orphan_rejoin");
+        self.obs.count("orphan_rejoin");
         self.maybe_prune(net, me, topic);
         self.reattach(pastry, net, host, topic);
     }
@@ -243,8 +243,8 @@ impl ScribeLayer {
         let round = st.agg_round;
         st.child_seen.insert(child, round);
         if st.children.insert(child) {
-            self.obs.record_with(|at| ObsEvent::TreeGraft {
-                at,
+            self.obs.record_with(|| ObsEvent::TreeGraft {
+                at: net.now(),
                 parent: me,
                 child,
                 topic: topic.key().as_u128(),
@@ -253,16 +253,23 @@ impl ScribeLayer {
         net.send(child, PastryMsg::Direct(ScribeMsg::JoinAck { topic }));
     }
 
-    /// Forgets `child` and everything cached about it.
-    pub(super) fn drop_child(&mut self, me: NodeAddr, topic: TopicId, child: NodeAddr) {
+    /// Forgets `child` and everything cached about it (`now` stamps the
+    /// leave).
+    pub(super) fn drop_child(
+        &mut self,
+        now: SimTime,
+        me: NodeAddr,
+        topic: TopicId,
+        child: NodeAddr,
+    ) {
         let Some(st) = self.topics.get_mut(&topic) else {
             return;
         };
         st.child_agg.remove(&child);
         st.child_seen.remove(&child);
         if st.children.remove(&child) {
-            self.obs.record_with(|at| ObsEvent::TreeLeave {
-                at,
+            self.obs.record_with(|| ObsEvent::TreeLeave {
+                at: now,
                 parent: me,
                 child,
                 topic: topic.key().as_u128(),
@@ -306,10 +313,10 @@ impl ScribeLayer {
         }
         let affected: Vec<TopicId> = self.topics.keys().copied().collect();
         for topic in affected {
-            self.drop_child(me.addr, topic, addr);
+            self.drop_child(net.now(), me.addr, topic, addr);
         }
         for topic in orphaned {
-            self.obs.count(me.addr, "parent_lost");
+            self.obs.count("parent_lost");
             self.detach(net, me.addr, topic);
             if self.is_member(topic) {
                 self.reattach(pastry, net, host, topic);

@@ -71,7 +71,7 @@ impl ScribeLayer {
         st.scope = scope;
         st.warm_agg = rep.agg;
         st.warm_agg_round = st.agg_round;
-        self.obs.count(me.addr, "replica_promote");
+        self.obs.count("replica_promote");
     }
 
     /// What a probe reaching the rendezvous is told: the root's
@@ -91,14 +91,14 @@ impl ScribeLayer {
     /// died (and a fresher copy was consumed elsewhere) or this node left
     /// the root's neighbourhood; drop it rather than promote from an
     /// arbitrarily stale view.
-    pub(super) fn age_replicas(&mut self, me: NodeAddr) {
+    pub(super) fn age_replicas(&mut self) {
         let before = self.replicas.len();
         self.replicas.retain(|_, rep| {
             rep.age += 1;
             rep.age <= REPLICA_TTL_ROUNDS
         });
         for _ in self.replicas.len()..before {
-            self.obs.count(me, "replica_expire");
+            self.obs.count("replica_expire");
         }
     }
 
@@ -136,7 +136,7 @@ impl ScribeLayer {
             targets.truncate(REPLICA_K);
             let children: Vec<NodeAddr> = st.children.iter().copied().collect();
             for target in targets {
-                self.obs.count(me.addr, "replica_sync_send");
+                self.obs.count("replica_sync_send");
                 net.send(
                     target.addr,
                     PastryMsg::Direct(ScribeMsg::ReplicaSync {
@@ -159,7 +159,7 @@ impl ScribeLayer {
             return;
         }
         self.replicas.insert(topic, replica);
-        self.obs.count(me, "replica_sync_recv");
+        self.obs.count("replica_sync_recv");
     }
 }
 

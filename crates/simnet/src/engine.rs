@@ -17,7 +17,6 @@
 //! nothing once the slab has grown to the pending count; only the rare
 //! external [`Simulation::schedule_call`] closure is boxed.
 
-use crate::obs::Recorder;
 use crate::queue::CalendarQueue;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
@@ -349,10 +348,6 @@ pub struct Simulation<A: Actor> {
     failed: Vec<bool>,
     trace: Option<Vec<TraceEvent>>,
     trace_cap: usize,
-    /// Observability-plane handle; disabled (a no-op) by default. The
-    /// engine's only job is to keep its clock current at every dispatch so
-    /// actor-layer hooks stamp events with the right virtual time.
-    obs: Recorder,
     /// Wall-clock nanoseconds spent inside `run_*` loops. Kept out of
     /// [`NetStats`] so stats snapshots stay comparable across runs.
     wall_nanos: u64,
@@ -378,7 +373,6 @@ impl<A: Actor> Simulation<A> {
             stats: NetStats::default(),
             trace: None,
             trace_cap: 0,
-            obs: Recorder::default(),
             wall_nanos: 0,
         }
     }
@@ -413,19 +407,6 @@ impl<A: Actor> Simulation<A> {
     /// The recorded trace so far (empty slice when tracing is off).
     pub fn trace(&self) -> &[TraceEvent] {
         self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Installs an observability recorder (usually a clone of a recorder
-    /// shared with the per-node protocol layers). The engine advances the
-    /// recorder's clock at every dispatch and bumps per-node delivery
-    /// counters when the recorder is enabled.
-    pub fn set_recorder(&mut self, obs: Recorder) {
-        self.obs = obs;
-    }
-
-    /// The installed observability recorder (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        &self.obs
     }
 
     fn record_trace(&mut self, ev: TraceEvent) {
@@ -725,7 +706,6 @@ impl<A: Actor> Simulation<A> {
     /// Runs one event, unless a node it needs has crashed.
     fn execute(&mut self, entry: Entry<A>) {
         self.stats.record_event();
-        self.obs.set_now(self.now);
         let at = self.now;
         match entry {
             Entry::Payload(EventPayload::Deliver { from, to, msg }) => {
@@ -735,7 +715,6 @@ impl<A: Actor> Simulation<A> {
                 }
                 self.stats.record_delivery();
                 self.record_trace(TraceEvent::Deliver { at, from, to });
-                self.obs.count(to, "deliver");
                 self.dispatch(to, move |a, ctx| a.on_message(ctx, from, msg));
             }
             Entry::Payload(EventPayload::Timer { node, token }) => {

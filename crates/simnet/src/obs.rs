@@ -1,9 +1,11 @@
-//! Cross-layer observability plane: a structured event trace plus a
-//! per-node and global metrics registry.
+//! Cross-layer observability plane: a structured event trace plus the
+//! counters and hop histogram derived from it.
 //!
 //! The plane is deliberately *passive*: a [`Recorder`] handle is cloned into
-//! every layer that wants to emit events (the simulation engine, Pastry
-//! routing, Scribe tree maintenance, the RBAY query lifecycle). A disabled
+//! every layer that wants to emit events (Pastry routing, Scribe tree
+//! maintenance, the RBAY host). Each observed fact is recorded once, by the
+//! layer that observes it and stamped with that layer's clock, so the
+//! recorder keeps no clock of its own and works over any transport. A disabled
 //! recorder holds no allocation at all — every hook is a single `Option`
 //! branch, and event payload construction is deferred behind a closure so a
 //! disabled run never formats, hashes, or clones anything. This is what
@@ -27,8 +29,8 @@ pub const HOP_BUCKETS: usize = 16;
 /// Hard ceiling on the event-buffer capacity, mirroring the engine trace cap.
 const MAX_EVENT_CAP: usize = 1 << 20;
 
-/// One structured observability event, stamped with the simulation time at
-/// which the emitting dispatch ran.
+/// One structured observability event, stamped with the time of the layer
+/// that observed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObsEvent {
     /// A Pastry node forwarded a routed message one hop closer to `key`.
@@ -229,25 +231,45 @@ impl ObsEvent {
             | ObsEvent::RestoreRelintReject { at, .. } => *at,
         }
     }
+
+    /// The counter recording this event bumps.
+    fn kind(&self) -> &'static str {
+        match self {
+            ObsEvent::RouteForward { .. } => "route_forward",
+            ObsEvent::RouteDeliver { .. } => "route_deliver",
+            ObsEvent::TreeGraft { .. } => "tree_graft",
+            ObsEvent::TreeParent { .. } => "tree_parent",
+            ObsEvent::TreeLeave { .. } => "tree_leave",
+            ObsEvent::AggSend { .. } => "agg_send",
+            ObsEvent::NotChild { .. } => "not_child",
+            ObsEvent::HeartbeatSend { .. } => "hb_send",
+            ObsEvent::HeartbeatExpire { .. } => "hb_expire",
+            ObsEvent::Unsuspect { .. } => "unsuspect",
+            ObsEvent::QueryAttempt { .. } => "query_attempt",
+            ObsEvent::QueryDone { .. } => "query_done",
+            ObsEvent::StoreAppend { .. } => "store_append",
+            ObsEvent::StoreSnapshot { .. } => "store_snapshot",
+            ObsEvent::StoreReplay { .. } => "store_replay",
+            ObsEvent::RestoreRelintReject { .. } => "restore_relint_rejects",
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct ObsCore {
-    now: SimTime,
     cap: usize,
     dropped: u64,
     events: Vec<ObsEvent>,
     counts: BTreeMap<&'static str, u64>,
-    node_counts: BTreeMap<(NodeAddr, &'static str), u64>,
     hop_hist: [u64; HOP_BUCKETS],
 }
 
 /// A cheap, cloneable handle onto a shared observability buffer.
 ///
 /// All clones of an enabled recorder share one buffer; a federation
-/// installs clones of the same recorder into its simulation engine and
-/// every per-node layer. The default (disabled) recorder carries `None`
-/// and every recording method returns after a single branch.
+/// installs clones of the same recorder into every per-node layer. The
+/// default (disabled) recorder carries `None` and every recording method
+/// returns after a single branch.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     core: Option<Rc<RefCell<ObsCore>>>,
@@ -259,8 +281,8 @@ impl Recorder {
         Recorder { core: None }
     }
 
-    /// An enabled recorder whose event buffer holds at most `capacity`
-    /// events (counters are unaffected by the cap; overflowing events are
+    /// An enabled recorder whose event buffer holds the first `capacity`
+    /// events (counters are unaffected by the cap; later events are
     /// counted as dropped).
     pub fn enabled(capacity: usize) -> Self {
         let cap = capacity.min(MAX_EVENT_CAP);
@@ -278,26 +300,21 @@ impl Recorder {
         self.core.is_some()
     }
 
-    /// Advance the recorder's notion of simulation time. Called by the
-    /// engine at every dispatch so events emitted from within actor
-    /// callbacks are stamped correctly.
+    /// Records the event `f` builds, stamped by the caller with its own
+    /// clock. The closure only runs when the recorder is enabled, so
+    /// disabled runs never construct the payload. Recording bumps the
+    /// event's kind counter and, for a [`ObsEvent::RouteDeliver`], the hop
+    /// histogram — both also past the buffer cap.
     #[inline]
-    pub fn set_now(&self, now: SimTime) {
+    pub fn record_with<F: FnOnce() -> ObsEvent>(&self, f: F) {
         if let Some(core) = &self.core {
-            core.borrow_mut().now = now;
-        }
-    }
-
-    /// Record an event. The closure receives the current simulation time
-    /// and is only invoked when the recorder is enabled, so disabled runs
-    /// never construct the event payload.
-    #[inline]
-    pub fn record_with<F: FnOnce(SimTime) -> ObsEvent>(&self, f: F) {
-        if let Some(core) = &self.core {
+            let ev = f();
             let mut core = core.borrow_mut();
-            let now = core.now;
+            *core.counts.entry(ev.kind()).or_insert(0) += 1;
+            if let ObsEvent::RouteDeliver { hops, .. } = ev {
+                core.hop_hist[(hops as usize).min(HOP_BUCKETS - 1)] += 1;
+            }
             if core.events.len() < core.cap {
-                let ev = f(now);
                 core.events.push(ev);
             } else {
                 core.dropped += 1;
@@ -305,35 +322,13 @@ impl Recorder {
         }
     }
 
-    /// Bump the global and per-node counters for `kind`. `kind` must be a
-    /// static string so disabled runs pay nothing and enabled runs avoid
-    /// allocation.
+    /// Bumps the counter of a count-only `kind` (one with no event).
+    /// `kind` must be a static string so disabled runs pay nothing and
+    /// enabled runs avoid allocation.
     #[inline]
-    pub fn count(&self, node: NodeAddr, kind: &'static str) {
+    pub fn count(&self, kind: &'static str) {
         if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            *core.counts.entry(kind).or_insert(0) += 1;
-            *core.node_counts.entry((node, kind)).or_insert(0) += 1;
-        }
-    }
-
-    /// Bump the global and per-node counters for `kind` by `n` in one
-    /// call (bulk contributions like a WAL replay's record count).
-    #[inline]
-    pub fn count_n(&self, node: NodeAddr, kind: &'static str, n: u64) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            *core.counts.entry(kind).or_insert(0) += n;
-            *core.node_counts.entry((node, kind)).or_insert(0) += n;
-        }
-    }
-
-    /// Add one observation to the hop-count histogram.
-    #[inline]
-    pub fn observe_hops(&self, hops: u16) {
-        if let Some(core) = &self.core {
-            let bucket = (hops as usize).min(HOP_BUCKETS - 1);
-            core.borrow_mut().hop_hist[bucket] += 1;
+            *core.borrow_mut().counts.entry(kind).or_insert(0) += 1;
         }
     }
 
@@ -342,27 +337,6 @@ impl Recorder {
         match &self.core {
             Some(core) => core.borrow().events.clone(),
             None => Vec::new(),
-        }
-    }
-
-    /// Global count for `kind` (zero when disabled or never bumped).
-    pub fn global_count(&self, kind: &str) -> u64 {
-        match &self.core {
-            Some(core) => core.borrow().counts.get(kind).copied().unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    /// Per-node count for `kind` (zero when disabled or never bumped).
-    pub fn node_count(&self, node: NodeAddr, kind: &'static str) -> u64 {
-        match &self.core {
-            Some(core) => core
-                .borrow()
-                .node_counts
-                .get(&(node, kind))
-                .copied()
-                .unwrap_or(0),
-            None => 0,
         }
     }
 
@@ -429,66 +403,74 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let r = Recorder::disabled();
-        r.set_now(SimTime::ZERO + SimDuration::from_millis(5));
-        r.record_with(|at| ObsEvent::HeartbeatSend {
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    fn ping(at: SimTime) -> ObsEvent {
+        ObsEvent::HeartbeatSend {
             at,
             from: NodeAddr(0),
             to: NodeAddr(1),
-        });
-        r.count(NodeAddr(0), "x");
-        r.observe_hops(3);
+        }
+    }
+
+    fn deliver(at: SimTime, hops: u16) -> ObsEvent {
+        ObsEvent::RouteDeliver {
+            at,
+            node: NodeAddr(3),
+            key: 9,
+            hops,
+        }
+    }
+
+    #[test]
+    fn disabled_recorder_records_nothing() {
+        let r = Recorder::disabled();
+        r.record_with(|| ping(ms(5)));
+        r.count("x");
         assert!(!r.is_enabled());
         assert!(r.events().is_empty());
-        assert_eq!(r.global_count("x"), 0);
+        assert!(r.snapshot().counts.is_empty());
         assert_eq!(r.snapshot().events_recorded, 0);
     }
 
     #[test]
     fn clones_share_one_buffer() {
         let r = Recorder::enabled(64);
-        let r2 = r.clone();
-        r.set_now(SimTime::ZERO + SimDuration::from_millis(7));
-        r2.record_with(|at| ObsEvent::HeartbeatSend {
-            at,
-            from: NodeAddr(1),
-            to: NodeAddr(2),
-        });
+        r.clone().record_with(|| ping(ms(7)));
         let evs = r.events();
         assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].at(), SimTime::ZERO + SimDuration::from_millis(7));
+        assert_eq!(evs[0].at(), ms(7));
+        assert_eq!(r.snapshot().count("hb_send"), 1);
     }
 
+    /// One record is the event, its count and its hop observation: the
+    /// buffer keeps the first `capacity` events, and the counter and the
+    /// histogram keep counting past it.
     #[test]
-    fn event_buffer_cap_is_respected() {
-        let r = Recorder::enabled(2);
-        for _ in 0..5 {
-            r.record_with(|at| ObsEvent::HeartbeatSend {
-                at,
-                from: NodeAddr(0),
-                to: NodeAddr(1),
-            });
+    fn recording_counts_and_observes_hops_past_the_cap() {
+        let r = Recorder::enabled(1);
+        for (t, hops) in [(3, 1), (5, 2), (8, 200)] {
+            r.record_with(|| deliver(ms(t), hops));
         }
         let snap = r.snapshot();
-        assert_eq!(snap.events_recorded, 2);
-        assert_eq!(snap.events_dropped, 3);
+        assert_eq!(snap.count("route_deliver"), 3);
+        assert_eq!(snap.hop_hist.iter().sum::<u64>(), 3);
+        assert_eq!(snap.hop_hist[HOP_BUCKETS - 1], 1, "overflow bucket");
+        assert!((snap.mean_hops() - (1.0 + 2.0 + 15.0) / 3.0).abs() < 1e-9);
+        assert_eq!((snap.events_recorded, snap.events_dropped), (1, 2));
+        assert_eq!(r.events(), vec![deliver(ms(3), 1)], "the caller's `at`");
     }
 
     #[test]
-    fn counters_and_hops_aggregate() {
+    fn count_only_kinds_have_no_event() {
         let r = Recorder::enabled(8);
-        r.count(NodeAddr(3), "route_forward");
-        r.count(NodeAddr(3), "route_forward");
-        r.count(NodeAddr(4), "route_forward");
-        r.observe_hops(1);
-        r.observe_hops(3);
-        r.observe_hops(200); // overflow bucket
+        r.count("reroute");
+        r.count("reroute");
         let snap = r.snapshot();
-        assert_eq!(snap.count("route_forward"), 3);
-        assert_eq!(r.node_count(NodeAddr(3), "route_forward"), 2);
-        assert_eq!(snap.hop_hist[HOP_BUCKETS - 1], 1);
-        assert!((snap.mean_hops() - (1.0 + 3.0 + 15.0) / 3.0).abs() < 1e-9);
+        assert_eq!(snap.count("reroute"), 2);
+        assert_eq!(snap.events_recorded, 0);
+        assert_eq!(snap.hop_hist, [0; HOP_BUCKETS]);
     }
 }
