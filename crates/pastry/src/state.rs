@@ -75,14 +75,25 @@ impl LeafSet {
         if info.id == self.self_id {
             return false;
         }
+        let cw_d = self.self_id.cw_distance(info.id);
+        let ccw_d = info.id.cw_distance(self.self_id);
+        // Most peers a node hears from lie outside its leaf set. With both
+        // sides full and the candidate no nearer than either side's
+        // farthest member, no side has room for it and nothing changes:
+        // sides are sorted, so two comparisons say what the scans below
+        // would.
+        if self.is_full()
+            && cw_d >= self.self_id.cw_distance(self.cw[self.side - 1].id)
+            && ccw_d >= self.ccw[self.side - 1].id.cw_distance(self.self_id)
+        {
+            return false;
+        }
         if self.cw.iter().chain(&self.ccw).any(|e| e.id == info.id) {
             return false;
         }
         // A node belongs first to the side where it is nearer; if that
         // side is full of closer entries (or filling it evicts someone),
         // the displaced node may still be one of the other side's nearest.
-        let cw_d = self.self_id.cw_distance(info.id);
-        let ccw_d = info.id.cw_distance(self.self_id);
         self.insert_chain(info, cw_d <= ccw_d, 4)
     }
 
@@ -530,11 +541,53 @@ mod tests {
         NodeId(me.0 ^ noise.checked_shr(4 * digits as u32).unwrap_or(0))
     }
 
+    /// [`LeafSet::insert`] as it was before its early reject: every
+    /// candidate pays the duplicate scan and the side scans.
+    fn insert_by_scans(ls: &mut LeafSet, info: NodeInfo) -> bool {
+        if info.id == ls.self_id || ls.members().any(|e| e.id == info.id) {
+            return false;
+        }
+        let cw_d = ls.self_id.cw_distance(info.id);
+        let ccw_d = info.id.cw_distance(ls.self_id);
+        ls.insert_chain(info, cw_d <= ccw_d, 4)
+    }
+
     use proptest::collection::vec;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random insert / remove runs on small sides: after every step
+        /// the early-rejecting set returns and holds exactly what the
+        /// scanning one does. Ids cluster near `me` or spread over the
+        /// ring, and repeat, so full sides, duplicates and self all come
+        /// up.
+        #[test]
+        fn leaf_set_insert_matches_the_scanning_insert(
+            me in any::<u128>(),
+            side in 1usize..4,
+            ops in vec((any::<bool>(), 0u8..3, any::<u128>()), 0..64),
+        ) {
+            let mut fast = LeafSet::with_side(NodeId(me), side);
+            let mut slow = LeafSet::with_side(NodeId(me), side);
+            let mut seen: Vec<u128> = vec![me];
+            for (insert, shape, noise) in ops {
+                let id = match shape {
+                    0 => me.wrapping_add(noise % 64).wrapping_sub(32),
+                    1 => seen[(noise % seen.len() as u128) as usize],
+                    _ => noise,
+                };
+                if insert {
+                    prop_assert_eq!(fast.insert(info(id)), insert_by_scans(&mut slow, info(id)));
+                    seen.push(id);
+                } else {
+                    prop_assert_eq!(fast.remove(info(id).addr), slow.remove(info(id).addr));
+                }
+                prop_assert_eq!(&fast.cw, &slow.cw);
+                prop_assert_eq!(&fast.ccw, &slow.ccw);
+            }
+        }
 
         /// Random `insert` / `insert_with` / `remove` runs: after every
         /// step the on-demand table answers `next_hop`, `row` (every index

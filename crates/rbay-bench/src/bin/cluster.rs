@@ -498,22 +498,12 @@ fn main() {
             println!("cluster: rolling restart: daemon {p}");
             match ctrls[p as usize].request(&CtrlMsg::Shutdown, Duration::from_secs(10)) {
                 Ok(CtrlMsg::Ok) => {}
-                other => println!("cluster: graceful shutdown of daemon {p}: {other:?}"),
+                other => fail(&format!("graceful shutdown of daemon {p}: {other:?}")),
             }
-            // Reap the old process (bounded: a daemon that ignores the
-            // graceful path gets killed — the WAL must cover that too).
-            let reap_deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let mut fleet = FLEET.lock().unwrap();
-                match fleet[p as usize].0.try_wait() {
-                    Ok(None) if Instant::now() < reap_deadline => {
-                        drop(fleet);
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    // Exited, or out of patience: replacing the slot
-                    // below kills and reaps whatever is left.
-                    _ => break,
-                }
+            // A daemon whose shutdown barrier missed its deadline exits 1.
+            let reaped = FLEET.lock().unwrap()[p as usize].reap(Duration::from_secs(10));
+            if let Err(e) = reaped {
+                fail(&format!("daemon {p} after its graceful shutdown: {e}"));
             }
             FLEET.lock().unwrap()[p as usize] = spawn_daemon(&daemon, &args, p);
             ctrls[p as usize] = Ctrl::connect(
@@ -634,8 +624,22 @@ fn main() {
 
     for (i, ctrl) in ctrls.iter_mut().enumerate() {
         if let Err(e) = ctrl.request(&CtrlMsg::Shutdown, Duration::from_secs(5)) {
-            eprintln!("cluster: shutdown daemon {i}: {e}");
+            fail(&format!("shutdown daemon {i}: {e}"));
         }
+    }
+    let reaped: Vec<String> = FLEET
+        .lock()
+        .unwrap()
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, d)| {
+            d.reap(Duration::from_secs(10))
+                .err()
+                .map(|e| format!("daemon {i} {e}"))
+        })
+        .collect();
+    if !reaped.is_empty() {
+        fail(&format!("after shutdown: {}", reaped.join("; ")));
     }
     kill_fleet();
 

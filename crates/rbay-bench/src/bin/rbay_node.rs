@@ -5,15 +5,19 @@
 //! Process `index` hosts the contiguous overlay addresses
 //! `index*per .. min((index+1)*per, agents)` in a [`rbay_core::Pack`],
 //! listening on `127.0.0.1:(base_port + index)`. Messages between
-//! co-hosted members loop back in-process; everything else rides the
-//! single event-loop [`TcpBus`], multiplexed by the `[from][to]` frame
-//! header. Process 0's first member seeds the overlay; every other
-//! member's slot-0 sibling joins through it, and remaining members join
-//! through their local sibling — spreading join load off the bootstrap.
+//! co-hosted members loop back in-process; everything else rides one
+//! [`BusLoop`], multiplexed by the `[from][to]` frame header. The daemon
+//! is one thread: its main loop fires the pack's timers and turns the
+//! bus, and every frame a turn reads is decoded and handled right there.
+//! Process 0's first member seeds the overlay; every other member's
+//! slot-0 sibling joins through it, and remaining members join through
+//! their local sibling — spreading join load off the bootstrap.
 //!
 //! Operator tools (the `cluster` harness) drive it over control
 //! connections speaking [`rbay_bench::cluster::CtrlMsg`]; requests for a
-//! specific member arrive wrapped in [`CtrlMsg::To`].
+//! specific member arrive wrapped in [`CtrlMsg::To`]. A `Shutdown`
+//! leaves gracefully and exits 0, or 1 if its outbound frames did not
+//! drain before the deadline.
 //!
 //! With `--data-dir`, every hosted member journals its durable state
 //! (attributes, handler sources, subscriptions, commits) to a
@@ -32,26 +36,29 @@ use rbay_bench::flag_value;
 use rbay_core::{
     FrontdoorConfig, FrontdoorResponse, FrontdoorStats, Op, Pack, QueryId, RbayConfig, RbayMsg,
 };
-use rbay_query::parse_query;
+use rbay_query::{parse_query, ParseQueryError, Query};
 use rbay_store::{FsyncPolicy, Store, StoreStats};
-use rbay_wire::{decode_frame, encode_frame, Inbound, TcpBus};
+use rbay_wire::{decode_frame, encode_frame, BusLoop, Inbound};
 use scribe::TopicId;
 use simnet::{NodeAddr, SimDuration};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::process::ExitCode;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Unjoined members (re-)sending their Pastry join per tick, bounding the
 /// thundering herd on the bootstrap at high packing factors.
 const JOIN_BATCH: usize = 16;
-/// Inbound frames drained per wakeup before pumping loopback again.
-const RECV_BATCH: usize = 4096;
 /// Ticks one full maintenance sweep over the pack is spread across, so a
 /// 100-member pack maintains ~10 members per tick instead of all of them
 /// (per-member maintenance cadence stays bounded; CPU per tick is O(per /
 /// MAINT_SWEEP_TICKS), which is what keeps 160 packed daemons viable on a
 /// small host).
 const MAINT_SWEEP_TICKS: u32 = 10;
+/// Distinct ZQL texts whose parse the daemon keeps, so every query record
+/// of one text shares one `Rc<Query>`; the map is cleared when full.
+const PARSED_QUERIES: usize = 64;
 
 struct Args {
     index: u32,
@@ -122,11 +129,11 @@ fn parse_args() -> Args {
     args
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
     let start = args.index * args.per;
     let end = (start + args.per).min(args.agents);
-    let (bus, rx) = TcpBus::start(
+    let mut bus = BusLoop::bind(
         cluster::proc_sock(args.base_port, args.index),
         NodeAddr(start),
         cluster::packed_resolver(args.base_port, args.agents, args.per),
@@ -154,7 +161,7 @@ fn main() {
         args.index,
         bus.local_addr(),
     );
-    run(&mut pack, bus, &rx, &args);
+    run(&mut pack, &mut bus, &args)
 }
 
 /// Opens (or creates) each member's durable store under
@@ -210,23 +217,50 @@ fn restore_members(pack: &mut Pack, dir: &std::path::Path, fsync: FsyncPolicy, i
     }
 }
 
+/// What the ctrl handlers keep between turns.
+struct CtrlState {
+    /// Queries issued over a control connection, awaiting completion:
+    /// `(member slot, query, ctrl conn to answer)`.
+    pending: Vec<(u32, QueryId, u64)>,
+    /// Parsed queries by ZQL text.
+    parsed: HashMap<String, Rc<Query>>,
+}
+
+impl CtrlState {
+    /// The parse of `zql`, shared with every earlier query of that text.
+    fn parse(&mut self, zql: &str) -> Result<Rc<Query>, ParseQueryError> {
+        if let Some(q) = self.parsed.get(zql) {
+            return Ok(Rc::clone(q));
+        }
+        let q = Rc::new(parse_query(zql)?);
+        if self.parsed.len() >= PARSED_QUERIES {
+            self.parsed.clear();
+        }
+        self.parsed.insert(zql.to_owned(), Rc::clone(&q));
+        Ok(q)
+    }
+}
+
 /// The daemon's main loop: fire due timers, run the per-tick join and
-/// maintenance work, drain loopback, answer finished queries, then block
-/// on the inbound queue until the next deadline.
-fn run(pack: &mut Pack, bus: TcpBus, rx: &Receiver<Inbound>, args: &Args) {
-    let mut sink = bus.clone();
-    // Queries issued over a control connection, awaiting completion:
-    // `(member slot, query, ctrl conn to answer)`.
-    let mut pending: Vec<(u32, QueryId, u64)> = Vec::new();
+/// maintenance work, drain loopback, answer finished queries, then turn
+/// the bus — writing what all that sent and waiting no longer than the
+/// next deadline — and handle the frames the turn read. Returns the exit
+/// status once a `Shutdown` has been handled.
+fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args) -> ExitCode {
+    let mut ctrl = CtrlState {
+        pending: Vec::new(),
+        parsed: HashMap::new(),
+    };
+    let mut batch = Vec::new();
     let mut next_tick = Instant::now() + args.tick;
     let maint_batch = pack.len().div_ceil(MAINT_SWEEP_TICKS).max(1);
     let mut maint_cursor = 0u32;
     loop {
-        pack.fire_due(&mut sink);
+        pack.fire_due(bus);
         if Instant::now() >= next_tick {
-            tick_joins(pack, &mut sink);
+            tick_joins(pack, bus);
             for _ in 0..maint_batch {
-                pack.maintenance_round(&mut sink, maint_cursor);
+                pack.maintenance_round(bus, maint_cursor);
                 maint_cursor = (maint_cursor + 1) % pack.len();
             }
             // Under `--fsync batch` one sync_data per dirty member per
@@ -235,37 +269,26 @@ fn run(pack: &mut Pack, bus: TcpBus, rx: &Receiver<Inbound>, args: &Args) {
             next_tick = Instant::now() + args.tick;
         }
         while pack.has_loopback() {
-            pack.pump(&mut sink);
+            pack.pump(bus);
         }
-        answer_finished_queries(pack, &bus, &mut pending);
+        answer_finished_queries(pack, bus, &mut ctrl.pending);
 
         let mut wait = next_tick.saturating_duration_since(Instant::now());
         if let Some(deadline) = pack.next_deadline() {
             let until = Duration::from_micros(deadline.saturating_since(pack.now()).as_micros());
             wait = wait.min(until);
         }
-        match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok(first) => {
-                if on_inbound(pack, &mut sink, &bus, &mut pending, first, args) {
-                    bus.shutdown();
-                    return;
-                }
-                // Batch-drain whatever else arrived before pumping again.
-                for _ in 0..RECV_BATCH {
-                    match rx.try_recv() {
-                        Ok(msg) => {
-                            if on_inbound(pack, &mut sink, &bus, &mut pending, msg, args) {
-                                bus.shutdown();
-                                return;
-                            }
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => return,
-                    }
-                }
+        // `epoll` counts whole milliseconds: round up, so a deadline under
+        // a millisecond away is slept to, not spun to.
+        let wait = Duration::from_millis(wait.as_micros().div_ceil(1000) as u64);
+        if let Err(e) = bus.turn(wait, &mut batch) {
+            eprintln!("rbay-node[{}]: event loop failed: {e}", args.index);
+            return ExitCode::FAILURE;
+        }
+        for msg in batch.drain(..) {
+            if let Some(code) = on_inbound(pack, bus, &mut ctrl, msg, args) {
+                return code;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -275,7 +298,7 @@ fn run(pack: &mut Pack, bus: TcpBus, rx: &Receiver<Inbound>, args: &Args) {
 /// (`NodeAddr(0)`); later slots wait for slot 0 and then join through it
 /// locally, so the bootstrap process sees O(procs) joiners, not
 /// O(agents).
-fn tick_joins(pack: &mut Pack, sink: &mut TcpBus) {
+fn tick_joins(pack: &mut Pack, bus: &mut BusLoop) {
     let slot0_joined = pack.member(0).pastry.is_joined();
     let mut sent = 0;
     for slot in 0..pack.len() {
@@ -292,25 +315,24 @@ fn tick_joins(pack: &mut Pack, sink: &mut TcpBus) {
         } else {
             continue; // wait for the local gateway member first
         };
-        pack.join_member(sink, slot, bootstrap);
+        pack.join_member(bus, slot, bootstrap);
         sent += 1;
     }
 }
 
-/// Handles one inbound bus event; returns `true` when the daemon should
-/// exit.
+/// Handles one frame a turn read; returns the exit status once the
+/// daemon should exit.
 fn on_inbound(
     pack: &mut Pack,
-    sink: &mut TcpBus,
-    bus: &TcpBus,
-    pending: &mut Vec<(u32, QueryId, u64)>,
+    bus: &mut BusLoop,
+    ctrl: &mut CtrlState,
     msg: Inbound,
     args: &Args,
-) -> bool {
+) -> Option<ExitCode> {
     match msg {
         Inbound::Peer { from, to, frame } => match decode_frame::<RbayMsg>(&frame) {
             Ok(msg) => {
-                if !pack.on_message(sink, from, to, msg) {
+                if !pack.on_message(bus, from, to, msg) {
                     eprintln!(
                         "rbay-node[{}]: frame for unhosted member {to:?}",
                         args.index
@@ -319,35 +341,35 @@ fn on_inbound(
             }
             Err(e) => eprintln!("rbay-node[{}]: bad frame from {from:?}: {e}", args.index),
         },
-        Inbound::Ctrl { conn, frame } => {
-            return on_ctrl(pack, sink, bus, pending, conn, &frame, args);
-        }
-        Inbound::CtrlClosed { conn } => pending.retain(|(_, _, c)| *c != conn),
+        Inbound::Ctrl { conn, frame } => return on_ctrl(pack, bus, ctrl, conn, &frame, args),
+        Inbound::CtrlClosed { conn } => ctrl.pending.retain(|(_, _, c)| *c != conn),
     }
-    false
+    None
 }
 
-/// Handles one control request; returns `true` when the daemon should
-/// exit.
+/// Queues `msg` on control connection `conn`.
+fn reply(bus: &mut BusLoop, conn: u64, msg: &CtrlMsg, index: u32) {
+    if let Err(e) = bus.send_ctrl(conn, &encode_frame(msg)) {
+        eprintln!("rbay-node[{index}]: ctrl reply failed: {e}");
+    }
+}
+
+/// Handles one control request; returns the exit status once the daemon
+/// should exit.
 fn on_ctrl(
     pack: &mut Pack,
-    sink: &mut TcpBus,
-    bus: &TcpBus,
-    pending: &mut Vec<(u32, QueryId, u64)>,
+    bus: &mut BusLoop,
+    ctrl: &mut CtrlState,
     conn: u64,
     frame: &[u8],
     args: &Args,
-) -> bool {
-    let reply = |msg: &CtrlMsg| {
-        if let Err(e) = bus.send_ctrl(conn, &encode_frame(msg)) {
-            eprintln!("rbay-node[{}]: ctrl reply failed: {e}", args.index);
-        }
-    };
+) -> Option<ExitCode> {
+    let index = args.index;
     let msg = match decode_frame::<CtrlMsg>(frame) {
         Ok(m) => m,
         Err(e) => {
-            reply(&CtrlMsg::Err { msg: e.to_string() });
-            return false;
+            reply(bus, conn, &CtrlMsg::Err { msg: e.to_string() }, index);
+            return None;
         }
     };
     // Unwrap member addressing; bare requests target the first member.
@@ -355,56 +377,53 @@ fn on_ctrl(
         CtrlMsg::To { member, msg } => match pack.slot_of(member) {
             Some(slot) => (slot, *msg),
             None => {
-                reply(&CtrlMsg::Err {
-                    msg: format!("member {member:?} not hosted here"),
-                });
-                return false;
+                let msg = format!("member {member:?} not hosted here");
+                reply(bus, conn, &CtrlMsg::Err { msg }, index);
+                return None;
             }
         },
         msg => (0, msg),
     };
-    match msg {
+    let answer = match msg {
         CtrlMsg::Post { attr, value } => {
-            pack.with_member(sink, slot, |node, _| node.host.post_resource(&attr, value));
-            reply(&CtrlMsg::Ok);
+            pack.with_member(bus, slot, |node, _| node.host.post_resource(&attr, value));
+            CtrlMsg::Ok
         }
         CtrlMsg::InstallNodeAa { src } => {
-            let res = pack.with_member(sink, slot, |node, _| node.host.install_node_aa(&src));
-            match res {
-                Ok(()) => reply(&CtrlMsg::Ok),
-                Err(e) => reply(&CtrlMsg::Err { msg: e.to_string() }),
+            match pack.with_member(bus, slot, |node, _| node.host.install_node_aa(&src)) {
+                Ok(()) => CtrlMsg::Ok,
+                Err(e) => CtrlMsg::Err { msg: e.to_string() },
             }
         }
-        CtrlMsg::IssueQuery { zql, password } => match parse_query(&zql) {
+        CtrlMsg::IssueQuery { zql, password } => match ctrl.parse(&zql) {
             Ok(q) => {
                 // Route through the front door: a no-op pass-through on
                 // members where it is not enabled.
                 let resp =
-                    pack.with_member(sink, slot, |node, _| node.host.frontdoor_query(q, password));
+                    pack.with_member(bus, slot, |node, _| node.host.frontdoor_query(q, password));
                 match resp {
-                    FrontdoorResponse::Cached { result, satisfied } => {
-                        reply(&CtrlMsg::QueryDone {
-                            satisfied,
-                            results: result,
-                            unknown_sites: Vec::new(),
-                        });
+                    FrontdoorResponse::Cached { result, satisfied } => CtrlMsg::QueryDone {
+                        satisfied,
+                        results: result,
+                        unknown_sites: Vec::new(),
+                    },
+                    FrontdoorResponse::Pending { id, .. } => {
+                        ctrl.pending.push((slot, id, conn));
+                        return None;
                     }
-                    FrontdoorResponse::Pending { id, .. } => pending.push((slot, id, conn)),
-                    FrontdoorResponse::Shed { retry_after } => {
-                        reply(&CtrlMsg::QueryShed {
-                            retry_after_ms: retry_after.as_micros() / 1000,
-                        });
-                    }
+                    FrontdoorResponse::Shed { retry_after } => CtrlMsg::QueryShed {
+                        retry_after_ms: retry_after.as_micros() / 1000,
+                    },
                 }
             }
-            Err(e) => reply(&CtrlMsg::Err { msg: e.to_string() }),
+            Err(e) => CtrlMsg::Err { msg: e.to_string() },
         },
         CtrlMsg::EnableFrontdoor {
             ttl_ms,
             capacity,
             max_pending,
         } => {
-            pack.with_member(sink, slot, |node, _| {
+            pack.with_member(bus, slot, |node, _| {
                 node.host.enable_frontdoor(FrontdoorConfig {
                     cache_ttl: SimDuration::from_millis(ttl_ms),
                     cache_capacity: capacity as usize,
@@ -412,7 +431,7 @@ fn on_ctrl(
                     retry_after: SimDuration::from_millis(100),
                 });
             });
-            reply(&CtrlMsg::Ok);
+            CtrlMsg::Ok
         }
         CtrlMsg::Status => {
             let node = pack.member(slot);
@@ -421,7 +440,7 @@ fn on_ctrl(
                 .topics()
                 .filter(|(_, st)| st.is_attached())
                 .count() as u32;
-            reply(&CtrlMsg::StatusReply {
+            CtrlMsg::StatusReply {
                 addr: node.pastry.info().addr,
                 site: node.host.site,
                 joined: node.pastry.is_joined(),
@@ -429,65 +448,76 @@ fn on_ctrl(
                 topics: node.scribe.topics().count() as u32,
                 attached,
                 committed: node.host.commits as u32,
-            });
-        }
-        CtrlMsg::ProcStatus => {
-            let mut joined = 0;
-            let mut attached_members = 0;
-            let mut topics = 0;
-            let mut committed = 0;
-            let mut min_known_peers = u32::MAX;
-            let mut frontdoor = FrontdoorStats::default();
-            let mut store = StoreStats::default();
-            for slot in 0..pack.len() {
-                let node = pack.member(slot);
-                if node.pastry.is_joined() {
-                    joined += 1;
-                }
-                if node.scribe.topics().any(|(_, st)| st.is_attached()) {
-                    attached_members += 1;
-                }
-                topics += node.scribe.topics().count() as u32;
-                committed += node.host.commits as u32;
-                min_known_peers = min_known_peers.min(node.pastry.known_peers().len() as u32);
-                if let Some(fd) = &node.host.frontdoor {
-                    frontdoor.merge(&fd.stats);
-                }
-                if let Some(s) = &node.host.store {
-                    store.merge(&s.stats());
-                }
             }
-            reply(&CtrlMsg::ProcStatusReply {
-                members: pack.len(),
-                joined,
-                attached_members,
-                topics,
-                committed,
-                dropped_frames: bus.dropped_frames() + pack.loopback_dropped(),
-                min_known_peers: if pack.is_empty() { 0 } else { min_known_peers },
-                drops: bus.drop_stats(),
-                frontdoor,
-                store,
-            });
         }
+        CtrlMsg::ProcStatus => proc_status(pack, bus),
         CtrlMsg::Release => {
-            pack.with_member(sink, slot, |node, _| node.host.release_reservation());
-            reply(&CtrlMsg::Ok);
+            pack.with_member(bus, slot, |node, _| node.host.release_reservation());
+            CtrlMsg::Ok
         }
         CtrlMsg::Shutdown => {
-            eprintln!("rbay-node[{}]: shutdown requested", args.index);
-            graceful_leave(pack, sink, bus, args.index);
-            reply(&CtrlMsg::Ok);
-            // The ack itself must clear the event loop before shutdown
-            // tears it down, or the harness reads a dead socket.
-            bus.flush(Duration::from_millis(500));
-            return true;
+            eprintln!("rbay-node[{index}]: shutdown requested");
+            let left = graceful_leave(pack, bus, index);
+            reply(bus, conn, &CtrlMsg::Ok, index);
+            // The ack itself must leave before the bus closes, or the
+            // harness reads a dead socket.
+            let acked = bus.flush(Duration::from_millis(500));
+            if !acked {
+                eprintln!("rbay-node[{index}]: shutdown ack still staged at its deadline");
+            }
+            return Some(if left && acked {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            });
         }
-        other => reply(&CtrlMsg::Err {
+        other => CtrlMsg::Err {
             msg: format!("unexpected request: {other:?}"),
-        }),
+        },
+    };
+    reply(bus, conn, &answer, index);
+    None
+}
+
+/// The process-wide [`CtrlMsg::ProcStatusReply`].
+fn proc_status(pack: &Pack, bus: &BusLoop) -> CtrlMsg {
+    let mut joined = 0;
+    let mut attached_members = 0;
+    let mut topics = 0;
+    let mut committed = 0;
+    let mut min_known_peers = u32::MAX;
+    let mut frontdoor = FrontdoorStats::default();
+    let mut store = StoreStats::default();
+    for slot in 0..pack.len() {
+        let node = pack.member(slot);
+        if node.pastry.is_joined() {
+            joined += 1;
+        }
+        if node.scribe.topics().any(|(_, st)| st.is_attached()) {
+            attached_members += 1;
+        }
+        topics += node.scribe.topics().count() as u32;
+        committed += node.host.commits as u32;
+        min_known_peers = min_known_peers.min(node.pastry.known_peers().len() as u32);
+        if let Some(fd) = &node.host.frontdoor {
+            frontdoor.merge(&fd.stats);
+        }
+        if let Some(s) = &node.host.store {
+            store.merge(&s.stats());
+        }
     }
-    false
+    CtrlMsg::ProcStatusReply {
+        members: pack.len(),
+        joined,
+        attached_members,
+        topics,
+        committed,
+        dropped_frames: bus.dropped_frames() + pack.loopback_dropped(),
+        min_known_peers: if pack.is_empty() { 0 } else { min_known_peers },
+        drops: bus.drop_stats(),
+        frontdoor,
+        store,
+    }
 }
 
 /// Flushes every member's WAL (one `sync_data` per dirty store under the
@@ -506,11 +536,12 @@ fn flush_stores(pack: &mut Pack, index: u32) {
 /// it immediately instead of waiting out failure detection), the Leave
 /// traffic is pumped out of loopback, the WAL is flushed, and the bus
 /// drains its staged outbound frames — all *before* the shutdown ack.
+/// Returns whether the bus drained before its deadline.
 ///
 /// Leaves deliberately bypass the WAL: the departure is an artifact of
 /// the restart, not a durable intent, so the store keeps the `SubAdd`
 /// records and the next boot re-joins every tree.
-fn graceful_leave(pack: &mut Pack, sink: &mut TcpBus, bus: &TcpBus, index: u32) {
+fn graceful_leave(pack: &mut Pack, bus: &mut BusLoop, index: u32) -> bool {
     for slot in 0..pack.len() {
         let topics: Vec<TopicId> = pack
             .member(slot)
@@ -522,25 +553,31 @@ fn graceful_leave(pack: &mut Pack, sink: &mut TcpBus, bus: &TcpBus, index: u32) 
         if topics.is_empty() {
             continue;
         }
-        pack.with_member(sink, slot, |node, _| {
+        pack.with_member(bus, slot, |node, _| {
             for topic in topics {
                 node.host.ops.push_back(Op::Unsubscribe { topic });
             }
         });
     }
     while pack.has_loopback() {
-        pack.pump(sink);
+        pack.pump(bus);
     }
     flush_stores(pack, index);
-    if !bus.flush(Duration::from_secs(2)) {
+    let drained = bus.flush(Duration::from_secs(2));
+    if !drained {
         eprintln!("rbay-node[{index}]: outbound frames still staged at shutdown deadline");
     }
+    drained
 }
 
 /// Sends [`CtrlMsg::QueryDone`] for every pending query whose record has
 /// completed, and [`CtrlMsg::Err`] for one whose record is gone, dropping
 /// it from the wait list.
-fn answer_finished_queries(pack: &mut Pack, bus: &TcpBus, pending: &mut Vec<(u32, QueryId, u64)>) {
+fn answer_finished_queries(
+    pack: &mut Pack,
+    bus: &mut BusLoop,
+    pending: &mut Vec<(u32, QueryId, u64)>,
+) {
     pending.retain(|&(slot, id, conn)| {
         let answer = match pack.member(slot).host.queries.get(&id) {
             None => CtrlMsg::Err {
@@ -558,4 +595,53 @@ fn answer_finished_queries(pack: &mut Pack, bus: &TcpBus, pending: &mut Vec<(u32
         }
         false
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// Two `IssueQuery` frames of one ZQL text: two records, one parse.
+    #[test]
+    fn equal_query_texts_share_one_parse() {
+        let args = Args {
+            index: 0,
+            agents: 2,
+            per: 2,
+            base_port: 0,
+            num_sites: 1,
+            tick: Duration::from_millis(150),
+            frontdoor: false,
+            data_dir: None,
+            fsync: FsyncPolicy::Never,
+        };
+        let members = (0..2)
+            .map(|a| cluster::build_node(a, 2, 1, RbayConfig::default()))
+            .collect();
+        let mut pack = Pack::new(0, members);
+        let mut bus = BusLoop::bind(
+            "127.0.0.1:0".parse().unwrap(),
+            NodeAddr(0),
+            Arc::new(|_| None),
+        )
+        .unwrap();
+        let mut ctrl = CtrlState {
+            pending: Vec::new(),
+            parsed: HashMap::new(),
+        };
+        let issue = encode_frame(&CtrlMsg::IssueQuery {
+            zql: "SELECT 1 FROM * WHERE GPU = true".into(),
+            password: None,
+        });
+        for _ in 0..2 {
+            assert!(on_ctrl(&mut pack, &mut bus, &mut ctrl, 0, &issue, &args).is_none());
+        }
+        let [(_, a, _), (_, b, _)] = ctrl.pending[..] else {
+            panic!("want two pending queries: {:?}", ctrl.pending);
+        };
+        assert_ne!(a, b);
+        let queries = &pack.member(0).host.queries;
+        assert!(Rc::ptr_eq(&queries[&a].query, &queries[&b].query));
+    }
 }

@@ -302,6 +302,25 @@ pub fn to(member: NodeAddr, msg: CtrlMsg) -> CtrlMsg {
 /// port range.
 pub struct Daemon(pub Child);
 
+impl Daemon {
+    /// Waits up to `timeout` for the process to exit on its own (after a
+    /// `Shutdown`); an error unless it exited with status 0 in time.
+    pub fn reap(&mut self, timeout: Duration) -> Result<(), String> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            match self.0.try_wait() {
+                Ok(Some(status)) if status.success() => return Ok(()),
+                Ok(Some(status)) => return Err(format!("exited with {status}")),
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Ok(None) => return Err(format!("still running after {timeout:?}")),
+                Err(e) => return Err(format!("cannot reap: {e}")),
+            }
+        }
+    }
+}
+
 impl Drop for Daemon {
     fn drop(&mut self) {
         let _ = self.0.kill();

@@ -102,12 +102,16 @@ impl RbayHost {
     /// be read from issue until this node's first issue more than
     /// `query_timeout` after the query completed: that issue retires it
     /// ([`RbayHost::retired`]). No timer.
-    pub fn issue_query(&mut self, query: Query, password: Option<String>) -> QueryId {
+    pub fn issue_query(
+        &mut self,
+        query: impl Into<Rc<Query>>,
+        password: Option<String>,
+    ) -> QueryId {
         self.retire_finished();
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = QueryId::new(self.addr, seq);
-        let query = Rc::new(query);
+        let query = query.into();
         // One probe per distinct tree — a repeated predicate, or two minor
         // attributes hybrid naming links to one major tree, name the same
         // one — and no more than a probe's `u8` index tells apart. The walk
@@ -449,6 +453,10 @@ impl RbayHost {
         rec.result = result;
         rec.completed_at = Some(now);
         rec.pending = QueryPending::default();
+        // A record outlives its query by `query_timeout`; only attempts
+        // read these, so it keeps its answer and lets them go.
+        rec.anchor_trees = Vec::new();
+        rec.password = None;
         let satisfied = rec.satisfied;
         let node = self.addr;
         let seq = query_id.seq();
@@ -1174,6 +1182,26 @@ mod tests {
         assert_eq!(count(&ops, is_probe), 1);
         answer_probes(&mut h, ops, |_| Some(4));
         assert_eq!(count(&drain_ops(&mut h), is_anycast), 1);
+    }
+
+    /// A finished record keeps its answer and its query, not what only
+    /// its attempts read.
+    #[test]
+    fn a_completed_record_keeps_no_password_and_no_anchor_trees() {
+        let mut h = host_with_sites(1);
+        let q = parse_query("SELECT 1 FROM * WHERE a = 1").unwrap();
+        let id = h.issue_query(q, Some("pw".to_owned()));
+        let rec = &h.queries[&id];
+        assert_eq!(rec.password.as_deref(), Some("pw"));
+        assert_eq!(rec.anchor_trees, vec!["a=1".to_owned()]);
+        h.record_probe(id, 0, Some(3), true);
+        h.record_site_result(id, SiteId(0), vec![cand(1, None)]);
+        let rec = &h.queries[&id];
+        assert!(rec.completed_at.is_some() && rec.satisfied);
+        assert_eq!(rec.result, vec![cand(1, None)]);
+        assert_eq!(rec.password, None);
+        assert!(rec.anchor_trees.is_empty());
+        assert_eq!(rec.query.k, 1);
     }
 
     /// More anchors than a probe's `u8` index can tell apart: the first

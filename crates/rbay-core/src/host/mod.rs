@@ -436,10 +436,11 @@ impl RbayHost {
     /// when no front door is enabled, so callers need not special-case.
     pub fn frontdoor_query(
         &mut self,
-        query: Query,
+        query: impl Into<Rc<Query>>,
         password: Option<String>,
     ) -> crate::frontdoor::FrontdoorResponse {
         use crate::frontdoor::FrontdoorResponse;
+        let query = query.into();
         let Some(fd) = self.frontdoor.as_mut() else {
             let id = self.issue_query(query, password);
             return FrontdoorResponse::Pending {

@@ -4,8 +4,10 @@
 //! This module is the equivalent for the real-socket deployment: a
 //! [`Pack`] owns a contiguous block of [`RbayNode`] members
 //! (`NodeAddr(base) .. NodeAddr(base + len)`) and runs them all on the
-//! daemon's main thread over **one** shared bus connection per peer
-//! process:
+//! daemon's one thread over **one** shared bus connection per peer
+//! process. That thread also turns the bus, so every input — a frame, a
+//! due timer, a ctrl command — reaches the pack in turn order, and what
+//! the pack sends is written by the next turn:
 //!
 //! * messages between two members of the same pack short-circuit through
 //!   an in-process loopback queue — no codec, no socket, no copy of the
@@ -33,14 +35,15 @@ use std::time::Instant;
 const LOOPBACK_MAX: usize = 65_536;
 
 /// Where a pack's outbound (off-process) frames go. Implemented by
-/// `rbay_wire::tcp::TcpBus`; tests use an in-memory vector.
+/// `rbay_wire::BusLoop`, which the pack's owner turns on the same
+/// thread; tests use an in-memory vector.
 pub trait FrameSink {
     /// Queues one encoded frame from hosted member `from` to remote
     /// member `to`. Must not block.
     fn send_frame(&mut self, from: NodeAddr, to: NodeAddr, frame: Vec<u8>);
 }
 
-impl FrameSink for rbay_wire::TcpBus {
+impl FrameSink for rbay_wire::BusLoop {
     fn send_frame(&mut self, from: NodeAddr, to: NodeAddr, frame: Vec<u8>) {
         self.send_from(from, to, frame);
     }

@@ -24,10 +24,11 @@
 //! * [`buf`] — zero-copy inbound framing: [`FrameBuf`] views into shared
 //!   read buffers and the [`FrameAssembler`] that carves socket reads
 //!   into frame runs.
-//! * [`tcp`] — the real backend: [`tcp::TcpBus`], a single-threaded
-//!   nonblocking event loop (vendored `epoll-shim`) with per-connection
-//!   write coalescing, bounded staging queues, and `[from][to]`-headered
-//!   peer frames so one bus can host many packed members. The
+//! * [`tcp`] — the real backend: [`tcp::BusLoop`], a nonblocking event
+//!   loop (vendored `epoll-shim`) its owner turns on its own thread, with
+//!   per-connection write coalescing, bounded staging queues, and
+//!   `[from][to]`-headered peer frames so one loop can host many packed
+//!   members; [`tcp::TcpBus`] runs the same loop on a spawned thread. The
 //!   [`Transport`] over it is `rbay-core`'s `MemberCtx` (one per packed
 //!   member, with the pack's wall-clock timer queue).
 //!
@@ -52,4 +53,4 @@ pub use codec::{
     WIRE_VERSION,
 };
 pub use simnet::Transport;
-pub use tcp::{DropStats, Hello, Inbound, Resolver, TcpBus};
+pub use tcp::{BusLoop, DropStats, Hello, Inbound, Resolver, TcpBus};

@@ -16,7 +16,7 @@ use crate::topology::{NodeAddr, SiteId};
 ///   sends and timer arms become events of the [`crate::Simulation`].
 /// * `rbay-core`'s `MemberCtx` (what the `rbay-node` daemon runs) loops
 ///   messages between members of one process back in memory, frames the
-///   rest onto `rbay-wire`'s `TcpBus`, and queues timers against the wall
+///   rest onto `rbay-wire`'s `BusLoop`, and queues timers against the wall
 ///   clock in a [`crate::CalendarQueue`] of its own.
 ///
 /// Delivery is *best-effort* on every backend: the simulator can drop
