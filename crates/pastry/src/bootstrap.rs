@@ -47,17 +47,23 @@ pub fn seed_overlay(nodes: &mut [PastryNode], rtt_ms: impl Fn(SiteId, SiteId) ->
 
     for node in nodes.iter_mut() {
         let me = node.info();
-        let leaf = build_leaf(&sorted, me);
+        let leaf = exact_leaf_set(&sorted, me);
         let rt = build_rt(&sorted, me, &rtt_ms);
         let in_site = &site_sorted[me.site.0 as usize];
-        let site_leaf = build_leaf(in_site, me);
+        let site_leaf = exact_leaf_set(in_site, me);
         let site_rt = build_rt(in_site, me, &rtt_ms);
         node.seed_state(rt, leaf, site_rt, site_leaf);
     }
 }
 
-/// The leaf set of `me` given the full id-sorted membership.
-fn build_leaf(sorted: &[NodeInfo], me: NodeInfo) -> LeafSet {
+/// The leaf set of `me` given the full id-sorted membership `sorted`: the
+/// one a converged overlay gives it, and the one a consistent join must
+/// leave it with.
+///
+/// # Panics
+///
+/// Panics if `me` is not in `sorted`.
+pub fn exact_leaf_set(sorted: &[NodeInfo], me: NodeInfo) -> LeafSet {
     let mut leaf = LeafSet::new(me.id);
     let n = sorted.len();
     if n <= 1 {

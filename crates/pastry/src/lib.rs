@@ -37,7 +37,7 @@ mod node;
 pub mod sha1;
 mod state;
 
-pub use bootstrap::seed_overlay;
+pub use bootstrap::{exact_leaf_set, seed_overlay};
 pub use id::{NodeId, BITS_PER_DIGIT, DIGIT_BASE, ID_DIGITS};
-pub use node::{Net, PastryApp, PastryMsg, PastryNode};
+pub use node::{Net, PastryApp, PastryMsg, PastryNode, JOIN_PROBE_RESENDS};
 pub use state::{LeafSet, NodeInfo, RoutingTable, LEAF_SET_SIDE};

@@ -126,6 +126,31 @@ pub enum PastryMsg<A> {
     Direct(A),
 }
 
+/// Join re-sends ([`PastryNode::join`] called again before the join
+/// completed) a joiner spends chasing a leaf member that does not answer
+/// its probe; at the next one it stops waiting and completes without that
+/// member's confirmation.
+pub const JOIN_PROBE_RESENDS: u8 = 4;
+
+/// A joiner's leaf-set probes — MSPastry's consistent join (Castro et al.,
+/// "Performance and dependability of structured peer-to-peer overlays",
+/// DSN 2004) built from existing messages: every peer that enters either
+/// leaf set while the join is in progress is sent `Announce` +
+/// `LeafRepairRequest` once, and the join completes when every probe has
+/// been answered.
+#[derive(Debug, Default)]
+struct JoinProbe {
+    /// Every peer probed so far.
+    asked: Vec<NodeAddr>,
+    /// Probed peers whose `LeafRepairReply` has not arrived.
+    waiting: Vec<NodeAddr>,
+    /// Join re-sends since the `JoinReply`.
+    resends: u8,
+    /// Joins this node is the root of, with the rows gathered on their
+    /// way, held until its own join completes.
+    held: Vec<(NodeInfo, Vec<Vec<NodeInfo>>)>,
+}
+
 /// Protocol state of one Pastry node.
 ///
 /// The node participates in the global overlay and, for administrative
@@ -139,6 +164,11 @@ pub struct PastryNode {
     site_rt: RoutingTable,
     site_leaf: LeafSet,
     joined: bool,
+    /// The leaf-set probes of a join in progress: `Some` from the
+    /// `JoinReply` until every probe is answered, `None` otherwise — and
+    /// always `None` on a seeded node, so it costs a joined node one
+    /// pointer.
+    probe: Option<Box<JoinProbe>>,
     /// Observability-plane handle; disabled (a no-op) by default.
     obs: Recorder,
     /// Round-robin position for [`PastryNode::gossip_round`].
@@ -162,6 +192,7 @@ impl PastryNode {
             site_rt: RoutingTable::new(info.id),
             site_leaf: LeafSet::new(info.id),
             joined: false,
+            probe: None,
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
@@ -178,8 +209,9 @@ impl PastryNode {
         self.info.id
     }
 
-    /// Whether the node has completed the join protocol (or was seeded via
-    /// [`PastryNode::seed_state`]).
+    /// Whether the node has completed the join protocol — its `JoinReply`
+    /// arrived and every leaf-set member it learned of since answered its
+    /// probe — or was seeded via [`PastryNode::seed_state`].
     pub fn is_joined(&self) -> bool {
         self.joined
     }
@@ -256,13 +288,15 @@ impl PastryNode {
     /// One round of peer-set anti-entropy: announces this node to one
     /// known peer (round-robin) and pulls that peer's leaf set.
     ///
-    /// The join-time `Announce` broadcast is one-shot and one-directional,
-    /// so concurrent joins (or a lost frame on a real network) can leave
-    /// two nodes mutually unaware forever. A periodic gossip round heals
-    /// both holes: the `Announce` teaches the peer about us, and the
-    /// `LeafRepairReply` teaches us the peer's neighbourhood — knowledge
-    /// percolates transitively through any connected member. Both handlers
-    /// are idempotent, so extra rounds are harmless.
+    /// It refreshes what a node knows; it does not make leaf sets exact.
+    /// When a join completed at its `JoinReply`, concurrent joins left
+    /// interleaved sub-rings each consistent with itself: two daemons of
+    /// 500 members read 482 of 1,000 leaf sets missing a true neighbour
+    /// (60 with the wrong successor) once all had joined, and still 311
+    /// (53) 30 s later, because one peer per round rarely lands in a gap.
+    /// The consistent join ([`PastryNode::join`]) closes those gaps
+    /// before a joiner counts as joined. Both handlers are idempotent, so
+    /// extra rounds are harmless.
     pub fn gossip_round<A, N: Net<A>>(&mut self, net: &mut N) {
         if !self.joined {
             return;
@@ -418,16 +452,146 @@ impl PastryNode {
     }
 
     /// Initiates the join protocol through `bootstrap` (any node already in
-    /// the overlay).
+    /// the overlay), or re-sends it: call again while
+    /// [`PastryNode::is_joined`] is false, as messages may be lost.
+    ///
+    /// The join is consistent: on the `JoinReply` the joiner probes every
+    /// member of its leaf sets, probes each leaf member the replies teach
+    /// it, and counts as joined once every probe is answered — so two
+    /// concurrent joiners that are ring neighbours meet at a common leaf
+    /// member before either completes. After the reply, a re-send chases
+    /// the unanswered probes instead, and the [`JOIN_PROBE_RESENDS`]th
+    /// after it gives up on them.
     pub fn join<A, N: Net<A>>(&mut self, net: &mut N, bootstrap: NodeAddr) {
+        let Some(probe) = self.probe.as_deref_mut() else {
+            net.send(
+                bootstrap,
+                PastryMsg::Join {
+                    joiner: self.info,
+                    rows: Vec::new(),
+                    hops: 0,
+                },
+            );
+            return;
+        };
+        probe.resends += 1;
+        if probe.resends > JOIN_PROBE_RESENDS {
+            probe.waiting.clear();
+        }
+        for &addr in &probe.waiting {
+            net.send(addr, PastryMsg::Announce { info: self.info });
+            net.send(addr, PastryMsg::LeafRepairRequest);
+        }
+        self.probe_leaves(net);
+    }
+
+    /// Handles `joiner`'s join request, which arrived from `from`: forwards
+    /// it toward the joiner's id, contributing this node's routing rows,
+    /// or — at the root — answers with this node's leaf set.
+    ///
+    /// A node that has not had its own `JoinReply` hands the join back (a
+    /// restarted node others still hold, or a joiner still waiting): it
+    /// knows nothing to answer with, and the sender forgets it and routes
+    /// around it. A node still probing holds a join it is the root of
+    /// until its own join completes, so every `JoinReply` carries a
+    /// confirmed leaf set. The joiner is not learned here: it announces
+    /// itself once it has state.
+    fn on_join<A, N: Net<A>>(
+        &mut self,
+        net: &mut N,
+        from: NodeAddr,
+        joiner: NodeInfo,
+        mut rows: Vec<Vec<NodeInfo>>,
+        hops: u16,
+    ) {
+        if joiner.addr != self.info.addr && !self.joined && self.probe.is_none() {
+            // Handed back with a hop count of zero, which only the
+            // joiner's own first send otherwise carries.
+            net.send(
+                from,
+                PastryMsg::Join {
+                    joiner,
+                    rows,
+                    hops: 0,
+                },
+            );
+            return;
+        }
+        if hops == 0 && from != joiner.addr {
+            // Handed back: forget the node that did it. It announces
+            // itself once it has state, after the hand-back on one link.
+            self.rt.remove(from);
+            self.leaf.remove(from);
+        }
+        // Contribute routing rows up to the shared-prefix length.
+        let l = self.info.id.common_prefix_len(joiner.id).min(ID_DIGITS - 1);
+        while rows.len() <= l {
+            let r = rows.len();
+            let row: Vec<NodeInfo> = self.rt.row(r).iter().filter_map(|e| *e).collect();
+            rows.push(row);
+        }
+        // Route as if the joiner were not in our tables — a restart leaves
+        // it there under its old id, and the join must reach its live
+        // neighbours, not itself — then put it back: a late copy of a
+        // re-sent join may pass after the joiner announced itself.
+        let in_rt = self.rt.holds(&joiner);
+        if in_rt {
+            self.rt.remove(joiner.addr);
+        }
+        let in_leaf = self.leaf.remove(joiner.addr).is_some();
+        let next = Self::next_hop_in(&self.rt, &self.leaf, self.info, joiner.id, None);
+        if in_rt {
+            self.rt.insert(joiner);
+        }
+        if in_leaf {
+            self.leaf.insert(joiner);
+        }
+        if let Some(next) = next {
+            let hops = hops.saturating_add(1);
+            net.send(next.addr, PastryMsg::Join { joiner, rows, hops });
+            return;
+        }
+        if let Some(probe) = self.probe.as_deref_mut() {
+            if !probe.held.iter().any(|(j, _)| j.addr == joiner.addr) {
+                probe.held.push((joiner, rows));
+            }
+            return;
+        }
+        let mut leaves: Vec<NodeInfo> = self.leaf.members().copied().collect();
+        leaves.push(self.info);
         net.send(
-            bootstrap,
-            PastryMsg::Join {
-                joiner: self.info,
-                rows: Vec::new(),
-                hops: 0,
+            joiner.addr,
+            PastryMsg::JoinReply {
+                rows,
+                leaves,
+                root: self.info,
             },
         );
+    }
+
+    /// Probes every leaf-set member (global and site) not probed yet, and
+    /// completes the join once no probe is outstanding. A no-op unless a
+    /// join is in progress.
+    fn probe_leaves<A, N: Net<A>>(&mut self, net: &mut N) {
+        let Some(probe) = self.probe.as_deref_mut() else {
+            return;
+        };
+        for peer in self.leaf.members().chain(self.site_leaf.members()) {
+            if !probe.asked.contains(&peer.addr) {
+                probe.asked.push(peer.addr);
+                probe.waiting.push(peer.addr);
+                net.send(peer.addr, PastryMsg::Announce { info: self.info });
+                net.send(peer.addr, PastryMsg::LeafRepairRequest);
+            }
+        }
+        if probe.waiting.is_empty() {
+            let held = std::mem::take(&mut probe.held);
+            self.probe = None;
+            self.joined = true;
+            for (joiner, rows) in held {
+                self.on_join(net, joiner.addr, joiner, rows, 0);
+            }
+        }
     }
 
     /// Handles an incoming Pastry message. Application payloads are
@@ -470,56 +634,30 @@ impl PastryNode {
                     }
                 }
             },
-            PastryMsg::Join {
-                joiner,
-                mut rows,
-                hops,
-            } => {
-                // Contribute routing rows up to the shared-prefix length.
-                let l = self.info.id.common_prefix_len(joiner.id).min(ID_DIGITS - 1);
-                while rows.len() <= l {
-                    let r = rows.len();
-                    let row: Vec<NodeInfo> = self.rt.row(r).iter().filter_map(|e| *e).collect();
-                    rows.push(row);
-                }
-                let next = Self::next_hop_in(&self.rt, &self.leaf, self.info, joiner.id, None);
-                // Learn about the joiner ourselves.
-                self.insert_peer(net, joiner);
-                match next {
-                    None => {
-                        let mut leaves: Vec<NodeInfo> = self.leaf.members().copied().collect();
-                        leaves.push(self.info);
-                        net.send(
-                            joiner.addr,
-                            PastryMsg::JoinReply {
-                                rows,
-                                leaves,
-                                root: self.info,
-                            },
-                        );
-                    }
-                    Some(next) => {
-                        net.send(
-                            next.addr,
-                            PastryMsg::Join {
-                                joiner,
-                                rows,
-                                hops: hops.saturating_add(1),
-                            },
-                        );
-                    }
-                }
-            }
+            PastryMsg::Join { joiner, rows, hops } => self.on_join(net, from, joiner, rows, hops),
             PastryMsg::JoinReply { rows, leaves, root } => {
                 for e in rows.into_iter().flatten().chain(leaves).chain([root]) {
                     self.insert_peer(net, e);
                 }
-                self.joined = true;
-                // Announce ourselves to everyone we now know.
-                let me = self.info;
-                for peer in self.known_peers() {
-                    net.send(peer.addr, PastryMsg::Announce { info: me });
+                if self.joined {
+                    return; // a late reply to a re-sent join
                 }
+                if self.probe.is_none() {
+                    // Announce ourselves to everyone we now know; leaf-set
+                    // members hear it with their probe.
+                    let me = self.info;
+                    let (leaf, site_leaf) = (&self.leaf, &self.site_leaf);
+                    let in_leaf = |p: &NodeInfo| {
+                        leaf.members()
+                            .chain(site_leaf.members())
+                            .any(|m| m.addr == p.addr)
+                    };
+                    for peer in self.peers().filter(|p| !in_leaf(p)) {
+                        net.send(peer.addr, PastryMsg::Announce { info: me });
+                    }
+                    self.probe = Some(Box::default());
+                }
+                self.probe_leaves(net);
             }
             PastryMsg::Announce { info } => {
                 self.insert_peer(net, info);
@@ -546,6 +684,10 @@ impl PastryNode {
             PastryMsg::LeafRepairReply { leaves } => {
                 for e in leaves {
                     self.insert_peer(net, e);
+                }
+                if let Some(probe) = self.probe.as_deref_mut() {
+                    probe.waiting.retain(|&a| a != from);
+                    self.probe_leaves(net);
                 }
             }
             PastryMsg::Direct(payload) => {

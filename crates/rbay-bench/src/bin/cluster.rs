@@ -4,7 +4,11 @@
 //! The harness launches `--agents` federation members packed
 //! `--agents-per-proc` to an `rbay-node` daemon (so
 //! `--agents 16000 --agents-per-proc 100` is 160 OS processes on
-//! loopback TCP), waits for the Pastry overlay to converge, posts
+//! loopback TCP), waits for the Pastry overlay to converge and for every
+//! member's leaf set to hold exactly its true 8 + 8 ring neighbours
+//! (computed from the ids; the run fails if they do not within
+//! [`RING_DEADLINE`], and the check is repeated after every restart of
+//! `--rolling-restart`), posts
 //! `GPU = true` on evenly spaced members (~1% of the fleet, floor `k+1`,
 //! with the password `onGet` guard installed, so AAScript runs
 //! in-process too), waits for
@@ -36,6 +40,7 @@
 //!         [--rolling-restart] [--restart-queries 3] [--data-dir <dir>] [--json]
 //! ```
 
+use pastry::{exact_leaf_set, NodeInfo};
 use rbay_bench::cluster::{
     daemon_topology, proc_of, proc_sock, to, Ctrl, CtrlMsg, Daemon, DEFAULT_BASE_PORT,
 };
@@ -45,6 +50,7 @@ use rbay_store::StoreStats;
 use rbay_wire::DropStats;
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
 use simnet::NodeAddr;
+use std::collections::BTreeSet;
 use std::process::Command;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -138,8 +144,8 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     if args.tick_ms == 0 {
-        // Big fleets tick slower: maintenance is O(members) per tick and
-        // convergence is gated on join retries, not tick frequency.
+        // Big fleets tick slower: maintenance is O(members) per tick, and
+        // joins are paced by their replies, not by the tick.
         args.tick_ms = if args.agents >= 2000 { 500 } else { 150 };
     }
     if args.rolling_restart {
@@ -276,6 +282,8 @@ fn main() {
     });
     let converge_ms = spawn_start.elapsed().as_secs_f64() * 1e3;
     println!("cluster: overlay converged in {converge_ms:.0} ms");
+    let ring = Ring::new(&args);
+    let ring_exact_ms = ring.wait_exact(&mut ctrls, "after convergence");
 
     // Front door: enable the cache on every gateway, as build_node lays
     // them out on every daemon.
@@ -529,7 +537,9 @@ fn main() {
                 match run_query(&mut ctrls, &args, window_querier, 10) {
                     Some(rs) => {
                         restart_satisfied += 1;
-                        lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                        let ms = t0.elapsed().as_secs_f64() * 1e3;
+                        lat_ms.push(ms);
+                        println!("cluster: restart-window query after daemon {p}: {ms:.0} ms");
                         for c in &rs {
                             add[proc_of(c.addr, args.per) as usize] += 1;
                         }
@@ -554,6 +564,7 @@ fn main() {
                 println!("cluster: {} of {} members re-joined", joined, args.agents);
                 joined == args.agents
             });
+            ring.wait_exact(&mut ctrls, &format!("after daemon {p}'s restart"));
         }
         let actual = proc_committed(&mut ctrls);
         committed_query_loss = (0..procs as usize)
@@ -655,6 +666,7 @@ fn main() {
             .int("warmup_queries", 1)
             .num("run_s", run_s)
             .num("converge_ms", converge_ms)
+            .num("ring_exact_ms", ring_exact_ms)
             .num("queries_per_sec", queries_per_sec)
             .int("dropped_frames", dropped_frames)
             .int("drop_outbound_full", drops.outbound_full)
@@ -747,6 +759,90 @@ fn run_query(
         std::thread::sleep(Duration::from_secs(1));
     }
     None
+}
+
+/// How long the ring check polls for every leaf set to be exact.
+const RING_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The exact leaf set of every member, from the ids alone: what each
+/// member's leaf set must hold once the overlay has converged.
+struct Ring {
+    /// Every member's identity, by address.
+    infos: Vec<NodeInfo>,
+    /// Every member's true 8 + 8 ring neighbours, by address.
+    exact: Vec<BTreeSet<NodeAddr>>,
+    /// Every member's clockwise successor, by address.
+    successor: Vec<NodeAddr>,
+}
+
+impl Ring {
+    fn new(args: &Args) -> Ring {
+        let topo = daemon_topology(args.agents, args.num_sites);
+        let infos: Vec<NodeInfo> = (0..args.agents)
+            .map(|a| RbayNode::member_info(&topo, NodeAddr(a)))
+            .collect();
+        let mut sorted = infos.clone();
+        sorted.sort_by_key(|e| e.id);
+        let mut exact = vec![BTreeSet::new(); infos.len()];
+        let mut successor = vec![NodeAddr(0); infos.len()];
+        for (i, me) in sorted.iter().enumerate() {
+            let leaf = exact_leaf_set(&sorted, *me);
+            exact[me.addr.0 as usize] = leaf.members().map(|m| m.addr).collect();
+            successor[me.addr.0 as usize] = sorted[(i + 1) % sorted.len()].addr;
+        }
+        Ring {
+            infos,
+            exact,
+            successor,
+        }
+    }
+
+    /// Polls every daemon's leaf sets until each member's is exact,
+    /// reporting the members with a hole (and, of those, with the wrong
+    /// clockwise successor) on each pass; fails the run after
+    /// [`RING_DEADLINE`]. Returns how long it took, milliseconds.
+    fn wait_exact(&self, ctrls: &mut [Ctrl], when: &str) -> f64 {
+        let start = Instant::now();
+        wait_until(RING_DEADLINE, &format!("exact leaf sets {when}"), || {
+            let (mut holes, mut wrong_successor) = (0, 0);
+            for (i, ctrl) in ctrls.iter_mut().enumerate() {
+                let (first, sets) = match ctrl.request(&CtrlMsg::LeafSets, Duration::from_secs(10))
+                {
+                    Ok(CtrlMsg::LeafSetsReply { first, sets }) => (first, sets),
+                    other => fail(&format!("leaf sets from daemon {i}: {other:?}")),
+                };
+                for (addr, set) in (first.0 as usize..).zip(sets) {
+                    let Some(me) = self.infos.get(addr) else {
+                        fail(&format!("daemon {i} reports member {addr}, past the fleet"));
+                    };
+                    let have: BTreeSet<NodeAddr> = set.into_iter().collect();
+                    if have == self.exact[addr] {
+                        continue;
+                    }
+                    holes += 1;
+                    let nearest = have
+                        .iter()
+                        .filter_map(|a| {
+                            Some((me.id.cw_distance(self.infos.get(a.0 as usize)?.id), *a))
+                        })
+                        .min()
+                        .map(|(_, a)| a);
+                    if nearest != Some(self.successor[addr]) {
+                        wrong_successor += 1;
+                    }
+                }
+            }
+            println!(
+                "cluster: ring check {when}: {holes} of {} leaf sets inexact \
+                 ({wrong_successor} with the wrong successor)",
+                self.infos.len()
+            );
+            holes == 0
+        });
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        println!("cluster: every leaf set exact {when}, {ms:.0} ms after the check began");
+        ms
+    }
 }
 
 /// What the harness reads of one daemon's `ProcStatusReply`.

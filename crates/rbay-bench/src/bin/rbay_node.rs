@@ -9,9 +9,15 @@
 //! [`BusLoop`], multiplexed by the `[from][to]` frame header. The daemon
 //! is one thread: its main loop fires the pack's timers and turns the
 //! bus, and every frame a turn reads is decoded and handled right there.
-//! Process 0's first member seeds the overlay; every other member's
-//! slot-0 sibling joins through it, and remaining members join through
-//! their local sibling — spreading join load off the bootstrap.
+//! Process 0's first member seeds the overlay; every other process's
+//! first member joins through it, and the remaining members join through
+//! their local first member — spreading join load off the bootstrap.
+//! Joins are paced by their replies, not by the tick: up to
+//! `JOIN_BATCH` are in flight, a completed one starts the next in the
+//! same turn, and one unanswered for a tick is re-sent. A join completes
+//! only once its leaf set is confirmed (`PastryNode::join`), so
+//! concurrent joins leave every leaf set exact. A restarted process 0
+//! does not seed again: its first member rejoins through process 1's.
 //!
 //! Operator tools (the `cluster` harness) drive it over control
 //! connections speaking [`rbay_bench::cluster::CtrlMsg`]; requests for a
@@ -34,7 +40,8 @@
 use rbay_bench::cluster::{self, CtrlMsg};
 use rbay_bench::flag_value;
 use rbay_core::{
-    FrontdoorConfig, FrontdoorResponse, FrontdoorStats, Op, Pack, QueryId, RbayConfig, RbayMsg,
+    FrameSink, FrontdoorConfig, FrontdoorResponse, FrontdoorStats, Op, Pack, QueryId, RbayConfig,
+    RbayMsg,
 };
 use rbay_query::{parse_query, ParseQueryError, Query};
 use rbay_store::{FsyncPolicy, Store, StoreStats};
@@ -47,8 +54,9 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// Unjoined members (re-)sending their Pastry join per tick, bounding the
-/// thundering herd on the bootstrap at high packing factors.
+/// Pastry joins a daemon keeps in flight, bounding the herd on the
+/// bootstrap at high packing factors; each completed join starts the
+/// next at once.
 const JOIN_BATCH: usize = 16;
 /// Ticks one full maintenance sweep over the pack is spread across, so a
 /// 100-member pack maintains ~10 members per tick instead of all of them
@@ -150,9 +158,21 @@ fn main() -> ExitCode {
         .map(|a| cluster::build_node(a, args.agents, args.num_sites, cfg.clone()))
         .collect();
     let mut pack = Pack::new(start, members);
-    if start == 0 {
+    // Daemon 0's first member seeds a fresh overlay. Restarted — its store
+    // held a manifest before this boot — it rejoins the overlay the other
+    // daemons kept, through daemon 1's gateway, like any other member.
+    let restarted = args
+        .data_dir
+        .as_ref()
+        .is_some_and(|d| d.join(format!("member-{start}/MANIFEST")).exists());
+    let gateway = if start > 0 {
+        NodeAddr(0)
+    } else if restarted && end < args.agents {
+        NodeAddr(end)
+    } else {
         pack.member_mut(0).seed_as_bootstrap();
-    }
+        NodeAddr(0)
+    };
     if let Some(dir) = &args.data_dir {
         restore_members(&mut pack, dir, args.fsync, args.index);
     }
@@ -161,7 +181,7 @@ fn main() -> ExitCode {
         args.index,
         bus.local_addr(),
     );
-    run(&mut pack, &mut bus, &args)
+    run(&mut pack, &mut bus, &args, JoinWindow::new(gateway))
 }
 
 /// Opens (or creates) each member's durable store under
@@ -241,12 +261,12 @@ impl CtrlState {
     }
 }
 
-/// The daemon's main loop: fire due timers, run the per-tick join and
-/// maintenance work, drain loopback, answer finished queries, then turn
-/// the bus — writing what all that sent and waiting no longer than the
-/// next deadline — and handle the frames the turn read. Returns the exit
-/// status once a `Shutdown` has been handled.
-fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args) -> ExitCode {
+/// The daemon's main loop: fire due timers, run the per-tick maintenance
+/// work, refill the join window and drain loopback, answer finished
+/// queries, then turn the bus — writing what all that sent and waiting no
+/// longer than the next deadline — and handle the frames the turn read.
+/// Returns the exit status once a `Shutdown` has been handled.
+fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args, mut joins: JoinWindow) -> ExitCode {
     let mut ctrl = CtrlState {
         pending: Vec::new(),
         parsed: HashMap::new(),
@@ -258,7 +278,6 @@ fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args) -> ExitCode {
     loop {
         pack.fire_due(bus);
         if Instant::now() >= next_tick {
-            tick_joins(pack, bus);
             for _ in 0..maint_batch {
                 pack.maintenance_round(bus, maint_cursor);
                 maint_cursor = (maint_cursor + 1) % pack.len();
@@ -268,12 +287,22 @@ fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args) -> ExitCode {
             flush_stores(pack, args.index);
             next_tick = Instant::now() + args.tick;
         }
-        while pack.has_loopback() {
-            pack.pump(bus);
+        // A join that completes over loopback frees its place this turn.
+        loop {
+            joins.turn(pack, bus, Instant::now(), args.tick);
+            if !pack.has_loopback() {
+                break;
+            }
+            while pack.has_loopback() {
+                pack.pump(bus);
+            }
         }
         answer_finished_queries(pack, bus, &mut ctrl.pending);
 
-        let mut wait = next_tick.saturating_duration_since(Instant::now());
+        let wake = joins
+            .next_resend(args.tick)
+            .map_or(next_tick, |resend| resend.min(next_tick));
+        let mut wait = wake.saturating_duration_since(Instant::now());
         if let Some(deadline) = pack.next_deadline() {
             let until = Duration::from_micros(deadline.saturating_since(pack.now()).as_micros());
             wait = wait.min(until);
@@ -293,30 +322,56 @@ fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args) -> ExitCode {
     }
 }
 
-/// Sends (or re-sends) Pastry joins for not-yet-joined members, at most
-/// [`JOIN_BATCH`] per tick. Slot 0 joins the global bootstrap
-/// (`NodeAddr(0)`); later slots wait for slot 0 and then join through it
-/// locally, so the bootstrap process sees O(procs) joiners, not
-/// O(agents).
-fn tick_joins(pack: &mut Pack, bus: &mut BusLoop) {
-    let slot0_joined = pack.member(0).pastry.is_joined();
-    let mut sent = 0;
-    for slot in 0..pack.len() {
-        if sent >= JOIN_BATCH {
-            break;
+/// The members' Pastry joins in flight: at most [`JOIN_BATCH`], each with
+/// when it was last sent. Slot 0 joins through `gateway` — the global
+/// bootstrap `NodeAddr(0)`, or daemon 1's first member when daemon 0
+/// rejoins — and later slots wait for slot 0, then join through it
+/// locally, so the bootstrap sees O(procs) joiners, not O(agents).
+struct JoinWindow {
+    gateway: NodeAddr,
+    in_flight: Vec<(u32, Instant)>,
+    /// The next slot that has not joined or been sent a join.
+    next: u32,
+}
+
+impl JoinWindow {
+    fn new(gateway: NodeAddr) -> JoinWindow {
+        JoinWindow {
+            gateway,
+            in_flight: Vec::with_capacity(JOIN_BATCH),
+            next: 0,
         }
-        if pack.member(slot).pastry.is_joined() {
-            continue; // covers the seeded bootstrap member too
+    }
+
+    /// Forgets completed joins, re-sends each one unanswered for a `tick`,
+    /// and fills the free places with the next members.
+    fn turn<S: FrameSink>(&mut self, pack: &mut Pack, sink: &mut S, now: Instant, tick: Duration) {
+        self.in_flight
+            .retain(|&(slot, _)| !pack.member(slot).pastry.is_joined());
+        let (gateway, local) = (self.gateway, pack.addr_of(0));
+        let via = |slot: u32| if slot == 0 { gateway } else { local };
+        for (slot, sent) in &mut self.in_flight {
+            if now >= *sent + tick {
+                pack.join_member(sink, *slot, via(*slot));
+                *sent = now;
+            }
         }
-        let bootstrap = if slot == 0 {
-            NodeAddr(0)
-        } else if slot0_joined {
-            pack.addr_of(0)
-        } else {
-            continue; // wait for the local gateway member first
-        };
-        pack.join_member(bus, slot, bootstrap);
-        sent += 1;
+        while self.in_flight.len() < JOIN_BATCH && self.next < pack.len() {
+            let slot = self.next;
+            if slot > 0 && !pack.member(0).pastry.is_joined() {
+                break; // the local gateway member goes first
+            }
+            self.next += 1;
+            if !pack.member(slot).pastry.is_joined() {
+                pack.join_member(sink, slot, via(slot));
+                self.in_flight.push((slot, now));
+            }
+        }
+    }
+
+    /// When the oldest join in flight is due to be re-sent.
+    fn next_resend(&self, tick: Duration) -> Option<Instant> {
+        self.in_flight.iter().map(|&(_, sent)| sent + tick).min()
     }
 }
 
@@ -451,6 +506,15 @@ fn on_ctrl(
             }
         }
         CtrlMsg::ProcStatus => proc_status(pack, bus),
+        CtrlMsg::LeafSets => CtrlMsg::LeafSetsReply {
+            first: pack.addr_of(0),
+            sets: (0..pack.len())
+                .map(|slot| {
+                    let leaf = pack.member(slot).pastry.leaf_set();
+                    leaf.members().map(|m| m.addr).collect()
+                })
+                .collect(),
+        },
         CtrlMsg::Release => {
             pack.with_member(bus, slot, |node, _| node.host.release_reservation());
             CtrlMsg::Ok
@@ -601,6 +665,58 @@ fn answer_finished_queries(
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Captures off-process frames as `(from, to)`.
+    #[derive(Default)]
+    struct Frames(Vec<(NodeAddr, NodeAddr)>);
+
+    impl FrameSink for Frames {
+        fn send_frame(&mut self, from: NodeAddr, to: NodeAddr, _: Vec<u8>) {
+            self.0.push((from, to));
+        }
+    }
+
+    /// Slot 0 joins first and alone; a join unanswered for a tick is
+    /// re-sent; no more than `JOIN_BATCH` are ever in flight, and one that
+    /// completes is replaced in the same turn.
+    #[test]
+    fn join_window_paces_joins_by_their_completion() {
+        // Daemon 1 of two 40-member daemons: slot 0 joins across the bus.
+        let members = (40..80)
+            .map(|a| cluster::build_node(a, 80, 1, RbayConfig::default()))
+            .collect();
+        let mut pack = Pack::new(40, members);
+        let mut sink = Frames::default();
+        let mut joins = JoinWindow::new(NodeAddr(0));
+        let tick = Duration::from_millis(150);
+        let t0 = Instant::now();
+        let slots = |j: &JoinWindow| j.in_flight.iter().map(|&(s, _)| s).collect::<Vec<_>>();
+
+        joins.turn(&mut pack, &mut sink, t0, tick);
+        assert_eq!(slots(&joins), [0], "slot 0 goes alone");
+        assert_eq!(sink.0, [(NodeAddr(40), NodeAddr(0))]);
+        joins.turn(&mut pack, &mut sink, t0 + tick / 2, tick);
+        assert_eq!(sink.0.len(), 1, "no re-send inside a tick");
+        assert_eq!(joins.next_resend(tick), Some(t0 + tick));
+        joins.turn(&mut pack, &mut sink, t0 + tick, tick);
+        assert_eq!(sink.0.len(), 2, "re-sent after a tick");
+
+        // Slot 0 joined: the window fills through it, over loopback.
+        pack.member_mut(0).seed_as_bootstrap();
+        let t1 = t0 + tick;
+        joins.turn(&mut pack, &mut sink, t1, tick);
+        assert_eq!(slots(&joins), (1..=16).collect::<Vec<u32>>());
+        assert_eq!(sink.0.len(), 2, "later slots join locally");
+        assert!(pack.has_loopback());
+
+        // One completes: its place is refilled in the same turn.
+        pack.member_mut(3).seed_as_bootstrap();
+        joins.turn(&mut pack, &mut sink, t1, tick);
+        assert_eq!(joins.in_flight.len(), JOIN_BATCH);
+        assert!(!slots(&joins).contains(&3));
+        assert_eq!(slots(&joins).last(), Some(&17));
+        assert_eq!(joins.next_resend(tick), Some(t1 + tick));
+    }
 
     /// Two `IssueQuery` frames of one ZQL text: two records, one parse.
     #[test]

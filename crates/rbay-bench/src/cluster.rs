@@ -211,6 +211,15 @@ pub enum CtrlMsg {
     /// Release the member's current reservation (commits hold inventory
     /// for an hour otherwise — benchmark loops release between queries).
     Release,
+    /// Ask for every hosted member's global leaf set (the ring check).
+    LeafSets,
+    /// Answer to [`CtrlMsg::LeafSets`].
+    LeafSetsReply {
+        /// The first hosted member; `sets[i]` is member `first + i`'s.
+        first: NodeAddr,
+        /// Each hosted member's leaf-set members, by address.
+        sets: Vec<Vec<NodeAddr>>,
+    },
 }
 
 // Tags are in order of introduction and frozen (golden bytes in the test
@@ -242,6 +251,8 @@ wire_enum!(CtrlMsg {
     12 => Release,
     13 => QueryShed { retry_after_ms },
     14 => EnableFrontdoor { ttl_ms, capacity, max_pending },
+    15 => LeafSets,
+    16 => LeafSetsReply { first, sets },
 });
 
 /// One control connection to a daemon.
@@ -459,6 +470,14 @@ mod tests {
                     max_pending: 256,
                 },
                 "0e904e80088002",
+            ),
+            (CtrlMsg::LeafSets, "0f"),
+            (
+                CtrlMsg::LeafSetsReply {
+                    first: NodeAddr(300),
+                    sets: vec![vec![NodeAddr(1), NodeAddr(299)], vec![]],
+                },
+                "10ac02020201ab0200",
             ),
         ]
     }

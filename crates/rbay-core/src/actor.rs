@@ -39,21 +39,27 @@ pub struct RbayNode {
 }
 
 impl RbayNode {
+    /// Member `addr`'s overlay identity in the federation laid out by
+    /// `topology`: its ring id is the hash of `"rbay-node:{addr}"`.
+    pub fn member_info(topology: &Topology, addr: NodeAddr) -> NodeInfo {
+        NodeInfo {
+            id: NodeId::hash_of(format!("rbay-node:{}", addr.0).as_bytes()),
+            addr,
+            site: topology.site_of(addr),
+        }
+    }
+
     /// Member `addr` of the federation laid out by `topology`. The
     /// simulator and every TCP daemon build their members here, so a
-    /// deployment agrees on each member's ring id (the hash of
-    /// `"rbay-node:{addr}"`) and on [`RbayNode::gateways`].
+    /// deployment agrees on each member's ring id
+    /// ([`RbayNode::member_info`]) and on [`RbayNode::gateways`].
     pub fn member(
         topology: &Topology,
         addr: NodeAddr,
         cfg: Rc<RbayConfig>,
         sandbox: SharedSandbox,
     ) -> Self {
-        let info = NodeInfo {
-            id: NodeId::hash_of(format!("rbay-node:{}", addr.0).as_bytes()),
-            addr,
-            site: topology.site_of(addr),
-        };
+        let info = Self::member_info(topology, addr);
         let site_names = (0..topology.site_count() as u16)
             .map(|s| topology.site(SiteId(s)).name.clone())
             .collect();
