@@ -169,6 +169,11 @@ pub struct PastryNode {
     /// always `None` on a seeded node, so it costs a joined node one
     /// pointer.
     probe: Option<Box<JoinProbe>>,
+    /// The node that handed back the `Join` this node last sent, not
+    /// having joined itself; this node's own address when none has. (A
+    /// sentinel rather than an `Option`, which would not fit beside
+    /// `joined`.)
+    handed_back_by: NodeAddr,
     /// Observability-plane handle; disabled (a no-op) by default.
     obs: Recorder,
     /// Round-robin position for [`PastryNode::gossip_round`].
@@ -193,6 +198,7 @@ impl PastryNode {
             site_leaf: LeafSet::new(info.id),
             joined: false,
             probe: None,
+            handed_back_by: info.addr,
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
@@ -214,6 +220,14 @@ impl PastryNode {
     /// probe — or was seeded via [`PastryNode::seed_state`].
     pub fn is_joined(&self) -> bool {
         self.joined
+    }
+
+    /// The node that handed back the `Join` this node last sent, because
+    /// it has not joined either; `None` if none has. A bootstrap that
+    /// hands joins back is no way into an overlay, so the joiner should
+    /// try another.
+    pub fn join_handed_back_by(&self) -> Option<NodeAddr> {
+        (self.handed_back_by != self.info.addr).then_some(self.handed_back_by)
     }
 
     /// The global leaf set (read-only).
@@ -462,8 +476,14 @@ impl PastryNode {
     /// member before either completes. After the reply, a re-send chases
     /// the unanswered probes instead, and the [`JOIN_PROBE_RESENDS`]th
     /// after it gives up on them.
+    ///
+    /// A bootstrap that has not joined itself hands the `Join` back; the
+    /// joiner drops it and records who did
+    /// ([`PastryNode::join_handed_back_by`]), and the next re-send tries
+    /// again.
     pub fn join<A, N: Net<A>>(&mut self, net: &mut N, bootstrap: NodeAddr) {
         let Some(probe) = self.probe.as_deref_mut() else {
+            self.handed_back_by = self.info.addr;
             net.send(
                 bootstrap,
                 PastryMsg::Join {
@@ -492,10 +512,12 @@ impl PastryNode {
     /// A node that has not had its own `JoinReply` hands the join back (a
     /// restarted node others still hold, or a joiner still waiting): it
     /// knows nothing to answer with, and the sender forgets it and routes
-    /// around it. A node still probing holds a join it is the root of
-    /// until its own join completes, so every `JoinReply` carries a
-    /// confirmed leaf set. The joiner is not learned here: it announces
-    /// itself once it has state.
+    /// around it. A joiner never answers its own join: one handed back to
+    /// it came straight from the bootstrap it was sent to, and is dropped
+    /// for the next re-send to retry. A node still probing holds a join it
+    /// is the root of until its own join completes, so every `JoinReply`
+    /// carries a confirmed leaf set. The joiner is not learned here: it
+    /// announces itself once it has state.
     fn on_join<A, N: Net<A>>(
         &mut self,
         net: &mut N,
@@ -504,7 +526,15 @@ impl PastryNode {
         mut rows: Vec<Vec<NodeInfo>>,
         hops: u16,
     ) {
-        if joiner.addr != self.info.addr && !self.joined && self.probe.is_none() {
+        if joiner.addr == self.info.addr {
+            // Every hop routes a join as if the joiner were absent, so
+            // only a hand-back brings it here.
+            if !self.joined && self.probe.is_none() {
+                self.handed_back_by = from;
+            }
+            return;
+        }
+        if !self.joined && self.probe.is_none() {
             // Handed back with a hop count of zero, which only the
             // joiner's own first send otherwise carries.
             net.send(

@@ -200,29 +200,35 @@ fn concurrent_joins_leave_every_leaf_set_exact() {
 
 /// Restarted nodes come back with their old ids but no state, while the
 /// rest of the ring still holds them: a join routed to one of them, or to
-/// the joiner itself, must still reach a root that knows the ring.
+/// the joiner itself, must still reach a root that knows the ring — also
+/// when a third of the ring restarted at once, and most joins meet a
+/// restarted node that hands them back.
 #[test]
 fn restarted_nodes_rejoin_to_exact_leaf_sets() {
-    for seed in 0..3 {
-        let mut net = Net::new(240, seed);
-        seed_overlay(&mut net.nodes, |_, _| 0.0);
-        let restarted: Vec<NodeAddr> = (0..240).step_by(8).map(NodeAddr).collect();
-        for a in &restarted {
-            let info = net.nodes[a.0 as usize].info();
-            net.nodes[a.0 as usize] = PastryNode::new(info);
+    let every_eighth: Vec<NodeAddr> = (0..240).step_by(8).map(NodeAddr).collect();
+    let a_third: Vec<NodeAddr> = (0..80).map(NodeAddr).collect();
+    for restarted in [every_eighth, a_third] {
+        for seed in 0..3 {
+            let mut net = Net::new(240, seed);
+            seed_overlay(&mut net.nodes, |_, _| 0.0);
+            for a in &restarted {
+                let info = net.nodes[a.0 as usize].info();
+                net.nodes[a.0 as usize] = PastryNode::new(info);
+            }
+            let live = (0..240)
+                .map(NodeAddr)
+                .filter(|a| !restarted.contains(a))
+                .collect();
+            join_all(&mut net, live, &restarted, 16);
+            assert!(net.nodes.iter().all(PastryNode::is_joined));
+            let holes = net.holes();
+            assert!(
+                holes.is_empty(),
+                "{} restarted, seed {seed}: {} of 240 leaf sets inexact: {holes:?}",
+                restarted.len(),
+                holes.len()
+            );
         }
-        let live = (0..240)
-            .map(NodeAddr)
-            .filter(|a| !restarted.contains(a))
-            .collect();
-        join_all(&mut net, live, &restarted, 16);
-        assert!(net.nodes.iter().all(PastryNode::is_joined));
-        let holes = net.holes();
-        assert!(
-            holes.is_empty(),
-            "seed {seed}: {} of 240 leaf sets inexact: {holes:?}",
-            holes.len()
-        );
     }
 }
 
@@ -263,4 +269,66 @@ fn a_silent_leaf_member_delays_the_join_a_bounded_number_of_resends() {
         holes.iter().all(|(a, _)| *a != joiner),
         "the joiner's leaf set is inexact: {holes:?}"
     );
+}
+
+/// A join sent to a bootstrap that has not joined itself comes back to
+/// the joiner, which must not answer it as an overlay of its own: it
+/// stays unjoined, names the bootstrap as the one that handed it back,
+/// and its re-send once the bootstrap has joined lands in the one ring.
+#[test]
+fn a_join_through_an_unjoined_bootstrap_waits_for_it() {
+    let mut net = Net::new(40, 3);
+    seed_overlay(&mut net.nodes[..38], |_, _| 0.0);
+    let (gateway, joiner) = (NodeAddr(38), NodeAddr(39));
+    net.on(joiner, |node, out| node.join(out, gateway));
+    net.quiesce();
+    let node = &net.nodes[joiner.0 as usize];
+    assert!(!node.is_joined(), "answered its own join");
+    assert_eq!(node.leaf_set().members().count(), 0);
+    assert_eq!(node.join_handed_back_by(), Some(gateway));
+
+    net.on(gateway, |node, out| node.join(out, NodeAddr(0)));
+    net.quiesce();
+    assert!(net.nodes[gateway.0 as usize].is_joined());
+    net.on(joiner, |node, out| node.join(out, gateway));
+    net.quiesce();
+    let node = &net.nodes[joiner.0 as usize];
+    assert!(node.is_joined());
+    assert_eq!(node.join_handed_back_by(), None);
+    let holes = net.holes();
+    assert!(holes.is_empty(), "leaf sets inexact: {holes:?}");
+}
+
+/// A restart of every node, each first trying to join through another
+/// that has not joined either: every join is handed back and no node
+/// forms an overlay of its own. Once one seeds, every re-send through it
+/// builds one ring with exact leaf sets.
+#[test]
+fn nodes_joining_through_each_other_form_one_overlay_once_one_seeds() {
+    let n = 64;
+    let mut net = Net::new(n, 5);
+    // Node 0 and node 1 through each other, the rest through node 0.
+    for a in 0..n {
+        let via = NodeAddr(u32::from(a == 0));
+        net.on(NodeAddr(a), |node, out| node.join(out, via));
+    }
+    net.quiesce();
+    for (a, node) in net.nodes.iter().enumerate() {
+        assert!(!node.is_joined(), "node {a} joined an overlay of its own");
+        let via = NodeAddr(u32::from(a == 0));
+        assert_eq!(node.join_handed_back_by(), Some(via), "node {a}");
+    }
+
+    let id0 = net.nodes[0].id();
+    net.nodes[0].seed_state(
+        RoutingTable::new(id0),
+        LeafSet::new(id0),
+        RoutingTable::new(id0),
+        LeafSet::new(id0),
+    );
+    let rest: Vec<NodeAddr> = (1..n).map(NodeAddr).collect();
+    join_all(&mut net, vec![NodeAddr(0)], &rest, 16);
+    assert!(net.nodes.iter().all(PastryNode::is_joined));
+    let holes = net.holes();
+    assert!(holes.is_empty(), "leaf sets inexact: {holes:?}");
 }

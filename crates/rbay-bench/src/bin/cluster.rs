@@ -32,7 +32,10 @@
 //! the restart-window success rate drops below 0.95, or no restart
 //! replayed a WAL record. With `--json` the restart phase prints a
 //! second line, `{"bench": "rolling_restart", committed_query_loss,
-//! success_rate, restart_window_p99_ms, replay_records, ...}`.
+//! success_rate, restart_window_p99_ms, replay_records, ...}`. After
+//! the rolling restart it restarts daemons 0 and 1 together (on fleets of
+//! 6 daemons or more), then the whole fleet at once, and checks after
+//! each that every member rejoined one ring with exact leaf sets.
 //!
 //! ```text
 //! cluster [--agents 5] [--agents-per-proc 1] [--k 3] [--base-port 21100]
@@ -213,6 +216,29 @@ fn spawn_daemon(daemon: &std::path::Path, args: &Args, i: u32) -> Daemon {
         cmd.spawn()
             .unwrap_or_else(|e| fail(&format!("spawn daemon {i}: {e}"))),
     )
+}
+
+/// Shuts daemon `p` down gracefully and reaps it; a daemon whose shutdown
+/// barrier missed its deadline exits 1 and fails the run.
+fn stop_daemon(ctrls: &mut [Ctrl], p: u32) {
+    match ctrls[p as usize].request(&CtrlMsg::Shutdown, Duration::from_secs(10)) {
+        Ok(CtrlMsg::Ok) => {}
+        other => fail(&format!("graceful shutdown of daemon {p}: {other:?}")),
+    }
+    let reaped = FLEET.lock().unwrap()[p as usize].reap(Duration::from_secs(10));
+    if let Err(e) = reaped {
+        fail(&format!("daemon {p} after its graceful shutdown: {e}"));
+    }
+}
+
+/// Spawns daemon `p` again and reconnects its control connection.
+fn start_daemon(ctrls: &mut [Ctrl], daemon: &std::path::Path, args: &Args, p: u32) {
+    FLEET.lock().unwrap()[p as usize] = spawn_daemon(daemon, args, p);
+    ctrls[p as usize] = Ctrl::connect(
+        proc_sock(args.base_port, p),
+        Instant::now() + Duration::from_secs(30),
+    )
+    .unwrap_or_else(|e| fail(&format!("reconnect daemon {p}: {e}")));
 }
 
 /// The dropped-frame gate: a packed run must be essentially loss-free.
@@ -504,21 +530,8 @@ fn main() {
         let mut lat_ms: Vec<f64> = Vec::new();
         for p in 0..procs {
             println!("cluster: rolling restart: daemon {p}");
-            match ctrls[p as usize].request(&CtrlMsg::Shutdown, Duration::from_secs(10)) {
-                Ok(CtrlMsg::Ok) => {}
-                other => fail(&format!("graceful shutdown of daemon {p}: {other:?}")),
-            }
-            // A daemon whose shutdown barrier missed its deadline exits 1.
-            let reaped = FLEET.lock().unwrap()[p as usize].reap(Duration::from_secs(10));
-            if let Err(e) = reaped {
-                fail(&format!("daemon {p} after its graceful shutdown: {e}"));
-            }
-            FLEET.lock().unwrap()[p as usize] = spawn_daemon(&daemon, &args, p);
-            ctrls[p as usize] = Ctrl::connect(
-                proc_sock(args.base_port, p),
-                Instant::now() + Duration::from_secs(30),
-            )
-            .unwrap_or_else(|e| fail(&format!("reconnect daemon {p}: {e}")));
+            stop_daemon(&mut ctrls, p);
+            start_daemon(&mut ctrls, &daemon, &args, p);
 
             // Closed-loop load through the restart window, issued from a
             // member hosted elsewhere so the querier itself is up.
@@ -590,6 +603,35 @@ fn main() {
             fail(&format!(
                 "restart-window success rate {restart_success_rate:.2} below 0.95"
             ));
+        }
+    }
+
+    // Phase 9 (with --rolling-restart): daemons 0 and 1 down together —
+    // daemon 0 cannot rejoin through daemon 1 — and then every daemon at
+    // once, when no overlay is left and daemon 0 must seed a new one.
+    // The pair goes only on a fleet of 6 daemons or more: the rest of the
+    // fleet still holds the restarted members, and once they are more
+    // than a third of it a join can miss live neighbours behind them
+    // (ROADMAP 2(e)).
+    if args.rolling_restart {
+        for together in [vec![0, 1], (0..procs).collect()] {
+            if together.len() == 2 && procs < 6 {
+                continue;
+            }
+            let when = format!("after daemons {together:?} restarted together");
+            println!("cluster: fleet restart: daemons {together:?}");
+            for &p in &together {
+                stop_daemon(&mut ctrls, p);
+            }
+            for &p in &together {
+                start_daemon(&mut ctrls, &daemon, &args, p);
+            }
+            wait_until(converge_budget, &format!("re-convergence {when}"), || {
+                let joined: u32 = proc_statuses(&mut ctrls).iter().map(|r| r.joined).sum();
+                println!("cluster: {} of {} members re-joined", joined, args.agents);
+                joined == args.agents
+            });
+            ring.wait_exact(&mut ctrls, &when);
         }
     }
 
@@ -805,6 +847,7 @@ impl Ring {
         let start = Instant::now();
         wait_until(RING_DEADLINE, &format!("exact leaf sets {when}"), || {
             let (mut holes, mut wrong_successor) = (0, 0);
+            let mut shown = Vec::new();
             for (i, ctrl) in ctrls.iter_mut().enumerate() {
                 let (first, sets) = match ctrl.request(&CtrlMsg::LeafSets, Duration::from_secs(10))
                 {
@@ -820,6 +863,11 @@ impl Ring {
                         continue;
                     }
                     holes += 1;
+                    if shown.len() < 3 {
+                        let missing: Vec<_> = self.exact[addr].difference(&have).collect();
+                        let extra: Vec<_> = have.difference(&self.exact[addr]).collect();
+                        shown.push(format!("{addr} lacks {missing:?}, holds {extra:?}"));
+                    }
                     let nearest = have
                         .iter()
                         .filter_map(|a| {
@@ -834,8 +882,10 @@ impl Ring {
             }
             println!(
                 "cluster: ring check {when}: {holes} of {} leaf sets inexact \
-                 ({wrong_successor} with the wrong successor)",
-                self.infos.len()
+                 ({wrong_successor} with the wrong successor){}{}",
+                self.infos.len(),
+                if shown.is_empty() { "" } else { "; member " },
+                shown.join("; member ")
             );
             holes == 0
         });

@@ -17,7 +17,10 @@
 //! same turn, and one unanswered for a tick is re-sent. A join completes
 //! only once its leaf set is confirmed (`PastryNode::join`), so
 //! concurrent joins leave every leaf set exact. A restarted process 0
-//! does not seed again: its first member rejoins through process 1's.
+//! does not seed again: its first member rejoins through another
+//! process's first member, trying each in turn, and seeds only once every
+//! one has handed its join back — none has joined, so no overlay is
+//! left.
 //!
 //! Operator tools (the `cluster` harness) drive it over control
 //! connections speaking [`rbay_bench::cluster::CtrlMsg`]; requests for a
@@ -58,6 +61,9 @@ use std::time::{Duration, Instant};
 /// bootstrap at high packing factors; each completed join starts the
 /// next at once.
 const JOIN_BATCH: usize = 16;
+/// Re-sends a restarted daemon 0 spends on a gateway that does not answer
+/// its first member's join before it tries the next daemon's.
+const GATEWAY_RESENDS: u32 = 3;
 /// Ticks one full maintenance sweep over the pack is spread across, so a
 /// 100-member pack maintains ~10 members per tick instead of all of them
 /// (per-member maintenance cadence stays bounded; CPU per tick is O(per /
@@ -158,38 +164,38 @@ fn main() -> ExitCode {
         .map(|a| cluster::build_node(a, args.agents, args.num_sites, cfg.clone()))
         .collect();
     let mut pack = Pack::new(start, members);
-    // Daemon 0's first member seeds a fresh overlay. Restarted — its store
-    // held a manifest before this boot — it rejoins the overlay the other
-    // daemons kept, through daemon 1's gateway, like any other member.
     let restarted = args
         .data_dir
         .as_ref()
-        .is_some_and(|d| d.join(format!("member-{start}/MANIFEST")).exists());
-    let gateway = if start > 0 {
-        NodeAddr(0)
+        .is_some_and(|dir| restore_members(&mut pack, dir, args.fsync, args.index));
+    // Daemon 0's first member seeds a fresh overlay. Restarted — its store
+    // existed before this boot — it rejoins the overlay the other daemons
+    // kept, through their first members in turn.
+    let joins = if start > 0 {
+        JoinWindow::new(vec![NodeAddr(0)], false)
     } else if restarted && end < args.agents {
-        NodeAddr(end)
+        let others = (end..args.agents).step_by(args.per as usize);
+        JoinWindow::new(others.map(NodeAddr).collect(), true)
     } else {
         pack.member_mut(0).seed_as_bootstrap();
-        NodeAddr(0)
+        JoinWindow::new(vec![NodeAddr(0)], false)
     };
-    if let Some(dir) = &args.data_dir {
-        restore_members(&mut pack, dir, args.fsync, args.index);
-    }
     eprintln!(
         "rbay-node[{}]: hosting members {start}..{end} on {}",
         args.index,
         bus.local_addr(),
     );
-    run(&mut pack, &mut bus, &args, JoinWindow::new(gateway))
+    run(&mut pack, &mut bus, &args, joins)
 }
 
 /// Opens (or creates) each member's durable store under
 /// `<data-dir>/member-<addr>` and replays it into the member: attributes
 /// land back in the key-value map, handler sources are re-linted under
 /// the *current* policy before re-installation, and tree subscriptions
-/// are queued for re-join through the normal retry machinery.
-fn restore_members(pack: &mut Pack, dir: &std::path::Path, fsync: FsyncPolicy, index: u32) {
+/// are queued for re-join through the normal retry machinery. Returns
+/// whether the first member's store existed before this boot.
+fn restore_members(pack: &mut Pack, dir: &std::path::Path, fsync: FsyncPolicy, index: u32) -> bool {
+    let mut restarted = false;
     let mut attrs = 0usize;
     let mut handlers = 0usize;
     let mut quarantined = 0usize;
@@ -207,6 +213,7 @@ fn restore_members(pack: &mut Pack, dir: &std::path::Path, fsync: FsyncPolicy, i
         }
         match Store::open(&member_dir, fsync) {
             Ok((store, report)) => {
+                restarted |= slot == 0 && !report.fresh;
                 if report.snapshot_corrupt {
                     eprintln!(
                         "rbay-node[{index}]: corrupt snapshot in {} discarded; \
@@ -235,6 +242,7 @@ fn restore_members(pack: &mut Pack, dir: &std::path::Path, fsync: FsyncPolicy, i
              in {micros} us"
         );
     }
+    restarted
 }
 
 /// What the ctrl handlers keep between turns.
@@ -323,39 +331,66 @@ fn run(pack: &mut Pack, bus: &mut BusLoop, args: &Args, mut joins: JoinWindow) -
 }
 
 /// The members' Pastry joins in flight: at most [`JOIN_BATCH`], each with
-/// when it was last sent. Slot 0 joins through `gateway` — the global
-/// bootstrap `NodeAddr(0)`, or daemon 1's first member when daemon 0
-/// rejoins — and later slots wait for slot 0, then join through it
-/// locally, so the bootstrap sees O(procs) joiners, not O(agents).
+/// when it was last sent. Slot 0 joins through a gateway — the global
+/// bootstrap `NodeAddr(0)`, or, when daemon 0 rejoins, every other
+/// daemon's first member in turn — and later slots wait for slot 0, then
+/// join through it locally, so the bootstrap sees O(procs) joiners, not
+/// O(agents).
 struct JoinWindow {
-    gateway: NodeAddr,
+    /// The gateways slot 0 tries, in turn.
+    gateways: Vec<NodeAddr>,
+    /// The gateway in use, and slot 0's re-sends through it so far.
+    at: usize,
+    tries: u32,
+    /// Which gateways handed slot 0's join back.
+    refused: Vec<bool>,
+    /// Whether slot 0 seeds the overlay once every gateway has handed its
+    /// join back: a restarted daemon 0's does, since the others' first
+    /// members join only through it, so none of them has joined and no
+    /// overlay is left to rejoin.
+    seeds: bool,
     in_flight: Vec<(u32, Instant)>,
     /// The next slot that has not joined or been sent a join.
     next: u32,
 }
 
 impl JoinWindow {
-    fn new(gateway: NodeAddr) -> JoinWindow {
+    fn new(gateways: Vec<NodeAddr>, seeds: bool) -> JoinWindow {
         JoinWindow {
-            gateway,
+            refused: vec![false; gateways.len()],
+            gateways,
+            at: 0,
+            tries: 0,
+            seeds,
             in_flight: Vec::with_capacity(JOIN_BATCH),
             next: 0,
         }
     }
 
-    /// Forgets completed joins, re-sends each one unanswered for a `tick`,
-    /// and fills the free places with the next members.
+    /// Re-sends each join unanswered for a `tick`, forgets completed
+    /// joins, and fills the free places with the next members.
     fn turn<S: FrameSink>(&mut self, pack: &mut Pack, sink: &mut S, now: Instant, tick: Duration) {
+        let local = pack.addr_of(0);
+        for i in 0..self.in_flight.len() {
+            let (slot, sent) = self.in_flight[i];
+            if now < sent + tick || pack.member(slot).pastry.is_joined() {
+                continue;
+            }
+            let via = if slot > 0 {
+                local
+            } else if let Some(gateway) =
+                self.next_gateway(pack.member(0).pastry.join_handed_back_by())
+            {
+                gateway
+            } else {
+                pack.member_mut(0).seed_as_bootstrap();
+                continue;
+            };
+            pack.join_member(sink, slot, via);
+            self.in_flight[i].1 = now;
+        }
         self.in_flight
             .retain(|&(slot, _)| !pack.member(slot).pastry.is_joined());
-        let (gateway, local) = (self.gateway, pack.addr_of(0));
-        let via = |slot: u32| if slot == 0 { gateway } else { local };
-        for (slot, sent) in &mut self.in_flight {
-            if now >= *sent + tick {
-                pack.join_member(sink, *slot, via(*slot));
-                *sent = now;
-            }
-        }
         while self.in_flight.len() < JOIN_BATCH && self.next < pack.len() {
             let slot = self.next;
             if slot > 0 && !pack.member(0).pastry.is_joined() {
@@ -363,10 +398,33 @@ impl JoinWindow {
             }
             self.next += 1;
             if !pack.member(slot).pastry.is_joined() {
-                pack.join_member(sink, slot, via(slot));
+                let via = if slot == 0 {
+                    self.gateways[self.at]
+                } else {
+                    local
+                };
+                pack.join_member(sink, slot, via);
                 self.in_flight.push((slot, now));
             }
         }
+    }
+
+    /// The gateway slot 0's join is re-sent through, given who handed its
+    /// last send back: the one in use, or the next once that one handed
+    /// the join back or went [`GATEWAY_RESENDS`] re-sends unanswered.
+    /// `None` — seed — once every gateway of a seeding window refused.
+    fn next_gateway(&mut self, handed_back_by: Option<NodeAddr>) -> Option<NodeAddr> {
+        let refused = handed_back_by == Some(self.gateways[self.at]);
+        self.refused[self.at] |= refused;
+        self.tries += 1;
+        if refused || self.tries >= GATEWAY_RESENDS {
+            if self.seeds && self.refused.iter().all(|&r| r) {
+                return None;
+            }
+            self.at = (self.at + 1) % self.gateways.len();
+            self.tries = 0;
+        }
+        Some(self.gateways[self.at])
     }
 
     /// When the oldest join in flight is due to be re-sent.
@@ -687,7 +745,7 @@ mod tests {
             .collect();
         let mut pack = Pack::new(40, members);
         let mut sink = Frames::default();
-        let mut joins = JoinWindow::new(NodeAddr(0));
+        let mut joins = JoinWindow::new(vec![NodeAddr(0)], false);
         let tick = Duration::from_millis(150);
         let t0 = Instant::now();
         let slots = |j: &JoinWindow| j.in_flight.iter().map(|&(s, _)| s).collect::<Vec<_>>();
@@ -716,6 +774,29 @@ mod tests {
         assert!(!slots(&joins).contains(&3));
         assert_eq!(slots(&joins).last(), Some(&17));
         assert_eq!(joins.next_resend(tick), Some(t1 + tick));
+    }
+
+    /// A restarted daemon 0 moves its first member's join to the next
+    /// daemon's gateway once the one in use hands it back or goes
+    /// `GATEWAY_RESENDS` re-sends unanswered, and seeds only once every
+    /// gateway has handed it back. Any other daemon never seeds.
+    #[test]
+    fn a_rejoining_daemon_0_tries_each_gateway_and_seeds_when_all_refuse() {
+        let (g1, g2) = (NodeAddr(40), NodeAddr(80));
+        let mut joins = JoinWindow::new(vec![g1, g2], true);
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(None), Some(g2), "g1 unanswered");
+        // A late hand-back from g1 is not held against g2.
+        assert_eq!(joins.next_gateway(Some(g1)), Some(g2));
+        assert_eq!(joins.next_gateway(Some(g2)), Some(g1), "g2 refused");
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(Some(g1)), None, "both refused: seed");
+
+        let mut joins = JoinWindow::new(vec![NodeAddr(0)], false);
+        for _ in 0..10 {
+            assert_eq!(joins.next_gateway(Some(NodeAddr(0))), Some(NodeAddr(0)));
+        }
     }
 
     /// Two `IssueQuery` frames of one ZQL text: two records, one parse.

@@ -50,6 +50,9 @@ impl FsyncPolicy {
 /// What [`Store::open`] found and recovered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
+    /// Whether the directory held no store before this open — no
+    /// manifest — so the open created one.
+    pub fresh: bool,
     /// Whether a snapshot file was loaded.
     pub snapshot_loaded: bool,
     /// Whether a named snapshot failed validation and was discarded (the
@@ -109,7 +112,10 @@ impl Store {
     pub fn open(dir: &Path, fsync: FsyncPolicy) -> std::io::Result<(Store, ReplayReport)> {
         fs::create_dir_all(dir)?;
         let started = Instant::now();
-        let mut report = ReplayReport::default();
+        let mut report = ReplayReport {
+            fresh: !dir.join("MANIFEST").exists(),
+            ..ReplayReport::default()
+        };
         let (gen, snap_file) = read_manifest(dir);
         let mut state = DurableState::default();
         if let Some(name) = &snap_file {
@@ -162,7 +168,7 @@ impl Store {
         };
         // A fresh directory gets its manifest immediately so a crash
         // between first append and first compaction still names the WAL.
-        if !dir.join("MANIFEST").exists() {
+        if report.fresh {
             store.write_manifest()?;
         }
         Ok((store, report))
@@ -378,7 +384,8 @@ mod tests {
     fn reopen_recovers_state() {
         let dir = tmp_dir("reopen");
         {
-            let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+            let (mut s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+            assert!(report.fresh);
             s.append(&put(1)).unwrap();
             s.append(&WalRecord::NodeAaInstall {
                 source: "AA = {}".into(),
@@ -392,6 +399,7 @@ mod tests {
             s.append(&WalRecord::Commit { query: 42 }).unwrap();
         }
         let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+        assert!(!report.fresh);
         assert_eq!(report.wal_records, 4);
         assert_eq!(s.state().attrs.get("a1"), Some(&AttrValue::Num(1.0)));
         assert_eq!(s.state().node_aa.as_deref(), Some("AA = {}"));
