@@ -15,7 +15,7 @@
 //! the aggregation trees to attach, then issues
 //! `SELECT k FROM * WHERE GPU = true` from the last member and verifies
 //! that `k` candidates were found **and committed** on the holders. A
-//! final throughput phase runs `--qps-queries` back-to-back queries
+//! final throughput phase runs [`QPS_QUERIES`] back-to-back queries
 //! (releasing reservations between them) to measure queries/sec.
 //!
 //! Exit status 0 only on a fully verified run — CI's cluster jobs run
@@ -26,9 +26,10 @@
 //! queries_per_sec, dropped_frames, ...}` line on stdout.
 //!
 //! With `--rolling-restart` the harness then restarts every daemon once,
-//! one process at a time, while closed-loop queries keep running: the
-//! daemons journal to `--data-dir` (a fresh temp directory by default)
-//! and the run fails if any committed query is lost across a restart,
+//! one process at a time, while [`RESTART_QUERIES`] closed-loop queries
+//! run through each restart window: the daemons journal to `--data-dir`
+//! (a fresh temp directory by default) under their default `--fsync
+//! batch`, and the run fails if any committed query is lost across a restart,
 //! the restart-window success rate drops below 0.95, or no restart
 //! replayed a WAL record. With `--json` the restart phase prints a
 //! second line, `{"bench": "rolling_restart", committed_query_loss,
@@ -39,8 +40,8 @@
 //!
 //! ```text
 //! cluster [--agents 5] [--agents-per-proc 1] [--k 3] [--base-port 21100]
-//!         [--num-sites 1] [--tick-ms <ms>] [--qps-queries 10]
-//!         [--rolling-restart] [--restart-queries 3] [--data-dir <dir>] [--json]
+//!         [--num-sites 1] [--tick-ms <ms>] [--frontdoor]
+//!         [--rolling-restart] [--data-dir <dir>] [--json]
 //! ```
 
 use pastry::{exact_leaf_set, NodeInfo};
@@ -62,6 +63,13 @@ use std::time::{Duration, Instant};
 /// retries connects and stages frames, so a sustained drop count signals
 /// a regression in the event-loop bus.
 const DROPPED_FRAME_BUDGET: u64 = 10;
+/// Back-to-back queries of the throughput phase.
+const QPS_QUERIES: u32 = 10;
+/// Admission bound of every front door `--frontdoor` enables; its shed
+/// phase bursts past it.
+const FD_MAX_PENDING: u32 = 2;
+/// Closed-loop queries through each restart window of `--rolling-restart`.
+const RESTART_QUERIES: u32 = 2;
 
 struct Args {
     agents: u32,
@@ -70,12 +78,9 @@ struct Args {
     base_port: u16,
     num_sites: u16,
     tick_ms: u64,
-    qps_queries: u32,
     json: bool,
     frontdoor: bool,
-    fd_max_pending: u32,
     rolling_restart: bool,
-    restart_queries: u32,
     data_dir: Option<std::path::PathBuf>,
 }
 
@@ -87,12 +92,9 @@ fn parse_args() -> Args {
         base_port: DEFAULT_BASE_PORT,
         num_sites: 1,
         tick_ms: 0, // 0 = pick by scale below
-        qps_queries: 10,
         json: false,
         frontdoor: false,
-        fd_max_pending: 2,
         rolling_restart: false,
-        restart_queries: 3,
         data_dir: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -105,9 +107,6 @@ fn parse_args() -> Args {
             "--base-port" => args.base_port = flag_value(&argv, i),
             "--num-sites" => args.num_sites = flag_value(&argv, i),
             "--tick-ms" => args.tick_ms = flag_value(&argv, i),
-            "--qps-queries" => args.qps_queries = flag_value(&argv, i),
-            "--fd-max-pending" => args.fd_max_pending = flag_value(&argv, i),
-            "--restart-queries" => args.restart_queries = flag_value(&argv, i),
             "--data-dir" => {
                 args.data_dir = Some(std::path::PathBuf::from(flag_value::<String>(&argv, i)))
             }
@@ -130,8 +129,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "unknown flag {other}\nusage: cluster [--agents <n>] [--agents-per-proc <m>] \
                      [--k <k>] [--base-port <p>] [--num-sites <s>] [--tick-ms <ms>] \
-                     [--qps-queries <q>] [--frontdoor] [--fd-max-pending <n>] \
-                     [--rolling-restart] [--restart-queries <q>] [--data-dir <dir>] [--json]"
+                     [--frontdoor] [--rolling-restart] [--data-dir <dir>] [--json]"
                 );
                 std::process::exit(2);
             }
@@ -207,10 +205,8 @@ fn spawn_daemon(daemon: &std::path::Path, args: &Args, i: u32) -> Daemon {
         cmd.arg("--frontdoor");
     }
     if let Some(dir) = &args.data_dir {
+        // The daemon's own default `--fsync batch`: what ships is run.
         cmd.arg("--data-dir").arg(dir);
-        // Benchmark runs journal without per-append fsync: process kills
-        // (the durability model here) never lose page-cache writes.
-        cmd.args(["--fsync", "never"]);
     }
     Daemon(
         cmd.spawn()
@@ -320,7 +316,7 @@ fn main() {
             let enable = CtrlMsg::EnableFrontdoor {
                 ttl_ms: 600_000,
                 capacity: 1024,
-                max_pending: args.fd_max_pending,
+                max_pending: FD_MAX_PENDING,
             };
             expect_ok(&mut ctrls, &args, g, "enable frontdoor", enable);
         }
@@ -402,27 +398,18 @@ fn main() {
     // Phase 6: query throughput — back-to-back queries from the same
     // member, releasing each round's reservations so inventory is not
     // depleted.
-    let mut queries_per_sec = 0.0;
-    if args.qps_queries > 0 {
-        let qps_start = Instant::now();
-        let mut satisfied = 0u32;
-        for _ in 0..args.qps_queries {
-            match run_query(&mut ctrls, &args, querier, 3) {
-                Some(results) => {
-                    satisfied += 1;
-                    release_results(&mut ctrls, &args, &results);
-                }
-                None => fail("throughput query never satisfied"),
-            }
+    let qps_start = Instant::now();
+    for _ in 0..QPS_QUERIES {
+        match run_query(&mut ctrls, &args, querier, 3) {
+            Some(results) => release_results(&mut ctrls, &args, &results),
+            None => fail("throughput query never satisfied"),
         }
-        queries_per_sec = satisfied as f64 / qps_start.elapsed().as_secs_f64();
-        println!(
-            "cluster: {} queries in {:.2} s -> {:.2} queries/sec",
-            satisfied,
-            qps_start.elapsed().as_secs_f64(),
-            queries_per_sec
-        );
     }
+    let queries_per_sec = f64::from(QPS_QUERIES) / qps_start.elapsed().as_secs_f64();
+    println!(
+        "cluster: {QPS_QUERIES} queries in {:.2} s -> {queries_per_sec:.2} queries/sec",
+        qps_start.elapsed().as_secs_f64(),
+    );
 
     // Phase 7 (with --frontdoor): cache hits under repetition, zero stale
     // reads after the invalidation multicast, and shedding under a burst.
@@ -481,7 +468,7 @@ fn main() {
 
         // 7c: a burst of distinct queries beyond the admission bound must
         // shed with retry-after rather than queue without limit.
-        let burst = args.fd_max_pending + 6;
+        let burst = FD_MAX_PENDING + 6;
         let mut shed = 0u64;
         'rounds: for round in 0..3 {
             let ctrl = &mut ctrls[proc_of(gateway, args.per) as usize];
@@ -544,7 +531,7 @@ fn main() {
             // attempt budget (~30 s) covers failure detection plus tree
             // re-convergence after 1/procs of the fleet departs at once,
             // and the recorded latency charges the full wait to p99.
-            for _ in 0..args.restart_queries {
+            for _ in 0..RESTART_QUERIES {
                 restart_issued += 1;
                 let t0 = Instant::now();
                 match run_query(&mut ctrls, &args, window_querier, 10) {
@@ -703,7 +690,7 @@ fn main() {
             .int("num_sites", args.num_sites as u64)
             .int("k", args.k as u64)
             .int("tick_ms", args.tick_ms)
-            .int("qps_queries", args.qps_queries as u64)
+            .int("qps_queries", QPS_QUERIES as u64)
             .text("query_mix", "SELECT k FROM * WHERE GPU = true")
             .int("warmup_queries", 1)
             .num("run_s", run_s)

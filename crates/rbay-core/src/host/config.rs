@@ -134,6 +134,19 @@ pub struct RestoreSummary {
     pub replay_micros: u64,
 }
 
+impl RestoreSummary {
+    /// Element-wise sum (for a pack's members restored together).
+    pub(crate) fn merge(&mut self, other: &RestoreSummary) {
+        self.attrs += other.attrs;
+        self.handlers += other.handlers;
+        self.quarantined += other.quarantined;
+        self.subs += other.subs;
+        self.committed += other.committed;
+        self.replay_records += other.replay_records;
+        self.replay_micros += other.replay_micros;
+    }
+}
+
 impl From<aascript::CompileError> for InstallError {
     fn from(e: aascript::CompileError) -> Self {
         InstallError::Compile(e)

@@ -21,18 +21,43 @@
 //!   the same protocol token never collide. Each arm fires once; there is
 //!   no cancel and no supersede (see [`Transport::set_timer`]).
 //!
+//! A pack also runs itself once [`Pack::start`]ed, on that same queue and
+//! clock: it boots its members into the overlay through a window of
+//! `JOIN_BATCH` (16) joins in flight, re-sending one unanswered for a tick;
+//! every tick it runs one stride of maintenance rounds and flushes its
+//! members' write-ahead logs ([`Pack::open_stores`]). Its owner only
+//! fires what is due ([`Pack::fire_due`]), pumps loopback
+//! ([`Pack::pump`]), and waits for the next deadline or frame. A pack
+//! that is never started arms no timer of its own.
+//!
 //! Backpressure follows the transport's drop-not-block rule: the loopback
 //! queue is bounded and overflow drops messages (counted via
 //! [`Pack::loopback_dropped`]); protocols above already tolerate loss.
 
 use crate::actor::{RbayMsg, RbayNode};
+use crate::host::{Op, RestoreSummary};
+use rbay_store::{FsyncPolicy, Store};
 use rbay_wire::encode_frame;
 use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken, Transport};
 use std::collections::VecDeque;
+use std::path::Path;
 use std::time::Instant;
 
 /// Loopback queue cap (messages); overflow is dropped and counted.
 const LOOPBACK_MAX: usize = 65_536;
+/// Pastry joins a booting pack keeps in flight, bounding the herd on the
+/// gateway at high packing factors; each completed join starts the next
+/// at once.
+const JOIN_BATCH: usize = 16;
+/// Re-sends slot 0 spends on a gateway that neither answers its join nor
+/// hands it back before it tries the next gateway.
+const GATEWAY_RESENDS: u32 = 3;
+/// Ticks one full maintenance sweep over the pack is spread across, so a
+/// 100-member pack maintains ~10 members per tick instead of all of them
+/// (per-member maintenance cadence stays bounded; CPU per tick is O(len /
+/// MAINT_SWEEP_TICKS), which is what keeps 160 packed daemons viable on a
+/// small host).
+const MAINT_SWEEP_TICKS: u32 = 10;
 
 /// Where a pack's outbound (off-process) frames go. Implemented by
 /// `rbay_wire::BusLoop`, which the pack's owner turns on the same
@@ -49,6 +74,17 @@ impl FrameSink for rbay_wire::BusLoop {
     }
 }
 
+/// What one entry of the pack's timer queue fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fire {
+    /// Member `slot`'s protocol timer.
+    Member(u32, TimerToken),
+    /// Member `slot`'s join, re-sent unless it has completed.
+    Join(u32),
+    /// One stride of maintenance rounds, then a WAL flush.
+    Tick,
+}
+
 /// State every member's transport view borrows: the loopback queue, the
 /// shared clock, and the timer queue.
 struct PackShared {
@@ -57,9 +93,8 @@ struct PackShared {
     epoch: Instant,
     /// In-process deliveries: `(from, destination slot, message)`.
     loopback: VecDeque<(NodeAddr, u32, RbayMsg)>,
-    /// Every armed timer as `(slot, token)`, keyed `(deadline, arm
-    /// sequence)`.
-    timers: CalendarQueue<(u32, TimerToken)>,
+    /// Every armed timer, keyed `(deadline, arm sequence)`.
+    timers: CalendarQueue<Fire>,
     /// Timers armed so far: the next arm's sequence number.
     armed: u64,
     loopback_dropped: u64,
@@ -74,8 +109,13 @@ impl PackShared {
         (addr.0 >= self.base && addr.0 < self.base + self.len).then(|| addr.0 - self.base)
     }
 
+    fn arm(&mut self, at: SimTime, fire: Fire) {
+        self.timers.push(at, self.armed, fire);
+        self.armed += 1;
+    }
+
     /// Removes the earliest timer if its deadline is at or before `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<(u32, TimerToken)> {
+    fn pop_due(&mut self, now: SimTime) -> Option<Fire> {
         let (at, _) = self.timers.peek_key()?;
         (at <= now).then(|| self.timers.pop().expect("peeked").2)
     }
@@ -109,11 +149,64 @@ impl<S: FrameSink> Transport<RbayMsg> for MemberCtx<'_, S> {
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let shared = &mut *self.shared;
-        shared
-            .timers
-            .push(shared.now() + delay, shared.armed, (self.slot, token));
-        shared.armed += 1;
+        let at = self.shared.now() + delay;
+        self.shared.arm(at, Fire::Member(self.slot, token));
+    }
+}
+
+/// The members' Pastry joins while a started pack boots: at most
+/// [`JOIN_BATCH`] in flight. Slot 0 joins through a gateway — the first
+/// members of the other packs in turn, `NodeAddr(0)`'s first — and later
+/// slots wait for slot 0, then join through it over loopback, so a
+/// gateway sees O(packs) joiners, not O(members).
+struct JoinWindow {
+    /// The gateways slot 0 tries, in turn.
+    gateways: Vec<NodeAddr>,
+    /// The gateway in use, and slot 0's re-sends through it so far.
+    at: usize,
+    tries: u32,
+    /// Which gateways handed slot 0's join back.
+    refused: Vec<bool>,
+    /// Whether slot 0 seeds the overlay once every gateway has handed its
+    /// join back: only the pack hosting `NodeAddr(0)` may, and it does so
+    /// when restarted, since then no member of any other pack has joined
+    /// and no overlay is left to rejoin.
+    seeds: bool,
+    /// Slots whose join is in flight.
+    in_flight: Vec<u32>,
+    /// The next slot that has not joined or been sent a join.
+    next: u32,
+}
+
+impl JoinWindow {
+    fn new(gateways: Vec<NodeAddr>, seeds: bool) -> JoinWindow {
+        JoinWindow {
+            refused: vec![false; gateways.len()],
+            gateways,
+            at: 0,
+            tries: 0,
+            seeds,
+            in_flight: Vec::with_capacity(JOIN_BATCH),
+            next: 0,
+        }
+    }
+
+    /// The gateway slot 0's join is re-sent through, given who handed its
+    /// last send back: the one in use, or the next once that one handed
+    /// the join back or went [`GATEWAY_RESENDS`] re-sends unanswered.
+    /// `None` — seed — once every gateway of a seeding window refused.
+    fn next_gateway(&mut self, handed_back_by: Option<NodeAddr>) -> Option<NodeAddr> {
+        let refused = handed_back_by == Some(self.gateways[self.at]);
+        self.refused[self.at] |= refused;
+        self.tries += 1;
+        if refused || self.tries >= GATEWAY_RESENDS {
+            if self.seeds && self.refused.iter().all(|&r| r) {
+                return None;
+            }
+            self.at = (self.at + 1) % self.gateways.len();
+            self.tries = 0;
+        }
+        Some(self.gateways[self.at])
     }
 }
 
@@ -121,6 +214,17 @@ impl<S: FrameSink> Transport<RbayMsg> for MemberCtx<'_, S> {
 pub struct Pack {
     members: Vec<RbayNode>,
     shared: PackShared,
+    /// The join re-send interval and the maintenance period, once started.
+    tick: SimDuration,
+    /// The member the next maintenance stride starts at.
+    maint_cursor: u32,
+    /// Whether slot 0's store existed before this boot.
+    restarted: bool,
+    /// The joins of a booting pack; `None` before [`Pack::start`], once
+    /// every member has joined, and after [`Pack::leave`].
+    boot: Option<JoinWindow>,
+    /// Store failures not yet taken by [`Pack::take_warnings`].
+    warnings: Vec<String>,
 }
 
 impl Pack {
@@ -146,6 +250,11 @@ impl Pack {
                 armed: 0,
                 loopback_dropped: 0,
             },
+            tick: SimDuration::ZERO,
+            maint_cursor: 0,
+            restarted: false,
+            boot: None,
+            warnings: Vec::new(),
         }
     }
 
@@ -168,11 +277,6 @@ impl Pack {
     fn dispatch<S: FrameSink>(&mut self, sink: &mut S, slot: u32, from: NodeAddr, msg: RbayMsg) {
         let (node, mut ctx) = self.ctx(sink, slot);
         node.on_message_via(&mut ctx, from, msg);
-    }
-
-    /// First hosted overlay address.
-    pub fn base(&self) -> u32 {
-        self.shared.base
     }
 
     /// Number of hosted members.
@@ -200,11 +304,6 @@ impl Pack {
         &self.members[slot as usize]
     }
 
-    /// Mutable member access (state inspection/mutation outside dispatch).
-    pub fn member_mut(&mut self, slot: u32) -> &mut RbayNode {
-        &mut self.members[slot as usize]
-    }
-
     /// The pack's wall clock (shared by every member).
     pub fn now(&self) -> SimTime {
         self.shared.now()
@@ -218,6 +317,79 @@ impl Pack {
     /// Whether loopback deliveries are pending.
     pub fn has_loopback(&self) -> bool {
         !self.shared.loopback.is_empty()
+    }
+
+    /// Opens (or creates) each member's durable store under
+    /// `<dir>/member-<addr>` and replays it into the member: attributes
+    /// land back in the key-value map, handler sources are re-linted under
+    /// the *current* policy before re-installation, and tree subscriptions
+    /// are queued for re-join through the normal retry machinery. A member
+    /// whose store cannot be opened runs in memory, with a warning. Call
+    /// before [`Pack::start`]: whether slot 0's store existed decides how
+    /// the pack hosting `NodeAddr(0)` boots. Returns the members'
+    /// summaries, summed.
+    pub fn open_stores(&mut self, dir: &Path, fsync: FsyncPolicy) -> RestoreSummary {
+        let mut restored = RestoreSummary::default();
+        for slot in 0..self.len() {
+            let member_dir = dir.join(format!("member-{}", self.addr_of(slot).0));
+            match Store::open(&member_dir, fsync) {
+                Ok((store, report)) => {
+                    self.restarted |= slot == 0 && !report.fresh;
+                    if report.snapshot_corrupt {
+                        self.warnings.push(format!(
+                            "corrupt snapshot in {} discarded; recovered from WAL alone",
+                            member_dir.display()
+                        ));
+                    }
+                    let member = &mut self.members[slot as usize];
+                    restored.merge(&member.host.attach_store(Box::new(store)));
+                }
+                Err(e) => self.warnings.push(format!(
+                    "cannot open store in {}: {e}; member runs in-memory",
+                    member_dir.display()
+                )),
+            }
+        }
+        restored
+    }
+
+    /// Starts the pack running itself: boots its members into the overlay
+    /// and arms its tick, which runs one maintenance stride and flushes
+    /// the members' WALs every `tick`.
+    ///
+    /// Slot 0 joins through `gateways` — the first members of the other
+    /// packs, `NodeAddr(0)`'s first — moving to the next once one hands
+    /// the join back or leaves it unanswered for `GATEWAY_RESENDS` (3)
+    /// re-sends; later slots join through slot 0. Only the pack hosting
+    /// `NodeAddr(0)` may seed the overlay: at once when fresh (or alone),
+    /// and, restarted ([`Pack::open_stores`] found slot 0's store), only
+    /// once every gateway has handed its join back.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty pack, or on one that cannot seed and has no
+    /// gateway.
+    pub fn start<S: FrameSink>(
+        &mut self,
+        sink: &mut S,
+        tick: SimDuration,
+        gateways: Vec<NodeAddr>,
+    ) {
+        assert!(!self.is_empty(), "an empty pack has nothing to start");
+        let seeds = self.shared.base == 0;
+        assert!(
+            seeds || !gateways.is_empty(),
+            "pack {} has no gateway",
+            self.shared.base
+        );
+        if seeds && (!self.restarted || gateways.is_empty()) {
+            self.members[0].seed_as_bootstrap();
+        }
+        let now = self.now();
+        self.tick = tick;
+        self.boot = Some(JoinWindow::new(gateways, seeds));
+        self.shared.arm(now + tick, Fire::Tick);
+        self.refill_joins(sink, now);
     }
 
     /// Delivers one decoded off-process message to the member hosting
@@ -237,25 +409,42 @@ impl Pack {
     }
 
     /// Drains the loopback queue to empty, deliveries enqueued along the
-    /// way included. Returns the number dispatched.
+    /// way included. Returns the number dispatched. A booting pack also
+    /// refills its join window, so a join that completed frees its place
+    /// in the same turn.
     pub fn pump<S: FrameSink>(&mut self, sink: &mut S) -> usize {
         let mut n = 0;
-        while let Some((from, slot, msg)) = self.shared.loopback.pop_front() {
-            self.dispatch(sink, slot, from, msg);
-            n += 1;
+        loop {
+            while let Some((from, slot, msg)) = self.shared.loopback.pop_front() {
+                self.dispatch(sink, slot, from, msg);
+                n += 1;
+            }
+            self.refill_joins(sink, self.shared.now());
+            if !self.has_loopback() {
+                return n;
+            }
         }
-        n
     }
 
-    /// Fires, on its owning member, every timer due at the instant of the
-    /// call — read once, so a handler re-arming with zero delay cannot
-    /// spin the turn. Returns how many fired.
+    /// Fires every timer due at the instant of the call — read once, so a
+    /// handler re-arming with zero delay cannot spin the turn: members'
+    /// protocol timers, and a started pack's join re-sends and tick.
+    /// Returns how many fired.
     pub fn fire_due<S: FrameSink>(&mut self, sink: &mut S) -> usize {
-        let now = self.shared.now();
+        self.fire_due_at(sink, self.shared.now())
+    }
+
+    fn fire_due_at<S: FrameSink>(&mut self, sink: &mut S, now: SimTime) -> usize {
         let mut fired = 0;
-        while let Some((slot, token)) = self.shared.pop_due(now) {
-            let (node, mut ctx) = self.ctx(sink, slot);
-            node.on_timer_via(&mut ctx, token);
+        while let Some(fire) = self.shared.pop_due(now) {
+            match fire {
+                Fire::Member(slot, token) => {
+                    let (node, mut ctx) = self.ctx(sink, slot);
+                    node.on_timer_via(&mut ctx, token);
+                }
+                Fire::Join(slot) => self.resend_join(sink, slot, now),
+                Fire::Tick => self.tick(sink),
+            }
             fired += 1;
         }
         fired
@@ -272,13 +461,6 @@ impl Pack {
         node.maintenance_round_via(&mut ctx);
     }
 
-    /// (Re-)sends member `slot`'s Pastry join toward `bootstrap` (which
-    /// may be another member of this pack — the join then rides loopback).
-    pub fn join_member<S: FrameSink>(&mut self, sink: &mut S, slot: u32, bootstrap: NodeAddr) {
-        let (node, mut ctx) = self.ctx(sink, slot);
-        node.join_via(&mut ctx, bootstrap);
-    }
-
     /// Runs `f` against member `slot` inside [`RbayNode::control`] with a
     /// live transport view: the member's clock is stamped first and its
     /// deferred operations are drained after. Use for control-plane
@@ -291,6 +473,119 @@ impl Pack {
     ) -> R {
         let (node, mut ctx) = self.ctx(sink, slot);
         node.control(&mut ctx, f)
+    }
+
+    /// The pack half of a graceful exit: the boot stops, every member
+    /// leaves its trees (so peers prune it at once instead of waiting out
+    /// failure detection), the Leave traffic is pumped out of loopback, and
+    /// the WALs are flushed. What is left is for the owner to write out.
+    ///
+    /// Leaves deliberately bypass the WAL: the departure is an artifact of
+    /// the restart, not a durable intent, so the store keeps the `SubAdd`
+    /// records and the next boot re-joins every tree.
+    pub fn leave<S: FrameSink>(&mut self, sink: &mut S) {
+        self.boot = None;
+        for slot in 0..self.len() {
+            self.with_member(sink, slot, |node, _| {
+                let subscribed = node.scribe.topics().filter(|(_, st)| st.subscribed);
+                let leaves = subscribed.map(|(&topic, _)| Op::Unsubscribe { topic });
+                node.host.ops.extend(leaves);
+            });
+        }
+        self.pump(sink);
+        self.flush_stores();
+    }
+
+    /// The store failures met since the last call, one line each.
+    pub fn take_warnings(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.warnings)
+    }
+
+    /// Sends member `slot`'s join through `via` and arms its re-send a
+    /// tick after `now`.
+    fn send_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32, via: NodeAddr, now: SimTime) {
+        let (node, mut ctx) = self.ctx(sink, slot);
+        node.join_via(&mut ctx, via);
+        self.shared.arm(now + self.tick, Fire::Join(slot));
+    }
+
+    /// Forgets completed joins and fills the window's free places with the
+    /// next members; the boot ends once every member has joined.
+    fn refill_joins<S: FrameSink>(&mut self, sink: &mut S, now: SimTime) {
+        let Some(mut window) = self.boot.take() else {
+            return;
+        };
+        let joined = |pack: &Pack, slot: u32| pack.members[slot as usize].pastry.is_joined();
+        window.in_flight.retain(|&slot| !joined(self, slot));
+        while window.in_flight.len() < JOIN_BATCH && window.next < self.len() {
+            let slot = window.next;
+            if slot > 0 && !joined(self, 0) {
+                break; // the local gateway member goes first
+            }
+            window.next += 1;
+            if !joined(self, slot) {
+                let via = if slot == 0 {
+                    window.gateways[window.at]
+                } else {
+                    self.addr_of(0)
+                };
+                self.send_join(sink, slot, via, now);
+                window.in_flight.push(slot);
+            }
+        }
+        if !window.in_flight.is_empty() || window.next < self.len() {
+            self.boot = Some(window);
+        }
+    }
+
+    /// Re-sends member `slot`'s join if the pack still boots and the join
+    /// has not completed; slot 0's goes through the gateway
+    /// [`JoinWindow::next_gateway`] picks, or slot 0 seeds.
+    fn resend_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32, now: SimTime) {
+        let Some(window) = self.boot.as_mut() else {
+            return;
+        };
+        if self.members[slot as usize].pastry.is_joined() {
+            return;
+        }
+        let via = if slot > 0 {
+            self.addr_of(0)
+        } else if let Some(gateway) =
+            window.next_gateway(self.members[0].pastry.join_handed_back_by())
+        {
+            gateway
+        } else {
+            self.members[0].seed_as_bootstrap();
+            return;
+        };
+        self.send_join(sink, slot, via, now);
+    }
+
+    /// One maintenance stride — `⌈len / MAINT_SWEEP_TICKS⌉` members,
+    /// rotating — and a WAL flush; the next tick is armed a `tick` after
+    /// the work.
+    fn tick<S: FrameSink>(&mut self, sink: &mut S) {
+        for _ in 0..self.len().div_ceil(MAINT_SWEEP_TICKS) {
+            self.maintenance_round(sink, self.maint_cursor);
+            self.maint_cursor = (self.maint_cursor + 1) % self.len();
+        }
+        // Under `FsyncPolicy::Batch` one sync_data per dirty member per
+        // tick bounds what a power failure can lose to a tick.
+        self.flush_stores();
+        let next = self.shared.now() + self.tick;
+        self.shared.arm(next, Fire::Tick);
+    }
+
+    /// Flushes every member's WAL (one `sync_data` per dirty store under
+    /// the batch fsync policy; a no-op otherwise).
+    fn flush_stores(&mut self) {
+        for member in &mut self.members {
+            if let Some(store) = member.host.store.as_mut() {
+                if let Err(e) = store.flush() {
+                    self.warnings.push(format!("WAL flush failed: {e}"));
+                }
+            }
+        }
     }
 }
 
@@ -310,13 +605,18 @@ mod tests {
         }
     }
 
+    /// Sends member `slot`'s join toward `via` outside any boot.
+    fn join(pack: &mut Pack, sink: &mut VecSink, slot: u32, via: NodeAddr) {
+        pack.with_member(sink, slot, |node, ctx| node.pastry.join(ctx, via));
+    }
+
     #[test]
     fn members_join_each_other_over_loopback() {
         let mut pack = Pack::new(0, (0..4).map(node).collect());
         let mut sink = VecSink::default();
-        pack.member_mut(0).seed_as_bootstrap();
+        pack.members[0].seed_as_bootstrap();
         for slot in 1..4 {
-            pack.join_member(&mut sink, slot, NodeAddr(0));
+            join(&mut pack, &mut sink, slot, NodeAddr(0));
         }
         // Joins and their replies ride the loopback queue only.
         let mut rounds = 0;
@@ -345,7 +645,7 @@ mod tests {
         // Member in slot 1 (addr 11) joins via a bootstrap outside the
         // pack: the join frame must leave through the sink, stamped with
         // the member's own address.
-        pack.join_member(&mut sink, 1, NodeAddr(500));
+        join(&mut pack, &mut sink, 1, NodeAddr(500));
         assert_eq!(sink.0.len(), 1);
         let (from, to, frame) = &sink.0[0];
         assert_eq!(*from, NodeAddr(11));
@@ -366,10 +666,10 @@ mod tests {
     fn misdirected_messages_are_refused() {
         let mut pack = Pack::new(0, vec![node(0)]);
         let mut sink = VecSink::default();
-        pack.member_mut(0).seed_as_bootstrap();
+        pack.members[0].seed_as_bootstrap();
         // Borrow a real message by round-tripping a join through the sink.
         let mut other = Pack::new(77, vec![node(77)]);
-        other.join_member(&mut sink, 0, NodeAddr(0));
+        join(&mut other, &mut sink, 0, NodeAddr(0));
         let (_, _, frame) = sink.0.pop().unwrap();
         let msg = rbay_wire::decode_frame::<RbayMsg>(&frame).unwrap();
         assert!(!pack.on_message(&mut sink, NodeAddr(77), NodeAddr(99), msg));
@@ -395,6 +695,144 @@ mod tests {
         }
         assert_eq!(fired, 2, "one slot's timer clobbered the other's");
         assert_eq!(pack.next_deadline(), None);
+    }
+
+    /// Captures off-process frames as `(from, to)`.
+    #[derive(Default)]
+    struct Frames(Vec<(NodeAddr, NodeAddr)>);
+
+    impl FrameSink for Frames {
+        fn send_frame(&mut self, from: NodeAddr, to: NodeAddr, _: Vec<u8>) {
+            self.0.push((from, to));
+        }
+    }
+
+    /// The second of two 40-member packs, booting through `gateways`
+    /// with a 150 ms tick: its join window open, its tick not armed.
+    fn booting(gateways: Vec<NodeAddr>) -> (Pack, SimDuration) {
+        let mut pack = Pack::new(40, (40..80).map(node).collect());
+        let tick = SimDuration::from_millis(150);
+        pack.tick = tick;
+        pack.boot = Some(JoinWindow::new(gateways, false));
+        (pack, tick)
+    }
+
+    fn in_flight(pack: &Pack) -> Vec<u32> {
+        pack.boot
+            .as_ref()
+            .map_or(Vec::new(), |w| w.in_flight.clone())
+    }
+
+    /// Slot 0 joins first and alone; a join unanswered for a tick is
+    /// re-sent; no more than `JOIN_BATCH` are ever in flight, and one that
+    /// completes is replaced in the same turn.
+    #[test]
+    fn join_window_paces_joins_by_their_completion() {
+        let (mut pack, tick) = booting(vec![NodeAddr(0)]);
+        let mut sink = Frames::default();
+        let t0 = pack.now();
+
+        pack.refill_joins(&mut sink, t0);
+        assert_eq!(in_flight(&pack), [0], "slot 0 goes alone");
+        assert_eq!(sink.0, [(NodeAddr(40), NodeAddr(0))]);
+        pack.fire_due_at(&mut sink, t0 + SimDuration::from_millis(75));
+        assert_eq!(sink.0.len(), 1, "no re-send inside a tick");
+        assert_eq!(pack.next_deadline(), Some(t0 + tick));
+        pack.fire_due_at(&mut sink, t0 + tick);
+        assert_eq!(sink.0.len(), 2, "re-sent after a tick");
+
+        // Slot 0 joined: the window fills through it, over loopback.
+        pack.members[0].seed_as_bootstrap();
+        let t1 = t0 + tick;
+        pack.refill_joins(&mut sink, t1);
+        assert_eq!(in_flight(&pack), (1..=16).collect::<Vec<u32>>());
+        assert_eq!(sink.0.len(), 2, "later slots join locally");
+        assert!(pack.has_loopback());
+
+        // One completes: its place is refilled in the same turn.
+        pack.members[3].seed_as_bootstrap();
+        pack.refill_joins(&mut sink, t1);
+        assert_eq!(in_flight(&pack).len(), JOIN_BATCH);
+        assert!(!in_flight(&pack).contains(&3));
+        assert_eq!(in_flight(&pack).last(), Some(&17));
+        assert_eq!(pack.next_deadline(), Some(t1 + tick));
+
+        // Pumping answers the joins over loopback, and every completion
+        // starts the next join within the same pump: the boot ends in one.
+        pack.pump(&mut sink);
+        assert!((0..40).all(|slot| pack.member(slot).pastry.is_joined()));
+        assert!(pack.boot.is_none(), "the window closes once all joined");
+        assert_eq!(sink.0.len(), 2, "later slots join locally");
+    }
+
+    /// A restarted first pack moves its first member's join to the next
+    /// gateway once the one in use hands it back or goes
+    /// `GATEWAY_RESENDS` re-sends unanswered, and seeds only once every
+    /// gateway has handed it back. Any other pack never seeds.
+    #[test]
+    fn a_rejoining_daemon_0_tries_each_gateway_and_seeds_when_all_refuse() {
+        let (g1, g2) = (NodeAddr(40), NodeAddr(80));
+        let mut joins = JoinWindow::new(vec![g1, g2], true);
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(None), Some(g2), "g1 unanswered");
+        // A late hand-back from g1 is not held against g2.
+        assert_eq!(joins.next_gateway(Some(g1)), Some(g2));
+        assert_eq!(joins.next_gateway(Some(g2)), Some(g1), "g2 refused");
+        assert_eq!(joins.next_gateway(None), Some(g1));
+        assert_eq!(joins.next_gateway(Some(g1)), None, "both refused: seed");
+
+        let mut joins = JoinWindow::new(vec![NodeAddr(0)], false);
+        for _ in 0..10 {
+            assert_eq!(joins.next_gateway(Some(NodeAddr(0))), Some(NodeAddr(0)));
+        }
+        let mut joins = JoinWindow::new(vec![NodeAddr(0), g2], false);
+        for _ in 0..10 {
+            let via = joins.next_gateway(Some(joins.gateways[joins.at]));
+            assert!(via.is_some(), "a pack off NodeAddr(0) never seeds");
+        }
+    }
+
+    /// A pack other than the first, restarted while `NodeAddr(0)` is
+    /// silent, sends its first member's join there `GATEWAY_RESENDS`
+    /// times, then through the next pack's first member, and so on in
+    /// turn; it never seeds an overlay of its own.
+    #[test]
+    fn a_later_pack_moves_past_a_silent_gateway_0_and_never_seeds() {
+        let (g0, g2) = (NodeAddr(0), NodeAddr(80));
+        let (mut pack, tick) = booting(vec![g0, g2]);
+        let mut sink = Frames::default();
+        let t0 = pack.now();
+        pack.refill_joins(&mut sink, t0);
+        for n in 1..=9 {
+            pack.fire_due_at(
+                &mut sink,
+                t0 + SimDuration::from_micros(n * tick.as_micros()),
+            );
+        }
+        let sent_to: Vec<NodeAddr> = sink.0.iter().map(|&(_, to)| to).collect();
+        assert_eq!(sent_to, [g0, g0, g0, g2, g2, g2, g0, g0, g0, g2]);
+        assert!(
+            !pack.member(0).pastry.is_joined(),
+            "no seed off NodeAddr(0)"
+        );
+        assert_eq!(in_flight(&pack), [0]);
+    }
+
+    /// A started pack arms its tick and nothing else a fresh first pack
+    /// needs: it seeds at once and its window has nothing to join but
+    /// its own later members, over loopback.
+    #[test]
+    fn a_fresh_first_pack_seeds_at_once_and_boots_over_loopback() {
+        let mut pack = Pack::new(0, (0..40).map(node).collect());
+        let mut sink = Frames::default();
+        assert_eq!(pack.next_deadline(), None, "unstarted: nothing armed");
+        pack.start(&mut sink, SimDuration::from_millis(150), vec![NodeAddr(40)]);
+        assert!(pack.member(0).pastry.is_joined(), "seeded at start");
+        pack.pump(&mut sink);
+        assert!((0..40).all(|slot| pack.member(slot).pastry.is_joined()));
+        assert!(sink.0.is_empty(), "a fresh first pack sends nothing out");
+        assert!(pack.boot.is_none());
     }
 
     /// One arm script for both backends: `A` and `B` now, `A` again, `C`
@@ -434,8 +872,13 @@ mod tests {
         let mut sink = VecSink::default();
         pack.with_member(&mut sink, 0, |_, ctx| arm_script(ctx));
         let now = pack.now();
-        let fired: Vec<TimerToken> = std::iter::from_fn(|| pack.shared.pop_due(now))
-            .map(|(_slot, token)| token)
+        let fired: Vec<Fire> = std::iter::from_fn(|| pack.shared.pop_due(now)).collect();
+        let fired: Vec<TimerToken> = fired
+            .into_iter()
+            .map(|fire| match fire {
+                Fire::Member(_slot, token) => token,
+                other => panic!("an unstarted pack fired {other:?}"),
+            })
             .collect();
         assert_eq!(fired, [A, B, A], "pack");
         assert!(pack.next_deadline() > Some(now), "C pends");

@@ -21,10 +21,12 @@
 //!   at the live `(snapshot, wal)` pair. Old generations are deleted
 //!   after the manifest commits, so a crash at any instant leaves either
 //!   the old pair or the new pair fully intact.
-//! * **Fsync policy** — [`FsyncPolicy::Always`] syncs every append (the
-//!   paranoid default for single-record durability), [`FsyncPolicy::Batch`]
-//!   syncs on explicit [`Store::flush`] calls (the daemon flushes once
-//!   per tick and on shutdown), [`FsyncPolicy::Never`] is for tests.
+//! * **Fsync policy** — [`FsyncPolicy::Always`] syncs every append
+//!   (single-record durability, one `sync_data` per append);
+//!   [`FsyncPolicy::Batch`], the daemon's default, syncs on explicit
+//!   [`Store::flush`] calls (a started `rbay_core::Pack` flushes once per
+//!   tick and on leaving); [`FsyncPolicy::Never`] leaves it to the page
+//!   cache, which a process kill does not lose.
 //!
 //! The crate is deliberately ignorant of `rbay-core`: it persists raw
 //! query ids (`u64`) and AA source text (`String`), and the host replays
