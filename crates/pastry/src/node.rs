@@ -151,6 +151,25 @@ struct JoinProbe {
     held: Vec<(NodeInfo, Vec<Vec<NodeInfo>>)>,
 }
 
+/// Where a node stands in the join protocol: one value, written only by
+/// the join handlers ([`PastryNode::join`], the `Join`, `JoinReply` and
+/// probe-answering `LeafRepairReply` handlers) and by
+/// [`PastryNode::seed_state`].
+#[derive(Debug)]
+enum JoinState {
+    /// No `JoinReply` yet; with the node that handed back the `Join` this
+    /// node last sent, not having joined itself, if one has.
+    Unjoined(Option<NodeAddr>),
+    /// The `JoinReply` arrived and leaf-set probes are outstanding.
+    Probing(Box<JoinProbe>),
+    /// Every probe answered, or seeded.
+    Joined,
+}
+
+// A federation holds one `PastryNode` per member, so its width is paid
+// per member.
+const _: () = assert!(std::mem::size_of::<PastryNode>() <= 304);
+
 /// Protocol state of one Pastry node.
 ///
 /// The node participates in the global overlay and, for administrative
@@ -163,17 +182,7 @@ pub struct PastryNode {
     leaf: LeafSet,
     site_rt: RoutingTable,
     site_leaf: LeafSet,
-    joined: bool,
-    /// The leaf-set probes of a join in progress: `Some` from the
-    /// `JoinReply` until every probe is answered, `None` otherwise — and
-    /// always `None` on a seeded node, so it costs a joined node one
-    /// pointer.
-    probe: Option<Box<JoinProbe>>,
-    /// The node that handed back the `Join` this node last sent, not
-    /// having joined itself; this node's own address when none has. (A
-    /// sentinel rather than an `Option`, which would not fit beside
-    /// `joined`.)
-    handed_back_by: NodeAddr,
+    join: JoinState,
     /// Observability-plane handle; disabled (a no-op) by default.
     obs: Recorder,
     /// Round-robin position for [`PastryNode::gossip_round`].
@@ -196,9 +205,7 @@ impl PastryNode {
             leaf: LeafSet::new(info.id),
             site_rt: RoutingTable::new(info.id),
             site_leaf: LeafSet::new(info.id),
-            joined: false,
-            probe: None,
-            handed_back_by: info.addr,
+            join: JoinState::Unjoined(None),
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
@@ -219,15 +226,18 @@ impl PastryNode {
     /// arrived and every leaf-set member it learned of since answered its
     /// probe — or was seeded via [`PastryNode::seed_state`].
     pub fn is_joined(&self) -> bool {
-        self.joined
+        matches!(self.join, JoinState::Joined)
     }
 
     /// The node that handed back the `Join` this node last sent, because
-    /// it has not joined either; `None` if none has. A bootstrap that
-    /// hands joins back is no way into an overlay, so the joiner should
-    /// try another.
+    /// it has not joined either; `None` if none has, or once a `JoinReply`
+    /// arrived. A bootstrap that hands joins back is no way into an
+    /// overlay, so the joiner should try another.
     pub fn join_handed_back_by(&self) -> Option<NodeAddr> {
-        (self.handed_back_by != self.info.addr).then_some(self.handed_back_by)
+        match self.join {
+            JoinState::Unjoined(handed_back_by) => handed_back_by,
+            _ => None,
+        }
     }
 
     /// The global leaf set (read-only).
@@ -296,7 +306,7 @@ impl PastryNode {
         self.leaf = leaf;
         self.site_rt = site_rt;
         self.site_leaf = site_leaf;
-        self.joined = true;
+        self.join = JoinState::Joined;
     }
 
     /// One round of peer-set anti-entropy: announces this node to one
@@ -312,7 +322,7 @@ impl PastryNode {
     /// before a joiner counts as joined. Both handlers are idempotent, so
     /// extra rounds are harmless.
     pub fn gossip_round<A, N: Net<A>>(&mut self, net: &mut N) {
-        if !self.joined {
+        if !self.is_joined() {
             return;
         }
         let n = self.peers().count();
@@ -482,8 +492,10 @@ impl PastryNode {
     /// ([`PastryNode::join_handed_back_by`]), and the next re-send tries
     /// again.
     pub fn join<A, N: Net<A>>(&mut self, net: &mut N, bootstrap: NodeAddr) {
-        let Some(probe) = self.probe.as_deref_mut() else {
-            self.handed_back_by = self.info.addr;
+        let JoinState::Probing(probe) = &mut self.join else {
+            if !self.is_joined() {
+                self.join = JoinState::Unjoined(None);
+            }
             net.send(
                 bootstrap,
                 PastryMsg::Join {
@@ -529,12 +541,12 @@ impl PastryNode {
         if joiner.addr == self.info.addr {
             // Every hop routes a join as if the joiner were absent, so
             // only a hand-back brings it here.
-            if !self.joined && self.probe.is_none() {
-                self.handed_back_by = from;
+            if let JoinState::Unjoined(handed_back_by) = &mut self.join {
+                *handed_back_by = Some(from);
             }
             return;
         }
-        if !self.joined && self.probe.is_none() {
+        if let JoinState::Unjoined(_) = self.join {
             // Handed back with a hop count of zero, which only the
             // joiner's own first send otherwise carries.
             net.send(
@@ -581,7 +593,7 @@ impl PastryNode {
             net.send(next.addr, PastryMsg::Join { joiner, rows, hops });
             return;
         }
-        if let Some(probe) = self.probe.as_deref_mut() {
+        if let JoinState::Probing(probe) = &mut self.join {
             if !probe.held.iter().any(|(j, _)| j.addr == joiner.addr) {
                 probe.held.push((joiner, rows));
             }
@@ -603,7 +615,7 @@ impl PastryNode {
     /// completes the join once no probe is outstanding. A no-op unless a
     /// join is in progress.
     fn probe_leaves<A, N: Net<A>>(&mut self, net: &mut N) {
-        let Some(probe) = self.probe.as_deref_mut() else {
+        let JoinState::Probing(probe) = &mut self.join else {
             return;
         };
         for peer in self.leaf.members().chain(self.site_leaf.members()) {
@@ -616,8 +628,7 @@ impl PastryNode {
         }
         if probe.waiting.is_empty() {
             let held = std::mem::take(&mut probe.held);
-            self.probe = None;
-            self.joined = true;
+            self.join = JoinState::Joined;
             for (joiner, rows) in held {
                 self.on_join(net, joiner.addr, joiner, rows, 0);
             }
@@ -669,10 +680,10 @@ impl PastryNode {
                 for e in rows.into_iter().flatten().chain(leaves).chain([root]) {
                     self.insert_peer(net, e);
                 }
-                if self.joined {
+                if self.is_joined() {
                     return; // a late reply to a re-sent join
                 }
-                if self.probe.is_none() {
+                if let JoinState::Unjoined(_) = self.join {
                     // Announce ourselves to everyone we now know; leaf-set
                     // members hear it with their probe.
                     let me = self.info;
@@ -685,7 +696,7 @@ impl PastryNode {
                     for peer in self.peers().filter(|p| !in_leaf(p)) {
                         net.send(peer.addr, PastryMsg::Announce { info: me });
                     }
-                    self.probe = Some(Box::default());
+                    self.join = JoinState::Probing(Box::default());
                 }
                 self.probe_leaves(net);
             }
@@ -715,7 +726,7 @@ impl PastryNode {
                 for e in leaves {
                     self.insert_peer(net, e);
                 }
-                if let Some(probe) = self.probe.as_deref_mut() {
+                if let JoinState::Probing(probe) = &mut self.join {
                     probe.waiting.retain(|&a| a != from);
                     self.probe_leaves(net);
                 }
@@ -1052,7 +1063,7 @@ mod tests {
             node.insert_peer(&net, info(id.as_u128(), a, (a % 3 == 0) as u16));
         }
         node.handle_failure(&mut net, NodeAddr(7));
-        node.joined = true;
+        node.join = JoinState::Joined;
         let mut listed: Vec<NodeInfo> = Vec::new();
         for e in node
             .rt

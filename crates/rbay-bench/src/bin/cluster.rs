@@ -144,6 +144,10 @@ fn parse_args() -> Args {
         eprintln!("--agents-per-proc must be >= 1");
         std::process::exit(2);
     }
+    if let Err(e) = rbay_bench::cluster::check_sites(args.agents, args.num_sites) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     if args.tick_ms == 0 {
         // Big fleets tick slower: maintenance is O(members) per tick, and
         // joins are paced by their replies, not by the tick.

@@ -45,9 +45,10 @@ use rbay_bench::cluster::{self, CtrlMsg};
 use rbay_bench::flag_value;
 use rbay_core::{
     FrontdoorConfig, FrontdoorResponse, FrontdoorStats, Pack, QueryId, RbayConfig, RbayMsg,
+    RbayNode,
 };
 use rbay_query::{parse_query, ParseQueryError, Query};
-use rbay_store::{FsyncPolicy, StoreStats};
+use rbay_store::FsyncPolicy;
 use rbay_wire::{decode_frame, encode_frame, BusLoop, Inbound};
 use simnet::{NodeAddr, SimDuration};
 use std::collections::HashMap;
@@ -122,6 +123,10 @@ fn parse_args() -> Args {
         eprintln!("--agents-per-proc must be >= 1");
         std::process::exit(2);
     }
+    if let Err(e) = cluster::check_sites(args.agents, args.num_sites) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     if args.index.saturating_mul(args.per) >= args.agents {
         eprintln!("--index hosts no members (index * per >= agents)");
         std::process::exit(2);
@@ -147,19 +152,13 @@ fn main() -> ExitCode {
         frontdoor_invalidation: args.frontdoor,
         ..RbayConfig::default()
     };
-    let members = (start..end)
-        .map(|a| cluster::build_node(a, args.agents, args.num_sites, cfg.clone()))
-        .collect();
+    let topology = cluster::daemon_topology(args.agents, args.num_sites);
+    let member = RbayNode::members(&topology, Rc::new(cfg));
+    let members = (start..end).map(|a| member(NodeAddr(a))).collect();
     let mut pack = Pack::new(start, members);
     if let Some(dir) = &args.data_dir {
-        let r = pack.open_stores(dir, args.fsync);
-        if r.replay_records > 0 || r.attrs > 0 {
-            eprintln!(
-                "rbay-node[{index}]: restored {} attr(s), {} handler(s) ({} quarantined), \
-                 {} sub(s) from {} WAL record(s) in {} us",
-                r.attrs, r.handlers, r.quarantined, r.subs, r.replay_records, r.replay_micros
-            );
-        }
+        pack.open_stores(dir, args.fsync);
+        report_restore(&pack, index);
     }
     // Every other process's first member, process 0's first.
     let gateways = (0..args.agents)
@@ -173,6 +172,27 @@ fn main() -> ExitCode {
         bus.local_addr(),
     );
     run(&mut pack, &mut bus, index)
+}
+
+/// Prints what the pack's stores gave back at open: the members' restored
+/// attributes, handlers and subscriptions, and the replay's summed store
+/// counters ([`Pack::store_stats`]). Silent after a fresh open.
+fn report_restore(pack: &Pack, index: u32) {
+    let (mut attrs, mut handlers, mut subs) = (0, 0, 0);
+    for slot in 0..pack.len() {
+        let host = &pack.member(slot).host;
+        attrs += host.attrs.len();
+        handlers += host.attr_aas.len() + usize::from(host.node_aa.is_some());
+        subs += host.sub_requested.len();
+    }
+    let s = pack.store_stats();
+    if s.replay_records > 0 || attrs > 0 {
+        eprintln!(
+            "rbay-node[{index}]: restored {attrs} attr(s), {handlers} handler(s) ({} quarantined), \
+             {subs} sub(s) from {} WAL record(s) in {} us",
+            s.relint_rejects, s.replay_records, s.replay_micros
+        );
+    }
 }
 
 /// What the ctrl handlers keep between turns.
@@ -416,7 +436,6 @@ fn proc_status(pack: &Pack, bus: &BusLoop) -> CtrlMsg {
     let mut committed = 0;
     let mut min_known_peers = u32::MAX;
     let mut frontdoor = FrontdoorStats::default();
-    let mut store = StoreStats::default();
     for slot in 0..pack.len() {
         let node = pack.member(slot);
         if node.pastry.is_joined() {
@@ -431,9 +450,6 @@ fn proc_status(pack: &Pack, bus: &BusLoop) -> CtrlMsg {
         if let Some(fd) = &node.host.frontdoor {
             frontdoor.merge(&fd.stats);
         }
-        if let Some(s) = &node.host.store {
-            store.merge(&s.stats());
-        }
     }
     CtrlMsg::ProcStatusReply {
         members: pack.len(),
@@ -445,7 +461,7 @@ fn proc_status(pack: &Pack, bus: &BusLoop) -> CtrlMsg {
         min_known_peers: if pack.is_empty() { 0 } else { min_known_peers },
         drops: bus.drop_stats(),
         frontdoor,
-        store,
+        store: pack.store_stats(),
     }
 }
 

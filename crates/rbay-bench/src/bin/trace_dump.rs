@@ -193,7 +193,7 @@ fn main() {
         let mut revived = cluster::build_node(0, 2, 1, deny);
         revived.host.obs = store_rec.clone();
         let (store, _) = Store::open(&dir, FsyncPolicy::Never).expect("reopen store");
-        let summary = revived.host.attach_store(Box::new(store));
+        revived.host.attach_store(Box::new(store));
         for ev in store_rec.events() {
             match ev {
                 ObsEvent::StoreAppend {
@@ -217,14 +217,13 @@ fn main() {
                 _ => {}
             }
         }
+        let host = &revived.host;
         println!(
             "  => restored {} attr(s), {} handler(s), {} quarantined: {:?}",
-            summary.attrs,
-            summary.handlers,
-            summary.quarantined,
-            revived
-                .host
-                .quarantined
+            host.attrs.len(),
+            host.attr_aas.len() + usize::from(host.node_aa.is_some()),
+            host.quarantined.len(),
+            host.quarantined
                 .iter()
                 .map(|(label, _)| label.as_str())
                 .collect::<Vec<_>>()

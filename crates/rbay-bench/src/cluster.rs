@@ -14,7 +14,6 @@
 //! converged TCP deployment and a simulated one answer queries through
 //! identical gateway logic.
 
-use aascript::SharedSandbox;
 use rbay_core::{Candidate, RbayConfig, RbayNode};
 use rbay_wire::{
     decode_frame, encode_frame, read_frame, wire_enum, write_frame, Hello, Resolver, MAX_FRAME_LEN,
@@ -81,15 +80,29 @@ pub fn daemon_topology(count: u32, num_sites: u16) -> Topology {
     )
 }
 
+/// Whether [`daemon_topology`] gives each of `num_sites` sites at least one
+/// of `count` members — the rule [`RbayNode::members`] asserts, since a
+/// site without members has no gateway for queries to enter through. The
+/// blocks are filled in order, so too many sites leave the last ones
+/// empty: 9 members over 4 sites are sites of 3, 3, 3 and 0.
+pub fn check_sites(count: u32, num_sites: u16) -> Result<(), String> {
+    let sites = u64::from(num_sites);
+    let per = u64::from(count).div_ceil(sites.max(1));
+    if sites == 0 || per * (sites - 1) >= u64::from(count) {
+        return Err(format!(
+            "--num-sites {num_sites} leaves a site without members: {count} agent(s) fill \
+             sites of {per} in order"
+        ));
+    }
+    Ok(())
+}
+
 /// Builds daemon `index`'s [`RbayNode`] as the simulated `Federation`
-/// builds its members ([`RbayNode::member`]), over [`daemon_topology`].
+/// builds its members ([`RbayNode::members`]), over [`daemon_topology`].
+/// A daemon hosting many members builds them with one
+/// [`RbayNode::members`] instead, so they share one context.
 pub fn build_node(index: u32, count: u32, num_sites: u16, cfg: RbayConfig) -> RbayNode {
-    RbayNode::member(
-        &daemon_topology(count, num_sites),
-        NodeAddr(index),
-        Rc::new(cfg),
-        SharedSandbox::new(),
-    )
+    RbayNode::members(&daemon_topology(count, num_sites), Rc::new(cfg))(NodeAddr(index))
 }
 
 /// The control protocol between the `cluster` harness (or any operator
@@ -562,6 +575,26 @@ mod tests {
         // per = 1 matches the historical one-agent-per-process plan.
         let r1 = resolver(50_000, 3);
         assert_eq!(r1(NodeAddr(2)), Some(proc_sock(50_000, 2)));
+    }
+
+    /// The check refuses exactly the shapes whose layout leaves a site
+    /// empty, and no sites at all.
+    #[test]
+    fn site_check_refuses_every_layout_with_an_empty_site() {
+        assert!(check_sites(9, 4).is_err(), "sites of 3, 3, 3 and 0");
+        assert!(check_sites(12, 3).is_ok());
+        for count in 0..40 {
+            assert!(check_sites(count, 0).is_err(), "{count} agents, 0 sites");
+            for sites in 1..12u16 {
+                let topo = daemon_topology(count, sites);
+                let full = (0..sites).all(|s| topo.site(SiteId(s)).nodes > 0);
+                assert_eq!(
+                    check_sites(count, sites).is_ok(),
+                    full,
+                    "{count} over {sites}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `--data-dir`; the recovered process must answer queries from its
 //! journaled state — attributes back in place, the password `onGet`
 //! guard re-installed without any operator re-installation, and the
-//! pre-kill commit still on the ledger.
+//! pre-kill commit still on the ledger. Also: a site layout with an empty
+//! site is refused before any daemon starts.
 
 use rbay_bench::cluster::{proc_sock, to, Ctrl, CtrlMsg, Daemon};
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
@@ -168,4 +169,30 @@ fn killed_daemon_recovers_state_and_answers_queries() {
 
     drop(daemon);
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// 9 agents over 4 sites leave the last site without members, and so
+/// without a gateway: the daemon and the harness both refuse the shape
+/// with exit status 2 instead of panicking on the first query there.
+#[test]
+fn a_layout_with_an_empty_site_is_refused() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_rbay-node"),
+            ["--agents", "9", "--num-sites", "4"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_rbay-node"),
+            ["--agents", "9", "--num-sites", "0"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_cluster"),
+            ["--agents", "9", "--num-sites", "4"],
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {err}");
+        assert!(err.contains("leaves a site without members"), "{err}");
+    }
 }

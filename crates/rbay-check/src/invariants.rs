@@ -369,7 +369,7 @@ fn attachment_map(fed: &Federation, topic: TopicId) -> BTreeMap<NodeAddr, Vec<No
     let mut map: BTreeMap<NodeAddr, Vec<NodeAddr>> = BTreeMap::new();
     for p in live_nodes(fed) {
         if let Some(st) = fed.node(p).scribe.topic(topic) {
-            for &c in &st.children {
+            for &c in st.children.keys() {
                 if live(fed, c) {
                     map.entry(c).or_default().push(p);
                 }
@@ -503,7 +503,7 @@ impl StepTracker {
         }
         for n in live_nodes(fed) {
             if let Some(st) = fed.node(n).scribe.topic(ctx.topic) {
-                if st.parent == Some(n) || st.children.contains(&n) {
+                if st.parent == Some(n) || st.children.contains_key(&n) {
                     return Some(Violation::SelfLink { node: n });
                 }
             }
@@ -584,7 +584,7 @@ pub fn check_quiescent(fed: &Federation, ctx: &InvariantCtx) -> Option<Violation
                     .node(p)
                     .scribe
                     .topic(topic)
-                    .is_some_and(|ps| ps.children.contains(n));
+                    .is_some_and(|ps| ps.children.contains_key(n));
                 if !listed {
                     return Some(Violation::DetachedAttachment {
                         child: *n,

@@ -114,7 +114,10 @@ fn dump_tree(st: &rbay_check::scenario::ChurnState, nodes: u32) {
         if let Some(ts) = st.fed.node(addr).scribe.topic(st.topic) {
             eprintln!(
                 "node {n}: root={} parent={:?} children={:?} subscribed={}",
-                ts.is_root, ts.parent, ts.children, ts.subscribed
+                ts.is_root,
+                ts.parent,
+                ts.children.keys(),
+                ts.subscribed
             );
         }
         for (t, rep) in st.fed.node(addr).scribe.replicas() {

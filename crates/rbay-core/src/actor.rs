@@ -49,32 +49,45 @@ impl RbayNode {
         }
     }
 
-    /// Member `addr` of the federation laid out by `topology`. The
+    /// The builder of every member of the federation laid out by
+    /// `topology`: `members(topology, cfg)(addr)` is member `addr`. The
     /// simulator and every TCP daemon build their members here, so a
     /// deployment agrees on each member's ring id
-    /// ([`RbayNode::member_info`]) and on [`RbayNode::gateways`].
-    pub fn member(
-        topology: &Topology,
-        addr: NodeAddr,
-        cfg: Rc<RbayConfig>,
-        sandbox: SharedSandbox,
-    ) -> Self {
-        let info = Self::member_info(topology, addr);
-        let site_names = (0..topology.site_count() as u16)
+    /// ([`RbayNode::member_info`]) and on [`RbayNode::gateways`]. The
+    /// members one builder makes share `cfg`, one AA sandbox and one copy
+    /// of the site layout (names and gateways).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site of `topology` has no nodes: it would have no
+    /// gateway to send its queries to.
+    pub fn members(topology: &Topology, cfg: Rc<RbayConfig>) -> impl Fn(NodeAddr) -> RbayNode {
+        let gateways: Rc<[Vec<NodeAddr>]> = Self::gateways(topology).into();
+        assert!(
+            gateways.iter().all(|g| !g.is_empty()),
+            "every site has nodes"
+        );
+        let site_names: Rc<[String]> = (0..topology.site_count() as u16)
             .map(|s| topology.site(SiteId(s)).name.clone())
             .collect();
-        RbayNode {
-            pastry: PastryNode::new(info),
-            scribe: ScribeLayer::new(),
-            host: RbayHost::new(
-                cfg,
+        let sandbox = SharedSandbox::new();
+        let topology = topology.clone();
+        move |addr| {
+            let info = Self::member_info(&topology, addr);
+            let host = RbayHost::new(
+                Rc::clone(&cfg),
                 info.id,
                 addr,
                 info.site,
-                sandbox,
-                Self::gateways(topology),
-                site_names,
-            ),
+                sandbox.clone(),
+                Rc::clone(&gateways),
+                Rc::clone(&site_names),
+            );
+            RbayNode {
+                pastry: PastryNode::new(info),
+                scribe: ScribeLayer::new(),
+                host,
+            }
         }
     }
 
@@ -308,8 +321,8 @@ pub(crate) mod tests {
             info.addr,
             info.site,
             SharedSandbox::new(),
-            vec![vec![NodeAddr(0)]],
-            vec!["site0".into()],
+            vec![vec![NodeAddr(0)]].into(),
+            vec!["site0".into()].into(),
         );
         RbayNode {
             pastry: PastryNode::new(info),

@@ -1152,8 +1152,8 @@ mod tests {
                 NodeAddr(0),
                 SiteId(0),
                 SharedSandbox::new(),
-                vec![vec![NodeAddr(0)]],
-                vec!["site0".into()],
+                vec![vec![NodeAddr(0)]].into(),
+                vec!["site0".into()].into(),
             );
             let old = issue_answered(&mut h, vec![cand(1, None)]);
             h.now = SimTime::ZERO + h.cfg.query_timeout + SimDuration::from_millis(1);

@@ -7,7 +7,6 @@ use crate::actor::RbayNode;
 use crate::frontdoor::{lowest_rtt_site, FrontdoorConfig, FrontdoorResponse, FrontdoorStats};
 use crate::host::{Op, RbayConfig, RbayHost};
 use crate::types::{AdminCommand, Candidate, QueryId, QueryRecord, RbayEvent, RbayPayload};
-use aascript::SharedSandbox;
 use pastry::{seed_overlay, PastryNode};
 use rbay_query::{parse_query, AttrValue, ParseQueryError, Query};
 use scribe::TopicId;
@@ -53,16 +52,8 @@ impl Federation {
     /// Builds a federation with a custom [`RbayConfig`].
     pub fn with_config(topology: Topology, seed: u64, cfg: RbayConfig) -> Self {
         let cfg = Rc::new(cfg);
-        let sandbox = SharedSandbox::new();
-        assert!(
-            RbayNode::gateways(&topology).iter().all(|g| !g.is_empty()),
-            "every site has nodes"
-        );
-        let cfg2 = Rc::clone(&cfg);
-        let topo2 = topology.clone();
-        let mut sim = Simulation::new(topology, seed, move |addr| {
-            RbayNode::member(&topo2, addr, Rc::clone(&cfg2), sandbox.clone())
-        });
+        let member = RbayNode::members(&topology, Rc::clone(&cfg));
+        let mut sim = Simulation::new(topology, seed, member);
 
         // Seed the converged overlay (protocol joins remain available and
         // are tested separately; the evaluation runs over a stable

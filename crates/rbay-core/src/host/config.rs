@@ -1,6 +1,5 @@
-//! What a deployment configures and what installing or restoring can
-//! report: [`RbayConfig`], [`LintPolicy`], [`InstallError`] and
-//! [`RestoreSummary`].
+//! What a deployment configures and what installing can report:
+//! [`RbayConfig`], [`LintPolicy`] and [`InstallError`].
 
 use aascript::analysis::Diagnostic;
 use simnet::SimDuration;
@@ -111,41 +110,6 @@ impl std::fmt::Display for InstallError {
 }
 
 impl std::error::Error for InstallError {}
-
-/// What [`RbayHost::attach_store`](super::RbayHost::attach_store)
-/// recovered from a durable store (and what it refused to re-install).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RestoreSummary {
-    /// Attributes restored into the key-value map.
-    pub attrs: usize,
-    /// Handler sources re-compiled, re-linted, and re-installed.
-    pub handlers: usize,
-    /// Handler sources rejected on restore and quarantined (see
-    /// [`RbayHost::quarantined`](super::RbayHost::quarantined)).
-    pub quarantined: usize,
-    /// Tree subscriptions queued for re-join.
-    pub subs: usize,
-    /// Commits the store journaled over the node's life, released or not
-    /// (at most one of them is held again).
-    pub committed: usize,
-    /// WAL records the store replayed at open.
-    pub replay_records: u64,
-    /// Wall-clock microseconds the open spent replaying.
-    pub replay_micros: u64,
-}
-
-impl RestoreSummary {
-    /// Element-wise sum (for a pack's members restored together).
-    pub(crate) fn merge(&mut self, other: &RestoreSummary) {
-        self.attrs += other.attrs;
-        self.handlers += other.handlers;
-        self.quarantined += other.quarantined;
-        self.subs += other.subs;
-        self.committed += other.committed;
-        self.replay_records += other.replay_records;
-        self.replay_micros += other.replay_micros;
-    }
-}
 
 impl From<aascript::CompileError> for InstallError {
     fn from(e: aascript::CompileError) -> Self {

@@ -2,7 +2,7 @@
 //! to the store before it is acknowledged, and a restarted node rebuilds
 //! itself from what the store replays.
 
-use super::{InstallError, Op, RbayHost, RestoreSummary};
+use super::{InstallError, Op, RbayHost};
 use crate::types::{Hold, QueryId};
 use rbay_store::{Store, WalRecord};
 use simnet::obs::ObsEvent;
@@ -50,8 +50,9 @@ impl RbayHost {
     /// quarantined, not installed), subscriptions are queued as joins
     /// (the per-round retry machinery handles pre-join timing), and the
     /// commit still held is held again. Call before the node joins the
-    /// overlay.
-    pub fn attach_store(&mut self, store: Box<Store>) -> RestoreSummary {
+    /// overlay. What was restored is then read off the host itself, and
+    /// what was replayed off the store's [`Store::stats`].
+    pub fn attach_store(&mut self, store: Box<Store>) {
         let state = store.state().clone();
         let stats = store.stats();
         self.store = Some(store);
@@ -61,32 +62,22 @@ impl RbayHost {
             records: stats.replay_records,
             micros: stats.replay_micros,
         });
-        let mut summary = RestoreSummary {
-            attrs: state.attrs.len(),
-            replay_records: stats.replay_records,
-            replay_micros: stats.replay_micros,
-            ..RestoreSummary::default()
-        };
         // No invalidation multicast for restored attributes: the values
         // are not new, so any front-door entry caching them is still
         // coherent.
         self.attrs.extend(state.attrs);
         if let Some(src) = &state.node_aa {
             match self.build_aa("node", src) {
-                Ok(inst) => {
-                    self.node_aa = Some(inst);
-                    summary.handlers += 1;
-                }
-                Err(e) => self.quarantine_on_restore("node", &e, &mut summary),
+                Ok(inst) => self.node_aa = Some(inst),
+                Err(e) => self.quarantine_on_restore("node", &e),
             }
         }
         for (attr, src) in &state.attr_aas {
             match self.build_aa(attr, src) {
                 Ok(inst) => {
                     self.attr_aas.insert(attr.clone(), inst);
-                    summary.handlers += 1;
                 }
-                Err(e) => self.quarantine_on_restore(attr, &e, &mut summary),
+                Err(e) => self.quarantine_on_restore(attr, &e),
             }
         }
         for (topic, scope) in &state.subs {
@@ -95,23 +86,15 @@ impl RbayHost {
                 topic: *topic,
                 scope: *scope,
             });
-            summary.subs += 1;
         }
-        summary.committed = state.committed.len();
         self.commits = state.committed.len() as u64;
         // Only a commit is journaled, so what the store holds is one.
         self.hold = state.reserved.map(|q| Hold::Committed { by: QueryId(q) });
-        summary
     }
 
     /// Records one restore-time handler rejection: diagnostic kept on the
     /// host, counter surfaced through the store stats, node keeps booting.
-    fn quarantine_on_restore(
-        &mut self,
-        label: &str,
-        err: &InstallError,
-        summary: &mut RestoreSummary,
-    ) {
+    fn quarantine_on_restore(&mut self, label: &str, err: &InstallError) {
         self.quarantined.push((label.to_owned(), err.to_string()));
         if let Some(store) = self.store.as_mut() {
             store.note_relint_reject();
@@ -120,7 +103,6 @@ impl RbayHost {
             at: self.now,
             node: self.addr,
         });
-        summary.quarantined += 1;
     }
 }
 
@@ -146,11 +128,16 @@ mod store_tests {
 
     /// Boots a host against `dir`: the same `attach_store` call serves
     /// both first boot (empty store, no-op restore) and recovery.
-    fn durable_host(dir: &Path, policy: LintPolicy) -> (RbayHost, RestoreSummary) {
+    fn durable_host(dir: &Path, policy: LintPolicy) -> RbayHost {
         let mut h = host_with_policy(policy);
         let (store, _) = rbay_store::Store::open(dir, FsyncPolicy::Never).unwrap();
-        let summary = h.attach_store(Box::new(store));
-        (h, summary)
+        h.attach_store(Box::new(store));
+        h
+    }
+
+    /// WAL records the host's store replayed when it was opened.
+    fn replayed(h: &RbayHost) -> u64 {
+        h.store.as_ref().unwrap().stats().replay_records
     }
 
     #[test]
@@ -158,9 +145,9 @@ mod store_tests {
         let dir = tmp_dir("roundtrip");
         let committed_query = QueryId::new(NodeAddr(7), 3);
         {
-            let (mut h, summary) = durable_host(&dir, LintPolicy::Warn);
+            let mut h = durable_host(&dir, LintPolicy::Warn);
             assert_eq!(
-                (summary.attrs, summary.subs, summary.replay_records),
+                (h.attrs.len(), h.sub_requested.len(), replayed(&h)),
                 (0, 0, 0)
             );
             h.post_resource("GPU", AttrValue::str("A100"));
@@ -182,13 +169,10 @@ mod store_tests {
                 },
             );
         }
-        let (mut h, summary) = durable_host(&dir, LintPolicy::Warn);
-        assert_eq!(summary.attrs, 2);
-        assert_eq!(summary.handlers, 2);
-        assert_eq!(summary.quarantined, 0);
-        assert_eq!(summary.subs, 1, "GPU=A100 tree re-joined");
-        assert_eq!(summary.committed, 1);
-        assert!(summary.replay_records >= 5);
+        let mut h = durable_host(&dir, LintPolicy::Warn);
+        assert_eq!(h.attrs.len(), 2);
+        assert!(h.quarantined.is_empty());
+        assert!(replayed(&h) >= 5);
         assert_eq!(h.attrs.get("GPU"), Some(&AttrValue::str("A100")));
         assert!(h.node_aa.is_some());
         assert!(h.attr_aas.contains_key("GPU"));
@@ -199,8 +183,8 @@ mod store_tests {
                 by: committed_query
             })
         );
-        // The restored subscription is queued as a join and tracked for
-        // retry until attached.
+        // The restored subscription (the GPU=A100 tree) is queued as a
+        // join and tracked for retry until attached.
         assert!(matches!(h.ops.pop_front(), Some(Op::Subscribe { .. })));
         assert_eq!(h.sub_requested.len(), 1);
         // The restored commit has no horizon either: an hour on, another
@@ -218,8 +202,8 @@ mod store_tests {
         h.release_reservation();
         assert_eq!(h.hold, None);
         drop(h);
-        let (h, summary) = durable_host(&dir, LintPolicy::Warn);
-        assert_eq!((h.hold, h.commits, summary.committed), (None, 1, 1));
+        let h = durable_host(&dir, LintPolicy::Warn);
+        assert_eq!((h.hold, h.commits), (None, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -233,14 +217,13 @@ mod store_tests {
         // under Warn but an error under Deny.
         let src = "AA = { onGte = function(q) return true end }";
         {
-            let (mut h, _) = durable_host(&dir, LintPolicy::Warn);
+            let mut h = durable_host(&dir, LintPolicy::Warn);
             h.install_node_aa(src).unwrap();
             assert!(h.node_aa.is_some(), "Warn admits the handler");
         }
-        let (mut h, summary) = durable_host(&dir, LintPolicy::Deny);
+        let mut h = durable_host(&dir, LintPolicy::Deny);
         assert!(h.node_aa.is_none(), "Deny restore must not re-install");
-        assert_eq!(summary.quarantined, 1);
-        assert_eq!(summary.handlers, 0);
+        assert!(h.attr_aas.is_empty());
         assert_eq!(h.quarantined.len(), 1);
         let (label, diag) = &h.quarantined[0];
         assert_eq!(label, "node");
@@ -254,16 +237,16 @@ mod store_tests {
         assert!(h.check_on_get(None, "caller", None));
         // The source stays durable: rebooting back under Warn re-installs.
         drop(h);
-        let (h, summary) = durable_host(&dir, LintPolicy::Warn);
+        let h = durable_host(&dir, LintPolicy::Warn);
         assert!(h.node_aa.is_some(), "policy rollback restores the handler");
-        assert_eq!(summary.quarantined, 0);
+        assert!(h.quarantined.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn per_round_dynamic_joins_do_not_bloat_the_wal() {
         let dir = tmp_dir("dedupe");
-        let (mut h, _) = durable_host(&dir, LintPolicy::Off);
+        let mut h = durable_host(&dir, LintPolicy::Off);
         h.install_node_aa("AA = { onSubscribe = function(q, tree) return true end }")
             .unwrap();
         h.dynamic_trees.push("spot=idle".into());

@@ -21,7 +21,7 @@ mod dispatch;
 mod journal;
 mod search;
 
-pub use config::{InstallError, LintPolicy, RbayConfig, RestoreSummary};
+pub use config::{InstallError, LintPolicy, RbayConfig};
 
 use crate::engine::SiteProbe;
 use crate::frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorDecision};
@@ -132,6 +132,10 @@ pub fn split_timer_token(token: TimerToken) -> (u32, u32, u64) {
     )
 }
 
+// A federation holds one `RbayHost` per member, so its width is paid per
+// member.
+const _: () = assert!(std::mem::size_of::<RbayHost>() <= 528);
+
 /// The per-node RBAY application state.
 #[derive(Debug)]
 pub struct RbayHost {
@@ -165,11 +169,13 @@ pub struct RbayHost {
     /// Local sequence for query ids.
     pub next_seq: u32,
     /// Gateway ("border router") addresses of each site, indexed by
-    /// SiteId. Several per site: query retries rotate through them, so a
-    /// failed border router only costs one timed-out attempt.
-    pub gateways: Vec<Vec<NodeAddr>>,
-    /// Site names, indexed by SiteId (resolves FROM clauses).
-    pub site_names: Vec<String>,
+    /// SiteId, shared by every member of the federation. Several per
+    /// site: query retries rotate through them, so a failed border router
+    /// only costs one timed-out attempt.
+    pub gateways: Rc<[Vec<NodeAddr>]>,
+    /// Site names, indexed by SiteId (resolves FROM clauses), shared by
+    /// every member of the federation.
+    pub site_names: Rc<[String]>,
     /// Names of trees whose membership is decided by AA handlers each
     /// maintenance round (onSubscribe/onUnsubscribe).
     pub dynamic_trees: Vec<String>,
@@ -239,8 +245,8 @@ impl RbayHost {
         addr: NodeAddr,
         site: SiteId,
         sandbox: SharedSandbox,
-        gateways: Vec<Vec<NodeAddr>>,
-        site_names: Vec<String>,
+        gateways: Rc<[Vec<NodeAddr>]>,
+        site_names: Rc<[String]>,
     ) -> Self {
         RbayHost {
             now: SimTime::ZERO,
@@ -496,8 +502,8 @@ pub(crate) mod testkit {
             NodeAddr(7),
             SiteId(0),
             SharedSandbox::new(),
-            vec![vec![NodeAddr(0), NodeAddr(1), NodeAddr(2)]],
-            vec!["local".into()],
+            vec![vec![NodeAddr(0), NodeAddr(1), NodeAddr(2)]].into(),
+            vec!["local".into()].into(),
         )
     }
 

@@ -43,9 +43,7 @@ mod wire;
 pub use actor::{RbayMsg, RbayNode};
 pub use federation::{Federation, FrontdoorOutcome};
 pub use frontdoor::{query_key, Frontdoor, FrontdoorConfig, FrontdoorResponse, FrontdoorStats};
-pub use host::{
-    InstallError, LintPolicy, Op, RbayConfig, RbayHost, RestoreSummary, FRONTDOOR_TREE,
-};
+pub use host::{InstallError, LintPolicy, Op, RbayConfig, RbayHost, FRONTDOOR_TREE};
 pub use liveness::SLOW_PROBE_PERIOD;
 pub use naming::HybridNaming;
 pub use pack::{FrameSink, MemberCtx, Pack};

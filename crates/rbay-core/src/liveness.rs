@@ -277,7 +277,7 @@ impl RbayNode {
             .map(|e| e.addr)
             .collect();
         for (_, st) in self.scribe.topics() {
-            hot.extend(st.children.iter().copied());
+            hot.extend(st.children.keys().copied());
             hot.extend(st.parent);
         }
         hot.sort();

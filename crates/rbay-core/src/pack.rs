@@ -35,8 +35,8 @@
 //! [`Pack::loopback_dropped`]); protocols above already tolerate loss.
 
 use crate::actor::{RbayMsg, RbayNode};
-use crate::host::{Op, RestoreSummary};
-use rbay_store::{FsyncPolicy, Store};
+use crate::host::Op;
+use rbay_store::{FsyncPolicy, Store, StoreStats};
 use rbay_wire::encode_frame;
 use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken, Transport};
 use std::collections::VecDeque;
@@ -326,10 +326,9 @@ impl Pack {
     /// are queued for re-join through the normal retry machinery. A member
     /// whose store cannot be opened runs in memory, with a warning. Call
     /// before [`Pack::start`]: whether slot 0's store existed decides how
-    /// the pack hosting `NodeAddr(0)` boots. Returns the members'
-    /// summaries, summed.
-    pub fn open_stores(&mut self, dir: &Path, fsync: FsyncPolicy) -> RestoreSummary {
-        let mut restored = RestoreSummary::default();
+    /// the pack hosting `NodeAddr(0)` boots. What was replayed is then in
+    /// [`Pack::store_stats`], what was restored in the members' hosts.
+    pub fn open_stores(&mut self, dir: &Path, fsync: FsyncPolicy) {
         for slot in 0..self.len() {
             let member_dir = dir.join(format!("member-{}", self.addr_of(slot).0));
             match Store::open(&member_dir, fsync) {
@@ -342,7 +341,7 @@ impl Pack {
                         ));
                     }
                     let member = &mut self.members[slot as usize];
-                    restored.merge(&member.host.attach_store(Box::new(store)));
+                    member.host.attach_store(Box::new(store));
                 }
                 Err(e) => self.warnings.push(format!(
                     "cannot open store in {}: {e}; member runs in-memory",
@@ -350,7 +349,16 @@ impl Pack {
                 )),
             }
         }
-        restored
+    }
+
+    /// The members' store counters, summed (members running in memory
+    /// add nothing).
+    pub fn store_stats(&self) -> StoreStats {
+        let mut sum = StoreStats::default();
+        for store in self.members.iter().filter_map(|m| m.host.store.as_ref()) {
+            sum.merge(&store.stats());
+        }
+        sum
     }
 
     /// Starts the pack running itself: boots its members into the overlay

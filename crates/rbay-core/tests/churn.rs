@@ -49,7 +49,7 @@ fn heartbeats_detect_silent_crashes() {
     for i in (0..40u32).filter(|i| *i != 9) {
         if let Some(st) = fed.node(NodeAddr(i)).scribe.topic(topic) {
             assert!(
-                !st.children.contains(&NodeAddr(9)),
+                !st.children.contains_key(&NodeAddr(9)),
                 "node {i} still lists the dead node as a child"
             );
         }
@@ -124,7 +124,7 @@ fn tree_parent_failure_triggers_automatic_rejoin() {
         .topic(topic)
         .unwrap()
         .children
-        .iter()
+        .keys()
         .copied()
         .collect();
     fed.sim_mut().fail_node(interior);

@@ -95,7 +95,7 @@ fn fail_recover_cycle_reconverges_the_tree() {
             fed.node(p)
                 .scribe
                 .topic(topic)
-                .is_some_and(|ps| ps.children.contains(&victim)),
+                .is_some_and(|ps| ps.children.contains_key(&victim)),
             "revived node's parent does not list it as a child"
         );
     } else {

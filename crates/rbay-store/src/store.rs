@@ -409,6 +409,75 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Whether the store holds `a0 .. a{n-1}` and nothing else.
+    fn holds_puts(s: &Store, n: u64) -> bool {
+        s.state().attrs.len() as u64 == n
+            && (0..n).all(|i| s.state().attrs.contains_key(&format!("a{i}")))
+    }
+
+    /// Under `Batch` an append waits for `flush`, which syncs it; what was
+    /// appended and flushed is all there after a reopen.
+    #[test]
+    fn batch_appends_synced_by_flush_survive_a_reopen() {
+        let dir = tmp_dir("batch");
+        {
+            let (mut s, _) = Store::open(&dir, FsyncPolicy::Batch).unwrap();
+            for i in 0..3 {
+                s.append(&put(i)).unwrap();
+            }
+            assert!(s.dirty, "batch appends wait for a flush");
+            s.flush().unwrap();
+            assert!(!s.dirty);
+            s.append(&put(3)).unwrap();
+            s.flush().unwrap();
+            assert!(!s.dirty);
+        }
+        let (s, report) = Store::open(&dir, FsyncPolicy::Batch).unwrap();
+        assert_eq!(report.wal_records, 4);
+        assert!(holds_puts(&s, 4));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Under `Always` each append is synced before it returns: every one
+    /// survives a reopen, with no `flush` ever called.
+    #[test]
+    fn always_appends_each_survive_a_reopen() {
+        let dir = tmp_dir("always");
+        for i in 0..3 {
+            let (mut s, report) = Store::open(&dir, FsyncPolicy::Always).unwrap();
+            assert_eq!(report.wal_records, i);
+            assert!(holds_puts(&s, i));
+            s.append(&put(i)).unwrap();
+            assert!(!s.dirty, "synced at the append");
+        }
+        let (s, report) = Store::open(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(report.wal_records, 3);
+        assert!(holds_puts(&s, 3));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Outside `Batch`, `flush` has nothing to do: no append leaves work
+    /// for it, and it changes nothing.
+    #[test]
+    fn flush_is_a_no_op_under_never_and_always() {
+        for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
+            let dir = tmp_dir(&format!("flush-{policy:?}"));
+            let (mut s, _) = Store::open(&dir, policy).unwrap();
+            for i in 0..3 {
+                s.append(&put(i)).unwrap();
+                assert!(!s.dirty, "{policy:?}: an append left work for flush");
+                let before = s.stats();
+                s.flush().unwrap();
+                assert_eq!(s.stats(), before, "{policy:?}");
+                assert!(!s.dirty);
+            }
+            drop(s);
+            let (s, _) = Store::open(&dir, policy).unwrap();
+            assert!(holds_puts(&s, 3), "{policy:?}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn dedup_skips_noop_appends() {
         let dir = tmp_dir("dedup");

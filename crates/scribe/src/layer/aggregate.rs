@@ -3,7 +3,7 @@
 //! level rootward, expires silent children, and runs the attachment and
 //! replica upkeep that shares its cadence.
 
-use super::{ScribeHost, ScribeLayer};
+use super::{Child, ScribeHost, ScribeLayer};
 use crate::types::{AggValue, ScribeMsg, TopicId};
 use pastry::{Net, PastryMsg, PastryNode};
 use simnet::obs::ObsEvent;
@@ -28,9 +28,12 @@ impl ScribeLayer {
     /// (the pre-crash whole-tree view) until its own child reports
     /// converge.
     pub fn root_aggregate(&self, topic: TopicId) -> Option<AggValue> {
-        self.topics
-            .get(&topic)
-            .and_then(|st| st.warm_agg.clone().or_else(|| st.merged_agg()))
+        self.topics.get(&topic).and_then(|st| {
+            st.warm_agg
+                .as_ref()
+                .map(|(warm, _)| warm.clone())
+                .or_else(|| st.merged_agg())
+        })
     }
 
     /// Pushes merged subtree aggregates one level up every tree this node
@@ -120,17 +123,18 @@ impl ScribeLayer {
         // Once a child reports (the live view is converging) or the
         // staleness bound passes, the root answers from its own subtree
         // again.
-        if st.warm_agg.is_some()
-            && (!st.child_agg.is_empty()
-                || round.saturating_sub(st.warm_agg_round) > STALE_AGG_ROUNDS)
-        {
-            st.warm_agg = None;
+        if let Some((_, since)) = st.warm_agg {
+            if st.children.values().any(|c| c.agg.is_some())
+                || round.saturating_sub(since) > STALE_AGG_ROUNDS
+            {
+                st.warm_agg = None;
+            }
         }
         let stale: Vec<NodeAddr> = st
-            .child_seen
+            .children
             .iter()
-            .filter(|(_, seen)| round.saturating_sub(**seen) > STALE_AGG_ROUNDS)
-            .map(|(c, _)| *c)
+            .filter(|(_, c)| round.saturating_sub(c.seen) > STALE_AGG_ROUNDS)
+            .map(|(addr, _)| *addr)
             .collect();
         for c in stale {
             self.drop_child(now, me, topic, c);
@@ -151,10 +155,10 @@ impl ScribeLayer {
         N: Net<ScribeMsg<P>>,
     {
         match self.topics.get_mut(&topic) {
-            Some(st) if st.children.contains(&from) => {
-                st.child_agg.insert(from, value);
-                let round = st.agg_round;
-                st.child_seen.insert(from, round);
+            Some(st) if st.children.contains_key(&from) => {
+                let seen = st.agg_round;
+                let agg = Some(value);
+                st.children.insert(from, Child { seen, agg });
                 self.obs.count("agg_update_recv");
             }
             _ => {
@@ -196,8 +200,8 @@ mod tests {
         layer.set_local_value(topic(), AggValue::Count(1));
         // Fake child reports.
         let st = layer.topics.get_mut(&topic()).unwrap();
-        st.children.insert(NodeAddr(1));
-        st.children.insert(NodeAddr(2));
+        st.children.insert(NodeAddr(1), Child::default());
+        st.children.insert(NodeAddr(2), Child::default());
         for (c, n) in [(1u32, 4u64), (2, 5)] {
             deliver(
                 &mut pastry,
@@ -261,7 +265,7 @@ mod tests {
                 .filter(|e| matches!(e, ObsEvent::TreeLeave { .. }))
                 .count();
             assert_eq!(leaves, 1, "the child left exactly once");
-            assert!(layer.topic(topic()).unwrap().child_seen.is_empty());
+            assert!(layer.topic(topic()).unwrap().children.is_empty());
         }
     }
 
@@ -283,7 +287,8 @@ mod tests {
             local_value: Some(AggValue::Count(1)),
             ..TopicState::default()
         };
-        root.children.extend([NodeAddr(1), NodeAddr(2)]);
+        root.children.insert(NodeAddr(1), Child::default());
+        root.children.insert(NodeAddr(2), Child::default());
         nodes[0].1.topics.insert(t, root);
         let mut mid = TopicState {
             parent: Some(NodeAddr(0)),
@@ -291,8 +296,13 @@ mod tests {
             local_value: Some(AggValue::Count(1)),
             ..TopicState::default()
         };
-        mid.children.insert(NodeAddr(3));
-        mid.child_agg.insert(NodeAddr(3), AggValue::Count(1));
+        mid.children.insert(
+            NodeAddr(3),
+            Child {
+                seen: 0,
+                agg: Some(AggValue::Count(1)),
+            },
+        );
         nodes[1].1.topics.insert(t, mid);
         nodes[2].1.topics.insert(
             t,
@@ -320,7 +330,7 @@ mod tests {
             .get_mut(&t)
             .unwrap()
             .children
-            .insert(NodeAddr(3));
+            .insert(NodeAddr(3), Child::default());
         {
             let (pastry, layer, host) = &mut nodes[3];
             let ack = PastryMsg::Direct(ScribeMsg::JoinAck { topic: t });

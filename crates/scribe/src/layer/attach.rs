@@ -240,9 +240,9 @@ impl ScribeLayer {
     {
         let st = self.topics.entry(topic).or_default();
         st.scope = scope;
-        let round = st.agg_round;
-        st.child_seen.insert(child, round);
-        if st.children.insert(child) {
+        let grafted = !st.children.contains_key(&child);
+        st.children.entry(child).or_default().seen = st.agg_round;
+        if grafted {
             self.obs.record_with(|| ObsEvent::TreeGraft {
                 at: net.now(),
                 parent: me,
@@ -253,8 +253,7 @@ impl ScribeLayer {
         net.send(child, PastryMsg::Direct(ScribeMsg::JoinAck { topic }));
     }
 
-    /// Forgets `child` and everything cached about it (`now` stamps the
-    /// leave).
+    /// Forgets `child` and its report (`now` stamps the leave).
     pub(super) fn drop_child(
         &mut self,
         now: SimTime,
@@ -265,9 +264,7 @@ impl ScribeLayer {
         let Some(st) = self.topics.get_mut(&topic) else {
             return;
         };
-        st.child_agg.remove(&child);
-        st.child_seen.remove(&child);
-        if st.children.remove(&child) {
+        if st.children.remove(&child).is_some() {
             self.obs.record_with(|| ObsEvent::TreeLeave {
                 at: now,
                 parent: me,
@@ -508,7 +505,7 @@ mod tests {
             .topic(topic())
             .expect("still the rendezvous for a child");
         assert!(st.is_root && !st.subscribed);
-        assert!(st.children.contains(&NodeAddr(7)));
+        assert!(st.children.contains_key(&NodeAddr(7)));
     }
 
     #[test]
@@ -527,7 +524,7 @@ mod tests {
     fn forwarder_with_children_does_not_prune() {
         let (mut pastry, mut layer, mut net, _) = node(0);
         let mut st = child_of(3);
-        st.children.insert(NodeAddr(8));
+        st.children.insert(NodeAddr(8), Default::default());
         layer.topics.insert(topic(), st);
         layer.unsubscribe::<P, _>(&mut pastry, &mut net, topic());
         assert!(layer.topic(topic()).is_some(), "still a forwarder");
@@ -570,7 +567,7 @@ mod tests {
         deliver(&mut pastry, &mut layer, &mut net, &mut host, 1, join);
         let st = layer.topic(topic()).unwrap();
         assert!(st.is_root && st.parent.is_none());
-        assert!(st.children.contains(&NodeAddr(1)));
+        assert!(st.children.contains_key(&NodeAddr(1)));
         let leaves: Vec<NodeAddr> = net
             .sent
             .iter()

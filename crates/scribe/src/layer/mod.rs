@@ -40,7 +40,7 @@ use crate::types::{AggValue, ScribeMsg, TopicId, Visit};
 use pastry::{Net, PastryMsg, PastryNode};
 use simnet::obs::Recorder;
 use simnet::{NodeAddr, SiteId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Application callbacks for tree events.
 ///
@@ -84,6 +84,18 @@ pub trait ScribeHost<P> {
     }
 }
 
+/// What a tree node keeps about one child: when it was last heard from
+/// and the aggregate it last reported (paper §II.B.2–3).
+#[derive(Debug, Clone, Default)]
+pub struct Child {
+    /// Last tick the child was grafted or pushed an aggregate; a child
+    /// silent past `STALE_AGG_ROUNDS` is expired (see
+    /// [`ScribeLayer::aggregate_tick`]).
+    pub seen: u64,
+    /// The aggregate the child last reported; `None` until it reports.
+    pub agg: Option<AggValue>,
+}
+
 /// Per-topic tree state at one node.
 ///
 /// For attachment a node is in exactly one of three states: **Root**
@@ -96,8 +108,9 @@ pub struct TopicState {
     /// Upstream neighbour (`None` at the root or while a join is in
     /// flight).
     pub parent: Option<NodeAddr>,
-    /// Downstream neighbours (the children table of paper §II.B.2).
-    pub children: BTreeSet<NodeAddr>,
+    /// Downstream neighbours (the children table of paper §II.B.2), one
+    /// entry each.
+    pub children: BTreeMap<NodeAddr, Child>,
     /// Whether this node is a leaf-subscriber (vs a pure forwarder).
     pub subscribed: bool,
     /// Whether this node is the rendezvous root.
@@ -106,21 +119,13 @@ pub struct TopicState {
     pub scope: Option<SiteId>,
     /// This node's own contribution to the tree aggregate.
     pub local_value: Option<AggValue>,
-    /// Last aggregate reported by each child.
-    pub child_agg: BTreeMap<NodeAddr, AggValue>,
     /// Aggregate ticks this node has run for this topic.
     pub agg_round: u64,
-    /// Last tick each child was grafted or pushed an aggregate; children
-    /// silent past `STALE_AGG_ROUNDS` are expired (see
-    /// [`ScribeLayer::aggregate_tick`]).
-    pub child_seen: BTreeMap<NodeAddr, u64>,
-    /// Aggregate inherited from a [`ReplicaCache`] at promotion: the
-    /// pre-crash whole-tree view, answered to probes while the promoted
-    /// root's own child reports converge. Cleared once a child reports or
-    /// after `STALE_AGG_ROUNDS` ticks.
-    pub warm_agg: Option<AggValue>,
-    /// The tick [`TopicState::warm_agg`] was installed at.
-    pub warm_agg_round: u64,
+    /// Aggregate inherited from a [`ReplicaCache`] at promotion, with the
+    /// tick it was installed at: the pre-crash whole-tree view, answered
+    /// to probes while the promoted root's own child reports converge.
+    /// Cleared once a child reports or after `STALE_AGG_ROUNDS` ticks.
+    pub warm_agg: Option<(AggValue, u64)>,
 }
 
 impl TopicState {
@@ -149,9 +154,14 @@ impl TopicState {
         } else {
             None
         };
-        AggValue::merge_all(own.iter().chain(self.child_agg.values()))
+        let reported = self.children.values().filter_map(|c| c.agg.as_ref());
+        AggValue::merge_all(own.iter().chain(reported))
     }
 }
+
+// A node holds one `TopicState` per tree it is in, and a federation of
+// thousands of members is in several trees each.
+const _: () = assert!(std::mem::size_of::<TopicState>() <= 104);
 
 /// Scribe tree state for one node, across all topics.
 #[derive(Debug, Default)]

@@ -69,8 +69,7 @@ impl ScribeLayer {
         }
         let st = self.topics.entry(topic).or_default();
         st.scope = scope;
-        st.warm_agg = rep.agg;
-        st.warm_agg_round = st.agg_round;
+        st.warm_agg = rep.agg.map(|agg| (agg, st.agg_round));
         self.obs.count("replica_promote");
     }
 
@@ -134,7 +133,7 @@ impl ScribeLayer {
                     .then(a.id.cmp(&b.id))
             });
             targets.truncate(REPLICA_K);
-            let children: Vec<NodeAddr> = st.children.iter().copied().collect();
+            let children: Vec<NodeAddr> = st.children.keys().copied().collect();
             for target in targets {
                 self.obs.count("replica_sync_send");
                 net.send(
@@ -199,7 +198,7 @@ mod tests {
         let st = layer.topic(topic()).expect("promoted state");
         assert!(st.is_root, "successor must become root");
         assert_eq!(
-            st.children.iter().copied().collect::<Vec<_>>(),
+            st.children.keys().copied().collect::<Vec<_>>(),
             vec![NodeAddr(1), NodeAddr(2)],
             "mirrored child set adopted"
         );
@@ -255,7 +254,7 @@ mod tests {
         deliver(&mut pastry, &mut layer, &mut net, &mut host, 1, join);
         let st = layer.topic(topic()).expect("rebuilt state");
         assert!(st.is_root);
-        assert!(st.children.contains(&NodeAddr(1)));
+        assert!(st.children.contains_key(&NodeAddr(1)));
         assert!(st.warm_agg.is_none(), "cold rebuild has no warm aggregate");
     }
 

@@ -48,7 +48,7 @@ impl ScribeLayer {
         let Some(st) = self.topics.get(&topic) else {
             return;
         };
-        for child in &st.children {
+        for child in st.children.keys() {
             net.send(
                 *child,
                 PastryMsg::Direct(ScribeMsg::MulticastData {
@@ -187,7 +187,7 @@ impl ScribeLayer {
                     return;
                 }
                 // Extend the frontier with unexplored tree neighbours.
-                for n in st.children.iter().copied().chain(st.parent) {
+                for n in st.children.keys().copied().chain(st.parent) {
                     if !visited.contains(&n) && !stack.contains(&n) {
                         stack.push(n);
                     }

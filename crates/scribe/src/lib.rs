@@ -29,7 +29,8 @@ mod seeded;
 mod types;
 
 pub use layer::{
-    ReplicaCache, ScribeApp, ScribeHost, ScribeLayer, TopicState, REPLICA_K, REPLICA_TTL_ROUNDS,
+    Child, ReplicaCache, ScribeApp, ScribeHost, ScribeLayer, TopicState, REPLICA_K,
+    REPLICA_TTL_ROUNDS,
 };
 pub use seeded::seeded_bug_active;
 #[cfg(feature = "seeded-bugs")]

@@ -162,7 +162,7 @@ fn join_paths_form_a_spanning_tree() {
                     sim.actor(p)
                         .scribe
                         .topic(topic)
-                        .is_some_and(|ps| ps.children.contains(&addr)),
+                        .is_some_and(|ps| ps.children.contains_key(&addr)),
                     "{addr} not in its parent's children table"
                 );
             }
