@@ -132,6 +132,15 @@ pub enum PastryMsg<A> {
 /// member's confirmation.
 pub const JOIN_PROBE_RESENDS: u8 = 4;
 
+/// Hops after which a routed message or a join is dropped. A route in a
+/// consistent overlay takes about ⌈log₁₆ N⌉ hops; one this long is
+/// circling between nodes whose tables disagree — a part-filled leaf set
+/// (a restarting node's, or one that forgot members that handed joins
+/// back) claims to cover the whole ring, while a neighbour routes back to
+/// it by prefix — and between two members of one pack it would spin the
+/// pack's loopback without end.
+const MAX_HOPS: u16 = 64;
+
 /// A joiner's leaf-set probes — MSPastry's consistent join (Castro et al.,
 /// "Performance and dependability of structured peer-to-peer overlays",
 /// DSN 2004) built from existing messages: every peer that enters either
@@ -589,7 +598,11 @@ impl PastryNode {
             self.leaf.insert(joiner);
         }
         if let Some(next) = next {
-            let hops = hops.saturating_add(1);
+            if hops >= MAX_HOPS {
+                self.obs.count("join_hop_limit");
+                return;
+            }
+            let hops = hops + 1;
             net.send(next.addr, PastryMsg::Join { joiner, rows, hops });
             return;
         }
@@ -661,6 +674,7 @@ impl PastryNode {
                     });
                     app.deliver(self, net, key, payload, hops);
                 }
+                Some(_) if hops >= MAX_HOPS => self.obs.count("route_hop_limit"),
                 Some(next) => {
                     let me = self.info.addr;
                     self.obs.record_with(|| ObsEvent::RouteForward {
@@ -1082,6 +1096,61 @@ mod tests {
             net.sent.clear();
             node.gossip_round(&mut net);
             assert_eq!(net.sent[0].0, listed[round % listed.len()].addr);
+        }
+    }
+
+    /// Two nodes whose tables disagree about a key route it to each other:
+    /// `a` knows only `b`, so its part-filled leaf set claims the key and
+    /// hands it to `b`, numerically closer; `b`'s full leaf set does not
+    /// reach the key, so it routes by prefix to `a`, which shares a longer
+    /// one. A routed message and a join both stop after `MAX_HOPS`
+    /// instead of circling for ever.
+    #[test]
+    fn a_message_circling_between_disagreeing_tables_is_dropped() {
+        let key: u128 = 0x5 << 124;
+        let mut a = PastryNode::new(info(0x5f << 120, 0, 0));
+        let b_id = key - 1_000;
+        let mut b = PastryNode::new(info(b_id, 1, 0));
+        let net = RecNet::default();
+        a.insert_peer(&net, b.info);
+        b.insert_peer(&net, a.info);
+        for i in 1..=8u32 {
+            let d = u128::from(i);
+            b.insert_peer(&net, info(b_id - d, 10 + i, 0));
+            b.insert_peer(&net, info(b_id + d, 20 + i, 0));
+        }
+        a.join = JoinState::Joined;
+        b.join = JoinState::Joined;
+        let joiner = info(key, 99, 0);
+        let starts = [
+            PastryMsg::Route {
+                key: NodeId(key),
+                payload: P(7),
+                hops: 0,
+                scope: None,
+            },
+            PastryMsg::Join {
+                joiner,
+                rows: Vec::new(),
+                hops: 1,
+            },
+        ];
+        for start in starts {
+            let (mut net, mut app) = (RecNet::default(), RecApp::default());
+            net.sent.push_back((NodeAddr(0), start));
+            let mut delivered = 0;
+            while let Some((to, msg)) = net.sent.pop_front() {
+                delivered += 1;
+                assert!(delivered <= 2 * usize::from(MAX_HOPS), "still circling");
+                let (node, from) = match to.0 {
+                    0 => (&mut a, NodeAddr(1)),
+                    1 => (&mut b, NodeAddr(0)),
+                    other => panic!("left the loop for {other}"),
+                };
+                node.on_message(&mut net, &mut app, from, msg);
+            }
+            assert!(delivered > usize::from(MAX_HOPS) / 2, "it did circle");
+            assert!(app.delivered.is_empty());
         }
     }
 }

@@ -26,14 +26,22 @@
 //! leaves gracefully ([`Pack::leave`]) and exits 0, or 1 if its outbound
 //! frames did not drain before the deadline.
 //!
-//! With `--data-dir`, every hosted member journals its durable state
-//! (attributes, handler sources, subscriptions, commits) to a
-//! write-ahead log under `<dir>/member-<addr>` and restores it on boot
-//! ([`Pack::open_stores`]) — re-linting recovered handler sources under
-//! the current policy and re-joining its trees through the overlay. A
-//! restarted process 0 does not seed again: it rejoins the overlay the
-//! others kept, and seeds only once every other process's first member
-//! has handed its join back.
+//! With `--data-dir`, the daemon keeps one write-ahead log, in
+//! `<dir>/pack-<first member>` so daemons may share the directory, into
+//! which every hosted member journals its durable state (attributes,
+//! handler sources, subscriptions, commits), each record naming its
+//! member, and restores it on boot ([`Pack::open_stores`]) — re-linting
+//! recovered handler sources under the current policy and re-joining its
+//! trees through the overlay. A `--data-dir` that cannot be opened, or
+//! that holds an earlier format's store, fails the boot: the daemon names
+//! it and exits 1. A restarted process 0 does not seed again: it rejoins
+//! the overlay the others kept, and seeds only once every other process's
+//! first member has handed its join back.
+//!
+//! `--fsync` sets when the log reaches the disk: `always` syncs at every
+//! write, `batch` (the default) syncs once per tick for the whole daemon,
+//! however many members wrote, and `never` leaves it to the page cache,
+//! which a killed process does not lose.
 //!
 //! ```text
 //! rbay-node --index 0 --agents 1000 [--agents-per-proc 100] \
@@ -112,7 +120,9 @@ fn parse_args() -> Args {
                 eprintln!(
                     "unknown flag {other}\nusage: rbay-node --index <i> --agents <n> \
                      [--agents-per-proc <m>] [--base-port <p>] [--num-sites <s>] [--tick-ms <ms>] \
-                     [--data-dir <dir>] [--fsync always|batch|never] [--frontdoor]"
+                     [--data-dir <dir>] [--fsync always|batch|never] [--frontdoor]\n\
+                     --fsync: `always` syncs the log at every write, `batch` (the default) \
+                     once per tick for the whole daemon, `never` leaves it to the page cache"
                 );
                 std::process::exit(2);
             }
@@ -139,15 +149,6 @@ fn main() -> ExitCode {
     let index = args.index;
     let start = index * args.per;
     let end = (start + args.per).min(args.agents);
-    let mut bus = BusLoop::bind(
-        cluster::proc_sock(args.base_port, index),
-        NodeAddr(start),
-        cluster::packed_resolver(args.base_port, args.agents, args.per),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("rbay-node[{index}]: cannot listen: {e}");
-        std::process::exit(1);
-    });
     let cfg = RbayConfig {
         frontdoor_invalidation: args.frontdoor,
         ..RbayConfig::default()
@@ -157,9 +158,24 @@ fn main() -> ExitCode {
     let members = (start..end).map(|a| member(NodeAddr(a))).collect();
     let mut pack = Pack::new(start, members);
     if let Some(dir) = &args.data_dir {
-        pack.open_stores(dir, args.fsync);
+        if let Err(e) = pack.open_stores(dir, args.fsync) {
+            eprintln!(
+                "rbay-node[{index}]: cannot open --data-dir {}: {e}",
+                dir.display()
+            );
+            return ExitCode::FAILURE;
+        }
         report_restore(&pack, index);
     }
+    let mut bus = BusLoop::bind(
+        cluster::proc_sock(args.base_port, index),
+        NodeAddr(start),
+        cluster::packed_resolver(args.base_port, args.agents, args.per),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("rbay-node[{index}]: cannot listen: {e}");
+        std::process::exit(1);
+    });
     // Every other process's first member, process 0's first.
     let gateways = (0..args.agents)
         .step_by(args.per as usize)
@@ -174,9 +190,9 @@ fn main() -> ExitCode {
     run(&mut pack, &mut bus, index)
 }
 
-/// Prints what the pack's stores gave back at open: the members' restored
-/// attributes, handlers and subscriptions, and the replay's summed store
-/// counters ([`Pack::store_stats`]). Silent after a fresh open.
+/// Prints what the pack's store gave back at open: the members' restored
+/// attributes, handlers and subscriptions, and the replay's counters
+/// ([`Pack::store_stats`]). Silent after a fresh open.
 fn report_restore(pack: &Pack, index: u32) {
     let (mut attrs, mut handlers, mut subs) = (0, 0, 0);
     for slot in 0..pack.len() {

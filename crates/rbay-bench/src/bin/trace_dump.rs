@@ -12,10 +12,12 @@ use rbay_bench::{cluster, HarnessOpts};
 use rbay_check::{ChurnParams, ChurnState};
 use rbay_core::{LintPolicy, RbayConfig};
 use rbay_query::AttrValue;
-use rbay_store::{FsyncPolicy, Store};
+use rbay_store::{DurableState, FsyncPolicy, Store};
 use rbay_workloads::WORKLOAD_PASSWORD;
 use simnet::obs::Recorder;
 use simnet::{NodeAddr, ObsEvent, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn main() {
     let opts = HarnessOpts::from_args(std::env::args().skip(1));
@@ -156,8 +158,9 @@ fn main() {
 
     // ---- Part 3: a member's durable-store timeline -------------------
     // A standalone member journals to a WAL, compacts, dies, and a fresh
-    // process restores from disk under a *stricter* lint policy — per
-    // member, this is exactly what `rbay-node --data-dir` does.
+    // process restores from disk under a *stricter* lint policy — for
+    // each member it packs, this is exactly what `rbay-node --data-dir`
+    // does.
     let dir = std::env::temp_dir().join(format!("rbay-trace-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("store dir");
@@ -169,16 +172,16 @@ fn main() {
         let mut node = cluster::build_node(0, 2, 1, RbayConfig::default());
         node.host.obs = store_rec.clone();
         let (store, _) = Store::open(&dir, FsyncPolicy::Never).expect("open store");
-        node.host.attach_store(Box::new(store));
+        let store = Rc::new(RefCell::new(store));
+        node.host
+            .attach_journal(Rc::clone(&store), DurableState::default());
         node.host
             .install_node_aa("AA = { onGte = function(q) return true end }")
             .expect("installs under Warn");
         node.host.post_resource("GPU", AttrValue::Bool(true));
         node.host
             .update_attr("CPU_utilization", AttrValue::Num(35.0));
-        if let Some(s) = node.host.store.as_mut() {
-            s.set_snapshot_thresholds(4, u64::MAX);
-        }
+        store.borrow_mut().set_snapshot_thresholds(4, u64::MAX);
         // Crosses the (lowered) compaction threshold.
         node.host
             .update_attr("CPU_utilization", AttrValue::Num(20.0));
@@ -192,8 +195,11 @@ fn main() {
         };
         let mut revived = cluster::build_node(0, 2, 1, deny);
         revived.host.obs = store_rec.clone();
-        let (store, _) = Store::open(&dir, FsyncPolicy::Never).expect("reopen store");
-        revived.host.attach_store(Box::new(store));
+        let (store, mut report) = Store::open(&dir, FsyncPolicy::Never).expect("reopen store");
+        let state = report.members.remove(&revived.host.addr);
+        revived
+            .host
+            .attach_journal(Rc::new(RefCell::new(store)), state.unwrap_or_default());
         for ev in store_rec.events() {
             match ev {
                 ObsEvent::StoreAppend {

@@ -4,12 +4,14 @@
 //! journaled state — attributes back in place, the password `onGet`
 //! guard re-installed without any operator re-installation, and the
 //! pre-kill commit still on the ledger. Also: a site layout with an empty
-//! site is refused before any daemon starts.
+//! site is refused before any daemon starts, and a `--data-dir` the
+//! daemon cannot use fails its boot.
 
 use rbay_bench::cluster::{proc_sock, to, Ctrl, CtrlMsg, Daemon};
 use rbay_workloads::{password_aa_script, WORKLOAD_PASSWORD};
 use simnet::NodeAddr;
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Test-local port block, away from the cluster harness default.
@@ -195,4 +197,44 @@ fn a_layout_with_an_empty_site_is_refused() {
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {err}");
         assert!(err.contains("leaves a site without members"), "{err}");
     }
+}
+
+/// A `--data-dir` the daemon cannot use fails its boot with exit status 1
+/// and a message naming the path, before it listens: a regular file, and
+/// a directory of the version-1 layout (a store per member in
+/// `member-<addr>`), which is neither read nor booted fresh.
+#[test]
+fn an_unusable_data_dir_fails_the_boot() {
+    let base = std::env::temp_dir().join(format!("rbay-bad-data-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let v1 = base.join("v1");
+    std::fs::create_dir_all(v1.join("member-0")).expect("create v1 layout");
+    let manifest = "rbay-store v1\ngen=0\nsnapshot=-\nwal=wal-0.log\n";
+    std::fs::write(v1.join("member-0/MANIFEST"), manifest).expect("write v1 manifest");
+    let file = base.join("file");
+    std::fs::write(&file, "not a directory").expect("write file");
+    for dir in [&file, &v1] {
+        let mut daemon = Daemon(
+            Command::new(env!("CARGO_BIN_EXE_rbay-node"))
+                .args(["--index", "0", "--agents", "2", "--agents-per-proc", "2"])
+                .args(["--base-port", &(BASE_PORT + 1).to_string()])
+                .arg("--data-dir")
+                .arg(dir)
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn rbay-node"),
+        );
+        let status = daemon.reap(Duration::from_secs(20));
+        let mut err = String::new();
+        let stderr = daemon.0.stderr.as_mut().expect("piped stderr");
+        stderr.read_to_string(&mut err).expect("read stderr");
+        assert_eq!(status, Err("exited with exit status: 1".into()), "{err}");
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+    }
+    assert!(!v1.join("pack-0").exists(), "refused, not booted fresh");
+    assert_eq!(
+        std::fs::read_to_string(v1.join("member-0/MANIFEST")).unwrap(),
+        manifest
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -247,7 +247,7 @@ impl RbayHost {
             }
             if join && !leave {
                 let scope = self.routing_scope(self.site);
-                // Deduped by the store after the first round.
+                // Deduped by the host's journal after the first round.
                 self.persist(WalRecord::SubAdd { topic, scope });
                 self.sub_requested.entry(topic).or_insert(self.now);
                 self.ops.push_back(Op::Subscribe { topic, scope });

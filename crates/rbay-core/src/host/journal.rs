@@ -1,28 +1,63 @@
 //! The durable side of a host (DESIGN.md §18): every mutation is appended
-//! to the store before it is acknowledged, and a restarted node rebuilds
-//! itself from what the store replays.
+//! to its pack's store before it is acknowledged, and a restarted node
+//! rebuilds itself from the state the store's open recovered for it.
 
 use super::{InstallError, Op, RbayHost};
 use crate::types::{Hold, QueryId};
-use rbay_store::{Store, WalRecord};
+use rbay_query::AttrValue;
+use rbay_store::{DurableState, Store, WalRecord};
+use scribe::TopicId;
 use simnet::obs::ObsEvent;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+/// A journaling host's handle on the store its pack shares, and what the
+/// host needs to skip the writes that repeat with no operator action.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    store: Rc<RefCell<Store>>,
+    /// The topics whose last journaled subscription record is a
+    /// `SubAdd`, so the per-round dynamic-tree `SubAdd`/`SubRemove` are
+    /// written once.
+    subs: BTreeSet<TopicId>,
+    /// Writes skipped because they would not change the journaled state.
+    pub(crate) dedup_skips: u64,
+}
+
+impl Journal {
+    /// Whether `rec` repeats what is already journaled: an attribute put
+    /// of the value `attrs` holds, or a subscription record that does not
+    /// change `subs` (which it updates).
+    fn repeats(&mut self, attrs: &BTreeMap<String, AttrValue>, rec: &WalRecord) -> bool {
+        match rec {
+            WalRecord::AttrPut { attr, value } => attrs.get(attr) == Some(value),
+            WalRecord::SubAdd { topic, .. } => !self.subs.insert(*topic),
+            WalRecord::SubRemove { topic } => !self.subs.remove(topic),
+            _ => false,
+        }
+    }
+}
 
 impl RbayHost {
     /// Appends one durable record — *before* the enclosing mutation is
     /// acknowledged to anyone. A no-op for in-memory hosts, and for
-    /// records that would not change the durable image (the store dedupes,
-    /// so per-round dynamic-tree re-joins and idempotent updates cost
-    /// nothing). Store I/O errors are counted but never crash the host:
-    /// the node degrades to in-memory behaviour instead of dropping live
-    /// traffic.
+    /// records that repeat what is journaled (so per-round dynamic-tree
+    /// re-joins and idempotent updates cost nothing). Store I/O errors
+    /// are counted but never crash the host: the node degrades to
+    /// in-memory behaviour instead of dropping live traffic.
     pub(super) fn persist(&mut self, rec: WalRecord) {
-        let Some(store) = self.store.as_mut() else {
+        let Some(journal) = self.journal.as_mut() else {
             return;
         };
+        if journal.repeats(&self.attrs, &rec) {
+            journal.dedup_skips += 1;
+            return;
+        }
+        let mut store = journal.store.borrow_mut();
         let snaps_before = store.stats().snapshots;
-        match store.append(&rec) {
-            Ok(false) => {}
-            Ok(true) => {
+        match store.append_for(self.addr, &rec) {
+            Ok(()) => {
                 let stats = store.stats();
                 let (node, at) = (self.addr, self.now);
                 self.obs.record_with(|| ObsEvent::StoreAppend {
@@ -43,19 +78,24 @@ impl RbayHost {
         }
     }
 
-    /// Adopts a durable store and restores its recovered image into this
+    /// Journals into `store`, which this host's pack shares, from now on,
+    /// and restores `state`, what the store's open recovered for this
     /// host: attributes land directly, recovered handler sources are
     /// re-compiled and **re-linted under the current policy** (a source
     /// that was admitted under `Warn` but fails under `Deny` is
     /// quarantined, not installed), subscriptions are queued as joins
-    /// (the per-round retry machinery handles pre-join timing), and the
-    /// commit still held is held again. Call before the node joins the
-    /// overlay. What was restored is then read off the host itself, and
-    /// what was replayed off the store's [`Store::stats`].
-    pub fn attach_store(&mut self, store: Box<Store>) {
-        let state = store.state().clone();
-        let stats = store.stats();
-        self.store = Some(store);
+    /// (the per-round retry machinery handles pre-join timing), the
+    /// commit still held is held again, and the commit count carries on.
+    /// Call before the node joins the overlay. What was restored is then
+    /// read off the host itself, and what was replayed off the store's
+    /// [`Store::stats`].
+    pub fn attach_journal(&mut self, store: Rc<RefCell<Store>>, state: DurableState) {
+        let stats = store.borrow().stats();
+        self.journal = Some(Box::new(Journal {
+            store,
+            subs: state.subs.keys().copied().collect(),
+            dedup_skips: 0,
+        }));
         self.obs.record_with(|| ObsEvent::StoreReplay {
             at: self.now,
             node: self.addr,
@@ -80,25 +120,20 @@ impl RbayHost {
                 Err(e) => self.quarantine_on_restore(attr, &e),
             }
         }
-        for (topic, scope) in &state.subs {
-            self.sub_requested.insert(*topic, self.now);
-            self.ops.push_back(Op::Subscribe {
-                topic: *topic,
-                scope: *scope,
-            });
+        for (topic, scope) in state.subs {
+            self.sub_requested.insert(topic, self.now);
+            self.ops.push_back(Op::Subscribe { topic, scope });
         }
-        self.commits = state.committed.len() as u64;
+        self.commits = state.commits;
         // Only a commit is journaled, so what the store holds is one.
         self.hold = state.reserved.map(|q| Hold::Committed { by: QueryId(q) });
     }
 
-    /// Records one restore-time handler rejection: diagnostic kept on the
-    /// host, counter surfaced through the store stats, node keeps booting.
+    /// Records one restore-time handler rejection: the diagnostic is kept
+    /// on the host (the pack counts these as `relint_rejects`), and the
+    /// node keeps booting.
     fn quarantine_on_restore(&mut self, label: &str, err: &InstallError) {
         self.quarantined.push((label.to_owned(), err.to_string()));
-        if let Some(store) = self.store.as_mut() {
-            store.note_relint_reject();
-        }
         self.obs.record_with(|| ObsEvent::RestoreRelintReject {
             at: self.now,
             node: self.addr,
@@ -117,7 +152,6 @@ mod store_tests {
     use scribe::{ScribeHost, Visit};
     use simnet::{NodeAddr, SimTime, ThinVec};
     use std::path::{Path, PathBuf};
-    use std::rc::Rc;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -126,18 +160,23 @@ mod store_tests {
         dir
     }
 
-    /// Boots a host against `dir`: the same `attach_store` call serves
+    /// Boots a host against `dir`: the same `attach_journal` call serves
     /// both first boot (empty store, no-op restore) and recovery.
     fn durable_host(dir: &Path, policy: LintPolicy) -> RbayHost {
         let mut h = host_with_policy(policy);
-        let (store, _) = rbay_store::Store::open(dir, FsyncPolicy::Never).unwrap();
-        h.attach_store(Box::new(store));
+        let (store, mut report) = Store::open(dir, FsyncPolicy::Never).unwrap();
+        let state = report.members.remove(&h.addr).unwrap_or_default();
+        h.attach_journal(Rc::new(RefCell::new(store)), state);
         h
+    }
+
+    fn journal(h: &RbayHost) -> &Journal {
+        h.journal.as_ref().unwrap()
     }
 
     /// WAL records the host's store replayed when it was opened.
     fn replayed(h: &RbayHost) -> u64 {
-        h.store.as_ref().unwrap().stats().replay_records
+        journal(h).store.borrow().stats().replay_records
     }
 
     #[test]
@@ -231,7 +270,6 @@ mod store_tests {
             diag.contains("lint"),
             "diagnostic names the lint rejection: {diag}"
         );
-        assert_eq!(h.store.as_ref().unwrap().stats().relint_rejects, 1);
         // The node still boots and serves: queries fall through to the
         // default-grant path with no handler installed.
         assert!(h.check_on_get(None, "caller", None));
@@ -250,13 +288,28 @@ mod store_tests {
         h.install_node_aa("AA = { onSubscribe = function(q, tree) return true end }")
             .unwrap();
         h.dynamic_trees.push("spot=idle".into());
-        let before = h.store.as_ref().unwrap().stats().appends;
+        let appends = |h: &RbayHost| journal(h).store.borrow().stats().appends;
+        let before = appends(&h);
         for _ in 0..5 {
             h.maintenance();
         }
-        let appends = h.store.as_ref().unwrap().stats().appends - before;
-        assert_eq!(appends, 1, "five identical joins, one WAL record");
-        assert!(h.store.as_ref().unwrap().stats().dedup_skips >= 4);
+        assert_eq!(
+            appends(&h) - before,
+            1,
+            "five identical joins, one WAL record"
+        );
+        assert_eq!(journal(&h).dedup_skips, 4);
+        // A restart does not write it again either: the journaled
+        // subscription comes back with the state.
+        drop(h);
+        let mut h = durable_host(&dir, LintPolicy::Off);
+        h.dynamic_trees.push("spot=idle".into());
+        h.maintenance();
+        assert_eq!((appends(&h), journal(&h).dedup_skips), (0, 1));
+        // Putting the value an attribute holds is not written either.
+        h.update_attr("CPU", AttrValue::Num(1.0));
+        h.update_attr("CPU", AttrValue::Num(1.0));
+        assert_eq!((appends(&h), journal(&h).dedup_skips), (1, 2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

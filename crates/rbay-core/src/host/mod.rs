@@ -32,7 +32,7 @@ use aascript::analysis::Diagnostic;
 use aascript::{AaInstance, SharedSandbox};
 use pastry::NodeId;
 use rbay_query::{AttrValue, Query};
-use rbay_store::{Store, WalRecord};
+use rbay_store::WalRecord;
 use scribe::{AggValue, TopicId};
 use simnet::obs::Recorder;
 use simnet::{NodeAddr, SimDuration, SimTime, SiteId, TimerToken};
@@ -214,10 +214,11 @@ pub struct RbayHost {
     /// control); `None` unless [`RbayHost::enable_frontdoor`] ran — only
     /// gateway nodes carry one.
     pub frontdoor: Option<Box<Frontdoor>>,
-    /// Durable state engine (DESIGN.md §18); `None` for in-memory nodes
-    /// (the default — simulator federations never persist). When present,
-    /// every mutating path appends a WAL record before acknowledging.
-    pub store: Option<Box<Store>>,
+    /// The journal into the pack's durable store (DESIGN.md §18); `None`
+    /// for in-memory nodes (the default — simulator federations never
+    /// persist). When present, every mutating path appends a WAL record
+    /// before acknowledging.
+    pub(crate) journal: Option<Box<journal::Journal>>,
     /// Handler sources recovered from the store but rejected on restore
     /// (re-lint under the current policy, or compile/instantiation
     /// failure): `(label, diagnostic)`. The source stays durable so a
@@ -277,7 +278,7 @@ impl RbayHost {
             lint_reports: BTreeMap::new(),
             obs: Recorder::default(),
             frontdoor: None,
-            store: None,
+            journal: None,
             quarantined: Vec::new(),
             parked_searches: VecDeque::new(),
             site_probes: BTreeMap::new(),

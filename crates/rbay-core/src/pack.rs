@@ -24,8 +24,8 @@
 //! A pack also runs itself once [`Pack::start`]ed, on that same queue and
 //! clock: it boots its members into the overlay through a window of
 //! `JOIN_BATCH` (16) joins in flight, re-sending one unanswered for a tick;
-//! every tick it runs one stride of maintenance rounds and flushes its
-//! members' write-ahead logs ([`Pack::open_stores`]). Its owner only
+//! every tick it runs one stride of maintenance rounds and flushes the
+//! write-ahead log its members share ([`Pack::open_stores`]). Its owner only
 //! fires what is due ([`Pack::fire_due`]), pumps loopback
 //! ([`Pack::pump`]), and waits for the next deadline or frame. A pack
 //! that is never started arms no timer of its own.
@@ -39,8 +39,10 @@ use crate::host::Op;
 use rbay_store::{FsyncPolicy, Store, StoreStats};
 use rbay_wire::encode_frame;
 use simnet::{CalendarQueue, NodeAddr, SimDuration, SimTime, TimerToken, Transport};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::path::Path;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Loopback queue cap (messages); overflow is dropped and counted.
@@ -218,7 +220,9 @@ pub struct Pack {
     tick: SimDuration,
     /// The member the next maintenance stride starts at.
     maint_cursor: u32,
-    /// Whether slot 0's store existed before this boot.
+    /// The durable store every member journals into, once opened.
+    store: Option<Rc<RefCell<Store>>>,
+    /// Whether the store existed before this boot.
     restarted: bool,
     /// The joins of a booting pack; `None` before [`Pack::start`], once
     /// every member has joined, and after [`Pack::leave`].
@@ -252,6 +256,7 @@ impl Pack {
             },
             tick: SimDuration::ZERO,
             maint_cursor: 0,
+            store: None,
             restarted: false,
             boot: None,
             warnings: Vec::new(),
@@ -319,58 +324,72 @@ impl Pack {
         !self.shared.loopback.is_empty()
     }
 
-    /// Opens (or creates) each member's durable store under
-    /// `<dir>/member-<addr>` and replays it into the member: attributes
+    /// Opens (or creates) the pack's one durable store, in
+    /// `<dir>/pack-<base>` — one per daemon, so daemons may share `dir` —
+    /// and hands each member the state it recovered for it: attributes
     /// land back in the key-value map, handler sources are re-linted under
     /// the *current* policy before re-installation, and tree subscriptions
-    /// are queued for re-join through the normal retry machinery. A member
-    /// whose store cannot be opened runs in memory, with a warning. Call
-    /// before [`Pack::start`]: whether slot 0's store existed decides how
-    /// the pack hosting `NodeAddr(0)` boots. What was replayed is then in
+    /// are queued for re-join through the normal retry machinery. Every
+    /// member journals into that store from then on. A directory that
+    /// cannot be opened, or that holds an earlier format's store, is an
+    /// error, and nothing in it is read or replaced. Call before
+    /// [`Pack::start`]: whether the store existed decides how the pack
+    /// hosting `NodeAddr(0)` boots. What was replayed is then in
     /// [`Pack::store_stats`], what was restored in the members' hosts.
-    pub fn open_stores(&mut self, dir: &Path, fsync: FsyncPolicy) {
-        for slot in 0..self.len() {
-            let member_dir = dir.join(format!("member-{}", self.addr_of(slot).0));
-            match Store::open(&member_dir, fsync) {
-                Ok((store, report)) => {
-                    self.restarted |= slot == 0 && !report.fresh;
-                    if report.snapshot_corrupt {
-                        self.warnings.push(format!(
-                            "corrupt snapshot in {} discarded; recovered from WAL alone",
-                            member_dir.display()
-                        ));
-                    }
-                    let member = &mut self.members[slot as usize];
-                    member.host.attach_store(Box::new(store));
-                }
-                Err(e) => self.warnings.push(format!(
-                    "cannot open store in {}: {e}; member runs in-memory",
-                    member_dir.display()
-                )),
-            }
+    pub fn open_stores(&mut self, dir: &Path, fsync: FsyncPolicy) -> std::io::Result<()> {
+        // Format version 1 kept a store per member, in `member-<addr>`.
+        let v1 = dir.join(format!("member-{}", self.shared.base));
+        if v1.exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{} holds a version-1 store per member", v1.display()),
+            ));
         }
+        let dir = dir.join(format!("pack-{}", self.shared.base));
+        let (store, mut report) = Store::open(&dir, fsync)?;
+        self.restarted = !report.fresh;
+        if report.snapshot_corrupt {
+            self.warnings.push(format!(
+                "corrupt snapshot in {} discarded; recovered from WAL alone",
+                dir.display()
+            ));
+        }
+        let store = Rc::new(RefCell::new(store));
+        for member in &mut self.members {
+            let state = report.members.remove(&member.host.addr);
+            member
+                .host
+                .attach_journal(Rc::clone(&store), state.unwrap_or_default());
+        }
+        self.store = Some(store);
+        Ok(())
     }
 
-    /// The members' store counters, summed (members running in memory
-    /// add nothing).
+    /// The store's counters, with the two its members keep themselves:
+    /// the writes they skipped as repeats and the handlers they
+    /// quarantined on restore. All 0 before [`Pack::open_stores`].
     pub fn store_stats(&self) -> StoreStats {
-        let mut sum = StoreStats::default();
-        for store in self.members.iter().filter_map(|m| m.host.store.as_ref()) {
-            sum.merge(&store.stats());
+        let Some(store) = &self.store else {
+            return StoreStats::default();
+        };
+        let mut stats = store.borrow().stats();
+        for host in self.members.iter().map(|m| &m.host) {
+            stats.dedup_skips += host.journal.as_ref().map_or(0, |j| j.dedup_skips);
+            stats.relint_rejects += host.quarantined.len() as u64;
         }
-        sum
+        stats
     }
 
     /// Starts the pack running itself: boots its members into the overlay
     /// and arms its tick, which runs one maintenance stride and flushes
-    /// the members' WALs every `tick`.
+    /// the WAL every `tick`.
     ///
     /// Slot 0 joins through `gateways` — the first members of the other
     /// packs, `NodeAddr(0)`'s first — moving to the next once one hands
     /// the join back or leaves it unanswered for `GATEWAY_RESENDS` (3)
     /// re-sends; later slots join through slot 0. Only the pack hosting
     /// `NodeAddr(0)` may seed the overlay: at once when fresh (or alone),
-    /// and, restarted ([`Pack::open_stores`] found slot 0's store), only
+    /// and, restarted ([`Pack::open_stores`] found a store), only
     /// once every gateway has handed its join back.
     ///
     /// # Panics
@@ -486,7 +505,7 @@ impl Pack {
     /// The pack half of a graceful exit: the boot stops, every member
     /// leaves its trees (so peers prune it at once instead of waiting out
     /// failure detection), the Leave traffic is pumped out of loopback, and
-    /// the WALs are flushed. What is left is for the owner to write out.
+    /// the WAL is flushed. What is left is for the owner to write out.
     ///
     /// Leaves deliberately bypass the WAL: the departure is an artifact of
     /// the restart, not a durable intent, so the store keeps the `SubAdd`
@@ -501,7 +520,7 @@ impl Pack {
             });
         }
         self.pump(sink);
-        self.flush_stores();
+        self.flush_store();
     }
 
     /// The store failures met since the last call, one line each.
@@ -577,21 +596,19 @@ impl Pack {
             self.maintenance_round(sink, self.maint_cursor);
             self.maint_cursor = (self.maint_cursor + 1) % self.len();
         }
-        // Under `FsyncPolicy::Batch` one sync_data per dirty member per
-        // tick bounds what a power failure can lose to a tick.
-        self.flush_stores();
+        // Under `FsyncPolicy::Batch` one sync_data per tick, whichever
+        // members appended, bounds what a power failure can lose to a tick.
+        self.flush_store();
         let next = self.shared.now() + self.tick;
         self.shared.arm(next, Fire::Tick);
     }
 
-    /// Flushes every member's WAL (one `sync_data` per dirty store under
-    /// the batch fsync policy; a no-op otherwise).
-    fn flush_stores(&mut self) {
-        for member in &mut self.members {
-            if let Some(store) = member.host.store.as_mut() {
-                if let Err(e) = store.flush() {
-                    self.warnings.push(format!("WAL flush failed: {e}"));
-                }
+    /// Flushes the WAL (one `sync_data` if anything was appended under the
+    /// batch fsync policy; a no-op otherwise).
+    fn flush_store(&mut self) {
+        if let Some(store) = &self.store {
+            if let Err(e) = store.borrow_mut().flush() {
+                self.warnings.push(format!("WAL flush failed: {e}"));
             }
         }
     }
@@ -841,6 +858,39 @@ mod tests {
         assert!((0..40).all(|slot| pack.member(slot).pastry.is_joined()));
         assert!(sink.0.is_empty(), "a fresh first pack sends nothing out");
         assert!(pack.boot.is_none());
+    }
+
+    /// Every member journals into the pack's one store, in one directory,
+    /// and one flush syncs what all of them appended: one `sync_data`,
+    /// not one per member.
+    #[test]
+    fn one_flush_syncs_every_members_appends_once() {
+        let dir = std::env::temp_dir().join(format!("rbay-pack-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut pack = Pack::new(0, (0..8).map(node).collect());
+        pack.open_stores(&dir, FsyncPolicy::Batch).unwrap();
+        let mut sink = VecSink::default();
+        for slot in 0..8 {
+            pack.with_member(&mut sink, slot, |node, _| {
+                node.host
+                    .update_attr("CPU", rbay_query::AttrValue::Num(f64::from(slot)));
+            });
+        }
+        let syncs = |pack: &Pack| pack.store.as_ref().unwrap().borrow().wal_syncs();
+        assert_eq!((pack.store_stats().appends, syncs(&pack)), (8, 0));
+        pack.flush_store();
+        assert_eq!(syncs(&pack), 1, "eight dirty members, one sync");
+        pack.flush_store();
+        assert_eq!(syncs(&pack), 1, "nothing pending, no sync");
+        let mut files: Vec<String> = std::fs::read_dir(dir.join("pack-0"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["MANIFEST", "wal-0.log"]);
+        let packs: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(packs.len(), 1, "one directory, the pack's");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One arm script for both backends: `A` and `B` now, `A` again, `C`

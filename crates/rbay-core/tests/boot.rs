@@ -1,12 +1,17 @@
 //! Packs boot a federation by joins alone, through the pack-owned join
 //! window and tick, exchanging frames in memory: the daemon's boot
-//! without the sockets. At quiescence every leaf set must be exact.
+//! without the sockets. At quiescence every leaf set must be exact. A
+//! pack restarted from its journal comes back with what its members
+//! journaled.
 
 use pastry::{exact_leaf_set, NodeInfo, PastryMsg};
-use rbay_core::{FrameSink, Pack, RbayConfig, RbayMsg, RbayNode};
+use rbay_core::{FrameSink, Hold, Pack, RbayConfig, RbayMsg, RbayNode};
+use rbay_query::{parse_query, AttrValue};
+use rbay_store::FsyncPolicy;
 use rbay_wire::decode_frame;
 use simnet::{NodeAddr, SimDuration, Topology};
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -33,6 +38,8 @@ struct Packs {
     down: Vec<bool>,
     /// `Join`s lost on their way to a pack that is down.
     joins_lost: usize,
+    /// Where pack `p` journals, in `pack-<p>`, if anywhere.
+    data: Option<PathBuf>,
 }
 
 /// Pack `p` of `n`'s members, fresh: the ids a daemon gives them, no state.
@@ -44,10 +51,16 @@ fn members(p: u32, n: u32) -> Vec<RbayNode> {
         .collect()
 }
 
-/// Builds pack `p` of `n` afresh and starts it; its gateways are the
-/// other packs' first members, pack 0's first, as `rbay-node` lists them.
-fn started(p: u32, n: u32, outbox: &mut Outbox) -> Pack {
+/// Builds pack `p` of `n` afresh, restores it from its journal under
+/// `data` if given, and starts it; its gateways are the other packs'
+/// first members, pack 0's first, as `rbay-node` lists them.
+fn started(p: u32, n: u32, outbox: &mut Outbox, data: Option<&Path>) -> Pack {
     let mut pack = Pack::new(p * PER, members(p, n));
+    if let Some(data) = data {
+        let dir = data.join(format!("pack-{p}"));
+        pack.open_stores(&dir, FsyncPolicy::Never)
+            .expect("open journal");
+    }
     let gateways = (0..n).filter(|&q| q != p).map(|q| NodeAddr(q * PER));
     pack.start(outbox, TICK, gateways.collect());
     pack
@@ -59,22 +72,29 @@ fn addrs<'a>(members: impl Iterator<Item = &'a NodeInfo>) -> BTreeSet<NodeAddr> 
 
 impl Packs {
     fn start(n: u32) -> Packs {
+        Packs::journaled(n, None)
+    }
+
+    /// `n` packs, each journaling under `data` if given.
+    fn journaled(n: u32, data: Option<PathBuf>) -> Packs {
         let mut outboxes: Vec<Outbox> = (0..n).map(|_| Outbox::default()).collect();
-        let packs = (0..n).map(|p| started(p, n, &mut outboxes[p as usize]));
+        let packs = (0..n).map(|p| started(p, n, &mut outboxes[p as usize], data.as_deref()));
         Packs {
             packs: packs.collect(),
             outboxes,
             down: vec![false; n as usize],
             joins_lost: 0,
+            data,
         }
     }
 
     /// Pack `p` restarts: fresh members under the same ids, which the
-    /// other packs' members still hold.
+    /// other packs' members still hold, restored from its journal if it
+    /// keeps one.
     fn restart(&mut self, p: usize) {
         let n = self.packs.len() as u32;
         self.outboxes[p] = Outbox::default();
-        self.packs[p] = started(p as u32, n, &mut self.outboxes[p]);
+        self.packs[p] = started(p as u32, n, &mut self.outboxes[p], self.data.as_deref());
         self.down[p] = false;
     }
 
@@ -156,6 +176,12 @@ impl Packs {
     }
 }
 
+/// Whether member `slot` of pack `p` has attached to any tree.
+fn attached(net: &Packs, p: usize, slot: u32) -> bool {
+    let node = net.packs[p].member(slot);
+    node.scribe.topics().any(|(_, st)| st.is_attached())
+}
+
 #[test]
 fn two_packs_boot_to_exact_leaf_sets() {
     let mut net = Packs::start(2);
@@ -175,6 +201,73 @@ fn a_restarted_pack_rejoins_to_exact_leaf_sets() {
         "a later pack never seeds"
     );
     net.boot("rejoin");
+}
+
+/// Pack 1 restarts from its journal: the attribute and subscription a
+/// member posted, the commit a query took on it and its commit count all
+/// come back, with no operator re-posting, and the member re-attaches to
+/// its tree.
+#[test]
+fn a_pack_restarted_from_its_journal_gets_its_state_back() {
+    let data = std::env::temp_dir().join(format!("rbay-boot-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data);
+    let mut net = Packs::journaled(2, Some(data.clone()));
+    net.boot("boot");
+    // The only holder of GPU = true: pack 1's member in slot 3.
+    let holder = 3;
+    net.packs[1].with_member(&mut net.outboxes[1], holder, |node, _| {
+        node.host.post_resource("GPU", AttrValue::Bool(true));
+        node.host.update_attr("CPU", AttrValue::Num(35.0));
+    });
+    net.until("holder attached", Duration::from_secs(20), |net| {
+        if attached(net, 1, holder) {
+            Vec::new()
+        } else {
+            vec![net.packs[1].addr_of(holder)]
+        }
+    });
+    // Pack 0's first member queries until the holder is committed to it.
+    let query = Rc::new(parse_query("SELECT 1 FROM * WHERE GPU = true").unwrap());
+    let issue = |net: &mut Packs| {
+        let q = Rc::clone(&query);
+        net.packs[0].with_member(&mut net.outboxes[0], 0, |node, _| {
+            node.host.issue_query(q, None)
+        })
+    };
+    let mut id = issue(&mut net);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !matches!(net.packs[1].member(holder).host.hold, Some(Hold::Committed { by }) if by == id)
+    {
+        assert!(Instant::now() < deadline, "no commit on the holder");
+        net.turn();
+        let rec = &net.packs[0].member(0).host.queries[&id];
+        if rec.completed_at.is_some() && !rec.satisfied {
+            id = issue(&mut net);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(net.packs[1].member(holder).host.commits, 1);
+
+    net.restart(1);
+    let host = &net.packs[1].member(holder).host;
+    assert_eq!(host.attrs.get("GPU"), Some(&AttrValue::Bool(true)));
+    assert_eq!(host.attrs.get("CPU"), Some(&AttrValue::Num(35.0)));
+    assert_eq!(host.sub_requested.len(), 1, "the GPU=true tree, queued");
+    assert_eq!(host.hold, Some(Hold::Committed { by: id }));
+    assert_eq!(host.commits, 1);
+    let untouched = &net.packs[1].member(holder + 1).host;
+    assert!(untouched.attrs.is_empty() && untouched.hold.is_none());
+    let stats = net.packs[1].store_stats();
+    assert!(stats.replay_records >= 4, "{stats:?}");
+    net.boot("rejoin");
+    net.until("holder re-attached", Duration::from_secs(20), |net| {
+        if attached(net, 1, holder) {
+            Vec::new()
+        } else {
+            vec![net.packs[1].addr_of(holder)]
+        }
+    });
+    std::fs::remove_dir_all(&data).unwrap();
 }
 
 /// Three packs boot; packs 0 and 2 go down, and pack 2 restarts fresh

@@ -1,14 +1,15 @@
-//! The WAL record vocabulary and the in-memory state image it rebuilds.
+//! The WAL record vocabulary and the per-member state its records fold to.
 
 use rbay_query::AttrValue;
 use rbay_wire::{wire_enum, wire_struct};
 use scribe::TopicId;
 use simnet::SiteId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// One durable mutation of `RbayHost` state. Every variant is appended to
-/// the WAL *before* the corresponding in-memory mutation is acknowledged,
-/// so a crash immediately after the ack can always be replayed.
+/// One durable mutation of one member's `RbayHost` state. Every variant is
+/// appended to the WAL, under the member's address, *before* the
+/// corresponding in-memory mutation is acknowledged, so a crash
+/// immediately after the ack can always be replayed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// An attribute upsert (`post_resource`, `update_attr`, or an admin
@@ -102,9 +103,10 @@ wire_enum!(WalRecord {
     9 => Release { query },
 });
 
-/// The full durable image of one host: what a snapshot serializes and what
-/// WAL replay rebuilds. The [`Store`](crate::Store) maintains this image
-/// incrementally on every append, so snapshotting never re-reads the log.
+/// One member's durable state: what the WAL's records for that member
+/// fold to, and what a snapshot holds per member. The store builds it only
+/// to recover (at open) and to compact; between the two the hosts' own
+/// state is the only image.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DurableState {
     /// The resource attribute map.
@@ -115,35 +117,14 @@ pub struct DurableState {
     pub attr_aas: BTreeMap<String, String>,
     /// Held tree subscriptions: topic → routing scope.
     pub subs: BTreeMap<TopicId, Option<SiteId>>,
-    /// Queries whose reservations this node committed (raw `QueryId` bits).
-    pub committed: BTreeSet<u64>,
+    /// Commits the member has taken: one per `Commit` record.
+    pub commits: u64,
     /// The query currently holding the committed reservation, if any.
     pub reserved: Option<u64>,
 }
 
 impl DurableState {
-    /// Whether applying `rec` would leave the state unchanged. The store
-    /// skips such appends — the host re-posts subscriptions every
-    /// maintenance round and re-installs on restore, and none of that
-    /// should bloat the log.
-    pub fn is_noop(&self, rec: &WalRecord) -> bool {
-        match rec {
-            WalRecord::AttrPut { attr, value } => self.attrs.get(attr) == Some(value),
-            WalRecord::AttrDel { attr } => !self.attrs.contains_key(attr),
-            WalRecord::NodeAaInstall { source } => self.node_aa.as_ref() == Some(source),
-            WalRecord::NodeAaUninstall => self.node_aa.is_none(),
-            WalRecord::AttrAaInstall { attr, source } => self.attr_aas.get(attr) == Some(source),
-            WalRecord::AttrAaUninstall { attr } => !self.attr_aas.contains_key(attr),
-            WalRecord::SubAdd { topic, scope } => self.subs.get(topic) == Some(scope),
-            WalRecord::SubRemove { topic } => !self.subs.contains_key(topic),
-            WalRecord::Commit { query } => {
-                self.committed.contains(query) && self.reserved == Some(*query)
-            }
-            WalRecord::Release { query } => self.reserved != Some(*query),
-        }
-    }
-
-    /// Applies one record to the image.
+    /// Applies one record to the state.
     pub fn apply(&mut self, rec: &WalRecord) {
         match rec {
             WalRecord::AttrPut { attr, value } => {
@@ -167,7 +148,7 @@ impl DurableState {
                 self.subs.remove(topic);
             }
             WalRecord::Commit { query } => {
-                self.committed.insert(*query);
+                self.commits += 1;
                 self.reserved = Some(*query);
             }
             WalRecord::Release { query } => {
@@ -179,24 +160,27 @@ impl DurableState {
     }
 }
 
-// The snapshot image: maps and sets are length-prefixed, in key order.
+// A member's part of the snapshot image: maps are length-prefixed, in key
+// order.
 wire_struct!(DurableState {
     attrs,
     node_aa,
     attr_aas,
     subs,
-    committed,
+    commits,
     reserved
 });
 
 /// Store health counters, surfaced in `ProcStatusReply` so the cluster
 /// harness (and a rolling restart's gate) can read durability behaviour
-/// off a live daemon.
+/// off a live daemon. The store counts its own work; the two counters the
+/// hosts own, `dedup_skips` and `relint_rejects`, it leaves at 0 for the
+/// pack to fill.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// WAL records appended (dedup skips excluded).
+    /// WAL records appended.
     pub appends: u64,
-    /// Appends skipped because the record would not change state.
+    /// Writes the hosts skipped because they would not change state.
     pub dedup_skips: u64,
     /// Snapshot compactions taken.
     pub snapshots: u64,
@@ -204,7 +188,7 @@ pub struct StoreStats {
     pub replay_records: u64,
     /// Wall-clock microseconds the last open spent loading snapshot + WAL.
     pub replay_micros: u64,
-    /// Handler sources rejected by re-lint on restore (set by the host).
+    /// Handler sources the hosts quarantined on restore.
     pub relint_rejects: u64,
     /// Bytes in the live WAL generation.
     pub wal_bytes: u64,

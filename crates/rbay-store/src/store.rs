@@ -1,24 +1,31 @@
 //! The durable store: a live `(snapshot, wal)` generation pair under one
-//! data directory, compacted by threshold and switched atomically.
+//! data directory, compacted by threshold and switched atomically. One
+//! store serves every member of a pack: each record names its member.
 //!
 //! Directory layout:
 //!
 //! ```text
 //! <dir>/MANIFEST            text, replaced by atomic rename
-//! <dir>/snapshot-<gen>.snap one framed DurableState image (absent at gen 0)
-//! <dir>/wal-<gen>.log       framed WalRecords appended since the snapshot
+//! <dir>/snapshot-<gen>.snap one framed image, member → DurableState (absent at gen 0)
+//! <dir>/wal-<gen>.log       framed (member, WalRecord)s appended since the snapshot
 //! ```
 //!
 //! The manifest commits a generation: a crash before the rename leaves the
 //! old pair live and the half-written new files orphaned (deleted on the
 //! next successful compaction); a crash after leaves the new pair live.
 //! Orphans are harmless — open only reads what the manifest names.
+//!
+//! The store holds no state image. Open folds the live generation once
+//! and hands each member its state ([`ReplayReport::members`]); compaction
+//! folds the generation it replaces the same way, from disk.
 
 use crate::record::{DurableState, StoreStats, WalRecord};
 use crate::wal::{self, frame_record};
-use rbay_wire::{decode_frame_as, encode_frame_as};
+use rbay_wire::{decode_frame_as, Wire};
+use simnet::NodeAddr;
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -48,7 +55,7 @@ impl FsyncPolicy {
 }
 
 /// What [`Store::open`] found and recovered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct ReplayReport {
     /// Whether the directory held no store before this open — no
     /// manifest — so the open created one.
@@ -65,6 +72,8 @@ pub struct ReplayReport {
     pub torn_bytes: u64,
     /// Wall-clock microseconds spent loading snapshot + WAL.
     pub replay_micros: u64,
+    /// Each member's recovered state; a member with no record is absent.
+    pub members: BTreeMap<NodeAddr, DurableState>,
 }
 
 /// Compact once the live WAL holds this many records…
@@ -72,17 +81,22 @@ const SNAPSHOT_RECORDS: u64 = 4096;
 /// …or this many bytes, whichever comes first.
 const SNAPSHOT_BYTES: u64 = 4 * 1024 * 1024;
 
-/// The durability engine one host owns. All methods return `io::Error`
-/// only for environmental failures (disk full, permissions); corrupt or
-/// torn *contents* are always recovered, never errors.
+/// The first line of every manifest this build writes and reads.
+const MANIFEST_HEADER: &str = "rbay-store v2";
+
+/// The durability engine one pack owns. All methods return `io::Error`
+/// only for environmental failures (disk full, permissions) and for a
+/// directory in a format this build does not read; corrupt or torn
+/// *contents* are always recovered, never errors.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     fsync: FsyncPolicy,
     gen: u64,
     wal: File,
-    state: DurableState,
     stats: StoreStats,
+    /// `sync_data` calls on the WAL so far.
+    syncs: u64,
     snapshot_records: u64,
     snapshot_bytes: u64,
     dirty: bool,
@@ -93,8 +107,9 @@ fn wal_name(gen: u64) -> String {
     format!("wal-{gen}.log")
 }
 
-fn snap_name(gen: u64) -> String {
-    format!("snapshot-{gen}.snap")
+/// Generation `gen`'s snapshot file; generation 0 has none.
+fn snap_name(gen: u64) -> Option<String> {
+    (gen > 0).then(|| format!("snapshot-{gen}.snap"))
 }
 
 fn sync_dir(dir: &Path) {
@@ -105,62 +120,60 @@ fn sync_dir(dir: &Path) {
     }
 }
 
+/// The error refusing `path`, a store this build does not read.
+fn refuse(path: &Path, found: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} holds {found}; this build reads only `{MANIFEST_HEADER}` stores",
+            path.display()
+        ),
+    )
+}
+
 impl Store {
     /// Opens (or initializes) the store under `dir`: reads the manifest,
-    /// loads the snapshot it names, replays the WAL, truncates any torn
-    /// tail, and leaves the WAL open for append.
-    pub fn open(dir: &Path, fsync: FsyncPolicy) -> std::io::Result<(Store, ReplayReport)> {
+    /// folds the snapshot it names and the WAL into each member's state,
+    /// truncates any torn tail, and leaves the WAL open for append.
+    /// Refuses, without reading or writing it, a store of an earlier
+    /// format (a version-1 manifest).
+    pub fn open(dir: &Path, fsync: FsyncPolicy) -> io::Result<(Store, ReplayReport)> {
         fs::create_dir_all(dir)?;
         let started = Instant::now();
+        let gen = read_manifest(dir)?;
         let mut report = ReplayReport {
-            fresh: !dir.join("MANIFEST").exists(),
+            fresh: gen.is_none(),
             ..ReplayReport::default()
         };
-        let (gen, snap_file) = read_manifest(dir);
-        let mut state = DurableState::default();
-        if let Some(name) = &snap_file {
-            match load_snapshot(&dir.join(name)) {
-                Some(s) => {
-                    state = s;
-                    report.snapshot_loaded = true;
-                }
-                None => report.snapshot_corrupt = true,
-            }
-        }
-        let wal_path = dir.join(wal_name(gen));
+        let gen = gen.unwrap_or(0);
         let mut wal = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&wal_path)?;
+            .open(dir.join(wal_name(gen)))?;
         let mut bytes = Vec::new();
         wal.read_to_end(&mut bytes)?;
-        let mut records = 0u64;
-        let scan = wal::replay(&bytes, |rec| {
-            state.apply(&rec);
-            records += 1;
-        });
-        if scan.valid_bytes < bytes.len() {
-            report.torn_bytes = (bytes.len() - scan.valid_bytes) as u64;
-            wal.set_len(scan.valid_bytes as u64)?;
+        let valid = fold(dir, gen, &bytes, &mut report);
+        if valid < bytes.len() {
+            report.torn_bytes = (bytes.len() - valid) as u64;
+            wal.set_len(valid as u64)?;
         }
-        wal.seek(SeekFrom::Start(scan.valid_bytes as u64))?;
-        report.wal_records = records;
+        wal.seek(SeekFrom::Start(valid as u64))?;
         report.replay_micros = started.elapsed().as_micros() as u64;
         let store = Store {
             dir: dir.to_path_buf(),
             fsync,
             gen,
             wal,
-            state,
             stats: StoreStats {
-                replay_records: records,
+                replay_records: report.wal_records,
                 replay_micros: report.replay_micros,
-                wal_bytes: scan.valid_bytes as u64,
-                wal_records: records,
+                wal_bytes: valid as u64,
+                wal_records: report.wal_records,
                 ..StoreStats::default()
             },
+            syncs: 0,
             snapshot_records: SNAPSHOT_RECORDS,
             snapshot_bytes: SNAPSHOT_BYTES,
             dirty: false,
@@ -174,20 +187,14 @@ impl Store {
         Ok((store, report))
     }
 
-    /// The recovered (and continuously maintained) state image.
-    pub fn state(&self) -> &DurableState {
-        &self.state
-    }
-
     /// Store health counters.
     pub fn stats(&self) -> StoreStats {
         self.stats
     }
 
-    /// Bumps the restore-time re-lint rejection counter (owned by the
-    /// host, surfaced with the rest of the store stats).
-    pub fn note_relint_reject(&mut self) {
-        self.stats.relint_rejects += 1;
+    /// `sync_data` calls on the WAL so far.
+    pub fn wal_syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Overrides the compaction thresholds (tests use tiny ones).
@@ -196,75 +203,84 @@ impl Store {
         self.snapshot_bytes = bytes.max(1);
     }
 
-    /// Appends one record — unless it would not change state, in which
-    /// case it is skipped (returns `Ok(false)`). The record is on disk
-    /// (modulo fsync policy) before this returns, i.e. before the caller
+    /// Appends one record of member `NodeAddr(0)`: [`Store::append_for`]
+    /// for a store with one member.
+    pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
+        self.append_for(NodeAddr(0), rec)
+    }
+
+    /// Appends one record of `member`'s. The record is on disk (modulo
+    /// fsync policy) before this returns, i.e. before the caller
     /// acknowledges the mutation. May trigger a snapshot compaction.
-    pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<bool> {
-        if self.state.is_noop(rec) {
-            self.stats.dedup_skips += 1;
-            return Ok(false);
-        }
+    pub fn append_for(&mut self, member: NodeAddr, rec: &WalRecord) -> io::Result<()> {
         self.buf.clear();
-        frame_record(&mut self.buf, rec);
+        frame_record(&mut self.buf, member, rec);
         self.wal.write_all(&self.buf)?;
         self.stats.wal_bytes += self.buf.len() as u64;
         self.stats.wal_records += 1;
         self.stats.appends += 1;
         match self.fsync {
-            FsyncPolicy::Always => self.wal.sync_data()?,
+            FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::Batch => self.dirty = true,
             FsyncPolicy::Never => {}
         }
-        self.state.apply(rec);
         if self.stats.wal_records >= self.snapshot_records
             || self.stats.wal_bytes >= self.snapshot_bytes
         {
             self.snapshot()?;
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// Syncs any unsynced appends (a no-op under `Always`/`Never` or when
-    /// nothing is pending).
-    pub fn flush(&mut self) -> std::io::Result<()> {
+    /// Syncs any unsynced appends: one `sync_data` however many members
+    /// appended (a no-op under `Always`/`Never` or when nothing is
+    /// pending).
+    pub fn flush(&mut self) -> io::Result<()> {
         if self.dirty && self.fsync == FsyncPolicy::Batch {
-            self.wal.sync_data()?;
+            self.sync()?;
             self.dirty = false;
         }
         Ok(())
     }
 
-    /// Takes a snapshot now: writes the full state image to a new
-    /// generation, commits it via the manifest, starts an empty WAL, and
-    /// deletes the previous generation's files.
-    pub fn snapshot(&mut self) -> std::io::Result<()> {
+    fn sync(&mut self) -> io::Result<()> {
+        self.syncs += 1;
+        self.wal.sync_data()
+    }
+
+    /// Takes a snapshot now: folds the live generation from disk into a
+    /// new generation's image, commits it via the manifest, starts an
+    /// empty WAL, and deletes the previous generation's files.
+    pub fn snapshot(&mut self) -> io::Result<()> {
         let old_gen = self.gen;
         let new_gen = self.gen + 1;
-        // 1. Snapshot image: tmp + fsync + rename.
-        let snap_path = self.dir.join(snap_name(new_gen));
-        let tmp_path = self.dir.join(format!("{}.tmp", snap_name(new_gen)));
+        let snap = snap_name(new_gen).expect("a generation after 0");
+        // 1. Snapshot image: fold, then tmp + fsync + rename.
+        let mut live = ReplayReport::default();
+        fold(
+            &self.dir,
+            old_gen,
+            &fs::read(self.dir.join(wal_name(old_gen)))?,
+            &mut live,
+        );
+        let tmp_path = self.dir.join(format!("{snap}.tmp"));
         {
-            let framed = encode_frame_as(wal::FORMAT_VERSION, &self.state);
-            let mut image = Vec::with_capacity(framed.len() + wal::RECORD_HEADER_LEN);
-            image.extend_from_slice(&(framed.len() as u32).to_le_bytes());
-            image.extend_from_slice(&wal::crc32(&framed).to_le_bytes());
-            image.extend_from_slice(&framed);
+            let mut image = Vec::new();
+            wal::frame(&mut image, |body| live.members.encode_into(body));
             let mut f = File::create(&tmp_path)?;
             f.write_all(&image)?;
             if self.fsync != FsyncPolicy::Never {
                 f.sync_all()?;
             }
         }
-        fs::rename(&tmp_path, &snap_path)?;
+        fs::rename(&tmp_path, self.dir.join(&snap))?;
         // 2. Fresh WAL for the new generation.
-        let new_wal_path = self.dir.join(wal_name(new_gen));
         let new_wal = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&new_wal_path)?;
+            .open(self.dir.join(wal_name(new_gen)))?;
         // 3. Commit: the manifest rename flips both files at once.
         self.gen = new_gen;
         self.wal = new_wal;
@@ -275,23 +291,18 @@ impl Store {
         self.write_manifest()?;
         // 4. Old generation is dead; reclaim (best effort).
         let _ = fs::remove_file(self.dir.join(wal_name(old_gen)));
-        if old_gen > 0 {
-            let _ = fs::remove_file(self.dir.join(snap_name(old_gen)));
+        if let Some(old) = snap_name(old_gen) {
+            let _ = fs::remove_file(self.dir.join(old));
         }
         Ok(())
     }
 
-    fn write_manifest(&self) -> std::io::Result<()> {
+    fn write_manifest(&self) -> io::Result<()> {
         let tmp = self.dir.join("MANIFEST.tmp");
-        let snap = if self.gen == 0 {
-            "-".to_owned()
-        } else {
-            snap_name(self.gen)
-        };
         let text = format!(
-            "rbay-store v1\ngen={}\nsnapshot={}\nwal={}\n",
+            "{MANIFEST_HEADER}\ngen={}\nsnapshot={}\nwal={}\n",
             self.gen,
-            snap,
+            snap_name(self.gen).as_deref().unwrap_or("-"),
             wal_name(self.gen)
         );
         {
@@ -309,55 +320,55 @@ impl Store {
     }
 }
 
-/// Reads `(gen, snapshot file)` from the manifest; a missing or corrupt
-/// manifest means generation 0 with no snapshot (a fresh store — atomic
-/// manifest replacement guarantees we never see a half-written one).
-fn read_manifest(dir: &Path) -> (u64, Option<String>) {
-    let Ok(text) = fs::read_to_string(dir.join("MANIFEST")) else {
-        return (0, None);
+/// The live generation the manifest names; `None` without a manifest (a
+/// fresh store — atomic manifest replacement guarantees we never see a
+/// half-written one). A manifest of another format is refused.
+fn read_manifest(dir: &Path) -> io::Result<Option<u64>> {
+    let path = dir.join("MANIFEST");
+    let text = match fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
     };
-    let mut gen = 0u64;
-    let mut snap = None;
-    let mut ok = false;
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 {
-            ok = line == "rbay-store v1";
-            if !ok {
-                break;
-            }
-            continue;
-        }
-        if let Some(v) = line.strip_prefix("gen=") {
-            gen = v.parse().unwrap_or(0);
-        } else if let Some(v) = line.strip_prefix("snapshot=") {
-            if v != "-" {
-                snap = Some(v.to_owned());
-            }
-        }
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or_default();
+    if header != MANIFEST_HEADER {
+        return Err(refuse(&path, &format!("`{header}`")));
     }
-    if ok {
-        (gen, snap)
-    } else {
-        (0, None)
-    }
+    let gen = lines.find_map(|line| line.strip_prefix("gen=")?.parse().ok());
+    gen.map(Some).ok_or_else(|| refuse(&path, "no generation"))
 }
 
-/// Loads and validates one snapshot image; `None` on any corruption.
-fn load_snapshot(path: &Path) -> Option<DurableState> {
+/// Folds generation `gen` — its snapshot, if any, then the WAL image
+/// `wal` — into `into.members`, noting whether the snapshot loaded and
+/// how many records replayed; returns the length of the WAL's valid
+/// prefix. Open recovers with it and compaction snapshots with it.
+fn fold(dir: &Path, gen: u64, wal: &[u8], into: &mut ReplayReport) -> usize {
+    if let Some(name) = snap_name(gen) {
+        match load_snapshot(&dir.join(name)) {
+            Some(members) => {
+                into.members = members;
+                into.snapshot_loaded = true;
+            }
+            None => into.snapshot_corrupt = true,
+        }
+    }
+    let scan = wal::replay(wal, |member, rec| {
+        into.members.entry(member).or_default().apply(&rec);
+    });
+    into.wal_records = scan.records;
+    scan.valid_bytes
+}
+
+/// Loads and validates one snapshot image, a single frame; `None` on any
+/// corruption.
+fn load_snapshot(path: &Path) -> Option<BTreeMap<NodeAddr, DurableState>> {
     let bytes = fs::read(path).ok()?;
-    if bytes.len() < wal::RECORD_HEADER_LEN {
+    let body = wal::body_of(&bytes, usize::MAX).ok()?;
+    if wal::RECORD_HEADER_LEN + body.len() != bytes.len() {
         return None;
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len != bytes.len() - wal::RECORD_HEADER_LEN {
-        return None;
-    }
-    let body = &bytes[wal::RECORD_HEADER_LEN..];
-    if wal::crc32(body) != crc {
-        return None;
-    }
-    decode_frame_as::<DurableState>(wal::FORMAT_VERSION, body).ok()
+    decode_frame_as(wal::FORMAT_VERSION, body).ok()
 }
 
 #[cfg(test)]
@@ -380,8 +391,15 @@ mod tests {
         }
     }
 
+    /// Member `NodeAddr(0)`'s state as a reopen of `dir` recovers it.
+    fn reopened(dir: &Path, fsync: FsyncPolicy) -> (DurableState, ReplayReport) {
+        let (_, mut report) = Store::open(dir, fsync).unwrap();
+        let state = report.members.remove(&NodeAddr(0)).unwrap_or_default();
+        (state, report)
+    }
+
     #[test]
-    fn reopen_recovers_state() {
+    fn reopen_recovers_each_members_state() {
         let dir = tmp_dir("reopen");
         {
             let (mut s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
@@ -397,44 +415,49 @@ mod tests {
             })
             .unwrap();
             s.append(&WalRecord::Commit { query: 42 }).unwrap();
+            s.append_for(NodeAddr(7), &put(2)).unwrap();
         }
-        let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+        let (state, report) = reopened(&dir, FsyncPolicy::Never);
         assert!(!report.fresh);
-        assert_eq!(report.wal_records, 4);
-        assert_eq!(s.state().attrs.get("a1"), Some(&AttrValue::Num(1.0)));
-        assert_eq!(s.state().node_aa.as_deref(), Some("AA = {}"));
-        assert_eq!(s.state().subs.len(), 1);
-        assert!(s.state().committed.contains(&42));
-        assert_eq!(s.state().reserved, Some(42));
+        assert_eq!(report.wal_records, 5);
+        assert_eq!(state.attrs.get("a1"), Some(&AttrValue::Num(1.0)));
+        assert_eq!(state.node_aa.as_deref(), Some("AA = {}"));
+        assert_eq!(state.subs.len(), 1);
+        assert_eq!((state.commits, state.reserved), (1, Some(42)));
+        // Member 0 taken, member 7 left.
+        assert_eq!(report.members.len(), 1);
+        let other = &report.members[&NodeAddr(7)];
+        assert_eq!(other.attrs.keys().collect::<Vec<_>>(), ["a2"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Whether the store holds `a0 .. a{n-1}` and nothing else.
-    fn holds_puts(s: &Store, n: u64) -> bool {
-        s.state().attrs.len() as u64 == n
-            && (0..n).all(|i| s.state().attrs.contains_key(&format!("a{i}")))
+    /// Whether `state` holds `a0 .. a{n-1}` and nothing else.
+    fn holds_puts(state: &DurableState, n: u64) -> bool {
+        state.attrs.len() as u64 == n && (0..n).all(|i| state.attrs.contains_key(&format!("a{i}")))
     }
 
-    /// Under `Batch` an append waits for `flush`, which syncs it; what was
-    /// appended and flushed is all there after a reopen.
+    /// Under `Batch` an append waits for `flush`, which syncs it once
+    /// however many members appended; what was appended and flushed is
+    /// all there after a reopen.
     #[test]
-    fn batch_appends_synced_by_flush_survive_a_reopen() {
+    fn batch_appends_synced_by_one_flush_survive_a_reopen() {
         let dir = tmp_dir("batch");
         {
             let (mut s, _) = Store::open(&dir, FsyncPolicy::Batch).unwrap();
             for i in 0..3 {
-                s.append(&put(i)).unwrap();
+                s.append_for(NodeAddr(i as u32), &put(i)).unwrap();
             }
             assert!(s.dirty, "batch appends wait for a flush");
+            assert_eq!(s.wal_syncs(), 0);
             s.flush().unwrap();
             assert!(!s.dirty);
-            s.append(&put(3)).unwrap();
+            assert_eq!(s.wal_syncs(), 1, "three members, one sync");
             s.flush().unwrap();
-            assert!(!s.dirty);
+            assert_eq!(s.wal_syncs(), 1, "nothing pending, no sync");
         }
-        let (s, report) = Store::open(&dir, FsyncPolicy::Batch).unwrap();
-        assert_eq!(report.wal_records, 4);
-        assert!(holds_puts(&s, 4));
+        let (_, report) = Store::open(&dir, FsyncPolicy::Batch).unwrap();
+        assert_eq!(report.wal_records, 3);
+        assert_eq!(report.members.len(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -444,15 +467,17 @@ mod tests {
     fn always_appends_each_survive_a_reopen() {
         let dir = tmp_dir("always");
         for i in 0..3 {
-            let (mut s, report) = Store::open(&dir, FsyncPolicy::Always).unwrap();
+            let (state, report) = reopened(&dir, FsyncPolicy::Always);
             assert_eq!(report.wal_records, i);
-            assert!(holds_puts(&s, i));
+            assert!(holds_puts(&state, i));
+            let (mut s, _) = Store::open(&dir, FsyncPolicy::Always).unwrap();
             s.append(&put(i)).unwrap();
             assert!(!s.dirty, "synced at the append");
+            assert_eq!(s.wal_syncs(), 1);
         }
-        let (s, report) = Store::open(&dir, FsyncPolicy::Always).unwrap();
+        let (state, report) = reopened(&dir, FsyncPolicy::Always);
         assert_eq!(report.wal_records, 3);
-        assert!(holds_puts(&s, 3));
+        assert!(holds_puts(&state, 3));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -466,29 +491,19 @@ mod tests {
             for i in 0..3 {
                 s.append(&put(i)).unwrap();
                 assert!(!s.dirty, "{policy:?}: an append left work for flush");
-                let before = s.stats();
+                let (before, syncs) = (s.stats(), s.wal_syncs());
                 s.flush().unwrap();
-                assert_eq!(s.stats(), before, "{policy:?}");
+                assert_eq!((s.stats(), s.wal_syncs()), (before, syncs), "{policy:?}");
                 assert!(!s.dirty);
             }
             drop(s);
-            let (s, _) = Store::open(&dir, policy).unwrap();
-            assert!(holds_puts(&s, 3), "{policy:?}");
+            assert!(holds_puts(&reopened(&dir, policy).0, 3), "{policy:?}");
             fs::remove_dir_all(&dir).unwrap();
         }
     }
 
-    #[test]
-    fn dedup_skips_noop_appends() {
-        let dir = tmp_dir("dedup");
-        let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
-        assert!(s.append(&put(1)).unwrap());
-        assert!(!s.append(&put(1)).unwrap());
-        assert_eq!(s.stats().appends, 1);
-        assert_eq!(s.stats().dedup_skips, 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
+    /// Compaction folds the generation it replaces from disk, so what a
+    /// reopen recovers is the same with or without it.
     #[test]
     fn compaction_switches_generation_and_survives_reopen() {
         let dir = tmp_dir("compact");
@@ -497,8 +512,10 @@ mod tests {
             s.set_snapshot_thresholds(10, u64::MAX);
             for i in 0..25 {
                 s.append(&put(i)).unwrap();
+                s.append_for(NodeAddr(1), &WalRecord::Commit { query: i })
+                    .unwrap();
             }
-            assert!(s.stats().snapshots >= 2);
+            assert!(s.stats().snapshots >= 4);
             // Only the live generation's files remain (plus the manifest).
             let files: Vec<String> = fs::read_dir(&dir)
                 .unwrap()
@@ -506,9 +523,11 @@ mod tests {
                 .collect();
             assert_eq!(files.len(), 3, "stale generations not reclaimed: {files:?}");
         }
-        let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+        let (state, report) = reopened(&dir, FsyncPolicy::Never);
         assert!(report.snapshot_loaded);
-        assert_eq!(s.state().attrs.len(), 25);
+        assert!(holds_puts(&state, 25));
+        let other = &report.members[&NodeAddr(1)];
+        assert_eq!((other.commits, other.reserved), (25, Some(24)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -529,16 +548,16 @@ mod tests {
         f.set_len(len - 5).unwrap();
         drop(f);
         {
-            let (mut s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+            let (mut s, mut report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
             assert_eq!(report.wal_records, 2);
             assert!(report.torn_bytes > 0);
-            assert_eq!(s.state().attrs.len(), 2);
+            assert!(holds_puts(&report.members.remove(&NodeAddr(0)).unwrap(), 2));
             // New appends after the truncation point replay cleanly.
             s.append(&put(9)).unwrap();
         }
-        let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+        let (state, report) = reopened(&dir, FsyncPolicy::Never);
         assert_eq!(report.wal_records, 3);
-        assert_eq!(s.state().attrs.get("a9"), Some(&AttrValue::Num(9.0)));
+        assert_eq!(state.attrs.get("a9"), Some(&AttrValue::Num(9.0)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -567,5 +586,14 @@ mod tests {
         assert!(report.snapshot_corrupt);
         assert!(!report.snapshot_loaded);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A path that cannot hold a directory fails the open.
+    #[test]
+    fn a_regular_file_is_refused() {
+        let file = tmp_dir("regular-file");
+        fs::write(&file, b"not a directory").unwrap();
+        assert!(Store::open(&file, FsyncPolicy::Never).is_err());
+        fs::remove_file(&file).unwrap();
     }
 }

@@ -1,9 +1,10 @@
 //! Crash-recovery property tests for the WAL (mirrors the PR-6 frame-run
-//! proptests): a WAL image mutilated by truncation, a bit flip, or a
-//! garbage suffix must still yield every intact prefix record, and the
-//! replayer must never panic on any input. Then the golden bytes that
-//! freeze the on-disk format: a WAL, a snapshot and a manifest written by
-//! an earlier build must keep opening.
+//! proptests): a WAL image of several members' interleaved records,
+//! mutilated by truncation, a bit flip, or a garbage suffix, must still
+//! yield every member's intact prefix, and the replayer must never panic
+//! on any input. Then the golden bytes that freeze the on-disk format: a
+//! version-2 WAL, snapshot and manifest are written byte for byte and
+//! replay, and a version-1 directory is refused untouched.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -12,7 +13,8 @@ use rbay_query::AttrValue;
 use rbay_store::{frame_record, replay, DurableState, FsyncPolicy, Store, StoreStats, WalRecord};
 use rbay_wire::{assert_tags_covered, Reader, Wire};
 use scribe::TopicId;
-use simnet::SiteId;
+use simnet::{NodeAddr, SiteId};
+use std::collections::BTreeMap;
 
 fn s_string() -> impl Strategy<Value = String> {
     vec(0usize..6, 0..10).prop_map(|ix| {
@@ -54,6 +56,12 @@ fn s_record() -> BoxedStrategy<WalRecord> {
     .boxed()
 }
 
+/// A record of one of four members, one of them past a one-byte varint.
+fn s_entry() -> BoxedStrategy<(NodeAddr, WalRecord)> {
+    let member = prop_oneof![Just(0u32), Just(1), Just(2), Just(300)].prop_map(NodeAddr);
+    (member, s_record()).boxed()
+}
+
 /// Every declared `WalRecord` tag comes out of `s_record` (and the tag
 /// table is unique): a variant added to the declaration
 /// but not to the strategy fails here.
@@ -66,11 +74,11 @@ fn strategy_covers_every_declared_tag() {
 
 /// Frames `recs` into one WAL image, returning the image and each
 /// record's end offset.
-fn image_of(recs: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+fn image_of(recs: &[(NodeAddr, WalRecord)]) -> (Vec<u8>, Vec<usize>) {
     let mut buf = Vec::new();
     let mut ends = Vec::new();
-    for r in recs {
-        frame_record(&mut buf, r);
+    for (member, r) in recs {
+        frame_record(&mut buf, *member, r);
         ends.push(buf.len());
     }
     (buf, ends)
@@ -81,22 +89,41 @@ fn intact_prefix(ends: &[usize], cut: usize) -> usize {
     ends.iter().take_while(|&&e| e <= cut).count()
 }
 
+/// Each member's records, in log order.
+type ByMember = BTreeMap<NodeAddr, Vec<WalRecord>>;
+
+fn by_member<'a>(recs: impl IntoIterator<Item = &'a (NodeAddr, WalRecord)>) -> ByMember {
+    let mut out = ByMember::new();
+    for (member, rec) in recs {
+        out.entry(*member).or_default().push(rec.clone());
+    }
+    out
+}
+
+/// Replays `bytes`, sorting what it yields by member.
+fn replay_by_member(bytes: &[u8]) -> (ByMember, rbay_store::WalScan) {
+    let mut out = ByMember::new();
+    let scan = replay(bytes, |member, rec| {
+        out.entry(member).or_default().push(rec)
+    });
+    (out, scan)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Truncation at any byte offset recovers exactly the records whose
-    /// frames fit entirely before the cut.
+    /// frames fit entirely before the cut: every member's intact prefix.
     #[test]
-    fn truncation_recovers_every_intact_prefix_record(
-        recs in vec(s_record(), 1..12),
+    fn truncation_recovers_every_members_intact_prefix(
+        recs in vec(s_entry(), 1..16),
         cut_seed in any::<u64>(),
     ) {
         let (buf, ends) = image_of(&recs);
         let cut = (cut_seed as usize) % (buf.len() + 1);
         let expect = intact_prefix(&ends, cut);
-        let mut out = Vec::new();
-        let scan = replay(&buf[..cut], |r| out.push(r));
-        prop_assert_eq!(&out[..], &recs[..expect]);
+        let (out, scan) = replay_by_member(&buf[..cut]);
+        prop_assert_eq!(out, by_member(&recs[..expect]));
         prop_assert_eq!(scan.records as usize, expect);
         // The valid prefix ends exactly at the last intact record.
         let valid_end = if expect == 0 { 0 } else { ends[expect - 1] };
@@ -105,35 +132,38 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in the image never panics, and every
-    /// record that ends before the flipped byte is recovered intact.
+    /// member's records that end before the flipped byte are recovered
+    /// intact, ahead of anything else replayed for that member.
     #[test]
-    fn bit_flip_preserves_records_before_the_flip(
-        recs in vec(s_record(), 1..12),
+    fn bit_flip_preserves_every_members_records_before_the_flip(
+        recs in vec(s_entry(), 1..16),
         pos_seed in any::<u64>(),
         bit in 0u8..8,
     ) {
         let (mut buf, ends) = image_of(&recs);
         let pos = (pos_seed as usize) % buf.len();
         buf[pos] ^= 1 << bit;
-        let before_flip = intact_prefix(&ends, pos);
-        let mut out = Vec::new();
-        let _ = replay(&buf, |r| out.push(r));
-        prop_assert!(out.len() >= before_flip);
-        prop_assert_eq!(&out[..before_flip], &recs[..before_flip]);
+        let before_flip = by_member(&recs[..intact_prefix(&ends, pos)]);
+        let (out, _) = replay_by_member(&buf);
+        for (member, want) in &before_flip {
+            let got = out.get(member).map_or(&[][..], |v| &v[..]);
+            prop_assert!(got.len() >= want.len());
+            prop_assert_eq!(&got[..want.len()], &want[..]);
+        }
     }
 
     /// A garbage suffix after a valid image never hides or corrupts the
     /// real records; replay yields all of them, then stops.
     #[test]
     fn garbage_suffix_recovers_all_records(
-        recs in vec(s_record(), 1..12),
+        recs in vec(s_entry(), 1..16),
         garbage in vec(any::<u8>(), 1..64),
     ) {
         let (mut buf, _) = image_of(&recs);
         let n = recs.len();
         buf.extend_from_slice(&garbage);
         let mut out = Vec::new();
-        let _ = replay(&buf, |r| out.push(r));
+        let _ = replay(&buf, |m, r| out.push((m, r)));
         prop_assert!(out.len() >= n);
         prop_assert_eq!(&out[..n], &recs[..]);
     }
@@ -141,7 +171,7 @@ proptest! {
     /// Pure garbage (no valid image at all) never panics the replayer.
     #[test]
     fn random_bytes_never_panic(bytes in vec(any::<u8>(), 0..128)) {
-        let _ = replay(&bytes, |_| {});
+        let _ = replay(&bytes, |_, _| {});
     }
 }
 
@@ -167,10 +197,10 @@ fn replay_100k_records_under_one_second() {
         }
     }
     let started = std::time::Instant::now();
-    let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+    let (_, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
     let elapsed = started.elapsed();
     assert_eq!(report.wal_records, 100_000);
-    assert_eq!(s.state().attrs.len(), 100_000);
+    assert_eq!(report.members[&NodeAddr(0)].attrs.len(), 100_000);
     eprintln!("replay of 100k records: {elapsed:?}");
     if !cfg!(debug_assertions) {
         assert!(
@@ -185,9 +215,11 @@ fn replay_100k_records_under_one_second() {
 // Golden bytes: the on-disk format is frozen
 // ---------------------------------------------------------------------------
 //
-// Generated at the commit before the codec became declarative. A WAL or
-// snapshot written by any earlier build must keep replaying, so these
-// vectors are never edited to make a change pass.
+// The record bodies were generated at the commit before the codec became
+// declarative and have not moved since. The files are format version 2's
+// (one log per daemon, each record naming its member); version 1's are
+// kept to show such a directory is refused. These vectors are never
+// edited to make a change pass: a layout change is a new format version.
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -203,38 +235,63 @@ fn topic(name: &str) -> TopicId {
     TopicId::new(name, "rbay")
 }
 
+/// The two members of the golden store.
+const A: NodeAddr = NodeAddr(0);
+const B: NodeAddr = NodeAddr(300);
+
 /// Appended before the snapshot, so the image has every field populated.
-fn golden_prelude() -> Vec<WalRecord> {
+fn golden_prelude() -> Vec<(NodeAddr, WalRecord)> {
     let put = |attr: &str, value| WalRecord::AttrPut {
         attr: attr.into(),
         value,
     };
     vec![
-        put("GPU", AttrValue::Bool(true)),
-        put("CPU", AttrValue::Num(12.5)),
-        put("type", AttrValue::Str("m5".into())),
-        WalRecord::NodeAaInstall {
-            source: "AA = {}".into(),
-        },
-        WalRecord::AttrAaInstall {
-            attr: "GPU".into(),
-            source: "AA = { onGet = function() return true end }".into(),
-        },
-        WalRecord::SubAdd {
-            topic: topic("GPU=true"),
-            scope: Some(SiteId(2)),
-        },
-        WalRecord::SubAdd {
-            topic: topic("rack"),
-            scope: None,
-        },
-        WalRecord::Commit { query: 7 },
-        WalRecord::Commit { query: 300 },
+        (A, put("GPU", AttrValue::Bool(true))),
+        (A, put("CPU", AttrValue::Num(12.5))),
+        (B, put("GPU", AttrValue::Bool(false))),
+        (A, put("type", AttrValue::Str("m5".into()))),
+        (
+            A,
+            WalRecord::NodeAaInstall {
+                source: "AA = {}".into(),
+            },
+        ),
+        (
+            A,
+            WalRecord::AttrAaInstall {
+                attr: "GPU".into(),
+                source: "AA = { onGet = function() return true end }".into(),
+            },
+        ),
+        (
+            A,
+            WalRecord::SubAdd {
+                topic: topic("GPU=true"),
+                scope: Some(SiteId(2)),
+            },
+        ),
+        (
+            B,
+            WalRecord::SubAdd {
+                topic: topic("GPU=false"),
+                scope: None,
+            },
+        ),
+        (
+            A,
+            WalRecord::SubAdd {
+                topic: topic("rack"),
+                scope: None,
+            },
+        ),
+        (A, WalRecord::Commit { query: 7 }),
+        (B, WalRecord::Commit { query: 9 }),
+        (A, WalRecord::Commit { query: 300 }),
     ]
 }
 
 /// One record per `WalRecord` variant in tag order, each a real change to
-/// the prelude's state (the store skips no-op appends).
+/// the prelude's state.
 fn golden_records() -> Vec<WalRecord> {
     vec![
         WalRecord::AttrPut {
@@ -263,19 +320,30 @@ fn golden_records() -> Vec<WalRecord> {
     ]
 }
 
-/// The state a store holds after the prelude, a snapshot, and the records.
-fn golden_state() -> DurableState {
-    let mut s = DurableState::default();
-    for r in golden_prelude().iter().chain(&golden_records()) {
-        s.apply(r);
+/// The live WAL after the snapshot: the ten records, member A's, then
+/// member B's release.
+fn golden_wal() -> Vec<(NodeAddr, WalRecord)> {
+    let mut wal: Vec<_> = golden_records().into_iter().map(|r| (A, r)).collect();
+    wal.push((B, WalRecord::Release { query: 9 }));
+    wal
+}
+
+/// Each member's state after the prelude, a snapshot, and the WAL.
+fn golden_members() -> BTreeMap<NodeAddr, DurableState> {
+    let mut members: BTreeMap<NodeAddr, DurableState> = BTreeMap::new();
+    for (member, r) in golden_prelude().iter().chain(&golden_wal()) {
+        members.entry(*member).or_default().apply(r);
     }
-    assert_eq!(s.attrs.len(), 3);
-    assert_eq!(s.node_aa, None);
-    assert_eq!(s.attr_aas.len(), 1);
-    assert_eq!(s.subs.len(), 2);
-    assert_eq!(s.committed.len(), 3);
-    assert_eq!(s.reserved, None);
-    s
+    let a = &members[&A];
+    assert_eq!(a.attrs.len(), 3);
+    assert_eq!(a.node_aa, None);
+    assert_eq!(a.attr_aas.len(), 1);
+    assert_eq!(a.subs.len(), 2);
+    assert_eq!((a.commits, a.reserved), (3, None));
+    let b = &members[&B];
+    assert_eq!((b.attrs.len(), b.subs.len()), (1, 1));
+    assert_eq!((b.commits, b.reserved), (1, None));
+    members
 }
 
 /// Encoded body of each of [`golden_records`].
@@ -292,10 +360,15 @@ const GOLDEN_RECORDS: [&str; 10] = [
     "09808080808020",
 ];
 /// `snapshot-1.snap` after the prelude.
-const GOLDEN_SNAPSHOT: &str = "83000000bc263e4f010303435055010000000000002940034750550001047479706502026d3501074141203d207b7d01034750552b4141203d207b206f6e476574203d2066756e6374696f6e28292072657475726e207472756520656e64207d02b6fab8e833dc2efb8c2daff7f3acf5140102efe05a7cff5083f29e87b63e8e1a0cf1000207ac0201ac02";
-/// `wal-1.log` after the ten records.
-const GOLDEN_WAL: &str = "0f0000001a6499bb0100036d656d01000000000000504006000000ee3f2d8601010343505517000000f901bf000102144141203d207b206f6e476574203d206e696c207d020000000472cbc101030e00000016183ecf0104036d656d074141203d207b7d06000000f231a474010503475055150000002c59f2ab0106715a1f6ed0b8d285174485adb691472801ac0212000000c878d2be0107efe05a7cff5083f29e87b63e8e1a0cf108000000e220b039010880808080802008000000562bc79f0109808080808020";
-const GOLDEN_MANIFEST: &str = "rbay-store v1\ngen=1\nsnapshot=snapshot-1.snap\nwal=wal-1.log\n";
+const GOLDEN_SNAPSHOT: &str = "a2000000e17b8a1a0202000303435055010000000000002940034750550001047479706502026d3501074141203d207b7d01034750552b4141203d207b206f6e476574203d2066756e6374696f6e28292072657475726e207472756520656e64207d02b6fab8e833dc2efb8c2daff7f3acf5140102efe05a7cff5083f29e87b63e8e1a0cf1000201ac02ac0201034750550000000001d269c53f833e82c843474e4c01a2d12100010109";
+/// `wal-1.log` after the golden WAL.
+const GOLDEN_WAL: &str = "1000000023d2aabe020000036d656d01000000000000504007000000bf8340f6020001034350551800000046c99693020002144141203d207b206f6e476574203d206e696c207d03000000c65ccc650200030f000000d132dffc020004036d656d074141203d207b7d07000000a38dc9040200050347505516000000596755f3020006715a1f6ed0b8d285174485adb691472801ac0213000000face2798020007efe05a7cff5083f29e87b63e8e1a0cf1090000003dc3c7580200088080808080200900000089c8b0fe0200098080808080200500000043d5c51002ac020909";
+const GOLDEN_MANIFEST: &str = "rbay-store v2\ngen=1\nsnapshot=snapshot-1.snap\nwal=wal-1.log\n";
+
+/// A version-1 store's files (one member's, no member in the records).
+const V1_SNAPSHOT: &str = "83000000bc263e4f010303435055010000000000002940034750550001047479706502026d3501074141203d207b7d01034750552b4141203d207b206f6e476574203d2066756e6374696f6e28292072657475726e207472756520656e64207d02b6fab8e833dc2efb8c2daff7f3acf5140102efe05a7cff5083f29e87b63e8e1a0cf1000207ac0201ac02";
+const V1_WAL: &str = "0f0000001a6499bb0100036d656d01000000000000504006000000ee3f2d8601010343505517000000f901bf000102144141203d207b206f6e476574203d206e696c207d020000000472cbc101030e00000016183ecf0104036d656d074141203d207b7d06000000f231a474010503475055150000002c59f2ab0106715a1f6ed0b8d285174485adb691472801ac0212000000c878d2be0107efe05a7cff5083f29e87b63e8e1a0cf108000000e220b039010880808080802008000000562bc79f0109808080808020";
+const V1_MANIFEST: &str = "rbay-store v1\ngen=1\nsnapshot=snapshot-1.snap\nwal=wal-1.log\n";
 
 #[test]
 fn records_and_stats_encode_to_golden_bytes() {
@@ -329,17 +402,30 @@ fn records_and_stats_encode_to_golden_bytes() {
     );
 }
 
+fn tmp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rbay-store-golden-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Writes `(file, hex)` pairs into `dir`.
+fn write_files(dir: &std::path::Path, files: &[(&str, &str)]) {
+    std::fs::create_dir_all(dir).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), unhex(bytes)).unwrap();
+    }
+}
+
 #[test]
 fn store_writes_the_golden_files() {
-    let dir = std::env::temp_dir().join(format!("rbay-store-golden-w-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmp_dir("w");
     let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
-    for r in &golden_prelude() {
-        assert!(s.append(r).unwrap());
+    for (member, r) in &golden_prelude() {
+        s.append_for(*member, r).unwrap();
     }
     s.snapshot().unwrap();
-    for r in &golden_records() {
-        assert!(s.append(r).unwrap());
+    for (member, r) in &golden_wal() {
+        s.append_for(*member, r).unwrap();
     }
     drop(s);
     let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
@@ -350,21 +436,54 @@ fn store_writes_the_golden_files() {
 }
 
 #[test]
-fn a_directory_written_by_an_earlier_build_replays() {
-    let dir = std::env::temp_dir().join(format!("rbay-store-golden-r-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("snapshot-1.snap"), unhex(GOLDEN_SNAPSHOT)).unwrap();
-    std::fs::write(dir.join("wal-1.log"), unhex(GOLDEN_WAL)).unwrap();
+fn a_version_2_directory_replays() {
+    let dir = tmp_dir("r");
+    write_files(
+        &dir,
+        &[
+            ("snapshot-1.snap", GOLDEN_SNAPSHOT),
+            ("wal-1.log", GOLDEN_WAL),
+        ],
+    );
     std::fs::write(dir.join("MANIFEST"), GOLDEN_MANIFEST).unwrap();
-    let (s, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
-    assert!(report.snapshot_loaded && !report.snapshot_corrupt);
-    assert_eq!(report.wal_records, 10);
+    let (_, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+    assert!(report.snapshot_loaded && !report.snapshot_corrupt && !report.fresh);
+    assert_eq!(report.wal_records, 11);
     assert_eq!(report.torn_bytes, 0);
-    assert_eq!(s.state(), &golden_state());
-    // The WAL alone yields the ten records, in order.
+    assert_eq!(report.members, golden_members());
+    // The WAL alone yields the eleven records, in order, each with its
+    // member.
     let mut out = Vec::new();
-    replay(&unhex(GOLDEN_WAL), |r| out.push(r));
-    assert_eq!(out, golden_records());
+    replay(&unhex(GOLDEN_WAL), |m, r| out.push((m, r)));
+    assert_eq!(out, golden_wal());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-1 store is refused with a message naming its manifest, and
+/// left as it was: not read, not truncated, not booted fresh.
+#[test]
+fn a_version_1_directory_is_refused() {
+    let dir = tmp_dir("v1");
+    let v1 = [("snapshot-1.snap", V1_SNAPSHOT), ("wal-1.log", V1_WAL)];
+    write_files(&dir, &v1);
+    std::fs::write(dir.join("MANIFEST"), V1_MANIFEST).unwrap();
+    let err = Store::open(&dir, FsyncPolicy::Never).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&dir.join("MANIFEST").display().to_string()),
+        "{msg}"
+    );
+    assert!(
+        msg.contains("rbay-store v1") && msg.contains("rbay-store v2"),
+        "{msg}"
+    );
+    for (name, bytes) in v1 {
+        assert_eq!(hex(&std::fs::read(dir.join(name)).unwrap()), bytes);
+    }
+    assert_eq!(
+        std::fs::read_to_string(dir.join("MANIFEST")).unwrap(),
+        V1_MANIFEST
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
