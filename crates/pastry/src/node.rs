@@ -12,7 +12,7 @@
 use crate::id::{NodeId, ID_DIGITS};
 use crate::state::{LeafSet, NodeInfo, RoutingTable};
 use simnet::obs::{ObsEvent, Recorder};
-use simnet::{NodeAddr, SiteId, Transport};
+use simnet::{NodeAddr, SiteId, ThinVec, Transport};
 use std::collections::BTreeSet;
 
 /// Short for "a [`Transport`] of [`PastryMsg`]s with payload `A`": what the
@@ -135,10 +135,9 @@ pub const JOIN_PROBE_RESENDS: u8 = 4;
 /// Hops after which a routed message or a join is dropped. A route in a
 /// consistent overlay takes about ⌈log₁₆ N⌉ hops; one this long is
 /// circling between nodes whose tables disagree — a part-filled leaf set
-/// (a restarting node's, or one that forgot members that handed joins
-/// back) claims to cover the whole ring, while a neighbour routes back to
-/// it by prefix — and between two members of one pack it would spin the
-/// pack's loopback without end.
+/// (a restarting node's) claims to cover the whole ring, while a
+/// neighbour routes back to it by prefix — and between two members of one
+/// pack it would spin the pack's loopback without end.
 const MAX_HOPS: u16 = 64;
 
 /// A joiner's leaf-set probes — MSPastry's consistent join (Castro et al.,
@@ -158,21 +157,77 @@ struct JoinProbe {
     /// Joins this node is the root of, with the rows gathered on their
     /// way, held until its own join completes.
     held: Vec<(NodeInfo, Vec<Vec<NodeInfo>>)>,
+    /// [`JoinState::Joined`]'s notes, gathered while probing.
+    notes: ThinVec<JoinNote>,
+}
+
+/// What a joined node remembers of the joins it routed, until the peer
+/// named announces itself. Only a restart leaves a node others hold
+/// unjoined, so only a restart writes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinNote {
+    /// The peer handed back a join, not having joined itself: joins route
+    /// around it, and it is kept out of the routing table — not out of the
+    /// leaf set, whose span a member short would misstate.
+    HandedBack(NodeAddr),
+    /// The peer's join reached a dead end here and was dropped; its
+    /// re-send is answered.
+    DeadEnd(NodeAddr),
+}
+
+impl JoinNote {
+    fn addr(self) -> NodeAddr {
+        match self {
+            JoinNote::HandedBack(a) | JoinNote::DeadEnd(a) => a,
+        }
+    }
 }
 
 /// Where a node stands in the join protocol: one value, written only by
 /// the join handlers ([`PastryNode::join`], the `Join`, `JoinReply` and
-/// probe-answering `LeafRepairReply` handlers) and by
-/// [`PastryNode::seed_state`].
+/// `LeafRepairReply` handlers, and the `LeafRepairRequest` and `Announce`
+/// handlers for what it notes) and by [`PastryNode::seed_state`].
 #[derive(Debug)]
 enum JoinState {
-    /// No `JoinReply` yet; with the node that handed back the `Join` this
-    /// node last sent, not having joined itself, if one has.
-    Unjoined(Option<NodeAddr>),
+    /// No `JoinReply` yet.
+    Unjoined {
+        /// The node that handed back the `Join` this node last sent, not
+        /// having joined itself, if one has.
+        handed_back_by: Option<NodeAddr>,
+        /// The peers that probed this node before it had a view of the
+        /// ring (a restarted node others still hold): each was answered
+        /// with this node alone, and is sent its leaf set once the
+        /// `JoinReply` arrives.
+        probed_by: ThinVec<NodeAddr>,
+    },
     /// The `JoinReply` arrived and leaf-set probes are outstanding.
     Probing(Box<JoinProbe>),
-    /// Every probe answered, or seeded.
-    Joined,
+    /// Every probe answered, or seeded; with its notes on the joins it
+    /// routed.
+    Joined(ThinVec<JoinNote>),
+}
+
+impl JoinState {
+    /// The notes on the joins this node routed; `None` while unjoined,
+    /// when it routes no joins but hands them back.
+    fn notes_mut(&mut self) -> Option<&mut ThinVec<JoinNote>> {
+        match self {
+            JoinState::Unjoined { .. } => None,
+            JoinState::Probing(probe) => Some(&mut probe.notes),
+            JoinState::Joined(notes) => Some(notes),
+        }
+    }
+
+    /// Whether `addr` handed back a join this node routed and has not
+    /// announced itself since.
+    fn handed_back(&self, addr: NodeAddr) -> bool {
+        let notes: &[JoinNote] = match self {
+            JoinState::Unjoined { .. } => &[],
+            JoinState::Probing(probe) => &probe.notes,
+            JoinState::Joined(notes) => notes,
+        };
+        notes.contains(&JoinNote::HandedBack(addr))
+    }
 }
 
 // A federation holds one `PastryNode` per member, so its width is paid
@@ -214,7 +269,10 @@ impl PastryNode {
             leaf: LeafSet::new(info.id),
             site_rt: RoutingTable::new(info.id),
             site_leaf: LeafSet::new(info.id),
-            join: JoinState::Unjoined(None),
+            join: JoinState::Unjoined {
+                handed_back_by: None,
+                probed_by: ThinVec::new(),
+            },
             obs: Recorder::default(),
             gossip_cursor: 0,
             buried: BTreeSet::new(),
@@ -235,7 +293,7 @@ impl PastryNode {
     /// arrived and every leaf-set member it learned of since answered its
     /// probe — or was seeded via [`PastryNode::seed_state`].
     pub fn is_joined(&self) -> bool {
-        matches!(self.join, JoinState::Joined)
+        matches!(self.join, JoinState::Joined(_))
     }
 
     /// The node that handed back the `Join` this node last sent, because
@@ -244,7 +302,7 @@ impl PastryNode {
     /// overlay, so the joiner should try another.
     pub fn join_handed_back_by(&self) -> Option<NodeAddr> {
         match self.join {
-            JoinState::Unjoined(handed_back_by) => handed_back_by,
+            JoinState::Unjoined { handed_back_by, .. } => handed_back_by,
             _ => None,
         }
     }
@@ -292,9 +350,13 @@ impl PastryNode {
             return;
         }
         let my_site = self.info.site;
-        self.rt.insert_with(info, |cur, cand| {
-            net.rtt_ms(my_site, cand.site) < net.rtt_ms(my_site, cur.site)
-        });
+        // A peer that handed a join back stays out of the routing table,
+        // where a repair may have put a live node in its place.
+        if !self.join.handed_back(info.addr) {
+            self.rt.insert_with(info, |cur, cand| {
+                net.rtt_ms(my_site, cand.site) < net.rtt_ms(my_site, cur.site)
+            });
+        }
         self.leaf.insert(info);
         if info.site == my_site {
             self.site_rt.insert(info);
@@ -315,7 +377,7 @@ impl PastryNode {
         self.leaf = leaf;
         self.site_rt = site_rt;
         self.site_leaf = site_leaf;
-        self.join = JoinState::Joined;
+        self.join = JoinState::Joined(ThinVec::new());
     }
 
     /// One round of peer-set anti-entropy: announces this node to one
@@ -502,8 +564,8 @@ impl PastryNode {
     /// again.
     pub fn join<A, N: Net<A>>(&mut self, net: &mut N, bootstrap: NodeAddr) {
         let JoinState::Probing(probe) = &mut self.join else {
-            if !self.is_joined() {
-                self.join = JoinState::Unjoined(None);
+            if let JoinState::Unjoined { handed_back_by, .. } = &mut self.join {
+                *handed_back_by = None;
             }
             net.send(
                 bootstrap,
@@ -527,18 +589,26 @@ impl PastryNode {
     }
 
     /// Handles `joiner`'s join request, which arrived from `from`: forwards
-    /// it toward the joiner's id, contributing this node's routing rows,
-    /// or — at the root — answers with this node's leaf set.
+    /// it to the known node nearest the joiner's id, contributing this
+    /// node's routing rows, or — at the root — answers with this node's
+    /// leaf set.
     ///
     /// A node that has not had its own `JoinReply` hands the join back (a
     /// restarted node others still hold, or a joiner still waiting): it
-    /// knows nothing to answer with, and the sender forgets it and routes
-    /// around it. A joiner never answers its own join: one handed back to
-    /// it came straight from the bootstrap it was sent to, and is dropped
-    /// for the next re-send to retry. A node still probing holds a join it
-    /// is the root of until its own join completes, so every `JoinReply`
-    /// carries a confirmed leaf set. The joiner is not learned here: it
-    /// announces itself once it has state.
+    /// knows nothing to answer with. The sender routes joins around it
+    /// until it announces itself, and asks for a live node to take its
+    /// routing-table slot ([`JoinNote::HandedBack`]); it keeps it in the
+    /// leaf set, whose span stays that of the ring. A node that then knows
+    /// no nearer live node while the joiner's id lies outside that span is
+    /// at a dead end, not the root: a restart of a whole daemon leaves runs
+    /// of restarted members, and the way past one may be a slot still
+    /// under repair. It drops the join once ([`JoinNote::DeadEnd`]) and
+    /// answers the re-send. A joiner never answers its own join: one
+    /// handed back to it came straight from the bootstrap it was sent to,
+    /// and is dropped for the next re-send to retry. A node still probing
+    /// holds a join it is the root of until its own join completes, so
+    /// every `JoinReply` carries a confirmed leaf set. The joiner is not
+    /// learned here: it announces itself once it has state.
     fn on_join<A, N: Net<A>>(
         &mut self,
         net: &mut N,
@@ -550,12 +620,12 @@ impl PastryNode {
         if joiner.addr == self.info.addr {
             // Every hop routes a join as if the joiner were absent, so
             // only a hand-back brings it here.
-            if let JoinState::Unjoined(handed_back_by) = &mut self.join {
+            if let JoinState::Unjoined { handed_back_by, .. } = &mut self.join {
                 *handed_back_by = Some(from);
             }
             return;
         }
-        if let JoinState::Unjoined(_) = self.join {
+        if let JoinState::Unjoined { .. } = self.join {
             // Handed back with a hop count of zero, which only the
             // joiner's own first send otherwise carries.
             net.send(
@@ -568,11 +638,8 @@ impl PastryNode {
             );
             return;
         }
-        if hops == 0 && from != joiner.addr {
-            // Handed back: forget the node that did it. It announces
-            // itself once it has state, after the hand-back on one link.
-            self.rt.remove(from);
-            self.leaf.remove(from);
+        if hops == 0 && from != joiner.addr && !self.join.handed_back(from) {
+            self.handed_back(net, from);
         }
         // Contribute routing rows up to the shared-prefix length.
         let l = self.info.id.common_prefix_len(joiner.id).min(ID_DIGITS - 1);
@@ -581,21 +648,28 @@ impl PastryNode {
             let row: Vec<NodeInfo> = self.rt.row(r).iter().filter_map(|e| *e).collect();
             rows.push(row);
         }
-        // Route as if the joiner were not in our tables — a restart leaves
-        // it there under its old id, and the join must reach its live
-        // neighbours, not itself — then put it back: a late copy of a
-        // re-sent join may pass after the joiner announced itself.
-        let in_rt = self.rt.holds(&joiner);
-        if in_rt {
-            self.rt.remove(joiner.addr);
-        }
-        let in_leaf = self.leaf.remove(joiner.addr).is_some();
-        let next = Self::next_hop_in(&self.rt, &self.leaf, self.info, joiner.id, None);
-        if in_rt {
-            self.rt.insert(joiner);
-        }
-        if in_leaf {
-            self.leaf.insert(joiner);
+        // The joiner is passed by too: a restart leaves it in our tables
+        // under its old id, and the join must reach its live neighbours.
+        let me = self.info;
+        let join = &self.join;
+        let next = self
+            .rt
+            .entries()
+            .chain(self.leaf.members())
+            .filter(|e| e.addr != joiner.addr && !join.handed_back(e.addr))
+            .filter(|e| e.id.closer_to(joiner.id, me.id))
+            .min_by_key(|e| e.id.ring_distance(joiner.id))
+            .copied();
+        if next.is_none() && !self.leaf.covers(joiner.id) {
+            // A dead end: this node is the nearest live node it knows of
+            // maybe only because the way on handed joins back.
+            let notes = self.join.notes_mut().expect("joined or probing");
+            let note = JoinNote::DeadEnd(joiner.addr);
+            if !notes.contains(&note) {
+                notes.push(note);
+                self.obs.count("join_dead_end");
+                return;
+            }
         }
         if let Some(next) = next {
             if hops >= MAX_HOPS {
@@ -641,7 +715,7 @@ impl PastryNode {
         }
         if probe.waiting.is_empty() {
             let held = std::mem::take(&mut probe.held);
-            self.join = JoinState::Joined;
+            self.join = JoinState::Joined(std::mem::take(&mut probe.notes));
             for (joiner, rows) in held {
                 self.on_join(net, joiner.addr, joiner, rows, 0);
             }
@@ -697,7 +771,13 @@ impl PastryNode {
                 if self.is_joined() {
                     return; // a late reply to a re-sent join
                 }
-                if let JoinState::Unjoined(_) = self.join {
+                if let JoinState::Unjoined { probed_by, .. } = &self.join {
+                    let mut leaves: Vec<NodeInfo> = self.leaf.members().copied().collect();
+                    leaves.push(self.info);
+                    for &peer in probed_by.iter() {
+                        let leaves = leaves.clone();
+                        net.send(peer, PastryMsg::LeafRepairReply { leaves });
+                    }
                     // Announce ourselves to everyone we now know; leaf-set
                     // members hear it with their probe.
                     let me = self.info;
@@ -715,6 +795,9 @@ impl PastryNode {
                 self.probe_leaves(net);
             }
             PastryMsg::Announce { info } => {
+                if let Some(notes) = self.join.notes_mut() {
+                    notes.retain(|note| note.addr() != info.addr);
+                }
                 self.insert_peer(net, info);
             }
             PastryMsg::RowRequest { row } => {
@@ -732,7 +815,17 @@ impl PastryNode {
                 }
             }
             PastryMsg::LeafRepairRequest => {
-                let mut leaves: Vec<NodeInfo> = self.leaf.members().copied().collect();
+                let mut leaves: Vec<NodeInfo> = match &mut self.join {
+                    // It holds only peers that announced themselves to it,
+                    // no view of the ring: a prober would take them for one.
+                    JoinState::Unjoined { probed_by, .. } => {
+                        if !probed_by.contains(&from) {
+                            probed_by.push(from);
+                        }
+                        Vec::new()
+                    }
+                    _ => self.leaf.members().copied().collect(),
+                };
                 leaves.push(self.info);
                 net.send(from, PastryMsg::LeafRepairReply { leaves });
             }
@@ -768,6 +861,17 @@ impl PastryNode {
         self.buried.remove(&addr)
     }
 
+    /// Notes that `addr` handed back a join this node routed, not having
+    /// joined itself: takes it out of the routing table and asks a
+    /// surviving same-row entry for each vacated row, where a live node may
+    /// take its place.
+    fn handed_back<A, N: Net<A>>(&mut self, net: &mut N, addr: NodeAddr) {
+        let notes = self.join.notes_mut().expect("joined or probing");
+        notes.push(JoinNote::HandedBack(addr));
+        let vacated = self.rt.remove(addr);
+        self.request_rows(net, vacated);
+    }
+
     /// Reacts to the discovery that `addr` has failed: buries it, removes
     /// it from all routing state, asks the surviving leaf-set extremes for
     /// their members, and asks a surviving same-row entry for each vacated
@@ -782,9 +886,13 @@ impl PastryNode {
         for e in [ccw, cw].into_iter().flatten() {
             net.send(e.addr, PastryMsg::LeafRepairRequest);
         }
-        // For each row that lost an entry, ask a surviving entry of the
-        // same row (which shares the relevant prefix) for its row; fall
-        // back to any leaf when the row emptied out.
+        self.request_rows(net, vacated);
+    }
+
+    /// For each row that lost an entry at `vacated`, asks a surviving entry
+    /// of the same row (which shares the relevant prefix) for its row;
+    /// falls back to any leaf when the row emptied out.
+    fn request_rows<A, N: Net<A>>(&self, net: &mut N, vacated: Vec<(usize, usize)>) {
         let mut asked_rows = Vec::new();
         for (row, _) in vacated {
             if asked_rows.contains(&row) {
@@ -1077,7 +1185,7 @@ mod tests {
             node.insert_peer(&net, info(id.as_u128(), a, (a % 3 == 0) as u16));
         }
         node.handle_failure(&mut net, NodeAddr(7));
-        node.join = JoinState::Joined;
+        node.join = JoinState::Joined(ThinVec::new());
         let mut listed: Vec<NodeInfo> = Vec::new();
         for e in node
             .rt
@@ -1099,12 +1207,152 @@ mod tests {
         }
     }
 
+    /// Node `x` of id `X`, joined, with a full leaf set: eight peers on
+    /// each side, `1_000` apart — addresses 11–18 counter-clockwise, 21–28
+    /// clockwise.
+    fn joined_with_leaves() -> (PastryNode, u128) {
+        const X: u128 = 1 << 100;
+        let mut x = PastryNode::new(info(X, 0, 0));
+        let net = RecNet::default();
+        for d in 1..=8u32 {
+            let off = u128::from(d) * 1_000;
+            x.insert_peer(&net, info(X - off, 10 + d, 0));
+            x.insert_peer(&net, info(X + off, 20 + d, 0));
+        }
+        x.join = JoinState::Joined(ThinVec::new());
+        (x, X)
+    }
+
+    /// Messages a node sent, with their destinations.
+    type Sent = Vec<(NodeAddr, PastryMsg<P>)>;
+
+    /// Where `x` sends `joiner`'s join that arrived from `from`, with its
+    /// hop count, and what else it sent.
+    fn route_join(
+        x: &mut PastryNode,
+        from: u32,
+        joiner: NodeInfo,
+        hops: u16,
+    ) -> (Option<(NodeAddr, u16)>, Sent) {
+        let (mut net, mut app) = (RecNet::default(), RecApp::default());
+        let rows = Vec::new();
+        let msg = PastryMsg::Join { joiner, rows, hops };
+        x.on_message(&mut net, &mut app, NodeAddr(from), msg);
+        let mut next = None;
+        let mut rest = Vec::new();
+        for (to, msg) in net.sent {
+            match msg {
+                PastryMsg::Join { hops, .. } => next = Some((to, hops)),
+                other => rest.push((to, other)),
+            }
+        }
+        (next, rest)
+    }
+
+    /// A peer that hands back a join is routed around, and kept in the
+    /// leaf set but out of the routing table, where a row is asked for in
+    /// its place, until it announces itself.
+    #[test]
+    fn a_peer_that_hands_a_join_back_is_routed_around_until_it_announces() {
+        let (mut x, id) = joined_with_leaves();
+        let joiner = info(id + 3_400, 99, 0);
+        let (next, _) = route_join(&mut x, 50, joiner, 1);
+        assert_eq!(next, Some((NodeAddr(23), 2)), "the nearest peer");
+        let (next, rest) = route_join(&mut x, 23, joiner, 0);
+        assert_eq!(next, Some((NodeAddr(24), 1)), "the next nearest");
+        assert!(rest
+            .iter()
+            .any(|(_, m)| matches!(m, PastryMsg::RowRequest { .. })));
+        assert!(x.leaf_set().members().any(|m| m.addr == NodeAddr(23)));
+        assert!(x.routing_table().entries().all(|e| e.addr != NodeAddr(23)));
+        let (mut net, mut app) = (RecNet::default(), RecApp::default());
+        let info23 = info(id + 3_000, 23, 0);
+        x.on_message(
+            &mut net,
+            &mut app,
+            NodeAddr(23),
+            PastryMsg::Announce { info: info23 },
+        );
+        assert!(x.routing_table().entries().any(|e| e.addr == NodeAddr(23)));
+        let (next, _) = route_join(&mut x, 50, joiner, 1);
+        assert_eq!(next, Some((NodeAddr(23), 2)), "announced: routed to again");
+    }
+
+    /// A node whose way toward a joiner outside its leaf set is all
+    /// handed back is at a dead end: it drops the join once, and answers
+    /// the re-send.
+    #[test]
+    fn a_join_at_a_dead_end_is_dropped_once_and_answered_again() {
+        let (mut x, id) = joined_with_leaves();
+        let joiner = info(id - 100_000, 99, 0);
+        let mut from = (50, 1);
+        let dropped = loop {
+            let (next, rest) = route_join(&mut x, from.0, joiner, from.1);
+            match next {
+                // Every counter-clockwise peer is restarted, unjoined.
+                Some((to, _)) if (11..=18).contains(&to.0) => from = (to.0, 0),
+                Some(other) => panic!("routed past the run to {other:?}"),
+                None => break rest,
+            }
+        };
+        assert!(dropped
+            .iter()
+            .all(|(_, m)| matches!(m, PastryMsg::RowRequest { .. })));
+        let (next, rest) = route_join(&mut x, 50, joiner, 1);
+        assert_eq!(next, None);
+        assert!(matches!(
+            rest.as_slice(),
+            [(to, PastryMsg::JoinReply { .. })] if *to == NodeAddr(99)
+        ));
+    }
+
+    /// An unjoined node holds only the peers that announced themselves to
+    /// it: it answers a probe with itself alone, and sends the prober its
+    /// leaf set once its `JoinReply` arrives.
+    #[test]
+    fn an_unjoined_node_answers_a_probe_once_it_has_a_view() {
+        let mut u = PastryNode::new(info(5_000, 1, 0));
+        let (mut net, mut app) = (RecNet::default(), RecApp::default());
+        let prober = info(6_000, 2, 0);
+        u.on_message(
+            &mut net,
+            &mut app,
+            NodeAddr(2),
+            PastryMsg::Announce { info: prober },
+        );
+        u.on_message(
+            &mut net,
+            &mut app,
+            NodeAddr(2),
+            PastryMsg::LeafRepairRequest,
+        );
+        let Some((NodeAddr(2), PastryMsg::LeafRepairReply { leaves })) = net.sent.pop_front()
+        else {
+            panic!("no answer to the probe");
+        };
+        assert_eq!(leaves, [u.info()]);
+        let root = info(7_000, 3, 0);
+        let reply = PastryMsg::JoinReply {
+            rows: Vec::new(),
+            leaves: vec![root],
+            root,
+        };
+        u.on_message(&mut net, &mut app, NodeAddr(3), reply);
+        let view = net.sent.iter().find_map(|(to, m)| match m {
+            PastryMsg::LeafRepairReply { leaves } if *to == NodeAddr(2) => Some(leaves),
+            _ => None,
+        });
+        let view = view.expect("the prober is sent the view");
+        assert!(view.contains(&root) && view.contains(&u.info()));
+    }
+
     /// Two nodes whose tables disagree about a key route it to each other:
     /// `a` knows only `b`, so its part-filled leaf set claims the key and
     /// hands it to `b`, numerically closer; `b`'s full leaf set does not
     /// reach the key, so it routes by prefix to `a`, which shares a longer
-    /// one. A routed message and a join both stop after `MAX_HOPS`
-    /// instead of circling for ever.
+    /// one. A routed message stops after `MAX_HOPS` instead of circling
+    /// for ever. A join goes to the nearest node each hop knows, so it
+    /// does not circle: `b` sends it on to its leaf nearest the key.
     #[test]
     fn a_message_circling_between_disagreeing_tables_is_dropped() {
         let key: u128 = 0x5 << 124;
@@ -1119,38 +1367,42 @@ mod tests {
             b.insert_peer(&net, info(b_id - d, 10 + i, 0));
             b.insert_peer(&net, info(b_id + d, 20 + i, 0));
         }
-        a.join = JoinState::Joined;
-        b.join = JoinState::Joined;
-        let joiner = info(key, 99, 0);
-        let starts = [
-            PastryMsg::Route {
-                key: NodeId(key),
-                payload: P(7),
-                hops: 0,
-                scope: None,
-            },
-            PastryMsg::Join {
-                joiner,
-                rows: Vec::new(),
-                hops: 1,
-            },
-        ];
-        for start in starts {
-            let (mut net, mut app) = (RecNet::default(), RecApp::default());
-            net.sent.push_back((NodeAddr(0), start));
-            let mut delivered = 0;
-            while let Some((to, msg)) = net.sent.pop_front() {
-                delivered += 1;
-                assert!(delivered <= 2 * usize::from(MAX_HOPS), "still circling");
-                let (node, from) = match to.0 {
-                    0 => (&mut a, NodeAddr(1)),
-                    1 => (&mut b, NodeAddr(0)),
-                    other => panic!("left the loop for {other}"),
-                };
-                node.on_message(&mut net, &mut app, from, msg);
-            }
-            assert!(delivered > usize::from(MAX_HOPS) / 2, "it did circle");
-            assert!(app.delivered.is_empty());
+        a.join = JoinState::Joined(ThinVec::new());
+        b.join = JoinState::Joined(ThinVec::new());
+        let route = PastryMsg::Route {
+            key: NodeId(key),
+            payload: P(7),
+            hops: 0,
+            scope: None,
+        };
+        let (mut net, mut app) = (RecNet::default(), RecApp::default());
+        net.sent.push_back((NodeAddr(0), route));
+        let mut delivered = 0;
+        while let Some((to, msg)) = net.sent.pop_front() {
+            delivered += 1;
+            assert!(delivered <= 2 * usize::from(MAX_HOPS), "still circling");
+            let (node, from) = match to.0 {
+                0 => (&mut a, NodeAddr(1)),
+                1 => (&mut b, NodeAddr(0)),
+                other => panic!("left the loop for {other}"),
+            };
+            node.on_message(&mut net, &mut app, from, msg);
         }
+        assert!(delivered > usize::from(MAX_HOPS) / 2, "it did circle");
+        assert!(app.delivered.is_empty());
+        let joiner = info(key, 99, 0);
+        let join = PastryMsg::Join {
+            joiner,
+            rows: Vec::new(),
+            hops: 1,
+        };
+        let mut net = RecNet::default();
+        a.on_message(&mut net, &mut app, NodeAddr(7), join);
+        let (to, join) = net.sent.pop_front().unwrap();
+        assert_eq!(to, NodeAddr(1));
+        b.on_message(&mut net, &mut app, NodeAddr(0), join);
+        let (to, join) = net.sent.pop_front().unwrap();
+        assert_eq!(to, NodeAddr(28), "b's leaf nearest the key");
+        assert!(matches!(join, PastryMsg::Join { hops: 3, .. }));
     }
 }

@@ -8,6 +8,7 @@ use rbay_query::AttrValue;
 use rbay_store::{DurableState, Store, WalRecord};
 use scribe::TopicId;
 use simnet::obs::ObsEvent;
+use simnet::SiteId;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -17,10 +18,12 @@ use std::rc::Rc;
 #[derive(Debug)]
 pub(crate) struct Journal {
     store: Rc<RefCell<Store>>,
-    /// The topics whose last journaled subscription record is a
-    /// `SubAdd`, so the per-round dynamic-tree `SubAdd`/`SubRemove` are
-    /// written once.
-    subs: BTreeSet<TopicId>,
+    /// The subscriptions the journal holds, topic → scope, so the
+    /// per-round dynamic-tree `SubAdd`/`SubRemove` are written once.
+    subs: BTreeMap<TopicId, Option<SiteId>>,
+    /// Attributes whose last put failed to append: the journal may not
+    /// hold the host's value, so the next put of it is written.
+    unjournaled: BTreeSet<String>,
     /// Writes skipped because they would not change the journaled state.
     pub(crate) dedup_skips: u64,
 }
@@ -28,13 +31,34 @@ pub(crate) struct Journal {
 impl Journal {
     /// Whether `rec` repeats what is already journaled: an attribute put
     /// of the value `attrs` holds, or a subscription record that does not
-    /// change `subs` (which it updates).
-    fn repeats(&mut self, attrs: &BTreeMap<String, AttrValue>, rec: &WalRecord) -> bool {
+    /// change `subs`.
+    fn repeats(&self, attrs: &BTreeMap<String, AttrValue>, rec: &WalRecord) -> bool {
         match rec {
-            WalRecord::AttrPut { attr, value } => attrs.get(attr) == Some(value),
-            WalRecord::SubAdd { topic, .. } => !self.subs.insert(*topic),
-            WalRecord::SubRemove { topic } => !self.subs.remove(topic),
+            WalRecord::AttrPut { attr, value } => {
+                attrs.get(attr) == Some(value) && !self.unjournaled.contains(attr)
+            }
+            WalRecord::SubAdd { topic, scope } => self.subs.get(topic) == Some(scope),
+            WalRecord::SubRemove { topic } => !self.subs.contains_key(topic),
             _ => false,
+        }
+    }
+
+    /// Notes whether `rec` reached the journal.
+    fn appended(&mut self, rec: &WalRecord, ok: bool) {
+        match rec {
+            WalRecord::AttrPut { attr, .. } if ok => {
+                self.unjournaled.remove(attr);
+            }
+            WalRecord::AttrPut { attr, .. } => {
+                self.unjournaled.insert(attr.clone());
+            }
+            WalRecord::SubAdd { topic, scope } if ok => {
+                self.subs.insert(*topic, *scope);
+            }
+            WalRecord::SubRemove { topic } if ok => {
+                self.subs.remove(topic);
+            }
+            _ => {}
         }
     }
 }
@@ -54,11 +78,14 @@ impl RbayHost {
             journal.dedup_skips += 1;
             return;
         }
-        let mut store = journal.store.borrow_mut();
-        let snaps_before = store.stats().snapshots;
-        match store.append_for(self.addr, &rec) {
+        let (before, appended, stats) = {
+            let mut store = journal.store.borrow_mut();
+            let before = store.stats().snapshots;
+            (before, store.append_for(self.addr, &rec), store.stats())
+        };
+        journal.appended(&rec, appended.is_ok());
+        match appended {
             Ok(()) => {
-                let stats = store.stats();
                 let (node, at) = (self.addr, self.now);
                 self.obs.record_with(|| ObsEvent::StoreAppend {
                     at,
@@ -66,7 +93,7 @@ impl RbayHost {
                     kind: rec.kind(),
                     wal_records: stats.wal_records,
                 });
-                if stats.snapshots > snaps_before {
+                if stats.snapshots > before {
                     self.obs.record_with(|| ObsEvent::StoreSnapshot {
                         at,
                         node,
@@ -93,7 +120,8 @@ impl RbayHost {
         let stats = store.borrow().stats();
         self.journal = Some(Box::new(Journal {
             store,
-            subs: state.subs.keys().copied().collect(),
+            subs: state.subs.clone(),
+            unjournaled: BTreeSet::new(),
             dedup_skips: 0,
         }));
         self.obs.record_with(|| ObsEvent::StoreReplay {
@@ -310,6 +338,37 @@ mod store_tests {
         h.update_attr("CPU", AttrValue::Num(1.0));
         h.update_attr("CPU", AttrValue::Num(1.0));
         assert_eq!((appends(&h), journal(&h).dedup_skips), (1, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A put whose append failed is not taken as journaled: the same
+    /// value put again is written, until one append of it succeeds.
+    #[test]
+    fn a_put_that_failed_to_append_is_written_again() {
+        let dir = tmp_dir("failed-append");
+        let mut h = durable_host(&dir, LintPolicy::Off);
+        let appends = |h: &RbayHost| journal(h).store.borrow().stats().appends;
+        h.update_attr("CPU", AttrValue::Num(1.0));
+        {
+            let mut store = journal(&h).store.borrow_mut();
+            store.snapshot().unwrap();
+            // Every append compacts from now on.
+            store.set_snapshot_thresholds(1, u64::MAX);
+        }
+        // With the live snapshot unreadable each append's compaction, and
+        // so the append, fails.
+        let (snap, aside) = (dir.join("snapshot-1.snap"), dir.join("aside"));
+        std::fs::rename(&snap, &aside).unwrap();
+        h.update_attr("CPU", AttrValue::Num(2.0));
+        h.update_attr("CPU", AttrValue::Num(2.0));
+        assert_eq!((appends(&h), journal(&h).dedup_skips), (3, 0));
+        std::fs::rename(&aside, &snap).unwrap();
+        h.update_attr("CPU", AttrValue::Num(2.0));
+        h.update_attr("CPU", AttrValue::Num(2.0));
+        assert_eq!((appends(&h), journal(&h).dedup_skips), (4, 1));
+        drop(h);
+        let h = durable_host(&dir, LintPolicy::Off);
+        assert_eq!(h.attrs.get("CPU"), Some(&AttrValue::Num(2.0)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -617,7 +617,8 @@ impl Pack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::tests::node;
+    use crate::actor::tests::{node, node_with};
+    use crate::{LintPolicy, RbayConfig};
     use simnet::{Simulation, Topology, TraceEvent};
 
     /// Captures off-process frames.
@@ -890,6 +891,38 @@ mod tests {
         assert_eq!(files, ["MANIFEST", "wal-0.log"]);
         let packs: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(packs.len(), 1, "one directory, the pack's");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A handler admitted under `Warn` and restored under `Deny` is
+    /// quarantined, and the pack counts it once in `relint_rejects`.
+    #[test]
+    fn a_handler_quarantined_on_restore_is_counted_once() {
+        let dir = std::env::temp_dir().join(format!("rbay-pack-relint-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pack_under = |lint_policy| {
+            let cfg = RbayConfig {
+                lint_policy,
+                ..RbayConfig::default()
+            };
+            let mut pack = Pack::new(0, (0..2).map(|i| node_with(i, cfg.clone())).collect());
+            pack.open_stores(&dir, FsyncPolicy::Never).unwrap();
+            pack
+        };
+        let mut pack = pack_under(LintPolicy::Warn);
+        // `onGte` is a typo'd handler name: a warning under Warn, an
+        // error under Deny.
+        pack.with_member(&mut VecSink::default(), 1, |node, _| {
+            node.host
+                .install_node_aa("AA = { onGte = function(q) return true end }")
+                .unwrap();
+        });
+        assert_eq!(pack.store_stats().relint_rejects, 0);
+        drop(pack);
+        let pack = pack_under(LintPolicy::Deny);
+        assert_eq!(pack.store_stats().relint_rejects, 1);
+        assert_eq!(pack.member(1).host.quarantined.len(), 1);
+        assert!(pack.member(1).host.node_aa.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

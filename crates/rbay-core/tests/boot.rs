@@ -15,10 +15,19 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// Members per pack.
-const PER: u32 = 40;
-/// The packs' tick: join re-sends and maintenance strides.
-const TICK: SimDuration = SimDuration::from_millis(2);
+/// How many members each pack has, and the packs' tick: join re-sends
+/// and maintenance strides.
+#[derive(Clone, Copy)]
+struct Shape {
+    per: u32,
+    tick: SimDuration,
+}
+
+/// Packs of 40 members on a 2 ms tick.
+const SMALL: Shape = Shape {
+    per: 40,
+    tick: SimDuration::from_millis(2),
+};
 
 /// Frames a pack sends off-process, kept for the other packs.
 #[derive(Default)]
@@ -30,9 +39,10 @@ impl FrameSink for Outbox {
     }
 }
 
-/// Packs of [`PER`] members, as that many daemons run them; a pack that
-/// is down takes no turns and every frame sent to it is lost.
+/// Packs of one [`Shape`], as that many daemons run them; a pack that is
+/// down takes no turns and every frame sent to it is lost.
 struct Packs {
+    shape: Shape,
     packs: Vec<Pack>,
     outboxes: Vec<Outbox>,
     down: Vec<bool>,
@@ -43,10 +53,10 @@ struct Packs {
 }
 
 /// Pack `p` of `n`'s members, fresh: the ids a daemon gives them, no state.
-fn members(p: u32, n: u32) -> Vec<RbayNode> {
-    let topology = Topology::single_site((n * PER) as usize, 0.0);
+fn members(p: u32, n: u32, per: u32) -> Vec<RbayNode> {
+    let topology = Topology::single_site((n * per) as usize, 0.0);
     let member = RbayNode::members(&topology, Rc::new(RbayConfig::default()));
-    (p * PER..(p + 1) * PER)
+    (p * per..(p + 1) * per)
         .map(|a| member(NodeAddr(a)))
         .collect()
 }
@@ -54,15 +64,16 @@ fn members(p: u32, n: u32) -> Vec<RbayNode> {
 /// Builds pack `p` of `n` afresh, restores it from its journal under
 /// `data` if given, and starts it; its gateways are the other packs'
 /// first members, pack 0's first, as `rbay-node` lists them.
-fn started(p: u32, n: u32, outbox: &mut Outbox, data: Option<&Path>) -> Pack {
-    let mut pack = Pack::new(p * PER, members(p, n));
+fn started(shape: Shape, p: u32, n: u32, outbox: &mut Outbox, data: Option<&Path>) -> Pack {
+    let per = shape.per;
+    let mut pack = Pack::new(p * per, members(p, n, per));
     if let Some(data) = data {
         let dir = data.join(format!("pack-{p}"));
         pack.open_stores(&dir, FsyncPolicy::Never)
             .expect("open journal");
     }
-    let gateways = (0..n).filter(|&q| q != p).map(|q| NodeAddr(q * PER));
-    pack.start(outbox, TICK, gateways.collect());
+    let gateways = (0..n).filter(|&q| q != p).map(|q| NodeAddr(q * per));
+    pack.start(outbox, shape.tick, gateways.collect());
     pack
 }
 
@@ -77,9 +88,18 @@ impl Packs {
 
     /// `n` packs, each journaling under `data` if given.
     fn journaled(n: u32, data: Option<PathBuf>) -> Packs {
+        Packs::shaped(SMALL, n, data)
+    }
+
+    /// `n` packs of `shape`, each journaling under `data` if given.
+    fn shaped(shape: Shape, n: u32, data: Option<PathBuf>) -> Packs {
         let mut outboxes: Vec<Outbox> = (0..n).map(|_| Outbox::default()).collect();
-        let packs = (0..n).map(|p| started(p, n, &mut outboxes[p as usize], data.as_deref()));
+        let packs = (0..n).map(|p| {
+            let outbox = &mut outboxes[p as usize];
+            started(shape, p, n, outbox, data.as_deref())
+        });
         Packs {
+            shape,
             packs: packs.collect(),
             outboxes,
             down: vec![false; n as usize],
@@ -94,7 +114,8 @@ impl Packs {
     fn restart(&mut self, p: usize) {
         let n = self.packs.len() as u32;
         self.outboxes[p] = Outbox::default();
-        self.packs[p] = started(p as u32, n, &mut self.outboxes[p], self.data.as_deref());
+        let outbox = &mut self.outboxes[p];
+        self.packs[p] = started(self.shape, p as u32, n, outbox, self.data.as_deref());
         self.down[p] = false;
     }
 
@@ -108,7 +129,7 @@ impl Packs {
         for p in 0..self.packs.len() {
             for (from, to, frame) in std::mem::take(&mut self.outboxes[p].0) {
                 let msg = decode_frame::<RbayMsg>(&frame).expect("own frame decodes");
-                let q = (to.0 / PER) as usize;
+                let q = (to.0 / self.shape.per) as usize;
                 if self.down[q] {
                     self.joins_lost += usize::from(matches!(msg, PastryMsg::Join { .. }));
                     continue;
@@ -201,6 +222,27 @@ fn a_restarted_pack_rejoins_to_exact_leaf_sets() {
         "a later pack never seeds"
     );
     net.boot("rejoin");
+}
+
+/// Two packs of 250 on a daemon's 150 ms tick, and the first restarts
+/// from its journal. Half the ring restarts at once, so runs of its
+/// members longer than half a leaf set lie between the other pack's, and
+/// no survivor's leaf set reaches across them. Every leaf set is exact
+/// again within the boot's 20 s, not after the half minute anti-entropy
+/// takes to heal the gaps.
+#[test]
+fn half_the_ring_restarted_at_once_rejoins_to_exact_leaf_sets() {
+    let data = std::env::temp_dir().join(format!("rbay-boot-half-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data);
+    let shape = Shape {
+        per: 250,
+        tick: SimDuration::from_millis(150),
+    };
+    let mut net = Packs::shaped(shape, 2, Some(data.clone()));
+    net.boot("boot");
+    net.restart(0);
+    net.boot("rejoin");
+    std::fs::remove_dir_all(&data).unwrap();
 }
 
 /// Pack 1 restarts from its journal: the attribute and subscription a

@@ -99,6 +99,10 @@ pub struct Store {
     syncs: u64,
     snapshot_records: u64,
     snapshot_bytes: u64,
+    /// Whether the live generation's snapshot holds state a fold must
+    /// load: it loaded at open, or this store wrote it. One that open
+    /// discarded as corrupt is not expected to load again.
+    snapshot_live: bool,
     dirty: bool,
     buf: Vec<u8>,
 }
@@ -176,6 +180,7 @@ impl Store {
             syncs: 0,
             snapshot_records: SNAPSHOT_RECORDS,
             snapshot_bytes: SNAPSHOT_BYTES,
+            snapshot_live: report.snapshot_loaded,
             dirty: false,
             buf: Vec::with_capacity(256),
         };
@@ -250,19 +255,27 @@ impl Store {
 
     /// Takes a snapshot now: folds the live generation from disk into a
     /// new generation's image, commits it via the manifest, starts an
-    /// empty WAL, and deletes the previous generation's files.
+    /// empty WAL, and deletes the previous generation's files. A fold
+    /// that comes back short — the live snapshot does not load though it
+    /// did at open, or the WAL no longer reads to its end — is an error,
+    /// and the live generation is kept: replacing it would drop state.
     pub fn snapshot(&mut self) -> io::Result<()> {
         let old_gen = self.gen;
         let new_gen = self.gen + 1;
         let snap = snap_name(new_gen).expect("a generation after 0");
         // 1. Snapshot image: fold, then tmp + fsync + rename.
         let mut live = ReplayReport::default();
-        fold(
-            &self.dir,
-            old_gen,
-            &fs::read(self.dir.join(wal_name(old_gen)))?,
-            &mut live,
-        );
+        let wal_bytes = fs::read(self.dir.join(wal_name(old_gen)))?;
+        let valid = fold(&self.dir, old_gen, &wal_bytes, &mut live);
+        if (self.snapshot_live && !live.snapshot_loaded) || valid < wal_bytes.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "generation {old_gen} in {} no longer reads whole; kept, not compacted",
+                    self.dir.display()
+                ),
+            ));
+        }
         let tmp_path = self.dir.join(format!("{snap}.tmp"));
         {
             let mut image = Vec::new();
@@ -284,6 +297,7 @@ impl Store {
         // 3. Commit: the manifest rename flips both files at once.
         self.gen = new_gen;
         self.wal = new_wal;
+        self.snapshot_live = true;
         self.dirty = false;
         self.stats.wal_bytes = 0;
         self.stats.wal_records = 0;
@@ -585,6 +599,41 @@ mod tests {
         let (_, report) = Store::open(&dir, FsyncPolicy::Never).unwrap();
         assert!(report.snapshot_corrupt);
         assert!(!report.snapshot_loaded);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A compaction whose fold comes back short keeps the live
+    /// generation: a snapshot that cannot be read at compaction time (as
+    /// under a transient read error), or a WAL that no longer reads to
+    /// its end, is an error, not a new snapshot without that state.
+    #[test]
+    fn a_short_fold_fails_compaction_and_keeps_the_generation() {
+        let dir = tmp_dir("short-fold");
+        {
+            let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+            s.append(&put(0)).unwrap();
+            s.snapshot().unwrap();
+            s.append(&put(1)).unwrap();
+        }
+        let snap = dir.join(snap_name(1).unwrap());
+        let aside = dir.join("aside");
+        {
+            let (mut s, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
+            fs::rename(&snap, &aside).unwrap();
+            assert!(s.snapshot().is_err(), "snapshot unreadable");
+            fs::rename(&aside, &snap).unwrap();
+            // A record torn after open: the fold stops short of the WAL.
+            let mut wal = OpenOptions::new()
+                .append(true)
+                .open(dir.join(wal_name(1)))
+                .unwrap();
+            wal.write_all(&[0xff; 7]).unwrap();
+            assert!(s.snapshot().is_err(), "WAL does not read whole");
+            assert_eq!(s.stats().snapshots, 0);
+        }
+        let (state, report) = reopened(&dir, FsyncPolicy::Never);
+        assert!(report.snapshot_loaded);
+        assert!(holds_puts(&state, 2), "{state:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

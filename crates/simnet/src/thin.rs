@@ -43,6 +43,13 @@ impl<T> ThinVec<T> {
         self.0.as_mut()?.pop()
     }
 
+    /// Keeps only the elements `keep` holds to.
+    pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        if let Some(v) = self.0.as_mut() {
+            v.retain(keep);
+        }
+    }
+
     /// The elements as an owned `Vec`, without copying them.
     pub fn into_vec(self) -> Vec<T> {
         self.0.map(|b| *b).unwrap_or_default()
