@@ -15,10 +15,12 @@
 //! through their local first member — and every `--tick-ms` it runs one
 //! stride of maintenance rounds and flushes its WALs. Join re-sends,
 //! that tick and the members' protocol timers all live in the pack's one
-//! timer queue, on its one clock. The daemon is one thread, and its loop
-//! is: fire what is due, pump loopback, answer finished queries, turn the
-//! bus until the pack's next deadline or a frame, and handle the frames
-//! the turn read.
+//! timer queue. The pack keeps no clock: the daemon sets its time from an
+//! `Instant` of its own ([`Pack::advance_to`]). The daemon is one thread,
+//! and its loop is: set the pack's time, fire what is due, pump loopback,
+//! answer finished queries, turn the bus until the pack's next deadline or
+//! a frame, set the pack's time again, and handle the frames the turn
+//! read, so no handler runs at a time older than its input.
 //!
 //! Operator tools (the `cluster` harness) drive it over control
 //! connections speaking [`rbay_bench::cluster::CtrlMsg`]; requests for a
@@ -58,12 +60,12 @@ use rbay_core::{
 use rbay_query::{parse_query, ParseQueryError, Query};
 use rbay_store::FsyncPolicy;
 use rbay_wire::{decode_frame, encode_frame, BusLoop, Inbound};
-use simnet::{NodeAddr, SimDuration};
+use simnet::{NodeAddr, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::rc::Rc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Distinct ZQL texts whose parse the daemon keeps, so every query record
 /// of one text shares one `Rc<Query>`; the map is cleared when full.
@@ -156,6 +158,7 @@ fn main() -> ExitCode {
     let topology = cluster::daemon_topology(args.agents, args.num_sites);
     let member = RbayNode::members(&topology, Rc::new(cfg));
     let members = (start..end).map(|a| member(NodeAddr(a))).collect();
+    let epoch = Instant::now();
     let mut pack = Pack::new(start, members);
     if let Some(dir) = &args.data_dir {
         if let Err(e) = pack.open_stores(dir, args.fsync) {
@@ -182,12 +185,18 @@ fn main() -> ExitCode {
         .filter(|&first| first != start)
         .map(NodeAddr)
         .collect();
+    pack.advance_to(since(epoch));
     pack.start(&mut bus, args.tick, gateways);
     eprintln!(
         "rbay-node[{index}]: hosting members {start}..{end} on {}",
         bus.local_addr(),
     );
-    run(&mut pack, &mut bus, index)
+    run(&mut pack, &mut bus, index, epoch)
+}
+
+/// The daemon's clock: time since `epoch`.
+fn since(epoch: Instant) -> SimTime {
+    SimTime::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
 /// Prints what the pack's store gave back at open: the members' restored
@@ -236,15 +245,16 @@ impl CtrlState {
     }
 }
 
-/// The daemon's main loop: fire what is due, pump loopback, answer
-/// finished queries, then turn the bus — writing what all that sent and
-/// waiting no longer than the pack's next deadline — and handle the
-/// frames the turn read. Returns the exit status once a `Shutdown` has
-/// been handled.
-fn run(pack: &mut Pack, bus: &mut BusLoop, index: u32) -> ExitCode {
+/// The daemon's main loop: set the pack's time, fire what is due, pump
+/// loopback, answer finished queries, then turn the bus — writing what all
+/// that sent and waiting no longer than the pack's next deadline — set the
+/// time again and handle the frames the turn read. Returns the exit status
+/// once a `Shutdown` has been handled.
+fn run(pack: &mut Pack, bus: &mut BusLoop, index: u32, epoch: Instant) -> ExitCode {
     let mut ctrl = CtrlState::default();
     let mut batch = Vec::new();
     loop {
+        pack.advance_to(since(epoch));
         pack.fire_due(bus);
         pack.pump(bus);
         answer_finished_queries(pack, bus, &mut ctrl.pending, index);
@@ -254,11 +264,12 @@ fn run(pack: &mut Pack, bus: &mut BusLoop, index: u32) -> ExitCode {
         // is slept to, not spun to.
         let until = pack
             .next_deadline()
-            .map_or(0, |at| at.saturating_since(pack.now()).as_micros());
+            .map_or(0, |at| at.saturating_since(since(epoch)).as_micros());
         if let Err(e) = bus.turn(Duration::from_millis(until.div_ceil(1000)), &mut batch) {
             eprintln!("rbay-node[{index}]: event loop failed: {e}");
             return ExitCode::FAILURE;
         }
+        pack.advance_to(since(epoch));
         for msg in batch.drain(..) {
             if let Some(code) = on_inbound(pack, bus, &mut ctrl, msg, index) {
                 return code;

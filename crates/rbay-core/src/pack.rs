@@ -21,12 +21,18 @@
 //!   the same protocol token never collide. Each arm fires once; there is
 //!   no cancel and no supersede (see [`Transport::set_timer`]).
 //!
+//! The pack keeps no clock: its time is what its owner last set
+//! ([`Pack::advance_to`]), and every member reads and arms against it.
+//! `rbay-node` sets it from its own wall clock; a simulated owner
+//! sets it from [`Transport::now`], so the same pack runs on virtual
+//! time. A pack whose time is never set stays at [`SimTime::ZERO`].
+//!
 //! A pack also runs itself once [`Pack::start`]ed, on that same queue and
 //! clock: it boots its members into the overlay through a window of
 //! `JOIN_BATCH` (16) joins in flight, re-sending one unanswered for a tick;
 //! every tick it runs one stride of maintenance rounds and flushes the
 //! write-ahead log its members share ([`Pack::open_stores`]). Its owner only
-//! fires what is due ([`Pack::fire_due`]), pumps loopback
+//! sets the time, fires what is due ([`Pack::fire_due`]), pumps loopback
 //! ([`Pack::pump`]), and waits for the next deadline or frame. A pack
 //! that is never started arms no timer of its own.
 //!
@@ -43,7 +49,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::rc::Rc;
-use std::time::Instant;
 
 /// Loopback queue cap (messages); overflow is dropped and counted.
 const LOOPBACK_MAX: usize = 65_536;
@@ -88,11 +93,12 @@ enum Fire {
 }
 
 /// State every member's transport view borrows: the loopback queue, the
-/// shared clock, and the timer queue.
+/// owner's time, and the timer queue.
 struct PackShared {
     base: u32,
     len: u32,
-    epoch: Instant,
+    /// The time the owner last set ([`Pack::advance_to`]).
+    now: SimTime,
     /// In-process deliveries: `(from, destination slot, message)`.
     loopback: VecDeque<(NodeAddr, u32, RbayMsg)>,
     /// Every armed timer, keyed `(deadline, arm sequence)`.
@@ -103,10 +109,6 @@ struct PackShared {
 }
 
 impl PackShared {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
     fn slot_of(&self, addr: NodeAddr) -> Option<u32> {
         (addr.0 >= self.base && addr.0 < self.base + self.len).then(|| addr.0 - self.base)
     }
@@ -116,10 +118,11 @@ impl PackShared {
         self.armed += 1;
     }
 
-    /// Removes the earliest timer if its deadline is at or before `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<Fire> {
-        let (at, _) = self.timers.peek_key()?;
-        (at <= now).then(|| self.timers.pop().expect("peeked").2)
+    /// Removes the earliest timer if it is due — its deadline at or
+    /// before the pack's time — and was armed before arm number `before`.
+    fn pop_due(&mut self, before: u64) -> Option<Fire> {
+        let (at, seq) = self.timers.peek_key()?;
+        (at <= self.now && seq < before).then(|| self.timers.pop().expect("peeked").2)
     }
 }
 
@@ -147,11 +150,11 @@ impl<S: FrameSink> Transport<RbayMsg> for MemberCtx<'_, S> {
     }
 
     fn now(&self) -> SimTime {
-        self.shared.now()
+        self.shared.now
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let at = self.shared.now() + delay;
+        let at = self.shared.now + delay;
         self.shared.arm(at, Fire::Member(self.slot, token));
     }
 }
@@ -248,7 +251,7 @@ impl Pack {
             shared: PackShared {
                 base,
                 len,
-                epoch: Instant::now(),
+                now: SimTime::ZERO,
                 loopback: VecDeque::new(),
                 timers: CalendarQueue::new(),
                 armed: 0,
@@ -309,9 +312,10 @@ impl Pack {
         &self.members[slot as usize]
     }
 
-    /// The pack's wall clock (shared by every member).
-    pub fn now(&self) -> SimTime {
-        self.shared.now()
+    /// Sets the pack's time, which every member reads and arms against,
+    /// to `now`; a `now` before it leaves it where it is.
+    pub fn advance_to(&mut self, now: SimTime) {
+        self.shared.now = self.shared.now.max(now);
     }
 
     /// Messages dropped on loopback overflow so far.
@@ -412,11 +416,10 @@ impl Pack {
         if seeds && (!self.restarted || gateways.is_empty()) {
             self.members[0].seed_as_bootstrap();
         }
-        let now = self.now();
         self.tick = tick;
         self.boot = Some(JoinWindow::new(gateways, seeds));
-        self.shared.arm(now + tick, Fire::Tick);
-        self.refill_joins(sink, now);
+        self.shared.arm(self.shared.now + tick, Fire::Tick);
+        self.refill_joins(sink);
     }
 
     /// Delivers one decoded off-process message to the member hosting
@@ -446,30 +449,27 @@ impl Pack {
                 self.dispatch(sink, slot, from, msg);
                 n += 1;
             }
-            self.refill_joins(sink, self.shared.now());
+            self.refill_joins(sink);
             if !self.has_loopback() {
                 return n;
             }
         }
     }
 
-    /// Fires every timer due at the instant of the call — read once, so a
-    /// handler re-arming with zero delay cannot spin the turn: members'
-    /// protocol timers, and a started pack's join re-sends and tick.
-    /// Returns how many fired.
+    /// Fires every timer due at the pack's time and armed before the
+    /// call — so a handler re-arming with zero delay cannot spin the
+    /// turn: members' protocol timers, and a started pack's join re-sends
+    /// and tick. Returns how many fired.
     pub fn fire_due<S: FrameSink>(&mut self, sink: &mut S) -> usize {
-        self.fire_due_at(sink, self.shared.now())
-    }
-
-    fn fire_due_at<S: FrameSink>(&mut self, sink: &mut S, now: SimTime) -> usize {
+        let before = self.shared.armed;
         let mut fired = 0;
-        while let Some(fire) = self.shared.pop_due(now) {
+        while let Some(fire) = self.shared.pop_due(before) {
             match fire {
                 Fire::Member(slot, token) => {
                     let (node, mut ctx) = self.ctx(sink, slot);
                     node.on_timer_via(&mut ctx, token);
                 }
-                Fire::Join(slot) => self.resend_join(sink, slot, now),
+                Fire::Join(slot) => self.resend_join(sink, slot),
                 Fire::Tick => self.tick(sink),
             }
             fired += 1;
@@ -529,16 +529,17 @@ impl Pack {
     }
 
     /// Sends member `slot`'s join through `via` and arms its re-send a
-    /// tick after `now`.
-    fn send_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32, via: NodeAddr, now: SimTime) {
+    /// tick later.
+    fn send_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32, via: NodeAddr) {
         let (node, mut ctx) = self.ctx(sink, slot);
         node.join_via(&mut ctx, via);
-        self.shared.arm(now + self.tick, Fire::Join(slot));
+        self.shared
+            .arm(self.shared.now + self.tick, Fire::Join(slot));
     }
 
     /// Forgets completed joins and fills the window's free places with the
     /// next members; the boot ends once every member has joined.
-    fn refill_joins<S: FrameSink>(&mut self, sink: &mut S, now: SimTime) {
+    fn refill_joins<S: FrameSink>(&mut self, sink: &mut S) {
         let Some(mut window) = self.boot.take() else {
             return;
         };
@@ -556,7 +557,7 @@ impl Pack {
                 } else {
                     self.addr_of(0)
                 };
-                self.send_join(sink, slot, via, now);
+                self.send_join(sink, slot, via);
                 window.in_flight.push(slot);
             }
         }
@@ -568,7 +569,7 @@ impl Pack {
     /// Re-sends member `slot`'s join if the pack still boots and the join
     /// has not completed; slot 0's goes through the gateway
     /// [`JoinWindow::next_gateway`] picks, or slot 0 seeds.
-    fn resend_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32, now: SimTime) {
+    fn resend_join<S: FrameSink>(&mut self, sink: &mut S, slot: u32) {
         let Some(window) = self.boot.as_mut() else {
             return;
         };
@@ -585,7 +586,7 @@ impl Pack {
             self.members[0].seed_as_bootstrap();
             return;
         };
-        self.send_join(sink, slot, via, now);
+        self.send_join(sink, slot, via);
     }
 
     /// One maintenance stride — `⌈len / MAINT_SWEEP_TICKS⌉` members,
@@ -599,8 +600,7 @@ impl Pack {
         // Under `FsyncPolicy::Batch` one sync_data per tick, whichever
         // members appended, bounds what a power failure can lose to a tick.
         self.flush_store();
-        let next = self.shared.now() + self.tick;
-        self.shared.arm(next, Fire::Tick);
+        self.shared.arm(self.shared.now + self.tick, Fire::Tick);
     }
 
     /// Flushes the WAL (one `sync_data` if anything was appended under the
@@ -713,12 +713,7 @@ mod tests {
             });
         }
         assert!(pack.next_deadline().is_some());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut fired = 0;
-        while fired < 2 {
-            fired += pack.fire_due(&mut sink);
-            assert!(std::time::Instant::now() < deadline, "timers never fired");
-        }
+        let fired = pack.fire_due(&mut sink);
         assert_eq!(fired, 2, "one slot's timer clobbered the other's");
         assert_eq!(pack.next_deadline(), None);
     }
@@ -756,28 +751,30 @@ mod tests {
     fn join_window_paces_joins_by_their_completion() {
         let (mut pack, tick) = booting(vec![NodeAddr(0)]);
         let mut sink = Frames::default();
-        let t0 = pack.now();
+        let t0 = SimTime::ZERO;
 
-        pack.refill_joins(&mut sink, t0);
+        pack.refill_joins(&mut sink);
         assert_eq!(in_flight(&pack), [0], "slot 0 goes alone");
         assert_eq!(sink.0, [(NodeAddr(40), NodeAddr(0))]);
-        pack.fire_due_at(&mut sink, t0 + SimDuration::from_millis(75));
+        pack.advance_to(t0 + SimDuration::from_millis(75));
+        pack.fire_due(&mut sink);
         assert_eq!(sink.0.len(), 1, "no re-send inside a tick");
         assert_eq!(pack.next_deadline(), Some(t0 + tick));
-        pack.fire_due_at(&mut sink, t0 + tick);
+        let t1 = t0 + tick;
+        pack.advance_to(t1);
+        pack.fire_due(&mut sink);
         assert_eq!(sink.0.len(), 2, "re-sent after a tick");
 
         // Slot 0 joined: the window fills through it, over loopback.
         pack.members[0].seed_as_bootstrap();
-        let t1 = t0 + tick;
-        pack.refill_joins(&mut sink, t1);
+        pack.refill_joins(&mut sink);
         assert_eq!(in_flight(&pack), (1..=16).collect::<Vec<u32>>());
         assert_eq!(sink.0.len(), 2, "later slots join locally");
         assert!(pack.has_loopback());
 
         // One completes: its place is refilled in the same turn.
         pack.members[3].seed_as_bootstrap();
-        pack.refill_joins(&mut sink, t1);
+        pack.refill_joins(&mut sink);
         assert_eq!(in_flight(&pack).len(), JOIN_BATCH);
         assert!(!in_flight(&pack).contains(&3));
         assert_eq!(in_flight(&pack).last(), Some(&17));
@@ -828,13 +825,10 @@ mod tests {
         let (g0, g2) = (NodeAddr(0), NodeAddr(80));
         let (mut pack, tick) = booting(vec![g0, g2]);
         let mut sink = Frames::default();
-        let t0 = pack.now();
-        pack.refill_joins(&mut sink, t0);
+        pack.refill_joins(&mut sink);
         for n in 1..=9 {
-            pack.fire_due_at(
-                &mut sink,
-                t0 + SimDuration::from_micros(n * tick.as_micros()),
-            );
+            pack.advance_to(SimTime::ZERO + tick.saturating_mul(n));
+            pack.fire_due(&mut sink);
         }
         let sent_to: Vec<NodeAddr> = sink.0.iter().map(|&(_, to)| to).collect();
         assert_eq!(sent_to, [g0, g0, g0, g2, g2, g2, g0, g0, g0, g2]);
@@ -962,8 +956,8 @@ mod tests {
         let mut pack = Pack::new(0, vec![node(0)]);
         let mut sink = VecSink::default();
         pack.with_member(&mut sink, 0, |_, ctx| arm_script(ctx));
-        let now = pack.now();
-        let fired: Vec<Fire> = std::iter::from_fn(|| pack.shared.pop_due(now)).collect();
+        let before = pack.shared.armed;
+        let fired: Vec<Fire> = std::iter::from_fn(|| pack.shared.pop_due(before)).collect();
         let fired: Vec<TimerToken> = fired
             .into_iter()
             .map(|fire| match fire {
@@ -972,7 +966,7 @@ mod tests {
             })
             .collect();
         assert_eq!(fired, [A, B, A], "pack");
-        assert!(pack.next_deadline() > Some(now), "C pends");
+        assert!(pack.next_deadline() > Some(SimTime::ZERO), "C pends");
         // And through the public path: three firings, not two.
         pack.with_member(&mut sink, 0, |_, ctx| arm_script(ctx));
         assert_eq!(pack.fire_due(&mut sink), 3);

@@ -16,8 +16,10 @@ use crate::topology::{NodeAddr, SiteId};
 ///   sends and timer arms become events of the [`crate::Simulation`].
 /// * `rbay-core`'s `MemberCtx` (what the `rbay-node` daemon runs) loops
 ///   messages between members of one process back in memory, frames the
-///   rest onto `rbay-wire`'s `BusLoop`, and queues timers against the wall
-///   clock in a [`crate::CalendarQueue`] of its own.
+///   rest onto `rbay-wire`'s `BusLoop`, and queues timers in a
+///   [`crate::CalendarQueue`] of its own, against the time the pack's
+///   owner sets: the daemon's wall clock, or a simulation's clock when a
+///   simulated node owns the pack.
 ///
 /// Delivery is *best-effort* on every backend: the simulator can drop
 /// messages under a loss probability, and the TCP backend drops frames on
